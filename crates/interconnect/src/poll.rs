@@ -464,8 +464,10 @@ mod tests {
         let a = poll.register_pipe(TestReader(rx_a), TestWriter(out_a));
         let b = poll.register_pipe(TestReader(rx_b), TestWriter(out_b));
 
-        // B's frames arrive first; a recv on A must buffer them, not
-        // lose them, and per-connection order must hold.
+        // B's frames are sent first; a recv on A must buffer whatever of
+        // B it meets, not lose it, and per-connection order must hold.
+        // Nothing orders B's pump thread against A's, so B's chunk may
+        // still be in flight when A's frame returns: wait for it.
         in_b.send(b"b1\nb2\n".to_vec()).unwrap();
         in_a.send(b"a1\n".to_vec()).unwrap();
         let got = poll
@@ -473,8 +475,11 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(got, "a1");
-        assert!(poll.has_frame(b));
-        assert_eq!(poll.try_recv(b).as_deref(), Some("b1"));
+        let got = poll
+            .recv_deadline(b, Duration::from_secs(5))
+            .unwrap()
+            .unwrap();
+        assert_eq!(got, "b1");
         assert_eq!(poll.try_recv(b).as_deref(), Some("b2"));
         assert_eq!(poll.try_recv(b), None);
     }

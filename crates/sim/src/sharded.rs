@@ -20,15 +20,29 @@
 //! event processed at cycle `t` can only influence other actors at
 //! `t + W` or later. Shards therefore run classic conservative PDES
 //! rounds: process every local event in the window `[T, T + W)`,
-//! buffering *all* sends (even shard-local ones) as [`OutMsg`]s; flush
-//! outboxes into per-shard mailboxes; barrier; drain the own mailbox —
-//! sorted by the sender-side canonical key — scheduling each message on
-//! the shard's own crossbar and enqueueing its arrival; reduce the
-//! global minimum next event time through an atomic; barrier; advance
-//! `T`. When the reduced minimum is `u64::MAX` every queue is empty and
-//! the run is complete. `W == 0` (a zero-latency network) collapses to
-//! one shard, which processes and drains per event — the legacy order
-//! exactly.
+//! buffering *all* sends (even shard-local ones) as [`OutMsg`]s; move
+//! each send to its destination shard's inbox — directly when the same
+//! worker owns that shard, through the owning worker's mailbox otherwise;
+//! barrier; drain the inbox — sorted by the sender-side canonical key —
+//! scheduling each message on the shard's own crossbar and enqueueing its
+//! arrival; reduce the global minimum next event time through the second
+//! barrier; advance `T`. When the reduced minimum is `u64::MAX` every
+//! queue is empty and the run is complete. `W == 0` (a zero-latency
+//! network) collapses to one shard, which processes and drains per event
+//! — the legacy order exactly.
+//!
+//! # What a round costs
+//!
+//! With the default latencies `W = 2`, so a run is hundreds of thousands
+//! of rounds of a handful of events each, and the round's fixed cost is
+//! the engine's cost. One loop serves every worker count, and it pays
+//! only for what a round contains: worker 0 is the calling thread (one
+//! worker spawns nothing); a shard whose next event lies beyond the
+//! window is skipped; outboxes, inboxes and mailboxes are drained in
+//! place and keep their buffers; and the [`RoundBarrier`] returns at
+//! once for a single party and otherwise spins, then yields, then parks.
+//! With one worker every shard is local, so a round takes no lock, no
+//! barrier and no allocation.
 //!
 //! # Why this is *exactly* the single-threaded simulation
 //!
@@ -54,8 +68,8 @@ use crate::calendar::ShardQueue;
 use crate::directory_sim::{DirectorySim, PendingTxn};
 use crate::engine::{Event, EventKey};
 use crate::report::Report;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 use twobit_core::{CacheAgent, Controller, CtrlEmit, SendCost};
 use twobit_interconnect::{Crossbar, MessageSize, Network, NodeId};
 use twobit_obs::{ActorId, Metrics, Profiler, SimEvent, Tracer, TxnClass};
@@ -69,6 +83,10 @@ use twobit_workload::Workload;
 /// being processed when the record was made, the record's reserved slot
 /// within that event, and a minor counter for multi-record slots.
 type TraceKey = (EventKey, u32, u32);
+
+/// A shard's failure: the canonical key of the failing event orders
+/// simultaneous failures.
+type Failure = (EventKey, ProtocolError);
 
 /// A per-shard trace sink that buffers events with their global ordering
 /// key instead of writing them, so per-shard streams can be merge-sorted
@@ -157,6 +175,8 @@ impl Tracer for BufTracer {
 /// destination shard at the round barrier.
 #[derive(Debug)]
 struct OutMsg {
+    /// The shard that owns the destination actor.
+    dst: usize,
     /// Canonical key of the event whose handler produced this send.
     cause: EventKey,
     /// The send's reserved interleaving slot within that event.
@@ -207,7 +227,19 @@ struct Shard<W> {
     metrics: Metrics,
     tracer: BufTracer,
     profiler: Profiler,
-    outboxes: Vec<Vec<OutMsg>>,
+    /// Sends buffered while processing the current window.
+    outbox: Vec<OutMsg>,
+    /// Sends addressed to this shard, awaiting the cause-sorted drain.
+    inbox: Vec<OutMsg>,
+    /// Cached `queue.min_time()` (`u64::MAX` when empty), refreshed
+    /// whenever the queue changes, so a round can skip idle shards.
+    next: u64,
+    /// Open transactions among this shard's caches (the `outstanding`
+    /// gauge), kept as a running count.
+    outstanding: u64,
+    /// Requests queued across this shard's controllers (the
+    /// `queue_depth` gauge), kept as a running sum.
+    queued: u64,
     now: u64,
     events: u64,
 }
@@ -224,12 +256,13 @@ impl<W: Workload> Shard<W> {
     }
 
     /// Processes every local event strictly before `end`.
-    fn process_window(&mut self, end: u64) -> Result<(), (EventKey, ProtocolError)> {
+    fn process_window(&mut self, end: u64) -> Result<(), Failure> {
         loop {
             self.profiler.begin("engine.pop");
             let popped = self.queue.pop_in(end);
             self.profiler.end("engine.pop");
             let Some((time, event)) = popped else {
+                self.next = self.queue.min_time().unwrap_or(u64::MAX);
                 return Ok(());
             };
             self.step(time, event)?;
@@ -239,7 +272,7 @@ impl<W: Workload> Shard<W> {
     /// The single-shard (serial) loop: process and immediately deliver,
     /// event by event — the legacy engine's exact behavior, used when the
     /// network lookahead is zero.
-    fn run_serial(&mut self) -> Result<(), (EventKey, ProtocolError)> {
+    fn run_serial(&mut self) -> Result<(), Failure> {
         loop {
             self.profiler.begin("engine.pop");
             let popped = self.queue.pop_in(u64::MAX);
@@ -248,13 +281,15 @@ impl<W: Workload> Shard<W> {
                 return Ok(());
             };
             self.step(time, event)?;
-            let msgs = std::mem::take(&mut self.outboxes[0]);
-            self.apply(msgs);
+            // One shard: every send is to self. The inbox is empty
+            // here, so the swap also hands the outbox its buffer back.
+            std::mem::swap(&mut self.inbox, &mut self.outbox);
+            self.apply_inbox();
         }
     }
 
     /// Mirrors one iteration of the legacy event loop.
-    fn step(&mut self, time: u64, event: Event) -> Result<(), (EventKey, ProtocolError)> {
+    fn step(&mut self, time: u64, event: Event) -> Result<(), Failure> {
         debug_assert!(time >= self.now, "time went backwards");
         let key = event.key(time);
         self.now = time;
@@ -294,8 +329,8 @@ impl<W: Workload> Shard<W> {
                 } else {
                     let class = DirectorySim::classify_open(&outcome.sends, op.kind);
                     let id = self.open_txn(cpu, class, base);
-                    let outstanding = self.pending.iter().filter(|p| p.is_some()).count() as u64;
-                    self.metrics.outstanding.observe(base, outstanding);
+                    self.outstanding += 1;
+                    self.metrics.outstanding.observe(base, self.outstanding);
                     Some(id)
                 };
                 if self.tracer.enabled() {
@@ -353,8 +388,8 @@ impl<W: Workload> Shard<W> {
                 if let Some(p) = finished {
                     self.metrics
                         .record_latency(p.class, base.saturating_sub(p.start));
-                    let outstanding = self.pending.iter().filter(|p| p.is_some()).count() as u64;
-                    self.metrics.outstanding.observe(base, outstanding);
+                    self.outstanding -= 1;
+                    self.metrics.outstanding.observe(base, self.outstanding);
                 }
                 if self.tracer.enabled() {
                     let local_after = self.agents[li]
@@ -389,16 +424,15 @@ impl<W: Workload> Shard<W> {
             Event::DeliverToModule { module, cmd } => {
                 let lj = self.local_module(module);
                 self.profiler.begin("event.deliver_module");
+                let queued_before = self.controllers[lj].queued() as u64;
                 let emits = self.controllers[lj].submit_observed(
                     cmd,
                     self.now,
                     &mut self.tracer,
                     &mut self.profiler,
                 )?;
-                self.metrics.queue_depth.observe(
-                    self.now,
-                    self.controllers.iter().map(|c| c.queued() as u64).sum(),
-                );
+                self.queued = self.queued - queued_before + self.controllers[lj].queued() as u64;
+                self.metrics.queue_depth.observe(self.now, self.queued);
                 let base = self.now;
                 self.buffer_emits(module, emits, base);
                 self.profiler.end("event.deliver_module");
@@ -444,7 +478,8 @@ impl<W: Workload> Shard<W> {
             };
             self.network.note_injection(size);
             let sub = self.tracer.reserve_sub();
-            self.outboxes[module.index() % self.n_shards].push(OutMsg {
+            self.outbox.push(OutMsg {
+                dst: module.index() % self.n_shards,
                 cause: self.tracer.cause,
                 sub,
                 inject: base,
@@ -473,7 +508,8 @@ impl<W: Workload> Shard<W> {
                     self.network.note_injection(size);
                     let inject = base + self.config.latency.controller + extra;
                     let sub = self.tracer.reserve_sub();
-                    self.outboxes[to.index() % self.n_shards].push(OutMsg {
+                    self.outbox.push(OutMsg {
+                        dst: to.index() % self.n_shards,
                         cause: self.tracer.cause,
                         sub,
                         inject,
@@ -508,7 +544,8 @@ impl<W: Workload> Shard<W> {
                             continue;
                         }
                         let sub = self.tracer.reserve_sub();
-                        self.outboxes[cache.index() % self.n_shards].push(OutMsg {
+                        self.outbox.push(OutMsg {
+                            dst: cache.index() % self.n_shards,
                             cause: self.tracer.cause,
                             sub,
                             inject,
@@ -522,13 +559,18 @@ impl<W: Workload> Shard<W> {
         self.profiler.end("net.dispatch");
     }
 
-    /// Delivers a batch of incoming sends: sorts by the sender-side
-    /// canonical order, reserves the destination port on the shard-local
-    /// crossbar (reproducing the legacy schedule-call order, hence the
-    /// legacy arrival times), and enqueues the arrivals.
-    fn apply(&mut self, mut msgs: Vec<OutMsg>) {
+    /// Delivers the inbox: sorts by the sender-side canonical order (so
+    /// the order sends *arrived* in the inbox never matters), reserves
+    /// the destination port on the shard-local crossbar (reproducing the
+    /// legacy schedule-call order, hence the legacy arrival times), and
+    /// enqueues the arrivals. The inbox keeps its buffer.
+    fn apply_inbox(&mut self) {
+        if self.inbox.is_empty() {
+            return;
+        }
+        let mut msgs = std::mem::take(&mut self.inbox);
         msgs.sort_unstable_by_key(|m| (m.cause, m.sub));
-        for msg in msgs {
+        for msg in msgs.drain(..) {
             self.tracer.begin_drain(msg.cause, msg.sub);
             match msg.kind {
                 MsgKind::ToModule { src, module, cmd } => {
@@ -566,94 +608,258 @@ impl<W: Workload> Shard<W> {
                 }
             }
         }
+        self.inbox = msgs;
         self.tracer.end_drain();
+        self.next = self.queue.min_time().unwrap_or(u64::MAX);
     }
 }
 
-/// Shared coordination state for one sharded run.
+#[cfg(test)]
+thread_local! {
+    /// Threads spawned, mailbox locks taken, and barrier waits entered by
+    /// the current thread — everything a one-worker run must never do.
+    static SYNC_OPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one synchronisation operation (tests only; compiles to nothing
+/// otherwise).
+#[inline]
+fn note_sync_op() {
+    #[cfg(test)]
+    SYNC_OPS.with(|ops| ops.set(ops.get() + 1));
+}
+
+/// Busy-polls of the generation word before a waiter starts yielding:
+/// long enough to cover a peer finishing a typical window on its own
+/// core, short enough to waste little when workers outnumber cores.
+const BARRIER_SPINS: u32 = 128;
+/// `yield_now` calls before a waiter parks on the condition variable.
+const BARRIER_YIELDS: u32 = 64;
+
+/// The round barrier: a sense-reversing barrier for a fixed number of
+/// parties that also min-reduces one `u64` across them.
+///
+/// One party returns immediately without touching shared state. With
+/// several, a waiter spins on the generation word, then yields its time
+/// slice, then parks — so with a core per worker a round never enters
+/// the kernel, and with more workers than cores the descheduled peers
+/// still get to run.
+struct RoundBarrier {
+    parties: usize,
+    arrived: AtomicUsize,
+    /// Completed rounds of the barrier; its low bit is the sense. On a
+    /// cache line of its own, so spinning waiters do not steal the line
+    /// the arriving parties are still updating.
+    generation: OwnLine<AtomicUsize>,
+    /// Reduction cells: generation `g` reduces into `cells[g % 2]` while
+    /// the other cell is reset for generation `g + 1`.
+    cells: [AtomicU64; 2],
+    /// Waiters that are parked or about to park.
+    sleepers: AtomicUsize,
+    park_lock: Mutex<()>,
+    wake: Condvar,
+}
+
+/// Aligns (and so pads) a value to a cache line of its own.
+#[repr(align(128))]
+struct OwnLine<T>(T);
+
+impl RoundBarrier {
+    fn new(parties: usize) -> Self {
+        RoundBarrier {
+            parties,
+            arrived: AtomicUsize::new(0),
+            generation: OwnLine(AtomicUsize::new(0)),
+            cells: [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)],
+            sleepers: AtomicUsize::new(0),
+            park_lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Waits for every party and returns the minimum of their `local`s.
+    ///
+    /// Everything a party wrote before calling is visible to every party
+    /// after it returns: arrivals chain through the `AcqRel`
+    /// read-modify-writes of `arrived`, and the last arriver's store of
+    /// `generation` pairs with the waiters' `Acquire` loads of it.
+    fn min(&self, local: u64) -> u64 {
+        if self.parties == 1 {
+            return local;
+        }
+        note_sync_op();
+        // No party can be a generation ahead: the word moves only after
+        // all parties, this one included, have arrived.
+        let generation = self.generation.0.load(Ordering::Acquire);
+        let cell = &self.cells[generation % 2];
+        cell.fetch_min(local, Ordering::AcqRel);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            // Last to arrive. Every party has read the previous result
+            // out of the other cell (it did so before arriving here), and
+            // nobody touches `arrived` again until the generation moves.
+            self.cells[(generation + 1) % 2].store(u64::MAX, Ordering::Relaxed);
+            self.arrived.store(0, Ordering::Relaxed);
+            // SeqCst pairs with the parking rung of
+            // `await_generation_after`: either the load below sees the
+            // sleeper, or the sleeper's re-check sees the new generation.
+            self.generation
+                .0
+                .store(generation.wrapping_add(1), Ordering::SeqCst);
+            if self.sleepers.load(Ordering::SeqCst) > 0 {
+                // Taking the lock orders this wake-up after any sleeper
+                // that has checked the generation but not yet waited.
+                drop(self.park_lock.lock().expect("nothing panics holding it"));
+                self.wake.notify_all();
+            }
+        } else {
+            self.await_generation_after(generation);
+        }
+        cell.load(Ordering::Acquire)
+    }
+
+    /// Returns once `generation` has moved on: spin, then yield, then park.
+    fn await_generation_after(&self, generation: usize) {
+        let moved = || self.generation.0.load(Ordering::Acquire) != generation;
+        for _ in 0..BARRIER_SPINS {
+            if moved() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        for _ in 0..BARRIER_YIELDS {
+            if moved() {
+                return;
+            }
+            std::thread::yield_now();
+        }
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let mut guard = self.park_lock.lock().expect("nothing panics holding it");
+        while self.generation.0.load(Ordering::SeqCst) == generation {
+            guard = self.wake.wait(guard).expect("nothing panics holding it");
+        }
+        drop(guard);
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Sends addressed to one worker's shards by the *other* workers.
+struct Mailbox {
+    /// Set (`Release`) by a sender after it posts, read (`Acquire`) and
+    /// cleared by the owner between the round's two barriers, when no
+    /// sender runs; lets the owner skip the lock in rounds without mail.
+    has_mail: AtomicBool,
+    msgs: Mutex<Vec<OutMsg>>,
+}
+
+/// Shared coordination state for one sharded run. Shard `s` belongs to
+/// worker `s % n_workers`, at position `s / n_workers` of its list.
 struct Coordinator {
-    mailboxes: Vec<Mutex<Vec<OutMsg>>>,
-    mail_flags: Vec<AtomicBool>,
-    barrier_a: Barrier,
-    barrier_b: Barrier,
-    /// Double-buffered min-reduction cells for the next window start;
-    /// round `r` reduces into cell `r % 2` while resetting the other.
-    min_cells: [AtomicU64; 2],
-    abort: AtomicBool,
-    failure: Mutex<Option<(EventKey, ProtocolError)>>,
+    /// `(worker, position in that worker's shard list)` of each shard.
+    home: Vec<(usize, usize)>,
+    /// One mailbox per worker.
+    mailboxes: Vec<Mailbox>,
+    barrier: RoundBarrier,
+}
+
+/// Keeps the canonically-earlier of two failures — exactly the error the
+/// legacy loop (stopping at its first error) would have returned.
+fn earlier(a: Option<Failure>, b: Option<Failure>) -> Option<Failure> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(if b.0 < a.0 { b } else { a }),
+        (a, b) => a.or(b),
+    }
 }
 
 impl Coordinator {
     fn new(n_shards: usize, n_workers: usize) -> Self {
         Coordinator {
-            mailboxes: (0..n_shards).map(|_| Mutex::new(Vec::new())).collect(),
-            mail_flags: (0..n_shards).map(|_| AtomicBool::new(false)).collect(),
-            barrier_a: Barrier::new(n_workers),
-            barrier_b: Barrier::new(n_workers),
-            min_cells: [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)],
-            abort: AtomicBool::new(false),
-            failure: Mutex::new(None),
+            home: (0..n_shards)
+                .map(|s| (s % n_workers, s / n_workers))
+                .collect(),
+            mailboxes: (0..n_workers)
+                .map(|_| Mailbox {
+                    has_mail: AtomicBool::new(false),
+                    msgs: Mutex::new(Vec::new()),
+                })
+                .collect(),
+            barrier: RoundBarrier::new(n_workers),
         }
     }
 
-    /// Records a failure; the canonically-earliest failure wins, which is
-    /// exactly the error the legacy loop (stopping at its first error)
-    /// would have returned.
-    fn report_failure(&self, key: EventKey, err: ProtocolError) {
-        let mut slot = self.failure.lock().expect("failure lock");
-        if slot.as_ref().is_none_or(|(k, _)| key < *k) {
-            *slot = Some((key, err));
-        }
-        self.abort.store(true, Ordering::Release);
-    }
-
-    /// One worker's round loop over the shards it owns.
-    fn worker_loop<W: Workload>(&self, my: &mut [Shard<W>], mut t: u64, window: u64) {
-        let mut round: usize = 0;
+    /// Worker `me`'s round loop over the shards it owns: process the
+    /// window, exchange sends, drain inboxes in cause order, min-reduce
+    /// the next window start. Returns the worker's earliest failure.
+    fn worker_loop<W: Workload>(
+        &self,
+        me: usize,
+        my: &mut [Shard<W>],
+        mut t: u64,
+        window: u64,
+    ) -> Option<Failure> {
+        let mut failure = None;
+        // Sends to other workers' shards, batched per destination worker
+        // so a round takes at most one lock per peer.
+        let mut staged: Vec<Vec<OutMsg>> = self.mailboxes.iter().map(|_| Vec::new()).collect();
         while t != u64::MAX {
             let end = t.saturating_add(window);
-            for shard in my.iter_mut() {
-                if let Err((key, err)) = shard.process_window(end) {
-                    self.report_failure(key, err);
+            for i in 0..my.len() {
+                if my[i].next >= end {
+                    continue;
                 }
-                for (dst, out) in shard.outboxes.iter_mut().enumerate() {
-                    if out.is_empty() {
-                        continue;
+                if let Err(f) = my[i].process_window(end) {
+                    failure = earlier(failure, Some(f));
+                }
+                // A send to a shard of this worker goes straight into
+                // that shard's inbox; `apply_inbox` sorts, so the order
+                // of arrival there is immaterial.
+                let mut out = std::mem::take(&mut my[i].outbox);
+                for msg in out.drain(..) {
+                    let (worker, at) = self.home[msg.dst];
+                    if worker == me {
+                        my[at].inbox.push(msg);
+                    } else {
+                        staged[worker].push(msg);
                     }
-                    self.mailboxes[dst]
-                        .lock()
-                        .expect("mailbox lock")
-                        .append(out);
-                    self.mail_flags[dst].store(true, Ordering::Release);
                 }
+                my[i].outbox = out;
             }
-            self.barrier_a.wait();
-            // All workers observe the same abort verdict at the same
-            // round boundary, so none is left waiting at a barrier.
-            if self.abort.load(Ordering::Acquire) {
-                return;
+            for (worker, batch) in staged.iter_mut().enumerate() {
+                if batch.is_empty() {
+                    continue;
+                }
+                note_sync_op();
+                let mailbox = &self.mailboxes[worker];
+                mailbox.msgs.lock().expect("mailbox lock").append(batch);
+                mailbox.has_mail.store(true, Ordering::Release);
+            }
+            // All workers learn of a failure at the same round boundary,
+            // so none is left waiting at a barrier.
+            let all_ok = self.barrier.min(u64::from(failure.is_none())) == 1;
+            if !all_ok {
+                return failure;
+            }
+            let mailbox = &self.mailboxes[me];
+            if mailbox.has_mail.load(Ordering::Acquire) {
+                mailbox.has_mail.store(false, Ordering::Relaxed);
+                note_sync_op();
+                for msg in mailbox.msgs.lock().expect("mailbox lock").drain(..) {
+                    my[self.home[msg.dst].1].inbox.push(msg);
+                }
             }
             let mut local_min = u64::MAX;
             for shard in my.iter_mut() {
-                if self.mail_flags[shard.id].swap(false, Ordering::AcqRel) {
-                    let msgs =
-                        std::mem::take(&mut *self.mailboxes[shard.id].lock().expect("mailbox"));
-                    shard.apply(msgs);
-                }
-                local_min = local_min.min(shard.queue.min_time().unwrap_or(u64::MAX));
+                shard.apply_inbox();
+                local_min = local_min.min(shard.next);
             }
-            self.min_cells[round % 2].fetch_min(local_min, Ordering::AcqRel);
-            self.min_cells[(round + 1) % 2].store(u64::MAX, Ordering::Release);
-            self.barrier_b.wait();
-            t = self.min_cells[round % 2].load(Ordering::Acquire);
-            round += 1;
+            t = self.barrier.min(local_min);
         }
+        failure
     }
 }
 
 impl DirectorySim {
     /// Runs the simulation on the sharded engine with up to `workers`
-    /// OS threads.
+    /// OS threads, the calling thread included.
     ///
     /// Produces the same [`Report`] — same cycle count, event count,
     /// statistics, latency histograms, versions, transaction ids, and
@@ -676,12 +882,27 @@ impl DirectorySim {
     where
         W: Workload + Clone + Send,
     {
-        self.refs_target = refs_per_cpu;
         let budget = self.now.saturating_add(
             refs_per_cpu
                 .saturating_mul(10_000)
                 .saturating_add(1_000_000),
         );
+        self.run_sharded(workload, refs_per_cpu, workers, budget)
+    }
+
+    /// [`run_jobs`](DirectorySim::run_jobs) with the liveness budget — the
+    /// last cycle an event may run at — as a parameter.
+    fn run_sharded<W>(
+        &mut self,
+        workload: W,
+        refs_per_cpu: u64,
+        workers: usize,
+        budget: u64,
+    ) -> Result<Report, ProtocolError>
+    where
+        W: Workload + Clone + Send,
+    {
+        self.refs_target = refs_per_cpu;
         // The conservative lookahead: the cheapest possible network hop.
         let lookahead = self
             .config
@@ -696,42 +917,42 @@ impl DirectorySim {
         let n_workers = workers.clamp(1, n_shards);
 
         let mut shards = self.make_shards(workload, n_shards, refs_per_cpu, budget);
-        let coord = Coordinator::new(n_shards, n_workers);
-
-        if n_shards == 1 {
-            if let Err((key, err)) = shards[0].run_serial() {
-                coord.report_failure(key, err);
-            }
+        let (shards, failure) = if n_shards == 1 {
+            let failure = shards[0].run_serial().err();
+            (shards, failure)
         } else {
-            let t0 = shards
-                .iter()
-                .map(|s| s.queue.min_time().unwrap_or(u64::MAX))
-                .min()
-                .unwrap_or(u64::MAX);
+            let t0 = shards.iter().map(|s| s.next).min().unwrap_or(u64::MAX);
             let mut assignments: Vec<Vec<Shard<W>>> = (0..n_workers).map(|_| Vec::new()).collect();
             for (i, shard) in shards.into_iter().enumerate() {
                 assignments[i % n_workers].push(shard);
             }
-            let coord_ref = &coord;
-            shards = std::thread::scope(|scope| {
+            let coord = &Coordinator::new(n_shards, n_workers);
+            // Worker 0 is the calling thread; only the others are spawned.
+            let mut mine = assignments.remove(0);
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = assignments
                     .into_iter()
-                    .map(|mut mine| {
+                    .enumerate()
+                    .map(|(i, mut theirs)| {
+                        note_sync_op();
                         scope.spawn(move || {
-                            coord_ref.worker_loop(&mut mine, t0, lookahead);
-                            mine
+                            let failure = coord.worker_loop(i + 1, &mut theirs, t0, lookahead);
+                            (theirs, failure)
                         })
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("sharded worker panicked"))
-                    .collect()
-            });
-        }
+                let mut failure = coord.worker_loop(0, &mut mine, t0, lookahead);
+                for handle in handles {
+                    let (theirs, theirs_failure) = handle.join().expect("sharded worker panicked");
+                    mine.extend(theirs);
+                    failure = earlier(failure, theirs_failure);
+                }
+                (mine, failure)
+            })
+        };
 
         self.absorb(shards);
-        if let Some((_, err)) = coord.failure.into_inner().expect("failure lock") {
+        if let Some((_, err)) = failure {
             return Err(err);
         }
         self.finish()
@@ -783,7 +1004,11 @@ impl DirectorySim {
                     p.set_enabled(self.profiler.is_enabled());
                     p
                 },
-                outboxes: (0..n_shards).map(|_| Vec::new()).collect(),
+                outbox: Vec::new(),
+                inbox: Vec::new(),
+                next: u64::MAX,
+                outstanding: 0,
+                queued: 0,
                 now: self.now,
                 events: 0,
             })
@@ -793,17 +1018,20 @@ impl DirectorySim {
             let shard = &mut shards[k % n_shards];
             shard.agents.push(agent);
             shard.pending.push(pending[k]);
+            shard.outstanding += u64::from(pending[k].is_some());
             shard.version_counters.push(version_counters[k]);
             shard.txn_counters.push(txn_counters[k]);
             shard.refs_done.push(refs_done[k]);
         }
         for (j, controller) in controllers.into_iter().enumerate() {
-            shards[j % n_shards].controllers.push(controller);
+            let shard = &mut shards[j % n_shards];
+            shard.queued += controller.queued() as u64;
+            shard.controllers.push(controller);
         }
         for cpu in CacheId::all(self.config.caches) {
-            shards[cpu.index() % n_shards]
-                .queue
-                .push(self.now, Event::ProcessorIssue { cpu });
+            let shard = &mut shards[cpu.index() % n_shards];
+            shard.queue.push(self.now, Event::ProcessorIssue { cpu });
+            shard.next = self.now;
         }
         shards
     }
@@ -929,44 +1157,171 @@ mod tests {
         }
     }
 
+    /// Every directory scheme in the paper's spectrum.
+    const SCHEMES: [ProtocolKind; 6] = [
+        ProtocolKind::TwoBit,
+        ProtocolKind::TwoBitTlb { entries: 8 },
+        ProtocolKind::FullMap,
+        ProtocolKind::FullMapLocal,
+        ProtocolKind::ClassicalWriteThrough,
+        ProtocolKind::StaticSoftware,
+    ];
+
+    const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+    /// Runs 8 caches with a JSONL tracer installed — on the sharded
+    /// engine with that many workers, or on the legacy loop for `None` —
+    /// and returns the report and the trace bytes.
+    fn traced_run(protocol: ProtocolKind, sharded_jobs: Option<usize>) -> (Report, Vec<u8>) {
+        let buf = SharedBuf::default();
+        let mut sim = DirectorySim::build(config(8, protocol)).unwrap();
+        sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
+        let report = match sharded_jobs {
+            Some(jobs) => sim.run_jobs(workload(8, 3), 60, jobs).unwrap(),
+            None => sim.run(workload(8, 3), 60).unwrap(),
+        };
+        drop(sim.take_tracer());
+        let bytes = buf.0.borrow().clone();
+        (report, bytes)
+    }
+
     #[test]
     fn worker_count_does_not_change_anything() {
-        let runs: Vec<Report> = [1, 2, 4, 8]
-            .into_iter()
-            .map(|jobs| {
-                let mut sim = DirectorySim::build(config(8, ProtocolKind::TwoBit)).unwrap();
-                sim.run_jobs(workload(8, 42), 200, jobs).unwrap()
-            })
-            .collect();
-        for other in &runs[1..] {
-            assert_eq!(other.cycles, runs[0].cycles);
-            assert_eq!(other.events, runs[0].events);
-            assert_eq!(
-                stats_fingerprint(&other.stats),
-                stats_fingerprint(&runs[0].stats)
-            );
-            assert_eq!(other.obs, runs[0].obs, "gauges included: S is config-fixed");
+        for protocol in SCHEMES {
+            let runs: Vec<Report> = WORKER_COUNTS
+                .into_iter()
+                .map(|jobs| {
+                    let mut sim = DirectorySim::build(config(8, protocol)).unwrap();
+                    sim.run_jobs(workload(8, 42), 200, jobs).unwrap()
+                })
+                .collect();
+            for other in &runs[1..] {
+                assert_eq!(other.cycles, runs[0].cycles, "{protocol}");
+                assert_eq!(other.events, runs[0].events, "{protocol}");
+                assert_eq!(
+                    stats_fingerprint(&other.stats),
+                    stats_fingerprint(&runs[0].stats),
+                    "{protocol}"
+                );
+                assert_eq!(
+                    other.obs, runs[0].obs,
+                    "{protocol}: gauges included, S is config-fixed"
+                );
+            }
         }
     }
 
     #[test]
     fn traced_sharded_run_matches_legacy_trace() {
-        let trace_of = |sharded_jobs: Option<usize>| {
-            let buf = SharedBuf::default();
-            let mut sim = DirectorySim::build(config(4, ProtocolKind::TwoBit)).unwrap();
-            sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
-            match sharded_jobs {
-                Some(jobs) => sim.run_jobs(workload(4, 3), 60, jobs).unwrap(),
-                None => sim.run(workload(4, 3), 60).unwrap(),
-            };
-            drop(sim.take_tracer());
-            let bytes = buf.0.borrow().clone();
-            bytes
+        for protocol in SCHEMES {
+            let (legacy_report, legacy_trace) = traced_run(protocol, None);
+            assert!(!legacy_trace.is_empty());
+            let runs = WORKER_COUNTS.map(|jobs| traced_run(protocol, Some(jobs)));
+            for (jobs, (report, trace)) in WORKER_COUNTS.into_iter().zip(&runs) {
+                assert!(*trace == legacy_trace, "{protocol}, {jobs} workers: trace");
+                assert_eq!(report.cycles, legacy_report.cycles, "{protocol} {jobs}");
+                assert_eq!(report.events, legacy_report.events, "{protocol} {jobs}");
+                assert_eq!(
+                    stats_fingerprint(&report.stats),
+                    stats_fingerprint(&legacy_report.stats),
+                    "{protocol} {jobs}"
+                );
+                assert_eq!(
+                    report.obs, runs[0].0.obs,
+                    "{protocol} {jobs}: traced gauges"
+                );
+            }
+        }
+    }
+
+    /// DESIGN §8 mechanism 4: a failing run fails identically for any
+    /// worker count, and leaves the simulation inspectable.
+    #[test]
+    fn failure_is_identical_for_any_worker_count() {
+        let fail_with = |jobs: usize| {
+            let mut sim = DirectorySim::build(config(8, ProtocolKind::TwoBit)).unwrap();
+            let err = sim
+                .run_sharded(workload(8, 42), 1_000, jobs, 300)
+                .expect_err("300 cycles cannot retire 1,000 references per cpu");
+            // `absorb` ran: every agent and controller is back in place.
+            assert_eq!(sim.agents.len(), 8, "{jobs} workers");
+            assert_eq!(sim.controllers.len(), 8, "{jobs} workers");
+            assert!(sim.now > 300, "{jobs} workers: stopped past the budget");
+            assert!(sim.refs_done.iter().sum::<u64>() > 0, "{jobs} workers");
+            let cache_stats: Vec<_> = sim.agents.iter().map(|a| *a.stats()).collect();
+            (err, sim.now, sim.events, format!("{cache_stats:?}"))
         };
-        let legacy = trace_of(None);
-        assert!(!legacy.is_empty());
-        assert_eq!(trace_of(Some(1)), legacy, "1 worker");
-        assert_eq!(trace_of(Some(4)), legacy, "4 workers");
+        let one = fail_with(1);
+        assert!(
+            one.0.to_string().contains("liveness budget exhausted"),
+            "{}",
+            one.0
+        );
+        assert_eq!(fail_with(2), one, "2 workers");
+        assert_eq!(fail_with(8), one, "8 workers");
+    }
+
+    /// With one worker the run must spawn no thread, take no mailbox
+    /// lock, and never enter the barrier: everything is shard-local.
+    #[test]
+    fn one_worker_never_synchronises() {
+        let sync_ops_of = |jobs: usize| {
+            SYNC_OPS.with(|ops| ops.set(0));
+            let mut sim = DirectorySim::build(config(8, ProtocolKind::TwoBit)).unwrap();
+            sim.run_jobs(workload(8, 42), 200, jobs).unwrap();
+            SYNC_OPS.with(std::cell::Cell::get)
+        };
+        assert_eq!(sync_ops_of(1), 0);
+        assert!(sync_ops_of(2) > 0, "the counter sees worker 0's share");
+    }
+
+    #[test]
+    fn barrier_counts_rounds_across_four_threads() {
+        const ROUNDS: usize = 100_000;
+        let barrier = RoundBarrier::new(4);
+        let counter = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for round in 0..ROUNDS {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        barrier.min(u64::MAX);
+                        // Every party's increment of this round is in,
+                        // and nobody has started the next round's.
+                        assert_eq!(counter.load(Ordering::Relaxed), 4 * (round + 1));
+                        barrier.min(u64::MAX);
+                    }
+                });
+            }
+        });
+        assert_eq!(counter.load(Ordering::Relaxed), 4 * ROUNDS);
+    }
+
+    #[test]
+    fn barrier_reduces_the_minimum_and_survives_oversubscription() {
+        // Eight parties on however few cores the host has: the yield and
+        // park rungs must keep the descheduled parties moving.
+        const ROUNDS: u64 = 2_000;
+        let barrier = RoundBarrier::new(8);
+        let started = std::time::Instant::now();
+        std::thread::scope(|scope| {
+            for party in 0..8u64 {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        // The minimum rotates through the parties.
+                        let local = round * 8 + (party + round) % 8;
+                        assert_eq!(barrier.min(local), round * 8);
+                    }
+                });
+            }
+        });
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(60),
+            "8 parties took {:?} for {ROUNDS} rounds",
+            started.elapsed()
+        );
+        assert_eq!(RoundBarrier::new(1).min(7), 7, "one party: immediate");
     }
 
     #[test]

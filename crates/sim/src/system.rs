@@ -56,8 +56,9 @@ impl System {
         }
     }
 
-    /// Runs on the sharded parallel engine with up to `jobs` OS threads
-    /// (clamped to the machine's available parallelism). The report is
+    /// Runs on the sharded parallel engine with up to `jobs` OS threads,
+    /// the calling thread included — `jobs = 1` spawns none — (clamped to
+    /// the machine's available parallelism). The report is
     /// identical to [`System::run`]'s for any `jobs` — see
     /// [`DirectorySim::run_jobs`] — so callers can scale workers freely
     /// without perturbing results. The bus backend has no sharded engine
