@@ -1,6 +1,6 @@
 //! Criterion bench of the raw simulation machinery: functional executor
-//! throughput, timed-engine throughput (legacy loop and sharded engine),
-//! the sharded engine's cost per round, and workload generation.
+//! throughput, timed-engine throughput, the timed engine's cost per
+//! round, and workload generation.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -43,42 +43,21 @@ fn timed_engine(c: &mut Criterion) {
             black_box(system.run(workload, REFS).expect("run"))
         });
     });
-    // The legacy loop's side of the `engine/sharded_j1` comparison.
+    // Eight shards on one worker (`run` and `run_jobs(.., 1)` are the
+    // same code, so one measurement serves both).
     group.throughput(Throughput::Elements(REFS * 8));
     group.bench_function("two_bit_8cpu", |b| {
         b.iter(|| {
-            let (mut system, workload) = eight_cpu();
+            let workload = SharingModel::new(SharingParams::moderate(), 8, 11).expect("workload");
+            let mut system = System::build(SystemConfig::with_defaults(8)).expect("system");
             black_box(system.run(workload, REFS).expect("run"))
-        });
-    });
-    group.finish();
-}
-
-/// The configuration and workload `engine/timed/two_bit_8cpu` and
-/// `engine/sharded_j1/two_bit_8cpu` share.
-fn eight_cpu() -> (System, SharingModel) {
-    let workload = SharingModel::new(SharingParams::moderate(), 8, 11).expect("workload");
-    let system = System::build(SystemConfig::with_defaults(8)).expect("system");
-    (system, workload)
-}
-
-fn sharded_engine(c: &mut Criterion) {
-    // The sharded engine on one worker, on `engine/timed/two_bit_8cpu`'s
-    // exact configuration and workload: the two produce identical
-    // reports, so the ratio is the engines' relative cost.
-    let mut group = c.benchmark_group("engine/sharded_j1");
-    group.throughput(Throughput::Elements(REFS * 8));
-    group.bench_function("two_bit_8cpu", |b| {
-        b.iter(|| {
-            let (mut system, workload) = eight_cpu();
-            black_box(system.run_jobs(workload, REFS, 1).expect("run"))
         });
     });
     group.finish();
 
     // One processor over eight modules: at most one event is in flight,
     // so almost every window holds a single event and elements/second is
-    // rounds/second — the fixed cost of a round of the sharded loop.
+    // rounds/second — the fixed cost of a round.
     let round_run = || {
         let mut config = SystemConfig::with_defaults(1);
         config.address_map = AddressMap::interleaved(8);
@@ -203,7 +182,7 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = functional_executor, timed_engine, sharded_engine, tracer_overhead, metrics_overhead,
-        span_overhead, workload_generation
+    targets = functional_executor, timed_engine, tracer_overhead, metrics_overhead, span_overhead,
+        workload_generation
 }
 criterion_main!(benches);

@@ -10,10 +10,13 @@
 //!
 //! - `--label` names the output `BENCH_<label>.json` (default `local`);
 //!   `--out` overrides the path entirely.
-//! - `--jobs N` runs each case on the sharded engine with up to `N`
-//!   worker threads; results are identical for any `N` (the engine is
-//!   deterministic), only wall-clock figures change. Cases always run
-//!   one at a time so each case's wall clock is unpolluted.
+//! - `--jobs N` runs each case on up to `N` worker threads; results are
+//!   identical for any `N` (the engine is deterministic), only wall-clock
+//!   figures change. The document's `config.jobs` records the request;
+//!   the count that actually runs — capped by the host's cores and by
+//!   the shard count — is printed first, with a warning on stderr when it
+//!   is lower. Cases always run one at a time so each case's wall clock
+//!   is unpolluted.
 //! - `--profile` records the "top handlers by self-time" span table per
 //!   case (needs the `perf-spans` cargo feature to be more than a no-op).
 //! - `--quick` shrinks the sweep for CI smoke runs (500 refs/cpu).
@@ -159,6 +162,23 @@ fn main() -> ExitCode {
         eprintln!(
             "note: --profile requested but built without the perf-spans \
              feature; span tables will be empty"
+        );
+    }
+
+    // `System::run_jobs` caps the request at the host's cores, and the
+    // engine at its shard count: one per memory module, of which the
+    // suite's configurations have one per cache.
+    let jobs = args.cfg.jobs;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = jobs.clamp(1, cores).min(args.cfg.caches.max(1));
+    println!(
+        "workers: {workers} (--jobs {jobs}, {cores} cores, {} shards)",
+        args.cfg.caches
+    );
+    if workers < jobs {
+        eprintln!(
+            "warning: --jobs {jobs} was asked for but {workers} worker(s) run; \
+             the document still records jobs = {jobs}"
         );
     }
 

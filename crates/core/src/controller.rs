@@ -351,21 +351,53 @@ impl Controller {
     /// current state (e.g. unsolicited block data) — these indicate
     /// protocol bugs or injected faults, never normal operation.
     pub fn submit(&mut self, cmd: CacheToMemory) -> Result<Vec<CtrlEmit>, ProtocolError> {
-        self.submit_perf(cmd, &mut Profiler::disabled())
+        self.handle(cmd, &mut Profiler::disabled())
     }
 
-    /// Like [`submit`](Controller::submit), but records span timings into
-    /// `perf` for hot-path attribution: `ctrl.queue.enqueue` (conflict
-    /// deferral), `ctrl.queue.drain` (the scan-and-reopen loop, its
-    /// self-time being the queue scan itself), and `ctrl.protocol.open`
-    /// (one per command handed to the directory FSM). The simulator
-    /// passes its own profiler here so these spans nest under the event
-    /// class being dispatched.
+    /// [`submit`](Controller::submit) under the discrete-event
+    /// simulator's observers.
+    ///
+    /// When `tracer` is enabled it records the command's receipt at cycle
+    /// `now` — including the global-state transition it caused, which is
+    /// the directory-side half of every section 3.2.5 race. The event is
+    /// recorded even when the command is a protocol error, so post-mortem
+    /// ring dumps end on the offending command.
+    ///
+    /// `perf` receives span timings for hot-path attribution:
+    /// `ctrl.queue.enqueue` (conflict deferral), `ctrl.queue.drain` (the
+    /// scan-and-reopen loop, its self-time being the queue scan itself),
+    /// and `ctrl.protocol.open` (one per command handed to the directory
+    /// FSM). The simulator passes its own profiler here so these spans
+    /// nest under the event class being dispatched.
     ///
     /// # Errors
     ///
     /// Exactly as [`submit`](Controller::submit).
-    pub fn submit_perf(
+    pub fn submit_observed(
+        &mut self,
+        cmd: CacheToMemory,
+        now: u64,
+        tracer: &mut dyn Tracer,
+        perf: &mut Profiler,
+    ) -> Result<Vec<CtrlEmit>, ProtocolError> {
+        if !tracer.enabled() {
+            return self.handle(cmd, perf);
+        }
+        let a = cmd.block();
+        let class = cmd.class();
+        let text = cmd.to_string();
+        let before = self.protocol.global_state(a);
+        let result = self.handle(cmd, perf);
+        let after = self.protocol.global_state(a);
+        let mut ev = SimEvent::new(now, ActorId::Module(self.module), a, text).class(class);
+        if before != after {
+            ev = ev.global(before, after);
+        }
+        tracer.record(ev);
+        result
+    }
+
+    fn handle(
         &mut self,
         cmd: CacheToMemory,
         perf: &mut Profiler,
@@ -402,56 +434,6 @@ impl Controller {
             }
             CacheToMemory::PutData { from, a, version } => self.handle_put(from, a, version, perf),
         }
-    }
-
-    /// Like [`submit`](Controller::submit), but when `tracer` is enabled
-    /// also records the command's receipt at cycle `now` — including the
-    /// global-state transition it caused, which is the directory-side half
-    /// of every section 3.2.5 race. The event is recorded even when the
-    /// command is a protocol error, so post-mortem ring dumps end on the
-    /// offending command.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`submit`](Controller::submit).
-    pub fn submit_traced(
-        &mut self,
-        cmd: CacheToMemory,
-        now: u64,
-        tracer: &mut dyn Tracer,
-    ) -> Result<Vec<CtrlEmit>, ProtocolError> {
-        self.submit_observed(cmd, now, tracer, &mut Profiler::disabled())
-    }
-
-    /// [`submit_traced`](Controller::submit_traced) plus the span timings
-    /// of [`submit_perf`](Controller::submit_perf) — the full-observability
-    /// entry point used by the discrete-event simulator.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`submit`](Controller::submit).
-    pub fn submit_observed(
-        &mut self,
-        cmd: CacheToMemory,
-        now: u64,
-        tracer: &mut dyn Tracer,
-        perf: &mut Profiler,
-    ) -> Result<Vec<CtrlEmit>, ProtocolError> {
-        if !tracer.enabled() {
-            return self.submit_perf(cmd, perf);
-        }
-        let a = cmd.block();
-        let class = cmd.class();
-        let text = cmd.to_string();
-        let before = self.protocol.global_state(a);
-        let result = self.submit_perf(cmd, perf);
-        let after = self.protocol.global_state(a);
-        let mut ev = SimEvent::new(now, ActorId::Module(self.module), a, text).class(class);
-        if before != after {
-            ev = ev.global(before, after);
-        }
-        tracer.record(ev);
-        result
     }
 
     fn can_start(&self, a: BlockAddr) -> bool {

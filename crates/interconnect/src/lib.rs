@@ -87,40 +87,19 @@ pub trait Network {
     /// A short model name for reports.
     fn name(&self) -> &'static str;
 
-    /// Like [`schedule`](Network::schedule), but also records a network
-    /// occupancy event for `block`'s message when `tracer` is enabled.
-    /// The event carries the hop, the payload size, the arrival cycle,
+    /// [`schedule`](Network::schedule) under the simulator's observers.
+    ///
+    /// When `tracer` is enabled it records a network occupancy event for
+    /// `block`'s message: the hop, the payload size, the arrival cycle,
     /// and — when the destination port was busy — the queueing delay this
     /// message absorbed, making contention visible per message rather
     /// than only as the aggregate `queueing_cycles` counter.
-    fn schedule_traced(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        size: MessageSize,
-        now: u64,
-        block: BlockAddr,
-        tracer: &mut dyn Tracer,
-    ) -> u64 {
-        let queued_before = self.stats().queueing_cycles.get();
-        let arrival = self.schedule(src, dst, size, now);
-        if tracer.enabled() {
-            let queued = self.stats().queueing_cycles.get() - queued_before;
-            let mut text = format!("net {src}->{dst} {size} arr@{arrival}");
-            if queued > 0 {
-                text.push_str(&format!(" (+{queued} queued)"));
-            }
-            tracer.record(SimEvent::new(now, ActorId::Network, block, text));
-        }
-        arrival
-    }
-
-    /// [`schedule_traced`](Network::schedule_traced) wrapped in a
-    /// `net.schedule` span, so the per-delivery reservation work (port
-    /// contention lookup, statistics) shows up as its own line in the
-    /// simulator's self-time attribution instead of being folded into
-    /// whichever handler sent the message.
-    #[allow(clippy::too_many_arguments)] // schedule_traced's list + the profiler
+    ///
+    /// The whole call sits in a `net.schedule` span of `perf`, so the
+    /// per-delivery reservation work (port contention lookup, statistics)
+    /// shows up as its own line in the simulator's self-time attribution
+    /// instead of being folded into whichever handler sent the message.
+    #[allow(clippy::too_many_arguments)] // schedule's list + the block + two observers
     fn schedule_profiled(
         &mut self,
         src: NodeId,
@@ -132,7 +111,16 @@ pub trait Network {
         perf: &mut Profiler,
     ) -> u64 {
         perf.begin("net.schedule");
-        let arrival = self.schedule_traced(src, dst, size, now, block, tracer);
+        let queued_before = self.stats().queueing_cycles.get();
+        let arrival = self.schedule(src, dst, size, now);
+        if tracer.enabled() {
+            let queued = self.stats().queueing_cycles.get() - queued_before;
+            let mut text = format!("net {src}->{dst} {size} arr@{arrival}");
+            if queued > 0 {
+                text.push_str(&format!(" (+{queued} queued)"));
+            }
+            tracer.record(SimEvent::new(now, ActorId::Network, block, text));
+        }
         perf.end("net.schedule");
         arrival
     }
@@ -144,8 +132,7 @@ pub trait Network {
 /// module indices (node ids are small and contiguous), grown on demand —
 /// the dispatch path does no hashing. The sharded engine gives each
 /// shard its own `Crossbar` tracking only the ports of the destinations
-/// that shard owns; [`merge_stats_from`](Crossbar::merge_stats_from)
-/// folds the per-shard traffic counters back together.
+/// that shard owns, and sums their traffic counters after the run.
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     command_latency: u64,
@@ -177,12 +164,6 @@ impl Crossbar {
     #[must_use]
     pub fn zero_latency() -> Self {
         Crossbar::new(0, 0, 0)
-    }
-
-    /// Folds another crossbar's traffic statistics into this one's (used
-    /// to aggregate per-shard networks after a sharded run).
-    pub fn merge_stats_from(&mut self, other: &Crossbar) {
-        self.stats.merge(&other.stats);
     }
 
     #[inline]

@@ -263,25 +263,6 @@ impl Gauge {
             self.sum as f64 / self.samples as f64
         }
     }
-
-    /// Folds another gauge's series into this one (used to aggregate the
-    /// per-shard registries after a sharded run).
-    ///
-    /// Peaks take the max (each shard's peak is exact for the subset of
-    /// actors it watched); sample counts and sums add, so the merged mean
-    /// is the sample-weighted mean of the shards; `current` takes the max
-    /// as the best available "a shard ended here" representative, and the
-    /// sampling clock resumes from the latest accepted sample.
-    pub fn merge(&mut self, other: &Gauge) {
-        self.peak = self.peak.max(other.peak);
-        self.sum += other.sum;
-        self.samples += other.samples;
-        self.current = self.current.max(other.current);
-        self.last_sample = match (self.last_sample, other.last_sample) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
 }
 
 /// Percentile summary of one latency class, for reports.
@@ -375,9 +356,11 @@ impl SearchStats {
 #[derive(Debug, Clone)]
 pub struct Metrics {
     latency: [Histogram; TxnClass::ALL.len()],
-    /// Controller pending-conflict queue depth (system-wide).
+    /// Controller pending-conflict queue depth (system-wide), observed
+    /// whenever it changes.
     pub queue_depth: Gauge,
-    /// Simultaneously outstanding (started, unfinished) transactions.
+    /// Simultaneously outstanding (started, unfinished) transactions
+    /// (system-wide), observed whenever the count changes.
     pub outstanding: Gauge,
     /// Model-checking frontier size, observed once per search depth (the
     /// "time" axis is the depth, so every layer is sampled).
@@ -489,21 +472,19 @@ impl Metrics {
         Ok(())
     }
 
-    /// Folds another registry into this one: latency histograms merge
-    /// (multiset union), gauges merge (see [`Gauge::merge`]), per-cache
-    /// command counters add. Search statistics are whole-run scalars, not
-    /// per-shard series, so this registry's are kept.
+    /// Folds a shard's registry into this run-wide one: latency
+    /// histograms merge (multiset union) and per-cache command counters
+    /// add. Gauges and search statistics are run-wide series, fed where
+    /// the whole run is visible, so this registry's are kept.
     ///
     /// Shards index per-cache counters by *global* cache id and each
     /// cache is owned by exactly one shard, so the element-wise sum
-    /// reconstructs exactly the counters a single-threaded run records.
+    /// reconstructs exactly the counters one registry watching every
+    /// cache records.
     pub fn merge(&mut self, other: &Metrics) {
         for (mine, theirs) in self.latency.iter_mut().zip(&other.latency) {
             mine.merge(theirs);
         }
-        self.queue_depth.merge(&other.queue_depth);
-        self.outstanding.merge(&other.outstanding);
-        self.frontier.merge(&other.frontier);
         for (mine, theirs) in self
             .useless_per_cache
             .iter_mut()
@@ -679,23 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_merge_combines_series() {
-        let mut a = Gauge::new(10);
-        a.observe(0, 5);
-        a.observe(100, 1);
-        let mut b = Gauge::new(10);
-        b.observe(50, 9);
-        a.merge(&b);
-        assert_eq!(a.peak(), 9);
-        assert_eq!(a.samples(), 3);
-        assert!((a.mean() - 5.0).abs() < 1e-12);
-        let mut empty = Gauge::new(10);
-        empty.merge(&a);
-        assert_eq!(empty.peak(), 9);
-        assert_eq!(empty.samples(), 3);
-    }
-
-    #[test]
     fn metrics_merge_equals_single_registry() {
         // Two shards each watching one cache must merge to what one
         // registry watching both records.
@@ -709,8 +673,9 @@ mod tests {
         for m in [&mut whole, &mut shard1] {
             m.record_command(CacheId::new(1), false);
             m.record_latency(TxnClass::WriteMiss, 40);
-            m.queue_depth.observe(7, 3);
         }
+        // Gauges are run-wide: a shard's are not folded in.
+        shard1.queue_depth.observe(7, 3);
         shard0.merge(&shard1);
         assert_eq!(shard0.commands_total(), whole.commands_total());
         assert_eq!(shard0.useless_total(), whole.useless_total());

@@ -54,8 +54,7 @@ impl PartialOrd for FarEntry {
 }
 
 /// A calendar queue ordered by canonical [`EventKey`]s (see the module
-/// docs). Equivalent in pop order to [`crate::engine::EventQueue`], but
-/// with O(1) near-horizon scheduling.
+/// docs): pops in sorted-key order, with O(1) near-horizon scheduling.
 #[derive(Debug)]
 pub(crate) struct ShardQueue {
     /// All events before `base` have been popped; the near ring covers
@@ -140,6 +139,10 @@ impl ShardQueue {
                 let slot = (t & (NEAR_HORIZON - 1)) as usize;
                 let bucket = &mut self.near[slot];
                 let (key, event) = bucket.pop().expect("occupied bit says non-empty");
+                debug_assert!(
+                    bucket.last().is_none_or(|(next, _)| *next != key),
+                    "duplicate canonical key {key:?} — the uniqueness argument is broken"
+                );
                 if bucket.is_empty() {
                     self.occupied &= !(1 << slot);
                 }
@@ -188,7 +191,6 @@ impl ShardQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EventQueue;
     use twobit_types::{BlockAddr, CacheId, CacheToMemory, ModuleId, WritebackKind};
 
     fn issue(n: usize) -> Event {
@@ -209,11 +211,11 @@ mod tests {
     }
 
     #[test]
-    fn pops_in_canonical_order_like_event_queue() {
-        // Same scrambled schedule into both queues; pop orders must agree
-        // exactly, including same-cycle class/actor ordering and times
-        // far beyond the near horizon.
-        let schedule: Vec<(u64, Event)> = vec![
+    fn pops_in_canonical_key_order() {
+        // A scrambled schedule must pop in sorted-key order exactly,
+        // including same-cycle class/actor ordering and times far beyond
+        // the near horizon.
+        let mut schedule: Vec<(u64, Event)> = vec![
             (5, issue(1)),
             (5, deliver_module(0)),
             (5, issue(0)),
@@ -223,20 +225,15 @@ mod tests {
             (5, deliver_module(2)),
             (1000, issue(4)),
         ];
-        let mut reference = EventQueue::new();
         let mut calendar = ShardQueue::new(0);
-        for (t, e) in schedule {
-            reference.push(t, e.clone());
-            calendar.push(t, e);
+        for (t, e) in &schedule {
+            calendar.push(*t, e.clone());
         }
-        loop {
-            let want = reference.pop();
-            let got = calendar.pop_in(u64::MAX);
-            assert_eq!(got, want);
-            if want.is_none() {
-                break;
-            }
+        schedule.sort_by_key(|(t, e)| e.key(*t));
+        for want in schedule {
+            assert_eq!(calendar.pop_in(u64::MAX), Some(want));
         }
+        assert!(calendar.pop_in(u64::MAX).is_none());
         assert!(calendar.is_empty());
     }
 
@@ -257,8 +254,7 @@ mod tests {
     #[test]
     fn same_cycle_push_mid_pop_sorts_canonically() {
         // Pop the issue at t=9, then push a module delivery at t=9: the
-        // delivery (lower class rank) must still come out next, as the
-        // legacy heap would order it.
+        // delivery (lower class rank) must still come out next.
         let mut q = ShardQueue::new(0);
         q.push(9, issue(0));
         q.push(9, issue(1));

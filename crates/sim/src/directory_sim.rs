@@ -1,17 +1,15 @@
-//! The event-driven simulation of a directory-based Figure 3-1 system.
+//! The event-driven simulation of a directory-based Figure 3-1 system:
+//! its state, construction, observers and the quiescent-end checks. The
+//! engine that runs it — [`DirectorySim::run`] and
+//! [`DirectorySim::run_jobs`] — is [`crate::sharded`].
 
-use crate::engine::{Event, EventQueue};
 use crate::report::Report;
-use twobit_core::{
-    invariants, AgentPolicy, CacheAgent, Controller, CtrlEmit, SendCost, DEFAULT_STATIC_SHARED_FROM,
-};
-use twobit_interconnect::{Crossbar, MessageSize, Network, NodeId};
-use twobit_obs::{ActorId, Metrics, NullTracer, PerfReport, Profiler, SimEvent, Tracer, TxnClass};
+use twobit_core::{invariants, AgentPolicy, CacheAgent, Controller, DEFAULT_STATIC_SHARED_FROM};
+use twobit_obs::{Metrics, NullTracer, PerfReport, Tracer, TxnClass};
 use twobit_types::{
-    AccessKind, CacheId, CacheToMemory, ConfigError, Counter, ModuleId, ProtocolError,
-    ProtocolKind, SystemConfig, SystemStats, TxnId, Version,
+    AccessKind, CacheId, CacheToMemory, ConfigError, Counter, ModuleId, NetworkStats,
+    ProtocolError, ProtocolKind, SystemConfig, SystemStats, TxnId,
 };
-use twobit_workload::Workload;
 
 /// Default gauge sampling cadence, in cycles.
 const DEFAULT_METRICS_CADENCE: u64 = 64;
@@ -29,7 +27,7 @@ pub(crate) struct PendingTxn {
 ///
 /// Uses the identical protocol machines as
 /// [`twobit_core::FunctionalSystem`] — agents and controllers — driven by
-/// an event queue with the latencies of
+/// calendar queues with the latencies of
 /// [`SystemConfig::latency`](twobit_types::SystemConfig) and crossbar
 /// port contention, so controller queueing (section 3.2.5), in-flight
 /// invalidation races, and broadcast traffic all play out in time.
@@ -38,21 +36,21 @@ pub struct DirectorySim {
     pub(crate) config: SystemConfig,
     pub(crate) agents: Vec<CacheAgent>,
     pub(crate) controllers: Vec<Controller>,
-    pub(crate) network: Crossbar,
-    queue: EventQueue,
+    /// Run-wide traffic statistics; each shard schedules on a crossbar of
+    /// its own and its counters are folded in here after a run.
+    pub(crate) network: NetworkStats,
     pub(crate) now: u64,
     pub(crate) version_counters: Vec<u64>,
     pub(crate) refs_done: Vec<u64>,
     pub(crate) refs_target: u64,
     pub(crate) tracer: Box<dyn Tracer>,
     pub(crate) metrics: Metrics,
-    pub(crate) metrics_cadence: u64,
     pub(crate) pending: Vec<Option<PendingTxn>>,
     pub(crate) txn_counters: Vec<u64>,
-    pub(crate) profiler: Profiler,
-    /// Span report merged in from sharded workers (empty for the
-    /// single-threaded path, whose spans land in `profiler` directly).
-    pub(crate) extra_perf: PerfReport,
+    /// Whether shards time their hot-path spans.
+    pub(crate) profiling: bool,
+    /// The shards' span reports, merged after each run.
+    pub(crate) perf: PerfReport,
     pub(crate) events: u64,
 }
 
@@ -121,28 +119,21 @@ impl DirectorySim {
         let controllers = ModuleId::all(config.address_map.modules())
             .map(|m| Controller::new(m, protocol_for(&config), config.caches, config.concurrency))
             .collect();
-        let network = Crossbar::new(
-            config.latency.net_command,
-            config.latency.net_data,
-            1, // each input port accepts one message per cycle
-        );
         Ok(DirectorySim {
             config,
             agents,
             controllers,
-            network,
-            queue: EventQueue::new(),
+            network: NetworkStats::default(),
             now: 0,
             version_counters: vec![0; config.caches],
             refs_done: vec![0; config.caches],
             refs_target: 0,
             tracer: Box::new(NullTracer),
             metrics: Metrics::new(config.caches, DEFAULT_METRICS_CADENCE),
-            metrics_cadence: DEFAULT_METRICS_CADENCE,
             pending: vec![None; config.caches],
             txn_counters: vec![0; config.caches],
-            profiler: Profiler::disabled(),
-            extra_perf: PerfReport::default(),
+            profiling: false,
+            perf: PerfReport::default(),
             events: 0,
         })
     }
@@ -171,51 +162,30 @@ impl DirectorySim {
     /// Resets the registry with a new gauge sampling cadence. Only
     /// meaningful before [`run`](DirectorySim::run).
     pub fn set_metrics_cadence(&mut self, cadence: u64) {
-        self.metrics_cadence = cadence;
         self.metrics = Metrics::new(self.config.caches, cadence);
     }
 
     /// Turns hot-path span timing on or off. Spans cost nothing unless
     /// the `perf-spans` cargo feature is enabled *and* this is set.
     pub fn set_profiling(&mut self, on: bool) {
-        self.profiler.set_enabled(on);
+        self.profiling = on;
     }
 
     /// The accumulated span report: event-class handlers
     /// (`event.issue` / `event.deliver_cache` / `event.deliver_module`),
-    /// the event-queue pop (`engine.pop`), network scheduling
+    /// the calendar-queue pop (`engine.pop`), network scheduling
     /// (`net.dispatch` / `net.schedule`), and the controller's per-block
     /// queue ops (`ctrl.*`) — one unified hierarchy, so self-times sum to
-    /// the instrumented wall time.
+    /// the instrumented wall time (summed over worker threads).
     #[must_use]
     pub fn perf_report(&self) -> PerfReport {
-        let mut report = self.profiler.report();
-        report.merge(&self.extra_perf);
-        report
+        self.perf.clone()
     }
 
-    /// Simulation events processed so far (one per event-queue pop).
+    /// Simulation events processed so far (one per calendar-queue pop).
     #[must_use]
     pub fn events_processed(&self) -> u64 {
         self.events
-    }
-
-    /// Transactions currently open (started, unretired).
-    fn outstanding(&self) -> u64 {
-        self.pending.iter().filter(|p| p.is_some()).count() as u64
-    }
-
-    /// Opens a latency-tracked transaction for `cpu`. Ids are derived
-    /// from a per-cpu counter (interleaved by cpu index) so the value a
-    /// transaction gets is independent of the global event interleaving —
-    /// the sharded engine then assigns identical ids for any job count.
-    fn open_txn(&mut self, cpu: CacheId, class: TxnClass, start: u64) -> TxnId {
-        let n = self.txn_counters.len() as u64;
-        let count = &mut self.txn_counters[cpu.index()];
-        *count += 1;
-        let id = TxnId::new((*count - 1) * n + cpu.index() as u64 + 1);
-        self.pending[cpu.index()] = Some(PendingTxn { class, start, id });
-        id
     }
 
     /// Classifies the transaction a stalled issue opened, from the
@@ -246,304 +216,8 @@ impl DirectorySim {
             })
     }
 
-    /// A globally unique version token for a store by `cpu`. Like
-    /// transaction ids, versions interleave a per-cpu counter with the
-    /// cpu index so the token depends only on the cpu's own reference
-    /// stream, never on cross-cpu event ordering.
-    fn fresh_version(&mut self, cpu: CacheId) -> Version {
-        let n = self.version_counters.len() as u64;
-        let count = &mut self.version_counters[cpu.index()];
-        *count += 1;
-        Version::new((*count - 1) * n + cpu.index() as u64 + 1)
-    }
-
-    fn dispatch_to_memory(&mut self, from: CacheId, sends: Vec<CacheToMemory>, base: u64) {
-        self.profiler.begin("net.dispatch");
-        for cmd in sends {
-            let module = self.config.address_map.module_of(cmd.block());
-            let size = match cmd {
-                CacheToMemory::PutData { .. } => MessageSize::Data,
-                _ => MessageSize::Command,
-            };
-            self.network.note_injection(size);
-            let arrival = self.network.schedule_profiled(
-                NodeId::Cache(from),
-                NodeId::Module(module),
-                size,
-                base,
-                cmd.block(),
-                self.tracer.as_mut(),
-                &mut self.profiler,
-            );
-            // The replacement "transaction" (EJECT, optionally followed by
-            // the write-back put) never stalls the processor, so its
-            // latency is the eject notice's injection-to-delivery time.
-            if matches!(cmd, CacheToMemory::Eject { .. }) {
-                self.metrics
-                    .record_latency(TxnClass::Replacement, arrival - base);
-            }
-            self.queue
-                .push(arrival, Event::DeliverToModule { module, cmd });
-        }
-        self.profiler.end("net.dispatch");
-    }
-
-    fn dispatch_emits(&mut self, module: ModuleId, emits: Vec<CtrlEmit>, base: u64) {
-        self.profiler.begin("net.dispatch");
-        for emit in emits {
-            match emit {
-                CtrlEmit::Unicast { to, cmd, cost } => {
-                    let (size, extra) = match cost {
-                        SendCost::Command => (MessageSize::Command, 0),
-                        SendCost::DataFromMemory => (MessageSize::Data, self.config.latency.memory),
-                        SendCost::DataForwarded => (MessageSize::Data, 0),
-                    };
-                    self.network.note_injection(size);
-                    let inject = base + self.config.latency.controller + extra;
-                    let arrival = self.network.schedule_profiled(
-                        NodeId::Module(module),
-                        NodeId::Cache(to),
-                        size,
-                        inject,
-                        cmd.block(),
-                        self.tracer.as_mut(),
-                        &mut self.profiler,
-                    );
-                    self.queue.push(
-                        arrival,
-                        Event::DeliverToCache {
-                            cache: to,
-                            msg: cmd,
-                        },
-                    );
-                }
-                CtrlEmit::Broadcast { cmd, exclude, cost } => {
-                    let size = match cost {
-                        SendCost::Command => MessageSize::Command,
-                        _ => MessageSize::Data,
-                    };
-                    self.network.note_injection(size);
-                    let inject = base + self.config.latency.controller;
-                    if self.tracer.enabled() {
-                        self.tracer.record(SimEvent::new(
-                            inject,
-                            ActorId::Network,
-                            cmd.block(),
-                            format!(
-                                "fanout {cmd} from {module} to {} caches",
-                                self.config.caches - 1
-                            ),
-                        ));
-                    }
-                    for cache in CacheId::all(self.config.caches) {
-                        if cache == exclude {
-                            continue;
-                        }
-                        let arrival = self.network.schedule_profiled(
-                            NodeId::Module(module),
-                            NodeId::Cache(cache),
-                            size,
-                            inject,
-                            cmd.block(),
-                            self.tracer.as_mut(),
-                            &mut self.profiler,
-                        );
-                        self.queue
-                            .push(arrival, Event::DeliverToCache { cache, msg: cmd });
-                    }
-                }
-            }
-        }
-        self.profiler.end("net.dispatch");
-    }
-
-    fn schedule_next_issue(&mut self, cpu: CacheId, base: u64) {
-        if self.refs_done[cpu.index()] < self.refs_target {
-            let delay = self.config.latency.cache_hit + self.config.think_time;
-            self.queue.push(base + delay, Event::ProcessorIssue { cpu });
-        }
-    }
-
-    /// Runs `refs_per_cpu` references per processor from `workload` to
-    /// completion and drains all in-flight activity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError`] on coherence/protocol violations, on a
-    /// wedged system (liveness failure), or if invariants fail at the
-    /// quiescent end.
-    pub fn run<W: Workload>(
-        &mut self,
-        mut workload: W,
-        refs_per_cpu: u64,
-    ) -> Result<Report, ProtocolError> {
-        self.refs_target = refs_per_cpu;
-        for cpu in CacheId::all(self.config.caches) {
-            self.queue.push(self.now, Event::ProcessorIssue { cpu });
-        }
-        // Liveness guard: with blocking caches, a reference takes a
-        // bounded number of cycles; budget generously.
-        let budget = self.now.saturating_add(
-            refs_per_cpu
-                .saturating_mul(10_000)
-                .saturating_add(1_000_000),
-        );
-
-        loop {
-            self.profiler.begin("engine.pop");
-            let popped = self.queue.pop();
-            self.profiler.end("engine.pop");
-            let Some((time, event)) = popped else { break };
-            debug_assert!(time >= self.now, "time went backwards");
-            self.now = time;
-            self.events += 1;
-            if self.now > budget {
-                return Err(ProtocolError::UnexpectedCommand {
-                    state: format!("cycle {}", self.now),
-                    command: "liveness budget exhausted — the system is wedged".to_string(),
-                });
-            }
-            match event {
-                Event::ProcessorIssue { cpu } => {
-                    if self.refs_done[cpu.index()] >= self.refs_target {
-                        continue;
-                    }
-                    self.profiler.begin("event.issue");
-                    let op = workload.next_ref(cpu);
-                    let version = match op.kind {
-                        AccessKind::Write => self.fresh_version(cpu),
-                        AccessKind::Read => Version::initial(),
-                    };
-                    self.profiler.begin("agent.start");
-                    let outcome = self.agents[cpu.index()].start(op, version);
-                    self.profiler.end("agent.start");
-                    let base = self.now;
-                    let txn = if outcome.completed.is_some() {
-                        None
-                    } else {
-                        let class = Self::classify_open(&outcome.sends, op.kind);
-                        let id = self.open_txn(cpu, class, base);
-                        self.metrics.outstanding.observe(base, self.outstanding());
-                        Some(id)
-                    };
-                    if self.tracer.enabled() {
-                        let mut ev = SimEvent::new(
-                            base,
-                            ActorId::Cache(cpu),
-                            op.addr.block,
-                            format!("issue {op}"),
-                        );
-                        if let Some(id) = txn {
-                            ev = ev.txn(id);
-                        }
-                        self.tracer.record(ev);
-                    }
-                    self.dispatch_to_memory(cpu, outcome.sends, base);
-                    if outcome.completed.is_some() {
-                        self.refs_done[cpu.index()] += 1;
-                        self.schedule_next_issue(cpu, base);
-                    }
-                    // Otherwise the cpu is stalled; the retiring grant
-                    // reschedules it.
-                    self.profiler.end("event.issue");
-                }
-                Event::DeliverToCache { cache, msg } => {
-                    self.profiler.begin("event.deliver_cache");
-                    let useless_before = self.agents[cache.index()].stats().useless_commands.get();
-                    let local_before = if self.tracer.enabled() {
-                        Some(
-                            self.agents[cache.index()]
-                                .cache()
-                                .state_of(msg.block())
-                                .as_line_state(),
-                        )
-                    } else {
-                        None
-                    };
-                    self.profiler.begin("agent.on_network");
-                    let out = self.agents[cache.index()].on_network(msg)?;
-                    self.profiler.end("agent.on_network");
-                    let base = self.now
-                        + if out.counted {
-                            self.config.latency.snoop_service
-                        } else {
-                            0
-                        };
-                    // `counted` is exactly "commands_received was bumped";
-                    // comparing the useless counter across the call
-                    // reproduces the agent's own matched/unmatched verdict
-                    // without re-deriving it.
-                    let useless = out.counted
-                        && self.agents[cache.index()].stats().useless_commands.get()
-                            > useless_before;
-                    if out.counted {
-                        self.metrics.record_command(cache, useless);
-                    }
-                    let finished = if out.completed.is_some() {
-                        self.pending[cache.index()].take()
-                    } else {
-                        None
-                    };
-                    if let Some(p) = finished {
-                        self.metrics
-                            .record_latency(p.class, base.saturating_sub(p.start));
-                        self.metrics.outstanding.observe(base, self.outstanding());
-                    }
-                    if self.tracer.enabled() {
-                        let local_after = self.agents[cache.index()]
-                            .cache()
-                            .state_of(msg.block())
-                            .as_line_state();
-                        let mut ev = SimEvent::new(
-                            self.now,
-                            ActorId::Cache(cache),
-                            msg.block(),
-                            msg.to_string(),
-                        )
-                        .class(msg.class())
-                        .useless(useless);
-                        if let Some(before) = local_before {
-                            if before != local_after {
-                                ev = ev.local(before, local_after);
-                            }
-                        }
-                        if let Some(p) = finished {
-                            ev = ev.txn(p.id);
-                        }
-                        self.tracer.record(ev);
-                    }
-                    self.dispatch_to_memory(cache, out.sends, base);
-                    if out.completed.is_some() {
-                        self.refs_done[cache.index()] += 1;
-                        self.schedule_next_issue(cache, base);
-                    }
-                    self.profiler.end("event.deliver_cache");
-                }
-                Event::DeliverToModule { module, cmd } => {
-                    self.profiler.begin("event.deliver_module");
-                    let emits = self.controllers[module.index()].submit_observed(
-                        cmd,
-                        self.now,
-                        self.tracer.as_mut(),
-                        &mut self.profiler,
-                    )?;
-                    self.metrics.queue_depth.observe(
-                        self.now,
-                        self.controllers.iter().map(|c| c.queued() as u64).sum(),
-                    );
-                    let base = self.now;
-                    self.dispatch_emits(module, emits, base);
-                    self.profiler.end("event.deliver_module");
-                }
-            }
-        }
-
-        self.finish()
-    }
-
-    /// Quiescence checks, invariants, trace flush, and the final report —
-    /// shared by the single-threaded loop above and the sharded engine
-    /// ([`DirectorySim::run_jobs`]) after it merges worker state back.
+    /// Quiescence checks, invariants, trace flush, and the final report,
+    /// once the engine has merged shard state back.
     pub(crate) fn finish(&mut self) -> Result<Report, ProtocolError> {
         // Quiescence checks: everyone retired, nothing stuck.
         for (i, agent) in self.agents.iter().enumerate() {
@@ -592,7 +266,7 @@ impl DirectorySim {
         for (slot, controller) in stats.controllers.iter_mut().zip(&self.controllers) {
             *slot = controller.stats();
         }
-        stats.network.merge(self.network.stats());
+        stats.network.merge(&self.network);
         stats.cycles = self.now;
         stats
     }
@@ -614,7 +288,7 @@ impl DirectorySim {
 mod tests {
     use super::*;
     use twobit_types::{MemRef, WordAddr};
-    use twobit_workload::{scenarios, SharingModel, SharingParams};
+    use twobit_workload::{scenarios, SharingModel, SharingParams, Workload};
 
     fn config(n: usize, protocol: ProtocolKind) -> SystemConfig {
         SystemConfig::with_defaults(n).with_protocol(protocol)

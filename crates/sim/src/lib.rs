@@ -11,8 +11,10 @@
 //! concurrency, and per-processor think time, so transactions genuinely
 //! interleave and the section 3.2.5 races actually happen in flight.
 //!
-//! [`System`] is the facade: it runs directory protocols on the
-//! event-driven engine and the section 2.5 bus protocols on
+//! [`System`] is the facade: it runs directory protocols on the one timed
+//! engine — conservative rounds over per-module shards, the same code for
+//! [`System::run`] and [`System::run_jobs`] at any worker count — and the
+//! section 2.5 bus protocols on
 //! [`twobit_bus::BusSystem`], reporting through one [`Report`] type so
 //! every scheme in the paper's spectrum is measured in the same units
 //! (commands received per cache per memory reference, stolen cycles,
@@ -49,6 +51,6 @@ mod system;
 
 pub use bus_sim::BusSim;
 pub use directory_sim::DirectorySim;
-pub use engine::{Event, EventQueue};
+pub use engine::Event;
 pub use report::Report;
 pub use system::{simulate, System};

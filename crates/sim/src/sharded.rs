@@ -1,5 +1,8 @@
-//! The sharded parallel engine: cycle-barrier execution of the
-//! directory simulation, partitioned by home memory module.
+//! The timed directory engine: cycle-barrier execution of the directory
+//! simulation, partitioned by home memory module.
+//!
+//! [`DirectorySim::run`] and [`DirectorySim::run_jobs`] are the same
+//! code: `run` is the one-worker case.
 //!
 //! # Partitioning
 //!
@@ -11,7 +14,10 @@
 //! counter is then owned by exactly one shard, and a shard's event
 //! handlers touch only shard-local state. `S` is fixed by the
 //! configuration alone (the module count), never by the worker count —
-//! which is what makes the results identical for any `--jobs`.
+//! which is what makes the results identical for any `--jobs`. The
+//! workload is owned once per *worker* and lent to that worker's shards,
+//! so it is asked only for the cpus of shards the worker owns (the
+//! contract on [`Workload::next_ref`] is what makes that unobservable).
 //!
 //! # Conservative windows
 //!
@@ -28,8 +34,7 @@
 //! arrival; reduce the global minimum next event time through the second
 //! barrier; advance `T`. When the reduced minimum is `u64::MAX` every
 //! queue is empty and the run is complete. `W == 0` (a zero-latency
-//! network) collapses to one shard, which processes and drains per event
-//! — the legacy order exactly.
+//! network) collapses to one shard, which processes and drains per event.
 //!
 //! # What a round costs
 //!
@@ -44,25 +49,32 @@
 //! With one worker every shard is local, so a round takes no lock, no
 //! barrier and no allocation.
 //!
-//! # Why this is *exactly* the single-threaded simulation
+//! # Why the shard and worker counts are invisible
 //!
-//! The legacy engine pops events in canonical [`EventKey`] order and its
-//! only order-sensitive shared resource is the crossbar's
-//! per-destination port clock, which advances in `schedule()` *call*
-//! order. Within a window, shards process disjoint state, so only the
-//! schedule-call order at each destination matters; draining mailboxes
-//! sorted by `(cause key, sub)` — the canonical key of the event that
-//! sent the message, then the send's index within that event — restores
-//! precisely the call order the legacy loop would have used. Arrival
-//! times, event counts, per-cache statistics, latency histograms, and
-//! version/transaction numbering (already interleaved per-cpu) are
-//! therefore bit-for-bit identical for any shard or worker count. The
-//! only divergence is the sampled gauges (`queue_depth`, `outstanding`):
-//! each shard samples only the actors it owns, so with `S > 1` their
-//! peaks/means are per-shard views (exact again at `S == 1`). Trace
-//! events are buffered per shard keyed by `(cause, sub, minor)` and
-//! merge-sorted at the end, so a traced sharded run emits the legacy
-//! event stream in the legacy order.
+//! A single global event loop would pop events in canonical [`EventKey`]
+//! order, and its only order-sensitive shared resources would be the
+//! crossbar's per-destination port clocks, which advance in `schedule()`
+//! *call* order, and the two run-wide gauges, which are observed in event
+//! order. Within a window, shards process disjoint state, so only those
+//! two orders matter, and both are restored from the canonical key of the
+//! *causing* event. Inboxes are drained sorted by `(cause key, sub)` — the
+//! key of the event that sent the message, then the send's index within
+//! that event — which is precisely the global loop's schedule-call order.
+//! Handlers do not observe a gauge; each logs at most one [`Tick`] —
+//! `(cause key, cycle, which gauge, delta)`, when the count changes — and
+//! worker 0 collects the round's ticks (its own directly, the other
+//! workers' through its mailbox), sorts them by cause key after the first
+//! barrier crossing and feeds one pair of run-wide gauges. Arrival times,
+//! event counts, per-cache statistics, latency histograms, gauges, and
+//! version/transaction numbering (interleaved per-cpu) are therefore
+//! bit-for-bit identical for any shard or worker count, and equal to the
+//! digests frozen in `tests/determinism.rs`. Trace events are buffered
+//! per shard keyed by `(cause, sub, minor)` and merge-sorted at the end,
+//! so a traced run emits one stream in canonical order.
+//!
+//! The engine is not generic over the workload: workloads are lent as
+//! trait objects, so the round loop and the handlers are compiled once,
+//! in this crate, whatever the caller runs.
 
 use crate::calendar::ShardQueue;
 use crate::directory_sim::{DirectorySim, PendingTxn};
@@ -72,7 +84,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use twobit_core::{CacheAgent, Controller, CtrlEmit, SendCost};
 use twobit_interconnect::{Crossbar, MessageSize, Network, NodeId};
-use twobit_obs::{ActorId, Metrics, Profiler, SimEvent, Tracer, TxnClass};
+use twobit_obs::{ActorId, Gauge, Metrics, Profiler, SimEvent, Tracer, TxnClass};
 use twobit_types::{
     AccessKind, CacheId, CacheToMemory, MemoryToCache, ModuleId, ProtocolError, SystemConfig,
     TxnId, Version,
@@ -90,13 +102,13 @@ type Failure = (EventKey, ProtocolError);
 
 /// A per-shard trace sink that buffers events with their global ordering
 /// key instead of writing them, so per-shard streams can be merge-sorted
-/// into the legacy single-threaded order after the run.
+/// into one canonically ordered stream after the run.
 ///
 /// The `sub` counter doubles as the interleaving position for *sends*:
 /// reserving a slot for each buffered [`OutMsg`] keeps the destination
 /// shard's drain — and any trace records the drain-side network
-/// scheduling emits under the reserved slot — in the exact position the
-/// legacy loop would have produced them.
+/// scheduling emits under the reserved slot — in the exact position a
+/// single global event loop would have produced them.
 #[derive(Debug)]
 struct BufTracer {
     on: bool,
@@ -182,7 +194,7 @@ struct OutMsg {
     /// The send's reserved interleaving slot within that event.
     sub: u32,
     /// Network injection cycle (handler base time plus controller or
-    /// memory latency, exactly as the legacy dispatch computes it).
+    /// memory latency).
     inject: u64,
     size: MessageSize,
     kind: MsgKind,
@@ -202,6 +214,61 @@ enum MsgKind {
     },
 }
 
+/// Which run-wide gauge a [`Tick`] moves.
+#[derive(Debug, Clone, Copy)]
+enum GaugeId {
+    /// Open (started, unretired) transactions.
+    Outstanding,
+    /// Requests queued across all controllers.
+    QueueDepth,
+}
+
+/// One change of a run-wide gauge's count (both gauges are observed when
+/// they change), logged by the handler that caused it instead of
+/// observing a gauge directly: a shard sees only the actors it owns, so
+/// the run-wide count exists only once every shard's ticks are replayed
+/// in canonical event order. An event logs at most one tick, so the cause
+/// key alone orders them.
+#[derive(Debug)]
+struct Tick {
+    /// Canonical key of the event whose handler logged this.
+    cause: EventKey,
+    /// The cycle the gauge is observed at.
+    at: u64,
+    gauge: GaugeId,
+    /// Change in the gauge's running count.
+    delta: i64,
+}
+
+/// The run-wide gauges with the running counts that feed them. Worker 0
+/// holds the only one.
+struct GaugeFeed<'a> {
+    outstanding: (u64, &'a mut Gauge),
+    queue_depth: (u64, &'a mut Gauge),
+}
+
+impl GaugeFeed<'_> {
+    /// Replays `ticks` in the order of the events that logged them,
+    /// leaving the buffer empty.
+    fn apply(&mut self, ticks: &mut Vec<Tick>) {
+        // Most rounds log one tick or none; the guard spares them the call.
+        if ticks.len() > 1 {
+            ticks.sort_unstable_by_key(|tick| tick.cause);
+        }
+        for tick in ticks.iter() {
+            let (count, gauge) = match tick.gauge {
+                GaugeId::Outstanding => &mut self.outstanding,
+                GaugeId::QueueDepth => &mut self.queue_depth,
+            };
+            *count = count
+                .checked_add_signed(tick.delta)
+                .expect("a gauge count never goes negative");
+            gauge.observe(tick.at, *count);
+        }
+        ticks.clear();
+    }
+}
+
 /// One shard: the agents and controllers it owns, their per-cpu
 /// bookkeeping, a local calendar queue, a local crossbar (tracking only
 /// the ports of destinations this shard owns), and per-shard metrics /
@@ -209,11 +276,10 @@ enum MsgKind {
 ///
 /// Global cache `k` lives at local index `k / n_shards` of shard
 /// `k % n_shards`; modules likewise.
-struct Shard<W> {
+struct Shard {
     id: usize,
     n_shards: usize,
     config: SystemConfig,
-    workload: W,
     agents: Vec<CacheAgent>,
     controllers: Vec<Controller>,
     pending: Vec<Option<PendingTxn>>,
@@ -234,17 +300,11 @@ struct Shard<W> {
     /// Cached `queue.min_time()` (`u64::MAX` when empty), refreshed
     /// whenever the queue changes, so a round can skip idle shards.
     next: u64,
-    /// Open transactions among this shard's caches (the `outstanding`
-    /// gauge), kept as a running count.
-    outstanding: u64,
-    /// Requests queued across this shard's controllers (the
-    /// `queue_depth` gauge), kept as a running sum.
-    queued: u64,
     now: u64,
     events: u64,
 }
 
-impl<W: Workload> Shard<W> {
+impl Shard {
     fn local_cache(&self, k: CacheId) -> usize {
         debug_assert_eq!(k.index() % self.n_shards, self.id);
         k.index() / self.n_shards
@@ -256,7 +316,12 @@ impl<W: Workload> Shard<W> {
     }
 
     /// Processes every local event strictly before `end`.
-    fn process_window(&mut self, end: u64) -> Result<(), Failure> {
+    fn process_window(
+        &mut self,
+        end: u64,
+        workload: &mut dyn Workload,
+        ticks: &mut Vec<Tick>,
+    ) -> Result<(), Failure> {
         loop {
             self.profiler.begin("engine.pop");
             let popped = self.queue.pop_in(end);
@@ -265,14 +330,19 @@ impl<W: Workload> Shard<W> {
                 self.next = self.queue.min_time().unwrap_or(u64::MAX);
                 return Ok(());
             };
-            self.step(time, event)?;
+            self.step(time, event, workload, ticks)?;
         }
     }
 
     /// The single-shard (serial) loop: process and immediately deliver,
-    /// event by event — the legacy engine's exact behavior, used when the
-    /// network lookahead is zero.
-    fn run_serial(&mut self) -> Result<(), Failure> {
+    /// event by event — used when there is one module or the network
+    /// lookahead is zero.
+    fn run_serial(
+        &mut self,
+        workload: &mut dyn Workload,
+        gauges: &mut GaugeFeed,
+    ) -> Result<(), Failure> {
+        let mut ticks = Vec::new();
         loop {
             self.profiler.begin("engine.pop");
             let popped = self.queue.pop_in(u64::MAX);
@@ -280,7 +350,8 @@ impl<W: Workload> Shard<W> {
             let Some((time, event)) = popped else {
                 return Ok(());
             };
-            self.step(time, event)?;
+            self.step(time, event, workload, &mut ticks)?;
+            gauges.apply(&mut ticks);
             // One shard: every send is to self. The inbox is empty
             // here, so the swap also hands the outbox its buffer back.
             std::mem::swap(&mut self.inbox, &mut self.outbox);
@@ -288,8 +359,14 @@ impl<W: Workload> Shard<W> {
         }
     }
 
-    /// Mirrors one iteration of the legacy event loop.
-    fn step(&mut self, time: u64, event: Event) -> Result<(), Failure> {
+    /// One event: clock, count, liveness budget, handler.
+    fn step(
+        &mut self,
+        time: u64,
+        event: Event,
+        workload: &mut dyn Workload,
+        ticks: &mut Vec<Tick>,
+    ) -> Result<(), Failure> {
         debug_assert!(time >= self.now, "time went backwards");
         let key = event.key(time);
         self.now = time;
@@ -304,10 +381,26 @@ impl<W: Workload> Shard<W> {
             ));
         }
         self.tracer.begin_event(key);
-        self.handle(event).map_err(|e| (key, e))
+        self.handle(event, workload, ticks).map_err(|e| (key, e))
     }
 
-    fn handle(&mut self, event: Event) -> Result<(), ProtocolError> {
+    fn handle(
+        &mut self,
+        event: Event,
+        workload: &mut dyn Workload,
+        ticks: &mut Vec<Tick>,
+    ) -> Result<(), ProtocolError> {
+        // Logs a change of `delta` in a run-wide gauge's count, observed
+        // at cycle `at`, against the event being handled.
+        let cause = self.tracer.cause;
+        let mut tick = |gauge, at, delta| {
+            ticks.push(Tick {
+                cause,
+                at,
+                gauge,
+                delta,
+            });
+        };
         match event {
             Event::ProcessorIssue { cpu } => {
                 let li = self.local_cache(cpu);
@@ -315,7 +408,7 @@ impl<W: Workload> Shard<W> {
                     return Ok(());
                 }
                 self.profiler.begin("event.issue");
-                let op = self.workload.next_ref(cpu);
+                let op = workload.next_ref(cpu);
                 let version = match op.kind {
                     AccessKind::Write => self.fresh_version(cpu),
                     AccessKind::Read => Version::initial(),
@@ -329,8 +422,7 @@ impl<W: Workload> Shard<W> {
                 } else {
                     let class = DirectorySim::classify_open(&outcome.sends, op.kind);
                     let id = self.open_txn(cpu, class, base);
-                    self.outstanding += 1;
-                    self.metrics.outstanding.observe(base, self.outstanding);
+                    tick(GaugeId::Outstanding, base, 1);
                     Some(id)
                 };
                 if self.tracer.enabled() {
@@ -350,6 +442,8 @@ impl<W: Workload> Shard<W> {
                     self.refs_done[li] += 1;
                     self.schedule_next_issue(cpu, base);
                 }
+                // Otherwise the cpu is stalled; the retiring grant
+                // reschedules it.
                 self.profiler.end("event.issue");
             }
             Event::DeliverToCache { cache, msg } => {
@@ -375,6 +469,10 @@ impl<W: Workload> Shard<W> {
                     } else {
                         0
                     };
+                // `counted` is exactly "commands_received was bumped";
+                // comparing the useless counter across the call reproduces
+                // the agent's own matched/unmatched verdict without
+                // re-deriving it.
                 let useless =
                     out.counted && self.agents[li].stats().useless_commands.get() > useless_before;
                 if out.counted {
@@ -388,8 +486,7 @@ impl<W: Workload> Shard<W> {
                 if let Some(p) = finished {
                     self.metrics
                         .record_latency(p.class, base.saturating_sub(p.start));
-                    self.outstanding -= 1;
-                    self.metrics.outstanding.observe(base, self.outstanding);
+                    tick(GaugeId::Outstanding, base, -1);
                 }
                 if self.tracer.enabled() {
                     let local_after = self.agents[li]
@@ -424,15 +521,20 @@ impl<W: Workload> Shard<W> {
             Event::DeliverToModule { module, cmd } => {
                 let lj = self.local_module(module);
                 self.profiler.begin("event.deliver_module");
-                let queued_before = self.controllers[lj].queued() as u64;
+                let queued_before = self.controllers[lj].queued();
                 let emits = self.controllers[lj].submit_observed(
                     cmd,
                     self.now,
                     &mut self.tracer,
                     &mut self.profiler,
                 )?;
-                self.queued = self.queued - queued_before + self.controllers[lj].queued() as u64;
-                self.metrics.queue_depth.observe(self.now, self.queued);
+                // Like `outstanding`, the queue depth is observed when it
+                // changes; most commands start at once and leave it alone.
+                let queued_after = self.controllers[lj].queued();
+                if queued_after != queued_before {
+                    let delta = queued_after as i64 - queued_before as i64;
+                    tick(GaugeId::QueueDepth, self.now, delta);
+                }
                 let base = self.now;
                 self.buffer_emits(module, emits, base);
                 self.profiler.end("event.deliver_module");
@@ -441,8 +543,9 @@ impl<W: Workload> Shard<W> {
         Ok(())
     }
 
-    /// Per-cpu version token; same interleaved formula as the legacy
-    /// engine, so the value depends only on the cpu's own stream.
+    /// A globally unique version token for a store by `cpu`: a per-cpu
+    /// counter interleaved with the cpu index, so the token depends only
+    /// on the cpu's own reference stream, never on cross-cpu event order.
     fn fresh_version(&mut self, cpu: CacheId) -> Version {
         let n = self.config.caches as u64;
         let count = &mut self.version_counters[cpu.index() / self.n_shards];
@@ -450,6 +553,8 @@ impl<W: Workload> Shard<W> {
         Version::new((*count - 1) * n + cpu.index() as u64 + 1)
     }
 
+    /// Opens a latency-tracked transaction for `cpu`. Ids interleave a
+    /// per-cpu counter with the cpu index, like versions.
     fn open_txn(&mut self, cpu: CacheId, class: TxnClass, start: u64) -> TxnId {
         let n = self.config.caches as u64;
         let li = cpu.index() / self.n_shards;
@@ -467,8 +572,26 @@ impl<W: Workload> Shard<W> {
         }
     }
 
-    /// Buffers cache→module sends (the sharded `dispatch_to_memory`).
-    fn buffer_to_memory(&mut self, from: CacheId, sends: Vec<CacheToMemory>, base: u64) {
+    /// Buffers one point delivery, injected at cycle `inject`, for the
+    /// shard that owns its recipient.
+    fn send(&mut self, inject: u64, size: MessageSize, kind: MsgKind) {
+        let recipient = match kind {
+            MsgKind::ToModule { module, .. } => module.index(),
+            MsgKind::ToCache { cache, .. } => cache.index(),
+        };
+        let sub = self.tracer.reserve_sub();
+        self.outbox.push(OutMsg {
+            dst: recipient % self.n_shards,
+            cause: self.tracer.cause,
+            sub,
+            inject,
+            size,
+            kind,
+        });
+    }
+
+    /// Buffers cache→module sends.
+    fn buffer_to_memory(&mut self, src: CacheId, sends: Vec<CacheToMemory>, base: u64) {
         self.profiler.begin("net.dispatch");
         for cmd in sends {
             let module = self.config.address_map.module_of(cmd.block());
@@ -477,24 +600,12 @@ impl<W: Workload> Shard<W> {
                 _ => MessageSize::Command,
             };
             self.network.note_injection(size);
-            let sub = self.tracer.reserve_sub();
-            self.outbox.push(OutMsg {
-                dst: module.index() % self.n_shards,
-                cause: self.tracer.cause,
-                sub,
-                inject: base,
-                size,
-                kind: MsgKind::ToModule {
-                    src: from,
-                    module,
-                    cmd,
-                },
-            });
+            self.send(base, size, MsgKind::ToModule { src, module, cmd });
         }
         self.profiler.end("net.dispatch");
     }
 
-    /// Buffers module→cache sends (the sharded `dispatch_emits`).
+    /// Buffers module→cache sends.
     fn buffer_emits(&mut self, module: ModuleId, emits: Vec<CtrlEmit>, base: u64) {
         self.profiler.begin("net.dispatch");
         for emit in emits {
@@ -507,19 +618,15 @@ impl<W: Workload> Shard<W> {
                     };
                     self.network.note_injection(size);
                     let inject = base + self.config.latency.controller + extra;
-                    let sub = self.tracer.reserve_sub();
-                    self.outbox.push(OutMsg {
-                        dst: to.index() % self.n_shards,
-                        cause: self.tracer.cause,
-                        sub,
+                    self.send(
                         inject,
                         size,
-                        kind: MsgKind::ToCache {
+                        MsgKind::ToCache {
                             module,
                             cache: to,
                             cmd,
                         },
-                    });
+                    );
                 }
                 CtrlEmit::Broadcast { cmd, exclude, cost } => {
                     let size = match cost {
@@ -543,15 +650,7 @@ impl<W: Workload> Shard<W> {
                         if cache == exclude {
                             continue;
                         }
-                        let sub = self.tracer.reserve_sub();
-                        self.outbox.push(OutMsg {
-                            dst: cache.index() % self.n_shards,
-                            cause: self.tracer.cause,
-                            sub,
-                            inject,
-                            size,
-                            kind: MsgKind::ToCache { module, cache, cmd },
-                        });
+                        self.send(inject, size, MsgKind::ToCache { module, cache, cmd });
                     }
                 }
             }
@@ -561,9 +660,10 @@ impl<W: Workload> Shard<W> {
 
     /// Delivers the inbox: sorts by the sender-side canonical order (so
     /// the order sends *arrived* in the inbox never matters), reserves
-    /// the destination port on the shard-local crossbar (reproducing the
-    /// legacy schedule-call order, hence the legacy arrival times), and
-    /// enqueues the arrivals. The inbox keeps its buffer.
+    /// the destination port on the shard-local crossbar (in the one
+    /// schedule-call order a global event loop would use, hence its
+    /// arrival times), and enqueues the arrivals. The inbox keeps its
+    /// buffer.
     fn apply_inbox(&mut self) {
         if self.inbox.is_empty() {
             return;
@@ -572,41 +672,41 @@ impl<W: Workload> Shard<W> {
         msgs.sort_unstable_by_key(|m| (m.cause, m.sub));
         for msg in msgs.drain(..) {
             self.tracer.begin_drain(msg.cause, msg.sub);
-            match msg.kind {
-                MsgKind::ToModule { src, module, cmd } => {
-                    let arrival = self.network.schedule_profiled(
-                        NodeId::Cache(src),
-                        NodeId::Module(module),
-                        msg.size,
-                        msg.inject,
-                        cmd.block(),
-                        &mut self.tracer,
-                        &mut self.profiler,
-                    );
-                    // The replacement "transaction" never stalls the
-                    // processor; its latency is injection-to-delivery,
-                    // recorded here where the arrival time is known.
-                    if matches!(cmd, CacheToMemory::Eject { .. }) {
-                        self.metrics
-                            .record_latency(TxnClass::Replacement, arrival - msg.inject);
-                    }
-                    self.queue
-                        .push(arrival, Event::DeliverToModule { module, cmd });
-                }
-                MsgKind::ToCache { module, cache, cmd } => {
-                    let arrival = self.network.schedule_profiled(
-                        NodeId::Module(module),
-                        NodeId::Cache(cache),
-                        msg.size,
-                        msg.inject,
-                        cmd.block(),
-                        &mut self.tracer,
-                        &mut self.profiler,
-                    );
-                    self.queue
-                        .push(arrival, Event::DeliverToCache { cache, msg: cmd });
-                }
+            let (src, dst, block, event) = match msg.kind {
+                MsgKind::ToModule { src, module, cmd } => (
+                    NodeId::Cache(src),
+                    NodeId::Module(module),
+                    cmd.block(),
+                    Event::DeliverToModule { module, cmd },
+                ),
+                MsgKind::ToCache { module, cache, cmd } => (
+                    NodeId::Module(module),
+                    NodeId::Cache(cache),
+                    cmd.block(),
+                    Event::DeliverToCache { cache, msg: cmd },
+                ),
+            };
+            let arrival = self.network.schedule_profiled(
+                src,
+                dst,
+                msg.size,
+                msg.inject,
+                block,
+                &mut self.tracer,
+                &mut self.profiler,
+            );
+            // The replacement "transaction" (EJECT, optionally followed by
+            // the write-back put) never stalls the processor, so its
+            // latency is the eject notice's injection-to-delivery time.
+            if let Event::DeliverToModule {
+                cmd: CacheToMemory::Eject { .. },
+                ..
+            } = event
+            {
+                self.metrics
+                    .record_latency(TxnClass::Replacement, arrival - msg.inject);
             }
+            self.queue.push(arrival, event);
         }
         self.inbox = msgs;
         self.tracer.end_drain();
@@ -742,13 +842,22 @@ impl RoundBarrier {
     }
 }
 
-/// Sends addressed to one worker's shards by the *other* workers.
+/// What one worker posts to another in a round: sends for the shards
+/// the recipient owns and — to worker 0 only, which feeds the gauges —
+/// the sender's gauge ticks.
+#[derive(Default)]
+struct Mail {
+    msgs: Vec<OutMsg>,
+    ticks: Vec<Tick>,
+}
+
+/// Mail addressed to one worker by the *other* workers.
 struct Mailbox {
     /// Set (`Release`) by a sender after it posts, read (`Acquire`) and
     /// cleared by the owner between the round's two barriers, when no
     /// sender runs; lets the owner skip the lock in rounds without mail.
     has_mail: AtomicBool,
-    msgs: Mutex<Vec<OutMsg>>,
+    mail: Mutex<Mail>,
 }
 
 /// Shared coordination state for one sharded run. Shard `s` belongs to
@@ -759,10 +868,12 @@ struct Coordinator {
     /// One mailbox per worker.
     mailboxes: Vec<Mailbox>,
     barrier: RoundBarrier,
+    /// Cycles in a round's window: the conservative lookahead.
+    window: u64,
 }
 
-/// Keeps the canonically-earlier of two failures — exactly the error the
-/// legacy loop (stopping at its first error) would have returned.
+/// Keeps the canonically-earlier of two failures — exactly the error a
+/// single global event loop (stopping at its first error) would return.
 fn earlier(a: Option<Failure>, b: Option<Failure>) -> Option<Failure> {
     match (a, b) {
         (Some(a), Some(b)) => Some(if b.0 < a.0 { b } else { a }),
@@ -771,7 +882,7 @@ fn earlier(a: Option<Failure>, b: Option<Failure>) -> Option<Failure> {
 }
 
 impl Coordinator {
-    fn new(n_shards: usize, n_workers: usize) -> Self {
+    fn new(n_shards: usize, n_workers: usize, window: u64) -> Self {
         Coordinator {
             home: (0..n_shards)
                 .map(|s| (s % n_workers, s / n_workers))
@@ -779,34 +890,40 @@ impl Coordinator {
             mailboxes: (0..n_workers)
                 .map(|_| Mailbox {
                     has_mail: AtomicBool::new(false),
-                    msgs: Mutex::new(Vec::new()),
+                    mail: Mutex::new(Mail::default()),
                 })
                 .collect(),
             barrier: RoundBarrier::new(n_workers),
+            window,
         }
     }
 
-    /// Worker `me`'s round loop over the shards it owns: process the
-    /// window, exchange sends, drain inboxes in cause order, min-reduce
-    /// the next window start. Returns the worker's earliest failure.
-    fn worker_loop<W: Workload>(
+    /// Worker `me`'s round loop over the shards it owns, lending them its
+    /// `workload`: process the window, exchange sends, drain inboxes in
+    /// cause order, min-reduce the next window start. Worker 0, and only
+    /// worker 0, is given the run-wide `gauges` to feed. Returns the
+    /// worker's earliest failure.
+    fn worker_loop(
         &self,
         me: usize,
-        my: &mut [Shard<W>],
+        my: &mut [Shard],
+        workload: &mut dyn Workload,
+        mut gauges: Option<&mut GaugeFeed>,
         mut t: u64,
-        window: u64,
     ) -> Option<Failure> {
+        debug_assert_eq!(me == 0, gauges.is_some());
         let mut failure = None;
-        // Sends to other workers' shards, batched per destination worker
-        // so a round takes at most one lock per peer.
-        let mut staged: Vec<Vec<OutMsg>> = self.mailboxes.iter().map(|_| Vec::new()).collect();
+        // Mail batched per destination worker, so a round takes at most
+        // one lock per peer. Ticks all go to worker 0: `staged[0]` is its
+        // own collection and every other worker's batch for it.
+        let mut staged: Vec<Mail> = self.mailboxes.iter().map(|_| Mail::default()).collect();
         while t != u64::MAX {
-            let end = t.saturating_add(window);
+            let end = t.saturating_add(self.window);
             for i in 0..my.len() {
                 if my[i].next >= end {
                     continue;
                 }
-                if let Err(f) = my[i].process_window(end) {
+                if let Err(f) = my[i].process_window(end, workload, &mut staged[0].ticks) {
                     failure = earlier(failure, Some(f));
                 }
                 // A send to a shard of this worker goes straight into
@@ -818,18 +935,21 @@ impl Coordinator {
                     if worker == me {
                         my[at].inbox.push(msg);
                     } else {
-                        staged[worker].push(msg);
+                        staged[worker].msgs.push(msg);
                     }
                 }
                 my[i].outbox = out;
             }
             for (worker, batch) in staged.iter_mut().enumerate() {
-                if batch.is_empty() {
+                if worker == me || (batch.msgs.is_empty() && batch.ticks.is_empty()) {
                     continue;
                 }
                 note_sync_op();
                 let mailbox = &self.mailboxes[worker];
-                mailbox.msgs.lock().expect("mailbox lock").append(batch);
+                let mut mail = mailbox.mail.lock().expect("mailbox lock");
+                mail.msgs.append(&mut batch.msgs);
+                mail.ticks.append(&mut batch.ticks);
+                drop(mail);
                 mailbox.has_mail.store(true, Ordering::Release);
             }
             // All workers learn of a failure at the same round boundary,
@@ -842,9 +962,14 @@ impl Coordinator {
             if mailbox.has_mail.load(Ordering::Acquire) {
                 mailbox.has_mail.store(false, Ordering::Relaxed);
                 note_sync_op();
-                for msg in mailbox.msgs.lock().expect("mailbox lock").drain(..) {
+                let mut mail = mailbox.mail.lock().expect("mailbox lock");
+                for msg in mail.msgs.drain(..) {
                     my[self.home[msg.dst].1].inbox.push(msg);
                 }
+                staged[me].ticks.append(&mut mail.ticks);
+            }
+            if let Some(gauges) = &mut gauges {
+                gauges.apply(&mut staged[0].ticks);
             }
             let mut local_min = u64::MAX;
             for shard in my.iter_mut() {
@@ -858,21 +983,39 @@ impl Coordinator {
 }
 
 impl DirectorySim {
-    /// Runs the simulation on the sharded engine with up to `workers`
-    /// OS threads, the calling thread included.
+    /// Runs `refs_per_cpu` references per processor from `workload` to
+    /// completion and drains all in-flight activity, on the calling
+    /// thread: the one-worker case of [`run_jobs`](DirectorySim::run_jobs),
+    /// for workloads that are not `Clone + Send` (a `Box<dyn Workload>`,
+    /// say).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError`] on coherence/protocol violations, on a
+    /// wedged system (liveness failure), or if invariants fail at the
+    /// quiescent end.
+    pub fn run<W: Workload>(
+        &mut self,
+        mut workload: W,
+        refs_per_cpu: u64,
+    ) -> Result<Report, ProtocolError> {
+        let budget = self.liveness_budget(refs_per_cpu);
+        self.run_rounds(&mut workload, Vec::new(), refs_per_cpu, budget)
+    }
+
+    /// [`run`](DirectorySim::run) on up to `workers` OS threads, the
+    /// calling thread included, each owning a clone of `workload`.
     ///
     /// Produces the same [`Report`] — same cycle count, event count,
-    /// statistics, latency histograms, versions, transaction ids, and
-    /// (if a tracer is installed) the same trace in the same order — as
-    /// [`run`](DirectorySim::run), for **any** worker count; see the
-    /// module docs of [`crate::sharded`] for the argument. The gauge
-    /// summaries (`peak_queue_depth`, `peak_outstanding`) are per-shard
-    /// views when the configuration has more than one memory module.
+    /// statistics, latency histograms, gauges, versions, transaction ids,
+    /// and (if a tracer is installed) the same trace in the same order —
+    /// for **any** worker count; see the module docs of [`crate::sharded`]
+    /// for the argument.
     ///
     /// # Errors
     ///
     /// Exactly as [`run`](DirectorySim::run): the canonically-first
-    /// protocol/liveness error of the equivalent single-threaded run.
+    /// protocol/liveness error, whatever the worker count.
     pub fn run_jobs<W>(
         &mut self,
         workload: W,
@@ -882,19 +1025,41 @@ impl DirectorySim {
     where
         W: Workload + Clone + Send,
     {
-        let budget = self.now.saturating_add(
-            refs_per_cpu
-                .saturating_mul(10_000)
-                .saturating_add(1_000_000),
-        );
+        let budget = self.liveness_budget(refs_per_cpu);
         self.run_sharded(workload, refs_per_cpu, workers, budget)
     }
 
-    /// [`run_jobs`](DirectorySim::run_jobs) with the liveness budget — the
-    /// last cycle an event may run at — as a parameter.
+    /// The last cycle an event may run at. With blocking caches a
+    /// reference takes a bounded number of cycles; budget generously.
+    fn liveness_budget(&self, refs_per_cpu: u64) -> u64 {
+        self.now.saturating_add(
+            refs_per_cpu
+                .saturating_mul(10_000)
+                .saturating_add(1_000_000),
+        )
+    }
+
+    /// The conservative lookahead: the cheapest possible network hop.
+    fn lookahead(&self) -> u64 {
+        let latency = &self.config.latency;
+        latency.net_command.min(latency.net_data)
+    }
+
+    /// `S`: one shard per memory module — or one in all when there is no
+    /// lookahead, which leaves only serial per-event delivery.
+    fn shard_count(&self) -> usize {
+        if self.lookahead() == 0 {
+            1
+        } else {
+            self.config.address_map.modules()
+        }
+    }
+
+    /// [`run_jobs`](DirectorySim::run_jobs) with the liveness budget as a
+    /// parameter.
     fn run_sharded<W>(
         &mut self,
-        workload: W,
+        mut workload: W,
         refs_per_cpu: u64,
         workers: usize,
         budget: u64,
@@ -902,46 +1067,64 @@ impl DirectorySim {
     where
         W: Workload + Clone + Send,
     {
-        self.refs_target = refs_per_cpu;
-        // The conservative lookahead: the cheapest possible network hop.
-        let lookahead = self
-            .config
-            .latency
-            .net_command
-            .min(self.config.latency.net_data);
-        let n_shards = if lookahead == 0 {
-            1 // No lookahead: fall back to serial per-event delivery.
-        } else {
-            self.config.address_map.modules()
-        };
-        let n_workers = workers.clamp(1, n_shards);
+        let n_workers = workers.clamp(1, self.shard_count());
+        let peers = (1..n_workers)
+            .map(|_| Box::new(workload.clone()) as Box<dyn Workload + Send + '_>)
+            .collect();
+        self.run_rounds(&mut workload, peers, refs_per_cpu, budget)
+    }
 
-        let mut shards = self.make_shards(workload, n_shards, refs_per_cpu, budget);
+    /// The engine: one worker per workload — the calling thread with
+    /// `workload`, one spawned thread per entry of `peers`. Workloads are
+    /// lent as trait objects, so the engine is compiled once, here, and a
+    /// reference costs one indirect call.
+    fn run_rounds(
+        &mut self,
+        workload: &mut dyn Workload,
+        peers: Vec<Box<dyn Workload + Send + '_>>,
+        refs_per_cpu: u64,
+        budget: u64,
+    ) -> Result<Report, ProtocolError> {
+        self.refs_target = refs_per_cpu;
+        let lookahead = self.lookahead();
+        let n_shards = self.shard_count();
+        let n_workers = 1 + peers.len();
+        debug_assert!(n_workers <= n_shards, "a worker owns at least one shard");
+
+        let outstanding = self.pending.iter().flatten().count() as u64;
+        let queued = self.controllers.iter().map(|c| c.queued() as u64).sum();
+        let mut shards = self.make_shards(n_shards, refs_per_cpu, budget);
+        let mut gauges = GaugeFeed {
+            outstanding: (outstanding, &mut self.metrics.outstanding),
+            queue_depth: (queued, &mut self.metrics.queue_depth),
+        };
         let (shards, failure) = if n_shards == 1 {
-            let failure = shards[0].run_serial().err();
+            let failure = shards[0].run_serial(workload, &mut gauges).err();
             (shards, failure)
         } else {
             let t0 = shards.iter().map(|s| s.next).min().unwrap_or(u64::MAX);
-            let mut assignments: Vec<Vec<Shard<W>>> = (0..n_workers).map(|_| Vec::new()).collect();
+            let mut assignments: Vec<Vec<Shard>> = (0..n_workers).map(|_| Vec::new()).collect();
             for (i, shard) in shards.into_iter().enumerate() {
                 assignments[i % n_workers].push(shard);
             }
-            let coord = &Coordinator::new(n_shards, n_workers);
+            let coord = &Coordinator::new(n_shards, n_workers, lookahead);
             // Worker 0 is the calling thread; only the others are spawned.
             let mut mine = assignments.remove(0);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = assignments
                     .into_iter()
+                    .zip(peers)
                     .enumerate()
-                    .map(|(i, mut theirs)| {
+                    .map(|(i, (mut theirs, mut workload))| {
                         note_sync_op();
                         scope.spawn(move || {
-                            let failure = coord.worker_loop(i + 1, &mut theirs, t0, lookahead);
+                            let failure =
+                                coord.worker_loop(i + 1, &mut theirs, workload.as_mut(), None, t0);
                             (theirs, failure)
                         })
                     })
                     .collect();
-                let mut failure = coord.worker_loop(0, &mut mine, t0, lookahead);
+                let mut failure = coord.worker_loop(0, &mut mine, workload, Some(&mut gauges), t0);
                 for handle in handles {
                     let (theirs, theirs_failure) = handle.join().expect("sharded worker panicked");
                     mine.extend(theirs);
@@ -960,74 +1143,49 @@ impl DirectorySim {
 
     /// Partitions the simulation state into `n_shards` shards and seeds
     /// each cpu's first issue.
-    fn make_shards<W>(
-        &mut self,
-        workload: W,
-        n_shards: usize,
-        refs_per_cpu: u64,
-        budget: u64,
-    ) -> Vec<Shard<W>>
-    where
-        W: Workload + Clone,
-    {
-        let agents = std::mem::take(&mut self.agents);
-        let controllers = std::mem::take(&mut self.controllers);
-        let pending = std::mem::take(&mut self.pending);
-        let version_counters = std::mem::take(&mut self.version_counters);
-        let txn_counters = std::mem::take(&mut self.txn_counters);
-        let refs_done = std::mem::take(&mut self.refs_done);
+    fn make_shards(&mut self, n_shards: usize, refs_per_cpu: u64, budget: u64) -> Vec<Shard> {
+        let mut agents = deal(std::mem::take(&mut self.agents), n_shards);
+        let mut controllers = deal(std::mem::take(&mut self.controllers), n_shards);
+        let mut pending = deal(std::mem::take(&mut self.pending), n_shards);
+        let mut version_counters = deal(std::mem::take(&mut self.version_counters), n_shards);
+        let mut txn_counters = deal(std::mem::take(&mut self.txn_counters), n_shards);
+        let mut refs_done = deal(std::mem::take(&mut self.refs_done), n_shards);
 
-        let mut shards: Vec<Shard<W>> = (0..n_shards)
+        let mut shards: Vec<Shard> = (0..n_shards)
             .map(|id| Shard {
                 id,
                 n_shards,
                 config: self.config,
-                workload: workload.clone(),
-                agents: Vec::new(),
-                controllers: Vec::new(),
-                pending: Vec::new(),
-                version_counters: Vec::new(),
-                txn_counters: Vec::new(),
-                refs_done: Vec::new(),
+                agents: std::mem::take(&mut agents[id]),
+                controllers: std::mem::take(&mut controllers[id]),
+                pending: std::mem::take(&mut pending[id]),
+                version_counters: std::mem::take(&mut version_counters[id]),
+                txn_counters: std::mem::take(&mut txn_counters[id]),
+                refs_done: std::mem::take(&mut refs_done[id]),
                 refs_target: refs_per_cpu,
                 budget,
                 queue: ShardQueue::new(self.now),
                 network: Crossbar::new(
                     self.config.latency.net_command,
                     self.config.latency.net_data,
-                    1,
+                    1, // each input port accepts one message per cycle
                 ),
-                metrics: Metrics::new(self.config.caches, self.metrics_cadence),
+                // Only the latency histograms and per-cache counters of a
+                // shard's registry are used; the gauges are run-wide.
+                metrics: Metrics::new(self.config.caches, 0),
                 tracer: BufTracer::new(self.tracer.enabled()),
                 profiler: {
                     let mut p = Profiler::disabled();
-                    p.set_enabled(self.profiler.is_enabled());
+                    p.set_enabled(self.profiling);
                     p
                 },
                 outbox: Vec::new(),
                 inbox: Vec::new(),
                 next: u64::MAX,
-                outstanding: 0,
-                queued: 0,
                 now: self.now,
                 events: 0,
             })
             .collect();
-
-        for (k, agent) in agents.into_iter().enumerate() {
-            let shard = &mut shards[k % n_shards];
-            shard.agents.push(agent);
-            shard.pending.push(pending[k]);
-            shard.outstanding += u64::from(pending[k].is_some());
-            shard.version_counters.push(version_counters[k]);
-            shard.txn_counters.push(txn_counters[k]);
-            shard.refs_done.push(refs_done[k]);
-        }
-        for (j, controller) in controllers.into_iter().enumerate() {
-            let shard = &mut shards[j % n_shards];
-            shard.queued += controller.queued() as u64;
-            shard.controllers.push(controller);
-        }
         for cpu in CacheId::all(self.config.caches) {
             let shard = &mut shards[cpu.index() % n_shards];
             shard.queue.push(self.now, Event::ProcessorIssue { cpu });
@@ -1039,47 +1197,23 @@ impl DirectorySim {
     /// Merges shard state back into the simulation (inverse of
     /// [`make_shards`](DirectorySim::make_shards)); called on success and
     /// failure alike so the simulation stays inspectable.
-    fn absorb<W>(&mut self, mut shards: Vec<Shard<W>>) {
+    fn absorb(&mut self, mut shards: Vec<Shard>) {
         shards.sort_unstable_by_key(|s| s.id);
-        let n_shards = shards.len();
-        let n_caches = self.config.caches;
-        let n_modules = self.config.address_map.modules();
-
-        let mut agents: Vec<Option<CacheAgent>> = (0..n_caches).map(|_| None).collect();
-        let mut controllers: Vec<Option<Controller>> = (0..n_modules).map(|_| None).collect();
-        self.pending = vec![None; n_caches];
-        self.version_counters = vec![0; n_caches];
-        self.txn_counters = vec![0; n_caches];
-        self.refs_done = vec![0; n_caches];
-
         let mut trace: Vec<(TraceKey, SimEvent)> = Vec::new();
         for shard in &mut shards {
-            for (i, agent) in shard.agents.drain(..).enumerate() {
-                let k = shard.id + n_shards * i;
-                agents[k] = Some(agent);
-                self.pending[k] = shard.pending[i];
-                self.version_counters[k] = shard.version_counters[i];
-                self.txn_counters[k] = shard.txn_counters[i];
-                self.refs_done[k] = shard.refs_done[i];
-            }
-            for (i, controller) in shard.controllers.drain(..).enumerate() {
-                controllers[shard.id + n_shards * i] = Some(controller);
-            }
             self.now = self.now.max(shard.now);
             self.events += shard.events;
             self.metrics.merge(&shard.metrics);
-            self.network.merge_stats_from(&shard.network);
-            self.extra_perf.merge(&shard.profiler.report());
+            self.network.merge(shard.network.stats());
+            self.perf.merge(&shard.profiler.report());
             trace.append(&mut shard.tracer.buf);
         }
-        self.agents = agents
-            .into_iter()
-            .map(|a| a.expect("every cache owned by exactly one shard"))
-            .collect();
-        self.controllers = controllers
-            .into_iter()
-            .map(|c| c.expect("every module owned by exactly one shard"))
-            .collect();
+        self.agents = gather(&mut shards, |s| &mut s.agents);
+        self.controllers = gather(&mut shards, |s| &mut s.controllers);
+        self.pending = gather(&mut shards, |s| &mut s.pending);
+        self.version_counters = gather(&mut shards, |s| &mut s.version_counters);
+        self.txn_counters = gather(&mut shards, |s| &mut s.txn_counters);
+        self.refs_done = gather(&mut shards, |s| &mut s.refs_done);
         if self.tracer.enabled() {
             trace.sort_unstable_by_key(|(k, _)| *k);
             for (_, event) in trace {
@@ -1089,31 +1223,39 @@ impl DirectorySim {
     }
 }
 
+/// Deals `items` round-robin into `n` hands: item `k` lands in hand
+/// `k % n` at position `k / n` — how caches and modules map to shards.
+fn deal<T>(items: Vec<T>, n: usize) -> Vec<Vec<T>> {
+    let mut hands: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
+    for (k, item) in items.into_iter().enumerate() {
+        hands[k % n].push(item);
+    }
+    hands
+}
+
+/// The inverse of [`deal`]: takes one dealt `field` out of every shard
+/// (in shard-id order) and restores the original order.
+fn gather<T>(shards: &mut [Shard], field: impl Fn(&mut Shard) -> &mut Vec<T>) -> Vec<T> {
+    let mut hands: Vec<_> = shards
+        .iter_mut()
+        .map(|shard| std::mem::take(field(shard)).into_iter())
+        .collect();
+    let mut items = Vec::new();
+    loop {
+        for hand in &mut hands {
+            match hand.next() {
+                Some(item) => items.push(item),
+                None => return items,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::io::Write;
-    use std::rc::Rc;
-    use twobit_obs::JsonlTracer;
     use twobit_types::{ProtocolKind, SystemStats};
     use twobit_workload::{SharingModel, SharingParams};
-
-    /// A `Write` sink whose bytes stay reachable after the tracer is
-    /// boxed away behind `dyn Tracer`.
-    #[derive(Debug, Clone, Default)]
-    struct SharedBuf(Rc<RefCell<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.borrow_mut().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
 
     fn config(n: usize, protocol: ProtocolKind) -> SystemConfig {
         SystemConfig::with_defaults(n).with_protocol(protocol)
@@ -1125,36 +1267,6 @@ mod tests {
 
     fn stats_fingerprint(s: &SystemStats) -> String {
         format!("{s:?}")
-    }
-
-    #[test]
-    fn sharded_matches_legacy_event_for_event() {
-        for protocol in [
-            ProtocolKind::TwoBit,
-            ProtocolKind::FullMap,
-            ProtocolKind::StaticSoftware,
-        ] {
-            let mut legacy = DirectorySim::build(config(4, protocol)).unwrap();
-            let legacy_report = legacy.run(workload(4, 7), 300).unwrap();
-
-            let mut sharded = DirectorySim::build(config(4, protocol)).unwrap();
-            let sharded_report = sharded.run_jobs(workload(4, 7), 300, 2).unwrap();
-
-            assert_eq!(sharded_report.cycles, legacy_report.cycles, "{protocol}");
-            assert_eq!(sharded_report.events, legacy_report.events, "{protocol}");
-            assert_eq!(
-                stats_fingerprint(&sharded_report.stats),
-                stats_fingerprint(&legacy_report.stats),
-                "{protocol}"
-            );
-            for class in TxnClass::ALL {
-                assert_eq!(
-                    sharded.metrics().latency(class),
-                    legacy.metrics().latency(class),
-                    "{protocol} {class}"
-                );
-            }
-        }
     }
 
     /// Every directory scheme in the paper's spectrum.
@@ -1169,67 +1281,26 @@ mod tests {
 
     const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-    /// Runs 8 caches with a JSONL tracer installed — on the sharded
-    /// engine with that many workers, or on the legacy loop for `None` —
-    /// and returns the report and the trace bytes.
-    fn traced_run(protocol: ProtocolKind, sharded_jobs: Option<usize>) -> (Report, Vec<u8>) {
-        let buf = SharedBuf::default();
-        let mut sim = DirectorySim::build(config(8, protocol)).unwrap();
-        sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
-        let report = match sharded_jobs {
-            Some(jobs) => sim.run_jobs(workload(8, 3), 60, jobs).unwrap(),
-            None => sim.run(workload(8, 3), 60).unwrap(),
-        };
-        drop(sim.take_tracer());
-        let bytes = buf.0.borrow().clone();
-        (report, bytes)
-    }
+    // The frozen digests every entry point must reproduce — reports,
+    // latency histograms, gauges and trace bytes — are in
+    // `tests/determinism.rs`; here, only what needs the private surface.
 
     #[test]
     fn worker_count_does_not_change_anything() {
         for protocol in SCHEMES {
-            let runs: Vec<Report> = WORKER_COUNTS
-                .into_iter()
-                .map(|jobs| {
-                    let mut sim = DirectorySim::build(config(8, protocol)).unwrap();
-                    sim.run_jobs(workload(8, 42), 200, jobs).unwrap()
-                })
-                .collect();
-            for other in &runs[1..] {
-                assert_eq!(other.cycles, runs[0].cycles, "{protocol}");
-                assert_eq!(other.events, runs[0].events, "{protocol}");
+            let mut sim = DirectorySim::build(config(8, protocol)).unwrap();
+            let run = sim.run(workload(8, 42), 200).unwrap();
+            for jobs in WORKER_COUNTS {
+                let mut sim = DirectorySim::build(config(8, protocol)).unwrap();
+                let other = sim.run_jobs(workload(8, 42), 200, jobs).unwrap();
+                assert_eq!(other.cycles, run.cycles, "{protocol} {jobs}");
+                assert_eq!(other.events, run.events, "{protocol} {jobs}");
                 assert_eq!(
                     stats_fingerprint(&other.stats),
-                    stats_fingerprint(&runs[0].stats),
-                    "{protocol}"
-                );
-                assert_eq!(
-                    other.obs, runs[0].obs,
-                    "{protocol}: gauges included, S is config-fixed"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn traced_sharded_run_matches_legacy_trace() {
-        for protocol in SCHEMES {
-            let (legacy_report, legacy_trace) = traced_run(protocol, None);
-            assert!(!legacy_trace.is_empty());
-            let runs = WORKER_COUNTS.map(|jobs| traced_run(protocol, Some(jobs)));
-            for (jobs, (report, trace)) in WORKER_COUNTS.into_iter().zip(&runs) {
-                assert!(*trace == legacy_trace, "{protocol}, {jobs} workers: trace");
-                assert_eq!(report.cycles, legacy_report.cycles, "{protocol} {jobs}");
-                assert_eq!(report.events, legacy_report.events, "{protocol} {jobs}");
-                assert_eq!(
-                    stats_fingerprint(&report.stats),
-                    stats_fingerprint(&legacy_report.stats),
+                    stats_fingerprint(&run.stats),
                     "{protocol} {jobs}"
                 );
-                assert_eq!(
-                    report.obs, runs[0].0.obs,
-                    "{protocol} {jobs}: traced gauges"
-                );
+                assert_eq!(other.obs, run.obs, "{protocol} {jobs}: gauges included");
             }
         }
     }

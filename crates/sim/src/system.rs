@@ -56,14 +56,13 @@ impl System {
         }
     }
 
-    /// Runs on the sharded parallel engine with up to `jobs` OS threads,
-    /// the calling thread included — `jobs = 1` spawns none — (clamped to
-    /// the machine's available parallelism). The report is
-    /// identical to [`System::run`]'s for any `jobs` — see
-    /// [`DirectorySim::run_jobs`] — so callers can scale workers freely
-    /// without perturbing results. The bus backend has no sharded engine
-    /// (a single bus serializes everything); it ignores `jobs` and runs
-    /// the legacy loop.
+    /// [`System::run`] on up to `jobs` OS threads, the calling thread
+    /// included — `jobs = 1` spawns none — (clamped to the machine's
+    /// available parallelism). The report is identical to
+    /// [`System::run`]'s for any `jobs` — see [`DirectorySim::run_jobs`] —
+    /// so callers can scale workers freely without perturbing results.
+    /// The bus backend has nothing to shard (a single bus serializes
+    /// everything); it ignores `jobs` and runs the bus loop.
     ///
     /// # Errors
     ///

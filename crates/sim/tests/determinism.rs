@@ -1,9 +1,20 @@
-//! Integration tests for the sharded engine's determinism contract:
-//! for any worker count, [`DirectorySim::run_jobs`] must be
-//! event-for-event identical to the legacy single-threaded
-//! [`DirectorySim::run`] — same cycle count, same event count, same
-//! per-cache statistics, same latency histograms, and (when a tracer is
-//! installed) the same JSONL trace byte-for-byte, in the same order.
+//! Integration tests for the timed engine's determinism contract:
+//! [`DirectorySim::run`] and [`DirectorySim::run_jobs`] at any worker
+//! count produce the same cycle count, event count, per-cache
+//! statistics, latency histograms, gauges, and (when a tracer is
+//! installed) the same JSONL trace byte-for-byte — and all of it equals
+//! the digests frozen below.
+//!
+//! The digests were recorded from the `BinaryHeap` event loop this
+//! repository used to ship beside the sharded round loop (its
+//! `DirectorySim::run`, at the commit before that loop was deleted,
+//! built with `--release`): one global queue, events popped in canonical
+//! key order, gauges observed per event. They are what "exactly the
+//! single-threaded simulation" means now that no second engine is left
+//! to compare against. A change that moves one changes simulated
+//! behaviour and must say why. They hold in every build profile — at that
+//! commit a debug build counted extra `tag_probes` for three debug
+//! assertions in the cache agent, which now look without counting.
 //!
 //! These tests call `DirectorySim::run_jobs` directly with explicit
 //! worker counts (the `System` facade clamps to the machine's available
@@ -12,13 +23,16 @@
 //! exercised even on a single-core host.
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::rc::Rc;
 
-use twobit_obs::{JsonlTracer, SimEvent, TxnClass};
+use twobit_obs::{JsonlTracer, Metrics, SimEvent, TxnClass};
 use twobit_sim::{DirectorySim, Report, System};
-use twobit_types::{AddressMap, ProtocolKind, SystemConfig};
-use twobit_workload::{SharingModel, SharingParams, Workload};
+use twobit_types::{
+    AddressMap, CacheId, CacheOrg, Fingerprinter, LatencyConfig, MemRef, ProtocolKind, SystemConfig,
+};
+use twobit_workload::{scenarios, SharingModel, SharingParams, Workload};
 
 /// Every directory scheme in the paper's spectrum.
 const SCHEMES: [ProtocolKind; 6] = [
@@ -30,6 +44,47 @@ const SCHEMES: [ProtocolKind; 6] = [
     ProtocolKind::StaticSoftware,
 ];
 
+const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// [`run_digest`] per scheme (in [`SCHEMES`] order): 8 caches,
+/// `SharingParams::high()`, seed 11, 200 references per cpu.
+const GOLDEN_RUNS: [u128; 6] = [
+    0x9c0c_5da2_4a74_f66c_e543_c024_e22d_5f96,
+    0x9098_49e1_8496_e8a7_b6e7_0f9f_74a2_1b03,
+    0xb75c_99de_cf84_2253_3a36_cf84_5e2d_c1f7,
+    0xec6d_b2b0_56bb_7c7a_1d2c_25cc_f643_b3c6,
+    0x8c27_aed0_c8bd_f301_5e89_8498_57a2_bb90,
+    0x4d35_4e0b_20f0_4dcc_9224_3df6_17dd_3fe8,
+];
+
+/// [`digest`] of the JSONL trace bytes per scheme: 8 caches, seed 3,
+/// 80 references per cpu.
+const GOLDEN_TRACES: [u128; 6] = [
+    0xa88a_718e_a26a_5cf2_7360_f1e4_01fa_ccf2,
+    0xb4d0_2585_191c_9a2c_36b5_7871_4ceb_451d,
+    0xefd0_e045_5f1a_cc16_93bd_743a_ef98_303f,
+    0xa2bb_3e76_8140_cbb0_36be_270f_2bda_cb66,
+    0x7701_dc3d_4fbe_9a3c_af23_27e6_c23c_887f,
+    0xbc15_c555_3d2d_23f5_1b9a_d35f_2157_e87f,
+];
+
+/// [`run_digest`]: two-bit, 4 caches on one memory module (one shard),
+/// seed 9, 150 references per cpu.
+const GOLDEN_SINGLE_MODULE: u128 = 0x2ad1_d20d_d3c8_6ca9_a70c_e34d_ba36_702d;
+
+/// [`run_digest`]: two-bit, 4 caches, `LatencyConfig::zero()` and no think
+/// time (no lookahead, so per-event delivery), seed 41, 500 references
+/// per cpu.
+const GOLDEN_ZERO_LATENCY: u128 = 0x4084_606b_0370_239e_e2ca_a955_238f_1b30;
+
+/// [`report_digest`] through `System::run`: two-bit, 8 caches, a boxed
+/// `Migratory::new(8, 4, 16, 4)`, 300 references per cpu.
+const GOLDEN_BOXED_SCENARIO: u128 = 0x1bb7_0903_088a_30cd_3ccb_f2b1_632b_a25c;
+
+/// [`report_digest`] through the `System` facade: two-bit, 4 caches,
+/// seed 5, 100 references per cpu.
+const GOLDEN_FACADE: u128 = 0xd07c_6fe2_2a4b_b4bf_4c1a_704e_2c5d_4e98;
+
 fn config(n: usize, protocol: ProtocolKind) -> SystemConfig {
     SystemConfig::with_defaults(n).with_protocol(protocol)
 }
@@ -38,82 +93,86 @@ fn workload(n: usize, seed: u64) -> SharingModel {
     SharingModel::new(SharingParams::high(), n, seed).unwrap()
 }
 
-/// The full fingerprint of a run, gauges included. Comparable between
-/// runs of the *same* engine (the shard decomposition is fixed by the
-/// configuration, so even sampled gauges are jobs-invariant).
-fn fingerprint(report: &Report) -> String {
+/// A 128-bit digest of `bytes`: their length, then the bytes as
+/// little-endian words (the last one zero-padded).
+fn digest(bytes: &[u8]) -> u128 {
+    let mut f = Fingerprinter::new();
+    f.write_usize(bytes.len());
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        f.write_u64(u64::from_le_bytes(word));
+    }
+    f.finish()
+}
+
+/// Everything a [`Report`] carries, gauges included.
+fn report_text(report: &Report) -> String {
     format!(
         "cycles={} events={} stats={:?} obs={:?}",
         report.cycles, report.events, report.stats, report.obs
     )
 }
 
-/// The cross-engine fingerprint: everything except the sampled gauge
-/// summaries (`peak_queue_depth`, `peak_outstanding`, `mean_outstanding`),
-/// which the sharded engine computes per shard — each shard samples only
-/// the actors it owns — so their values are per-shard views rather than
-/// global ones whenever the configuration has more than one module. All
-/// counters, cycle/event totals, per-cache statistics, and latency
-/// summaries are exact.
-fn cross_engine_fingerprint(report: &Report) -> String {
-    let obs = report.obs.as_ref().expect("directory runs carry metrics");
-    format!(
-        "cycles={} events={} stats={:?} latency={:?} delivered={} useless={}",
-        report.cycles,
-        report.events,
-        report.stats,
-        obs.latency,
-        obs.commands_delivered,
-        obs.useless_commands
-    )
+fn report_digest(report: &Report) -> u128 {
+    digest(report_text(report).as_bytes())
 }
 
-fn run_legacy(protocol: ProtocolKind, seed: u64, refs: u64) -> (Report, Vec<String>) {
-    let mut sim = DirectorySim::build(config(8, protocol)).unwrap();
-    let report = sim.run(workload(8, seed), refs).unwrap();
-    let latencies = TxnClass::ALL
-        .iter()
-        .map(|&c| format!("{:?}", sim.metrics().latency(c)))
-        .collect();
-    (report, latencies)
+/// The report plus every latency histogram, bucket by bucket.
+fn run_digest(report: &Report, metrics: &Metrics) -> u128 {
+    let mut text = report_text(report);
+    for class in TxnClass::ALL {
+        write!(text, " {class}={:?}", metrics.latency(class)).unwrap();
+    }
+    digest(text.as_bytes())
 }
 
-fn run_sharded(protocol: ProtocolKind, seed: u64, refs: u64, jobs: usize) -> (Report, Vec<String>) {
-    let mut sim = DirectorySim::build(config(8, protocol)).unwrap();
-    let report = sim.run_jobs(workload(8, seed), refs, jobs).unwrap();
-    let latencies = TxnClass::ALL
-        .iter()
-        .map(|&c| format!("{:?}", sim.metrics().latency(c)))
-        .collect();
-    (report, latencies)
+/// How a test enters the engine.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    Run,
+    Jobs(usize),
+}
+
+/// `run`, then `run_jobs` at every worker count.
+fn entries() -> impl Iterator<Item = Entry> {
+    std::iter::once(Entry::Run).chain(WORKER_COUNTS.into_iter().map(Entry::Jobs))
+}
+
+fn run_via(cfg: SystemConfig, seed: u64, refs: u64, entry: Entry) -> u128 {
+    let mut sim = DirectorySim::build(cfg).unwrap();
+    let workload = workload(cfg.caches, seed);
+    let report = match entry {
+        Entry::Run => sim.run(workload, refs),
+        Entry::Jobs(jobs) => sim.run_jobs(workload, refs, jobs),
+    }
+    .unwrap();
+    run_digest(&report, sim.metrics())
 }
 
 #[test]
-fn sharded_reconciles_exactly_with_legacy_for_all_schemes() {
-    for protocol in SCHEMES {
-        let (legacy_report, legacy_lat) = run_legacy(protocol, 11, 200);
-        let (sharded_report, sharded_lat) = run_sharded(protocol, 11, 200, 1);
-        assert_eq!(
-            cross_engine_fingerprint(&sharded_report),
-            cross_engine_fingerprint(&legacy_report),
-            "{protocol}: sharded jobs=1 must reconcile with the legacy engine"
-        );
-        assert_eq!(sharded_lat, legacy_lat, "{protocol}: latency histograms");
+fn sharded_rounds_reproduce_the_frozen_digests_for_all_schemes() {
+    for (protocol, golden) in SCHEMES.into_iter().zip(GOLDEN_RUNS) {
+        for entry in entries() {
+            assert_eq!(
+                run_via(config(8, protocol), 11, 200, entry),
+                golden,
+                "{protocol} via {entry:?}"
+            );
+        }
     }
 }
 
 #[test]
 fn worker_count_is_invisible_in_results() {
     for protocol in [ProtocolKind::TwoBit, ProtocolKind::FullMap] {
-        let baseline = run_sharded(protocol, 42, 250, 1);
-        for jobs in [2, 8] {
-            let run = run_sharded(protocol, 42, 250, jobs);
+        let baseline = run_via(config(8, protocol), 42, 250, Entry::Run);
+        for jobs in WORKER_COUNTS {
             assert_eq!(
-                fingerprint(&run.0),
-                fingerprint(&baseline.0),
-                "{protocol}: jobs={jobs} diverged from jobs=1"
+                run_via(config(8, protocol), 42, 250, Entry::Jobs(jobs)),
+                baseline,
+                "{protocol}: jobs={jobs} diverged from run"
             );
-            assert_eq!(run.1, baseline.1, "{protocol}: jobs={jobs} latencies");
         }
     }
 }
@@ -121,11 +180,10 @@ fn worker_count_is_invisible_in_results() {
 #[test]
 fn reruns_are_bit_stable() {
     // Thread scheduling varies between reruns; results must not.
-    let first = run_sharded(ProtocolKind::TwoBit, 7, 300, 8);
+    let first = run_via(config(8, ProtocolKind::TwoBit), 7, 300, Entry::Jobs(8));
     for _ in 0..3 {
-        let again = run_sharded(ProtocolKind::TwoBit, 7, 300, 8);
-        assert_eq!(fingerprint(&again.0), fingerprint(&first.0));
-        assert_eq!(again.1, first.1);
+        let again = run_via(config(8, ProtocolKind::TwoBit), 7, 300, Entry::Jobs(8));
+        assert_eq!(again, first);
     }
 }
 
@@ -145,49 +203,53 @@ impl Write for SharedBuf {
     }
 }
 
-fn traced_bytes(jobs: Option<usize>) -> Vec<u8> {
+/// The JSONL trace bytes and the run digest of 8 caches, seed 3, 80
+/// references per cpu.
+fn traced_run(protocol: ProtocolKind, entry: Entry) -> (Vec<u8>, u128) {
     let buf = SharedBuf::default();
-    let mut sim = DirectorySim::build(config(8, ProtocolKind::TwoBit)).unwrap();
+    let mut sim = DirectorySim::build(config(8, protocol)).unwrap();
     sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
-    match jobs {
-        Some(jobs) => sim.run_jobs(workload(8, 3), 80, jobs).unwrap(),
-        None => sim.run(workload(8, 3), 80).unwrap(),
-    };
+    let report = match entry {
+        Entry::Run => sim.run(workload(8, 3), 80),
+        Entry::Jobs(jobs) => sim.run_jobs(workload(8, 3), 80, jobs),
+    }
+    .unwrap();
     drop(sim.take_tracer());
     let bytes = buf.0.borrow().clone();
-    bytes
+    (bytes, run_digest(&report, sim.metrics()))
 }
 
 #[test]
-fn multi_worker_jsonl_trace_is_valid_and_in_legacy_order() {
-    let legacy = traced_bytes(None);
-    assert!(!legacy.is_empty(), "traced run must produce events");
-    for jobs in [1, 2, 8] {
-        let sharded = traced_bytes(Some(jobs));
-        assert_eq!(
-            sharded, legacy,
-            "jobs={jobs}: trace must be byte-identical to the legacy engine's"
-        );
+fn sharded_jsonl_traces_are_valid_and_reproduce_the_frozen_digests() {
+    for (protocol, golden) in SCHEMES.into_iter().zip(GOLDEN_TRACES) {
+        let (trace, run) = traced_run(protocol, Entry::Run);
+        assert_eq!(digest(&trace), golden, "{protocol} via run");
+        for jobs in WORKER_COUNTS {
+            let (again, run_again) = traced_run(protocol, Entry::Jobs(jobs));
+            assert!(again == trace, "{protocol}, {jobs} workers: trace bytes");
+            assert_eq!(run_again, run, "{protocol}, {jobs} workers: traced report");
+        }
+        // The stream is also valid JSONL, line by line.
+        let text = String::from_utf8(trace).unwrap();
+        for line in text.lines() {
+            assert!(
+                SimEvent::from_jsonl(line).is_some(),
+                "{protocol}: unparseable trace line: {line}"
+            );
+        }
+        assert!(text.lines().count() > 100, "{protocol}: substantial trace");
     }
-    // The byte-equal stream is also valid JSONL, line by line.
-    let text = String::from_utf8(legacy).unwrap();
-    let mut times = Vec::new();
-    for line in text.lines() {
-        let ev =
-            SimEvent::from_jsonl(line).unwrap_or_else(|| panic!("unparseable trace line: {line}"));
-        times.push(ev.t);
-    }
-    assert!(times.len() > 100, "substantial trace expected");
 }
 
 #[test]
-fn facade_run_jobs_covers_both_backends() {
-    // Directory backend: sharded result equals the plain run.
+fn facade_run_and_run_jobs_cover_both_backends() {
+    // Directory backend: both entries reproduce the frozen digest.
     let mut a = System::build(config(4, ProtocolKind::TwoBit)).unwrap();
     let ra = a.run(workload(4, 5), 100).unwrap();
+    assert_eq!(report_digest(&ra), GOLDEN_FACADE, "System::run");
     let mut b = System::build(config(4, ProtocolKind::TwoBit)).unwrap();
     let rb = b.run_jobs(workload(4, 5), 100, 8).unwrap();
-    assert_eq!(cross_engine_fingerprint(&ra), cross_engine_fingerprint(&rb));
+    assert_eq!(report_digest(&rb), GOLDEN_FACADE, "System::run_jobs");
 
     // Bus backend ignores `jobs` and still completes.
     let mut cfg = config(4, ProtocolKind::Illinois);
@@ -198,55 +260,109 @@ fn facade_run_jobs_covers_both_backends() {
 }
 
 #[test]
-fn single_module_map_collapses_to_one_shard_and_still_matches() {
-    // One memory module means one shard: the serial fast path. It must
-    // still match the legacy engine exactly, gauges included.
+fn single_module_map_collapses_to_one_shard_and_reproduces_its_digest() {
+    // One memory module means one shard: the serial per-event path.
     let mut cfg = config(4, ProtocolKind::TwoBit);
     cfg.address_map = AddressMap::interleaved(1);
-    let mut legacy = DirectorySim::build(cfg).unwrap();
-    let legacy_report = legacy.run(workload(4, 9), 150).unwrap();
-    let mut sharded = DirectorySim::build(cfg).unwrap();
-    let sharded_report = sharded.run_jobs(workload(4, 9), 150, 8).unwrap();
-    assert_eq!(fingerprint(&sharded_report), fingerprint(&legacy_report));
-}
-
-/// A workload wrapper that panics if a cpu outside the expected shard
-/// residency is ever queried — guards the "each shard queries only its
-/// own cpus" property that per-cpu rng stream independence relies on.
-#[derive(Debug, Clone)]
-struct OwnCpusOnly {
-    inner: SharingModel,
-    n_shards: usize,
-    // Shard identity is discovered from the clone's first query.
-    first_mod: Option<usize>,
-}
-
-impl Workload for OwnCpusOnly {
-    fn next_ref(&mut self, k: twobit_types::CacheId) -> twobit_types::MemRef {
-        let m = k.index() % self.n_shards;
-        match self.first_mod {
-            None => self.first_mod = Some(m),
-            Some(f) => assert_eq!(m, f, "shard clone queried a foreign cpu {k:?}"),
-        }
-        self.inner.next_ref(k)
-    }
-
-    fn name(&self) -> &'static str {
-        "own-cpus-only"
+    for entry in entries() {
+        assert_eq!(
+            run_via(cfg, 9, 150, entry),
+            GOLDEN_SINGLE_MODULE,
+            "{entry:?}"
+        );
     }
 }
 
 #[test]
-fn each_shard_queries_only_its_own_cpus() {
+fn zero_latency_network_reproduces_its_digest() {
+    // No lookahead: one shard, per-event delivery, whatever the map.
+    let mut cfg = config(4, ProtocolKind::TwoBit);
+    cfg.latency = LatencyConfig::zero();
+    cfg.think_time = 0;
+    for entry in entries() {
+        assert_eq!(
+            run_via(cfg, 41, 500, entry),
+            GOLDEN_ZERO_LATENCY,
+            "{entry:?}"
+        );
+    }
+}
+
+#[test]
+fn boxed_scenario_through_system_run_reproduces_its_digest() {
+    // `Box<dyn Workload>` is neither `Clone` nor `Send`: `run` must take
+    // it, and ask it shard by shard for what a global event order would.
+    let boxed: Box<dyn Workload> = Box::new(scenarios::Migratory::new(8, 4, 16, 4).unwrap());
+    let mut system = System::build(config(8, ProtocolKind::TwoBit)).unwrap();
+    let report = system.run(boxed, 300).unwrap();
+    assert_eq!(report_digest(&report), GOLDEN_BOXED_SCENARIO);
+}
+
+#[test]
+fn gauges_are_run_wide_for_any_worker_count() {
+    // The Table 4-2 cell at n = 16: every processor cold-misses at cycle
+    // 0, so 16 transactions are open at once — a count no single shard
+    // (one cache each here) ever sees.
+    let mut cfg = config(16, ProtocolKind::TwoBit);
+    cfg.cache = CacheOrg::new(64, 2, 4).unwrap();
+    let table_4_2 =
+        || SharingModel::new(SharingParams::table4_2(0.10, 0.4), 16, 0x42_0010).unwrap();
+    let mut sim = DirectorySim::build(cfg).unwrap();
+    let baseline = sim.run(table_4_2(), 2_000).unwrap().obs.unwrap();
+    assert_eq!(baseline.peak_outstanding, 16);
+    assert!(baseline.mean_outstanding > 1.0, "{baseline:?}");
+    for jobs in [1, 4] {
+        let mut sim = DirectorySim::build(cfg).unwrap();
+        let obs = sim.run_jobs(table_4_2(), 2_000, jobs).unwrap().obs;
+        assert_eq!(obs, Some(baseline.clone()), "{jobs} workers");
+    }
+}
+
+/// A workload wrapper that panics if it is asked for a cpu of a shard
+/// another worker owns — each worker holds one instance and lends it to
+/// its own shards only, which is why `Workload::next_ref(k)` may depend
+/// on nothing but `k`'s own earlier calls.
+#[derive(Debug, Clone)]
+struct OwnShardsOnly {
+    inner: SharingModel,
+    n_shards: usize,
+    n_workers: usize,
+    /// The worker holding this instance, discovered from its first query.
+    worker: Option<usize>,
+}
+
+impl Workload for OwnShardsOnly {
+    fn next_ref(&mut self, k: CacheId) -> MemRef {
+        // Cache `k` lives on shard `k mod S`, shard `s` with worker
+        // `s mod workers`.
+        let worker = k.index() % self.n_shards % self.n_workers;
+        assert_eq!(
+            *self.worker.get_or_insert(worker),
+            worker,
+            "a worker's instance was asked for {k:?}, a cpu of another worker's shard"
+        );
+        self.inner.next_ref(k)
+    }
+
+    fn name(&self) -> &'static str {
+        "own-shards-only"
+    }
+}
+
+#[test]
+fn each_worker_queries_only_cpus_of_its_own_shards() {
     let cfg = config(8, ProtocolKind::TwoBit);
     let n_shards = cfg.address_map.modules();
-    assert!(n_shards > 1, "default map must shard");
-    let wrapped = OwnCpusOnly {
-        inner: workload(8, 21),
-        n_shards,
-        first_mod: None,
-    };
-    let mut sim = DirectorySim::build(cfg).unwrap();
-    let report = sim.run_jobs(wrapped, 100, 4).unwrap();
-    assert_eq!(report.stats.total_references(), 800);
+    assert!(n_shards >= 4, "default map must shard");
+    for n_workers in [1, 2, 4] {
+        let wrapped = OwnShardsOnly {
+            inner: workload(8, 21),
+            n_shards,
+            n_workers,
+            worker: None,
+        };
+        let mut sim = DirectorySim::build(cfg).unwrap();
+        let report = sim.run_jobs(wrapped, 100, n_workers).unwrap();
+        assert_eq!(report.stats.total_references(), 800);
+    }
 }

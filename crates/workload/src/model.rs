@@ -18,8 +18,21 @@ const PRIVATE_REGION_STRIDE: u64 = 1 << 20;
 ///
 /// Implementations must be deterministic given their construction seed:
 /// every experiment in the repository is replayable.
+///
+/// # Per-CPU independence
+///
+/// What `next_ref(k)` returns may depend only on the construction
+/// parameters and on how many times `next_ref(k)` was called before for
+/// that same `k` — never on calls for other CPUs, nor on the order in
+/// which calls for different CPUs interleave. The timed engine relies on
+/// it: a round asks for the CPUs of one shard after another, not in
+/// global event order, and with several workers each one holds a clone
+/// and asks it only for the CPUs of its own shards. Per-CPU state (an RNG,
+/// a cursor, a counter per CPU) is the way to comply; state shared across
+/// CPUs — one RNG for all, a global reference count — is not.
 pub trait Workload {
-    /// Produces the next reference for CPU `k`.
+    /// Produces the next reference for CPU `k`, as a function of `k`'s own
+    /// earlier calls only (see the trait docs).
     fn next_ref(&mut self, k: CacheId) -> MemRef;
 
     /// A short name for reports.
