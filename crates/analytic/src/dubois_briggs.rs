@@ -29,7 +29,6 @@
 //! analyses in the paper are "two different methods" over one workload
 //! model.
 
-use serde::{Deserialize, Serialize};
 use twobit_types::{fmt3, ConfigError, Table};
 
 /// Model inputs.
@@ -44,7 +43,7 @@ use twobit_types::{fmt3, ConfigError, Table};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarkovModel {
     /// Number of caches.
     pub n: usize,
@@ -60,7 +59,7 @@ pub struct MarkovModel {
 }
 
 /// Solved steady-state quantities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSolution {
     /// P(no cached copy).
     pub p_absent: f64,

@@ -14,7 +14,6 @@
 //! and the per-cache figure reported in Table 4-1 is `(n-1)·T_SUM` with
 //! `T_SUM = T_RM + T_WM + T_WH`.
 
-use serde::{Deserialize, Serialize};
 use twobit_types::ConfigError;
 
 /// Inputs to the overhead expressions.
@@ -26,7 +25,7 @@ use twobit_types::ConfigError;
 /// assert!((p.per_cache_overhead() - 0.449).abs() < 0.001);
 /// # let _: OverheadParams = p;
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadParams {
     /// Number of caches `n` (≥ 2 for the expressions to be meaningful).
     pub n: usize,
@@ -121,7 +120,7 @@ impl OverheadParams {
 
 /// The three sharing levels of section 4.3, with the paper's parameter
 /// choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SharingCase {
     /// Case 1: `q = 0.01`, `h = 0.95`, `P(P1) = 0.06`, `P(P*) = 0.01`,
     /// `P(PM) = 0.03`.

@@ -25,7 +25,6 @@
 pub mod compare;
 pub mod experiments;
 pub mod obs_cli;
-pub mod perfjson;
 pub mod sweep;
 pub mod throughput;
 

@@ -2,11 +2,14 @@
 //!
 //! Experiment grids (protocol × sharing level × `n` × `w`) are
 //! embarrassingly parallel and individually deterministic; this driver
-//! fans them out over scoped threads (crossbeam) and collects results
-//! keyed by grid index (parking_lot mutex), preserving grid order
-//! regardless of completion order.
+//! fans them out over `std::thread::scope` workers and collects results
+//! keyed by grid index, preserving grid order regardless of completion
+//! order. Neither mutex is held across `f`, so a panicking experiment
+//! cannot poison one.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
+
+const UNPOISONED: &str = "no sweep worker panics while holding a lock";
 
 /// Runs `f` over every item of `inputs`, in parallel across up to
 /// `threads` workers, returning outputs in input order.
@@ -27,20 +30,20 @@ where
     let results: Mutex<Vec<Option<O>>> = Mutex::new((0..inputs.len()).map(|_| None).collect());
     let work: Mutex<Vec<(usize, I)>> = Mutex::new(inputs.into_iter().enumerate().rev().collect());
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let item = work.lock().pop();
+            scope.spawn(|| loop {
+                let item = work.lock().expect(UNPOISONED).pop();
                 let Some((index, input)) = item else { break };
                 let output = f(&input);
-                results.lock()[index] = Some(output);
+                results.lock().expect(UNPOISONED)[index] = Some(output);
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
 
     results
         .into_inner()
+        .expect(UNPOISONED)
         .into_iter()
         .map(|slot| slot.expect("every input produces an output"))
         .collect()

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use crate::perfjson::{self, num_u64, obj, Json};
+use twobit_obs::json::{self, num_u64, obj, Json};
 use twobit_obs::{SpanStat, TxnClass};
 use twobit_sim::System;
 use twobit_types::{ProtocolKind, SystemConfig};
@@ -326,32 +326,23 @@ impl BenchDoc {
     ///
     /// Returns a message describing the first malformed field.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = perfjson::parse(text)?;
+        let doc = json::parse(text)?;
         let schema = doc.req_str("schema")?;
         if schema != SCHEMA {
             return Err(format!("unsupported schema {schema:?} (want {SCHEMA:?})"));
         }
-        let config_json = doc
-            .get("config")
-            .ok_or_else(|| "missing config".to_string())?;
+        let config_json = doc.member("config")?;
         let config = BenchConfig {
-            caches: usize::try_from(config_json.req_u64("caches")?)
-                .map_err(|_| "caches out of range".to_string())?,
-            refs_per_cpu: config_json.req_u64("refs_per_cpu")?,
-            seed: config_json.req_u64("seed")?,
-            jobs: usize::try_from(config_json.req_u64("jobs")?)
-                .map_err(|_| "jobs out of range".to_string())?,
-            profile: config_json
-                .get("profile")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
+            caches: config_json.field("caches")?,
+            refs_per_cpu: config_json.field("refs_per_cpu")?,
+            seed: config_json.field("seed")?,
+            jobs: config_json.field("jobs")?,
+            profile: config_json.opt_field("profile")?.unwrap_or(false),
             schemes: Vec::new(),
             workloads: Vec::new(),
         };
         let cases = doc
-            .get("cases")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "missing cases array".to_string())?
+            .array("cases")?
             .iter()
             .map(parse_case)
             .collect::<Result<Vec<_>, String>>()?;
@@ -406,52 +397,45 @@ fn parse_case(json: &Json) -> Result<BenchCase, String> {
     let latency = json
         .get("latency")
         .and_then(Json::as_object)
-        .map(|map| {
-            map.iter()
-                .map(|(class, entry)| {
-                    Ok((
-                        class.clone(),
-                        entry.req_u64("count")?,
-                        entry.req_u64("p50")?,
-                        entry.req_u64("p99")?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, String>>()
+        .into_iter()
+        .flatten()
+        .map(|(class, entry)| {
+            Ok((
+                class.clone(),
+                entry.field("count")?,
+                entry.field("p50")?,
+                entry.field("p99")?,
+            ))
         })
-        .transpose()?
-        .unwrap_or_default();
+        .collect::<Result<_, String>>()?;
     let spans = json
         .get("spans")
         .and_then(Json::as_array)
-        .map(|items| {
-            items
-                .iter()
-                .map(|entry| {
-                    Ok((
-                        entry.req_str("name")?.to_string(),
-                        SpanStat {
-                            count: entry.req_u64("count")?,
-                            total_ns: entry.req_u64("total_ns")?,
-                            self_ns: entry.req_u64("self_ns")?,
-                        },
-                    ))
-                })
-                .collect::<Result<Vec<_>, String>>()
+        .into_iter()
+        .flatten()
+        .map(|entry| {
+            Ok((
+                entry.field("name")?,
+                SpanStat {
+                    count: entry.field("count")?,
+                    total_ns: entry.field("total_ns")?,
+                    self_ns: entry.field("self_ns")?,
+                },
+            ))
         })
-        .transpose()?
-        .unwrap_or_default();
+        .collect::<Result<_, String>>()?;
     Ok(BenchCase {
-        label: json.req_str("label")?.to_string(),
-        protocol: json.req_str("protocol")?.to_string(),
-        workload: json.req_str("workload")?.to_string(),
-        wall_ns: json.req_u64("wall_ns")?,
-        refs: json.req_u64("refs")?,
-        events: json.req_u64("events")?,
-        cycles: json.req_u64("cycles")?,
-        tag_probes: json.get("tag_probes").and_then(Json::as_u64).unwrap_or(0),
+        label: json.field("label")?,
+        protocol: json.field("protocol")?,
+        workload: json.field("workload")?,
+        wall_ns: json.field("wall_ns")?,
+        refs: json.field("refs")?,
+        events: json.field("events")?,
+        cycles: json.field("cycles")?,
+        tag_probes: json.opt_field("tag_probes")?.unwrap_or(0),
         latency,
         spans,
-        peak_alloc_bytes: json.get("peak_alloc_bytes").and_then(Json::as_u64),
+        peak_alloc_bytes: json.opt_field("peak_alloc_bytes")?,
     })
 }
 

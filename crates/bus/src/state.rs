@@ -1,6 +1,5 @@
 //! Local line states for the snooping protocols.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use twobit_cache::LineMeta;
 
@@ -13,7 +12,7 @@ use twobit_cache::LineMeta;
 /// | `Exclusive` | — (unused) | Exclusive: clean, sole copy |
 /// | `Reserved` | written exactly once; memory current; sole copy | — (unused) |
 /// | `Dirty` | modified ≥ twice; sole valid copy | Modified: sole valid copy |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SnoopState {
     /// Invalid.
     #[default]

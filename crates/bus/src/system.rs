@@ -1,7 +1,6 @@
 //! A whole snooping-bus multiprocessor, executed transaction-atomically.
 
 use crate::state::SnoopState;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use twobit_cache::Cache;
 use twobit_interconnect::{MessageSize, Network as _, SharedBus};
@@ -11,7 +10,7 @@ use twobit_types::{
 };
 
 /// Which snooping protocol a [`BusSystem`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BusProtocolKind {
     /// Goodman's write-once (section 2.5's first example).
     WriteOnce,
@@ -37,7 +36,7 @@ impl std::fmt::Display for BusProtocolKind {
 }
 
 /// Bus-level statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BusStats {
     /// Bus transactions issued (each snooped by all other caches).
     pub transactions: Counter,

@@ -27,7 +27,8 @@ use crate::local::LocalState;
 use std::fmt;
 use twobit_cache::Cache;
 use twobit_cache::LineMeta as _;
-use twobit_obs::json::{num_u64, obj, Json};
+use twobit_obs::json::{obj, FromJson, Json, ToJson};
+use twobit_obs::json_enum;
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, CacheOrg, CacheStats, CacheToMemory, Fingerprinter, MemRef,
     MemoryToCache, ProtocolError, Version, WritebackKind,
@@ -69,6 +70,36 @@ struct Pending {
     kind: PendingKind,
     op: MemRef,
     store_version: Option<Version>,
+}
+
+json_enum!(PendingKind {
+    ReadMiss => "read_miss",
+    WriteMiss => "write_miss",
+    Modify => "modify",
+    DirectRead => "direct_read",
+});
+
+/// `{a, kind, op, sv}`.
+impl ToJson for Pending {
+    fn json(&self) -> Json {
+        obj([
+            ("a", self.a.json()),
+            ("kind", self.kind.json()),
+            ("op", self.op.json()),
+            ("sv", self.store_version.json()),
+        ])
+    }
+}
+
+impl FromJson for Pending {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        Ok(Pending {
+            a: j.field("a")?,
+            kind: j.field("kind")?,
+            op: j.field("op")?,
+            store_version: j.field("sv")?,
+        })
+    }
 }
 
 /// A processor reference that has retired.
@@ -312,57 +343,22 @@ impl CacheAgent {
     /// against restoring the wrong node's checkpoint.
     #[must_use]
     pub fn save_state(&self) -> Json {
-        let pending = match &self.pending {
-            None => Json::Null,
-            Some(p) => obj([
-                ("a", crate::snapshot::block_json(p.a)),
-                (
-                    "kind",
-                    Json::Str(
-                        match p.kind {
-                            PendingKind::ReadMiss => "read_miss",
-                            PendingKind::WriteMiss => "write_miss",
-                            PendingKind::Modify => "modify",
-                            PendingKind::DirectRead => "direct_read",
-                        }
-                        .into(),
-                    ),
-                ),
-                ("op", crate::snapshot::mem_ref_json(p.op)),
-                (
-                    "sv",
-                    match p.store_version {
-                        None => Json::Null,
-                        Some(v) => crate::snapshot::version_json(v),
-                    },
-                ),
-            ]),
-        };
         obj([
-            ("id", crate::snapshot::cache_id_json(self.id)),
+            ("id", self.id.json()),
             (
                 "cache",
                 crate::snapshot::cache_snapshot_json(&self.cache.snapshot()),
             ),
-            ("pending", pending),
+            ("pending", self.pending.json()),
             (
                 "bias",
                 obj([
-                    ("capacity", num_u64(self.bias.capacity as u64)),
-                    ("cursor", num_u64(self.bias.cursor as u64)),
-                    (
-                        "entries",
-                        Json::Arr(
-                            self.bias
-                                .entries
-                                .iter()
-                                .map(|&a| crate::snapshot::block_json(a))
-                                .collect(),
-                        ),
-                    ),
+                    ("capacity", self.bias.capacity.json()),
+                    ("cursor", self.bias.cursor.json()),
+                    ("entries", self.bias.entries.json()),
                 ]),
             ),
-            ("stats", crate::snapshot::cache_stats_json(&self.stats)),
+            ("stats", self.stats.json()),
         ])
     }
 
@@ -376,46 +372,31 @@ impl CacheAgent {
     /// cache id, or its tag-store snapshot does not fit this agent's
     /// cache organization. On error `self` is left unchanged.
     pub fn restore_state(&mut self, j: &Json) -> Result<(), String> {
-        let id = crate::snapshot::cache_id_from(crate::snapshot::req(j, "id")?)?;
+        let id: CacheId = j.field("id")?;
         if id != self.id {
             return Err(format!(
                 "checkpoint is for cache {id}, this agent is {}",
                 self.id
             ));
         }
-        let snap = crate::snapshot::cache_snapshot_from(crate::snapshot::req(j, "cache")?)?;
+        let snap = crate::snapshot::cache_snapshot_from(j.member("cache")?)?;
         let cache = Cache::restore(self.cache.org(), &snap)?;
-        let pending = match crate::snapshot::req(j, "pending")? {
-            Json::Null => None,
-            p => Some(Pending {
-                a: crate::snapshot::block_from(crate::snapshot::req(p, "a")?)?,
-                kind: match crate::snapshot::req(p, "kind")?.as_str() {
-                    Some("read_miss") => PendingKind::ReadMiss,
-                    Some("write_miss") => PendingKind::WriteMiss,
-                    Some("modify") => PendingKind::Modify,
-                    Some("direct_read") => PendingKind::DirectRead,
-                    other => return Err(format!("bad pending kind {other:?}")),
-                },
-                op: crate::snapshot::mem_ref_from(crate::snapshot::req(p, "op")?)?,
-                store_version: match crate::snapshot::req(p, "sv")? {
-                    Json::Null => None,
-                    v => Some(crate::snapshot::version_from(v)?),
-                },
-            }),
+        let b = j.member("bias")?;
+        // Built from what the document holds, not `BiasFilter::new`: that
+        // allocates `capacity` entries, and the number is untrusted.
+        let bias = BiasFilter {
+            entries: b.field("entries")?,
+            capacity: b.field("capacity")?,
+            cursor: b.field("cursor")?,
         };
-        let b = crate::snapshot::req(j, "bias")?;
-        let mut bias = BiasFilter::new(b.req_u64("capacity")? as usize);
-        for e in crate::snapshot::req_array(b, "entries")? {
-            bias.entries.push(crate::snapshot::block_from(e)?);
-        }
         if bias.entries.len() > bias.capacity {
             return Err("BIAS checkpoint exceeds its own capacity".into());
         }
-        bias.cursor = b.req_u64("cursor")? as usize;
         if bias.capacity > 0 && bias.cursor >= bias.capacity {
             return Err("BIAS cursor out of range".into());
         }
-        let stats = crate::snapshot::cache_stats_from(crate::snapshot::req(j, "stats")?)?;
+        let pending = j.field("pending")?;
+        let stats = j.field("stats")?;
         self.cache = cache;
         self.pending = pending;
         self.bias = bias;

@@ -29,7 +29,7 @@ use crate::blockmap::{BlockMap, BlockSet};
 use crate::directory::{DirSend, DirStep, DirectoryProtocol, OpenKind, SendCost};
 use crate::memory::MemoryImage;
 use std::collections::VecDeque;
-use twobit_obs::json::{num_u64, obj, Json};
+use twobit_obs::json::{obj, Json, ToJson};
 use twobit_obs::{ActorId, Profiler, SimEvent, Tracer};
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, CacheToMemory, ControllerConcurrency, ControllerStats, Counter,
@@ -223,57 +223,30 @@ impl Controller {
     #[must_use]
     pub fn save_state(&self) -> Json {
         obj([
-            ("module", num_u64(self.module.index() as u64)),
-            ("scheme", Json::Str(self.protocol.name().into())),
+            ("module", self.module.index().json()),
+            ("scheme", self.protocol.name().json()),
             ("protocol", self.protocol.save_state()),
-            ("memory", crate::snapshot::memory_image_json(&self.memory)),
+            ("memory", self.memory.json()),
             (
                 "awaiting",
-                Json::Arr(
-                    self.awaiting
-                        .iter()
-                        .map(|(a, rw)| {
-                            obj([
-                                ("a", crate::snapshot::block_json(a)),
-                                ("rw", crate::snapshot::access_kind_json(*rw)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                self.awaiting
+                    .iter()
+                    .map(|(a, rw)| obj([("a", a.json()), ("rw", rw.json())]))
+                    .collect(),
             ),
             (
                 "eject_announced",
-                Json::Arr(
-                    self.eject_announced
-                        .iter()
-                        .map(|&(k, a)| {
-                            obj([
-                                ("k", crate::snapshot::cache_id_json(k)),
-                                ("a", crate::snapshot::block_json(a)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                self.eject_announced
+                    .iter()
+                    .map(|(k, a)| obj([("k", k.json()), ("a", a.json())]))
+                    .collect(),
             ),
             (
                 "eject_locked",
-                Json::Arr(
-                    self.eject_locked
-                        .iter()
-                        .map(crate::snapshot::block_json)
-                        .collect(),
-                ),
+                self.eject_locked.iter().map(|a| a.json()).collect(),
             ),
-            (
-                "queue",
-                Json::Arr(
-                    self.queue
-                        .iter()
-                        .map(|&cmd| crate::snapshot::cache_to_memory_json(cmd))
-                        .collect(),
-                ),
-            ),
-            ("stats", crate::snapshot::controller_stats_json(&self.stats)),
+            ("queue", self.queue.iter().map(ToJson::json).collect()),
+            ("stats", self.stats.json()),
         ])
     }
 
@@ -286,7 +259,7 @@ impl Controller {
     /// Returns a message if the document is malformed or names a
     /// different module or scheme. On error `self` is left unchanged.
     pub fn restore_state(&mut self, j: &Json) -> Result<(), String> {
-        let module = j.req_u64("module")? as usize;
+        let module: usize = j.field("module")?;
         if module != self.module.index() {
             return Err(format!(
                 "checkpoint is for module {module}, this controller is {}",
@@ -300,32 +273,22 @@ impl Controller {
                 self.protocol.name()
             ));
         }
-        let protocol =
-            crate::snapshot::restore_protocol(scheme, crate::snapshot::req(j, "protocol")?)?;
-        let memory = crate::snapshot::memory_image_from(crate::snapshot::req(j, "memory")?)?;
+        let protocol = crate::snapshot::restore_protocol(scheme, j.member("protocol")?)?;
+        let memory = j.field("memory")?;
         let mut awaiting = BlockMap::new();
-        for e in crate::snapshot::req_array(j, "awaiting")? {
-            awaiting.insert(
-                crate::snapshot::block_from(crate::snapshot::req(e, "a")?)?,
-                crate::snapshot::access_kind_from(crate::snapshot::req(e, "rw")?)?,
-            );
+        for e in j.array("awaiting")? {
+            awaiting.insert(e.field("a")?, e.field("rw")?);
         }
         let mut eject_announced = Vec::new();
-        for e in crate::snapshot::req_array(j, "eject_announced")? {
-            eject_announced.push((
-                crate::snapshot::cache_id_from(crate::snapshot::req(e, "k")?)?,
-                crate::snapshot::block_from(crate::snapshot::req(e, "a")?)?,
-            ));
+        for e in j.array("eject_announced")? {
+            eject_announced.push((e.field("k")?, e.field("a")?));
         }
         let mut eject_locked = BlockSet::new();
-        for e in crate::snapshot::req_array(j, "eject_locked")? {
-            eject_locked.insert(crate::snapshot::block_from(e)?);
+        for a in j.field::<Vec<BlockAddr>>("eject_locked")? {
+            eject_locked.insert(a);
         }
-        let mut queue = VecDeque::new();
-        for e in crate::snapshot::req_array(j, "queue")? {
-            queue.push_back(crate::snapshot::cache_to_memory_from(e)?);
-        }
-        let stats = crate::snapshot::controller_stats_from(crate::snapshot::req(j, "stats")?)?;
+        let queue = j.field::<Vec<CacheToMemory>>("queue")?.into();
+        let stats = j.field("stats")?;
         self.protocol = protocol;
         self.memory = memory;
         self.awaiting = awaiting;

@@ -16,7 +16,7 @@ use crate::transitions::{
 use crate::two_bit::Waiting;
 use std::collections::HashMap;
 use std::sync::OnceLock;
-use twobit_obs::json::{num_u64, obj, Json};
+use twobit_obs::json::{obj, Json, ToJson};
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, Fingerprinter, GlobalState, MemoryToCache, Version,
     WritebackKind,
@@ -96,27 +96,25 @@ impl FullMapDirectory {
     /// Rebuilds a directory from a [`DirectoryProtocol::save_state`]
     /// checkpoint document.
     pub(crate) fn restore_json(j: &Json) -> Result<Self, String> {
-        let width = j.req_u64("width")? as usize;
+        let width: usize = j.field("width")?;
         if width == 0 {
             return Err("zero presence-vector width in checkpoint".into());
         }
         let mut d = FullMapDirectory::new(width);
-        for e in crate::snapshot::req_array(j, "entries")? {
-            let owners = crate::snapshot::owner_set_from(crate::snapshot::req(e, "o")?)?;
+        for e in j.array("entries")? {
+            let owners: OwnerSet = e.field("o")?;
             if owners.capacity() != width {
                 return Err("presence vector width mismatch".into());
             }
             d.entries.insert(
-                crate::snapshot::block_from(crate::snapshot::req(e, "a")?)?,
+                e.field("a")?,
                 Entry {
                     owners,
-                    modified: crate::snapshot::req(e, "m")?
-                        .as_bool()
-                        .ok_or("`m` is not a bool")?,
+                    modified: e.field("m")?,
                 },
             );
         }
-        d.waiting = crate::snapshot::waiting_map_from(crate::snapshot::req(j, "waiting")?)?;
+        d.waiting = crate::snapshot::waiting_from(j.member("waiting")?)?;
         Ok(d)
     }
 }
@@ -166,23 +164,21 @@ impl DirectoryProtocol for FullMapDirectory {
         let mut entries: Vec<_> = self.entries.iter().collect();
         entries.sort_by_key(|(a, _)| a.number());
         obj([
-            ("width", num_u64(self.width as u64)),
+            ("width", self.width.json()),
             (
                 "entries",
-                Json::Arr(
-                    entries
-                        .into_iter()
-                        .map(|(a, e)| {
-                            obj([
-                                ("a", crate::snapshot::block_json(*a)),
-                                ("o", crate::snapshot::owner_set_json(&e.owners)),
-                                ("m", Json::Bool(e.modified)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                entries
+                    .into_iter()
+                    .map(|(a, e)| {
+                        obj([
+                            ("a", a.json()),
+                            ("o", e.owners.json()),
+                            ("m", e.modified.json()),
+                        ])
+                    })
+                    .collect(),
             ),
-            ("waiting", crate::snapshot::waiting_map_json(&self.waiting)),
+            ("waiting", crate::snapshot::waiting_json(&self.waiting)),
         ])
     }
 

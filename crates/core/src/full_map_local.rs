@@ -23,7 +23,7 @@ use crate::transitions::{
 use crate::two_bit::Waiting;
 use std::collections::HashMap;
 use std::sync::OnceLock;
-use twobit_obs::json::{num_u64, obj, Json};
+use twobit_obs::json::{obj, Json, ToJson};
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, Fingerprinter, GlobalState, MemoryToCache, Version,
     WritebackKind,
@@ -81,27 +81,22 @@ impl FullMapLocalDirectory {
     /// Rebuilds a directory from a [`DirectoryProtocol::save_state`]
     /// checkpoint document.
     pub(crate) fn restore_json(j: &Json) -> Result<Self, String> {
-        let width = j.req_u64("width")? as usize;
+        let width: usize = j.field("width")?;
         if width == 0 {
             return Err("zero presence-vector width in checkpoint".into());
         }
         let mut d = FullMapLocalDirectory::new(width);
-        for e in crate::snapshot::req_array(j, "entries")? {
-            let a = crate::snapshot::block_from(crate::snapshot::req(e, "a")?)?;
-            let entry = if let Some(o) = e.get("o") {
-                let owners = crate::snapshot::owner_set_from(o)?;
-                if owners.capacity() != width {
+        for e in j.array("entries")? {
+            let entry = match e.opt_field::<OwnerSet>("o")? {
+                Some(owners) if owners.capacity() != width => {
                     return Err("presence vector width mismatch".into());
                 }
-                Entry::Shared(owners)
-            } else {
-                Entry::ExclusiveOrModified(crate::snapshot::cache_id_from(crate::snapshot::req(
-                    e, "x",
-                )?)?)
+                Some(owners) => Entry::Shared(owners),
+                None => Entry::ExclusiveOrModified(e.field("x")?),
             };
-            d.entries.insert(a, entry);
+            d.entries.insert(e.field("a")?, entry);
         }
-        d.waiting = crate::snapshot::waiting_map_from(crate::snapshot::req(j, "waiting")?)?;
+        d.waiting = crate::snapshot::waiting_from(j.member("waiting")?)?;
         Ok(d)
     }
 }
@@ -161,27 +156,21 @@ impl DirectoryProtocol for FullMapLocalDirectory {
         let mut entries: Vec<_> = self.entries.iter().collect();
         entries.sort_by_key(|(a, _)| a.number());
         obj([
-            ("width", num_u64(self.width as u64)),
+            ("width", self.width.json()),
             (
                 "entries",
-                Json::Arr(
-                    entries
-                        .into_iter()
-                        .map(|(a, e)| {
-                            let a = ("a", crate::snapshot::block_json(*a));
-                            match e {
-                                Entry::Shared(owners) => {
-                                    obj([a, ("o", crate::snapshot::owner_set_json(owners))])
-                                }
-                                Entry::ExclusiveOrModified(k) => {
-                                    obj([a, ("x", crate::snapshot::cache_id_json(*k))])
-                                }
-                            }
-                        })
-                        .collect(),
-                ),
+                entries
+                    .into_iter()
+                    .map(|(a, e)| {
+                        let a = ("a", a.json());
+                        match e {
+                            Entry::Shared(owners) => obj([a, ("o", owners.json())]),
+                            Entry::ExclusiveOrModified(k) => obj([a, ("x", k.json())]),
+                        }
+                    })
+                    .collect(),
             ),
-            ("waiting", crate::snapshot::waiting_map_json(&self.waiting)),
+            ("waiting", crate::snapshot::waiting_json(&self.waiting)),
         ])
     }
 

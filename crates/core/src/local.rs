@@ -7,13 +7,12 @@
 //! covers both: protocols that don't use [`LocalState::Exclusive`] simply
 //! never produce it.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use twobit_cache::LineMeta;
 use twobit_types::LineState;
 
 /// Local state of a line under a directory protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LocalState {
     /// Valid bit off.
     #[default]

@@ -1,7 +1,6 @@
 //! A memory module's storage, in the data-as-version model.
 
 use crate::blockmap::BlockMap;
-use serde::{Deserialize, Serialize};
 use twobit_types::{BlockAddr, Version};
 
 /// The block storage of one memory module (`M_j` in Figure 3-1).
@@ -10,7 +9,7 @@ use twobit_types::{BlockAddr, Version};
 /// ([`Version::initial`]); only written blocks occupy space. Storage is a
 /// [`BlockMap`], so the `read` on every memory-sourced grant is a paged
 /// array probe rather than a hash lookup.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoryImage {
     blocks: BlockMap<Version>,
 }

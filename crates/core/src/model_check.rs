@@ -52,9 +52,9 @@ use crate::agent::CacheAgent;
 use crate::controller::{Controller, CtrlEmit};
 use crate::exec::{build_policy_for, build_protocol_for};
 use crate::invariants;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
+use std::sync::Mutex;
 use twobit_obs::{ActorId, Metrics, NullTracer, RingTracer, SimEvent, Tracer};
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, CacheToMemory, ConfigError, Fingerprint, Fingerprinter,
@@ -245,19 +245,22 @@ where
     }
     let results: Mutex<Vec<Option<O>>> = Mutex::new((0..inputs.len()).map(|_| None).collect());
     let work: Mutex<Vec<(usize, I)>> = Mutex::new(inputs.into_iter().enumerate().rev().collect());
-    crossbeam::scope(|scope| {
+    // Neither lock is held across `f`, so a panicking chunk cannot poison
+    // one; `scope` re-raises the panic after joining.
+    const UNPOISONED: &str = "no model-check worker panics while holding a lock";
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let item = work.lock().pop();
+            scope.spawn(|| loop {
+                let item = work.lock().expect(UNPOISONED).pop();
                 let Some((index, input)) = item else { break };
                 let output = f(input);
-                results.lock()[index] = Some(output);
+                results.lock().expect(UNPOISONED)[index] = Some(output);
             });
         }
-    })
-    .expect("model-check worker panicked");
+    });
     results
         .into_inner()
+        .expect(UNPOISONED)
         .into_iter()
         .map(|slot| slot.expect("every chunk produces an output"))
         .collect()

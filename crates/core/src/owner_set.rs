@@ -1,7 +1,6 @@
 //! A compact set of cache identities — the "vector of bits with one
 //! bit/cache" of the full-map scheme (section 2.4.2).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use twobit_types::CacheId;
 
@@ -9,7 +8,7 @@ use twobit_types::CacheId;
 /// design-time width — exactly the expansibility limitation the paper
 /// criticizes; the two-bit scheme's whole point is to avoid carrying one
 /// of these per block).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OwnerSet {
     words: Vec<u64>,
     capacity: usize,

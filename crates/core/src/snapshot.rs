@@ -1,16 +1,16 @@
-//! Checkpoint serialization for the functional core.
+//! Checkpoint text forms for the functional core.
 //!
 //! Every piece of controller and agent state that a distributed node must
-//! survive a crash/restart with has a hand-rolled [`Json`] codec here —
-//! the workspace deliberately carries no real serde backend (the vendored
-//! `serde` is an API-compatible no-op), so checkpoints, like the
-//! `BENCH_*.json` documents and the trace JSONL, go through
-//! [`twobit_obs::json`].
+//! survive a crash/restart with is written and read through
+//! [`twobit_obs::json`]'s `ToJson`/`FromJson` pair. The command set and
+//! the values it carries have theirs in `twobit-obs` (shared with the
+//! `twobit-dist` wire format); this module adds the pairs for the core's
+//! own types, the tag-store snapshot (a `twobit-cache` type, so a plain
+//! function pair), and the registry that rebuilds a directory protocol
+//! from its scheme name.
 //!
-//! Layout conventions, shared with the `twobit-dist` wire format:
+//! Layout conventions:
 //!
-//! * Block addresses, versions, and ids are JSON numbers (`u64` through
-//!   `f64`, exact below 2^53 — far beyond any simulated address space).
 //! * Enums become objects with a `"t"` tag naming the variant, fields
 //!   inline; fieldless enums become plain strings.
 //! * Maps become arrays of entry objects in the container's iteration
@@ -19,585 +19,170 @@
 //!   number before emission so that a checkpoint of a given state is
 //!   byte-identical no matter which process wrote it.
 //!
-//! The inverse direction ([`restore_protocol`] and the `restore_json`
-//! constructors it dispatches to) validates shape and rejects unknown
-//! tags with a `String` error, never panicking on malformed input — a
-//! checkpoint file arrives over a process boundary and is untrusted.
+//! Decoding validates shape, range-checks every number and rejects
+//! unknown tags with a `String` error, never panicking on malformed
+//! input — a checkpoint arrives over a process boundary and is untrusted.
 
 use crate::directory::DirectoryProtocol;
 use crate::local::LocalState;
 use crate::memory::MemoryImage;
 use crate::owner_set::OwnerSet;
+use crate::two_bit::Waiting;
 use crate::{
     ClassicalDirectory, FullMapDirectory, FullMapLocalDirectory, NullDirectory, TwoBitDirectory,
     TwoBitTlbDirectory,
 };
+use std::borrow::Borrow;
 use twobit_cache::{CacheSnapshot, SlotSnapshot};
-use twobit_obs::json::{num_u64, obj, Json};
-use twobit_types::{
-    AccessKind, BlockAddr, CacheId, CacheStats, CacheToMemory, ControllerStats, Counter, MemRef,
-    MemoryToCache, Version, WordAddr, WritebackKind,
-};
+use twobit_obs::json::{obj, FromJson, Json, ToJson};
+use twobit_obs::json_enum;
+use twobit_types::{BlockAddr, CacheId};
 
-// ---------------------------------------------------------------------------
-// Small shared helpers
-// ---------------------------------------------------------------------------
+json_enum!(LocalState { Invalid => "I", Shared => "S", Exclusive => "E", Dirty => "D" });
 
-/// Fetches `key` from an object, or explains which key is missing.
-pub(crate) fn req<'j>(j: &'j Json, key: &str) -> Result<&'j Json, String> {
-    j.get(key).ok_or_else(|| format!("missing key `{key}`"))
-}
-
-/// Fetches `key` as an array.
-pub(crate) fn req_array<'j>(j: &'j Json, key: &str) -> Result<&'j [Json], String> {
-    req(j, key)?
-        .as_array()
-        .ok_or_else(|| format!("key `{key}` is not an array"))
-}
-
-fn u64_of(j: &Json, what: &str) -> Result<u64, String> {
-    j.as_u64().ok_or_else(|| format!("{what} is not a u64"))
-}
-
-// ---------------------------------------------------------------------------
-// Scalar codecs
-// ---------------------------------------------------------------------------
-
-/// Encodes a block address as its number.
-#[must_use]
-pub fn block_json(a: BlockAddr) -> Json {
-    num_u64(a.number())
-}
-
-/// Decodes a block address.
-pub fn block_from(j: &Json) -> Result<BlockAddr, String> {
-    Ok(BlockAddr::new(u64_of(j, "block address")?))
-}
-
-/// Encodes a version as its raw counter.
-#[must_use]
-pub fn version_json(v: Version) -> Json {
-    num_u64(v.raw())
-}
-
-/// Decodes a version.
-pub fn version_from(j: &Json) -> Result<Version, String> {
-    Ok(Version::new(u64_of(j, "version")?))
-}
-
-/// Encodes a cache id as its index.
-#[must_use]
-pub fn cache_id_json(k: CacheId) -> Json {
-    num_u64(k.index() as u64)
-}
-
-/// Decodes a cache id.
-pub fn cache_id_from(j: &Json) -> Result<CacheId, String> {
-    Ok(CacheId::new(u64_of(j, "cache id")? as usize))
-}
-
-/// Encodes an access kind as `"read"` / `"write"`.
-#[must_use]
-pub fn access_kind_json(rw: AccessKind) -> Json {
-    Json::Str(rw.to_string())
-}
-
-/// Decodes an access kind.
-pub fn access_kind_from(j: &Json) -> Result<AccessKind, String> {
-    match j.as_str() {
-        Some("read") => Ok(AccessKind::Read),
-        Some("write") => Ok(AccessKind::Write),
-        other => Err(format!("bad access kind {other:?}")),
+/// `[width, member...]`.
+impl ToJson for OwnerSet {
+    fn json(&self) -> Json {
+        std::iter::once(self.capacity().json())
+            .chain(self.iter().map(|k| k.json()))
+            .collect()
     }
 }
 
-/// Encodes a write-back kind as `"clean"` / `"dirty"`.
-#[must_use]
-pub fn writeback_kind_json(wb: WritebackKind) -> Json {
-    Json::Str(wb.to_string())
-}
-
-/// Decodes a write-back kind.
-pub fn writeback_kind_from(j: &Json) -> Result<WritebackKind, String> {
-    match j.as_str() {
-        Some("clean") => Ok(WritebackKind::Clean),
-        Some("dirty") => Ok(WritebackKind::Dirty),
-        other => Err(format!("bad writeback kind {other:?}")),
-    }
-}
-
-/// Encodes a memory reference as `{a, d, rw}`.
-#[must_use]
-pub fn mem_ref_json(op: MemRef) -> Json {
-    obj([
-        ("a", block_json(op.addr.block)),
-        ("d", num_u64(u64::from(op.addr.offset))),
-        ("rw", access_kind_json(op.kind)),
-    ])
-}
-
-/// Decodes a memory reference.
-pub fn mem_ref_from(j: &Json) -> Result<MemRef, String> {
-    Ok(MemRef {
-        addr: WordAddr {
-            block: block_from(req(j, "a")?)?,
-            offset: u64_of(req(j, "d")?, "offset")? as u16,
-        },
-        kind: access_kind_from(req(j, "rw")?)?,
-    })
-}
-
-/// Encodes an owner set as `{width, members}`.
-#[must_use]
-pub fn owner_set_json(s: &OwnerSet) -> Json {
-    Json::Arr(
-        std::iter::once(num_u64(s.capacity() as u64))
-            .chain(s.iter().map(cache_id_json))
-            .collect(),
-    )
-}
-
-/// Decodes an owner set (`[width, member...]`).
-pub fn owner_set_from(j: &Json) -> Result<OwnerSet, String> {
-    let parts = j.as_array().ok_or("owner set is not an array")?;
-    let width = u64_of(parts.first().ok_or("empty owner set encoding")?, "width")?;
-    let mut s = OwnerSet::new(width as usize);
-    for m in &parts[1..] {
-        let k = cache_id_from(m)?;
-        if k.index() >= s.capacity() {
-            return Err(format!("owner {k} exceeds set width {width}"));
+impl FromJson for OwnerSet {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        let (width, members) = j.items()?.split_first().ok_or("empty owner set encoding")?;
+        // Cache ids are 16 bits wide, which also bounds the allocation.
+        let mut s = OwnerSet::new(usize::from(u16::from_json(width)?));
+        for m in members {
+            let k = CacheId::from_json(m)?;
+            if k.index() >= s.capacity() {
+                return Err(format!("owner {k} exceeds set width {}", s.capacity()));
+            }
+            s.insert(k);
         }
-        s.insert(k);
+        Ok(s)
     }
-    Ok(s)
 }
 
-// ---------------------------------------------------------------------------
-// Waiting-map helper shared by the full-map schemes
-// ---------------------------------------------------------------------------
+/// `[[block, version], ...]` in ascending block order.
+impl ToJson for MemoryImage {
+    fn json(&self) -> Json {
+        self.written_blocks()
+            .map(|(a, v)| Json::Arr(vec![a.json(), v.json()]))
+            .collect()
+    }
+}
 
-/// Encodes a `HashMap<BlockAddr, Waiting>` sorted by block number.
-pub(crate) fn waiting_map_json(
-    m: &std::collections::HashMap<BlockAddr, crate::two_bit::Waiting>,
+impl FromJson for MemoryImage {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        let mut m = MemoryImage::new();
+        for entry in j.items()? {
+            let [a, v] = entry.items()? else {
+                return Err("memory entry is not a pair".into());
+            };
+            m.write(FromJson::from_json(a)?, FromJson::from_json(v)?);
+        }
+        Ok(m)
+    }
+}
+
+/// A waiting-map entry `{a, k, w}`, read for its `k` and `w` (the map
+/// key `a` is [`waiting_from`]'s). There is no encoding half: a `Waiting`
+/// is only ever written as such an entry, by [`waiting_json`].
+impl FromJson for Waiting {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        Ok(Waiting {
+            k: j.field("k")?,
+            write: j.field("w")?,
+        })
+    }
+}
+
+/// Encodes a waiting map as `[{a, k, w}, ...]` in ascending block order,
+/// whatever order the map iterates in.
+pub(crate) fn waiting_json<'w>(
+    map: impl IntoIterator<Item = (impl Borrow<BlockAddr>, &'w Waiting)>,
 ) -> Json {
-    let mut entries: Vec<_> = m.iter().collect();
+    let mut entries: Vec<_> = map.into_iter().map(|(a, w)| (*a.borrow(), w)).collect();
     entries.sort_by_key(|(a, _)| a.number());
-    Json::Arr(
-        entries
-            .into_iter()
-            .map(|(a, w)| {
-                obj([
-                    ("a", block_json(*a)),
-                    ("k", cache_id_json(w.k)),
-                    ("w", Json::Bool(w.write)),
-                ])
-            })
-            .collect(),
-    )
+    entries
+        .into_iter()
+        .map(|(a, w)| obj([("a", a.json()), ("k", w.k.json()), ("w", w.write.json())]))
+        .collect()
 }
 
-/// Decodes the inverse of [`waiting_map_json`].
-pub(crate) fn waiting_map_from(
-    j: &Json,
-) -> Result<std::collections::HashMap<BlockAddr, crate::two_bit::Waiting>, String> {
-    let mut m = std::collections::HashMap::new();
-    for e in j.as_array().ok_or("waiting map is not an array")? {
-        m.insert(
-            block_from(req(e, "a")?)?,
-            crate::two_bit::Waiting {
-                k: cache_id_from(req(e, "k")?)?,
-                write: req(e, "w")?.as_bool().ok_or("`w` is not a bool")?,
-            },
-        );
-    }
-    Ok(m)
-}
-
-// ---------------------------------------------------------------------------
-// Command codecs (shared with the twobit-dist wire format)
-// ---------------------------------------------------------------------------
-
-/// Encodes a cache-to-memory command as a `"t"`-tagged object.
-#[must_use]
-pub fn cache_to_memory_json(cmd: CacheToMemory) -> Json {
-    match cmd {
-        CacheToMemory::Request { k, a, rw } => obj([
-            ("t", Json::Str("REQUEST".into())),
-            ("k", cache_id_json(k)),
-            ("a", block_json(a)),
-            ("rw", access_kind_json(rw)),
-        ]),
-        CacheToMemory::MRequest { k, a, version } => obj([
-            ("t", Json::Str("MREQUEST".into())),
-            ("k", cache_id_json(k)),
-            ("a", block_json(a)),
-            ("v", version_json(version)),
-        ]),
-        CacheToMemory::Eject { k, olda, wb } => obj([
-            ("t", Json::Str("EJECT".into())),
-            ("k", cache_id_json(k)),
-            ("a", block_json(olda)),
-            ("wb", writeback_kind_json(wb)),
-        ]),
-        CacheToMemory::PutData { from, a, version } => obj([
-            ("t", Json::Str("PUT".into())),
-            ("k", cache_id_json(from)),
-            ("a", block_json(a)),
-            ("v", version_json(version)),
-        ]),
-        CacheToMemory::WriteThrough { k, a, version } => obj([
-            ("t", Json::Str("WRITETHRU".into())),
-            ("k", cache_id_json(k)),
-            ("a", block_json(a)),
-            ("v", version_json(version)),
-        ]),
-        CacheToMemory::DirectRead { k, a } => obj([
-            ("t", Json::Str("DIRECTREAD".into())),
-            ("k", cache_id_json(k)),
-            ("a", block_json(a)),
-        ]),
-    }
-}
-
-/// Decodes a cache-to-memory command.
-pub fn cache_to_memory_from(j: &Json) -> Result<CacheToMemory, String> {
-    let k = cache_id_from(req(j, "k")?)?;
-    let a = block_from(req(j, "a")?)?;
-    match req(j, "t")?.as_str() {
-        Some("REQUEST") => Ok(CacheToMemory::Request {
-            k,
-            a,
-            rw: access_kind_from(req(j, "rw")?)?,
-        }),
-        Some("MREQUEST") => Ok(CacheToMemory::MRequest {
-            k,
-            a,
-            version: version_from(req(j, "v")?)?,
-        }),
-        Some("EJECT") => Ok(CacheToMemory::Eject {
-            k,
-            olda: a,
-            wb: writeback_kind_from(req(j, "wb")?)?,
-        }),
-        Some("PUT") => Ok(CacheToMemory::PutData {
-            from: k,
-            a,
-            version: version_from(req(j, "v")?)?,
-        }),
-        Some("WRITETHRU") => Ok(CacheToMemory::WriteThrough {
-            k,
-            a,
-            version: version_from(req(j, "v")?)?,
-        }),
-        Some("DIRECTREAD") => Ok(CacheToMemory::DirectRead { k, a }),
-        other => Err(format!("bad cache-to-memory tag {other:?}")),
-    }
-}
-
-/// Encodes a memory-to-cache command as a `"t"`-tagged object.
-#[must_use]
-pub fn memory_to_cache_json(cmd: MemoryToCache) -> Json {
-    match cmd {
-        MemoryToCache::GetData {
-            k,
-            a,
-            version,
-            exclusive,
-        } => obj([
-            ("t", Json::Str("GET".into())),
-            ("k", cache_id_json(k)),
-            ("a", block_json(a)),
-            ("v", version_json(version)),
-            ("x", Json::Bool(exclusive)),
-        ]),
-        MemoryToCache::BroadInv { a, exclude } => obj([
-            ("t", Json::Str("BROADINV".into())),
-            ("a", block_json(a)),
-            ("k", cache_id_json(exclude)),
-        ]),
-        MemoryToCache::BroadQuery { a, rw } => obj([
-            ("t", Json::Str("BROADQUERY".into())),
-            ("a", block_json(a)),
-            ("rw", access_kind_json(rw)),
-        ]),
-        MemoryToCache::MGranted { k, a, granted } => obj([
-            ("t", Json::Str("MGRANTED".into())),
-            ("k", cache_id_json(k)),
-            ("a", block_json(a)),
-            ("y", Json::Bool(granted)),
-        ]),
-        MemoryToCache::Inv { a, to } => obj([
-            ("t", Json::Str("INV".into())),
-            ("a", block_json(a)),
-            ("k", cache_id_json(to)),
-        ]),
-        MemoryToCache::Purge { a, to, rw } => obj([
-            ("t", Json::Str("PURGE".into())),
-            ("a", block_json(a)),
-            ("k", cache_id_json(to)),
-            ("rw", access_kind_json(rw)),
-        ]),
-    }
-}
-
-/// Decodes a memory-to-cache command.
-pub fn memory_to_cache_from(j: &Json) -> Result<MemoryToCache, String> {
-    let a = block_from(req(j, "a")?)?;
-    match req(j, "t")?.as_str() {
-        Some("GET") => Ok(MemoryToCache::GetData {
-            k: cache_id_from(req(j, "k")?)?,
-            a,
-            version: version_from(req(j, "v")?)?,
-            exclusive: req(j, "x")?.as_bool().ok_or("`x` is not a bool")?,
-        }),
-        Some("BROADINV") => Ok(MemoryToCache::BroadInv {
-            a,
-            exclude: cache_id_from(req(j, "k")?)?,
-        }),
-        Some("BROADQUERY") => Ok(MemoryToCache::BroadQuery {
-            a,
-            rw: access_kind_from(req(j, "rw")?)?,
-        }),
-        Some("MGRANTED") => Ok(MemoryToCache::MGranted {
-            k: cache_id_from(req(j, "k")?)?,
-            a,
-            granted: req(j, "y")?.as_bool().ok_or("`y` is not a bool")?,
-        }),
-        Some("INV") => Ok(MemoryToCache::Inv {
-            a,
-            to: cache_id_from(req(j, "k")?)?,
-        }),
-        Some("PURGE") => Ok(MemoryToCache::Purge {
-            a,
-            to: cache_id_from(req(j, "k")?)?,
-            rw: access_kind_from(req(j, "rw")?)?,
-        }),
-        other => Err(format!("bad memory-to-cache tag {other:?}")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Stats codecs
-// ---------------------------------------------------------------------------
-
-fn counters_json(pairs: &[(&'static str, Counter)]) -> Json {
-    obj(pairs.iter().map(|&(k, c)| (k, num_u64(c.get()))))
-}
-
-fn counter_from(j: &Json, key: &str) -> Result<Counter, String> {
-    Ok(Counter::from(j.req_u64(key)?))
-}
-
-/// Encodes per-cache statistics as an object of counters.
-#[must_use]
-pub fn cache_stats_json(s: &CacheStats) -> Json {
-    counters_json(&[
-        ("reads", s.reads),
-        ("writes", s.writes),
-        ("read_hits", s.read_hits),
-        ("write_hits_dirty", s.write_hits_dirty),
-        ("write_hits_clean", s.write_hits_clean),
-        ("read_misses", s.read_misses),
-        ("write_misses", s.write_misses),
-        ("evictions_clean", s.evictions_clean),
-        ("evictions_dirty", s.evictions_dirty),
-        ("commands_received", s.commands_received),
-        ("useless_commands", s.useless_commands),
-        ("effective_commands", s.effective_commands),
-        ("stolen_cycles", s.stolen_cycles),
-        ("blocks_supplied", s.blocks_supplied),
-        ("invalidated_lines", s.invalidated_lines),
-        ("bias_filtered", s.bias_filtered),
-        ("tag_probes", s.tag_probes),
-    ])
-}
-
-/// Decodes per-cache statistics.
-pub fn cache_stats_from(j: &Json) -> Result<CacheStats, String> {
-    Ok(CacheStats {
-        reads: counter_from(j, "reads")?,
-        writes: counter_from(j, "writes")?,
-        read_hits: counter_from(j, "read_hits")?,
-        write_hits_dirty: counter_from(j, "write_hits_dirty")?,
-        write_hits_clean: counter_from(j, "write_hits_clean")?,
-        read_misses: counter_from(j, "read_misses")?,
-        write_misses: counter_from(j, "write_misses")?,
-        evictions_clean: counter_from(j, "evictions_clean")?,
-        evictions_dirty: counter_from(j, "evictions_dirty")?,
-        commands_received: counter_from(j, "commands_received")?,
-        useless_commands: counter_from(j, "useless_commands")?,
-        effective_commands: counter_from(j, "effective_commands")?,
-        stolen_cycles: counter_from(j, "stolen_cycles")?,
-        blocks_supplied: counter_from(j, "blocks_supplied")?,
-        invalidated_lines: counter_from(j, "invalidated_lines")?,
-        bias_filtered: counter_from(j, "bias_filtered")?,
-        tag_probes: counter_from(j, "tag_probes")?,
-    })
-}
-
-/// Encodes per-controller statistics as an object of counters.
-#[must_use]
-pub fn controller_stats_json(s: &ControllerStats) -> Json {
-    counters_json(&[
-        ("requests", s.requests),
-        ("mrequests", s.mrequests),
-        ("ejects", s.ejects),
-        ("broadcasts_sent", s.broadcasts_sent),
-        ("unicasts_sent", s.unicasts_sent),
-        ("deliveries", s.deliveries),
-        ("memory_reads", s.memory_reads),
-        ("memory_writes", s.memory_writes),
-        ("tlb_hits", s.tlb_hits),
-        ("tlb_misses", s.tlb_misses),
-        ("conflicts_queued", s.conflicts_queued),
-        ("queue_peak", s.queue_peak),
-    ])
-}
-
-/// Decodes per-controller statistics.
-pub fn controller_stats_from(j: &Json) -> Result<ControllerStats, String> {
-    Ok(ControllerStats {
-        requests: counter_from(j, "requests")?,
-        mrequests: counter_from(j, "mrequests")?,
-        ejects: counter_from(j, "ejects")?,
-        broadcasts_sent: counter_from(j, "broadcasts_sent")?,
-        unicasts_sent: counter_from(j, "unicasts_sent")?,
-        deliveries: counter_from(j, "deliveries")?,
-        memory_reads: counter_from(j, "memory_reads")?,
-        memory_writes: counter_from(j, "memory_writes")?,
-        tlb_hits: counter_from(j, "tlb_hits")?,
-        tlb_misses: counter_from(j, "tlb_misses")?,
-        conflicts_queued: counter_from(j, "conflicts_queued")?,
-        queue_peak: counter_from(j, "queue_peak")?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Cache tag-store snapshot codec
-// ---------------------------------------------------------------------------
-
-fn local_state_json(s: LocalState) -> Json {
-    Json::Str(
-        match s {
-            LocalState::Invalid => "I",
-            LocalState::Shared => "S",
-            LocalState::Exclusive => "E",
-            LocalState::Dirty => "D",
-        }
-        .into(),
-    )
-}
-
-fn local_state_from(j: &Json) -> Result<LocalState, String> {
-    match j.as_str() {
-        Some("I") => Ok(LocalState::Invalid),
-        Some("S") => Ok(LocalState::Shared),
-        Some("E") => Ok(LocalState::Exclusive),
-        Some("D") => Ok(LocalState::Dirty),
-        other => Err(format!("bad local state {other:?}")),
-    }
+/// Decodes the inverse of [`waiting_json`] into any map.
+pub(crate) fn waiting_from<M: FromIterator<(BlockAddr, Waiting)>>(j: &Json) -> Result<M, String> {
+    j.items()?
+        .iter()
+        .map(|e| Ok((e.field("a")?, Waiting::from_json(e)?)))
+        .collect()
 }
 
 /// Encodes an exact tag-store snapshot (`Cache<LocalState>`).
 #[must_use]
 pub fn cache_snapshot_json(snap: &CacheSnapshot<LocalState>) -> Json {
     obj([
-        ("clock", num_u64(snap.clock)),
-        ("probes", num_u64(snap.probes)),
+        ("clock", snap.clock.json()),
+        ("probes", snap.probes.json()),
         // Replacement RNG states are full-entropy 64-bit words — beyond
         // the exact-integer range of a JSON number — so they travel as
         // hex strings.
         (
             "rngs",
-            Json::Arr(
-                snap.rngs
-                    .iter()
-                    .map(|&r| Json::Str(format!("{r:016x}")))
-                    .collect(),
-            ),
+            snap.rngs
+                .iter()
+                .map(|r| Json::Str(format!("{r:016x}")))
+                .collect(),
         ),
         (
             "lines",
-            Json::Arr(
-                snap.lines
-                    .iter()
-                    .map(|l| {
-                        obj([
-                            ("slot", num_u64(l.slot)),
-                            ("a", block_json(l.addr)),
-                            ("s", local_state_json(l.state)),
-                            ("v", version_json(l.version)),
-                            ("use", num_u64(l.last_use)),
-                            ("ins", num_u64(l.inserted)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            snap.lines
+                .iter()
+                .map(|l| {
+                    obj([
+                        ("slot", l.slot.json()),
+                        ("a", l.addr.json()),
+                        ("s", l.state.json()),
+                        ("v", l.version.json()),
+                        ("use", l.last_use.json()),
+                        ("ins", l.inserted.json()),
+                    ])
+                })
+                .collect(),
         ),
     ])
 }
 
 /// Decodes an exact tag-store snapshot.
 pub fn cache_snapshot_from(j: &Json) -> Result<CacheSnapshot<LocalState>, String> {
-    let rngs = req_array(j, "rngs")?
+    let rngs = j
+        .field::<Vec<String>>("rngs")?
         .iter()
-        .map(|r| {
-            let s = r.as_str().ok_or("rng is not a hex string")?;
-            u64::from_str_radix(s, 16).map_err(|e| format!("bad rng `{s}`: {e}"))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let lines = req_array(j, "lines")?
+        .map(|s| u64::from_str_radix(s, 16).map_err(|e| format!("bad rng `{s}`: {e}")))
+        .collect::<Result<_, _>>()?;
+    let lines = j
+        .array("lines")?
         .iter()
         .map(|l| {
             Ok(SlotSnapshot {
-                slot: l.req_u64("slot")?,
-                addr: block_from(req(l, "a")?)?,
-                state: local_state_from(req(l, "s")?)?,
-                version: version_from(req(l, "v")?)?,
-                last_use: l.req_u64("use")?,
-                inserted: l.req_u64("ins")?,
+                slot: l.field("slot")?,
+                addr: l.field("a")?,
+                state: l.field("s")?,
+                version: l.field("v")?,
+                last_use: l.field("use")?,
+                inserted: l.field("ins")?,
             })
         })
-        .collect::<Result<Vec<_>, String>>()?;
+        .collect::<Result<_, String>>()?;
     Ok(CacheSnapshot {
-        clock: j.req_u64("clock")?,
-        probes: j.req_u64("probes")?,
+        clock: j.field("clock")?,
+        probes: j.field("probes")?,
         rngs,
         lines,
     })
 }
-
-// ---------------------------------------------------------------------------
-// Memory image codec
-// ---------------------------------------------------------------------------
-
-/// Encodes a memory image as `[[block, version], ...]` in ascending block
-/// order.
-#[must_use]
-pub fn memory_image_json(m: &MemoryImage) -> Json {
-    Json::Arr(
-        m.written_blocks()
-            .map(|(a, v)| Json::Arr(vec![block_json(a), version_json(v)]))
-            .collect(),
-    )
-}
-
-/// Decodes a memory image.
-pub fn memory_image_from(j: &Json) -> Result<MemoryImage, String> {
-    let mut m = MemoryImage::new();
-    for entry in j.as_array().ok_or("memory image is not an array")? {
-        let pair = entry.as_array().ok_or("memory entry is not a pair")?;
-        if pair.len() != 2 {
-            return Err("memory entry is not a pair".into());
-        }
-        m.write(block_from(&pair[0])?, version_from(&pair[1])?);
-    }
-    Ok(m)
-}
-
-// ---------------------------------------------------------------------------
-// Protocol restore registry
-// ---------------------------------------------------------------------------
 
 /// Reconstructs a directory protocol from its
 /// [`DirectoryProtocol::save_state`] document.
@@ -624,17 +209,15 @@ pub fn restore_protocol(name: &str, j: &Json) -> Result<Box<dyn DirectoryProtoco
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twobit_obs::json::{num_u64, parse};
+    use twobit_types::{
+        AccessKind, CacheStats, CacheToMemory, ControllerStats, Counter, MemoryToCache, Version,
+        WritebackKind,
+    };
 
-    fn roundtrip_c2m(cmd: CacheToMemory) {
-        let j = cache_to_memory_json(cmd);
-        let parsed = twobit_obs::json::parse(&j.to_json()).unwrap();
-        assert_eq!(cache_to_memory_from(&parsed).unwrap(), cmd);
-    }
-
-    fn roundtrip_m2c(cmd: MemoryToCache) {
-        let j = memory_to_cache_json(cmd);
-        let parsed = twobit_obs::json::parse(&j.to_json()).unwrap();
-        assert_eq!(memory_to_cache_from(&parsed).unwrap(), cmd);
+    fn roundtrip<T: ToJson + FromJson + PartialEq + std::fmt::Debug>(value: T) {
+        let parsed = parse(&value.json().to_json()).unwrap();
+        assert_eq!(T::from_json(&parsed).unwrap(), value);
     }
 
     #[test]
@@ -642,42 +225,42 @@ mod tests {
         let k = CacheId::new(3);
         let a = BlockAddr::new(0x2a);
         let v = Version::new(7);
-        roundtrip_c2m(CacheToMemory::Request {
+        roundtrip(CacheToMemory::Request {
             k,
             a,
             rw: AccessKind::Write,
         });
-        roundtrip_c2m(CacheToMemory::MRequest { k, a, version: v });
-        roundtrip_c2m(CacheToMemory::Eject {
+        roundtrip(CacheToMemory::MRequest { k, a, version: v });
+        roundtrip(CacheToMemory::Eject {
             k,
             olda: a,
             wb: WritebackKind::Dirty,
         });
-        roundtrip_c2m(CacheToMemory::PutData {
+        roundtrip(CacheToMemory::PutData {
             from: k,
             a,
             version: v,
         });
-        roundtrip_c2m(CacheToMemory::WriteThrough { k, a, version: v });
-        roundtrip_c2m(CacheToMemory::DirectRead { k, a });
-        roundtrip_m2c(MemoryToCache::GetData {
+        roundtrip(CacheToMemory::WriteThrough { k, a, version: v });
+        roundtrip(CacheToMemory::DirectRead { k, a });
+        roundtrip(MemoryToCache::GetData {
             k,
             a,
             version: v,
             exclusive: true,
         });
-        roundtrip_m2c(MemoryToCache::BroadInv { a, exclude: k });
-        roundtrip_m2c(MemoryToCache::BroadQuery {
+        roundtrip(MemoryToCache::BroadInv { a, exclude: k });
+        roundtrip(MemoryToCache::BroadQuery {
             a,
             rw: AccessKind::Read,
         });
-        roundtrip_m2c(MemoryToCache::MGranted {
+        roundtrip(MemoryToCache::MGranted {
             k,
             a,
             granted: false,
         });
-        roundtrip_m2c(MemoryToCache::Inv { a, to: k });
-        roundtrip_m2c(MemoryToCache::Purge {
+        roundtrip(MemoryToCache::Inv { a, to: k });
+        roundtrip(MemoryToCache::Purge {
             a,
             to: k,
             rw: AccessKind::Write,
@@ -689,11 +272,11 @@ mod tests {
         let mut s = OwnerSet::new(70);
         s.insert(CacheId::new(0));
         s.insert(CacheId::new(65));
-        let back = owner_set_from(&owner_set_json(&s)).unwrap();
+        let back = OwnerSet::from_json(&s.json()).unwrap();
         assert_eq!(back, s);
         // A member beyond the recorded width is rejected, not a panic.
         let bad = Json::Arr(vec![num_u64(2), num_u64(5)]);
-        assert!(owner_set_from(&bad).is_err());
+        assert!(OwnerSet::from_json(&bad).is_err());
     }
 
     #[test]
@@ -701,7 +284,7 @@ mod tests {
         let mut m = MemoryImage::new();
         m.write(BlockAddr::new(4), Version::new(9));
         m.write(BlockAddr::new(1), Version::new(2));
-        let back = memory_image_from(&memory_image_json(&m)).unwrap();
+        let back = MemoryImage::from_json(&m.json()).unwrap();
         assert_eq!(back, m);
     }
 
@@ -710,14 +293,11 @@ mod tests {
         let mut s = CacheStats::default();
         s.reads.add(10);
         s.write_misses.add(3);
-        assert_eq!(cache_stats_from(&cache_stats_json(&s)).unwrap(), s);
+        assert_eq!(CacheStats::from_json(&s.json()).unwrap(), s);
         let mut c = ControllerStats::default();
         c.requests.add(5);
         c.queue_peak = Counter::from(4);
-        assert_eq!(
-            controller_stats_from(&controller_stats_json(&c)).unwrap(),
-            c
-        );
+        assert_eq!(ControllerStats::from_json(&c.json()).unwrap(), c);
     }
 
     #[test]

@@ -27,13 +27,11 @@
 use crate::directory::{DirSend, DirStep, DirectoryProtocol, OpenKind, SendCost};
 use crate::memory::MemoryImage;
 use crate::owner_set::OwnerSet;
-use crate::transitions::{
-    ActionKind, Cond, Delivery, EventKind, EventSpec, OrderGuarantee, StateSet, TransitionTable,
-};
+use crate::transitions::{ActionKind, Delivery, TransitionTable};
 use crate::two_bit::TwoBitDirectory;
 use std::collections::HashMap;
 use std::sync::OnceLock;
-use twobit_obs::json::{num_u64, obj, Json};
+use twobit_obs::json::{obj, Json, ToJson};
 use twobit_types::{
     BlockAddr, CacheId, Fingerprinter, GlobalState, MemoryToCache, Version, WritebackKind,
 };
@@ -174,28 +172,27 @@ impl TwoBitTlbDirectory {
     /// Rebuilds a directory+buffer from a
     /// [`DirectoryProtocol::save_state`] checkpoint document.
     pub(crate) fn restore_json(j: &Json) -> Result<Self, String> {
-        let capacity = j.req_u64("capacity")? as usize;
-        let width = j.req_u64("width")? as usize;
+        let capacity: usize = j.field("capacity")?;
+        let width: usize = j.field("width")?;
         if capacity == 0 || width == 0 {
             return Err("zero TLB capacity or width in checkpoint".into());
         }
         let mut d = TwoBitTlbDirectory::new(capacity, width);
-        d.inner = TwoBitDirectory::restore_json(crate::snapshot::req(j, "inner")?)?;
-        d.hits = j.req_u64("hits")?;
-        d.misses = j.req_u64("misses")?;
-        d.tlb.clock = j.req_u64("clock")?;
-        for e in crate::snapshot::req_array(j, "entries")? {
+        d.inner = TwoBitDirectory::restore_json(j.member("inner")?)?;
+        d.hits = j.field("hits")?;
+        d.misses = j.field("misses")?;
+        d.tlb.clock = j.field("clock")?;
+        for e in j.array("entries")? {
             if d.tlb.entries.len() >= capacity {
                 return Err("TLB checkpoint exceeds its own capacity".into());
             }
-            let owners = crate::snapshot::owner_set_from(crate::snapshot::req(e, "o")?)?;
+            let owners: OwnerSet = e.field("o")?;
             if owners.capacity() != width {
                 return Err("TLB owner set width mismatch".into());
             }
-            d.tlb.entries.insert(
-                crate::snapshot::block_from(crate::snapshot::req(e, "a")?)?,
-                (owners, e.req_u64("stamp")?),
-            );
+            d.tlb
+                .entries
+                .insert(e.field("a")?, (owners, e.field("stamp")?));
         }
         Ok(d)
     }
@@ -327,27 +324,25 @@ impl DirectoryProtocol for TwoBitTlbDirectory {
         let mut entries: Vec<_> = self.tlb.entries.iter().collect();
         entries.sort_by_key(|(a, _)| a.number());
         obj([
-            ("capacity", num_u64(self.tlb.capacity as u64)),
-            ("width", num_u64(self.tlb.width as u64)),
-            ("clock", num_u64(self.tlb.clock)),
+            ("capacity", self.tlb.capacity.json()),
+            ("width", self.tlb.width.json()),
+            ("clock", self.tlb.clock.json()),
             (
                 "entries",
-                Json::Arr(
-                    entries
-                        .into_iter()
-                        .map(|(a, (owners, stamp))| {
-                            obj([
-                                ("a", crate::snapshot::block_json(*a)),
-                                ("o", crate::snapshot::owner_set_json(owners)),
-                                ("stamp", num_u64(*stamp)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                entries
+                    .into_iter()
+                    .map(|(a, (owners, stamp))| {
+                        obj([
+                            ("a", a.json()),
+                            ("o", owners.json()),
+                            ("stamp", stamp.json()),
+                        ])
+                    })
+                    .collect(),
             ),
             ("inner", self.inner.save_state()),
-            ("hits", num_u64(self.hits)),
-            ("misses", num_u64(self.misses)),
+            ("hits", self.hits.json()),
+            ("misses", self.misses.json()),
         ])
     }
 
@@ -461,131 +456,24 @@ impl DirectoryProtocol for TwoBitTlbDirectory {
     }
 }
 
-/// The translation-buffer scheme's table: the two-bit relation with
-/// every non-initiator command's delivery relaxed to
+/// The translation-buffer scheme's table: the two-bit relation
+/// ([`crate::two_bit::table`], the one statement — rule provenance points
+/// there) with every non-initiator command's delivery relaxed to
 /// [`Delivery::Either`] — targeted on a buffer hit, broadcast on a miss.
-/// The global-state skeleton is identical to the plain two-bit table
-/// (the buffer is a pure traffic accelerator), which the lint's
-/// analyses verify independently for both.
+/// The buffer is a pure traffic accelerator, so the events, guards,
+/// global-state skeleton and ordering guarantees are the two-bit ones;
+/// the lint's analyses still check this table on its own.
 pub(crate) fn table() -> &'static TransitionTable {
     static TABLE: OnceLock<TransitionTable> = OnceLock::new();
     TABLE.get_or_init(|| {
-        use ActionKind as A;
-        use EventKind as E;
-        use GlobalState as G;
-        let either = Delivery::Either;
-        TransitionTable {
-            scheme: "two-bit+tlb",
-            tracks_state: true,
-            events: vec![
-                EventSpec::new(E::ReadMiss, StateSet::ALL, &[]),
-                EventSpec::new(E::WriteMiss, StateSet::ALL, &[]),
-                EventSpec::new(E::Modify, StateSet::ALL, &[Cond::Fresh]),
-                EventSpec::new(
-                    E::Supply,
-                    StateSet::only(G::PresentM),
-                    &[Cond::WaitWrite, Cond::Retains],
-                ),
-                EventSpec::new(E::EjectClean, StateSet::ALL, &[]),
-                EventSpec::new(E::EjectDirty, StateSet::only(G::PresentM), &[]),
-            ],
-            rules: vec![
-                crate::rule!("read-miss-absent", E::ReadMiss, StateSet::only(G::Absent))
-                    .action(A::Grant { exclusive: false })
-                    .to(StateSet::only(G::Present1)),
-                crate::rule!("read-miss-shared", E::ReadMiss, StateSet::SHARED)
-                    .action(A::Grant { exclusive: false })
-                    .to(StateSet::only(G::PresentStar)),
-                crate::rule!(
-                    "read-miss-modified",
-                    E::ReadMiss,
-                    StateSet::only(G::PresentM)
-                )
-                .action(A::Recall { delivery: either })
-                .awaits(),
-                crate::rule!("write-miss-absent", E::WriteMiss, StateSet::only(G::Absent))
-                    .action(A::Grant { exclusive: true })
-                    .to(StateSet::only(G::PresentM)),
-                crate::rule!("write-miss-shared", E::WriteMiss, StateSet::SHARED)
-                    .action(A::Invalidate { delivery: either })
-                    .action(A::Grant { exclusive: true })
-                    .to(StateSet::only(G::PresentM))
-                    .guarded_by(OrderGuarantee::AckBarrier),
-                crate::rule!(
-                    "write-miss-modified",
-                    E::WriteMiss,
-                    StateSet::only(G::PresentM)
-                )
-                .action(A::Recall { delivery: either })
-                .awaits(),
-                crate::rule!(
-                    "modify-fresh-present1",
-                    E::Modify,
-                    StateSet::only(G::Present1)
-                )
-                .requires(Cond::Fresh, true)
-                .action(A::ModifyGrant { granted: true })
-                .to(StateSet::only(G::PresentM)),
-                crate::rule!(
-                    "modify-fresh-shared",
-                    E::Modify,
-                    StateSet::only(G::PresentStar)
-                )
-                .requires(Cond::Fresh, true)
-                .action(A::Invalidate { delivery: either })
-                .action(A::ModifyGrant { granted: true })
-                .to(StateSet::only(G::PresentM))
-                .guarded_by(OrderGuarantee::AckBarrier),
-                crate::rule!(
-                    "modify-stale-state",
-                    E::Modify,
-                    StateSet::of(&[G::Absent, G::PresentM])
-                )
-                .action(A::ModifyGrant { granted: false }),
-                crate::rule!("modify-stale-copy", E::Modify, StateSet::SHARED)
-                    .requires(Cond::Fresh, false)
-                    .action(A::ModifyGrant { granted: false }),
-                crate::rule!("supply-write", E::Supply, StateSet::only(G::PresentM))
-                    .requires(Cond::WaitWrite, true)
-                    .action(A::WriteMemory)
-                    .action(A::Grant { exclusive: true })
-                    .to(StateSet::only(G::PresentM)),
-                crate::rule!(
-                    "supply-read-retained",
-                    E::Supply,
-                    StateSet::only(G::PresentM)
-                )
-                .requires(Cond::WaitWrite, false)
-                .requires(Cond::Retains, true)
-                .action(A::WriteMemory)
-                .action(A::Grant { exclusive: false })
-                .to(StateSet::only(G::PresentStar)),
-                crate::rule!(
-                    "supply-read-departed",
-                    E::Supply,
-                    StateSet::only(G::PresentM)
-                )
-                .requires(Cond::WaitWrite, false)
-                .requires(Cond::Retains, false)
-                .action(A::WriteMemory)
-                .action(A::Grant { exclusive: false })
-                .to(StateSet::only(G::Present1)),
-                crate::rule!(
-                    "eject-clean-present1",
-                    E::EjectClean,
-                    StateSet::only(G::Present1)
-                )
-                .to(StateSet::only(G::Absent)),
-                crate::rule!(
-                    "eject-clean-ignored",
-                    E::EjectClean,
-                    StateSet::of(&[G::Absent, G::PresentStar, G::PresentM])
-                ),
-                crate::rule!("eject-dirty", E::EjectDirty, StateSet::only(G::PresentM))
-                    .action(A::WriteMemory)
-                    .to(StateSet::only(G::Absent)),
-            ],
+        let mut table = crate::two_bit::table().clone();
+        table.scheme = "two-bit+tlb";
+        for action in table.rules.iter_mut().flat_map(|r| &mut r.actions) {
+            if let ActionKind::Invalidate { delivery } | ActionKind::Recall { delivery } = action {
+                *delivery = Delivery::Either;
+            }
         }
+        table
     })
 }
 

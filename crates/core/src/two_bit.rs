@@ -40,7 +40,7 @@ use crate::transitions::{
     ActionKind, Cond, Delivery, EventKind, EventSpec, OrderGuarantee, StateSet, TransitionTable,
 };
 use std::sync::OnceLock;
-use twobit_obs::json::{num_u64, obj, Json};
+use twobit_obs::json::{obj, Json, ToJson};
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, Fingerprinter, GlobalState, MemoryToCache, Version,
     WritebackKind,
@@ -101,25 +101,14 @@ impl TwoBitDirectory {
     /// checkpoint document.
     pub(crate) fn restore_json(j: &Json) -> Result<Self, String> {
         let mut d = TwoBitDirectory::new();
-        for e in crate::snapshot::req_array(j, "states")? {
-            let bits = e.req_u64("s")?;
-            let s = GlobalState::from_bits(bits as u8)
+        for e in j.array("states")? {
+            let bits: u8 = e.field("s")?;
+            let s = GlobalState::from_bits(bits)
                 .ok_or_else(|| format!("bad global-state bits {bits}"))?;
-            d.set_state(
-                crate::snapshot::block_from(crate::snapshot::req(e, "a")?)?,
-                s,
-            );
+            d.set_state(e.field("a")?, s);
         }
-        for e in crate::snapshot::req_array(j, "waiting")? {
-            d.waiting.insert(
-                crate::snapshot::block_from(crate::snapshot::req(e, "a")?)?,
-                Waiting {
-                    k: crate::snapshot::cache_id_from(crate::snapshot::req(e, "k")?)?,
-                    write: crate::snapshot::req(e, "w")?
-                        .as_bool()
-                        .ok_or("`w` is not a bool")?,
-                },
-            );
+        for (a, w) in crate::snapshot::waiting_from::<Vec<_>>(j.member("waiting")?)? {
+            d.waiting.insert(a, w);
         }
         Ok(d)
     }
@@ -158,32 +147,14 @@ impl DirectoryProtocol for TwoBitDirectory {
         obj([
             (
                 "states",
-                Json::Arr(
-                    self.states
-                        .iter()
-                        .map(|(a, s)| {
-                            obj([
-                                ("a", crate::snapshot::block_json(a)),
-                                ("s", num_u64(u64::from(s.bits()))),
-                            ])
-                        })
-                        .collect(),
-                ),
+                self.states
+                    .iter()
+                    .map(|(a, s)| obj([("a", a.json()), ("s", s.bits().json())]))
+                    .collect(),
             ),
             (
                 "waiting",
-                Json::Arr(
-                    self.waiting
-                        .iter()
-                        .map(|(a, w)| {
-                            obj([
-                                ("a", crate::snapshot::block_json(a)),
-                                ("k", crate::snapshot::cache_id_json(w.k)),
-                                ("w", Json::Bool(w.write)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                crate::snapshot::waiting_json(self.waiting.iter()),
             ),
         ])
     }

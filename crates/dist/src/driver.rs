@@ -50,7 +50,7 @@ use std::time::Duration;
 use twobit_core::Oracle;
 use twobit_interconnect::poll::{PollTransport, Token};
 use twobit_interconnect::transport::tcp_accept_stream;
-use twobit_obs::json::{num_u64, obj, Json};
+use twobit_obs::json::{num_u64, obj, Json, ToJson};
 use twobit_obs::Histogram;
 use twobit_types::{AccessKind, AddressMap, BlockAddr, MemRef, TxnId, Version, WordAddr};
 
@@ -58,8 +58,7 @@ use crate::faults::{FaultConfig, Partition, Rng};
 use crate::history::{check_history, LinearizationReport, OpRecord};
 use crate::node::Node;
 use crate::wire::{
-    envelope_json, request_line, response_from_line, Actor, Envelope, NodeConfig, Payload, Request,
-    Response,
+    request_line, response_from_line, Actor, Envelope, NodeConfig, Payload, Request, Response,
 };
 
 /// How long the driver waits for a spawned node to dial back (TCP mode).
@@ -1131,7 +1130,7 @@ impl<'c> Driver<'c> {
                         obj([
                             ("t", num_u64(self.now)),
                             ("dst", Json::Str(env.dst.to_string())),
-                            ("env", envelope_json(&env)),
+                            ("env", env.json()),
                         ])
                         .to_json(),
                     );
@@ -1146,7 +1145,7 @@ impl<'c> Driver<'c> {
                         obj([
                             ("t", num_u64(self.now)),
                             ("dst", Json::Str(env.dst.to_string())),
-                            ("env", envelope_json(&env)),
+                            ("env", env.json()),
                         ])
                         .to_json(),
                     );

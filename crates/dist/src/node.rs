@@ -21,11 +21,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use twobit_core::snapshot as codec;
 use twobit_core::{
     build_policy_for, build_protocol_for, CacheAgent, Completion, Controller, CtrlEmit,
 };
-use twobit_obs::json::{num_u64, obj, Json};
+use twobit_obs::json::{obj, Json, ToJson};
 use twobit_obs::{ActorId, SimEvent};
 use twobit_types::{
     AddressMap, BlockAddr, CacheId, CacheOrg, CacheToMemory, ControllerConcurrency, MemoryToCache,
@@ -91,10 +90,20 @@ impl Node {
     ///
     /// # Errors
     ///
-    /// Rejects bad schemes, bad cache organizations, and client roles
-    /// (clients live inside the driver).
+    /// Rejects bad schemes, bad cache organizations, cache or module
+    /// counts outside 1..=65535, and client roles (clients live inside the
+    /// driver).
     pub fn new(cfg: &NodeConfig) -> Result<Node, String> {
         let kind = scheme_kind(&cfg.scheme, cfg.tlb_entries)?;
+        // The configuration came off a socket, and the id and address-map
+        // constructors below panic outside the 16 bits ids have.
+        let ids = 1..=usize::from(u16::MAX);
+        if !ids.contains(&cfg.caches) || !ids.contains(&cfg.modules) {
+            return Err(format!(
+                "{} caches and {} modules: both must be in 1..=65535",
+                cfg.caches, cfg.modules
+            ));
+        }
         match cfg.role {
             Actor::Cache(k) => {
                 if k >= cfg.caches {
@@ -380,77 +389,55 @@ impl CacheNode {
     }
 
     fn save_state(&self) -> Json {
-        let done = self
-            .done
-            .iter()
-            .map(|(txn, (v, hit))| {
-                obj([
-                    ("txn", num_u64(*txn)),
-                    ("v", codec::version_json(*v)),
-                    ("hit", Json::Bool(*hit)),
-                ])
-            })
-            .collect();
         obj([
-            ("role", Json::Str(self.me().to_string())),
+            ("role", self.me().json()),
             ("agent", self.agent.save_state()),
-            (
-                "current",
-                match self.current {
-                    None => Json::Null,
-                    Some(t) => num_u64(t.raw()),
-                },
-            ),
+            ("current", self.current.json()),
             (
                 "held",
-                match &self.held {
-                    None => Json::Null,
-                    Some(h) => obj([
-                        ("sv", codec::version_json(h.sv)),
-                        ("txn", num_u64(h.txn.raw())),
-                        ("observed", codec::version_json(h.observed)),
-                        ("hit", Json::Bool(h.was_hit)),
-                    ]),
-                },
+                self.held.as_ref().map_or(Json::Null, |h| {
+                    obj([
+                        ("sv", h.sv.json()),
+                        ("txn", h.txn.json()),
+                        ("observed", h.observed.json()),
+                        ("hit", h.was_hit.json()),
+                    ])
+                }),
             ),
-            ("done", Json::Arr(done)),
+            (
+                "done",
+                self.done
+                    .iter()
+                    .map(|(txn, (v, hit))| {
+                        obj([("txn", txn.json()), ("v", v.json()), ("hit", hit.json())])
+                    })
+                    .collect(),
+            ),
         ])
     }
 
     fn restore_state(&mut self, j: &Json) -> Result<(), String> {
-        let role = j.req_str("role")?;
-        if Actor::parse(role)? != self.me() {
+        let role: Actor = j.field("role")?;
+        if role != self.me() {
             return Err(format!("checkpoint is for {role}, this is {}", self.me()));
         }
-        let agent_doc = j.get("agent").ok_or("missing key `agent`")?;
-        self.agent.restore_state(agent_doc)?;
-        self.current = match j.get("current").ok_or("missing key `current`")? {
-            Json::Null => None,
-            t => Some(TxnId::new(t.as_u64().ok_or("`current` is not a u64")?)),
-        };
-        self.held = match j.get("held").ok_or("missing key `held`")? {
+        let current = j.field("current")?;
+        let held = match j.member("held")? {
             Json::Null => None,
             h => Some(HeldResp {
-                sv: codec::version_from(h.get("sv").ok_or("missing `sv`")?)?,
-                txn: TxnId::new(h.req_u64("txn")?),
-                observed: codec::version_from(h.get("observed").ok_or("missing `observed`")?)?,
-                was_hit: h.get("hit").and_then(Json::as_bool).ok_or("bad `hit`")?,
+                sv: h.field("sv")?,
+                txn: h.field("txn")?,
+                observed: h.field("observed")?,
+                was_hit: h.field("hit")?,
             }),
         };
         let mut done = BTreeMap::new();
-        for e in j
-            .get("done")
-            .and_then(Json::as_array)
-            .ok_or("`done` is not an array")?
-        {
-            done.insert(
-                e.req_u64("txn")?,
-                (
-                    codec::version_from(e.get("v").ok_or("missing `v`")?)?,
-                    e.get("hit").and_then(Json::as_bool).ok_or("bad `hit`")?,
-                ),
-            );
+        for e in j.array("done")? {
+            done.insert(e.field("txn")?, (e.field("v")?, e.field("hit")?));
         }
+        self.agent.restore_state(j.member("agent")?)?;
+        self.current = current;
+        self.held = held;
         self.done = done;
         Ok(())
     }
@@ -694,76 +681,47 @@ impl MemNode {
     }
 
     fn save_state(&self) -> Json {
-        let gates = self
-            .gates
-            .iter()
-            .map(|(block, g)| {
-                obj([
-                    ("a", num_u64(*block)),
-                    ("barrier", num_u64(g.barrier)),
-                    ("outstanding", num_u64(g.outstanding as u64)),
-                    (
-                        "held",
-                        Json::Arr(g.held.iter().map(crate::wire::envelope_json).collect()),
-                    ),
-                    (
-                        "deferred",
-                        Json::Arr(
-                            g.deferred
-                                .iter()
-                                .map(|c| codec::cache_to_memory_json(*c))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
         obj([
-            ("role", Json::Str(self.me().to_string())),
+            ("role", self.me().json()),
             ("ctrl", self.ctrl.save_state()),
-            ("next_barrier", num_u64(self.next_barrier)),
-            ("gates", Json::Arr(gates)),
+            ("next_barrier", self.next_barrier.json()),
+            (
+                "gates",
+                self.gates
+                    .iter()
+                    .map(|(block, g)| {
+                        obj([
+                            ("a", block.json()),
+                            ("barrier", g.barrier.json()),
+                            ("outstanding", g.outstanding.json()),
+                            ("held", g.held.json()),
+                            ("deferred", g.deferred.iter().map(ToJson::json).collect()),
+                        ])
+                    })
+                    .collect(),
+            ),
         ])
     }
 
     fn restore_state(&mut self, j: &Json) -> Result<(), String> {
-        let role = j.req_str("role")?;
-        if Actor::parse(role)? != self.me() {
+        let role: Actor = j.field("role")?;
+        if role != self.me() {
             return Err(format!("checkpoint is for {role}, this is {}", self.me()));
         }
-        let ctrl_doc = j.get("ctrl").ok_or("missing key `ctrl`")?;
-        self.ctrl.restore_state(ctrl_doc)?;
-        let next_barrier = j.req_u64("next_barrier")?;
+        let next_barrier = j.field("next_barrier")?;
         let mut gates = BTreeMap::new();
-        for g in j
-            .get("gates")
-            .and_then(Json::as_array)
-            .ok_or("`gates` is not an array")?
-        {
-            let held = g
-                .get("held")
-                .and_then(Json::as_array)
-                .ok_or("`held` is not an array")?
-                .iter()
-                .map(crate::wire::envelope_from)
-                .collect::<Result<Vec<_>, _>>()?;
-            let deferred = g
-                .get("deferred")
-                .and_then(Json::as_array)
-                .ok_or("`deferred` is not an array")?
-                .iter()
-                .map(codec::cache_to_memory_from)
-                .collect::<Result<VecDeque<_>, _>>()?;
+        for g in j.array("gates")? {
             gates.insert(
-                g.req_u64("a")?,
+                g.field("a")?,
                 Gate {
-                    barrier: g.req_u64("barrier")?,
-                    outstanding: g.req_u64("outstanding")? as usize,
-                    held,
-                    deferred,
+                    barrier: g.field("barrier")?,
+                    outstanding: g.field("outstanding")?,
+                    held: g.field("held")?,
+                    deferred: g.field::<Vec<CacheToMemory>>("deferred")?.into(),
                 },
             );
         }
+        self.ctrl.restore_state(j.member("ctrl")?)?;
         self.next_barrier = next_barrier;
         self.gates = gates;
         Ok(())

@@ -12,13 +12,16 @@
 //!   between nodes. The driver owns delivery time, ordering, and the
 //!   fault plan; nodes only see `Deliver` calls.
 //!
-//! Coherence commands inside envelopes reuse the checkpoint codecs of
-//! [`twobit_core::snapshot`], so the wire format and the checkpoint
-//! format cannot drift apart.
+//! Every type here states its frame text once, as a
+//! [`twobit_obs::json`] `ToJson`/`FromJson` pair; coherence commands
+//! inside envelopes use the pairs `twobit-obs` gives the command set,
+//! the same ones checkpoints use, so the wire format and the checkpoint
+//! format cannot drift apart. A frame arrives from a socket: decoding
+//! range-checks every number and answers malformed input with an `Err`.
 
 use std::fmt;
-use twobit_core::snapshot as codec;
-use twobit_obs::json::{num_u64, obj, parse, Json};
+use twobit_obs::json::{obj, parse, FromJson, Json, ToJson};
+use twobit_obs::json_struct;
 use twobit_types::{CacheToMemory, MemRef, MemoryToCache, TxnId, Version};
 
 /// A fleet endpoint: a cache-controller node, a memory-module node, or
@@ -223,255 +226,195 @@ pub enum Response {
 // Codecs
 // ---------------------------------------------------------------------------
 
-fn actor_json(a: Actor) -> Json {
-    Json::Str(a.to_string())
+/// The `Display` form, as a string.
+impl ToJson for Actor {
+    fn json(&self) -> Json {
+        Json::Str(self.to_string())
+    }
 }
 
-fn actor_from(j: &Json) -> Result<Actor, String> {
-    Actor::parse(j.as_str().ok_or("actor is not a string")?)
+impl FromJson for Actor {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        Actor::parse(j.as_str().ok_or("actor is not a string")?)
+    }
 }
 
-/// Encodes an envelope.
-#[must_use]
-pub fn envelope_json(env: &Envelope) -> Json {
-    let payload = match &env.payload {
-        Payload::ClientReq { txn, op, sv } => obj([
-            ("t", Json::Str("client_req".into())),
-            ("txn", num_u64(txn.raw())),
-            ("op", codec::mem_ref_json(*op)),
-            (
-                "sv",
-                match sv {
-                    None => Json::Null,
-                    Some(v) => codec::version_json(*v),
-                },
-            ),
-        ]),
-        Payload::ClientResp {
-            txn,
-            observed,
-            was_hit,
-        } => obj([
-            ("t", Json::Str("client_resp".into())),
-            ("txn", num_u64(txn.raw())),
-            ("observed", codec::version_json(*observed)),
-            ("hit", Json::Bool(*was_hit)),
-        ]),
-        Payload::ToMemory { cmd } => obj([
-            ("t", Json::Str("to_mem".into())),
-            ("cmd", codec::cache_to_memory_json(*cmd)),
-        ]),
-        Payload::ToCache { cmd, ack } => obj([
-            ("t", Json::Str("to_cache".into())),
-            ("cmd", codec::memory_to_cache_json(*cmd)),
-            (
-                "ack",
-                match ack {
-                    None => Json::Null,
-                    Some(b) => num_u64(*b),
-                },
-            ),
-        ]),
-        Payload::InvAck { barrier } => obj([
-            ("t", Json::Str("inv_ack".into())),
-            ("barrier", num_u64(*barrier)),
-        ]),
-        Payload::WtAck { sv } => obj([
-            ("t", Json::Str("wt_ack".into())),
-            ("sv", codec::version_json(*sv)),
-        ]),
-    };
-    obj([
-        ("src", actor_json(env.src)),
-        ("dst", actor_json(env.dst)),
-        ("payload", payload),
-    ])
+/// A `"t"`-tagged object, fields inline.
+impl ToJson for Payload {
+    fn json(&self) -> Json {
+        match self {
+            Payload::ClientReq { txn, op, sv } => obj([
+                ("t", "client_req".json()),
+                ("txn", txn.json()),
+                ("op", op.json()),
+                ("sv", sv.json()),
+            ]),
+            Payload::ClientResp {
+                txn,
+                observed,
+                was_hit,
+            } => obj([
+                ("t", "client_resp".json()),
+                ("txn", txn.json()),
+                ("observed", observed.json()),
+                ("hit", was_hit.json()),
+            ]),
+            Payload::ToMemory { cmd } => obj([("t", "to_mem".json()), ("cmd", cmd.json())]),
+            Payload::ToCache { cmd, ack } => obj([
+                ("t", "to_cache".json()),
+                ("cmd", cmd.json()),
+                ("ack", ack.json()),
+            ]),
+            Payload::InvAck { barrier } => {
+                obj([("t", "inv_ack".json()), ("barrier", barrier.json())])
+            }
+            Payload::WtAck { sv } => obj([("t", "wt_ack".json()), ("sv", sv.json())]),
+        }
+    }
 }
 
-fn req<'j>(j: &'j Json, key: &str) -> Result<&'j Json, String> {
-    j.get(key).ok_or_else(|| format!("missing key `{key}`"))
-}
-
-/// Decodes an envelope.
-pub fn envelope_from(j: &Json) -> Result<Envelope, String> {
-    let p = req(j, "payload")?;
-    let payload = match req(p, "t")?.as_str() {
-        Some("client_req") => Payload::ClientReq {
-            txn: TxnId::new(p.req_u64("txn")?),
-            op: codec::mem_ref_from(req(p, "op")?)?,
-            sv: match req(p, "sv")? {
-                Json::Null => None,
-                v => Some(codec::version_from(v)?),
+impl FromJson for Payload {
+    fn from_json(p: &Json) -> Result<Self, String> {
+        Ok(match p.req_str("t")? {
+            "client_req" => Payload::ClientReq {
+                txn: p.field("txn")?,
+                op: p.field("op")?,
+                sv: p.field("sv")?,
             },
-        },
-        Some("client_resp") => Payload::ClientResp {
-            txn: TxnId::new(p.req_u64("txn")?),
-            observed: codec::version_from(req(p, "observed")?)?,
-            was_hit: req(p, "hit")?.as_bool().ok_or("`hit` is not a bool")?,
-        },
-        Some("to_mem") => Payload::ToMemory {
-            cmd: codec::cache_to_memory_from(req(p, "cmd")?)?,
-        },
-        Some("to_cache") => Payload::ToCache {
-            cmd: codec::memory_to_cache_from(req(p, "cmd")?)?,
-            ack: match req(p, "ack")? {
-                Json::Null => None,
-                b => Some(b.as_u64().ok_or("`ack` is not a u64")?),
+            "client_resp" => Payload::ClientResp {
+                txn: p.field("txn")?,
+                observed: p.field("observed")?,
+                was_hit: p.field("hit")?,
             },
-        },
-        Some("inv_ack") => Payload::InvAck {
-            barrier: p.req_u64("barrier")?,
-        },
-        Some("wt_ack") => Payload::WtAck {
-            sv: codec::version_from(req(p, "sv")?)?,
-        },
-        other => return Err(format!("bad payload tag {other:?}")),
-    };
-    Ok(Envelope {
-        src: actor_from(req(j, "src")?)?,
-        dst: actor_from(req(j, "dst")?)?,
-        payload,
-    })
+            "to_mem" => Payload::ToMemory {
+                cmd: p.field("cmd")?,
+            },
+            "to_cache" => Payload::ToCache {
+                cmd: p.field("cmd")?,
+                ack: p.field("ack")?,
+            },
+            "inv_ack" => Payload::InvAck {
+                barrier: p.field("barrier")?,
+            },
+            "wt_ack" => Payload::WtAck { sv: p.field("sv")? },
+            other => return Err(format!("bad payload tag {other:?}")),
+        })
+    }
 }
 
-fn node_config_json(c: &NodeConfig) -> Json {
-    obj([
-        ("role", actor_json(c.role)),
-        ("scheme", Json::Str(c.scheme.clone())),
-        ("caches", num_u64(c.caches as u64)),
-        ("modules", num_u64(c.modules as u64)),
-        ("sets", num_u64(u64::from(c.sets))),
-        ("assoc", num_u64(u64::from(c.assoc))),
-        ("block_words", num_u64(u64::from(c.block_words))),
-        ("shared_from", num_u64(c.shared_from)),
-        ("bias_entries", num_u64(u64::from(c.bias_entries))),
-        ("tlb_entries", num_u64(u64::from(c.tlb_entries))),
-    ])
+json_struct!(Envelope { src, dst, payload });
+
+json_struct!(NodeConfig {
+    role,
+    scheme,
+    caches,
+    modules,
+    sets,
+    assoc,
+    block_words,
+    shared_from,
+    bias_entries,
+    tlb_entries,
+});
+
+/// A `"t"`-tagged object, fields inline.
+impl ToJson for Request {
+    fn json(&self) -> Json {
+        match self {
+            Request::Init(c) => obj([("t", "init".json()), ("config", c.json())]),
+            Request::Deliver { now, replay, env } => obj([
+                ("t", "deliver".json()),
+                ("now", now.json()),
+                ("replay", replay.json()),
+                ("env", env.json()),
+            ]),
+            Request::Checkpoint => obj([("t", "checkpoint".json())]),
+            Request::Restore { state } => obj([("t", "restore".json()), ("state", state.clone())]),
+            Request::Shutdown => obj([("t", "shutdown".json())]),
+        }
+    }
 }
 
-fn node_config_from(j: &Json) -> Result<NodeConfig, String> {
-    Ok(NodeConfig {
-        role: actor_from(req(j, "role")?)?,
-        scheme: j.req_str("scheme")?.to_string(),
-        caches: j.req_u64("caches")? as usize,
-        modules: j.req_u64("modules")? as usize,
-        sets: j.req_u64("sets")? as u32,
-        assoc: j.req_u64("assoc")? as u32,
-        block_words: j.req_u64("block_words")? as u32,
-        shared_from: j.req_u64("shared_from")?,
-        bias_entries: j.req_u64("bias_entries")? as u32,
-        tlb_entries: j.req_u64("tlb_entries")? as u32,
-    })
+impl FromJson for Request {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        Ok(match j.req_str("t")? {
+            "init" => Request::Init(Box::new(j.field("config")?)),
+            "deliver" => Request::Deliver {
+                now: j.field("now")?,
+                replay: j.field("replay")?,
+                env: j.field("env")?,
+            },
+            "checkpoint" => Request::Checkpoint,
+            "restore" => Request::Restore {
+                state: j.member("state")?.clone(),
+            },
+            "shutdown" => Request::Shutdown,
+            other => return Err(format!("bad request tag {other:?}")),
+        })
+    }
+}
+
+/// A `"t"`-tagged object, fields inline.
+impl ToJson for Response {
+    fn json(&self) -> Json {
+        match self {
+            Response::InitOk => obj([("t", "init_ok".json())]),
+            Response::DeliverOk { outputs, events } => obj([
+                ("t", "deliver_ok".json()),
+                ("outputs", outputs.json()),
+                ("events", events.json()),
+            ]),
+            Response::CheckpointOk { state } => {
+                obj([("t", "checkpoint_ok".json()), ("state", state.clone())])
+            }
+            Response::RestoreOk => obj([("t", "restore_ok".json())]),
+            Response::ShutdownOk => obj([("t", "shutdown_ok".json())]),
+            Response::Error { msg } => obj([("t", "error".json()), ("msg", msg.json())]),
+        }
+    }
+}
+
+impl FromJson for Response {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        Ok(match j.req_str("t")? {
+            "init_ok" => Response::InitOk,
+            "deliver_ok" => Response::DeliverOk {
+                outputs: j.field("outputs")?,
+                events: j.field("events")?,
+            },
+            "checkpoint_ok" => Response::CheckpointOk {
+                state: j.member("state")?.clone(),
+            },
+            "restore_ok" => Response::RestoreOk,
+            "shutdown_ok" => Response::ShutdownOk,
+            "error" => Response::Error {
+                msg: j.field("msg")?,
+            },
+            other => return Err(format!("bad response tag {other:?}")),
+        })
+    }
 }
 
 /// Renders a request as one frame.
 #[must_use]
 pub fn request_line(r: &Request) -> String {
-    let j = match r {
-        Request::Init(c) => obj([
-            ("t", Json::Str("init".into())),
-            ("config", node_config_json(c)),
-        ]),
-        Request::Deliver { now, replay, env } => obj([
-            ("t", Json::Str("deliver".into())),
-            ("now", num_u64(*now)),
-            ("replay", Json::Bool(*replay)),
-            ("env", envelope_json(env)),
-        ]),
-        Request::Checkpoint => obj([("t", Json::Str("checkpoint".into()))]),
-        Request::Restore { state } => {
-            obj([("t", Json::Str("restore".into())), ("state", state.clone())])
-        }
-        Request::Shutdown => obj([("t", Json::Str("shutdown".into()))]),
-    };
-    j.to_json()
+    r.json().to_json()
 }
 
 /// Parses one frame as a request.
 pub fn request_from_line(line: &str) -> Result<Request, String> {
-    let j = parse(line)?;
-    match req(&j, "t")?.as_str() {
-        Some("init") => Ok(Request::Init(Box::new(node_config_from(req(
-            &j, "config",
-        )?)?))),
-        Some("deliver") => Ok(Request::Deliver {
-            now: j.req_u64("now")?,
-            replay: req(&j, "replay")?.as_bool().ok_or("`replay` not a bool")?,
-            env: envelope_from(req(&j, "env")?)?,
-        }),
-        Some("checkpoint") => Ok(Request::Checkpoint),
-        Some("restore") => Ok(Request::Restore {
-            state: req(&j, "state")?.clone(),
-        }),
-        Some("shutdown") => Ok(Request::Shutdown),
-        other => Err(format!("bad request tag {other:?}")),
-    }
+    Request::from_json(&parse(line)?)
 }
 
 /// Renders a response as one frame.
 #[must_use]
 pub fn response_line(r: &Response) -> String {
-    let j = match r {
-        Response::InitOk => obj([("t", Json::Str("init_ok".into()))]),
-        Response::DeliverOk { outputs, events } => obj([
-            ("t", Json::Str("deliver_ok".into())),
-            (
-                "outputs",
-                Json::Arr(outputs.iter().map(envelope_json).collect()),
-            ),
-            (
-                "events",
-                Json::Arr(events.iter().map(|e| Json::Str(e.clone())).collect()),
-            ),
-        ]),
-        Response::CheckpointOk { state } => obj([
-            ("t", Json::Str("checkpoint_ok".into())),
-            ("state", state.clone()),
-        ]),
-        Response::RestoreOk => obj([("t", Json::Str("restore_ok".into()))]),
-        Response::ShutdownOk => obj([("t", Json::Str("shutdown_ok".into()))]),
-        Response::Error { msg } => obj([
-            ("t", Json::Str("error".into())),
-            ("msg", Json::Str(msg.clone())),
-        ]),
-    };
-    j.to_json()
+    r.json().to_json()
 }
 
 /// Parses one frame as a response.
 pub fn response_from_line(line: &str) -> Result<Response, String> {
-    let j = parse(line)?;
-    match req(&j, "t")?.as_str() {
-        Some("init_ok") => Ok(Response::InitOk),
-        Some("deliver_ok") => {
-            let outputs = req(&j, "outputs")?
-                .as_array()
-                .ok_or("`outputs` is not an array")?
-                .iter()
-                .map(envelope_from)
-                .collect::<Result<Vec<_>, _>>()?;
-            let events = req(&j, "events")?
-                .as_array()
-                .ok_or("`events` is not an array")?
-                .iter()
-                .map(|e| {
-                    e.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "event is not a string".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Response::DeliverOk { outputs, events })
-        }
-        Some("checkpoint_ok") => Ok(Response::CheckpointOk {
-            state: req(&j, "state")?.clone(),
-        }),
-        Some("restore_ok") => Ok(Response::RestoreOk),
-        Some("shutdown_ok") => Ok(Response::ShutdownOk),
-        Some("error") => Ok(Response::Error {
-            msg: j.req_str("msg")?.to_string(),
-        }),
-        other => Err(format!("bad response tag {other:?}")),
-    }
+    Response::from_json(&parse(line)?)
 }
 
 #[cfg(test)]
@@ -545,8 +488,8 @@ mod tests {
             },
         ];
         for env in envs {
-            let line = envelope_json(&env).to_json();
-            let back = envelope_from(&parse(&line).unwrap()).unwrap();
+            let line = env.json().to_json();
+            let back = Envelope::from_json(&parse(&line).unwrap()).unwrap();
             assert_eq!(back, env);
         }
     }

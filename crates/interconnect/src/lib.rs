@@ -26,12 +26,11 @@
 pub mod poll;
 pub mod transport;
 
-use serde::{Deserialize, Serialize};
 use twobit_obs::{ActorId, Profiler, SimEvent, Tracer};
 use twobit_types::{BlockAddr, CacheId, ModuleId, NetworkStats};
 
 /// A network endpoint: a cache or a memory-module controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeId {
     /// A processor–cache pair `C_k`.
     Cache(CacheId),
@@ -50,7 +49,7 @@ impl std::fmt::Display for NodeId {
 
 /// What a message carries, for latency selection: control commands are
 /// short; block transfers (`put`/`get`) are long.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageSize {
     /// A control command.
     Command,

@@ -48,6 +48,7 @@ use twobit_core::transitions::{
     ActionKind, Cond, EventKind, EventSpec, Next, Rule, StateSet, TransitionTable,
 };
 use twobit_core::ModelChecker;
+use twobit_obs::json::{obj, Json, ToJson};
 use twobit_types::{CacheOrg, GlobalState, MemRef, ProtocolKind, SystemConfig, WordAddr};
 
 /// One verdict from an analysis: which check, which scheme, which rule
@@ -721,64 +722,39 @@ pub fn render_human(findings: &[Finding]) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// An object of the seven fields, absent ones `null`. Write-only: the
+/// `&'static str` analysis and verdict names cannot be read back.
+impl ToJson for Finding {
+    fn json(&self) -> Json {
+        obj([
+            ("analysis", self.analysis.json()),
+            ("scheme", self.scheme.json()),
+            ("rule", self.rule.json()),
+            ("provenance", self.provenance.json()),
+            ("message", self.message.json()),
+            ("verdict", self.verdict.json()),
+            ("evidence", self.evidence.json()),
+        ])
     }
-    out
 }
 
-/// Renders findings as a JSON document (hand-rolled; the workspace
-/// vendors no JSON serializer). Schema `twobit-lint/v2`:
-/// `{"schema": "twobit-lint/v2", "findings": [{"analysis", "scheme",
-/// "rule", "provenance", "message", "verdict", "evidence"}], "count"}`
-/// — v2 adds the top-level `schema` tag and the per-finding dynamic
-/// confirmation fields (`verdict`: `"CONFIRMED"`/`"PLAUSIBLE"`/null,
-/// `evidence`: the replayed timeline or null).
+/// Renders findings as an indented JSON document, keys sorted. Schema
+/// `twobit-lint/v2`: `{"count", "findings": [{"analysis", "evidence",
+/// "message", "provenance", "rule", "scheme", "verdict"}], "schema":
+/// "twobit-lint/v2"}` — v2 added the top-level `schema` tag and the
+/// per-finding dynamic confirmation fields (`verdict`:
+/// `"CONFIRMED"`/`"PLAUSIBLE"`/null, `evidence`: the replayed timeline
+/// or null).
 #[must_use]
 pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"twobit-lint/v2\",\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        out.push_str(&format!("\"analysis\": \"{}\", ", json_escape(f.analysis)));
-        out.push_str(&format!("\"scheme\": \"{}\", ", json_escape(&f.scheme)));
-        match &f.rule {
-            Some(rule) => out.push_str(&format!("\"rule\": \"{}\", ", json_escape(rule))),
-            None => out.push_str("\"rule\": null, "),
-        }
-        match &f.provenance {
-            Some(p) => out.push_str(&format!("\"provenance\": \"{}\", ", json_escape(p))),
-            None => out.push_str("\"provenance\": null, "),
-        }
-        out.push_str(&format!("\"message\": \"{}\", ", json_escape(&f.message)));
-        match f.verdict {
-            Some(v) => out.push_str(&format!("\"verdict\": \"{}\", ", json_escape(v))),
-            None => out.push_str("\"verdict\": null, "),
-        }
-        match &f.evidence {
-            Some(e) => out.push_str(&format!("\"evidence\": \"{}\"}}", json_escape(e))),
-            None => out.push_str("\"evidence\": null}"),
-        }
-    }
-    if findings.is_empty() {
-        out.push_str("],\n");
-    } else {
-        out.push_str("\n  ],\n");
-    }
-    out.push_str(&format!("  \"count\": {}\n}}\n", findings.len()));
-    out
+    let mut text = obj([
+        ("schema", "twobit-lint/v2".json()),
+        ("findings", findings.json()),
+        ("count", findings.len().json()),
+    ])
+    .to_json_pretty();
+    text.push('\n');
+    text
 }
 
 #[cfg(test)]
@@ -790,11 +766,6 @@ mod tests {
         assert_eq!(assignments(&[]).len(), 1);
         assert_eq!(assignments(&[Cond::Fresh]).len(), 2);
         assert_eq!(assignments(&[Cond::WaitWrite, Cond::Retains]).len(), 4);
-    }
-
-    #[test]
-    fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! The structured trace record and its JSONL wire form.
 //!
-//! Every observable protocol step becomes one [`SimEvent`]. The JSON
-//! encoding is hand-rolled (the workspace is offline; there is no
-//! `serde_json`) but stable and round-trippable: [`SimEvent::to_jsonl`]
-//! and [`SimEvent::from_jsonl`] are exact inverses, which the
-//! determinism regression test relies on.
+//! Every observable protocol step becomes one [`SimEvent`].
+//! [`SimEvent::to_jsonl`] writes its members in a fixed, hand-chosen
+//! order (the trace bytes are frozen as golden digests in
+//! `crates/sim/tests/determinism.rs`), quoting through the shared
+//! escaper; [`SimEvent::from_jsonl`] reads a line back through
+//! [`crate::json::parse`]. The two are exact inverses.
 
-use serde::{Deserialize, Serialize};
+use crate::json::{self, FromJson, Json};
 use std::fmt;
 use twobit_types::{BlockAddr, CacheId, CommandClass, GlobalState, LineState, ModuleId, TxnId};
 
 /// The locus of control an event happened at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActorId {
     /// A processor–cache pair `C_k`.
     Cache(CacheId),
@@ -38,8 +39,9 @@ impl ActorId {
         if s == "NET" {
             return Some(ActorId::Network);
         }
-        let (tag, num) = s.split_at(1.min(s.len()));
-        let idx: usize = num.parse().ok()?;
+        let (tag, num) = s.split_at_checked(1)?;
+        // Ids are 16 bits wide; `CacheId::new` panics beyond that.
+        let idx = usize::from(num.parse::<u16>().ok()?);
         match tag {
             "C" => Some(ActorId::Cache(CacheId::new(idx))),
             "M" => Some(ActorId::Module(ModuleId::new(idx))),
@@ -60,7 +62,7 @@ impl ActorId {
 }
 
 /// A before→after state transition carried by an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateChange<S> {
     /// State before the step.
     pub from: S,
@@ -76,7 +78,7 @@ impl<S> StateChange<S> {
 }
 
 /// One observable protocol step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimEvent {
     /// Simulated cycle the step happened at.
     pub t: u64,
@@ -162,9 +164,8 @@ impl SimEvent {
         s.push_str(&self.actor.to_string());
         s.push_str("\",\"block\":");
         s.push_str(&self.block.number().to_string());
-        s.push_str(",\"cmd\":\"");
-        escape_into(&self.cmd, &mut s);
-        s.push('"');
+        s.push_str(",\"cmd\":");
+        json::write_string(&mut s, &self.cmd);
         if let Some(c) = self.class {
             s.push_str(",\"class\":\"");
             s.push_str(&c.to_string());
@@ -191,191 +192,57 @@ impl SimEvent {
     }
 
     /// Decodes one JSON object produced by [`to_jsonl`](Self::to_jsonl).
-    /// Returns `None` on malformed input.
+    /// Returns `None` on malformed input. Integers at or above 2^53 are
+    /// rejected, as they always were on the wire and in checkpoints (no
+    /// emitter produces them).
     #[must_use]
     pub fn from_jsonl(line: &str) -> Option<SimEvent> {
-        let fields = parse_object(line.trim())?;
-        let get = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        let t = match get("t")? {
-            JsonVal::Num(n) => *n,
-            _ => return None,
-        };
-        let actor = match get("actor")? {
-            JsonVal::Str(s) => ActorId::parse(s)?,
-            _ => return None,
-        };
-        let block = match get("block")? {
-            JsonVal::Num(n) => BlockAddr::new(*n),
-            _ => return None,
-        };
-        let cmd = match get("cmd")? {
-            JsonVal::Str(s) => s.clone(),
-            _ => return None,
-        };
-        let class = match get("class") {
-            Some(JsonVal::Str(s)) => Some(parse_class(s)?),
-            Some(_) => return None,
-            None => None,
-        };
-        let global = match get("global") {
-            Some(JsonVal::Str(s)) => {
-                let (from, to) = s.split_once('>')?;
-                Some(StateChange::new(parse_global(from)?, parse_global(to)?))
-            }
-            Some(_) => return None,
-            None => None,
-        };
-        let local = match get("local") {
-            Some(JsonVal::Str(s)) => {
-                let (from, to) = s.split_once('>')?;
-                Some(StateChange::new(parse_local(from)?, parse_local(to)?))
-            }
-            Some(_) => return None,
-            None => None,
-        };
-        let txn = match get("txn") {
-            Some(JsonVal::Num(n)) => Some(TxnId::new(*n)),
-            Some(_) => return None,
-            None => None,
-        };
-        let useless = match get("useless")? {
-            JsonVal::Bool(b) => *b,
-            _ => return None,
-        };
-        Some(SimEvent {
-            t,
-            actor,
-            block,
-            cmd,
-            class,
-            global,
-            local,
-            txn,
-            useless,
+        Self::from_json(&json::parse(line).ok()?).ok()
+    }
+}
+
+/// The object [`SimEvent::to_jsonl`] writes; absent optional members are
+/// `None`.
+impl FromJson for SimEvent {
+    fn from_json(j: &Json) -> Result<SimEvent, String> {
+        let named = |key: &str| j.opt_field::<String>(key);
+        Ok(SimEvent {
+            t: j.field("t")?,
+            actor: ActorId::parse(j.req_str("actor")?).ok_or("bad actor")?,
+            block: j.field("block")?,
+            cmd: j.field("cmd")?,
+            class: named("class")?
+                .map(|s| by_name(&CommandClass::ALL, &s))
+                .transpose()?,
+            global: named("global")?
+                .map(|s| change(&GlobalState::ALL, &s))
+                .transpose()?,
+            local: named("local")?
+                .map(|s| {
+                    change(
+                        &[LineState::Invalid, LineState::Clean, LineState::Dirty],
+                        &s,
+                    )
+                })
+                .transpose()?,
+            txn: j.opt_field("txn")?,
+            useless: j.field("useless")?,
         })
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// The member of `all` whose display form is `s`.
+fn by_name<T: fmt::Display + Copy>(all: &[T], s: &str) -> Result<T, String> {
+    all.iter()
+        .copied()
+        .find(|v| v.to_string() == s)
+        .ok_or_else(|| format!("unknown name {s:?}"))
 }
 
-/// A flat JSON value (the encoding above never nests).
-#[derive(Debug, Clone, PartialEq)]
-enum JsonVal {
-    Str(String),
-    Num(u64),
-    Bool(bool),
-}
-
-/// Parses a flat JSON object `{"k":v,...}` with string/number/bool values.
-fn parse_object(s: &str) -> Option<Vec<(String, JsonVal)>> {
-    let body = s.strip_prefix('{')?.strip_suffix('}')?;
-    let chars: Vec<char> = body.chars().collect();
-    let mut i = 0;
-    let mut fields = Vec::new();
-    while i < chars.len() {
-        // Key.
-        let (key, rest) = parse_string(&chars, i)?;
-        i = rest;
-        if chars.get(i) != Some(&':') {
-            return None;
-        }
-        i += 1;
-        // Value.
-        match chars.get(i)? {
-            '"' => {
-                let (val, rest) = parse_string(&chars, i)?;
-                i = rest;
-                fields.push((key, JsonVal::Str(val)));
-            }
-            't' if chars[i..].starts_with(&['t', 'r', 'u', 'e']) => {
-                i += 4;
-                fields.push((key, JsonVal::Bool(true)));
-            }
-            'f' if chars[i..].starts_with(&['f', 'a', 'l', 's', 'e']) => {
-                i += 5;
-                fields.push((key, JsonVal::Bool(false)));
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < chars.len() && chars[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let num: String = chars[start..i].iter().collect();
-                fields.push((key, JsonVal::Num(num.parse().ok()?)));
-            }
-            _ => return None,
-        }
-        match chars.get(i) {
-            Some(',') => i += 1,
-            None => break,
-            _ => return None,
-        }
-    }
-    Some(fields)
-}
-
-/// Parses a quoted string starting at `chars[i]`; returns (value, index
-/// past the closing quote).
-fn parse_string(chars: &[char], i: usize) -> Option<(String, usize)> {
-    if chars.get(i) != Some(&'"') {
-        return None;
-    }
-    let mut out = String::new();
-    let mut j = i + 1;
-    while j < chars.len() {
-        match chars[j] {
-            '"' => return Some((out, j + 1)),
-            '\\' => {
-                j += 1;
-                match chars.get(j)? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    'n' => out.push('\n'),
-                    't' => out.push('\t'),
-                    'r' => out.push('\r'),
-                    'u' => {
-                        let hex: String = chars.get(j + 1..j + 5)?.iter().collect();
-                        let code = u32::from_str_radix(&hex, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        j += 4;
-                    }
-                    _ => return None,
-                }
-                j += 1;
-            }
-            c => {
-                out.push(c);
-                j += 1;
-            }
-        }
-    }
-    None
-}
-
-fn parse_class(s: &str) -> Option<CommandClass> {
-    CommandClass::ALL.into_iter().find(|c| c.to_string() == s)
-}
-
-fn parse_global(s: &str) -> Option<GlobalState> {
-    GlobalState::ALL.into_iter().find(|g| g.to_string() == s)
-}
-
-fn parse_local(s: &str) -> Option<LineState> {
-    [LineState::Invalid, LineState::Clean, LineState::Dirty]
-        .into_iter()
-        .find(|l| l.to_string() == s)
+/// Parses a `from>to` transition over the display forms of `all`.
+fn change<T: fmt::Display + Copy>(all: &[T], s: &str) -> Result<StateChange<T>, String> {
+    let (from, to) = s.split_once('>').ok_or("transition without `>`")?;
+    Ok(StateChange::new(by_name(all, from)?, by_name(all, to)?))
 }
 
 #[cfg(test)]

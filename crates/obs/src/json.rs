@@ -1,19 +1,33 @@
-//! A minimal JSON value model, parser, and writer.
+//! The workspace's one JSON: value model, parser, escaper, writer, and
+//! the typed field codec every text format here is built on.
 //!
-//! The workspace deliberately vendors no general-purpose JSON crate; the
-//! few machine-readable artifacts it emits (the lint `--json` report, the
-//! JSONL event trace) hand-roll their output. The throughput benchmark
-//! needs to *read* its `BENCH_*.json` documents back (`perf_compare`
-//! diffs two BENCH files), and the distributed service serializes node
-//! checkpoints and wire envelopes, so this module provides the one
-//! recursive-descent parser in the repository. It supports exactly the
-//! JSON subset those schemas use: objects, arrays, strings with `\uXXXX`
-//! escapes, finite numbers, booleans, and `null`.
+//! The lint `--json` report, the `BENCH_*.json` documents, node
+//! checkpoints, the distributed service's wire frames and the JSONL event
+//! trace all go through this module. It supports the JSON subset those
+//! schemas use: objects, arrays, strings with `\uXXXX` escapes, finite
+//! numbers, booleans, and `null`.
 //!
-//! Historically this lived in `twobit-bench` as `perfjson`; it moved
-//! here (the lowest crate that every consumer already depends on) when
-//! `twobit-core`'s checkpoint layer and `twobit-dist`'s transport needed
-//! the same value model. `twobit_bench::perfjson` re-exports it.
+//! Input is untrusted (a frame arrives over a socket, a checkpoint over a
+//! process boundary), so three limits are part of the contract:
+//!
+//! * **Nesting depth.** [`parse`] recurses once per nested array or
+//!   object and refuses a document deeper than [`MAX_DEPTH`] with an
+//!   `Err`, so no input can exhaust the stack.
+//! * **Integers.** Numbers are `f64`. An integer is read back only when
+//!   it is non-negative and below 2^53: at and above that ceiling a
+//!   double no longer tells neighbouring integers apart, so such a value
+//!   is an `Err`, never a silently different number. No emitter here
+//!   produces one (full-entropy 64-bit words travel as hex strings).
+//! * **Narrowing.** A decoded number reaches a `u8`/`u16`/`u32`/`usize`
+//!   only through [`FromJson`], which range-checks; out of range is an
+//!   `Err`, never a wrap.
+//!
+//! A type's text form is stated once, as a [`ToJson`]/[`FromJson`] pair,
+//! and decoders fetch members with the typed accessors [`Json::field`],
+//! [`Json::opt_field`], [`Json::array`] and [`Json::member`], whose
+//! errors name the key. The pairs for the `twobit-types` wire types live
+//! beside this module in `codec.rs`; every other crate implements them
+//! for its own types.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -29,7 +43,7 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any finite number. Integers up to 2^53 round-trip exactly.
+    /// Any finite number. Integers below 2^53 round-trip exactly.
     Num(f64),
     /// A string.
     Str(String),
@@ -58,14 +72,13 @@ impl Json {
         }
     }
 
-    /// The numeric value as an unsigned integer (rejects negatives and
-    /// fractional values).
+    /// The numeric value as an unsigned integer (rejects negatives,
+    /// fractional values, and anything at or above 2^53, where a double
+    /// may already stand for a different integer than the text did).
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9_007_199_254_740_992.0 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_INTEGERS => Some(*n as u64),
             _ => None,
         }
     }
@@ -106,37 +119,87 @@ impl Json {
         }
     }
 
-    /// Convenience: an exact unsigned integer member of an object.
+    /// A required member of an object, undecoded.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `key` when it is absent (or `self` is not
+    /// an object).
+    pub fn member(&self, key: &str) -> Result<&Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field {key:?}"))
+    }
+
+    /// A required member, decoded and range-checked as `T`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `key` when it is absent or is not a `T`.
+    pub fn field<T: FromJson>(&self, key: &str) -> Result<T, String> {
+        T::from_json(self.member(key)?).map_err(|e| format!("field {key:?}: {e}"))
+    }
+
+    /// A member that may be absent (`None`), decoded as `T` when present.
+    /// A member that is always written but may be `null` is
+    /// `field::<Option<T>>` instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `key` when it is present but not a `T`.
+    pub fn opt_field<T: FromJson>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| T::from_json(v).map_err(|e| format!("field {key:?}: {e}")))
+            .transpose()
+    }
+
+    /// The elements of a required array member, undecoded (for arrays of
+    /// entry objects; an array of one type is `field::<Vec<T>>`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `key` when it is absent or not an array.
+    pub fn array(&self, key: &str) -> Result<&[Json], String> {
+        self.member(key)?
+            .items()
+            .map_err(|e| format!("field {key:?}: {e}"))
+    }
+
+    /// The elements, or an error if this is not an array.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when `self` is not an array.
+    pub fn items(&self) -> Result<&[Json], String> {
+        self.as_array().ok_or_else(|| "not an array".to_string())
+    }
+
+    /// [`field::<u64>`](Self::field).
     ///
     /// # Errors
     ///
     /// Returns a message naming `key` when absent or not an integer.
     pub fn req_u64(&self, key: &str) -> Result<u64, String> {
-        self.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing or non-integer field {key:?}"))
+        self.field(key)
     }
 
-    /// Convenience: a required number member of an object.
+    /// [`field::<f64>`](Self::field).
     ///
     /// # Errors
     ///
     /// Returns a message naming `key` when absent or not a number.
     pub fn req_f64(&self, key: &str) -> Result<f64, String> {
-        self.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
+        self.field(key)
     }
 
-    /// Convenience: a required string member of an object.
+    /// A required string member, borrowed.
     ///
     /// # Errors
     ///
     /// Returns a message naming `key` when absent or not a string.
     pub fn req_str(&self, key: &str) -> Result<&str, String> {
-        self.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("missing or non-string field {key:?}"))
+        self.member(key)?
+            .as_str()
+            .ok_or_else(|| format!("field {key:?}: not a string"))
     }
 
     /// Renders compact canonical JSON (sorted object keys, no spaces).
@@ -211,12 +274,189 @@ impl Json {
     }
 }
 
+/// Integers at or above 2^53 are not exact in a double.
+const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// deepest document the workspace writes (a `restore` frame carrying a
+/// memory node's checkpoint with held envelopes) nests eight levels.
+pub const MAX_DEPTH: usize = 64;
+
+/// A type with one JSON form. The method is `json`, not `to_json`:
+/// [`Json::to_json`] is the *text* writer.
+pub trait ToJson {
+    /// This value as a JSON value.
+    fn json(&self) -> Json;
+}
+
+/// A type decodable from its JSON form, with every number range-checked.
+pub trait FromJson: Sized {
+    /// Decodes `j`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when `j` has the wrong shape or a value does not
+    /// fit the type.
+    fn from_json(j: &Json) -> Result<Self, String>;
+}
+
+macro_rules! unsigned_codec {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn json(&self) -> Json {
+                num_u64(*self as u64)
+            }
+        }
+
+        impl FromJson for $t {
+            fn from_json(j: &Json) -> Result<Self, String> {
+                let n = j
+                    .as_u64()
+                    .ok_or_else(|| format!("not an unsigned integer below 2^53: {}", j.to_json()))?;
+                <$t>::try_from(n).map_err(|_| format!("{n} does not fit {}", stringify!($t)))
+            }
+        }
+    )*};
+}
+
+unsigned_codec!(u8, u16, u32, u64, usize);
+
+impl FromJson for f64 {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        j.as_f64().ok_or_else(|| "not a number".to_string())
+    }
+}
+
+impl ToJson for bool {
+    fn json(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
+
+impl FromJson for bool {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        j.as_bool().ok_or_else(|| "not a boolean".to_string())
+    }
+}
+
+impl ToJson for str {
+    fn json(&self) -> Json {
+        Json::Str(self.to_string())
+    }
+}
+
+impl ToJson for String {
+    fn json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+}
+
+impl FromJson for String {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        j.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "not a string".to_string())
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn json(&self) -> Json {
+        (**self).json()
+    }
+}
+
+/// `None` is `null`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, ToJson::json)
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        match j {
+            Json::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn json(&self) -> Json {
+        self.iter().map(ToJson::json).collect()
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn json(&self) -> Json {
+        self.as_slice().json()
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(j: &Json) -> Result<Self, String> {
+        j.items()?.iter().map(T::from_json).collect()
+    }
+}
+
+/// Collecting values makes an array.
+impl FromIterator<Json> for Json {
+    fn from_iter<I: IntoIterator<Item = Json>>(iter: I) -> Self {
+        Json::Arr(iter.into_iter().collect())
+    }
+}
+
+/// States a struct's JSON form once, as an object keyed by its field
+/// names, and derives both directions from it.
+#[macro_export]
+macro_rules! json_struct {
+    ($ty:ty { $($field:ident),* $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn json(&self) -> $crate::json::Json {
+                $crate::json::obj([
+                    $((stringify!($field), $crate::json::ToJson::json(&self.$field))),*
+                ])
+            }
+        }
+
+        impl $crate::json::FromJson for $ty {
+            fn from_json(j: &$crate::json::Json) -> Result<Self, String> {
+                Ok(Self { $($field: j.field(stringify!($field))?),* })
+            }
+        }
+    };
+}
+
+/// States a fieldless enum's JSON form once, as one string per variant,
+/// and derives both directions from it.
+#[macro_export]
+macro_rules! json_enum {
+    ($ty:ident { $($variant:ident => $name:literal),* $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn json(&self) -> $crate::json::Json {
+                $crate::json::ToJson::json(match self {
+                    $($ty::$variant => $name),*
+                })
+            }
+        }
+
+        impl $crate::json::FromJson for $ty {
+            fn from_json(j: &$crate::json::Json) -> Result<Self, String> {
+                match j.as_str() {
+                    $(Some($name) => Ok($ty::$variant),)*
+                    _ => Err(format!("not one of {:?}: {}", [$($name),*], j.to_json())),
+                }
+            }
+        }
+    };
+}
+
 /// Builds an object from `(key, value)` pairs (later duplicates win).
 pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// A number from an unsigned integer (exact up to 2^53).
+/// A number from an unsigned integer (exact below 2^53).
 #[must_use]
 pub fn num_u64(n: u64) -> Json {
     Json::Num(n as f64)
@@ -234,7 +474,8 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string — the workspace's one escaper.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -257,11 +498,12 @@ fn write_string(out: &mut String, s: &str) {
 /// # Errors
 ///
 /// Returns a human-readable message with a byte offset on malformed
-/// input.
+/// input, including a document nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -275,6 +517,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -312,8 +556,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nested deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -502,9 +760,12 @@ mod tests {
 
     #[test]
     fn large_counts_roundtrip_exactly() {
-        let n = 9_007_199_254_740_992u64; // 2^53
+        let n = (1u64 << 53) - 1;
         let v = parse(&num_u64(n).to_json()).unwrap();
         assert_eq!(v.as_u64(), Some(n));
+        // 2^53 + 1 reads as the double 2^53: refused, not rounded.
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), None);
+        assert_eq!(parse("9007199254740993").unwrap().as_u64(), None);
         // Fractional and negative values refuse as_u64.
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
@@ -517,6 +778,13 @@ mod tests {
         write_string(&mut out, s);
         assert_eq!(parse(&out).unwrap().as_str(), Some(s));
         assert_eq!(parse(r#""Aé""#).unwrap().as_str(), Some("Aé"));
+    }
+
+    #[test]
+    fn json_escaping_handles_specials() {
+        let mut out = String::new();
+        write_string(&mut out, "a\"b\\c\nd");
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod codec;
 pub mod event;
 pub mod json;
 pub mod metrics;

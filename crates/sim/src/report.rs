@@ -1,11 +1,10 @@
 //! The common experiment report.
 
-use serde::{Deserialize, Serialize};
 use twobit_obs::{LatencySummary, MetricsSummary, TxnClass};
 use twobit_types::{ProtocolKind, SystemStats};
 
 /// Results of one simulated run, in the paper's units.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// The protocol that ran.
     pub protocol: ProtocolKind,

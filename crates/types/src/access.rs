@@ -1,14 +1,13 @@
 //! Memory-access vocabulary: read/write kinds and reference records.
 
 use crate::addr::WordAddr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether an access (or a request carrying one) reads or writes.
 ///
 /// This is the paper's `rw` parameter on `REQUEST(k,a,rw)` and
 /// `BROADQUERY(a,rw)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load (`LOAD(a,d)`).
     Read,
@@ -44,7 +43,7 @@ impl fmt::Display for AccessKind {
 /// Section 3.2.1 distinguishes ejecting a clean block (global state may
 /// shrink from `Present1` to `Absent`; no data moves) from ejecting a dirty
 /// block (data must be written back).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WritebackKind {
     /// The ejected block was valid and unmodified; the paper's
     /// `EJECT(k,olda,"read")`. Purely advisory — may be dropped without
@@ -81,7 +80,7 @@ impl fmt::Display for WritebackKind {
 /// assert!(r.kind.is_read());
 /// assert_eq!(r.addr.block.number(), 0x10);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRef {
     /// The word addressed.
     pub addr: WordAddr,

@@ -8,7 +8,6 @@
 //! which controller owns which block.
 
 use crate::ids::ModuleId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The address of a memory block (the paper's `a`).
@@ -16,7 +15,7 @@ use std::fmt;
 /// Block addresses are block *numbers*, not byte addresses: the unit of
 /// coherence is the block, and no protocol in the paper ever needs finer
 /// granularity than [`WordAddr`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockAddr(u64);
 
 impl BlockAddr {
@@ -55,7 +54,7 @@ impl From<u64> for BlockAddr {
 }
 
 /// A full word address: block plus displacement (the paper's `(a, d)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WordAddr {
     /// The containing block `a`.
     pub block: BlockAddr,
@@ -100,7 +99,7 @@ impl fmt::Display for WordAddr {
 /// let map = AddressMap::blocked(4, 100);
 /// assert_eq!(map.module_of(BlockAddr::new(250)), ModuleId::new(2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AddressMap {
     /// Block `a` maps to module `a mod modules`.
     Interleaved {

@@ -25,11 +25,10 @@ use crate::access::{AccessKind, WritebackKind};
 use crate::addr::{BlockAddr, WordAddr};
 use crate::ids::CacheId;
 use crate::stats::CommandClass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A processor request to its private cache: `LOAD(a,d)` or `STORE(a,d)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessorCmd {
     /// `LOAD(a,d)`.
     Load(WordAddr),
@@ -70,7 +69,7 @@ impl fmt::Display for ProcessorCmd {
 ///
 /// `hit == false` initiates the replacement protocol of section 3.2.1 for
 /// the line at `way` before the miss can be serviced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheReply {
     /// The block addressed.
     pub a: BlockAddr,
@@ -94,7 +93,7 @@ impl fmt::Display for CacheReply {
 }
 
 /// Commands sent from a cache `C_k` to a memory controller `K_j`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheToMemory {
     /// `REQUEST(k, a, rw)` — a miss on block `a`, read or write.
     Request {
@@ -251,7 +250,7 @@ impl fmt::Display for CacheToMemory {
 /// full-map schemes (sections 2.4.2–2.4.3) and the translation-buffer
 /// enhancement (section 4.4) can send because they know the owners'
 /// identities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryToCache {
     /// The `get(k, a)` data transfer: block data granted to cache `k`.
     GetData {
@@ -400,7 +399,7 @@ impl fmt::Display for MemoryToCache {
 /// The italicized data movements of Table 3-1, for tracing and traffic
 /// accounting. Control commands are one network "command" each; data
 /// transfers move a whole block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataTransfer {
     /// `ld(a, b_k)` — cache supplies a word to its processor.
     Ld,

@@ -3,11 +3,10 @@
 
 use crate::addr::AddressMap;
 use crate::error::ConfigError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Replacement policy of a set-associative cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReplacementPolicy {
     /// Least-recently-used (the default; what the era's designs used).
     #[default]
@@ -37,7 +36,7 @@ impl fmt::Display for ReplacementPolicy {
 /// let org = CacheOrg::new(64, 2, 4).unwrap();
 /// assert_eq!(org.total_blocks(), 128);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheOrg {
     /// Number of sets (must be a power of two so set indexing is a mask).
     pub sets: u32,
@@ -120,7 +119,7 @@ impl CacheOrg {
 /// block are the same, as are cache hit ratios and other system
 /// characteristics" (section 4.1); keeping latencies in one struct makes
 /// that ceteris-paribus assumption explicit and enforceable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LatencyConfig {
     /// Cache hit service time.
     pub cache_hit: u64,
@@ -172,7 +171,7 @@ impl LatencyConfig {
 }
 
 /// The controller-concurrency discipline of section 3.2.5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ControllerConcurrency {
     /// "Allow the controller to treat only one command at a time. This
     /// restriction seems too stringent and could lead to important
@@ -195,7 +194,7 @@ impl fmt::Display for ControllerConcurrency {
 }
 
 /// Which coherence protocol a system runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// The paper's contribution (section 3): two-bit global directory.
     TwoBit,
@@ -272,7 +271,7 @@ impl fmt::Display for ProtocolKind {
 }
 
 /// Complete configuration of a Figure 3-1 system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Number of processor–cache pairs `n`.
     pub caches: usize,

@@ -2,12 +2,11 @@
 
 use crate::addr::BlockAddr;
 use crate::ids::CacheId;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// An invalid configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     message: String,
 }
@@ -41,7 +40,7 @@ impl Error for ConfigError {}
 /// These indicate bugs in a protocol implementation (or a deliberately
 /// injected fault in the failure-injection tests), not recoverable runtime
 /// conditions: a correctly implemented protocol never produces them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolError {
     /// A command arrived that the recipient's state machine has no
     /// transition for.

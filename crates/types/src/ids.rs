@@ -8,7 +8,6 @@
 //! "multiprogrammed controller" processes several block requests
 //! simultaneously; each gets a transaction id).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identity of a processor–cache pair (the paper's index `k` or `i`).
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert_eq!(k.index(), 5);
 /// assert_eq!(k.to_string(), "C5");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CacheId(u16);
 
 impl CacheId {
@@ -76,7 +75,7 @@ impl From<CacheId> for usize {
 /// Each module's controller owns the directory entries ("bit map") for
 /// exactly the blocks stored in that module, as in the distributed full map
 /// of section 2.4.2 and the two-bit map of section 3.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ModuleId(u16);
 
 impl ModuleId {
@@ -123,7 +122,7 @@ impl From<ModuleId> for usize {
 /// Section 3.2.5 requires the controller to "treat commands related to a
 /// given block only one at a time" while possibly multiprogramming across
 /// blocks; a transaction id names one such activation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(u64);
 
 impl TxnId {

@@ -1,7 +1,6 @@
 //! Protocol states: the two-bit global states of section 3.1 and the local
 //! (per-cache-line) valid/modified states.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The four global states of the two-bit directory scheme (section 3.1).
@@ -28,7 +27,7 @@ use std::fmt;
 /// [`from_bits`]: GlobalState::from_bits
 /// [`Present1`]: GlobalState::Present1
 /// [`PresentStar`]: GlobalState::PresentStar
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GlobalState {
     /// Not present in any cache.
     #[default]
@@ -129,7 +128,7 @@ impl fmt::Display for GlobalState {
 /// Local state of a cache line: the valid and modified bits every cache
 /// keeps per block ("each cache keeps its usual local information, that is,
 /// a valid bit and a modified bit for each block", section 2.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LineState {
     /// Valid bit off.
     #[default]

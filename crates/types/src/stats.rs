@@ -6,14 +6,11 @@
 //! All containers are passive data with public fields, [`Default`]-zeroed,
 //! and mergeable so parallel sweep drivers can combine shards.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::AddAssign;
 
 /// A saturating event counter.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -65,7 +62,7 @@ impl From<u64> for Counter {
 }
 
 /// Classification of protocol commands for per-class accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandClass {
     /// `REQUEST` (miss).
     Request,
@@ -131,7 +128,7 @@ impl fmt::Display for CommandClass {
 }
 
 /// Per-cache statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Loads issued by the attached processor.
     pub reads: Counter,
@@ -242,7 +239,7 @@ impl CacheStats {
 }
 
 /// Per-memory-controller statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ControllerStats {
     /// `REQUEST`s served.
     pub requests: Counter,
@@ -304,7 +301,7 @@ impl ControllerStats {
 }
 
 /// Interconnection-network statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetworkStats {
     /// Control commands injected (a broadcast counts once).
     pub command_messages: Counter,
@@ -330,7 +327,7 @@ impl NetworkStats {
 
 /// Whole-system statistics: one entry per cache and per controller, plus
 /// network totals and the simulated-cycle count.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SystemStats {
     /// Per-cache counters, indexed by [`crate::CacheId::index`].
     pub caches: Vec<CacheStats>,

@@ -1,11 +1,10 @@
 //! A small aligned-text table, used by the analytic crate and the bench
 //! harness to print the paper's tables in the paper's own layout.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Column alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Align {
     /// Left-aligned (labels).
     Left,
@@ -25,7 +24,7 @@ pub enum Align {
 /// assert!(s.contains("overhead"));
 /// assert!(s.contains("1.622"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     title: String,
     headers: Vec<String>,

@@ -8,13 +8,10 @@
 //! to any block always returns the most recently written value of that
 //! block") becomes "a read observes the latest version".
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A version tag standing in for a block's data contents.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Version(u64);
 
 impl Version {

@@ -1,10 +1,9 @@
 //! The sharing-model parameters of section 4.2.
 
-use serde::{Deserialize, Serialize};
 use twobit_types::ConfigError;
 
 /// Parameters of the merged private/shared reference stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharingParams {
     /// Probability the next reference is to a shared block (the paper's
     /// `q`).

@@ -2,13 +2,15 @@
 //! artifacts rather than re-derived streams.
 //!
 //! Layout: an 8-byte magic/version header, then one 12-byte record per
-//! reference: `cpu: u16`, `flags: u16` (bit 0 = write), `block: u64`.
-//! Encoding uses little-endian via the `bytes` crate.
+//! reference: `cpu: u16`, `flags: u16` (bit 0 = write), `block: u64`,
+//! all little-endian. A trace is a plain `Vec<u8>`; [`Trace::decode`]
+//! checks the header and that the payload is whole records before it
+//! reads one, so no input makes it panic.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use twobit_types::{BlockAddr, CacheId, ConfigError, MemRef, WordAddr};
 
 const MAGIC: u64 = 0x5457_4f42_4954_0001; // "TWOBIT" + version 1
+const RECORD: usize = 12;
 
 /// One traced reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,15 +64,15 @@ impl Trace {
 
     /// Encodes to the binary format.
     #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8 + 12 * self.entries.len());
-        buf.put_u64_le(MAGIC);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(8 + RECORD * self.entries.len());
+        buf.extend_from_slice(&MAGIC.to_le_bytes());
         for e in &self.entries {
-            buf.put_u16_le(e.cpu.index() as u16);
-            buf.put_u16_le(u16::from(e.op.kind.is_write()));
-            buf.put_u64_le(e.op.addr.block.number());
+            buf.extend_from_slice(&(e.cpu.index() as u16).to_le_bytes());
+            buf.extend_from_slice(&u16::from(e.op.kind.is_write()).to_le_bytes());
+            buf.extend_from_slice(&e.op.addr.block.number().to_le_bytes());
         }
-        buf.freeze()
+        buf
     }
 
     /// Decodes from the binary format.
@@ -78,32 +80,36 @@ impl Trace {
     /// # Errors
     ///
     /// Returns [`ConfigError`] for a bad magic number or truncated data.
-    pub fn decode(mut data: Bytes) -> Result<Self, ConfigError> {
-        if data.remaining() < 8 {
+    pub fn decode(data: &[u8]) -> Result<Self, ConfigError> {
+        let Some((magic, records)) = data.split_first_chunk::<8>() else {
             return Err(ConfigError::new("trace shorter than its header"));
-        }
-        if data.get_u64_le() != MAGIC {
+        };
+        if u64::from_le_bytes(*magic) != MAGIC {
             return Err(ConfigError::new("not a twobit trace (bad magic)"));
         }
-        if !data.remaining().is_multiple_of(12) {
+        if !records.len().is_multiple_of(RECORD) {
             return Err(ConfigError::new("trace payload is not whole records"));
         }
-        let mut entries = Vec::with_capacity(data.remaining() / 12);
-        while data.has_remaining() {
-            let cpu = CacheId::new(data.get_u16_le() as usize);
-            let flags = data.get_u16_le();
-            let block = data.get_u64_le();
-            let addr = WordAddr {
-                block: BlockAddr::new(block),
-                offset: 0,
-            };
-            let op = if flags & 1 == 1 {
-                MemRef::write(addr)
-            } else {
-                MemRef::read(addr)
-            };
-            entries.push(TraceEntry { cpu, op });
-        }
+        let entries = records
+            .chunks_exact(RECORD)
+            .map(|r| {
+                let cpu = u16::from_le_bytes([r[0], r[1]]);
+                let flags = u16::from_le_bytes([r[2], r[3]]);
+                let block = u64::from_le_bytes(r[4..].try_into().expect("a 12-byte record"));
+                let addr = WordAddr {
+                    block: BlockAddr::new(block),
+                    offset: 0,
+                };
+                TraceEntry {
+                    cpu: CacheId::new(usize::from(cpu)),
+                    op: if flags & 1 == 1 {
+                        MemRef::write(addr)
+                    } else {
+                        MemRef::read(addr)
+                    },
+                }
+            })
+            .collect();
         Ok(Trace { entries })
     }
 
@@ -163,20 +169,17 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let t = sample();
-        let decoded = Trace::decode(t.encode()).unwrap();
+        let decoded = Trace::decode(&t.encode()).unwrap();
         assert_eq!(t, decoded);
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Trace::decode(Bytes::from_static(b"short")).is_err());
-        let mut bad = BytesMut::new();
-        bad.put_u64_le(0xdead_beef);
-        assert!(Trace::decode(bad.freeze()).is_err());
-        let mut truncated = BytesMut::new();
-        truncated.put_u64_le(super::MAGIC);
-        truncated.put_u8(1);
-        assert!(Trace::decode(truncated.freeze()).is_err());
+        assert!(Trace::decode(b"short").is_err());
+        assert!(Trace::decode(&0xdead_beef_u64.to_le_bytes()).is_err());
+        let mut truncated = MAGIC.to_le_bytes().to_vec();
+        truncated.push(1);
+        assert!(Trace::decode(&truncated).is_err());
     }
 
     #[test]

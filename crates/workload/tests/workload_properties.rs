@@ -46,7 +46,7 @@ proptest! {
             };
             t.push(CacheId::new(cpu), op);
         }
-        let decoded = Trace::decode(t.encode()).unwrap();
+        let decoded = Trace::decode(&t.encode()).unwrap();
         prop_assert_eq!(t, decoded);
     }
 

@@ -12,7 +12,7 @@ fn recorded_trace_replays_identically_through_encode_decode() {
     let trace = Trace::record(&mut gen, n, 2_000);
 
     // Round-trip through the binary format.
-    let decoded = Trace::decode(trace.encode()).unwrap();
+    let decoded = Trace::decode(&trace.encode()).unwrap();
     assert_eq!(trace, decoded);
 
     // Replaying the original and the decoded trace produces identical
