@@ -1,6 +1,6 @@
 //! Verify-Protocols: run the bounded model checker over the canonical
-//! race scripts for every directory protocol and print exploration
-//! statistics — the mechanized answer to the paper's closing "the
+//! race scripts (`twobit_core::model_check::race_scenarios`, the one
+//! list) for all six directory schemes and print exploration statistics — the mechanized answer to the paper's closing "the
 //! protocols … need to be refined (and proven correct)".
 //!
 //! Exploration uses the parallel, state-deduplicating DAG search
@@ -15,9 +15,10 @@
 
 use twobit_bench::obs_cli::{self, ObsArgs};
 use twobit_bench::sweep;
+use twobit_core::model_check::race_scenarios;
 use twobit_core::ModelChecker;
 use twobit_obs::Metrics;
-use twobit_types::{CacheOrg, MemRef, ProtocolKind, SystemConfig, Table, WordAddr};
+use twobit_types::{MemRef, ProtocolKind, SystemConfig, Table, WordAddr};
 
 /// Default node budget per (script, protocol) exploration.
 const DEFAULT_BUDGET: u64 = 500_000;
@@ -29,10 +30,6 @@ fn rd(b: u64) -> MemRef {
 fn wr(b: u64) -> MemRef {
     MemRef::write(WordAddr::new(b, 0))
 }
-
-/// A named race script: per-cpu reference lists plus an optional cache
-/// organization override (for scripts that need conflict misses).
-type RaceScript = (&'static str, Vec<Vec<MemRef>>, Option<CacheOrg>);
 
 /// The section 3.2.5 staleness window, turned into a rendered
 /// counterexample: arm `fail_on_stale_reads` on a read-after-write
@@ -74,31 +71,7 @@ fn main() {
         demo_stale(jobs, budget);
         return;
     }
-    let protocols = [
-        ProtocolKind::TwoBit,
-        ProtocolKind::TwoBitTlb { entries: 2 },
-        ProtocolKind::FullMap,
-        ProtocolKind::FullMapLocal,
-        ProtocolKind::ClassicalWriteThrough,
-    ];
-
-    let scripts: [RaceScript; 3] = [
-        (
-            "3.2.5 write race (rd,wr / rd,wr)",
-            vec![vec![rd(1), wr(1)], vec![rd(1), wr(1)]],
-            None,
-        ),
-        (
-            "replacement/recall race (wr,conflict-rd / rd)",
-            vec![vec![wr(1), rd(9)], vec![rd(1)]],
-            Some(CacheOrg::new(2, 1, 4).expect("valid organization")),
-        ),
-        (
-            "upgrade + third reader (rd,wr / wr / rd)",
-            vec![vec![rd(1), wr(1)], vec![wr(1)], vec![rd(1)]],
-            None,
-        ),
-    ];
+    let scenarios = race_scenarios();
 
     let mut table = Table::new(
         format!(
@@ -118,45 +91,40 @@ fn main() {
     );
 
     let mut stat_lines: Vec<String> = Vec::new();
-    for (label, script, org) in &scripts {
-        for protocol in protocols {
-            let mut config = SystemConfig::with_defaults(script.len()).with_protocol(protocol);
-            if let Some(org) = org {
-                config.cache = *org;
+    for (label, config, script) in &scenarios {
+        let protocol = config.protocol;
+        let checker = ModelChecker::new(*config, script.clone()).expect("valid checker");
+        let mut metrics = Metrics::new(script.len(), 0);
+        let result = match checker.explore_dedup_observed(budget, jobs, Some(&mut metrics)) {
+            Ok(result) => result,
+            Err(cex) => {
+                eprintln!(
+                    "VIOLATION in script \"{label}\" under {protocol}: {}",
+                    cex.error
+                );
+                eprint!("{}", checker.render_counterexample(&cex));
+                std::process::exit(1);
             }
-            let checker = ModelChecker::new(config, script.clone()).expect("valid checker");
-            let mut metrics = Metrics::new(script.len(), 0);
-            let result = match checker.explore_dedup_observed(budget, jobs, Some(&mut metrics)) {
-                Ok(result) => result,
-                Err(cex) => {
-                    eprintln!(
-                        "VIOLATION in script \"{label}\" under {protocol}: {}",
-                        cex.error
-                    );
-                    eprint!("{}", checker.render_counterexample(&cex));
-                    std::process::exit(1);
-                }
-            };
-            let search = metrics.search();
-            stat_lines.push(format!(
-                "dedup: {label} / {protocol}: hit-rate {:.1}%, {:.0} states/sec, \
-                 peak frontier {}, max depth {}",
-                search.dedup_hit_rate() * 100.0,
-                search.states_per_sec(),
-                metrics.frontier.peak(),
-                search.max_depth,
-            ));
-            table.push_row(vec![
-                (*label).to_string(),
-                protocol.to_string(),
-                result.interleavings.to_string(),
-                result.states_visited.to_string(),
-                result.distinct_states.to_string(),
-                result.dedup_hits.to_string(),
-                if result.truncated { "truncated" } else { "yes" }.to_string(),
-                result.stale_reads_observed.to_string(),
-            ]);
-        }
+        };
+        let search = metrics.search();
+        stat_lines.push(format!(
+            "dedup: {label} / {protocol}: hit-rate {:.1}%, {:.0} states/sec, \
+             peak frontier {}, max depth {}",
+            search.dedup_hit_rate() * 100.0,
+            search.states_per_sec(),
+            metrics.frontier.peak(),
+            search.max_depth,
+        ));
+        table.push_row(vec![
+            (*label).to_string(),
+            protocol.to_string(),
+            result.interleavings.to_string(),
+            result.states_visited.to_string(),
+            result.distinct_states.to_string(),
+            result.dedup_hits.to_string(),
+            if result.truncated { "truncated" } else { "yes" }.to_string(),
+            result.stale_reads_observed.to_string(),
+        ]);
     }
 
     print!("{table}");
@@ -168,9 +136,8 @@ fn main() {
     }
 
     if let Some(path) = &obs.trace_out {
-        let (label, script, _) = &scripts[0];
-        let config = SystemConfig::with_defaults(script.len());
-        let checker = ModelChecker::new(config, script.clone()).expect("valid checker");
+        let (label, config, script) = &scenarios[0];
+        let checker = ModelChecker::new(*config, script.clone()).expect("valid checker");
         let mut tracer = obs_cli::jsonl_file_tracer(path).expect("create trace file");
         checker
             .explore_exhaustive_traced(budget, tracer.as_mut())

@@ -106,6 +106,11 @@ impl<T> BlockMap<T> {
     /// The entry for block `a`, if present.
     #[must_use]
     pub fn get(&self, a: BlockAddr) -> Option<&T> {
+        // A map nothing is in (the state map of a scheme that tracks no
+        // state, a waiting map between recalls) answers without hashing.
+        if self.len == 0 {
+            return None;
+        }
         let (pno, slot) = split(a);
         let pos = self.page_pos(pno)?;
         self.pages[pos as usize].slots[slot].as_ref()

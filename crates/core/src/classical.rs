@@ -1,140 +1,38 @@
-//! The section 2.2–2.3 comparator schemes, which keep **no** directory:
+//! The section 2.2–2.3 comparator schemes, which keep **no** directory
+//! state (their tables track none, and the directory reports a constant
+//! `Present*`):
 //!
-//! * [`ClassicalDirectory`] — the "classical" solution (section 2.3):
+//! * [`classical_program`] — the "classical" solution (section 2.3):
 //!   write-through caches; every store updates memory and is broadcast to
 //!   all other caches for invalidation. Simple, software-compatible, and
-//!   exactly as unscalable as the paper says.
-//! * [`NullDirectory`] — the memory-side of the static software scheme
+//!   exactly as unscalable as the paper says. Memory is always current, so
+//!   loads always fill from it and replacement is silent.
+//! * [`null_program`] — the memory side of the static software scheme
 //!   (section 2.2): sharable-writeable blocks are never cached (the cache
 //!   agent sends `DIRECTREAD`/`WRITETHRU` for them), private blocks are
 //!   write-back cached with no coherence traffic at all.
 
-use crate::directory::{
-    grant_from_memory, DirSend, DirStep, DirectoryProtocol, OpenKind, SendCost,
-};
-use crate::memory::MemoryImage;
-use crate::owner_set::OwnerSet;
 use crate::transitions::{
-    ActionKind, Delivery, EventKind, EventSpec, OrderGuarantee, StateSet, TransitionTable,
+    ActionKind, Delivery, EventKind, EventSpec, OrderGuarantee, Program, StateSet, TransitionTable,
 };
 use std::sync::OnceLock;
-use twobit_types::{
-    BlockAddr, CacheId, Fingerprinter, GlobalState, MemoryToCache, Version, WritebackKind,
-};
+use twobit_types::GlobalState;
 
-/// The classical write-through broadcast scheme's memory side.
-#[derive(Debug, Default, Clone)]
-pub struct ClassicalDirectory;
-
-impl ClassicalDirectory {
-    /// Creates the (stateless) classical controller logic.
-    #[must_use]
-    pub fn new() -> Self {
-        ClassicalDirectory
-    }
-}
-
-impl DirectoryProtocol for ClassicalDirectory {
-    fn clone_box(&self) -> Box<dyn DirectoryProtocol> {
-        Box::new(self.clone())
-    }
-
-    fn fingerprint(&self, fp: &mut Fingerprinter) {
-        fp.write_tag(5); // scheme discriminant; no directory state to add
-    }
-
-    fn name(&self) -> &'static str {
-        "classical-wt"
-    }
-
-    fn open(&mut self, k: CacheId, a: BlockAddr, kind: OpenKind, mem: &MemoryImage) -> DirStep {
-        match kind {
-            // Loads fill caches normally; memory is always current under
-            // write-through, so data always comes from memory.
-            OpenKind::ReadMiss => DirStep::done().with_send(grant_from_memory(k, a, mem, false)),
-            // Every store: memory update plus an invalidation broadcast to
-            // every other cache — "each cache broadcasts to all other
-            // caches the address of the block being modified".
-            OpenKind::WriteThrough(version) => DirStep::done()
-                .with_memory_write(a, version)
-                .with_send(DirSend::Broadcast {
-                    cmd: MemoryToCache::BroadInv { a, exclude: k },
-                    exclude: k,
-                    cost: SendCost::Command,
-                }),
-            OpenKind::WriteMiss | OpenKind::Modify(_) | OpenKind::DirectRead => {
-                panic!("write-through caches never send {kind:?}")
-            }
-        }
-    }
-
-    fn supply(
-        &mut self,
-        _a: BlockAddr,
-        _from: CacheId,
-        _version: Version,
-        _retains: bool,
-        _mem: &MemoryImage,
-    ) -> DirStep {
-        unreachable!("the classical scheme never waits for cache data")
-    }
-
-    fn eject_satisfies_wait(&self, _a: BlockAddr, _k: CacheId, _wb: WritebackKind) -> bool {
-        false
-    }
-
-    fn eject_clean(&mut self, _k: CacheId, _a: BlockAddr) {
-        // Write-through lines are never tracked; replacement is silent.
-    }
-
-    fn eject_dirty(&mut self, _k: CacheId, a: BlockAddr, _version: Version) -> DirStep {
-        unreachable!("write-through caches hold no dirty line (block {a})")
-    }
-
-    fn awaiting(&self, _a: BlockAddr) -> bool {
-        false
-    }
-
-    fn global_state(&self, _a: BlockAddr) -> GlobalState {
-        // Memory is always up to date; the scheme tracks nothing.
-        GlobalState::PresentStar
-    }
-
-    fn holders(&self, _a: BlockAddr) -> Option<OwnerSet> {
-        None
-    }
-
-    fn transition_table(&self) -> Option<&'static TransitionTable> {
-        Some(classical_table())
-    }
-
-    fn check_consistency(
-        &self,
-        _a: BlockAddr,
-        _clean: &OwnerSet,
-        dirty: &OwnerSet,
-    ) -> Result<(), String> {
-        // The one thing write-through guarantees: no dirty copies, ever.
-        if dirty.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("{} dirty copies under write-through", dirty.len()))
-        }
-    }
-}
-
-/// The classical write-through scheme's table. The scheme keeps no
-/// directory state (`tracks_state = false`; the constant reported state
-/// is `Present*`), so the relation is two rules: fills from memory, and
-/// the per-store memory-update-plus-invalidate-broadcast that defines
-/// the scheme.
-pub(crate) fn classical_table() -> &'static TransitionTable {
-    static TABLE: OnceLock<TransitionTable> = OnceLock::new();
-    TABLE.get_or_init(|| {
+/// The classical write-through scheme. It keeps no directory state
+/// (`tracks_state = false`; the constant reported state is `Present*`),
+/// so the relation is two rules — fills from memory, and the per-store
+/// memory-update-plus-invalidate-broadcast that defines the scheme
+/// ("each cache broadcasts to all other caches the address of the block
+/// being modified") — plus the silent clean eject. No rule grants write
+/// permission, which is how the consistency check knows no dirty copy
+/// may exist.
+pub(crate) fn classical_program() -> &'static Program {
+    static PROGRAM: OnceLock<Program> = OnceLock::new();
+    PROGRAM.get_or_init(|| {
         use ActionKind as A;
         use EventKind as E;
         let here = StateSet::only(GlobalState::PresentStar);
-        TransitionTable {
+        let table = TransitionTable {
             scheme: "classical-wt",
             tracks_state: false,
             events: vec![
@@ -156,119 +54,25 @@ pub(crate) fn classical_table() -> &'static TransitionTable {
                     .guarded_by(OrderGuarantee::AckBarrier),
                 crate::rule!("eject-clean", E::EjectClean, here),
             ],
-        }
+        };
+        Program::compile(table).expect("the shipped classical-wt table compiles")
     })
 }
 
-/// The memory side of the static software scheme: plain memory service,
-/// no coherence bookkeeping.
-#[derive(Debug, Default, Clone)]
-pub struct NullDirectory;
-
-impl NullDirectory {
-    /// Creates the (stateless) null controller logic.
-    #[must_use]
-    pub fn new() -> Self {
-        NullDirectory
-    }
-}
-
-impl DirectoryProtocol for NullDirectory {
-    fn clone_box(&self) -> Box<dyn DirectoryProtocol> {
-        Box::new(self.clone())
-    }
-
-    fn fingerprint(&self, fp: &mut Fingerprinter) {
-        fp.write_tag(6); // scheme discriminant; no directory state to add
-    }
-
-    fn name(&self) -> &'static str {
-        "static-sw"
-    }
-
-    fn open(&mut self, k: CacheId, a: BlockAddr, kind: OpenKind, mem: &MemoryImage) -> DirStep {
-        match kind {
-            // Private-block misses: plain fills. Write misses fill
-            // exclusively (the block is private; nobody else will care).
-            OpenKind::ReadMiss => DirStep::done().with_send(grant_from_memory(k, a, mem, false)),
-            OpenKind::WriteMiss => DirStep::done().with_send(grant_from_memory(k, a, mem, true)),
-            // Public blocks: served straight from memory, never cached —
-            // "the public data is always up-to-date in main memory".
-            OpenKind::DirectRead => DirStep::done().with_send(grant_from_memory(k, a, mem, false)),
-            OpenKind::WriteThrough(version) => DirStep::done().with_memory_write(a, version),
-            OpenKind::Modify(_) => {
-                panic!("static-scheme caches upgrade private lines silently, never MREQUEST")
-            }
-        }
-    }
-
-    fn supply(
-        &mut self,
-        _a: BlockAddr,
-        _from: CacheId,
-        _version: Version,
-        _retains: bool,
-        _mem: &MemoryImage,
-    ) -> DirStep {
-        unreachable!("the static scheme never waits for cache data")
-    }
-
-    fn eject_satisfies_wait(&self, _a: BlockAddr, _k: CacheId, _wb: WritebackKind) -> bool {
-        false
-    }
-
-    fn eject_clean(&mut self, _k: CacheId, _a: BlockAddr) {}
-
-    fn eject_dirty(&mut self, _k: CacheId, a: BlockAddr, version: Version) -> DirStep {
-        // Private dirty blocks write back normally.
-        DirStep::done().with_memory_write(a, version)
-    }
-
-    fn awaiting(&self, _a: BlockAddr) -> bool {
-        false
-    }
-
-    fn global_state(&self, _a: BlockAddr) -> GlobalState {
-        GlobalState::PresentStar
-    }
-
-    fn holders(&self, _a: BlockAddr) -> Option<OwnerSet> {
-        None
-    }
-
-    fn transition_table(&self) -> Option<&'static TransitionTable> {
-        Some(null_table())
-    }
-
-    fn check_consistency(
-        &self,
-        _a: BlockAddr,
-        _clean: &OwnerSet,
-        dirty: &OwnerSet,
-    ) -> Result<(), String> {
-        // Private data: at most one cache may hold a dirty copy (the
-        // owner); the workload contract keeps private blocks per-CPU.
-        if dirty.len() <= 1 {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} dirty copies of a supposedly private block",
-                dirty.len()
-            ))
-        }
-    }
-}
-
-/// The static software scheme's table: plain memory service with no
-/// coherence traffic whatsoever — the broadcast-necessity analysis
-/// verifies the *absence* of invalidates and recalls here.
-pub(crate) fn null_table() -> &'static TransitionTable {
-    static TABLE: OnceLock<TransitionTable> = OnceLock::new();
-    TABLE.get_or_init(|| {
+/// The static software scheme: plain memory service with no coherence
+/// traffic whatsoever — the broadcast-necessity analysis verifies the
+/// *absence* of invalidates and recalls here. Private-block misses are
+/// plain fills (write misses exclusively: nobody else will care) and
+/// private dirty blocks write back normally; public blocks are served
+/// straight from memory, never cached — "the public data is always
+/// up-to-date in main memory".
+pub(crate) fn null_program() -> &'static Program {
+    static PROGRAM: OnceLock<Program> = OnceLock::new();
+    PROGRAM.get_or_init(|| {
         use ActionKind as A;
         use EventKind as E;
         let here = StateSet::only(GlobalState::PresentStar);
-        TransitionTable {
+        let table = TransitionTable {
             scheme: "static-sw",
             tracks_state: false,
             events: vec![
@@ -288,13 +92,26 @@ pub(crate) fn null_table() -> &'static TransitionTable {
                 crate::rule!("eject-clean", E::EjectClean, here),
                 crate::rule!("eject-dirty", E::EjectDirty, here).action(A::WriteMemory),
             ],
-        }
+        };
+        Program::compile(table).expect("the shipped static-sw table compiles")
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directory::{DirSend, Directory, OpenKind};
+    use crate::memory::MemoryImage;
+    use crate::owner_set::OwnerSet;
+    use twobit_types::{BlockAddr, CacheId, MemoryToCache, Version};
+
+    fn classical() -> Directory {
+        Directory::new(classical_program(), 4, 0)
+    }
+
+    fn null() -> Directory {
+        Directory::new(null_program(), 4, 0)
+    }
 
     fn blk(n: u64) -> BlockAddr {
         BlockAddr::new(n)
@@ -306,7 +123,7 @@ mod tests {
 
     #[test]
     fn classical_write_broadcasts_and_updates_memory() {
-        let mut d = ClassicalDirectory::new();
+        let mut d = classical();
         let mem = MemoryImage::new();
         let s = d.open(
             cid(0),
@@ -329,7 +146,7 @@ mod tests {
 
     #[test]
     fn classical_read_miss_served_from_memory() {
-        let mut d = ClassicalDirectory::new();
+        let mut d = classical();
         let mut mem = MemoryImage::new();
         mem.write(blk(2), Version::new(9));
         let s = d.open(cid(1), blk(2), OpenKind::ReadMiss, &mem);
@@ -349,16 +166,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "never send")]
+    #[should_panic(expected = "classical-wt: the table declares no write-miss")]
     fn classical_rejects_write_miss() {
-        let mut d = ClassicalDirectory::new();
+        let mut d = classical();
         let mem = MemoryImage::new();
         d.open(cid(0), blk(1), OpenKind::WriteMiss, &mem);
     }
 
     #[test]
     fn classical_consistency_forbids_dirty_copies() {
-        let d = ClassicalDirectory::new();
+        let d = classical();
         let none = OwnerSet::new(4);
         let one = OwnerSet::singleton(4, cid(0));
         assert!(d.check_consistency(blk(0), &one, &none).is_ok());
@@ -367,7 +184,7 @@ mod tests {
 
     #[test]
     fn null_directory_serves_private_and_public_paths() {
-        let mut d = NullDirectory::new();
+        let mut d = null();
         let mem = MemoryImage::new();
         let s = d.open(cid(0), blk(1), OpenKind::WriteMiss, &mem);
         match &s.sends[0] {
@@ -396,7 +213,7 @@ mod tests {
 
     #[test]
     fn null_directory_absorbs_private_writebacks() {
-        let mut d = NullDirectory::new();
+        let mut d = null();
         let s = d.eject_dirty(cid(0), blk(7), Version::new(2));
         assert_eq!(s.write_memory, Some((blk(7), Version::new(2))));
     }

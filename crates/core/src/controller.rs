@@ -1,9 +1,9 @@
-//! The memory-module controller (`K_j`): executes a
-//! [`DirectoryProtocol`]'s decisions and enforces the synchronization
-//! discipline of section 3.2.5.
+//! The memory-module controller (`K_j`): executes its [`Directory`]'s
+//! decisions and enforces the synchronization discipline of
+//! section 3.2.5.
 //!
 //! The paper requires the controller to contain: the bit map (inside the
-//! protocol object here), "a control unit (finite state automaton) to
+//! directory here), "a control unit (finite state automaton) to
 //! implement the protocols", "a queue for temporary storing of requests
 //! arriving while the current one is being serviced and logic to insert
 //! and delete (anywhere) elements in the queue" — the *delete anywhere*
@@ -23,10 +23,10 @@
 //! controller queries for it. The write-back is then *in flight* when the
 //! `BROADQUERY`/`PURGE` finds no owner; the controller accepts the
 //! arriving write-back as the query's answer
-//! ([`DirectoryProtocol::eject_satisfies_wait`]).
+//! ([`Directory::eject_satisfies_wait`]).
 
 use crate::blockmap::{BlockMap, BlockSet};
-use crate::directory::{DirSend, DirStep, DirectoryProtocol, OpenKind, SendCost};
+use crate::directory::{DirSend, DirStep, Directory, OpenKind, SendCost};
 use crate::memory::MemoryImage;
 use std::collections::VecDeque;
 use twobit_obs::json::{obj, Json, ToJson};
@@ -59,14 +59,12 @@ pub enum CtrlEmit {
     },
 }
 
-/// A memory-module controller: protocol FSM + request queue + module
-/// storage.
-#[derive(Debug)]
+/// A memory-module controller: directory + request queue + module
+/// storage. `Clone` lets the model checker branch system states.
+#[derive(Debug, Clone)]
 pub struct Controller {
-    // NOTE: `Clone` is implemented manually below (Box<dyn …> via
-    // `clone_box`) so the model checker can branch system states.
     module: ModuleId,
-    protocol: Box<dyn DirectoryProtocol>,
+    protocol: Directory,
     memory: MemoryImage,
     n_caches: usize,
     concurrency: ControllerConcurrency,
@@ -85,23 +83,6 @@ pub struct Controller {
     stats: ControllerStats,
 }
 
-impl Clone for Controller {
-    fn clone(&self) -> Self {
-        Controller {
-            module: self.module,
-            protocol: self.protocol.clone_box(),
-            memory: self.memory.clone(),
-            n_caches: self.n_caches,
-            concurrency: self.concurrency,
-            awaiting: self.awaiting.clone(),
-            eject_announced: self.eject_announced.clone(),
-            eject_locked: self.eject_locked.clone(),
-            queue: self.queue.clone(),
-            stats: self.stats,
-        }
-    }
-}
-
 impl Controller {
     /// Creates a controller for `module` running `protocol`, serving a
     /// system of `n_caches` caches.
@@ -112,7 +93,7 @@ impl Controller {
     #[must_use]
     pub fn new(
         module: ModuleId,
-        protocol: Box<dyn DirectoryProtocol>,
+        protocol: Directory,
         n_caches: usize,
         concurrency: ControllerConcurrency,
     ) -> Self {
@@ -143,10 +124,10 @@ impl Controller {
         &self.memory
     }
 
-    /// The protocol's decision logic (for invariant checks and reports).
+    /// The directory (for invariant checks and reports).
     #[must_use]
-    pub fn protocol(&self) -> &dyn DirectoryProtocol {
-        self.protocol.as_ref()
+    pub fn protocol(&self) -> &Directory {
+        &self.protocol
     }
 
     /// Accumulated statistics, including translation-buffer counters when
@@ -169,8 +150,8 @@ impl Controller {
     }
 
     /// Feeds the controller's complete future-relevant state into `fp`
-    /// for the model checker's visited-set: the directory FSM (via
-    /// [`DirectoryProtocol::fingerprint`]), the memory image, and the
+    /// for the model checker's visited-set: the directory (via
+    /// [`Directory::fingerprint`]), the memory image, and the
     /// section 3.2.5 transaction bookkeeping (awaiting set, eject locks,
     /// conflict queue — in queue order, since service order matters).
     /// Unordered sets are sorted first so the encoding is
@@ -210,9 +191,8 @@ impl Controller {
         }
     }
 
-    /// Serializes the controller's complete state — the directory FSM
-    /// (via [`DirectoryProtocol::save_state`], tagged with the scheme
-    /// name), the memory image, the section 3.2.5 transaction bookkeeping
+    /// Serializes the controller's complete state — the directory
+    /// (via [`Directory::save_state`], tagged with the scheme name), the memory image, the section 3.2.5 transaction bookkeeping
     /// (awaiting set, eject locks, conflict queue in service order), and
     /// the statistics — as a checkpoint document for
     /// [`Controller::restore_state`].
@@ -273,7 +253,7 @@ impl Controller {
                 self.protocol.name()
             ));
         }
-        let protocol = crate::snapshot::restore_protocol(scheme, j.member("protocol")?)?;
+        let protocol = self.protocol.restored(j.member("protocol")?)?;
         let memory = j.field("memory")?;
         let mut awaiting = BlockMap::new();
         for e in j.array("awaiting")? {
@@ -329,8 +309,8 @@ impl Controller {
     /// `perf` receives span timings for hot-path attribution:
     /// `ctrl.queue.enqueue` (conflict deferral), `ctrl.queue.drain` (the
     /// scan-and-reopen loop, its self-time being the queue scan itself),
-    /// and `ctrl.protocol.open` (one per command handed to the directory
-    /// FSM). The simulator passes its own profiler here so these spans
+    /// and `ctrl.protocol.open` (one per command handed to the
+    /// directory). The simulator passes its own profiler here so these spans
     /// nest under the event class being dispatched.
     ///
     /// # Errors
@@ -604,8 +584,12 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::two_bit::TwoBitDirectory;
+    use crate::directory::Directory;
     use twobit_types::GlobalState;
+
+    fn two_bit() -> Directory {
+        Directory::new(crate::two_bit::program(), 4, 0)
+    }
 
     fn blk(n: u64) -> BlockAddr {
         BlockAddr::new(n)
@@ -618,7 +602,7 @@ mod tests {
     fn two_bit_controller(n: usize) -> Controller {
         Controller::new(
             ModuleId::new(0),
-            Box::new(TwoBitDirectory::new()),
+            two_bit(),
             n,
             ControllerConcurrency::PerBlock,
         )
@@ -718,7 +702,7 @@ mod tests {
     fn single_command_concurrency_serializes_everything() {
         let mut c = Controller::new(
             ModuleId::new(0),
-            Box::new(TwoBitDirectory::new()),
+            two_bit(),
             4,
             ControllerConcurrency::SingleCommand,
         );
@@ -746,7 +730,7 @@ mod tests {
                                             // use SingleCommand with an outstanding wait on another block.
         let mut c2 = Controller::new(
             ModuleId::new(0),
-            Box::new(TwoBitDirectory::new()),
+            two_bit(),
             4,
             ControllerConcurrency::SingleCommand,
         );

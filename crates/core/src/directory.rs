@@ -1,20 +1,34 @@
-//! The directory-protocol abstraction: what a memory controller's
-//! finite-state automaton decides, separated from when it runs.
+//! The directory of one memory module: what the controller's finite-state
+//! automaton decides, separated from when it runs.
 //!
-//! A [`DirectoryProtocol`] is a pure decision procedure: handed a
+//! There is one [`Directory`]. It holds the paper's two bits per block,
+//! the record of transactions awaiting data, and whatever its scheme
+//! keeps about holder identities — nothing, a bounded buffer of exact
+//! sets, or an exact presence vector — and it decides by *interpreting*
+//! its scheme's compiled [`TransitionTable`] (a [`Program`]): handed a
 //! transaction-opening command (or owner-supplied data resolving an
-//! earlier one), it returns a [`DirStep`] describing exactly which
-//! commands to send where, what to write to memory, and whether the
-//! transaction is complete. The [`Controller`](crate::Controller) executes
-//! steps and enforces the section 3.2.5 queueing discipline; the timed
-//! simulator adds latencies on top. Nothing in a protocol knows about
-//! time, which is what makes the implementations directly
-//! property-testable.
+//! earlier one, or an eject), it looks the rule up by `(event, state,
+//! conditions)` and turns the rule's actions into a [`DirStep`] describing
+//! exactly which commands to send where, what to write to memory, and
+//! whether the transaction is complete. It never asks which scheme it
+//! serves; the table and the identity store are all that differ.
+//!
+//! The [`Controller`](crate::Controller) executes steps and enforces the
+//! section 3.2.5 queueing discipline; the timed simulator adds latencies
+//! on top. Nothing here knows about time, which is what makes the
+//! directory directly property-testable.
 
+use crate::blockmap::BlockMap;
 use crate::memory::MemoryImage;
 use crate::owner_set::OwnerSet;
+use crate::tlb::TranslationBuffer;
+use crate::transitions::{
+    cond_bits, ActionKind, Cond, Delivery, EventKind, Next, Program, TransitionTable,
+};
+use twobit_obs::json::{obj, Json, ToJson};
 use twobit_types::{
-    BlockAddr, CacheId, Fingerprinter, GlobalState, MemoryToCache, Version, WritebackKind,
+    AccessKind, BlockAddr, CacheId, Fingerprinter, GlobalState, MemoryToCache, Version,
+    WritebackKind,
 };
 
 /// The transaction-opening commands a controller can hand a protocol,
@@ -121,18 +135,211 @@ impl DirStep {
     }
 }
 
-/// A directory coherence protocol: the decision logic of a memory-module
-/// controller (`K_j`).
+/// What an in-flight transaction awaits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Waiting {
+    /// The requester to grant once data arrives.
+    pub k: CacheId,
+    /// Whether the triggering miss was a write.
+    pub write: bool,
+}
+
+/// What a directory knows about *which* caches hold a block — the one
+/// datum besides the table that differs between schemes, decided by the
+/// strongest [`Delivery`] the table asks for.
 ///
-/// Implementations in this crate: [`TwoBitDirectory`](crate::TwoBitDirectory)
-/// (the paper's contribution), [`TwoBitTlbDirectory`](crate::TwoBitTlbDirectory)
-/// (section 4.4 enhancement), [`FullMapDirectory`](crate::FullMapDirectory),
-/// [`FullMapLocalDirectory`](crate::FullMapLocalDirectory),
-/// [`ClassicalDirectory`](crate::ClassicalDirectory), and
-/// [`NullDirectory`](crate::NullDirectory).
-pub trait DirectoryProtocol: std::fmt::Debug + Send {
-    /// Short stable protocol name for reports.
-    fn name(&self) -> &'static str;
+/// Both identity-keeping kinds follow one update discipline, applied by
+/// the interpreter at the moments the true holder set is known: an
+/// exclusive grant, a granted upgrade or a shared grant out of `Absent`
+/// sets `{k}`; any other shared grant adds `k`; a supply sets `{k}` plus
+/// the supplier if it kept a clean copy; an eject removes the ejector.
+#[derive(Debug, Clone)]
+enum Identities {
+    /// Nothing: two bits per block is all there is, and every
+    /// non-initiator command is broadcast.
+    Unknown,
+    /// A bounded LRU buffer of exact sets (section 4.4): a hit targets,
+    /// a miss broadcasts. "Adds" only extend a resident entry — exact
+    /// knowledge is never invented.
+    Buffered(TranslationBuffer),
+    /// An exact presence vector per cached block (section 2.4.2), `width`
+    /// caches wide. Blocks nobody holds have no entry.
+    Exact {
+        width: usize,
+        holders: BlockMap<OwnerSet>,
+    },
+}
+
+impl Identities {
+    fn set(&mut self, a: BlockAddr, k: CacheId, also: Option<CacheId>) {
+        let owners = |width| {
+            let mut owners = OwnerSet::singleton(width, k);
+            owners.extend(also);
+            owners
+        };
+        match self {
+            Identities::Unknown => {}
+            Identities::Buffered(buffer) => buffer.record(a, owners(buffer.width())),
+            Identities::Exact { width, holders } => match holders.get_mut(a) {
+                Some(recorded) => {
+                    recorded.clear();
+                    recorded.extend(also.into_iter().chain([k]));
+                }
+                None => {
+                    holders.insert(a, owners(*width));
+                }
+            },
+        }
+    }
+
+    fn add(&mut self, a: BlockAddr, k: CacheId) {
+        match self {
+            Identities::Unknown => {}
+            Identities::Buffered(buffer) => buffer.extend_if_tracked(a, k),
+            Identities::Exact { holders, .. } => match holders.get_mut(a) {
+                Some(owners) => {
+                    owners.insert(k);
+                }
+                None => self.set(a, k, None),
+            },
+        }
+    }
+
+    fn remove(&mut self, a: BlockAddr, k: CacheId) {
+        match self {
+            Identities::Unknown => {}
+            Identities::Buffered(buffer) => buffer.remove_owner(a, k),
+            Identities::Exact { holders, .. } => {
+                if let Some(owners) = holders.get_mut(a) {
+                    owners.remove(k);
+                    if owners.is_empty() {
+                        holders.remove(a);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The exact holders of `a`, when they are known right now — what
+    /// decides between targeted commands (`Some`; the inner `None` is the
+    /// empty set of a block nobody is recorded holding) and a broadcast
+    /// (`None`). A buffered lookup counts as a hit or a miss.
+    fn lookup(&mut self, a: BlockAddr) -> Option<Option<&OwnerSet>> {
+        match self {
+            Identities::Unknown => None,
+            Identities::Buffered(buffer) => buffer.lookup(a).map(Some),
+            Identities::Exact { holders, .. } => Some(holders.get(a)),
+        }
+    }
+
+    /// The presence vectors and their width, where identities are exact.
+    fn vectors(&self) -> Option<(&BlockMap<OwnerSet>, usize)> {
+        match self {
+            Identities::Unknown | Identities::Buffered(_) => None,
+            Identities::Exact { width, holders } => Some((holders, *width)),
+        }
+    }
+
+    /// The holder set of `a` where identities are exact.
+    fn exact(&self, a: BlockAddr) -> Option<OwnerSet> {
+        self.vectors().map(|(holders, width)| {
+            holders
+                .get(a)
+                .cloned()
+                .unwrap_or_else(|| OwnerSet::new(width))
+        })
+    }
+
+    /// Whether `k` is a recorded holder of `a`, where identities are
+    /// exact.
+    fn records(&self, a: BlockAddr, k: CacheId) -> Option<bool> {
+        self.vectors()
+            .map(|(holders, _)| holders.get(a).is_some_and(|owners| owners.contains(k)))
+    }
+
+    /// How many holders of `a` are recorded where identities are exact.
+    fn count(&self, a: BlockAddr) -> usize {
+        self.vectors()
+            .and_then(|(holders, _)| holders.get(a))
+            .map_or(0, OwnerSet::len)
+    }
+}
+
+/// Where the block data an action needs comes from.
+#[derive(Clone, Copy)]
+enum Data<'m> {
+    /// The module's storage (an opening command).
+    Memory(&'m MemoryImage),
+    /// Data that arrived with the event: a supply, a dirty eject's
+    /// write-back, a write-through store.
+    InHand(Version),
+    /// Nowhere (a clean eject notice).
+    None,
+}
+
+/// The directory of one memory module (`K_j`'s decision logic): the
+/// interpreter of a compiled [`TransitionTable`] over the two-bit global
+/// state map, the waiting records and the scheme's holder-identity store
+/// (see the module docs).
+#[derive(Debug, Clone)]
+pub struct Directory {
+    program: &'static Program,
+    /// Blocks not in their initial state. Absent entries are removed, so
+    /// the map is canonical.
+    states: BlockMap<GlobalState>,
+    waiting: BlockMap<Waiting>,
+    identities: Identities,
+}
+
+impl Directory {
+    /// An empty directory running `program` for a system of `caches`
+    /// caches. The identity store is the one the table's deliveries call
+    /// for ([`Program::delivery`]); `buffer_entries` sizes the
+    /// translation buffer and is read only where they call for one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `caches` is zero, or `buffer_entries` is zero where a
+    /// buffer is called for.
+    #[must_use]
+    pub fn new(program: &'static Program, caches: usize, buffer_entries: usize) -> Self {
+        assert!(caches > 0, "presence vector needs at least one bit");
+        Directory {
+            program,
+            states: BlockMap::new(),
+            waiting: BlockMap::new(),
+            identities: match program.delivery() {
+                Delivery::Broadcast => Identities::Unknown,
+                Delivery::Either => {
+                    Identities::Buffered(TranslationBuffer::new(buffer_entries, caches))
+                }
+                Delivery::Targeted => Identities::Exact {
+                    width: caches,
+                    holders: BlockMap::new(),
+                },
+            },
+        }
+    }
+
+    /// Short stable scheme name for reports.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.program.table().scheme
+    }
+
+    /// The transition table this directory executes.
+    #[must_use]
+    pub fn table(&self) -> &'static TransitionTable {
+        self.program.table()
+    }
+
+    fn set_state(&mut self, a: BlockAddr, s: GlobalState) {
+        if s == self.program.initial() {
+            self.states.remove(a);
+        } else {
+            self.states.insert(a, s);
+        }
+    }
 
     /// Handles a transaction-opening command from cache `k` for block `a`.
     ///
@@ -141,113 +348,446 @@ pub trait DirectoryProtocol: std::fmt::Debug + Send {
     ///
     /// # Panics
     ///
-    /// Implementations panic on [`OpenKind`]s that the protocol's system
-    /// configuration can never produce (e.g. `WriteThrough` at a full-map
-    /// directory); such a call is a wiring bug, not a runtime condition.
-    fn open(&mut self, k: CacheId, a: BlockAddr, kind: OpenKind, mem: &MemoryImage) -> DirStep;
+    /// Panics on an [`OpenKind`] the scheme's table declares no rule for
+    /// (e.g. `WriteThrough` at a full-map directory); such a call is a
+    /// wiring bug, not a runtime condition.
+    pub fn open(&mut self, k: CacheId, a: BlockAddr, kind: OpenKind, mem: &MemoryImage) -> DirStep {
+        debug_assert!(!self.waiting.contains_key(a), "open on a waiting block");
+        let (event, fresh, data) = match kind {
+            OpenKind::ReadMiss => (EventKind::ReadMiss, false, Data::Memory(mem)),
+            OpenKind::WriteMiss => (EventKind::WriteMiss, false, Data::Memory(mem)),
+            // `Fresh`: the requester's copy is current. Where identities
+            // are exact that is "a recorded holder"; otherwise the carried
+            // version detects the crossing-window race the two-bit map
+            // cannot see by identity — a clean copy's version equals
+            // memory's unless an invalidation for it is in flight (see
+            // the `MREQUEST` docs in twobit-types).
+            OpenKind::Modify(version) => (
+                EventKind::Modify,
+                self.identities
+                    .records(a, k)
+                    .unwrap_or_else(|| version == mem.read(a)),
+                Data::Memory(mem),
+            ),
+            OpenKind::WriteThrough(version) => {
+                (EventKind::WriteThrough, false, Data::InHand(version))
+            }
+            OpenKind::DirectRead => (EventKind::DirectRead, false, Data::Memory(mem)),
+        };
+        self.fire(event, cond_bits(&[(Cond::Fresh, fresh)]), k, a, data, None)
+    }
 
     /// Handles block data arriving for a transaction left waiting by
-    /// [`DirectoryProtocol::open`]. `retains` tells whether the supplier
-    /// kept a clean copy (a `BROADQUERY(read)` response) or gave the block
-    /// up entirely (an invalidating response or a racing write-back).
+    /// [`Directory::open`]. `retains` tells whether the supplier kept a
+    /// clean copy (a `BROADQUERY(read)` response) or gave the block up
+    /// entirely (an invalidating response or a racing write-back).
     ///
     /// # Panics
     ///
     /// Panics if no transaction is waiting on `a`.
-    fn supply(
+    pub fn supply(
         &mut self,
         a: BlockAddr,
         from: CacheId,
         version: Version,
         retains: bool,
-        mem: &MemoryImage,
-    ) -> DirStep;
+        _mem: &MemoryImage,
+    ) -> DirStep {
+        let waiting = self
+            .waiting
+            .remove(a)
+            .expect("supply without a waiting transaction");
+        self.fire(
+            EventKind::Supply,
+            cond_bits(&[(Cond::WaitWrite, waiting.write), (Cond::Retains, retains)]),
+            waiting.k,
+            a,
+            Data::InHand(version),
+            (retains && !waiting.write).then_some(from),
+        )
+    }
 
     /// Whether an eject notice from `k` (clean or dirty) stands in for the
     /// data supply an in-flight transaction on `a` is waiting for — the
     /// replacement/recall race resolution (the paper's protocols leave
-    /// this open; see DESIGN.md).
-    fn eject_satisfies_wait(&self, a: BlockAddr, k: CacheId, wb: WritebackKind) -> bool;
+    /// this open; see DESIGN.md). A dirty eject carries the modified data
+    /// the wait is for; a clean one does only where the table lets an
+    /// exclusive holder be clean, memory then being current. Where
+    /// identities are exact the ejector must be the recorded holder.
+    #[must_use]
+    pub fn eject_satisfies_wait(&self, a: BlockAddr, k: CacheId, wb: WritebackKind) -> bool {
+        self.waiting.contains_key(a)
+            && (wb == WritebackKind::Dirty || self.program.clean_exclusive())
+            && self.identities.records(a, k).unwrap_or(true)
+    }
 
     /// Absorbs a clean (advisory) eject notice.
-    fn eject_clean(&mut self, k: CacheId, a: BlockAddr);
+    pub fn eject_clean(&mut self, k: CacheId, a: BlockAddr) {
+        self.identities.remove(a, k);
+        self.fire(EventKind::EjectClean, 0, k, a, Data::None, None);
+    }
 
     /// Absorbs a dirty eject once its data has arrived; typically writes
     /// memory and frees the directory entry.
-    fn eject_dirty(&mut self, k: CacheId, a: BlockAddr, version: Version) -> DirStep;
+    pub fn eject_dirty(&mut self, k: CacheId, a: BlockAddr, version: Version) -> DirStep {
+        self.identities.remove(a, k);
+        self.fire(EventKind::EjectDirty, 0, k, a, Data::InHand(version), None)
+    }
+
+    /// Looks up and executes the one rule for `event` on block `a`.
+    /// `k` is the initiator (the requester, the waiting requester a
+    /// supply resolves, or the ejector); `keeper` a supplier that kept a
+    /// clean copy.
+    fn fire(
+        &mut self,
+        event: EventKind,
+        conds: u8,
+        k: CacheId,
+        a: BlockAddr,
+        data: Data<'_>,
+        keeper: Option<CacheId>,
+    ) -> DirStep {
+        let before = self.global_state(a);
+        let program = self.program;
+        let rule = program.rule(event, before, conds).unwrap_or_else(|| {
+            panic!(
+                "{}: the table declares no {event} in {before}",
+                program.table().scheme
+            )
+        });
+        let rw = if event == EventKind::WriteMiss {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        let mut step = DirStep {
+            completes: rule.completes,
+            ..DirStep::default()
+        };
+        for action in &rule.actions {
+            match *action {
+                ActionKind::Grant { exclusive } => {
+                    step.sends.push(match data {
+                        Data::Memory(mem) => grant_from_memory(k, a, mem, exclusive),
+                        Data::InHand(version) => grant_forwarded(k, a, version, exclusive),
+                        Data::None => panic!("'{}' grants with no data to grant", rule.name),
+                    });
+                    // The holder set is known exactly when the grant is
+                    // exclusive, resolves a supply, or finds nobody home.
+                    if exclusive || event == EventKind::Supply || before == GlobalState::Absent {
+                        self.identities.set(a, k, keeper);
+                    } else {
+                        self.identities.add(a, k);
+                    }
+                }
+                ActionKind::ModifyGrant { granted } => {
+                    step.sends.push(mgranted(k, a, granted));
+                    if granted {
+                        self.identities.set(a, k, None);
+                    }
+                }
+                ActionKind::Invalidate { delivery } => {
+                    self.deliver(&mut step, delivery, a, k, None);
+                }
+                ActionKind::Recall { delivery } => {
+                    self.deliver(&mut step, delivery, a, k, Some(rw));
+                }
+                ActionKind::WriteMemory => match data {
+                    Data::InHand(version) => step.write_memory = Some((a, version)),
+                    Data::Memory(_) | Data::None => {
+                        panic!("'{}' writes memory with no data in hand", rule.name)
+                    }
+                },
+            }
+        }
+        if !rule.completes {
+            self.waiting.insert(
+                a,
+                Waiting {
+                    k,
+                    write: rw.is_write(),
+                },
+            );
+        }
+        if let Next::In(set) = rule.next {
+            // A wider set leaves the successor to the exact holder set
+            // (`Program::compile` admits it nowhere else); the modified
+            // bit is whether the block was `PresentM`.
+            let next = set.sole().unwrap_or_else(|| {
+                match (self.identities.count(a), before == GlobalState::PresentM) {
+                    (0, _) => GlobalState::Absent,
+                    (_, true) => GlobalState::PresentM,
+                    (1, false) => GlobalState::Present1,
+                    (_, false) => GlobalState::PresentStar,
+                }
+            });
+            debug_assert!(set.contains(next), "'{}' reached {next}", rule.name);
+            self.set_state(a, next);
+        }
+        step
+    }
+
+    /// Sends a non-initiator command — a recall with its access kind, else
+    /// an invalidation — by its declared delivery: one broadcast where
+    /// holders are unknown (by declaration, or a translation-buffer
+    /// miss), else one unicast per recorded holder other than the
+    /// initiator, in ascending cache order. Out of line: it keeps the
+    /// common grant-only step's frame small.
+    #[inline(never)]
+    fn deliver(
+        &mut self,
+        step: &mut DirStep,
+        delivery: Delivery,
+        a: BlockAddr,
+        k: CacheId,
+        recall: Option<AccessKind>,
+    ) {
+        let cost = SendCost::Command;
+        let known = match delivery {
+            Delivery::Broadcast => None,
+            Delivery::Targeted | Delivery::Either => self.identities.lookup(a),
+        };
+        match known {
+            Some(owners) => step.sends.extend(
+                owners
+                    .into_iter()
+                    .flat_map(OwnerSet::iter)
+                    .filter(|&to| to != k)
+                    .map(|to| DirSend::Unicast {
+                        to,
+                        cmd: match recall {
+                            Some(rw) => MemoryToCache::Purge { a, to, rw },
+                            None => MemoryToCache::Inv { a, to },
+                        },
+                        cost,
+                    }),
+            ),
+            None => step.sends.push(DirSend::Broadcast {
+                cmd: match recall {
+                    Some(rw) => MemoryToCache::BroadQuery { a, rw },
+                    None => MemoryToCache::BroadInv { a, exclude: k },
+                },
+                exclude: k,
+                cost,
+            }),
+        }
+    }
 
     /// `true` while a transaction on `a` awaits a data supply.
-    fn awaiting(&self, a: BlockAddr) -> bool;
+    #[must_use]
+    pub fn awaiting(&self, a: BlockAddr) -> bool {
+        self.waiting.contains_key(a)
+    }
 
-    /// The directory's (possibly conservative) view of `a`, mapped onto
-    /// the paper's four global states for reporting.
-    fn global_state(&self, a: BlockAddr) -> GlobalState;
+    /// The directory's (possibly conservative) view of `a` as one of the
+    /// paper's four global states; a scheme that tracks none reports its
+    /// constant.
+    #[must_use]
+    pub fn global_state(&self, a: BlockAddr) -> GlobalState {
+        self.states
+            .get(a)
+            .copied()
+            .unwrap_or(self.program.initial())
+    }
 
-    /// The exact holder set for `a`, if this scheme tracks identities.
-    fn holders(&self, a: BlockAddr) -> Option<OwnerSet>;
+    /// The exact holder set for `a`, if this scheme keeps one per block
+    /// (a translation buffer's knowledge is partial; invariants go
+    /// through [`Directory::check_consistency`]).
+    #[must_use]
+    pub fn holders(&self, a: BlockAddr) -> Option<OwnerSet> {
+        self.identities.exact(a)
+    }
 
     /// Translation-buffer (hits, misses) counters, for the schemes that
     /// have one (section 4.4's second enhancement).
-    fn tlb_counters(&self) -> Option<(u64, u64)> {
-        None
+    #[must_use]
+    pub fn tlb_counters(&self) -> Option<(u64, u64)> {
+        match &self.identities {
+            Identities::Buffered(buffer) => Some(buffer.counters()),
+            Identities::Unknown | Identities::Exact { .. } => None,
+        }
     }
-
-    /// The protocol's transition relation as a declarative guarded-action
-    /// table, for static analysis by `twobit-lint` and differential
-    /// reconciliation against the executable paths (see
-    /// [`transitions`](crate::transitions)). Every shipped scheme
-    /// publishes one; the default exists so wrappers and test doubles
-    /// need not.
-    fn transition_table(&self) -> Option<&'static crate::transitions::TransitionTable> {
-        None
-    }
-
-    /// Clones the protocol state behind the trait object — used by the
-    /// bounded model checker to branch the system state at every possible
-    /// message-delivery interleaving.
-    fn clone_box(&self) -> Box<dyn DirectoryProtocol>;
 
     /// Serializes the directory's complete state as a checkpoint
-    /// document, invertible by
-    /// [`restore_protocol`](crate::snapshot::restore_protocol) keyed on
-    /// [`DirectoryProtocol::name`]. Unlike
-    /// [`DirectoryProtocol::fingerprint`], counters (TLB hits/misses) are
-    /// *included* — a restored node must report the same statistics it
-    /// would have reported uninterrupted.
+    /// document, invertible by [`Directory::restored`]: `{states,
+    /// waiting}` plus `buffer` or `holders` where identities are kept.
+    /// Unlike [`Directory::fingerprint`], counters (buffer hits/misses)
+    /// are *included* — a restored node must report the same statistics
+    /// it would have reported uninterrupted. `BlockMap::iter` is
+    /// ascending, so the document is canonical like the fingerprint.
+    #[must_use]
+    pub fn save_state(&self) -> Json {
+        let states: Json = self
+            .states
+            .iter()
+            .map(|(a, s)| obj([("a", a.json()), ("s", s.bits().json())]))
+            .collect();
+        let waiting: Json = self
+            .waiting
+            .iter()
+            .map(|(a, w)| obj([("a", a.json()), ("k", w.k.json()), ("w", w.write.json())]))
+            .collect();
+        let identities = match &self.identities {
+            Identities::Unknown => None,
+            Identities::Buffered(buffer) => Some(("buffer", buffer.json())),
+            Identities::Exact { holders, .. } => Some((
+                "holders",
+                holders
+                    .iter()
+                    .map(|(a, owners)| obj([("a", a.json()), ("o", owners.json())]))
+                    .collect(),
+            )),
+        };
+        obj([("states", states), ("waiting", waiting)]
+            .into_iter()
+            .chain(identities))
+    }
+
+    /// Rebuilds a directory like this one — same table, same identity
+    /// store dimensions — from a [`Directory::save_state`] document.
     ///
-    /// The default returns [`Json::Null`](twobit_obs::json::Json::Null), fine for test doubles and for
-    /// stateless protocols whose restore constructor ignores the
-    /// document (the classical and static schemes).
-    fn save_state(&self) -> twobit_obs::json::Json {
-        twobit_obs::json::Json::Null
+    /// # Errors
+    ///
+    /// Returns a message naming the malformed field, or a presence vector
+    /// or buffer whose width or capacity is not this directory's.
+    pub fn restored(&self, j: &Json) -> Result<Directory, String> {
+        let mut d = Directory {
+            program: self.program,
+            states: BlockMap::new(),
+            waiting: BlockMap::new(),
+            identities: match &self.identities {
+                Identities::Unknown => Identities::Unknown,
+                Identities::Buffered(buffer) => {
+                    Identities::Buffered(buffer.restored(j.member("buffer")?)?)
+                }
+                Identities::Exact { width, .. } => {
+                    let mut holders = BlockMap::new();
+                    for e in j.array("holders")? {
+                        let owners: OwnerSet = e.field("o")?;
+                        if owners.capacity() != *width {
+                            return Err("presence vector width mismatch".into());
+                        }
+                        holders.insert(e.field("a")?, owners);
+                    }
+                    Identities::Exact {
+                        width: *width,
+                        holders,
+                    }
+                }
+            },
+        };
+        for e in j.array("states")? {
+            let bits: u8 = e.field("s")?;
+            let s = GlobalState::from_bits(bits)
+                .ok_or_else(|| format!("bad global-state bits {bits}"))?;
+            d.set_state(e.field("a")?, s);
+        }
+        for e in j.array("waiting")? {
+            d.waiting.insert(
+                e.field("a")?,
+                Waiting {
+                    k: e.field("k")?,
+                    write: e.field("w")?,
+                },
+            );
+        }
+        Ok(d)
     }
 
     /// Feeds the directory's complete decision-relevant state into `fp`
     /// in a canonical (path-independent) order, for the model checker's
-    /// visited-set. Implementations must cover everything that can steer
-    /// a future [`DirectoryProtocol::open`]/supply/eject decision —
-    /// per-block global states, waiting records, owner sets, TLB
-    /// contents — and must exclude pure observability counters (e.g. TLB
-    /// hit/miss tallies): two states differing only in counters behave
-    /// identically, and folding counters in would defeat deduplication.
-    fn fingerprint(&self, fp: &mut Fingerprinter);
+    /// visited-set: per-block global states, waiting records, holder
+    /// sets, buffer contents — and no pure observability counter (two
+    /// states differing only in hit/miss tallies behave identically, and
+    /// folding them in would defeat deduplication).
+    pub fn fingerprint(&self, fp: &mut Fingerprinter) {
+        fp.write_usize(self.states.len());
+        for (a, s) in self.states.iter() {
+            fp.write_u64(a.number());
+            fp.write_u64(u64::from(s.bits()));
+        }
+        fp.write_usize(self.waiting.len());
+        for (a, w) in self.waiting.iter() {
+            fp.write_u64(a.number());
+            fp.write_usize(w.k.index());
+            fp.write_bool(w.write);
+        }
+        match &self.identities {
+            Identities::Unknown => {}
+            Identities::Buffered(buffer) => buffer.fingerprint(fp),
+            Identities::Exact { holders, .. } => {
+                fp.write_usize(holders.len());
+                for (a, owners) in holders.iter() {
+                    fp.write_u64(a.number());
+                    fp.write_usize(owners.len());
+                    for k in owners.iter() {
+                        fp.write_usize(k.index());
+                    }
+                }
+            }
+        }
+    }
 
     /// Checks that this directory's knowledge of `a` is consistent with
     /// the ground truth (`clean` = caches holding a clean copy, `dirty` =
     /// caches holding a dirty copy). Only meaningful at quiescence (no
-    /// in-flight messages). Returns a human-readable description of any
-    /// violation.
+    /// in-flight messages). The global state must admit the copy counts
+    /// (conservatively: `Present*` admits any number of clean copies),
+    /// and whatever holder set is recorded — a presence vector, a
+    /// resident buffer entry — must be exact. A scheme that tracks no
+    /// state admits a dirty copy only if its table can grant write
+    /// permission at all.
     ///
     /// # Errors
     ///
     /// Returns a description of the inconsistency when the directory's
     /// view does not admit the ground truth.
-    fn check_consistency(
+    pub fn check_consistency(
         &self,
         a: BlockAddr,
         clean: &OwnerSet,
         dirty: &OwnerSet,
-    ) -> Result<(), String>;
+    ) -> Result<(), String> {
+        let table = self.program.table();
+        let state = self.global_state(a);
+        let admitted = if table.tracks_state {
+            state.admits(clean.len(), dirty.len())
+                // An exclusive holder that never wrote is clean.
+                || (self.program.clean_exclusive()
+                    && state == GlobalState::PresentM
+                    && clean.len() == 1
+                    && dirty.is_empty())
+        } else {
+            dirty.len() <= usize::from(self.program.grants_exclusive())
+        };
+        if !admitted {
+            return Err(format!(
+                "{} state {state} does not admit {} clean / {} dirty copies",
+                table.scheme,
+                clean.len(),
+                dirty.len()
+            ));
+        }
+        let recorded = match &self.identities {
+            Identities::Unknown => None,
+            Identities::Buffered(buffer) => buffer.peek(a).cloned(),
+            Identities::Exact { .. } => self.identities.exact(a),
+        };
+        match recorded {
+            Some(recorded) => {
+                let mut actual = OwnerSet::new(recorded.capacity());
+                actual.extend(clean.iter().chain(dirty.iter()));
+                if recorded == actual {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "recorded holders {recorded} but actual holders {actual}"
+                    ))
+                }
+            }
+            None => Ok(()),
+        }
+    }
 }
 
 /// Convenience constructors for the grant messages every protocol sends.

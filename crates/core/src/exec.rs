@@ -11,14 +11,10 @@
 //! interleaving.
 
 use crate::agent::{AgentPolicy, CacheAgent, Completion};
-use crate::classical::{ClassicalDirectory, NullDirectory};
 use crate::controller::{Controller, CtrlEmit};
-use crate::directory::DirectoryProtocol;
-use crate::full_map::FullMapDirectory;
-use crate::full_map_local::FullMapLocalDirectory;
+use crate::directory::Directory;
 use crate::invariants;
-use crate::tlb::TwoBitTlbDirectory;
-use crate::two_bit::TwoBitDirectory;
+use crate::{classical, full_map, full_map_local, tlb, two_bit};
 use std::collections::{HashMap, VecDeque};
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, CacheToMemory, ConfigError, MemRef, MemoryToCache,
@@ -87,26 +83,29 @@ impl Oracle {
     }
 }
 
-/// Constructs the directory protocol instance for a module under `config`.
+/// Constructs the directory for a module under `config`: the scheme's
+/// compiled table — the very one [`shipped_tables`](crate::shipped_tables)
+/// lists — over the holder-identity store its deliveries call for. This
+/// is the one place a scheme is chosen; the [`Directory`] never asks.
 ///
 /// # Panics
 ///
 /// Panics if `config` names a bus protocol — those are built by
 /// `twobit-bus`, not the directory executor.
-pub fn build_protocol_for(config: &SystemConfig) -> Box<dyn DirectoryProtocol> {
-    match config.protocol {
-        ProtocolKind::TwoBit => Box::new(TwoBitDirectory::new()),
-        ProtocolKind::TwoBitTlb { entries } => {
-            Box::new(TwoBitTlbDirectory::new(entries as usize, config.caches))
-        }
-        ProtocolKind::FullMap => Box::new(FullMapDirectory::new(config.caches)),
-        ProtocolKind::FullMapLocal => Box::new(FullMapLocalDirectory::new(config.caches)),
-        ProtocolKind::ClassicalWriteThrough => Box::new(ClassicalDirectory::new()),
-        ProtocolKind::StaticSoftware => Box::new(NullDirectory::new()),
+#[must_use]
+pub fn build_protocol_for(config: &SystemConfig) -> Directory {
+    let (program, buffer_entries) = match config.protocol {
+        ProtocolKind::TwoBit => (two_bit::program(), 0),
+        ProtocolKind::TwoBitTlb { entries } => (tlb::program(), entries as usize),
+        ProtocolKind::FullMap => (full_map::program(), 0),
+        ProtocolKind::FullMapLocal => (full_map_local::program(), 0),
+        ProtocolKind::ClassicalWriteThrough => (classical::classical_program(), 0),
+        ProtocolKind::StaticSoftware => (classical::null_program(), 0),
         ProtocolKind::WriteOnce | ProtocolKind::Illinois => {
             unreachable!("bus protocols are built by twobit-bus, not the directory executor")
         }
-    }
+    };
+    Directory::new(program, config.caches, buffer_entries)
 }
 
 /// The cache policy matching a directory protocol.
@@ -171,12 +170,31 @@ impl FunctionalSystem {
         config: SystemConfig,
         static_shared_from: u64,
     ) -> Result<Self, ConfigError> {
+        Self::with_directory(config, static_shared_from, build_protocol_for)
+    }
+
+    /// Like [`FunctionalSystem::with_static_threshold`], with every module
+    /// running a copy of the directory `build` returns for the validated
+    /// configuration instead of the one `config.protocol` names — how a
+    /// test executes a table that is not shipped. The cache policy is
+    /// still `config.protocol`'s.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] if the configuration is invalid or names a
+    /// bus protocol.
+    pub fn with_directory(
+        config: SystemConfig,
+        static_shared_from: u64,
+        build: impl FnOnce(&SystemConfig) -> Directory,
+    ) -> Result<Self, ConfigError> {
         config.validate()?;
         if config.protocol.is_bus_based() {
             return Err(ConfigError::new(
                 "bus protocols are executed by twobit-bus::BusSystem, not FunctionalSystem",
             ));
         }
+        let directory = build(&config);
         let policy = build_policy_for(config.protocol, static_shared_from);
         let agents = CacheId::all(config.caches)
             .map(|id| {
@@ -187,14 +205,7 @@ impl FunctionalSystem {
             })
             .collect();
         let controllers = twobit_types::ModuleId::all(config.address_map.modules())
-            .map(|m| {
-                Controller::new(
-                    m,
-                    build_protocol_for(&config),
-                    config.caches,
-                    config.concurrency,
-                )
-            })
+            .map(|m| Controller::new(m, directory.clone(), config.caches, config.concurrency))
             .collect();
         Ok(FunctionalSystem {
             config,

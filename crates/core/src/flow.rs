@@ -527,7 +527,7 @@ mod tests {
 
     #[test]
     fn lift_two_bit_has_await_states_and_rehomed_supplies() {
-        let (states, rules) = lift_memory(crate::two_bit::table());
+        let (states, rules) = lift_memory(crate::two_bit::program().table());
         assert!(states.iter().any(|s| s.name == AWAIT_READ && s.defers));
         assert!(states.iter().any(|s| s.name == AWAIT_WRITE));
         let supply_write = rules.iter().find(|r| r.name == "mem/supply-write").unwrap();
@@ -543,7 +543,7 @@ mod tests {
 
     #[test]
     fn lift_stateless_tables_use_one_state() {
-        let (states, rules) = lift_memory(crate::classical::classical_table());
+        let (states, rules) = lift_memory(crate::classical::classical_program().table());
         assert_eq!(states.len(), 1);
         assert_eq!(states[0].name, "steady");
         assert!(rules.iter().all(|r| r.when == vec!["steady".to_string()]));
@@ -551,7 +551,7 @@ mod tests {
 
     #[test]
     fn guarantees_ride_on_the_held_completion_not_the_inv() {
-        let (_, rules) = lift_memory(crate::two_bit::table());
+        let (_, rules) = lift_memory(crate::two_bit::program().table());
         let wms = rules
             .iter()
             .find(|r| r.name == "mem/write-miss-shared")

@@ -4,8 +4,8 @@
 //!
 //! 1. **SWMR** — at most one cache holds a block dirty, and a dirty copy
 //!    excludes all other valid copies;
-//! 2. **Directory soundness** — each protocol's
-//!    [`check_consistency`](crate::DirectoryProtocol::check_consistency)
+//! 2. **Directory soundness** — each directory's
+//!    [`check_consistency`](crate::Directory::check_consistency)
 //!    accepts the ground truth (conservative for two-bit, exact for the
 //!    full maps);
 //! 3. **Single residence** — a block appears at most once per cache
@@ -136,7 +136,7 @@ pub fn holders_of(agents: &[CacheAgent], a: BlockAddr) -> Vec<CacheId> {
 mod tests {
     use super::*;
     use crate::agent::AgentPolicy;
-    use crate::two_bit::TwoBitDirectory;
+    use crate::directory::Directory;
     use twobit_types::{CacheOrg, ControllerConcurrency, ModuleId, Version};
 
     fn agent(id: usize) -> CacheAgent {
@@ -187,7 +187,7 @@ mod tests {
         let agents = vec![agent(0), agent(1)];
         let controllers = vec![Controller::new(
             ModuleId::new(0),
-            Box::new(TwoBitDirectory::new()),
+            Directory::new(crate::two_bit::program(), 2, 0),
             2,
             ControllerConcurrency::PerBlock,
         )];
@@ -199,7 +199,7 @@ mod tests {
         // Directory says Present1 on a block, but two caches hold it.
         let mut c = Controller::new(
             ModuleId::new(0),
-            Box::new(TwoBitDirectory::new()),
+            Directory::new(crate::two_bit::program(), 2, 0),
             2,
             ControllerConcurrency::PerBlock,
         );
@@ -251,7 +251,7 @@ mod tests {
         }
         let controllers = vec![Controller::new(
             ModuleId::new(0),
-            Box::new(TwoBitDirectory::new()),
+            Directory::new(crate::two_bit::program(), 2, 0),
             2,
             ControllerConcurrency::PerBlock,
         )];

@@ -5,13 +5,15 @@
 //!
 //! # Layout
 //!
-//! * Protocol decision logic — pure, untimed state machines implementing
-//!   [`DirectoryProtocol`]:
-//!   [`TwoBitDirectory`] (section 3), [`TwoBitTlbDirectory`]
-//!   (section 4.4's translation buffer), [`FullMapDirectory`]
-//!   (section 2.4.2), [`FullMapLocalDirectory`] (section 2.4.3),
-//!   [`ClassicalDirectory`] (section 2.3), [`NullDirectory`]
-//!   (section 2.2).
+//! * Protocol decision logic — six guarded-action [`TransitionTable`]s,
+//!   one per scheme ([`shipped_tables`]): two-bit (section 3), two-bit
+//!   with section 4.4's translation buffer, the full map
+//!   (section 2.4.2), the full map with local state (section 2.4.3),
+//!   classical write-through (section 2.3) and the static software
+//!   scheme (section 2.2) — each compiled once into a
+//!   [`transitions::Program`] and *executed* by the one pure, untimed
+//!   [`Directory`]. The table the linter analyzes is the table that
+//!   runs; [`build_protocol_for`] is the only place a scheme is chosen.
 //! * [`Controller`] — the memory-module controller `K_j`: request queue
 //!   with per-block conflict serialization and MREQUEST cancellation
 //!   (section 3.2.5), module storage, race resolution for replacements
@@ -71,23 +73,19 @@ mod two_bit;
 
 pub use agent::{AgentPolicy, CacheAgent, Completion, NetOutcome, StartOutcome};
 pub use blockmap::{BlockMap, BlockSet};
-pub use classical::{ClassicalDirectory, NullDirectory};
 pub use controller::{Controller, CtrlEmit};
-pub use directory::{DirSend, DirStep, DirectoryProtocol, OpenKind, SendCost};
+pub use directory::{DirSend, DirStep, Directory, OpenKind, SendCost};
 pub use exec::{
     build_policy_for, build_protocol_for, FunctionalSystem, Oracle, DEFAULT_STATIC_SHARED_FROM,
 };
-pub use full_map::FullMapDirectory;
-pub use full_map_local::FullMapLocalDirectory;
 pub use local::LocalState;
 pub use memory::MemoryImage;
 pub use model_check::{
     Action, Counterexample, Exploration, FlightMsg, GuidedSearch, ModelChecker, Node, State,
 };
 pub use owner_set::OwnerSet;
-pub use tlb::{TranslationBuffer, TwoBitTlbDirectory};
+pub use tlb::TranslationBuffer;
 pub use transitions::{
-    shipped_tables, ActionKind, Cond, Delivery, EventKind, EventSpec, Next, OrderGuarantee,
-    Reconciled, Rule, StateSet, TransitionTable, ViolationSink,
+    shipped_tables, ActionKind, Cond, Delivery, EventKind, EventSpec, Next, OrderGuarantee, Rule,
+    StateSet, TransitionTable,
 };
-pub use two_bit::TwoBitDirectory;

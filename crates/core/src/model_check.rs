@@ -57,9 +57,95 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use twobit_obs::{ActorId, Metrics, NullTracer, RingTracer, SimEvent, Tracer};
 use twobit_types::{
-    AccessKind, BlockAddr, CacheId, CacheToMemory, ConfigError, Fingerprint, Fingerprinter,
-    GlobalState, MemRef, MemoryToCache, ModuleId, ProtocolError, SystemConfig, Version,
+    AccessKind, BlockAddr, CacheId, CacheOrg, CacheToMemory, ConfigError, Fingerprint,
+    Fingerprinter, GlobalState, MemRef, MemoryToCache, ModuleId, ProtocolError, ProtocolKind,
+    SystemConfig, Version, WordAddr,
 };
+
+/// A named race: a system configuration and one reference list per cache.
+pub type RaceScenario = (&'static str, SystemConfig, Vec<Vec<MemRef>>);
+
+/// The canonical race scripts, one list for every consumer
+/// (`verify_protocols`, the CI model-check gate, the `cargo test` smoke):
+/// the section 3.2.5 write race, the replacement/recall race (a
+/// two-set direct-mapped cache forces the conflict miss) and the upgrade
+/// with a third reader, each under the five coherent schemes, script by
+/// script; then their counterparts for the static software scheme.
+///
+/// The static scheme is special: hardware maintains no coherence for
+/// private blocks (races on them are a *software* contract violation,
+/// which the checker rightly reports), so its scripts race only on
+/// public blocks — numbers at or above the default threshold
+/// ([`DEFAULT_STATIC_SHARED_FROM`](crate::DEFAULT_STATIC_SHARED_FROM)) —
+/// which the agents handle with `DIRECTREAD`/`WRITETHRU`, the regime its
+/// table describes.
+#[must_use]
+pub fn race_scenarios() -> Vec<RaceScenario> {
+    const PUBLIC: u64 = crate::exec::DEFAULT_STATIC_SHARED_FROM;
+    let rd = |b: u64| MemRef::read(WordAddr::new(b, 0));
+    let wr = |b: u64| MemRef::write(WordAddr::new(b, 0));
+    let conflict = Some(CacheOrg::new(2, 1, 4).expect("valid 2-set direct-mapped cache"));
+    let coherent = [
+        ProtocolKind::TwoBit,
+        ProtocolKind::TwoBitTlb { entries: 2 },
+        ProtocolKind::FullMap,
+        ProtocolKind::FullMapLocal,
+        ProtocolKind::ClassicalWriteThrough,
+    ];
+    let static_sw = [ProtocolKind::StaticSoftware];
+    let mut scenarios = Vec::new();
+    let mut add =
+        |label, protocols: &[ProtocolKind], org: Option<CacheOrg>, script: Vec<Vec<_>>| {
+            for &protocol in protocols {
+                let mut config = SystemConfig::with_defaults(script.len()).with_protocol(protocol);
+                if let Some(org) = org {
+                    config.cache = org;
+                }
+                scenarios.push((label, config, script.clone()));
+            }
+        };
+    add(
+        "3.2.5 write race (rd,wr / rd,wr)",
+        &coherent,
+        None,
+        vec![vec![rd(1), wr(1)], vec![rd(1), wr(1)]],
+    );
+    add(
+        "replacement/recall race (wr,conflict-rd / rd)",
+        &coherent,
+        conflict,
+        vec![vec![wr(1), rd(9)], vec![rd(1)]],
+    );
+    add(
+        "upgrade + third reader (rd,wr / wr / rd)",
+        &coherent,
+        None,
+        vec![vec![rd(1), wr(1)], vec![wr(1)], vec![rd(1)]],
+    );
+    add(
+        "public-block write race (rd,wr / rd,wr)",
+        &static_sw,
+        None,
+        vec![vec![rd(PUBLIC), wr(PUBLIC)], vec![rd(PUBLIC), wr(PUBLIC)]],
+    );
+    add(
+        "private replacement + public race (wr,conflict-rd,wr / rd)",
+        &static_sw,
+        conflict,
+        vec![vec![wr(1), rd(9), wr(PUBLIC)], vec![rd(PUBLIC)]],
+    );
+    add(
+        "public upgrade + third reader (rd,wr / wr / rd)",
+        &static_sw,
+        None,
+        vec![
+            vec![rd(PUBLIC), wr(PUBLIC)],
+            vec![wr(PUBLIC)],
+            vec![rd(PUBLIC)],
+        ],
+    );
+    scenarios
+}
 
 /// A channel endpoint (encoded for deterministic `BTreeMap` ordering).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -273,7 +359,6 @@ pub struct ModelChecker {
     config: SystemConfig,
     script: Vec<Vec<MemRef>>,
     fail_on_stale: bool,
-    reconcile: Option<crate::transitions::ViolationSink>,
 }
 
 impl ModelChecker {
@@ -302,7 +387,6 @@ impl ModelChecker {
             config,
             script,
             fail_on_stale: false,
-            reconcile: None,
         })
     }
 
@@ -314,19 +398,6 @@ impl ModelChecker {
     /// counterexample path.
     pub fn fail_on_stale_reads(&mut self, fail: bool) {
         self.fail_on_stale = fail;
-    }
-
-    /// Arms differential table reconciliation: every directory protocol
-    /// instance in every explored state is wrapped in a
-    /// [`Reconciled`](crate::transitions::Reconciled) decorator, so each
-    /// DAG edge's `open`/`supply`/eject decision is replayed against the
-    /// scheme's declarative [`TransitionTable`](crate::transitions::TransitionTable).
-    /// Returns the shared sink; after exploration, an empty sink proves
-    /// table/implementation agreement over every edge visited.
-    pub fn reconcile_tables(&mut self) -> crate::transitions::ViolationSink {
-        let sink = crate::transitions::ViolationSink::new();
-        self.reconcile = Some(sink.clone());
-        sink
     }
 
     /// The pre-exploration system state: empty caches, absent directory
@@ -350,11 +421,12 @@ impl ModelChecker {
             .collect();
         let controllers = ModuleId::all(self.config.address_map.modules())
             .map(|m| {
-                let mut protocol = build_protocol_for(&self.config);
-                if let Some(sink) = &self.reconcile {
-                    protocol = crate::transitions::Reconciled::wrap(protocol, sink.clone());
-                }
-                Controller::new(m, protocol, self.config.caches, self.config.concurrency)
+                Controller::new(
+                    m,
+                    build_protocol_for(&self.config),
+                    self.config.caches,
+                    self.config.concurrency,
+                )
             })
             .collect();
         State {
@@ -1298,23 +1370,6 @@ mod tests {
                 result.interleavings > 10,
                 "{protocol}: expected many interleavings, got {}",
                 result.interleavings
-            );
-        }
-    }
-
-    /// With reconciliation armed, every DAG edge of the write race is
-    /// explained by the scheme's declarative transition table.
-    #[test]
-    fn reconcile_tables_agrees_on_the_write_race() {
-        for protocol in PROTOCOLS {
-            let mut mc = checker(protocol, vec![vec![rd(1), wr(1)], vec![rd(1), wr(1)]]);
-            let sink = mc.reconcile_tables();
-            let result = mc.explore_dedup(2_000_000, 2).unwrap();
-            assert!(!result.truncated, "{protocol}");
-            assert!(
-                sink.is_empty(),
-                "{protocol}: table disagrees with implementation: {:#?}",
-                sink.snapshot()
             );
         }
     }

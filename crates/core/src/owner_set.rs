@@ -131,15 +131,22 @@ impl fmt::Display for OwnerSet {
     }
 }
 
+impl Extend<CacheId> for OwnerSet {
+    /// Inserts every id; panics like [`OwnerSet::insert`] beyond capacity.
+    fn extend<I: IntoIterator<Item = CacheId>>(&mut self, iter: I) {
+        for id in iter {
+            self.insert(id);
+        }
+    }
+}
+
 impl FromIterator<CacheId> for OwnerSet {
     /// Collects ids into a set sized to the largest id seen.
     fn from_iter<I: IntoIterator<Item = CacheId>>(iter: I) -> Self {
         let ids: Vec<CacheId> = iter.into_iter().collect();
         let cap = ids.iter().map(|id| id.index() + 1).max().unwrap_or(0);
         let mut s = OwnerSet::new(cap);
-        for id in ids {
-            s.insert(id);
-        }
+        s.extend(ids);
         s
     }
 }

@@ -5,9 +5,9 @@
 //! [`twobit_obs::json`]'s `ToJson`/`FromJson` pair. The command set and
 //! the values it carries have theirs in `twobit-obs` (shared with the
 //! `twobit-dist` wire format); this module adds the pairs for the core's
-//! own types, the tag-store snapshot (a `twobit-cache` type, so a plain
-//! function pair), and the registry that rebuilds a directory protocol
-//! from its scheme name.
+//! own types and the tag-store snapshot (a `twobit-cache` type, so a
+//! plain function pair). The directory writes and reads its own one
+//! document ([`Directory::save_state`](crate::Directory::save_state)).
 //!
 //! Layout conventions:
 //!
@@ -15,28 +15,21 @@
 //!   inline; fieldless enums become plain strings.
 //! * Maps become arrays of entry objects in the container's iteration
 //!   order. `BlockMap` iterates in ascending block order, so those arrays
-//!   are canonical; `HashMap`-backed protocol state is sorted by block
-//!   number before emission so that a checkpoint of a given state is
-//!   byte-identical no matter which process wrote it.
+//!   are canonical; the `HashMap`-backed translation buffer is sorted by
+//!   block number before emission so that a checkpoint of a given state
+//!   is byte-identical no matter which process wrote it.
 //!
 //! Decoding validates shape, range-checks every number and rejects
 //! unknown tags with a `String` error, never panicking on malformed
 //! input — a checkpoint arrives over a process boundary and is untrusted.
 
-use crate::directory::DirectoryProtocol;
 use crate::local::LocalState;
 use crate::memory::MemoryImage;
 use crate::owner_set::OwnerSet;
-use crate::two_bit::Waiting;
-use crate::{
-    ClassicalDirectory, FullMapDirectory, FullMapLocalDirectory, NullDirectory, TwoBitDirectory,
-    TwoBitTlbDirectory,
-};
-use std::borrow::Borrow;
 use twobit_cache::{CacheSnapshot, SlotSnapshot};
 use twobit_obs::json::{obj, FromJson, Json, ToJson};
 use twobit_obs::json_enum;
-use twobit_types::{BlockAddr, CacheId};
+use twobit_types::CacheId;
 
 json_enum!(LocalState { Invalid => "I", Shared => "S", Exclusive => "E", Dirty => "D" });
 
@@ -85,39 +78,6 @@ impl FromJson for MemoryImage {
         }
         Ok(m)
     }
-}
-
-/// A waiting-map entry `{a, k, w}`, read for its `k` and `w` (the map
-/// key `a` is [`waiting_from`]'s). There is no encoding half: a `Waiting`
-/// is only ever written as such an entry, by [`waiting_json`].
-impl FromJson for Waiting {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(Waiting {
-            k: j.field("k")?,
-            write: j.field("w")?,
-        })
-    }
-}
-
-/// Encodes a waiting map as `[{a, k, w}, ...]` in ascending block order,
-/// whatever order the map iterates in.
-pub(crate) fn waiting_json<'w>(
-    map: impl IntoIterator<Item = (impl Borrow<BlockAddr>, &'w Waiting)>,
-) -> Json {
-    let mut entries: Vec<_> = map.into_iter().map(|(a, w)| (*a.borrow(), w)).collect();
-    entries.sort_by_key(|(a, _)| a.number());
-    entries
-        .into_iter()
-        .map(|(a, w)| obj([("a", a.json()), ("k", w.k.json()), ("w", w.write.json())]))
-        .collect()
-}
-
-/// Decodes the inverse of [`waiting_json`] into any map.
-pub(crate) fn waiting_from<M: FromIterator<(BlockAddr, Waiting)>>(j: &Json) -> Result<M, String> {
-    j.items()?
-        .iter()
-        .map(|e| Ok((e.field("a")?, Waiting::from_json(e)?)))
-        .collect()
 }
 
 /// Encodes an exact tag-store snapshot (`Cache<LocalState>`).
@@ -184,35 +144,13 @@ pub fn cache_snapshot_from(j: &Json) -> Result<CacheSnapshot<LocalState>, String
     })
 }
 
-/// Reconstructs a directory protocol from its
-/// [`DirectoryProtocol::save_state`] document.
-///
-/// `name` is the scheme name as reported by [`DirectoryProtocol::name`]
-/// ("two-bit", "two-bit+tlb", "full-map", "full-map+local",
-/// "classical-wt", "static-sw").
-///
-/// # Errors
-///
-/// Returns a message naming the unknown scheme or the malformed field.
-pub fn restore_protocol(name: &str, j: &Json) -> Result<Box<dyn DirectoryProtocol>, String> {
-    match name {
-        "two-bit" => Ok(Box::new(TwoBitDirectory::restore_json(j)?)),
-        "two-bit+tlb" => Ok(Box::new(TwoBitTlbDirectory::restore_json(j)?)),
-        "full-map" => Ok(Box::new(FullMapDirectory::restore_json(j)?)),
-        "full-map+local" => Ok(Box::new(FullMapLocalDirectory::restore_json(j)?)),
-        "classical-wt" => Ok(Box::new(ClassicalDirectory::new())),
-        "static-sw" => Ok(Box::new(NullDirectory::new())),
-        other => Err(format!("unknown scheme `{other}`")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use twobit_obs::json::{num_u64, parse};
     use twobit_types::{
-        AccessKind, CacheStats, CacheToMemory, ControllerStats, Counter, MemoryToCache, Version,
-        WritebackKind,
+        AccessKind, BlockAddr, CacheStats, CacheToMemory, ControllerStats, Counter, MemoryToCache,
+        Version, WritebackKind,
     };
 
     fn roundtrip<T: ToJson + FromJson + PartialEq + std::fmt::Debug>(value: T) {
@@ -298,10 +236,5 @@ mod tests {
         c.requests.add(5);
         c.queue_peak = Counter::from(4);
         assert_eq!(ControllerStats::from_json(&c.json()).unwrap(), c);
-    }
-
-    #[test]
-    fn restore_protocol_rejects_unknown_scheme() {
-        assert!(restore_protocol("write-once", &Json::Null).is_err());
     }
 }

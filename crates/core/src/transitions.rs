@@ -1,47 +1,33 @@
 //! Declarative guarded-action transition tables for the directory
-//! protocols, and the machinery that reconciles the executable `step()`
-//! paths against them.
+//! protocols, and the compile step that makes them executable.
 //!
-//! Every [`DirectoryProtocol`] implementation in this crate exposes its
-//! transition relation as data: a [`TransitionTable`] of guarded rules,
-//! each naming the triggering [`EventKind`], the global states it fires
-//! from, the boolean [`Cond`]itions it requires, the abstract
-//! [`ActionKind`]s it performs, and the successor-state set. The tables
-//! exist so the relation can be *analyzed* — exhaustiveness, determinism,
-//! dead rules, invariant preservation, broadcast necessity (see the
-//! `twobit-lint` crate) — instead of only being executed.
-//!
-//! Two mechanisms keep the tables honest:
-//!
-//! * [`Reconciled`] wraps any protocol and checks, call by call, that
-//!   every observed `open`/`supply`/eject decision is explained by
-//!   exactly the rules of the table — same source state, same abstract
-//!   actions, an admitted successor state. Mismatches accumulate in a
-//!   shared [`ViolationSink`].
-//! * `ModelChecker::reconcile_tables` (see
-//!   [`model_check`](crate::model_check)) arms that wrapper inside the
-//!   bounded model checker, differentially replaying every edge of the
-//!   explored state DAG against the table.
+//! Every scheme in this crate *is* its [`TransitionTable`]: guarded
+//! rules, each naming the triggering [`EventKind`], the global states it
+//! fires from, the boolean [`Cond`]itions it requires, the abstract
+//! [`ActionKind`]s it performs, and the successor-state set.
+//! [`Program::compile`] turns a table into a dense `(event, state,
+//! condition bits) → rule` array, refusing a table with a gap or an
+//! overlap, and the one [`Directory`](crate::Directory) interprets the
+//! chosen rule's actions. The simulator, the model checker, the
+//! distributed memory nodes and the `twobit-lint` analyses
+//! (exhaustiveness, determinism, dead rules, invariant preservation,
+//! broadcast necessity, whole-system message flow) therefore all read
+//! one statement of each protocol.
 //!
 //! The abstraction is deliberately coarse where the paper's schemes
 //! differ mechanically: an [`ActionKind::Invalidate`] stands for a
 //! `BROADINV` broadcast (two-bit), a set of targeted `INV`s (full-map),
 //! or either (the translation-buffer scheme) — the [`Delivery`] field
-//! records which shapes a scheme admits, which is precisely what the
-//! broadcast-necessity analysis inspects.
+//! records which shapes a scheme admits, which is what the
+//! broadcast-necessity analysis inspects and what decides how much the
+//! directory must know about holder identities.
 
-use crate::directory::{DirSend, DirStep, DirectoryProtocol, OpenKind};
-use crate::memory::MemoryImage;
-use crate::owner_set::OwnerSet;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
-use twobit_types::{
-    BlockAddr, CacheId, Fingerprinter, GlobalState, MemoryToCache, Version, WritebackKind,
-};
+use twobit_types::GlobalState;
 
-/// The events a directory protocol reacts to: the trait calls of
-/// [`DirectoryProtocol`], with `open`'s [`OpenKind`]s split out.
+/// The events a directory reacts to: the entry points of
+/// [`Directory`](crate::Directory), with `open`'s
+/// [`OpenKind`](crate::OpenKind)s split out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// `open(.., OpenKind::ReadMiss, ..)`.
@@ -163,6 +149,15 @@ impl StateSet {
         self.0 == 0
     }
 
+    /// The member of a one-state set.
+    #[must_use]
+    pub fn sole(self) -> Option<GlobalState> {
+        // `mask` puts state `s` at bit `s.bits()`.
+        (self.0.count_ones() == 1)
+            .then(|| GlobalState::from_bits(self.0.trailing_zeros() as u8))
+            .flatten()
+    }
+
     /// Iterates the member states in encoding order.
     pub fn iter(self) -> impl Iterator<Item = GlobalState> {
         GlobalState::ALL
@@ -199,7 +194,8 @@ pub enum Delivery {
     Either,
 }
 
-/// An abstract protocol action — the [`DirStep`] contents lifted to the
+/// An abstract protocol action — what the interpreter turns into the
+/// sends and memory write of a [`DirStep`](crate::DirStep), in the
 /// vocabulary the analyses reason in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActionKind {
@@ -280,8 +276,8 @@ pub enum Next {
 pub struct EventSpec {
     /// The event.
     pub kind: EventKind,
-    /// The states the event can be observed in. An event arriving
-    /// outside its domain is a table/implementation disagreement.
+    /// The states the event can be observed in. The directory panics on
+    /// an event arriving outside its domain: no rule says what to do.
     pub domain: StateSet,
     /// The condition variables meaningful for this event; guards may
     /// only test these.
@@ -411,7 +407,7 @@ macro_rules! rule {
 /// A protocol's complete transition relation as analyzable data.
 #[derive(Debug, Clone)]
 pub struct TransitionTable {
-    /// The scheme's stable name (matches [`DirectoryProtocol::name`]).
+    /// The scheme's stable name, as reports and checkpoints print it.
     pub scheme: &'static str,
     /// Whether the scheme maintains per-block global state. The
     /// stateless comparators (classical write-through, static software)
@@ -444,414 +440,340 @@ impl TransitionTable {
     }
 }
 
-/// The tables of all six shipped schemes, in protocol-tag order.
+/// The tables of all six shipped schemes, in protocol-tag order — each
+/// the table of the compiled [`Program`] that
+/// [`build_protocol_for`](crate::build_protocol_for) hands the scheme's
+/// directories.
 #[must_use]
 pub fn shipped_tables() -> [&'static TransitionTable; 6] {
     [
-        crate::two_bit::table(),
-        crate::tlb::table(),
-        crate::full_map::table(),
-        crate::full_map_local::table(),
-        crate::classical::classical_table(),
-        crate::classical::null_table(),
+        crate::two_bit::program(),
+        crate::tlb::program(),
+        crate::full_map::program(),
+        crate::full_map_local::program(),
+        crate::classical::classical_program(),
+        crate::classical::null_program(),
     ]
+    .map(Program::table)
 }
 
 // ---------------------------------------------------------------------
-// Observation: lifting a concrete DirStep into the abstract vocabulary.
+// Compilation: the table as a dense dispatch array.
 // ---------------------------------------------------------------------
 
-/// A [`DirStep`] summarized into abstract-action shape.
-#[derive(Debug, Default)]
-struct Observed {
-    grants: Vec<bool>,
-    mgrants: Vec<bool>,
-    inv_broadcasts: usize,
-    inv_unicasts: usize,
-    recall_broadcasts: usize,
-    recall_unicasts: usize,
-    unclassified: usize,
-    wrote_memory: bool,
+/// One point of an event's declared domain — a state plus a truth value
+/// for every condition variable the event declares — with the rules
+/// (indexes into [`TransitionTable::rules`]) enabled there. Exactly one
+/// is a well-formed table; none is a gap, more an overlap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Point {
+    /// The event.
+    pub event: EventKind,
+    /// The state.
+    pub state: GlobalState,
+    /// One literal per condition variable the event declares.
+    pub assignment: Vec<(Cond, bool)>,
+    /// The rules enabled at this point.
+    pub rules: Vec<usize>,
 }
 
-fn observe(step: &DirStep) -> Observed {
-    let mut obs = Observed {
-        wrote_memory: step.write_memory.is_some(),
-        ..Observed::default()
-    };
-    for send in &step.sends {
-        match send {
-            DirSend::Unicast { cmd, .. } => match cmd {
-                MemoryToCache::GetData { exclusive, .. } => obs.grants.push(*exclusive),
-                MemoryToCache::MGranted { granted, .. } => obs.mgrants.push(*granted),
-                MemoryToCache::Inv { .. } => obs.inv_unicasts += 1,
-                MemoryToCache::Purge { .. } => obs.recall_unicasts += 1,
-                MemoryToCache::BroadInv { .. } | MemoryToCache::BroadQuery { .. } => {
-                    obs.unclassified += 1;
+impl fmt::Display for Point {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "({}, {}", self.event, self.state)?;
+        for (cond, value) in &self.assignment {
+            write!(f, ", {cond}={value}")?;
+        }
+        write!(f, ")")
+    }
+}
+
+impl Rule {
+    /// Whether the guard holds at `(event, state, assignment)`. A
+    /// requirement naming a condition outside the assignment (a variable
+    /// the event does not declare) never holds.
+    #[must_use]
+    pub fn enabled_at(
+        &self,
+        event: EventKind,
+        state: GlobalState,
+        assignment: &[(Cond, bool)],
+    ) -> bool {
+        self.event == event
+            && self.when.contains(state)
+            && self
+                .requires
+                .iter()
+                .all(|literal| assignment.contains(literal))
+    }
+}
+
+impl TransitionTable {
+    /// Every point of every declared event's domain with the rules
+    /// enabled there — the enumeration behind [`Program::compile`] and
+    /// the linter's exhaustiveness, determinism and dead-rule analyses.
+    #[must_use]
+    pub fn coverage(&self) -> Vec<Point> {
+        let mut points = Vec::new();
+        for spec in &self.events {
+            for state in spec.domain.iter() {
+                // Three condition variables at most: eight assignments.
+                for bits in 0..1u8 << spec.conds.len() {
+                    let assignment: Vec<(Cond, bool)> = spec
+                        .conds
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &cond)| (cond, bits & (1 << i) != 0))
+                        .collect();
+                    let rules = (0..self.rules.len())
+                        .filter(|&r| self.rules[r].enabled_at(spec.kind, state, &assignment))
+                        .collect();
+                    points.push(Point {
+                        event: spec.kind,
+                        state,
+                        assignment,
+                        rules,
+                    });
                 }
-            },
-            DirSend::Broadcast { cmd, .. } => match cmd {
-                MemoryToCache::BroadInv { .. } => obs.inv_broadcasts += 1,
-                MemoryToCache::BroadQuery { .. } => obs.recall_broadcasts += 1,
-                MemoryToCache::GetData { .. }
-                | MemoryToCache::MGranted { .. }
-                | MemoryToCache::Inv { .. }
-                | MemoryToCache::Purge { .. } => obs.unclassified += 1,
-            },
+            }
         }
-    }
-    obs
-}
-
-/// Whether observed broadcast/unicast counts fit an optional action's
-/// delivery. Invalidations are fire-and-forget and may be vacuous when
-/// targeted (no other holder to invalidate); a targeted recall names the
-/// single recorded owner, so exactly one is required. A vacuous `Either`
-/// recall (zero sends) is admitted: a translation-buffer entry emptied
-/// by racing ejects rewrites the broadcast into zero unicasts.
-fn delivery_matches(
-    want: Option<Delivery>,
-    broadcasts: usize,
-    unicasts: usize,
-    exact_one_targeted: bool,
-) -> bool {
-    match want {
-        None => broadcasts == 0 && unicasts == 0,
-        Some(Delivery::Broadcast) => broadcasts == 1 && unicasts == 0,
-        Some(Delivery::Targeted) => broadcasts == 0 && (!exact_one_targeted || unicasts == 1),
-        Some(Delivery::Either) => broadcasts <= 1 && (broadcasts == 0 || unicasts == 0),
+        points
     }
 }
 
-fn multiset_eq(a: &[bool], b: &[bool]) -> bool {
-    let count = |v: &[bool]| (v.iter().filter(|&&x| x).count(), v.len());
-    count(a) == count(b)
+/// Why a table cannot be executed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CompileError {
+    /// No rule is enabled at a point of a declared domain.
+    Gap {
+        /// The table's scheme.
+        scheme: &'static str,
+        /// The uncovered point.
+        point: Point,
+    },
+    /// Two rules are enabled at one point.
+    Overlap {
+        /// The table's scheme.
+        scheme: &'static str,
+        /// The doubly covered point.
+        point: Point,
+        /// The first two rules enabled there.
+        rules: [&'static str; 2],
+    },
+    /// A rule asks for something the interpreter cannot do.
+    Unexecutable {
+        /// The table's scheme.
+        scheme: &'static str,
+        /// The offending rule.
+        rule: &'static str,
+        /// What is wrong with it.
+        why: &'static str,
+    },
 }
 
-fn actions_match(actions: &[ActionKind], obs: &Observed) -> bool {
-    if obs.unclassified > 0 {
-        return false;
-    }
-    let mut grants = Vec::new();
-    let mut mgrants = Vec::new();
-    let mut inv = None;
-    let mut recall = None;
-    let mut wm = false;
-    for action in actions {
-        match *action {
-            ActionKind::Grant { exclusive } => grants.push(exclusive),
-            ActionKind::ModifyGrant { granted } => mgrants.push(granted),
-            ActionKind::Invalidate { delivery } => inv = Some(delivery),
-            ActionKind::Recall { delivery } => recall = Some(delivery),
-            ActionKind::WriteMemory => wm = true,
-        }
-    }
-    multiset_eq(&grants, &obs.grants)
-        && multiset_eq(&mgrants, &obs.mgrants)
-        && wm == obs.wrote_memory
-        && delivery_matches(inv, obs.inv_broadcasts, obs.inv_unicasts, false)
-        && delivery_matches(recall, obs.recall_broadcasts, obs.recall_unicasts, true)
-}
-
-fn next_admits(next: Next, before: GlobalState, after: GlobalState) -> bool {
-    match next {
-        Next::Same => after == before,
-        Next::In(set) => set.contains(after),
-    }
-}
-
-// ---------------------------------------------------------------------
-// The reconciling decorator.
-// ---------------------------------------------------------------------
-
-/// A shared, clone-tolerant collector of table/implementation
-/// disagreements. Cloning (as the model checker does when branching
-/// system states) shares the underlying buffer, so violations found on
-/// any branch surface in one place.
-#[derive(Debug, Clone, Default)]
-pub struct ViolationSink(Arc<Mutex<Vec<String>>>);
-
-/// Cap on distinct recorded violations: the model checker can replay
-/// the same disagreeing edge from many interleavings, and unbounded
-/// growth would help nobody.
-const SINK_CAP: usize = 64;
-
-impl ViolationSink {
-    /// A new, empty sink.
-    #[must_use]
-    pub fn new() -> ViolationSink {
-        ViolationSink::default()
-    }
-
-    /// Records a violation, deduplicating exact repeats and capping the
-    /// buffer.
-    pub fn push(&self, message: String) {
-        let mut buf = self.0.lock().expect("violation sink poisoned");
-        if buf.len() < SINK_CAP && !buf.contains(&message) {
-            buf.push(message);
-        }
-    }
-
-    /// `true` when no violation has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.0.lock().expect("violation sink poisoned").is_empty()
-    }
-
-    /// Drains and returns all recorded violations.
-    #[must_use]
-    pub fn take(&self) -> Vec<String> {
-        std::mem::take(&mut *self.0.lock().expect("violation sink poisoned"))
-    }
-
-    /// A copy of the recorded violations, leaving them in place.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<String> {
-        self.0.lock().expect("violation sink poisoned").clone()
-    }
-}
-
-/// A decorator that runs an inner protocol unchanged while checking
-/// every decision against its declarative [`TransitionTable`].
-///
-/// The wrapper observes the global state before and after each call,
-/// lifts the returned [`DirStep`] into abstract actions, and searches
-/// the table for a rule that explains the transition: matching event,
-/// source state, condition literals (per-call condition values the
-/// wrapper cannot compute, like a scheme's staleness test, are treated
-/// existentially — the observed actions pin the rule down), actions,
-/// completion flag, and admitted successor state. Disagreements are
-/// recorded in the [`ViolationSink`] rather than panicking, so a
-/// model-checking run can complete and report every mismatch at once.
-#[derive(Debug)]
-pub struct Reconciled {
-    inner: Box<dyn DirectoryProtocol>,
-    table: Arc<TransitionTable>,
-    /// Shadow of the in-flight waits: block → was-it-a-write, to supply
-    /// the [`Cond::WaitWrite`] value at [`EventKind::Supply`] time.
-    waiting_write: HashMap<BlockAddr, bool>,
-    sink: ViolationSink,
-}
-
-impl Reconciled {
-    /// Wraps `inner` in a reconciling decorator against its own declared
-    /// table. Returns `inner` unchanged (and records a violation) if the
-    /// protocol declares no table.
-    #[must_use]
-    pub fn wrap(
-        inner: Box<dyn DirectoryProtocol>,
-        sink: ViolationSink,
-    ) -> Box<dyn DirectoryProtocol> {
-        match inner.transition_table() {
-            Some(table) => Box::new(Reconciled {
-                table: Arc::new(table.clone()),
-                inner,
-                waiting_write: HashMap::new(),
-                sink,
-            }),
-            None => {
-                sink.push(format!(
-                    "{}: protocol declares no transition table",
-                    inner.name()
-                ));
-                inner
+impl fmt::Display for CompileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CompileError::Gap { scheme, point } => {
+                write!(f, "{scheme}: no rule covers {point}")
+            }
+            CompileError::Overlap {
+                scheme,
+                point,
+                rules: [a, b],
+            } => write!(f, "{scheme}: rules '{a}' and '{b}' both cover {point}"),
+            CompileError::Unexecutable { scheme, rule, why } => {
+                write!(f, "{scheme}: rule '{rule}' {why}")
             }
         }
     }
+}
 
-    /// Wraps `inner` against an explicit table — lets tests reconcile an
-    /// implementation against a deliberately wrong table.
-    #[must_use]
-    pub fn with_table(
-        inner: Box<dyn DirectoryProtocol>,
-        table: TransitionTable,
-        sink: ViolationSink,
-    ) -> Reconciled {
-        Reconciled {
-            inner,
-            table: Arc::new(table),
-            waiting_write: HashMap::new(),
-            sink,
-        }
-    }
+impl std::error::Error for CompileError {}
 
-    /// The sink violations are recorded into.
-    #[must_use]
-    pub fn sink(&self) -> &ViolationSink {
-        &self.sink
-    }
-
-    fn check(
-        &self,
-        event: EventKind,
-        known: &[(Cond, bool)],
-        before: GlobalState,
-        after: GlobalState,
-        step: &DirStep,
-    ) {
-        let scheme = self.table.scheme;
-        let Some(spec) = self.table.spec(event) else {
-            self.sink.push(format!(
-                "{scheme}: {event} observed but not declared in the table (state {before})"
-            ));
-            return;
-        };
-        if !spec.domain.contains(before) {
-            self.sink.push(format!(
-                "{scheme}: {event} observed in {before}, outside its declared domain {}",
-                spec.domain
-            ));
-            return;
-        }
-        let obs = observe(step);
-        let explained = self.table.rules.iter().any(|r| {
-            r.event == event
-                && r.when.contains(before)
-                && r.requires.iter().all(|(cond, value)| {
-                    known
-                        .iter()
-                        .find(|(k, _)| k == cond)
-                        .is_none_or(|(_, v)| v == value)
-                })
-                && r.completes == step.completes
-                && actions_match(&r.actions, &obs)
-                && next_admits(r.next, before, after)
-        });
-        if !explained {
-            let conds = known
-                .iter()
-                .map(|(c, v)| format!("{c}={v}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            self.sink.push(format!(
-                "{scheme}: no rule explains {event} [{conds}] in {before} → {after} \
-                 (observed {obs:?})"
-            ));
-        }
+const fn cond_bit(cond: Cond) -> u8 {
+    match cond {
+        Cond::Fresh => 1 << 0,
+        Cond::WaitWrite => 1 << 1,
+        Cond::Retains => 1 << 2,
     }
 }
 
-impl DirectoryProtocol for Reconciled {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
+/// The bit pattern [`Program::rule`] takes: one bit per condition that
+/// holds among `literals`.
+#[must_use]
+pub fn cond_bits(literals: &[(Cond, bool)]) -> u8 {
+    literals
+        .iter()
+        .filter(|(_, holds)| *holds)
+        .fold(0, |bits, &(cond, _)| bits | cond_bit(cond))
+}
 
-    fn save_state(&self) -> twobit_obs::json::Json {
-        // The wrapper's own `waiting_write` cache is rederivable from the
-        // inner directory's waiting records, so delegating loses nothing
-        // a restore needs — `restore_protocol` rebuilds the bare scheme.
-        self.inner.save_state()
-    }
+const EVENTS: usize = 8;
+const STATES: usize = 4;
+const CONDS: usize = 8;
+const NO_RULE: u8 = u8::MAX;
 
-    fn open(&mut self, k: CacheId, a: BlockAddr, kind: OpenKind, mem: &MemoryImage) -> DirStep {
-        let before = self.inner.global_state(a);
-        let step = self.inner.open(k, a, kind, mem);
-        let after = self.inner.global_state(a);
-        let event = match kind {
-            OpenKind::ReadMiss => EventKind::ReadMiss,
-            OpenKind::WriteMiss => EventKind::WriteMiss,
-            OpenKind::Modify(_) => EventKind::Modify,
-            OpenKind::WriteThrough(_) => EventKind::WriteThrough,
-            OpenKind::DirectRead => EventKind::DirectRead,
-        };
-        if !step.completes {
-            self.waiting_write
-                .insert(a, matches!(kind, OpenKind::WriteMiss));
+fn slot(event: EventKind, state: GlobalState, conds: u8) -> usize {
+    (event as usize * STATES + usize::from(state.bits())) * CONDS + usize::from(conds)
+}
+
+/// A [`TransitionTable`] compiled for execution: the table itself plus a
+/// dense `(event, state, condition bits) → rule` array and the few facts
+/// about the whole relation the [`Directory`](crate::Directory) reads.
+#[derive(Debug, Clone)]
+pub struct Program {
+    table: TransitionTable,
+    dispatch: [u8; EVENTS * STATES * CONDS],
+    initial: GlobalState,
+    delivery: Delivery,
+    clean_exclusive: bool,
+    grants_exclusive: bool,
+}
+
+impl Program {
+    /// Compiles `table`, refusing one the interpreter could not run
+    /// deterministically: a gap or an overlap inside a declared domain
+    /// (the linter's exhaustiveness and determinism findings), a
+    /// successor set wider than one state where holder identities are
+    /// not exact, or a state change in a scheme that tracks no state.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`CompileError`] found, in table order.
+    pub fn compile(table: TransitionTable) -> Result<Program, CompileError> {
+        let scheme = table.scheme;
+        if let Some(rule) = table.rules.get(usize::from(NO_RULE)) {
+            return Err(CompileError::Unexecutable {
+                scheme,
+                rule: rule.name,
+                why: "is beyond the 255 rules a dispatch entry can name",
+            });
         }
-        // `Fresh` is scheme-internal (version comparison / holder-set
-        // membership); it stays existential in the rule search.
-        self.check(event, &[], before, after, &step);
-        step
-    }
-
-    fn supply(
-        &mut self,
-        a: BlockAddr,
-        from: CacheId,
-        version: Version,
-        retains: bool,
-        mem: &MemoryImage,
-    ) -> DirStep {
-        let before = self.inner.global_state(a);
-        let step = self.inner.supply(a, from, version, retains, mem);
-        let after = self.inner.global_state(a);
-        let known = match self.waiting_write.remove(&a) {
-            Some(write) => vec![(Cond::WaitWrite, write), (Cond::Retains, retains)],
-            None => vec![(Cond::Retains, retains)],
+        let mut dispatch = [NO_RULE; EVENTS * STATES * CONDS];
+        for point in table.coverage() {
+            match point.rules[..] {
+                [] => return Err(CompileError::Gap { scheme, point }),
+                [rule] => {
+                    let conds = cond_bits(&point.assignment);
+                    dispatch[slot(point.event, point.state, conds)] = rule as u8;
+                }
+                [a, b, ..] => {
+                    return Err(CompileError::Overlap {
+                        scheme,
+                        point,
+                        rules: [table.rules[a].name, table.rules[b].name],
+                    })
+                }
+            }
+        }
+        // What the directory must know about holder identities is what
+        // the strongest delivery any rule asks for needs.
+        let delivery = table
+            .rules
+            .iter()
+            .flat_map(|r| &r.actions)
+            .filter_map(|action| match *action {
+                ActionKind::Invalidate { delivery } | ActionKind::Recall { delivery } => {
+                    Some(delivery)
+                }
+                _ => None,
+            })
+            .fold(Delivery::Broadcast, |need, d| match (need, d) {
+                (Delivery::Targeted, _) | (_, Delivery::Targeted) => Delivery::Targeted,
+                (Delivery::Either, _) | (_, Delivery::Either) => Delivery::Either,
+                (Delivery::Broadcast, Delivery::Broadcast) => Delivery::Broadcast,
+            });
+        for rule in &table.rules {
+            let why = match rule.next {
+                Next::Same => continue,
+                Next::In(_) if !table.tracks_state => "moves the state of a stateless scheme",
+                Next::In(set) if set.sole().is_none() && delivery != Delivery::Targeted => {
+                    "leaves its successor to the holder set, which only targeted delivery keeps"
+                }
+                Next::In(_) => continue,
+            };
+            return Err(CompileError::Unexecutable {
+                scheme,
+                rule: rule.name,
+                why,
+            });
+        }
+        // A stateless scheme reports the one state its events declare.
+        let initial = match table.events.first() {
+            Some(spec) if !table.tracks_state => spec.domain.iter().next().unwrap_or_default(),
+            _ => GlobalState::Absent,
         };
-        self.check(EventKind::Supply, &known, before, after, &step);
-        step
-    }
-
-    fn eject_satisfies_wait(&self, a: BlockAddr, k: CacheId, wb: WritebackKind) -> bool {
-        self.inner.eject_satisfies_wait(a, k, wb)
-    }
-
-    fn eject_clean(&mut self, k: CacheId, a: BlockAddr) {
-        let before = self.inner.global_state(a);
-        self.inner.eject_clean(k, a);
-        let after = self.inner.global_state(a);
-        self.check(EventKind::EjectClean, &[], before, after, &DirStep::done());
-    }
-
-    fn eject_dirty(&mut self, k: CacheId, a: BlockAddr, version: Version) -> DirStep {
-        let before = self.inner.global_state(a);
-        let step = self.inner.eject_dirty(k, a, version);
-        let after = self.inner.global_state(a);
-        self.check(EventKind::EjectDirty, &[], before, after, &step);
-        step
-    }
-
-    fn awaiting(&self, a: BlockAddr) -> bool {
-        self.inner.awaiting(a)
-    }
-
-    fn global_state(&self, a: BlockAddr) -> GlobalState {
-        self.inner.global_state(a)
-    }
-
-    fn holders(&self, a: BlockAddr) -> Option<OwnerSet> {
-        self.inner.holders(a)
-    }
-
-    fn tlb_counters(&self) -> Option<(u64, u64)> {
-        self.inner.tlb_counters()
-    }
-
-    fn transition_table(&self) -> Option<&'static TransitionTable> {
-        self.inner.transition_table()
-    }
-
-    fn clone_box(&self) -> Box<dyn DirectoryProtocol> {
-        Box::new(Reconciled {
-            inner: self.inner.clone_box(),
-            table: Arc::clone(&self.table),
-            waiting_write: self.waiting_write.clone(),
-            sink: self.sink.clone(),
+        let moves_to = |rule: &Rule, s| matches!(rule.next, Next::In(set) if set.contains(s));
+        Ok(Program {
+            dispatch,
+            initial,
+            delivery,
+            // A clean eject that can empty a `PresentM` block means the
+            // exclusive holder may still be clean (Yen–Fu's local state).
+            clean_exclusive: table.rules.iter().any(|r| {
+                r.event == EventKind::EjectClean
+                    && r.when.contains(GlobalState::PresentM)
+                    && moves_to(r, GlobalState::Absent)
+            }),
+            grants_exclusive: table.rules.iter().flat_map(|r| &r.actions).any(|a| {
+                matches!(
+                    a,
+                    ActionKind::Grant { exclusive: true }
+                        | ActionKind::ModifyGrant { granted: true }
+                )
+            }),
+            table,
         })
     }
 
-    fn fingerprint(&self, fp: &mut Fingerprinter) {
-        // The shadow waiting map is fully determined by the inner
-        // waiting records (inserted on `!completes` opens, removed on
-        // supply), which the inner fingerprint already covers.
-        self.inner.fingerprint(fp);
+    /// The table this program executes.
+    #[must_use]
+    pub fn table(&self) -> &TransitionTable {
+        &self.table
     }
 
-    fn check_consistency(
-        &self,
-        a: BlockAddr,
-        clean: &OwnerSet,
-        dirty: &OwnerSet,
-    ) -> Result<(), String> {
-        self.inner.check_consistency(a, clean, dirty)
+    /// The rule for `event` in `state` under the condition bits of
+    /// [`cond_bits`]; `None` outside the event's declared domain.
+    #[must_use]
+    pub fn rule(&self, event: EventKind, state: GlobalState, conds: u8) -> Option<&Rule> {
+        let r = self.dispatch[slot(event, state, conds & (CONDS as u8 - 1))];
+        self.table.rules.get(usize::from(r))
+    }
+
+    /// The state of a block nothing has happened to: `Absent`, or the
+    /// constant state of a scheme that tracks none.
+    #[must_use]
+    pub fn initial(&self) -> GlobalState {
+        self.initial
+    }
+
+    /// The strongest delivery any rule asks for — what the directory
+    /// must know about holder identities: nothing
+    /// ([`Delivery::Broadcast`]), a bounded buffer of exact sets
+    /// ([`Delivery::Either`]) or an exact presence vector
+    /// ([`Delivery::Targeted`]).
+    #[must_use]
+    pub fn delivery(&self) -> Delivery {
+        self.delivery
+    }
+
+    /// Whether a `PresentM` block's sole holder may still be clean: the
+    /// table lets a clean eject take `PresentM` to `Absent`.
+    #[must_use]
+    pub fn clean_exclusive(&self) -> bool {
+        self.clean_exclusive
+    }
+
+    /// Whether any rule hands out write permission — without one no
+    /// cache can ever hold a dirty copy.
+    #[must_use]
+    pub fn grants_exclusive(&self) -> bool {
+        self.grants_exclusive
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::two_bit::TwoBitDirectory;
 
     #[test]
     fn state_set_operations() {
@@ -870,81 +792,156 @@ mod tests {
             StateSet::of(&[GlobalState::Present1, GlobalState::PresentStar]),
             shared
         );
+        assert_eq!(shared.sole(), None);
+        assert_eq!(StateSet::EMPTY.sole(), None);
+        assert_eq!(
+            StateSet::only(GlobalState::PresentM).sole(),
+            Some(GlobalState::PresentM)
+        );
+    }
+
+    fn two_bit() -> TransitionTable {
+        crate::two_bit::program().table().clone()
     }
 
     #[test]
-    fn delivery_matching_shapes() {
-        // No action declared: no traffic allowed.
-        assert!(delivery_matches(None, 0, 0, false));
-        assert!(!delivery_matches(None, 0, 2, false));
-        // Broadcast: exactly one broadcast.
-        assert!(delivery_matches(Some(Delivery::Broadcast), 1, 0, false));
-        assert!(!delivery_matches(Some(Delivery::Broadcast), 0, 1, false));
-        // Targeted invalidations may be vacuous; targeted recalls not.
-        assert!(delivery_matches(Some(Delivery::Targeted), 0, 0, false));
-        assert!(delivery_matches(Some(Delivery::Targeted), 0, 3, false));
-        assert!(!delivery_matches(Some(Delivery::Targeted), 0, 0, true));
-        assert!(delivery_matches(Some(Delivery::Targeted), 0, 1, true));
-        // Either: one broadcast, or any unicasts, never both.
-        assert!(delivery_matches(Some(Delivery::Either), 1, 0, false));
-        assert!(delivery_matches(Some(Delivery::Either), 0, 2, false));
-        assert!(delivery_matches(Some(Delivery::Either), 0, 0, false));
-        assert!(!delivery_matches(Some(Delivery::Either), 1, 1, false));
+    fn dispatch_finds_the_rule_the_guards_name() {
+        let program = crate::two_bit::program();
+        let rule = |event, state, conds| program.rule(event, state, conds).map(|r| r.name);
+        let fresh = cond_bits(&[(Cond::Fresh, true)]);
+        assert_eq!(
+            rule(EventKind::ReadMiss, GlobalState::Absent, 0),
+            Some("read-miss-absent")
+        );
+        assert_eq!(
+            rule(EventKind::Modify, GlobalState::PresentStar, fresh),
+            Some("modify-fresh-shared")
+        );
+        assert_eq!(
+            rule(EventKind::Modify, GlobalState::PresentStar, 0),
+            Some("modify-stale-copy")
+        );
+        assert_eq!(
+            rule(
+                EventKind::Supply,
+                GlobalState::PresentM,
+                cond_bits(&[(Cond::WaitWrite, false), (Cond::Retains, true)])
+            ),
+            Some("supply-read-retained")
+        );
+        // Outside a declared domain, and for an undeclared event: no rule.
+        assert_eq!(rule(EventKind::Supply, GlobalState::Absent, 0), None);
+        assert_eq!(rule(EventKind::WriteThrough, GlobalState::Absent, 0), None);
     }
 
     #[test]
-    fn reconciled_accepts_the_shipped_two_bit_table() {
-        let sink = ViolationSink::new();
-        let mut d = Reconciled::wrap(Box::new(TwoBitDirectory::new()), sink.clone());
-        let mem = MemoryImage::new();
-        let (a, c0, c1) = (BlockAddr::new(1), CacheId::new(0), CacheId::new(1));
-        d.open(c0, a, OpenKind::ReadMiss, &mem);
-        d.open(c1, a, OpenKind::ReadMiss, &mem);
-        d.open(c0, a, OpenKind::Modify(mem.read(a)), &mem);
-        d.open(c1, a, OpenKind::ReadMiss, &mem); // recall, awaits
-        d.supply(a, c0, Version::new(5), true, &mem);
-        d.eject_clean(c0, a);
-        assert!(
-            sink.is_empty(),
-            "shipped table must explain every step: {:?}",
-            sink.snapshot()
+    fn a_gap_is_refused_naming_the_uncovered_point() {
+        let mut table = two_bit();
+        table.rules.retain(|r| r.name != "write-miss-modified");
+        let err = Program::compile(table).unwrap_err();
+        match &err {
+            CompileError::Gap { scheme, point } => {
+                assert_eq!(*scheme, "two-bit");
+                assert_eq!(point.event, EventKind::WriteMiss);
+                assert_eq!(point.state, GlobalState::PresentM);
+            }
+            other => panic!("expected a gap, got {other:?}"),
+        }
+        assert_eq!(
+            err.to_string(),
+            "two-bit: no rule covers (write-miss, PresentM)"
         );
     }
 
     #[test]
-    fn reconciled_flags_a_wrong_table() {
-        // A table claiming a read miss from Absent grants *exclusively*
-        // disagrees with the implementation's shared grant.
-        let mut table = TwoBitDirectory::new()
-            .transition_table()
-            .expect("two-bit declares a table")
-            .clone();
+    fn an_overlap_is_refused_naming_both_rules() {
+        let mut table = two_bit();
+        // Dropping the staleness guard makes the denial cover the points
+        // the two granting rules already cover.
         table
-            .rule_mut("read-miss-absent")
-            .expect("rule exists")
-            .actions = vec![ActionKind::Grant { exclusive: true }];
-        let sink = ViolationSink::new();
-        let mut d = Reconciled::with_table(Box::new(TwoBitDirectory::new()), table, sink.clone());
-        let mem = MemoryImage::new();
-        d.open(CacheId::new(0), BlockAddr::new(1), OpenKind::ReadMiss, &mem);
-        let violations = sink.take();
-        assert_eq!(violations.len(), 1, "exactly one mismatch: {violations:?}");
-        assert!(violations[0].contains("read-miss"), "{violations:?}");
+            .rule_mut("modify-stale-copy")
+            .unwrap()
+            .requires
+            .clear();
+        let err = Program::compile(table).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "two-bit: rules 'modify-fresh-present1' and 'modify-stale-copy' both cover \
+             (modify, Present1, fresh=true)"
+        );
     }
 
     #[test]
-    fn sink_dedups_and_caps() {
-        let sink = ViolationSink::new();
-        for _ in 0..3 {
-            sink.push("same".to_string());
-        }
-        assert_eq!(sink.snapshot().len(), 1);
-        for i in 0..100 {
-            sink.push(format!("v{i}"));
-        }
-        assert!(sink.snapshot().len() <= 64);
-        assert!(!sink.is_empty());
-        let taken = sink.take();
-        assert!(!taken.is_empty() && sink.is_empty());
+    fn a_wide_successor_needs_exact_identities() {
+        let mut table = two_bit();
+        table.rule_mut("read-miss-shared").unwrap().next = Next::In(StateSet::SHARED);
+        let err = Program::compile(table).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CompileError::Unexecutable {
+                    rule: "read-miss-shared",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        // The full map states that very rule, over an exact vector.
+        assert_eq!(
+            crate::full_map::program()
+                .table()
+                .rule("read-miss-shared")
+                .unwrap()
+                .next,
+            Next::In(StateSet::SHARED)
+        );
+    }
+
+    #[test]
+    fn a_stateless_scheme_may_not_move_its_state() {
+        let mut table = crate::classical::classical_program().table().clone();
+        table.rule_mut("read-miss").unwrap().next = Next::In(StateSet::only(GlobalState::Present1));
+        assert!(matches!(
+            Program::compile(table),
+            Err(CompileError::Unexecutable {
+                rule: "read-miss",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn programs_derive_what_the_directory_reads() {
+        let facts = |p: &Program| {
+            (
+                p.delivery(),
+                p.initial(),
+                p.clean_exclusive(),
+                p.grants_exclusive(),
+            )
+        };
+        use Delivery::{Broadcast, Either, Targeted};
+        use GlobalState::{Absent, PresentStar};
+        assert_eq!(
+            facts(crate::two_bit::program()),
+            (Broadcast, Absent, false, true)
+        );
+        assert_eq!(facts(crate::tlb::program()), (Either, Absent, false, true));
+        assert_eq!(
+            facts(crate::full_map::program()),
+            (Targeted, Absent, false, true)
+        );
+        assert_eq!(
+            facts(crate::full_map_local::program()),
+            (Targeted, Absent, true, true)
+        );
+        assert_eq!(
+            facts(crate::classical::classical_program()),
+            (Broadcast, PresentStar, false, false)
+        );
+        assert_eq!(
+            facts(crate::classical::null_program()),
+            (Broadcast, PresentStar, false, true)
+        );
     }
 }

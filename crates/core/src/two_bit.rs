@@ -6,7 +6,8 @@
 //! non-initiating cache is broadcast (`BROADINV`, `BROADQUERY`); the
 //! protocol's entire cost model is the stream of broadcasts this forces.
 //!
-//! Protocol cases implemented exactly per sections 3.2.1–3.2.5:
+//! The protocol cases of sections 3.2.1–3.2.5, which the table below
+//! states rule by rule and the [`Directory`](crate::Directory) executes:
 //!
 //! | event | state | actions |
 //! |-------|-------|---------|
@@ -29,296 +30,26 @@
 //! arrives via a racing write-back (the owner ejected the block), only the
 //! requester holds a copy and the state becomes `Present1`.
 
-use crate::blockmap::BlockMap;
-use crate::directory::{
-    grant_forwarded, grant_from_memory, mgranted, DirSend, DirStep, DirectoryProtocol, OpenKind,
-    SendCost,
-};
-use crate::memory::MemoryImage;
-use crate::owner_set::OwnerSet;
 use crate::transitions::{
-    ActionKind, Cond, Delivery, EventKind, EventSpec, OrderGuarantee, StateSet, TransitionTable,
+    ActionKind, Cond, Delivery, EventKind, EventSpec, OrderGuarantee, Program, StateSet,
+    TransitionTable,
 };
 use std::sync::OnceLock;
-use twobit_obs::json::{obj, Json, ToJson};
-use twobit_types::{
-    AccessKind, BlockAddr, CacheId, Fingerprinter, GlobalState, MemoryToCache, Version,
-    WritebackKind,
-};
+use twobit_types::GlobalState;
 
-/// What an in-flight transaction awaits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Waiting {
-    /// The requester to grant once data arrives.
-    pub k: CacheId,
-    /// Whether the triggering miss was a write.
-    pub write: bool,
-}
-
-/// The two-bit global directory of one memory module.
-#[derive(Debug, Default, Clone)]
-pub struct TwoBitDirectory {
-    states: BlockMap<GlobalState>,
-    waiting: BlockMap<Waiting>,
-}
-
-impl TwoBitDirectory {
-    /// An empty directory: every block starts `Absent`.
-    #[must_use]
-    pub fn new() -> Self {
-        TwoBitDirectory::default()
-    }
-
-    fn state(&self, a: BlockAddr) -> GlobalState {
-        self.states.get(a).copied().unwrap_or_default()
-    }
-
-    fn set_state(&mut self, a: BlockAddr, s: GlobalState) {
-        if s == GlobalState::Absent {
-            self.states.remove(a);
-        } else {
-            self.states.insert(a, s);
-        }
-    }
-
-    fn broad_inv(a: BlockAddr, k: CacheId) -> DirSend {
-        DirSend::Broadcast {
-            cmd: MemoryToCache::BroadInv { a, exclude: k },
-            exclude: k,
-            cost: SendCost::Command,
-        }
-    }
-
-    fn broad_query(a: BlockAddr, rw: AccessKind, requester: CacheId) -> DirSend {
-        DirSend::Broadcast {
-            cmd: MemoryToCache::BroadQuery { a, rw },
-            exclude: requester,
-            cost: SendCost::Command,
-        }
-    }
-
-    /// Rebuilds a directory from a [`DirectoryProtocol::save_state`]
-    /// checkpoint document.
-    pub(crate) fn restore_json(j: &Json) -> Result<Self, String> {
-        let mut d = TwoBitDirectory::new();
-        for e in j.array("states")? {
-            let bits: u8 = e.field("s")?;
-            let s = GlobalState::from_bits(bits)
-                .ok_or_else(|| format!("bad global-state bits {bits}"))?;
-            d.set_state(e.field("a")?, s);
-        }
-        for (a, w) in crate::snapshot::waiting_from::<Vec<_>>(j.member("waiting")?)? {
-            d.waiting.insert(a, w);
-        }
-        Ok(d)
-    }
-}
-
-impl DirectoryProtocol for TwoBitDirectory {
-    fn clone_box(&self) -> Box<dyn DirectoryProtocol> {
-        Box::new(self.clone())
-    }
-
-    fn fingerprint(&self, fp: &mut Fingerprinter) {
-        fp.write_tag(1); // scheme discriminant (see DirectoryProtocol impls)
-                         // `set_state` removes Absent entries, so the map is already
-                         // canonical, and `BlockMap::iter` yields ascending block
-                         // order — the encoding is path-independent as is.
-        fp.write_usize(self.states.len());
-        for (a, s) in self.states.iter() {
-            fp.write_u64(a.number());
-            fp.write_u64(u64::from(s.bits()));
-        }
-        fp.write_usize(self.waiting.len());
-        for (a, w) in self.waiting.iter() {
-            fp.write_u64(a.number());
-            fp.write_usize(w.k.index());
-            fp.write_bool(w.write);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "two-bit"
-    }
-
-    fn save_state(&self) -> Json {
-        // `BlockMap::iter` is ascending and Absent entries are removed by
-        // `set_state`, so the document is canonical like the fingerprint.
-        obj([
-            (
-                "states",
-                self.states
-                    .iter()
-                    .map(|(a, s)| obj([("a", a.json()), ("s", s.bits().json())]))
-                    .collect(),
-            ),
-            (
-                "waiting",
-                crate::snapshot::waiting_json(self.waiting.iter()),
-            ),
-        ])
-    }
-
-    fn open(&mut self, k: CacheId, a: BlockAddr, kind: OpenKind, mem: &MemoryImage) -> DirStep {
-        debug_assert!(!self.waiting.contains_key(a), "open on a waiting block");
-        match kind {
-            OpenKind::ReadMiss => match self.state(a) {
-                GlobalState::Absent => {
-                    self.set_state(a, GlobalState::Present1);
-                    DirStep::done().with_send(grant_from_memory(k, a, mem, false))
-                }
-                GlobalState::Present1 | GlobalState::PresentStar => {
-                    self.set_state(a, GlobalState::PresentStar);
-                    DirStep::done().with_send(grant_from_memory(k, a, mem, false))
-                }
-                GlobalState::PresentM => {
-                    self.waiting.insert(a, Waiting { k, write: false });
-                    DirStep::awaiting(vec![Self::broad_query(a, AccessKind::Read, k)])
-                }
-            },
-            OpenKind::WriteMiss => match self.state(a) {
-                GlobalState::Absent => {
-                    self.set_state(a, GlobalState::PresentM);
-                    DirStep::done().with_send(grant_from_memory(k, a, mem, true))
-                }
-                GlobalState::Present1 | GlobalState::PresentStar => {
-                    self.set_state(a, GlobalState::PresentM);
-                    DirStep::done()
-                        .with_send(Self::broad_inv(a, k))
-                        .with_send(grant_from_memory(k, a, mem, true))
-                }
-                GlobalState::PresentM => {
-                    self.waiting.insert(a, Waiting { k, write: true });
-                    DirStep::awaiting(vec![Self::broad_query(a, AccessKind::Write, k)])
-                }
-            },
-            // The version check detects the crossing-window race the
-            // two-bit map cannot see by identity: a clean copy's version
-            // equals memory's unless an invalidation for it is in flight
-            // (see the `MREQUEST` docs in twobit-types).
-            OpenKind::Modify(version) => match (self.state(a), version == mem.read(a)) {
-                (GlobalState::Present1, true) => {
-                    self.set_state(a, GlobalState::PresentM);
-                    DirStep::done().with_send(mgranted(k, a, true))
-                }
-                (GlobalState::PresentStar, true) => {
-                    self.set_state(a, GlobalState::PresentM);
-                    DirStep::done()
-                        .with_send(Self::broad_inv(a, k))
-                        .with_send(mgranted(k, a, true))
-                }
-                // The requester's copy has been invalidated while its
-                // MREQUEST was in flight (section 3.2.5), or carries a
-                // stale version: deny; it will come back with a write
-                // miss.
-                (GlobalState::Present1 | GlobalState::PresentStar, false)
-                | (GlobalState::Absent | GlobalState::PresentM, _) => {
-                    DirStep::done().with_send(mgranted(k, a, false))
-                }
-            },
-            OpenKind::WriteThrough(_) | OpenKind::DirectRead => {
-                panic!("two-bit directory serves only write-back caches (got {kind:?})")
-            }
-        }
-    }
-
-    fn supply(
-        &mut self,
-        a: BlockAddr,
-        _from: CacheId,
-        version: Version,
-        retains: bool,
-        _mem: &MemoryImage,
-    ) -> DirStep {
-        let waiting = self
-            .waiting
-            .remove(a)
-            .expect("supply without a waiting transaction");
-        let next = if waiting.write {
-            GlobalState::PresentM
-        } else if retains {
-            // Owner downgraded to a clean copy; requester gets another.
-            GlobalState::PresentStar
-        } else {
-            // Owner's copy left via a racing write-back; requester alone.
-            GlobalState::Present1
-        };
-        self.set_state(a, next);
-        DirStep::done()
-            .with_memory_write(a, version)
-            .with_send(grant_forwarded(waiting.k, a, version, waiting.write))
-    }
-
-    fn eject_satisfies_wait(&self, a: BlockAddr, _k: CacheId, wb: WritebackKind) -> bool {
-        // A dirty eject of a PresentM block can only come from the sole
-        // owner, which is exactly the cache whose data the wait needs. A
-        // clean eject can never carry the modified data a two-bit wait is
-        // for.
-        self.waiting.contains_key(a) && wb == WritebackKind::Dirty
-    }
-
-    fn eject_clean(&mut self, _k: CacheId, a: BlockAddr) {
-        // Only the Present1 → Absent transition is sound: under Present*
-        // other copies may remain, and under PresentM/Absent the eject is
-        // stale information.
-        if self.state(a) == GlobalState::Present1 {
-            self.set_state(a, GlobalState::Absent);
-        }
-    }
-
-    fn eject_dirty(&mut self, _k: CacheId, a: BlockAddr, version: Version) -> DirStep {
-        self.set_state(a, GlobalState::Absent);
-        DirStep::done().with_memory_write(a, version)
-    }
-
-    fn awaiting(&self, a: BlockAddr) -> bool {
-        self.waiting.contains_key(a)
-    }
-
-    fn global_state(&self, a: BlockAddr) -> GlobalState {
-        self.state(a)
-    }
-
-    fn holders(&self, _a: BlockAddr) -> Option<OwnerSet> {
-        None // the economy of the scheme: identities are not kept
-    }
-
-    fn transition_table(&self) -> Option<&'static TransitionTable> {
-        Some(table())
-    }
-
-    fn check_consistency(
-        &self,
-        a: BlockAddr,
-        clean: &OwnerSet,
-        dirty: &OwnerSet,
-    ) -> Result<(), String> {
-        let state = self.state(a);
-        if state.admits(clean.len(), dirty.len()) {
-            Ok(())
-        } else {
-            Err(format!(
-                "two-bit state {state} does not admit {} clean / {} dirty copies",
-                clean.len(),
-                dirty.len()
-            ))
-        }
-    }
-}
-
-/// The two-bit scheme's transition relation as a declarative table —
-/// the module-docs table (sections 3.2.1–3.2.5) in analyzable form.
+/// The two-bit scheme: the module-docs table (sections 3.2.1–3.2.5) as
+/// the guarded-action rules the directory runs and the linter reads.
 /// Every non-initiator command is a [`Delivery::Broadcast`]: the
 /// directory keeps no identities, which is the scheme's economy and the
 /// property the broadcast-necessity lint checks.
-pub(crate) fn table() -> &'static TransitionTable {
-    static TABLE: OnceLock<TransitionTable> = OnceLock::new();
-    TABLE.get_or_init(|| {
+pub(crate) fn program() -> &'static Program {
+    static PROGRAM: OnceLock<Program> = OnceLock::new();
+    PROGRAM.get_or_init(|| {
         use ActionKind as A;
         use EventKind as E;
         use GlobalState as G;
         let broadcast = Delivery::Broadcast;
-        TransitionTable {
+        let table = TransitionTable {
             scheme: "two-bit",
             tracks_state: true,
             events: vec![
@@ -437,13 +168,22 @@ pub(crate) fn table() -> &'static TransitionTable {
                     .action(A::WriteMemory)
                     .to(StateSet::only(G::Absent)),
             ],
-        }
+        };
+        Program::compile(table).expect("the shipped two-bit table compiles")
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directory::{DirSend, DirStep, Directory, OpenKind, SendCost};
+    use crate::memory::MemoryImage;
+    use crate::owner_set::OwnerSet;
+    use twobit_types::{AccessKind, BlockAddr, CacheId, MemoryToCache, Version, WritebackKind};
+
+    fn two_bit() -> Directory {
+        Directory::new(program(), 4, 0)
+    }
 
     fn blk(n: u64) -> BlockAddr {
         BlockAddr::new(n)
@@ -474,7 +214,7 @@ mod tests {
 
     #[test]
     fn read_miss_progression_absent_to_present_star() {
-        let mut d = TwoBitDirectory::new();
+        let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(1);
 
@@ -498,7 +238,7 @@ mod tests {
 
     #[test]
     fn read_miss_on_modified_broadcasts_query_and_waits() {
-        let mut d = TwoBitDirectory::new();
+        let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(2);
         d.open(cid(0), a, OpenKind::WriteMiss, &mem);
@@ -542,7 +282,7 @@ mod tests {
 
     #[test]
     fn read_miss_supply_via_racing_writeback_yields_present1() {
-        let mut d = TwoBitDirectory::new();
+        let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(3);
         d.open(cid(0), a, OpenKind::WriteMiss, &mem);
@@ -560,7 +300,7 @@ mod tests {
 
     #[test]
     fn write_miss_on_shared_broadcasts_invalidate() {
-        let mut d = TwoBitDirectory::new();
+        let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(4);
         d.open(cid(0), a, OpenKind::ReadMiss, &mem);
@@ -586,7 +326,7 @@ mod tests {
         // Present1 knows the copy count but not its identity, so the
         // invalidation must still be broadcast — the n-2 overhead of the
         // paper's write-miss case 2.
-        let mut d = TwoBitDirectory::new();
+        let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(5);
         d.open(cid(0), a, OpenKind::ReadMiss, &mem); // Present1
@@ -597,7 +337,7 @@ mod tests {
 
     #[test]
     fn write_miss_on_modified_queries_then_grants_exclusive() {
-        let mut d = TwoBitDirectory::new();
+        let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(6);
         d.open(cid(0), a, OpenKind::WriteMiss, &mem);
@@ -634,7 +374,7 @@ mod tests {
     #[test]
     fn mrequest_on_present1_grants_without_broadcast() {
         // "This justifies keeping the encoding of Present1" (3.2.4 case 1).
-        let mut d = TwoBitDirectory::new();
+        let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(7);
         d.open(cid(0), a, OpenKind::ReadMiss, &mem);
@@ -654,7 +394,7 @@ mod tests {
 
     #[test]
     fn mrequest_on_present_star_broadcasts_then_grants() {
-        let mut d = TwoBitDirectory::new();
+        let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(8);
         d.open(cid(0), a, OpenKind::ReadMiss, &mem);
@@ -667,7 +407,7 @@ mod tests {
 
     #[test]
     fn stale_mrequest_is_denied() {
-        let mut d = TwoBitDirectory::new();
+        let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(9);
         d.open(cid(0), a, OpenKind::WriteMiss, &mem); // PresentM at C0
@@ -691,7 +431,7 @@ mod tests {
 
     #[test]
     fn clean_eject_shrinks_only_present1() {
-        let mut d = TwoBitDirectory::new();
+        let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(10);
         d.open(cid(0), a, OpenKind::ReadMiss, &mem); // Present1
@@ -712,7 +452,7 @@ mod tests {
 
     #[test]
     fn dirty_eject_writes_back_and_clears() {
-        let mut d = TwoBitDirectory::new();
+        let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(11);
         d.open(cid(0), a, OpenKind::WriteMiss, &mem);
@@ -723,7 +463,7 @@ mod tests {
 
     #[test]
     fn consistency_check_uses_admits() {
-        let mut d = TwoBitDirectory::new();
+        let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(12);
         d.open(cid(0), a, OpenKind::ReadMiss, &mem); // Present1
@@ -735,9 +475,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "write-back caches")]
+    #[should_panic(expected = "two-bit: the table declares no write-through")]
     fn write_through_is_a_wiring_bug() {
-        let mut d = TwoBitDirectory::new();
+        let mut d = two_bit();
         let mem = MemoryImage::new();
         d.open(
             cid(0),
@@ -750,7 +490,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "supply without a waiting transaction")]
     fn unsolicited_supply_panics() {
-        let mut d = TwoBitDirectory::new();
+        let mut d = two_bit();
         let mem = MemoryImage::new();
         d.supply(blk(0), cid(0), Version::new(1), true, &mem);
     }

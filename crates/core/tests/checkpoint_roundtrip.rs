@@ -270,3 +270,46 @@ fn restore_rejects_mismatched_checkpoints() {
     );
     assert!(other.restore_state(&doc).is_err(), "wrong scheme must fail");
 }
+
+/// A directory checkpoint whose identity store is not the running
+/// directory's — another presence-vector width (zero included), another
+/// buffer capacity, more buffer entries than the buffer holds — is
+/// refused, and the controller left as it was.
+#[test]
+fn restore_refuses_another_identity_store() {
+    let saved_by = |protocol: ProtocolKind, caches: usize| {
+        let mut cfg = config_for(protocol);
+        cfg.caches = caches;
+        let mut sys = FunctionalSystem::with_static_threshold(cfg, SHARED_FROM).unwrap();
+        drive(&mut sys, 60, false);
+        sys.controllers()[0].save_state().to_json()
+    };
+    let refuses = |protocol: ProtocolKind, text: &str, why: &str| {
+        let cfg = config_for(protocol);
+        let mut ctrl = Controller::new(
+            twobit_types::ModuleId::new(0),
+            build_protocol_for(&cfg),
+            cfg.caches,
+            cfg.concurrency,
+        );
+        let before = fingerprint_controller(&ctrl);
+        let err = ctrl.restore_state(&parse(text).unwrap()).unwrap_err();
+        assert!(err.contains(why), "{protocol}: {err}");
+        assert_eq!(fingerprint_controller(&ctrl), before, "{protocol}");
+    };
+
+    // `config_for` runs three caches; these were saved by four.
+    let full_map = saved_by(ProtocolKind::FullMap, 4);
+    refuses(ProtocolKind::FullMap, &full_map, "width mismatch");
+    let zero = full_map.replace("\"o\":[4,", "\"o\":[0,");
+    assert_ne!(zero, full_map);
+    refuses(ProtocolKind::FullMap, &zero, "exceeds set width 0");
+
+    let two = ProtocolKind::TwoBitTlb { entries: 2 };
+    refuses(two, &saved_by(two, 4), "capacity or width mismatch");
+    let four = saved_by(ProtocolKind::TwoBitTlb { entries: 4 }, 3);
+    refuses(two, &four, "capacity or width mismatch");
+    let overfull = four.replace("\"capacity\":4", "\"capacity\":2");
+    assert_ne!(overfull, four);
+    refuses(two, &overfull, "exceeds its own capacity");
+}

@@ -3,9 +3,12 @@
 //! invariant checkers actually fire. A checker that cannot detect a
 //! planted fault proves nothing when it stays quiet on real runs.
 
+use twobit_core::transitions::{ActionKind, CompileError, EventKind, Program};
 use twobit_core::{
-    invariants, AgentPolicy, CacheAgent, Controller, FunctionalSystem, TwoBitDirectory,
+    build_protocol_for, invariants, AgentPolicy, CacheAgent, Controller, Directory,
+    FunctionalSystem, DEFAULT_STATIC_SHARED_FROM,
 };
+use twobit_types::GlobalState;
 use twobit_types::{
     AccessKind, AddressMap, BlockAddr, CacheId, CacheOrg, CacheToMemory, ControllerConcurrency,
     MemRef, MemoryToCache, ModuleId, ProtocolError, ProtocolKind, SystemConfig, Version, WordAddr,
@@ -25,7 +28,7 @@ fn agent(id: usize) -> CacheAgent {
 fn controller() -> Controller {
     Controller::new(
         ModuleId::new(0),
-        Box::new(TwoBitDirectory::new()),
+        build_protocol_for(&SystemConfig::with_defaults(2).with_protocol(ProtocolKind::TwoBit)),
         2,
         ControllerConcurrency::PerBlock,
     )
@@ -239,4 +242,71 @@ fn migration_breaks_the_static_scheme_as_the_paper_warns() {
     let err = run(ProtocolKind::StaticSoftware)
         .expect_err("the static scheme must go incoherent under migration");
     assert!(matches!(err, ProtocolError::StaleRead { .. }), "got {err}");
+}
+
+/// The table is what runs: the classic seeded bug — the write-hit
+/// upgrade on `Present*` loses its invalidate, exactly as
+/// `lint_protocols --demo-drop-invalidate` seeds it — is *executed*, and
+/// the functional executor's invariant check reports the stale clean
+/// copy that survives the write. The shipped table runs the same
+/// references clean.
+#[test]
+fn a_table_with_the_invalidate_dropped_executes_and_is_caught() {
+    let shipped = build_protocol_for(&SystemConfig::with_defaults(3));
+    let mut table = shipped.table().clone();
+    table
+        .rule_mut("modify-fresh-shared")
+        .expect("two-bit declares the shared-upgrade rule")
+        .actions
+        .retain(|a| !matches!(a, ActionKind::Invalidate { .. }));
+    let seeded: &'static Program = Box::leak(Box::new(
+        Program::compile(table).expect("the seeded table still covers every point"),
+    ));
+
+    // One interleaving of the "upgrade + third reader" race script
+    // (rd,wr / wr / rd): both readers in before C0 upgrades.
+    let a = WordAddr::new(1, 0);
+    let script = [
+        (cid(0), MemRef::read(a)),
+        (cid(2), MemRef::read(a)),
+        (cid(0), MemRef::write(a)),
+        (cid(1), MemRef::write(a)),
+    ];
+    let run = |directory: Directory| {
+        let mut system = FunctionalSystem::with_directory(
+            SystemConfig::with_defaults(3),
+            DEFAULT_STATIC_SHARED_FROM,
+            |_| directory,
+        )
+        .unwrap();
+        system.set_check_invariants(true);
+        system.run(script)
+    };
+
+    run(shipped).expect("the shipped table is coherent");
+    let err = run(Directory::new(seeded, 3, 0)).expect_err("C2's stale copy survives C0's write");
+    assert!(
+        matches!(&err, ProtocolError::DirectoryInconsistent { a, .. } if *a == blk(1)),
+        "got {err}"
+    );
+}
+
+/// A table with a rule removed is refused before it can run, naming the
+/// point nothing covers.
+#[test]
+fn a_table_with_a_rule_removed_is_refused() {
+    let mut table = build_protocol_for(&SystemConfig::with_defaults(2))
+        .table()
+        .clone();
+    table.rules.retain(|r| r.name != "read-miss-modified");
+    match Program::compile(table) {
+        Err(CompileError::Gap { scheme, point }) => {
+            assert_eq!(scheme, "two-bit");
+            assert_eq!(
+                (point.event, point.state),
+                (EventKind::ReadMiss, GlobalState::PresentM)
+            );
+        }
+        other => panic!("expected a gap, got {other:?}"),
+    }
 }

@@ -76,7 +76,16 @@ fn block_of_m2c(cmd: &MemoryToCache) -> BlockAddr {
     }
 }
 
+/// The largest tag store an `init` frame may ask a cache node for — 512
+/// times the largest organization any binary, test or benchmark workload
+/// builds (64 sets × 2 ways).
+pub const MAX_CACHE_LINES: u64 = 1 << 16;
+
 /// Either half of the fleet, behind one step interface.
+// A memory node's controller holds its directory inline, which makes it
+// the larger variant; a process has one `Node` and never moves it, so
+// boxing either half would only add a pointer chase per delivery.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum Node {
     /// A cache-controller node.
@@ -90,9 +99,9 @@ impl Node {
     ///
     /// # Errors
     ///
-    /// Rejects bad schemes, bad cache organizations, cache or module
-    /// counts outside 1..=65535, and client roles (clients live inside the
-    /// driver).
+    /// Rejects bad schemes, bad cache organizations (including ones above
+    /// [`MAX_CACHE_LINES`]), cache or module counts outside 1..=65535, and
+    /// client roles (clients live inside the driver).
     pub fn new(cfg: &NodeConfig) -> Result<Node, String> {
         let kind = scheme_kind(&cfg.scheme, cfg.tlb_entries)?;
         // The configuration came off a socket, and the id and address-map
@@ -111,6 +120,14 @@ impl Node {
                 }
                 let org = CacheOrg::new(cfg.sets, cfg.assoc, cfg.block_words)
                     .map_err(|e| format!("bad cache organization: {e:?}"))?;
+                // The tag store is allocated whole, `sets × assoc` lines,
+                // from numbers that came off a socket.
+                if org.total_blocks() > MAX_CACHE_LINES {
+                    return Err(format!(
+                        "bad cache organization: {} sets × {} ways is above {MAX_CACHE_LINES} lines",
+                        cfg.sets, cfg.assoc
+                    ));
+                }
                 let mut agent = CacheAgent::new(
                     CacheId::new(k),
                     org,

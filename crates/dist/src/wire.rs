@@ -145,7 +145,7 @@ impl Payload {
 pub struct NodeConfig {
     /// This node's identity ([`Actor::Cache`] or [`Actor::Module`]).
     pub role: Actor,
-    /// Scheme name as in [`twobit_core::DirectoryProtocol::name`].
+    /// Scheme name as in [`twobit_core::Directory::name`].
     pub scheme: String,
     /// Number of caches in the fleet.
     pub caches: usize,

@@ -1,12 +1,13 @@
 //! Lints every shipped protocol's transition table — the five
 //! per-table analyses plus the three whole-system flow analyses
-//! (unserviced messages, wait cycles, reorder sensitivity) — and
-//! (optionally) differentially cross-checks the tables against the
-//! model checker's explored state graphs. Exits nonzero on any finding.
+//! (unserviced messages, wait cycles, reorder sensitivity). The tables
+//! are the ones the directory executes, so there is nothing to
+//! cross-check them against; `verify_protocols` model-checks them.
+//! Exits nonzero on any finding.
 //!
 //! ```text
-//! lint_protocols [--json PATH] [--cross-check] [--budget N] [--jobs N]
-//!                [--demo-drop-invalidate] [--demo-barrier-livelock]
+//! lint_protocols [--json PATH] [--demo-drop-invalidate]
+//!                [--demo-barrier-livelock [--budget N] [--jobs N]]
 //! ```
 
 #![forbid(unsafe_code)]
@@ -14,15 +15,13 @@
 use std::process::ExitCode;
 
 use twobit_core::transitions::ActionKind;
-use twobit_core::DirectoryProtocol;
 use twobit_dist::flow::GateSpec;
 use twobit_lint::confirm::confirm_livelock_findings;
 use twobit_lint::flow_graph::lint_flow;
-use twobit_lint::{cross_check, dedup_findings, lint_table, render_human, render_json, Finding};
+use twobit_lint::{dedup_findings, lint_table, render_human, render_json, two_bit_table, Finding};
 
 struct Options {
     json: Option<String>,
-    cross_check: bool,
     budget: u64,
     jobs: usize,
     demo_drop_invalidate: bool,
@@ -32,7 +31,6 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         json: None,
-        cross_check: false,
         budget: 150_000,
         jobs: 2,
         demo_drop_invalidate: false,
@@ -44,7 +42,6 @@ fn parse_args() -> Result<Options, String> {
             "--json" => {
                 opts.json = Some(args.next().ok_or("--json requires a path")?);
             }
-            "--cross-check" => opts.cross_check = true,
             "--budget" => {
                 let v = args.next().ok_or("--budget requires a number")?;
                 opts.budget = v.parse().map_err(|_| format!("bad --budget value '{v}'"))?;
@@ -57,8 +54,8 @@ fn parse_args() -> Result<Options, String> {
             "--demo-barrier-livelock" => opts.demo_barrier_livelock = true,
             "--help" | "-h" => {
                 return Err(
-                    "usage: lint_protocols [--json PATH] [--cross-check] [--budget N] \
-                     [--jobs N] [--demo-drop-invalidate] [--demo-barrier-livelock]"
+                    "usage: lint_protocols [--json PATH] [--demo-drop-invalidate] \
+                     [--demo-barrier-livelock [--budget N] [--jobs N]]"
                         .to_string(),
                 )
             }
@@ -72,10 +69,7 @@ fn parse_args() -> Result<Options, String> {
 /// write-hit-on-Present* upgrade — into a copy of the two-bit table and
 /// lints it, demonstrating what the analyses catch.
 fn demo_drop_invalidate() -> Vec<Finding> {
-    let mut table = twobit_core::TwoBitDirectory::new()
-        .transition_table()
-        .expect("two-bit ships a table")
-        .clone();
+    let mut table = two_bit_table().clone();
     let rule = table
         .rule_mut("modify-fresh-shared")
         .expect("two-bit declares the shared-upgrade rule");
@@ -93,9 +87,7 @@ fn demo_drop_invalidate() -> Vec<Finding> {
 /// model-checker search is steered toward the implicated race window
 /// and the reaching path rendered as a replayable timeline.
 fn demo_barrier_livelock(budget: u64, jobs: usize) -> Vec<Finding> {
-    let table = twobit_core::TwoBitDirectory::new()
-        .transition_table()
-        .expect("two-bit ships a table");
+    let table = two_bit_table();
     println!("seeded bug: gate discipline set to the pre-fix barrier");
     println!("(completions are withheld for inv-acks, but later recalls pass the open gate)\n");
     let mut findings = lint_flow(table, GateSpec::pr9_regression());
@@ -133,14 +125,6 @@ fn main() -> ExitCode {
             findings.extend(these);
         }
         findings = dedup_findings(findings);
-        if opts.cross_check {
-            println!(
-                "cross-check: replaying model-checker edges against the tables \
-                 (budget {}, jobs {})",
-                opts.budget, opts.jobs
-            );
-            findings.extend(cross_check(opts.budget, opts.jobs));
-        }
     }
 
     print!("{}", render_human(&findings));

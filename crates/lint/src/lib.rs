@@ -1,15 +1,17 @@
-//! Static analyses over the protocols' declarative transition tables
-//! (see `twobit_core::transitions`), plus a model-checker differential
-//! cross-check.
+//! Static analyses over the protocols' transition tables (see
+//! `twobit_core::transitions`) — the very tables the one directory
+//! executes in the simulator, the model checker and the distributed
+//! memory nodes, so a finding here is a finding about what runs.
 //!
 //! Five analyses run per table:
 //!
 //! * **Exhaustiveness** — every `(event, state, condition-assignment)`
 //!   point in an event's declared domain is covered by at least one
-//!   rule; a hole is exactly a missing `match` arm in the executable
-//!   protocol.
+//!   rule; a hole is a point where the directory would have nothing to
+//!   execute (`Program::compile` refuses such a table).
 //! * **Determinism** — no point is covered by two rules; overlapping
-//!   guards make the table ambiguous about what the implementation does.
+//!   guards leave the table ambiguous about what to execute (refused
+//!   likewise).
 //! * **Dead rules** — every rule is enabled somewhere: its event is
 //!   declared, its source states intersect the event's domain, and its
 //!   guard is satisfiable over the event's condition variables.
@@ -34,9 +36,7 @@
 //! Each [`Finding`] carries the offending rule's provenance (file:line
 //! of the table entry). [`lint_table`] runs everything on one table;
 //! [`lint_shipped`] adds the flow analyses and deduplicates identical
-//! findings across schemes; [`cross_check`] wraps the bounded model
-//! checker's protocols in reconciling decorators and differentially
-//! replays every explored DAG edge against the tables.
+//! findings across schemes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,11 +45,10 @@ pub mod confirm;
 pub mod flow_graph;
 
 use twobit_core::transitions::{
-    ActionKind, Cond, EventKind, EventSpec, Next, Rule, StateSet, TransitionTable,
+    ActionKind, Cond, EventKind, Next, Rule, StateSet, TransitionTable,
 };
-use twobit_core::ModelChecker;
 use twobit_obs::json::{obj, Json, ToJson};
-use twobit_types::{CacheOrg, GlobalState, MemRef, ProtocolKind, SystemConfig, WordAddr};
+use twobit_types::GlobalState;
 
 /// One verdict from an analysis: which check, which scheme, which rule
 /// (with file:line provenance), and what is wrong.
@@ -154,119 +153,55 @@ pub fn dedup_findings(findings: Vec<Finding>) -> Vec<Finding> {
     out
 }
 
-/// All boolean assignments over `conds`, as `(cond, value)` vectors.
-/// Three condition variables at most, so at most eight assignments.
-fn assignments(conds: &[Cond]) -> Vec<Vec<(Cond, bool)>> {
-    let mut out = vec![Vec::new()];
-    for &cond in conds {
-        out = out
-            .into_iter()
-            .flat_map(|base| {
-                [false, true].into_iter().map(move |v| {
-                    let mut next = base.clone();
-                    next.push((cond, v));
-                    next
-                })
-            })
-            .collect();
-    }
-    out
-}
-
-/// Whether `rule` is enabled at `(state, assignment)` — the guard
-/// semantics shared by every analysis. A requirement naming a condition
-/// outside the assignment (an undeclared variable) never holds.
-fn enabled(rule: &Rule, event: EventKind, state: GlobalState, assignment: &[(Cond, bool)]) -> bool {
-    rule.event == event
-        && rule.when.contains(state)
-        && rule
-            .requires
-            .iter()
-            .all(|&(cond, value)| assignment.iter().any(|&(c, v)| c == cond && v == value))
-}
-
-fn describe_point(event: EventKind, state: GlobalState, assignment: &[(Cond, bool)]) -> String {
-    if assignment.is_empty() {
-        format!("({event}, {state})")
-    } else {
-        let conds = assignment
-            .iter()
-            .map(|(c, v)| format!("{c}={v}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!("({event}, {state}, {conds})")
-    }
-}
-
-fn domain_points(spec: &EventSpec) -> Vec<(GlobalState, Vec<(Cond, bool)>)> {
-    spec.domain
-        .iter()
-        .flat_map(|state| {
-            assignments(&spec.conds)
-                .into_iter()
-                .map(move |a| (state, a))
-        })
-        .collect()
-}
-
 /// Exhaustiveness: every point of every event's domain has at least one
-/// enabled rule — the static form of "no missing `match` arm".
+/// enabled rule — there is always something to execute.
 #[must_use]
 pub fn check_exhaustiveness(table: &TransitionTable) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for spec in &table.events {
-        for (state, assignment) in domain_points(spec) {
-            let hits = table
-                .rules
-                .iter()
-                .filter(|r| enabled(r, spec.kind, state, &assignment))
-                .count();
-            if hits == 0 {
-                findings.push(Finding::of_table(
-                    "exhaustiveness",
-                    table,
-                    format!(
-                        "no rule enabled for {} — the implementation's behavior here is undeclared",
-                        describe_point(spec.kind, state, &assignment)
-                    ),
-                ));
-            }
-        }
-    }
-    findings
+    table
+        .coverage()
+        .iter()
+        .filter(|point| point.rules.is_empty())
+        .map(|point| {
+            Finding::of_table(
+                "exhaustiveness",
+                table,
+                format!(
+                    "no rule enabled for {point} — the directory's behavior here is undeclared"
+                ),
+            )
+        })
+        .collect()
 }
 
 /// Determinism: no point of any event's domain has two enabled rules —
 /// overlapping guards leave the table ambiguous.
 #[must_use]
 pub fn check_determinism(table: &TransitionTable) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for spec in &table.events {
-        for (state, assignment) in domain_points(spec) {
-            let hits: Vec<&Rule> = table
+    table
+        .coverage()
+        .iter()
+        .filter(|point| point.rules.len() > 1)
+        .map(|point| {
+            let names = point
                 .rules
                 .iter()
-                .filter(|r| enabled(r, spec.kind, state, &assignment))
-                .collect();
-            if hits.len() > 1 {
-                let names = hits
-                    .iter()
-                    .map(|r| format!("'{}' ({})", r.name, r.provenance()))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                findings.push(Finding::of_rule(
-                    "determinism",
-                    table,
-                    hits[1],
+                .map(|&r| {
                     format!(
-                        "guards overlap at {}: {names} are all enabled",
-                        describe_point(spec.kind, state, &assignment)
-                    ),
-                ));
-            }
-        }
-    }
-    findings
+                        "'{}' ({})",
+                        table.rules[r].name,
+                        table.rules[r].provenance()
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(", ");
+            Finding::of_rule(
+                "determinism",
+                table,
+                &table.rules[point.rules[1]],
+                format!("guards overlap at {point}: {names} are all enabled"),
+            )
+        })
+        .collect()
 }
 
 /// Dead rules: a rule that can never fire — undeclared event, source
@@ -274,8 +209,9 @@ pub fn check_determinism(table: &TransitionTable) -> Vec<Finding> {
 /// variables, or a self-contradictory guard.
 #[must_use]
 pub fn check_dead_rules(table: &TransitionTable) -> Vec<Finding> {
+    let coverage = table.coverage();
     let mut findings = Vec::new();
-    for rule in &table.rules {
+    for (index, rule) in table.rules.iter().enumerate() {
         let Some(spec) = table.spec(rule.event) else {
             findings.push(Finding::of_rule(
                 "dead-rule",
@@ -324,10 +260,7 @@ pub fn check_dead_rules(table: &TransitionTable) -> Vec<Finding> {
         }
         // Belt and braces: enumerate — a rule passing the structural
         // checks must be enabled at some point of the domain.
-        let reachable = domain_points(spec)
-            .iter()
-            .any(|(state, assignment)| enabled(rule, spec.kind, *state, assignment));
-        if !reachable {
+        if !coverage.iter().any(|point| point.rules.contains(&index)) {
             findings.push(Finding::of_rule(
                 "dead-rule",
                 table,
@@ -556,6 +489,20 @@ pub fn lint_table(table: &TransitionTable) -> Vec<Finding> {
     findings
 }
 
+/// The shipped two-bit table — the one the seeded-bug demos and fixtures
+/// break copies of.
+///
+/// # Panics
+///
+/// Panics if `twobit-core` stops shipping a scheme named `two-bit`.
+#[must_use]
+pub fn two_bit_table() -> &'static TransitionTable {
+    twobit_core::shipped_tables()
+        .into_iter()
+        .find(|t| t.scheme == "two-bit")
+        .expect("two-bit ships a table")
+}
+
 /// Lints every shipped scheme's table — the five per-table analyses
 /// plus the three whole-system flow analyses under the shipped gate
 /// discipline — and deduplicates identical findings across schemes.
@@ -572,130 +519,6 @@ pub fn lint_shipped() -> Vec<Finding> {
             })
             .collect(),
     )
-}
-
-/// The model-checked race scenarios the cross-check replays — the same
-/// trio `verify_protocols` uses for its differential smoke test.
-///
-/// The static software scheme is special: hardware maintains no
-/// coherence for private blocks (races on them are a *software*
-/// contract violation, which the checker rightly reports), so its
-/// scenarios race only on public blocks — numbers at or above the
-/// default `static_shared_from` threshold of 2^32 — which the agents
-/// handle with `DIRECTREAD`/`WRITETHRU`, the regime the null table
-/// actually describes.
-fn cross_check_scenarios() -> Vec<(&'static str, SystemConfig, Vec<Vec<MemRef>>)> {
-    /// First public block number under the static scheme's default
-    /// threshold (`twobit_core::DEFAULT_STATIC_SHARED_FROM`).
-    const PUBLIC: u64 = 1 << 32;
-    let rd = |b: u64| MemRef::read(WordAddr::new(b, 0));
-    let wr = |b: u64| MemRef::write(WordAddr::new(b, 0));
-    let mut scenarios = Vec::new();
-    for kind in [
-        ProtocolKind::TwoBit,
-        ProtocolKind::TwoBitTlb { entries: 2 },
-        ProtocolKind::FullMap,
-        ProtocolKind::FullMapLocal,
-        ProtocolKind::ClassicalWriteThrough,
-    ] {
-        scenarios.push((
-            "3.2.5 write race",
-            SystemConfig::with_defaults(2).with_protocol(kind),
-            vec![vec![rd(1), wr(1)], vec![rd(1), wr(1)]],
-        ));
-        let mut conflict = SystemConfig::with_defaults(2).with_protocol(kind);
-        conflict.cache = CacheOrg::new(2, 1, 4).expect("valid 2-set direct-mapped cache");
-        scenarios.push((
-            "replacement/recall race",
-            conflict,
-            vec![vec![wr(1), rd(9)], vec![rd(1)]],
-        ));
-        scenarios.push((
-            "upgrade + third reader",
-            SystemConfig::with_defaults(3).with_protocol(kind),
-            vec![vec![rd(1), wr(1)], vec![wr(1)], vec![rd(1)]],
-        ));
-    }
-    let static_sw = ProtocolKind::StaticSoftware;
-    scenarios.push((
-        "public-block write race",
-        SystemConfig::with_defaults(2).with_protocol(static_sw),
-        vec![vec![rd(PUBLIC), wr(PUBLIC)], vec![rd(PUBLIC), wr(PUBLIC)]],
-    ));
-    let mut conflict = SystemConfig::with_defaults(2).with_protocol(static_sw);
-    conflict.cache = CacheOrg::new(2, 1, 4).expect("valid 2-set direct-mapped cache");
-    scenarios.push((
-        "private replacement + public race",
-        conflict,
-        vec![vec![wr(1), rd(9), wr(PUBLIC)], vec![rd(PUBLIC)]],
-    ));
-    scenarios.push((
-        "public upgrade + third reader",
-        SystemConfig::with_defaults(3).with_protocol(static_sw),
-        vec![
-            vec![rd(PUBLIC), wr(PUBLIC)],
-            vec![wr(PUBLIC)],
-            vec![rd(PUBLIC)],
-        ],
-    ));
-    scenarios
-}
-
-/// Differential cross-check: explores each race scenario under each of
-/// the six schemes with every directory decision reconciled against the
-/// scheme's table. Any edge the table cannot explain — and any protocol
-/// violation the checker itself finds — becomes a finding.
-#[must_use]
-pub fn cross_check(budget: u64, jobs: usize) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (label, config, script) in cross_check_scenarios() {
-        let scheme = format!("{}", config.protocol);
-        let mut mc = match ModelChecker::new(config, script) {
-            Ok(mc) => mc,
-            Err(e) => {
-                findings.push(Finding {
-                    analysis: "cross-check",
-                    scheme,
-                    rule: None,
-                    provenance: None,
-                    message: format!("{label}: checker rejected the scenario: {e}"),
-                    verdict: None,
-                    evidence: None,
-                });
-                continue;
-            }
-        };
-        let sink = mc.reconcile_tables();
-        match mc.explore_dedup(budget, jobs) {
-            Ok(_) => {}
-            Err(cex) => {
-                findings.push(Finding {
-                    analysis: "cross-check",
-                    scheme: scheme.clone(),
-                    rule: None,
-                    provenance: None,
-                    message: format!(
-                        "{label}: model checker found a protocol violation: {}",
-                        cex.error
-                    ),
-                    verdict: None,
-                    evidence: None,
-                });
-            }
-        }
-        for violation in sink.take() {
-            findings.push(Finding {
-                analysis: "cross-check",
-                scheme: scheme.clone(),
-                rule: None,
-                provenance: None,
-                message: format!("{label}: {violation}"),
-                verdict: None,
-                evidence: None,
-            });
-        }
-    }
-    findings
 }
 
 /// Renders findings for terminals: one line per finding (confirmation
@@ -760,13 +583,6 @@ pub fn render_json(findings: &[Finding]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn assignments_enumerate_the_hypercube() {
-        assert_eq!(assignments(&[]).len(), 1);
-        assert_eq!(assignments(&[Cond::Fresh]).len(), 2);
-        assert_eq!(assignments(&[Cond::WaitWrite, Cond::Retains]).len(), 4);
-    }
 
     #[test]
     fn json_document_shape() {

@@ -1,16 +1,14 @@
 //! One deliberately broken fixture table per analysis — each asserted
 //! flagged by exactly the analysis it targets — plus a golden run
-//! asserting every shipped scheme lints clean and a small differential
-//! cross-check against the model checker.
+//! asserting every shipped scheme lints clean.
 
 use twobit_core::rule;
 use twobit_core::transitions::{
     ActionKind, Cond, Delivery, EventKind, EventSpec, StateSet, TransitionTable,
 };
-use twobit_core::DirectoryProtocol;
 use twobit_lint::{
     check_broadcast_necessity, check_dead_rules, check_determinism, check_exhaustiveness,
-    check_invariants, cross_check, lint_table,
+    check_invariants, lint_table, two_bit_table,
 };
 use twobit_types::GlobalState;
 
@@ -133,10 +131,7 @@ fn dead_rules_are_flagged_with_provenance() {
 /// must flag it — a stale clean copy would survive the write.
 #[test]
 fn invariant_flags_the_dropped_invalidate() {
-    let mut table = twobit_core::TwoBitDirectory::new()
-        .transition_table()
-        .expect("two-bit ships a table")
-        .clone();
+    let mut table = two_bit_table().clone();
     assert!(
         check_invariants(&table).is_empty(),
         "the unmodified table is clean"
@@ -169,10 +164,7 @@ fn invariant_flags_the_dropped_invalidate() {
 /// we assert the exception is load-bearing by widening the rule.
 #[test]
 fn invariant_exception_is_limited_to_present1() {
-    let mut table = twobit_core::TwoBitDirectory::new()
-        .transition_table()
-        .expect("two-bit ships a table")
-        .clone();
+    let mut table = two_bit_table().clone();
     // Widen the invalidation-free Present1 upgrade to also claim
     // Present*: now it is an unsanctioned path and must be flagged.
     table
@@ -298,21 +290,4 @@ fn demo_barrier_livelock_is_flagged_and_confirmed() {
         "evidence must carry the replayed obs timeline:\n{evidence}"
     );
     assert!(findings.iter().any(|f| f.analysis == "flow-wait-cycle"));
-}
-
-/// Differential smoke: the model checker's explored edges are all
-/// explained by the tables. Small budget here; CI runs the binary's
-/// full `--cross-check` over all six schemes with a larger one.
-#[test]
-fn cross_check_smoke() {
-    let findings = cross_check(30_000, 2);
-    assert!(
-        findings.is_empty(),
-        "cross-check findings:\n{}",
-        findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
 }

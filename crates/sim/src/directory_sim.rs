@@ -4,11 +4,14 @@
 //! [`DirectorySim::run_jobs`] — is [`crate::sharded`].
 
 use crate::report::Report;
-use twobit_core::{invariants, AgentPolicy, CacheAgent, Controller, DEFAULT_STATIC_SHARED_FROM};
+use twobit_core::{
+    build_policy_for, build_protocol_for, invariants, CacheAgent, Controller,
+    DEFAULT_STATIC_SHARED_FROM,
+};
 use twobit_obs::{Metrics, NullTracer, PerfReport, Tracer, TxnClass};
 use twobit_types::{
     AccessKind, CacheId, CacheToMemory, ConfigError, Counter, ModuleId, NetworkStats,
-    ProtocolError, ProtocolKind, SystemConfig, SystemStats, TxnId,
+    ProtocolError, SystemConfig, SystemStats, TxnId,
 };
 
 /// Default gauge sampling cadence, in cycles.
@@ -54,42 +57,6 @@ pub struct DirectorySim {
     pub(crate) events: u64,
 }
 
-/// Builds the agent policy for a directory protocol (mirrors the
-/// functional executor's wiring).
-fn policy_for(protocol: ProtocolKind) -> AgentPolicy {
-    match protocol {
-        ProtocolKind::FullMapLocal => AgentPolicy::WriteBack {
-            use_exclusive: true,
-        },
-        ProtocolKind::ClassicalWriteThrough => AgentPolicy::WriteThrough,
-        ProtocolKind::StaticSoftware => AgentPolicy::Static {
-            shared_from: DEFAULT_STATIC_SHARED_FROM,
-        },
-        _ => AgentPolicy::WriteBack {
-            use_exclusive: false,
-        },
-    }
-}
-
-fn protocol_for(config: &SystemConfig) -> Box<dyn twobit_core::DirectoryProtocol> {
-    match config.protocol {
-        ProtocolKind::TwoBit => Box::new(twobit_core::TwoBitDirectory::new()),
-        ProtocolKind::TwoBitTlb { entries } => Box::new(twobit_core::TwoBitTlbDirectory::new(
-            entries as usize,
-            config.caches,
-        )),
-        ProtocolKind::FullMap => Box::new(twobit_core::FullMapDirectory::new(config.caches)),
-        ProtocolKind::FullMapLocal => {
-            Box::new(twobit_core::FullMapLocalDirectory::new(config.caches))
-        }
-        ProtocolKind::ClassicalWriteThrough => Box::new(twobit_core::ClassicalDirectory::new()),
-        ProtocolKind::StaticSoftware => Box::new(twobit_core::NullDirectory::new()),
-        ProtocolKind::WriteOnce | ProtocolKind::Illinois => {
-            unreachable!("bus protocols take the BusSim path")
-        }
-    }
-}
-
 impl DirectorySim {
     /// Builds the simulation.
     ///
@@ -109,7 +76,7 @@ impl DirectorySim {
                 let mut agent = CacheAgent::new(
                     id,
                     config.cache,
-                    policy_for(config.protocol),
+                    build_policy_for(config.protocol, DEFAULT_STATIC_SHARED_FROM),
                     config.duplicate_directory,
                 );
                 agent.set_bias_entries(config.bias_entries);
@@ -117,7 +84,14 @@ impl DirectorySim {
             })
             .collect();
         let controllers = ModuleId::all(config.address_map.modules())
-            .map(|m| Controller::new(m, protocol_for(&config), config.caches, config.concurrency))
+            .map(|m| {
+                Controller::new(
+                    m,
+                    build_protocol_for(&config),
+                    config.caches,
+                    config.concurrency,
+                )
+            })
             .collect();
         Ok(DirectorySim {
             config,
@@ -287,7 +261,7 @@ impl DirectorySim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twobit_types::{MemRef, WordAddr};
+    use twobit_types::{MemRef, ProtocolKind, WordAddr};
     use twobit_workload::{scenarios, SharingModel, SharingParams, Workload};
 
     fn config(n: usize, protocol: ProtocolKind) -> SystemConfig {

@@ -175,3 +175,20 @@ fn random_walks_on_a_bigger_mix() {
         "every walk must reach clean quiescence"
     );
 }
+
+/// Smoke over the one list of race scripts `verify_protocols` (and CI's
+/// model-check gate) runs, all six schemes, at a small budget: every
+/// script explores to completion with no violation.
+#[test]
+fn every_race_scenario_explores_clean() {
+    let scenarios = twobit::core::model_check::race_scenarios();
+    assert_eq!(scenarios.len(), 18, "3 scripts x 5 coherent schemes + 3");
+    for (label, config, script) in scenarios {
+        let protocol = config.protocol;
+        let checker = ModelChecker::new(config, script).unwrap();
+        let result = checker
+            .explore_dedup(30_000, 2)
+            .unwrap_or_else(|cex| panic!("{label} / {protocol}: {}", cex.error));
+        assert!(!result.truncated, "{label} / {protocol}: truncated");
+    }
+}
