@@ -168,7 +168,7 @@ fn main() -> ExitCode {
             cfg.faults = FaultConfig::adversarial(vec![Actor::Cache(0)], start, heal);
             match run(&cfg) {
                 Ok(report) => {
-                    let wall_s = (report.wall_ms as f64 / 1000.0).max(1e-9);
+                    let wall_s = report.wall_ns.max(1) as f64 / 1e9;
                     let mut doc = report.to_json();
                     if let Json::Obj(map) = &mut doc {
                         // Per-node (client lane) throughput, the headline
@@ -198,14 +198,14 @@ fn main() -> ExitCode {
                         .collect();
                     println!(
                         "{scheme} [{}]: {} refs linearizable ({} retries, {} retransmits, \
-                         heal lag {:?}, vt {}, {} ms; {})",
+                         heal lag {:?}, vt {}, {:.2} ms; {})",
                         report.schedule,
                         report.total_refs,
                         report.retries,
                         report.retransmits,
                         report.heal_lag,
                         report.virtual_end,
-                        report.wall_ms,
+                        report.wall_ns as f64 / 1e6,
                         lat.join(", "),
                     );
                     runs.push(doc);

@@ -13,6 +13,9 @@
 //! * **Fixed points.** encode → decode → encode returns the first text,
 //!   for every command variant, envelope, control message, event and
 //!   trace.
+//! * **One statement, two sinks.** For generated envelopes, control
+//!   messages, events and checkpoint documents, the text sink writes
+//!   what the tree writes, and parsing it gives the tree back.
 //! * **Hostile input.** Arbitrary bytes, every prefix of a valid frame
 //!   and every single-bit flip of one go to every decoder, which must
 //!   answer `Err`/`None` or a value — never panic, never overflow the
@@ -27,7 +30,7 @@ use twobit_dist::wire::{
     request_from_line, request_line, response_from_line, response_line, Actor, Envelope,
     NodeConfig, Payload, Request, Response,
 };
-use twobit_obs::json::{self, FromJson, ToJson};
+use twobit_obs::json::{self, FromJson, Json, ToJson};
 use twobit_obs::{ActorId, SimEvent};
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, CacheOrg, CacheToMemory, CommandClass, Fingerprinter,
@@ -311,12 +314,19 @@ fn digest(text: &str) -> String {
 /// a sharing-heavy mix on 3 caches with a 2-entry BIAS filter, per
 /// scheme (the static scheme gets its private/public split).
 fn checkpoint_texts(protocol: ProtocolKind) -> (String, String) {
+    let (agent, ctrl) = checkpoints(protocol, 0x1234_5678_9abc_def0, 120);
+    (agent.to_json(), ctrl.to_json())
+}
+
+/// The two checkpoint documents of [`checkpoint_texts`], for any seed
+/// and length of the reference stream.
+fn checkpoints(protocol: ProtocolKind, seed: u64, refs: usize) -> (Json, Json) {
     const SHARED_FROM: u64 = 16;
     let mut cfg = SystemConfig::with_defaults(3).with_protocol(protocol);
     cfg.bias_entries = 2;
     let mut sys = FunctionalSystem::with_static_threshold(cfg, SHARED_FROM).unwrap();
-    let mut x = 0x1234_5678_9abc_def0_u64;
-    for i in 0..120 {
+    let mut x = seed;
+    for i in 0..refs {
         // splitmix64, as in crates/core/tests/checkpoint_roundtrip.rs.
         x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = x;
@@ -340,8 +350,8 @@ fn checkpoint_texts(protocol: ProtocolKind) -> (String, String) {
         sys.do_ref(k, op).unwrap();
     }
     (
-        sys.agents()[0].save_state().to_json(),
-        sys.controllers()[0].save_state().to_json(),
+        sys.agents()[0].save_state(),
+        sys.controllers()[0].save_state(),
     )
 }
 
@@ -529,6 +539,256 @@ fn restored_checkpoints_write_the_same_text() {
         .restore_state(&json::parse(AGENT_CHECKPOINT).unwrap())
         .unwrap();
     assert_eq!(agent.save_state().to_json(), AGENT_CHECKPOINT);
+}
+
+// ---------------------------------------------------------------------------
+// One statement, two sinks
+// ---------------------------------------------------------------------------
+
+/// The text sink writes what the tree writes, and the text parses back
+/// to the tree.
+fn sinks_agree<T: ToJson + ?Sized>(value: &T) {
+    let tree = value.json();
+    let text = json::to_text(value);
+    assert_eq!(text, tree.to_json());
+    assert_eq!(json::parse(&text).unwrap(), tree);
+}
+
+/// Builds values out of drawn words: every field from the stream, the
+/// variant from the stream too.
+struct Draw(std::vec::IntoIter<u64>);
+
+impl Draw {
+    fn word(&mut self) -> u64 {
+        self.0.next().unwrap_or(0)
+    }
+
+    fn pick(&mut self, n: usize) -> usize {
+        (self.word() % n as u64) as usize
+    }
+
+    fn flag(&mut self) -> bool {
+        self.word() & 1 == 1
+    }
+
+    fn cache(&mut self) -> CacheId {
+        CacheId::new(self.pick(1 << 16))
+    }
+
+    fn block(&mut self) -> BlockAddr {
+        BlockAddr::new(self.word())
+    }
+
+    fn version(&mut self) -> Version {
+        Version::new(self.word())
+    }
+
+    fn rw(&mut self) -> AccessKind {
+        [AccessKind::Read, AccessKind::Write][self.pick(2)]
+    }
+
+    fn actor(&mut self) -> Actor {
+        let n = self.word() as usize;
+        [Actor::Cache(n), Actor::Module(n), Actor::Client(n)][self.pick(3)]
+    }
+
+    /// Text with everything the escaper rewrites in it.
+    fn text(&mut self) -> String {
+        const PIECES: [&str; 8] = [
+            "deliver ", "\"", "\\", "\n", "\t\r", "\u{1}", "é→", "GET(C3)",
+        ];
+        (0..self.pick(6)).map(|_| PIECES[self.pick(8)]).collect()
+    }
+
+    fn c2m(&mut self) -> CacheToMemory {
+        let (k, a, version) = (self.cache(), self.block(), self.version());
+        match self.pick(6) {
+            0 => CacheToMemory::Request {
+                k,
+                a,
+                rw: self.rw(),
+            },
+            1 => CacheToMemory::MRequest { k, a, version },
+            2 => CacheToMemory::Eject {
+                k,
+                olda: a,
+                wb: [WritebackKind::Clean, WritebackKind::Dirty][self.pick(2)],
+            },
+            3 => CacheToMemory::PutData {
+                from: k,
+                a,
+                version,
+            },
+            4 => CacheToMemory::WriteThrough { k, a, version },
+            _ => CacheToMemory::DirectRead { k, a },
+        }
+    }
+
+    fn m2c(&mut self) -> MemoryToCache {
+        let (k, a) = (self.cache(), self.block());
+        match self.pick(6) {
+            0 => MemoryToCache::GetData {
+                k,
+                a,
+                version: self.version(),
+                exclusive: self.flag(),
+            },
+            1 => MemoryToCache::BroadInv { a, exclude: k },
+            2 => MemoryToCache::BroadQuery { a, rw: self.rw() },
+            3 => MemoryToCache::MGranted {
+                k,
+                a,
+                granted: self.flag(),
+            },
+            4 => MemoryToCache::Inv { a, to: k },
+            _ => MemoryToCache::Purge {
+                a,
+                to: k,
+                rw: self.rw(),
+            },
+        }
+    }
+
+    fn envelope(&mut self) -> Envelope {
+        let payload = match self.pick(6) {
+            0 => Payload::ClientReq {
+                txn: TxnId::new(self.word()),
+                op: MemRef {
+                    addr: WordAddr::new(self.word(), self.word() as u16),
+                    kind: self.rw(),
+                },
+                sv: self.flag().then(|| self.version()),
+            },
+            1 => Payload::ClientResp {
+                txn: TxnId::new(self.word()),
+                observed: self.version(),
+                was_hit: self.flag(),
+            },
+            2 => Payload::ToMemory { cmd: self.c2m() },
+            3 => Payload::ToCache {
+                cmd: self.m2c(),
+                ack: self.flag().then(|| self.word()),
+            },
+            4 => Payload::InvAck {
+                barrier: self.word(),
+            },
+            _ => Payload::WtAck { sv: self.version() },
+        };
+        Envelope {
+            src: self.actor(),
+            dst: self.actor(),
+            payload,
+        }
+    }
+
+    fn event(&mut self) -> SimEvent {
+        let actor = match self.pick(3) {
+            0 => ActorId::Cache(self.cache()),
+            1 => ActorId::Module(ModuleId::new(self.pick(1 << 16))),
+            _ => ActorId::Network,
+        };
+        let mut e = SimEvent::new(self.word(), actor, self.block(), self.text());
+        if self.flag() {
+            e = e.class(CommandClass::ALL[self.pick(12)]);
+        }
+        if self.flag() {
+            e = e.global(
+                GlobalState::ALL[self.pick(4)],
+                GlobalState::ALL[self.pick(4)],
+            );
+        }
+        if self.flag() {
+            const LINE: [LineState; 3] = [LineState::Invalid, LineState::Clean, LineState::Dirty];
+            e = e.local(LINE[self.pick(3)], LINE[self.pick(3)]);
+        }
+        if self.flag() {
+            e = e.txn(TxnId::new(self.word()));
+        }
+        e.useless(self.flag())
+    }
+
+    fn checkpoint(&mut self) -> Json {
+        let protocol = ALL_SCHEMES[self.pick(6)];
+        let (agent, ctrl) = checkpoints(protocol, self.word(), self.pick(60));
+        if self.flag() {
+            agent
+        } else {
+            ctrl
+        }
+    }
+
+    fn request(&mut self) -> Request {
+        match self.pick(5) {
+            0 => Request::Init(Box::new(NodeConfig {
+                role: self.actor(),
+                scheme: self.text(),
+                caches: self.word() as usize,
+                modules: self.word() as usize,
+                sets: self.word() as u32,
+                assoc: self.word() as u32,
+                block_words: self.word() as u32,
+                shared_from: self.word(),
+                bias_entries: self.word() as u32,
+                tlb_entries: self.word() as u32,
+            })),
+            1 => Request::Deliver {
+                now: self.word(),
+                replay: self.flag(),
+                env: self.envelope(),
+            },
+            2 => Request::Checkpoint,
+            3 => Request::Restore {
+                state: self.checkpoint(),
+            },
+            _ => Request::Shutdown,
+        }
+    }
+
+    fn response(&mut self) -> Response {
+        match self.pick(6) {
+            0 => Response::InitOk,
+            1 => Response::DeliverOk {
+                outputs: (0..self.pick(4)).map(|_| self.envelope()).collect(),
+                events: (0..self.pick(3)).map(|_| self.event().to_jsonl()).collect(),
+            },
+            2 => Response::CheckpointOk {
+                state: self.checkpoint(),
+            },
+            3 => Response::RestoreOk,
+            4 => Response::ShutdownOk,
+            _ => Response::Error { msg: self.text() },
+        }
+    }
+}
+
+proptest! {
+    /// Words of every magnitude — small ids, 32-bit edges, values past
+    /// what a double holds — so the sinks are compared on each number
+    /// path.
+    #[test]
+    fn the_text_sink_writes_what_the_tree_writes(
+        words in prop::collection::vec(
+            prop_oneof![any::<u64>(), 0u64..70_000, (1u64 << 53) - 2..(1u64 << 53) + 2],
+            96..97,
+        ),
+    ) {
+        let mut d = Draw(words.into_iter());
+        sinks_agree(&d.envelope());
+        sinks_agree(&d.request());
+        sinks_agree(&d.response());
+        sinks_agree(&d.checkpoint());
+        // An event also has its stated order, which is the JSONL line:
+        // same members, so the same tree; and the line reads back.
+        let event = d.event();
+        sinks_agree(&event);
+        let line = event.to_jsonl();
+        prop_assert_eq!(json::parse(&line).unwrap(), event.json());
+        // Beyond 2^53 a number in the line is no longer the field's.
+        let exact = |n: u64| n < 1 << 53;
+        if exact(event.t) && exact(event.block.number()) && event.txn.is_none_or(|t| exact(t.raw())) {
+            prop_assert_eq!(SimEvent::from_jsonl(&line), Some(event));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ use crate::local::LocalState;
 use std::fmt;
 use twobit_cache::Cache;
 use twobit_cache::LineMeta as _;
-use twobit_obs::json::{obj, FromJson, Json, ToJson};
+use twobit_obs::json::{obj, FromJson, Json, Sink, ToJson};
 use twobit_obs::json_enum;
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, CacheOrg, CacheStats, CacheToMemory, Fingerprinter, MemRef,
@@ -81,13 +81,13 @@ json_enum!(PendingKind {
 
 /// `{a, kind, op, sv}`.
 impl ToJson for Pending {
-    fn json(&self) -> Json {
-        obj([
-            ("a", self.a.json()),
-            ("kind", self.kind.json()),
-            ("op", self.op.json()),
-            ("sv", self.store_version.json()),
-        ])
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.object(|o| {
+            o.member("a", &self.a);
+            o.member("kind", &self.kind);
+            o.member("op", &self.op);
+            o.member("sv", &self.store_version);
+        });
     }
 }
 

@@ -27,7 +27,7 @@ use crate::local::LocalState;
 use crate::memory::MemoryImage;
 use crate::owner_set::OwnerSet;
 use twobit_cache::{CacheSnapshot, SlotSnapshot};
-use twobit_obs::json::{obj, FromJson, Json, ToJson};
+use twobit_obs::json::{obj, FromJson, Json, Sink, ToJson};
 use twobit_obs::json_enum;
 use twobit_types::CacheId;
 
@@ -35,10 +35,11 @@ json_enum!(LocalState { Invalid => "I", Shared => "S", Exclusive => "E", Dirty =
 
 /// `[width, member...]`.
 impl ToJson for OwnerSet {
-    fn json(&self) -> Json {
-        std::iter::once(self.capacity().json())
-            .chain(self.iter().map(|k| k.json()))
-            .collect()
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.array(|a| {
+            self.capacity().emit(a);
+            self.iter().for_each(|k| k.emit(a));
+        });
     }
 }
 
@@ -60,10 +61,15 @@ impl FromJson for OwnerSet {
 
 /// `[[block, version], ...]` in ascending block order.
 impl ToJson for MemoryImage {
-    fn json(&self) -> Json {
-        self.written_blocks()
-            .map(|(a, v)| Json::Arr(vec![a.json(), v.json()]))
-            .collect()
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.array(|entries| {
+            for (a, v) in self.written_blocks() {
+                entries.array(|pair| {
+                    a.emit(pair);
+                    v.emit(pair);
+                });
+            }
+        });
     }
 }
 

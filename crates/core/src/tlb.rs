@@ -28,7 +28,7 @@ use crate::owner_set::OwnerSet;
 use crate::transitions::{ActionKind, Delivery, Program};
 use std::collections::HashMap;
 use std::sync::OnceLock;
-use twobit_obs::json::{obj, Json, ToJson};
+use twobit_obs::json::{Json, Sink, ToJson};
 use twobit_types::{BlockAddr, CacheId, Fingerprinter};
 
 /// A bounded LRU buffer of exact owner sets.
@@ -205,29 +205,26 @@ impl TranslationBuffer {
 /// entries sorted by block number so a given state always writes one
 /// canonical document.
 impl ToJson for TranslationBuffer {
-    fn json(&self) -> Json {
+    fn emit<S: Sink>(&self, out: &mut S) {
         let mut entries: Vec<_> = self.entries.iter().collect();
         entries.sort_by_key(|(a, _)| a.number());
-        obj([
-            ("capacity", self.capacity.json()),
-            ("width", self.width.json()),
-            ("clock", self.clock.json()),
-            (
-                "entries",
-                entries
-                    .into_iter()
-                    .map(|(a, (owners, stamp))| {
-                        obj([
-                            ("a", a.json()),
-                            ("o", owners.json()),
-                            ("stamp", stamp.json()),
-                        ])
-                    })
-                    .collect(),
-            ),
-            ("hits", self.hits.json()),
-            ("misses", self.misses.json()),
-        ])
+        out.object(|o| {
+            o.member("capacity", &self.capacity);
+            o.member("width", &self.width);
+            o.member("clock", &self.clock);
+            o.key("entries");
+            o.array(|list| {
+                for (a, (owners, stamp)) in entries {
+                    list.object(|e| {
+                        e.member("a", a);
+                        e.member("o", owners);
+                        e.member("stamp", stamp);
+                    });
+                }
+            });
+            o.member("hits", &self.hits);
+            o.member("misses", &self.misses);
+        });
     }
 }
 

@@ -169,7 +169,7 @@ fn main() -> ExitCode {
                         .collect();
                     println!(
                         "{scheme} [{}]: {} refs linearizable ({} retries, {} retransmits, \
-                         {} drops, {} recoveries, vt {}, {} ms; {})",
+                         {} drops, {} recoveries, vt {}, {:.2} ms; {})",
                         report.schedule,
                         report.total_refs,
                         report.retries,
@@ -177,7 +177,7 @@ fn main() -> ExitCode {
                         report.client_drops,
                         report.recoveries,
                         report.virtual_end,
-                        report.wall_ms,
+                        report.wall_ns as f64 / 1e6,
                         lat.join(", "),
                     );
                 }

@@ -50,7 +50,7 @@ use std::time::Duration;
 use twobit_core::Oracle;
 use twobit_interconnect::poll::{PollTransport, Token};
 use twobit_interconnect::transport::tcp_accept_stream;
-use twobit_obs::json::{num_u64, obj, Json, ToJson};
+use twobit_obs::json::{num_u64, obj, Json, Sink, Text, ToJson};
 use twobit_obs::Histogram;
 use twobit_types::{AccessKind, AddressMap, BlockAddr, MemRef, TxnId, Version, WordAddr};
 
@@ -60,6 +60,56 @@ use crate::node::Node;
 use crate::wire::{
     request_line, response_from_line, Actor, Envelope, NodeConfig, Payload, Request, Response,
 };
+
+/// The lines of the merged timeline the driver writes itself (node
+/// events arrive written). Each states its form once, like any other
+/// type, and [`Driver::line`] is the one place a line becomes text.
+struct DeliveryLine<'a> {
+    t: u64,
+    env: &'a Envelope,
+}
+
+impl ToJson for DeliveryLine<'_> {
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.object(|o| {
+            o.member("dst", &self.env.dst);
+            o.member("env", self.env);
+            o.member("t", &self.t);
+        });
+    }
+}
+
+struct RestartLine {
+    t: u64,
+    node: Actor,
+}
+
+impl ToJson for RestartLine {
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.object(|o| {
+            o.member("dst", &self.node);
+            o.member("restart", &true);
+            o.member("t", &self.t);
+        });
+    }
+}
+
+/// The livelock guard's verdict, the last line of the tail it reports.
+struct LivelockLine<'a> {
+    t: u64,
+    events: u64,
+    done: &'a [usize],
+}
+
+impl ToJson for LivelockLine<'_> {
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.object(|o| {
+            o.member("done", self.done);
+            o.member("livelock", &self.events);
+            o.member("t", &self.t);
+        });
+    }
+}
 
 /// How long the driver waits for a spawned node to dial back (TCP mode).
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(10);
@@ -264,8 +314,8 @@ pub struct RunReport {
     pub recoveries: u64,
     /// Virtual time at quiescence.
     pub virtual_end: u64,
-    /// Wall-clock milliseconds.
-    pub wall_ms: u64,
+    /// Wall-clock nanoseconds.
+    pub wall_ns: u64,
     /// References completed per client.
     pub per_client_refs: Vec<usize>,
     /// Per partition: lag from the heal edge until the last
@@ -283,10 +333,21 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Wall-clock milliseconds, rounded down.
+    #[must_use]
+    pub fn wall_ms(&self) -> u64 {
+        self.wall_ns / 1_000_000
+    }
+
+    /// References completed per wall-clock second.
+    #[must_use]
+    pub fn refs_per_sec(&self) -> f64 {
+        self.total_refs as f64 / (self.wall_ns.max(1) as f64 / 1e9)
+    }
+
     /// Renders the benchmark-facing summary (no timeline, no raw ops).
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let wall_s = (self.wall_ms as f64 / 1000.0).max(1e-9);
         let latency = Json::Obj(
             self.latency
                 .iter()
@@ -318,8 +379,8 @@ impl RunReport {
             ("deliveries", num_u64(self.deliveries)),
             ("recoveries", num_u64(self.recoveries)),
             ("virtual_end", num_u64(self.virtual_end)),
-            ("wall_ms", num_u64(self.wall_ms)),
-            ("refs_per_sec", Json::Num(self.total_refs as f64 / wall_s)),
+            ("wall_ms", num_u64(self.wall_ms())),
+            ("refs_per_sec", Json::Num(self.refs_per_sec())),
             (
                 "per_client_refs",
                 Json::Arr(
@@ -562,13 +623,19 @@ enum Slot {
     Requeued,
     /// A client-edge delivery (handled entirely driver-side).
     Client(Envelope),
-    /// A node delivery whose request is in flight. `early` carries the
-    /// response when the node is in-process (answered synchronously).
+    /// A node delivery whose exchange has started. The envelope itself
+    /// has moved on (into the replay log, or nowhere); what phase two
+    /// needs of it is its timeline `line`. `early` carries the outcome
+    /// when the node is in-process (stepped synchronously).
     Sent {
-        env: Envelope,
-        early: Option<Response>,
+        who: Actor,
+        line: String,
+        early: Option<Result<Delivered, String>>,
     },
 }
+
+/// What a node's step yields: envelopes to route, trace-event lines.
+type Delivered = (Vec<Envelope>, Vec<String>);
 
 struct Driver<'c> {
     cfg: &'c RunConfig,
@@ -582,9 +649,15 @@ struct Driver<'c> {
     oracle: Oracle,
     next_txn: u64,
     checkpoints: BTreeMap<Actor, Json>,
+    /// Per node, the deliveries since its last checkpoint — kept only
+    /// when the plan has a crash, the one thing that reads it.
     replay_log: BTreeMap<Actor, Vec<(u64, Envelope)>>,
     ops: Vec<OpRecord>,
     timeline: Vec<String>,
+    /// The one writer of the driver's own timeline lines.
+    text: Text,
+    /// Per node, its share of the timeline — filled only when
+    /// `trace_dir` asks for the per-node files.
     node_events: BTreeMap<Actor, Vec<String>>,
     lat_read: Histogram,
     lat_write: Histogram,
@@ -629,7 +702,7 @@ pub fn run(cfg: &RunConfig) -> Result<RunReport, String> {
         deliveries: d.deliveries,
         recoveries: d.recoveries,
         virtual_end: d.now,
-        wall_ms: wall_start.elapsed().as_millis() as u64,
+        wall_ns: u64::try_from(wall_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
         per_client_refs: d.clients.iter().map(|c| c.done).collect(),
         heal_lag,
         latency: vec![
@@ -684,7 +757,9 @@ impl<'c> Driver<'c> {
                 tlb_entries: cfg.tlb_entries,
             };
             links.insert(role, spawn_link(&cfg.mode, &node_cfg, &mut poll)?);
-            node_events.insert(role, Vec::new());
+            if cfg.trace_dir.is_some() {
+                node_events.insert(role, Vec::new());
+            }
         }
         // Stream 0 is the driver's fault stream; clients get 1..=caches.
         // Each is a full splitmix64 mix of (seed, index), so streams
@@ -714,7 +789,8 @@ impl<'c> Driver<'c> {
             replay_log: BTreeMap::new(),
             ops: Vec::new(),
             timeline: Vec::new(),
-            node_events: node_events.into_iter().collect(),
+            text: Text::canonical(),
+            node_events,
             lat_read: Histogram::new(),
             lat_write: Histogram::new(),
             retries: 0,
@@ -753,6 +829,18 @@ impl<'c> Driver<'c> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.calendar.push(Reverse(Event { t, seq, kind }));
+    }
+
+    /// One of the driver's own timeline lines, as text of its exact
+    /// length (the timeline keeps every line for the whole run).
+    fn line(&mut self, line: &impl ToJson) -> String {
+        self.text.write(line).to_owned()
+    }
+
+    /// Writes `line` at the end of the timeline.
+    fn record(&mut self, line: &impl ToJson) {
+        let line = self.line(line);
+        self.timeline.push(line);
     }
 
     fn all_done(&self) -> bool {
@@ -810,11 +898,15 @@ impl<'c> Driver<'c> {
                 EventKind::CheckpointTick => self.on_checkpoint_tick()?,
             }
             if processed > self.cfg.max_events {
+                let done: Vec<usize> = self.clients.iter().map(|c| c.done).collect();
+                self.record(&LivelockLine {
+                    t: self.now,
+                    events: processed,
+                    done: &done,
+                });
                 let tail_from = self.timeline.len().saturating_sub(12);
                 return Err(format!(
-                    "livelock: {} events without quiescence (done: {:?}); timeline tail:\n{}",
-                    processed,
-                    self.clients.iter().map(|c| c.done).collect::<Vec<_>>(),
+                    "livelock: {processed} events without quiescence; timeline tail:\n{}",
                     self.timeline[tail_from..].join("\n")
                 ));
             }
@@ -1064,14 +1156,21 @@ impl<'c> Driver<'c> {
     /// Dispatches one same-instant batch of deliveries.
     ///
     /// Phase one walks the batch in `seq` order and *starts* every node
-    /// exchange (in-process nodes answer synchronously and the response
+    /// exchange (an in-process node is stepped directly and the outcome
     /// is parked in the slot; child requests go out pipelined over the
     /// poll transport). Phase two walks the slots in the same order,
     /// consumes each reply, and applies all observable effects —
     /// timeline lines, history records, output routing, rng draws — so
     /// the result is identical to having performed the exchanges one at
     /// a time, while the children compute concurrently.
+    ///
+    /// An envelope is never copied on the way: it is popped off the
+    /// calendar, lent to the node's step (or to the frame writer, which
+    /// hands it back), lent to the timeline line, and then moved into
+    /// the replay log when the plan has a crash to replay it for, or
+    /// dropped.
     fn deliver_batch(&mut self, batch: Vec<Envelope>) -> Result<(), String> {
+        let keep_replay_log = !self.cfg.faults.crashes.is_empty();
         let mut slots = Vec::with_capacity(batch.len());
         for env in batch {
             // A message reaching a node inside its crash window waits
@@ -1088,26 +1187,38 @@ impl<'c> Driver<'c> {
                 continue;
             }
             let who = env.dst;
-            let req = Request::Deliver {
-                now: self.now,
-                replay: false,
-                env: env.clone(),
-            };
             let link = self.links.get_mut(&who).expect("known node");
-            let early = match link {
-                NodeLink::InProc(n) => Some(n.handle(&req)),
+            let (env, early) = match link {
+                NodeLink::InProc(n) => {
+                    let outcome = n.deliver(self.now, &env);
+                    (env, Some(outcome))
+                }
                 NodeLink::Child { token, .. } => {
+                    let req = Request::Deliver {
+                        now: self.now,
+                        replay: false,
+                        env,
+                    };
                     self.poll
                         .send(*token, &request_line(&req))
                         .map_err(|e| format!("{who}: send failed: {e}"))?;
-                    None
+                    let Request::Deliver { env, .. } = req else {
+                        unreachable!("built three lines up");
+                    };
+                    (env, None)
                 }
             };
-            self.replay_log
-                .entry(who)
-                .or_default()
-                .push((self.now, env.clone()));
-            slots.push(Slot::Sent { env, early });
+            let line = self.line(&DeliveryLine {
+                t: self.now,
+                env: &env,
+            });
+            if keep_replay_log {
+                self.replay_log
+                    .entry(who)
+                    .or_default()
+                    .push((self.now, env));
+            }
+            slots.push(Slot::Sent { who, line, early });
         }
 
         for slot in slots {
@@ -1126,46 +1237,32 @@ impl<'c> Driver<'c> {
                             env.payload.kind()
                         ));
                     };
-                    self.timeline.push(
-                        obj([
-                            ("t", num_u64(self.now)),
-                            ("dst", Json::Str(env.dst.to_string())),
-                            ("env", env.json()),
-                        ])
-                        .to_json(),
-                    );
+                    self.record(&DeliveryLine {
+                        t: self.now,
+                        env: &env,
+                    });
                     let Actor::Client(k) = env.dst else {
                         unreachable!("matched in phase one");
                     };
                     self.on_client_resp(k, txn, observed, was_hit);
                 }
-                Slot::Sent { env, early } => {
+                Slot::Sent { who, line, early } => {
                     self.deliveries += 1;
-                    self.timeline.push(
-                        obj([
-                            ("t", num_u64(self.now)),
-                            ("dst", Json::Str(env.dst.to_string())),
-                            ("env", env.json()),
-                        ])
-                        .to_json(),
-                    );
-                    let who = env.dst;
-                    let resp = match early {
-                        Some(r) => r,
-                        None => self.recv_child(who)?,
+                    self.timeline.push(line);
+                    let (outputs, events) = match early {
+                        Some(outcome) => outcome.map_err(|msg| format!("{who}: {msg}"))?,
+                        None => match self.recv_child(who)? {
+                            Response::DeliverOk { outputs, events } => (outputs, events),
+                            Response::Error { msg } => return Err(format!("{who}: {msg}")),
+                            other => return Err(format!("{who}: unexpected reply {other:?}")),
+                        },
                     };
-                    match resp {
-                        Response::DeliverOk { outputs, events } => {
-                            for line in events {
-                                self.timeline.push(line.clone());
-                                self.node_events.entry(who).or_default().push(line);
-                            }
-                            for out in outputs {
-                                self.route(out);
-                            }
-                        }
-                        Response::Error { msg } => return Err(format!("{who}: {msg}")),
-                        other => return Err(format!("{who}: unexpected reply {other:?}")),
+                    if let Some(own) = self.node_events.get_mut(&who) {
+                        own.extend_from_slice(&events);
+                    }
+                    self.timeline.extend(events);
+                    for out in outputs {
+                        self.route(out);
                     }
                 }
             }
@@ -1191,14 +1288,7 @@ impl<'c> Driver<'c> {
 
     fn on_restart(&mut self, node: Actor) -> Result<(), String> {
         self.recoveries += 1;
-        self.timeline.push(
-            obj([
-                ("t", num_u64(self.now)),
-                ("dst", Json::Str(node.to_string())),
-                ("restart", Json::Bool(true)),
-            ])
-            .to_json(),
-        );
+        self.record(&RestartLine { t: self.now, node });
         // The crashed instance is gone; build a fresh one…
         if let Some(mut old) = self.links.remove(&node) {
             old.kill(&mut self.poll);
@@ -1226,7 +1316,9 @@ impl<'c> Driver<'c> {
         // …and replay the deliveries logged since. The node recomputes
         // identical outputs; they were already routed before the crash,
         // so the driver discards them.
-        for (t, env) in self.replay_log.get(&node).cloned().unwrap_or_default() {
+        let log = self.replay_log.remove(&node).unwrap_or_default();
+        let mut replayed = Vec::with_capacity(log.len());
+        for (t, env) in log {
             let req = Request::Deliver {
                 now: t,
                 replay: true,
@@ -1236,7 +1328,13 @@ impl<'c> Driver<'c> {
                 Response::DeliverOk { .. } => {}
                 other => return Err(format!("{node}: replay failed: {other:?}")),
             }
+            let Request::Deliver { env, .. } = req else {
+                unreachable!("built above");
+            };
+            replayed.push((t, env));
         }
+        // A second crash before the next checkpoint replays them again.
+        self.replay_log.insert(node, replayed);
         self.links.insert(node, link);
         Ok(())
     }
@@ -1251,7 +1349,7 @@ impl<'c> Driver<'c> {
             match rpc(link, &mut self.poll, node, &Request::Checkpoint)? {
                 Response::CheckpointOk { state } => {
                     self.checkpoints.insert(node, state);
-                    self.replay_log.entry(node).or_default().clear();
+                    self.replay_log.remove(&node);
                 }
                 other => return Err(format!("{node}: checkpoint failed: {other:?}")),
             }

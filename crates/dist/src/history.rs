@@ -94,6 +94,13 @@ pub fn check_history(history: &[OpRecord]) -> Result<LinearizationReport, String
 
 /// Finds a linearization of one block's operations, or proves none
 /// exists.
+///
+/// A depth-first search over `(prefix vector, current version)` states.
+/// The search keeps *one* prefix vector and *one* path (the lane chosen
+/// at each depth), rewound when it backtracks, so a stack frame is three
+/// words and the whole search is linear in the history; the states
+/// already expanded are remembered as packed integers where the prefix
+/// vector fits one (see [`SeenKey`]).
 fn linearize_block<'h>(
     block: u64,
     ops: &[&'h OpRecord],
@@ -112,51 +119,25 @@ fn linearize_block<'h>(
             lanes.push(lane);
         }
     }
-
-    // Iterative DFS over (prefix vector, current version) states.
-    let initial = Version::initial().raw();
-    let mut seen: HashSet<(Vec<usize>, u64)> = HashSet::new();
-    // Each stack frame: (prefix vector, current version, chosen so far).
-    let mut stack = vec![(vec![0usize; lanes.len()], initial, Vec::new())];
-    while let Some((prefix, current, chosen)) = stack.pop() {
-        if chosen.len() == ops.len() {
-            return Ok(chosen);
-        }
-        if !seen.insert((prefix.clone(), current)) {
-            continue;
-        }
-        *states_visited += 1;
-        // Real-time rule: the next linearized op must have been invoked
-        // no later than the earliest completion among remaining ops —
-        // otherwise some other op finished entirely before it began.
-        let min_ret = lanes
-            .iter()
-            .zip(&prefix)
-            .filter_map(|(lane, &i)| lane.get(i).map(|o| o.completed))
-            .min()
-            .unwrap_or(u64::MAX);
-        for (c, lane) in lanes.iter().enumerate() {
-            let Some(op) = lane.get(prefix[c]) else {
-                continue;
-            };
-            if op.invoked > min_ret {
-                continue;
-            }
-            let next_version = match op.kind {
-                AccessKind::Read => {
-                    if op.version != current {
-                        continue; // would observe the wrong version
-                    }
-                    current
-                }
-                AccessKind::Write => op.version,
-            };
-            let mut p = prefix.clone();
-            p[c] += 1;
-            let mut ch: Vec<&OpRecord> = chosen.clone();
-            ch.push(op);
-            stack.push((p, next_version, ch));
-        }
+    // One bit field per lane, wide enough for its length.
+    let widths: Vec<u32> = lanes
+        .iter()
+        .map(|lane| usize::BITS - lane.len().leading_zeros())
+        .collect();
+    let found = if widths.iter().sum::<u32>() <= u128::BITS {
+        search::<u128>(&lanes, &widths, ops.len(), states_visited)
+    } else {
+        search::<Box<[usize]>>(&lanes, &widths, ops.len(), states_visited)
+    };
+    if let Some(path) = found {
+        let mut next = vec![0usize; lanes.len()];
+        return Ok(path
+            .into_iter()
+            .map(|c| {
+                next[c] += 1;
+                lanes[c][next[c] - 1]
+            })
+            .collect());
     }
     // Render the conflicting history so a failure is diagnosable from
     // the message alone.
@@ -176,6 +157,109 @@ fn linearize_block<'h>(
         ops.len(),
         lines.join("\n")
     ))
+}
+
+/// How an expanded state's prefix vector is remembered: one bit field
+/// per lane in a `u128` where they fit (every fleet this repository
+/// runs: four lanes of 2^32 operations, sixteen of 255), the vector
+/// itself where they do not.
+trait SeenKey: std::hash::Hash + Eq {
+    fn pack(prefix: &[usize], widths: &[u32]) -> Self;
+}
+
+impl SeenKey for u128 {
+    fn pack(prefix: &[usize], widths: &[u32]) -> u128 {
+        prefix
+            .iter()
+            .zip(widths)
+            .fold(0, |key, (&i, &w)| key << w | i as u128)
+    }
+}
+
+impl SeenKey for Box<[usize]> {
+    fn pack(prefix: &[usize], _: &[u32]) -> Box<[usize]> {
+        prefix.into()
+    }
+}
+
+/// The search proper: the lane taken at each depth of a complete
+/// linearization, or `None` when there is none.
+fn search<K: SeenKey>(
+    lanes: &[Vec<&OpRecord>],
+    widths: &[u32],
+    total: usize,
+    states_visited: &mut usize,
+) -> Option<Vec<usize>> {
+    /// "Take `lane`'s next op as the `depth`-th of the linearization,
+    /// leaving the block at `version`."
+    struct Frame {
+        lane: usize,
+        depth: usize,
+        version: u64,
+    }
+    let mut seen: HashSet<(K, u64)> = HashSet::new();
+    let mut prefix = vec![0usize; lanes.len()];
+    let mut path: Vec<usize> = Vec::with_capacity(total);
+    let mut current = Version::initial().raw();
+    // The root takes nothing; every other frame extends the state that
+    // is `depth - 1` deep on the path when it is popped, because frames
+    // are pushed by their parent and popped before its earlier siblings.
+    let mut stack: Vec<Frame> = Vec::new();
+    let mut frame = None;
+    loop {
+        if let Some(Frame {
+            lane,
+            depth,
+            version,
+        }) = frame
+        {
+            for undone in path.drain(depth - 1..) {
+                prefix[undone] -= 1;
+            }
+            prefix[lane] += 1;
+            path.push(lane);
+            current = version;
+        }
+        if path.len() == total {
+            return Some(path);
+        }
+        if seen.insert((K::pack(&prefix, widths), current)) {
+            *states_visited += 1;
+            // Real-time rule: the next linearized op must have been
+            // invoked no later than the earliest completion among
+            // remaining ops — otherwise some other op finished entirely
+            // before it began.
+            let min_ret = lanes
+                .iter()
+                .zip(&prefix)
+                .filter_map(|(lane, &i)| lane.get(i).map(|o| o.completed))
+                .min()
+                .unwrap_or(u64::MAX);
+            for (c, lane) in lanes.iter().enumerate() {
+                let Some(op) = lane.get(prefix[c]) else {
+                    continue;
+                };
+                if op.invoked > min_ret {
+                    continue;
+                }
+                let version = match op.kind {
+                    AccessKind::Read => {
+                        if op.version != current {
+                            continue; // would observe the wrong version
+                        }
+                        current
+                    }
+                    AccessKind::Write => op.version,
+                };
+                stack.push(Frame {
+                    lane: c,
+                    depth: path.len() + 1,
+                    version,
+                });
+            }
+        }
+        frame = Some(stack.pop()?);
+    }
 }
 
 /// Replays a witness order through a fresh [`Oracle`].
@@ -246,8 +330,13 @@ mod tests {
             op(0, AccessKind::Write, 0, 10, 9),
             op(1, AccessKind::Read, 20, 30, Version::initial().raw()),
         ];
-        let err = check_history(&h).unwrap_err();
-        assert!(err.contains("no linearization"), "{err}");
+        // The whole message: the conflicting history, in invocation order.
+        assert_eq!(
+            check_history(&h).unwrap_err(),
+            "block 0: no linearization exists for 2 operations:\n  \
+             C0 Write v9 inv=0 ret=10 txn=0\n  \
+             C1 Read v0 inv=20 ret=30 txn=20"
+        );
     }
 
     #[test]
@@ -266,6 +355,50 @@ mod tests {
             op(1, AccessKind::Read, 40, 50, 1),
         ];
         assert!(check_history(&h).is_err());
+    }
+
+    #[test]
+    fn wide_histories_take_the_same_search_with_the_unpacked_key() {
+        // Forty clients take turns in overlapping pairs on one block: in
+        // slot `s` client `s % 40` stores version `s + 1` while its
+        // neighbour loads, alternately the old and the new value.
+        let slots = |n: u64| -> Vec<OpRecord> {
+            (0..n)
+                .flat_map(|s| {
+                    let (w, r) = ((s % 40) as usize, ((s + 1) % 40) as usize);
+                    [
+                        op(w, AccessKind::Write, s * 20, s * 20 + 10, s + 1),
+                        op(r, AccessKind::Read, s * 20 + 1, s * 20 + 9, s + s % 2),
+                    ]
+                })
+                .collect()
+        };
+        // Six operations a lane is 40 × 3 bits: the packed key holds it,
+        // and both keys remember the same states, so both searches are one
+        // search.
+        let h = slots(120);
+        let refs: Vec<&OpRecord> = h.iter().collect();
+        let lanes: Vec<Vec<&OpRecord>> = (0..40)
+            .map(|c| refs.iter().copied().filter(|o| o.client == c).collect())
+            .collect();
+        assert!(lanes.iter().all(|lane| lane.len() == 6));
+        let widths = vec![3; 40];
+        let (mut packed, mut unpacked) = (0, 0);
+        let a = search::<u128>(&lanes, &widths, h.len(), &mut packed).unwrap();
+        let b = search::<Box<[usize]>>(&lanes, &widths, h.len(), &mut unpacked).unwrap();
+        assert_eq!((a, packed), (b, unpacked));
+        assert_eq!(check_history(&h).unwrap().states_visited, packed);
+
+        // Sixteen a lane is 200 bits: only the unpacked key holds it.
+        let mut h = slots(320);
+        let wide = check_history(&h).unwrap();
+        assert_eq!((wide.ops, wide.blocks), (640, 1));
+        assert!(wide.states_visited > packed);
+        // And a wide history that is not linearizable is still refused.
+        h.push(op(0, AccessKind::Read, 7000, 7010, 99));
+        assert!(check_history(&h)
+            .unwrap_err()
+            .starts_with("block 0: no linearization exists for 641 operations:\n"));
     }
 
     #[test]

@@ -161,9 +161,31 @@ impl Node {
                     caches: cfg.caches,
                     next_barrier: 1,
                     gates: BTreeMap::new(),
+                    gated_block: BTreeMap::new(),
                 }))
             }
             Actor::Client(_) => Err("clients run inside the driver, not as nodes".into()),
+        }
+    }
+
+    /// The node's step: takes one envelope at virtual time `now` and
+    /// yields the envelopes to send, in issue order, and the node-local
+    /// trace events as JSONL lines. This is what [`Request::Deliver`]
+    /// carries across a process boundary; a driver hosting the node in
+    /// its own process calls it directly.
+    ///
+    /// # Errors
+    ///
+    /// A protocol violation or a payload this half of the fleet never
+    /// receives; the node cannot continue.
+    pub fn deliver(
+        &mut self,
+        now: u64,
+        env: &Envelope,
+    ) -> Result<(Vec<Envelope>, Vec<String>), String> {
+        match self {
+            Node::Cache(n) => n.deliver(now, env),
+            Node::Mem(n) => n.deliver(now, env),
         }
     }
 
@@ -174,19 +196,13 @@ impl Node {
             Request::Init(_) => Response::Error {
                 msg: "node already initialized".into(),
             },
-            Request::Deliver { now, env, .. } => {
-                // `replay` does not change node behavior: the node is
-                // deterministic, so re-delivering the logged inputs
-                // rebuilds the state; the *driver* discards the outputs.
-                let r = match self {
-                    Node::Cache(n) => n.deliver(*now, env),
-                    Node::Mem(n) => n.deliver(*now, env),
-                };
-                match r {
-                    Ok((outputs, events)) => Response::DeliverOk { outputs, events },
-                    Err(msg) => Response::Error { msg },
-                }
-            }
+            // `replay` does not change node behavior: the node is
+            // deterministic, so re-delivering the logged inputs rebuilds
+            // the state; the *driver* discards the outputs.
+            Request::Deliver { now, env, .. } => match self.deliver(*now, env) {
+                Ok((outputs, events)) => Response::DeliverOk { outputs, events },
+                Err(msg) => Response::Error { msg },
+            },
             Request::Checkpoint => Response::CheckpointOk {
                 state: match self {
                     Node::Cache(n) => n.save_state(),
@@ -478,6 +494,10 @@ pub struct MemNode {
     next_barrier: u64,
     /// Active barriers, keyed by block number. At most one per block.
     gates: BTreeMap<u64, Gate>,
+    /// The block each active barrier gates, keyed by barrier id — what
+    /// an acknowledgment looks its gate up by. Derived from `gates`, so
+    /// not in the checkpoint.
+    gated_block: BTreeMap<u64, u64>,
 }
 
 #[derive(Debug)]
@@ -614,6 +634,7 @@ impl MemNode {
                 if !self.gates.contains_key(&block) {
                     let barrier = self.next_barrier;
                     self.next_barrier += 1;
+                    self.gated_block.insert(barrier, block);
                     self.gates.insert(
                         block,
                         Gate {
@@ -667,10 +688,8 @@ impl MemNode {
         events: &mut Vec<String>,
     ) -> Result<(), String> {
         let block = *self
-            .gates
-            .iter()
-            .find(|(_, g)| g.barrier == barrier)
-            .map(|(b, _)| b)
+            .gated_block
+            .get(&barrier)
             .ok_or_else(|| format!("M{}: ack for unknown barrier {barrier}", self.module))?;
         let gate = self.gates.get_mut(&block).expect("gate exists");
         gate.outstanding -= 1;
@@ -678,6 +697,7 @@ impl MemNode {
             return Ok(());
         }
         let gate = self.gates.remove(&block).expect("gate exists");
+        self.gated_block.remove(&barrier);
         events.push(
             SimEvent::new(
                 now,
@@ -740,6 +760,7 @@ impl MemNode {
         }
         self.ctrl.restore_state(j.member("ctrl")?)?;
         self.next_barrier = next_barrier;
+        self.gated_block = gates.iter().map(|(a, g)| (g.barrier, *a)).collect();
         self.gates = gates;
         Ok(())
     }

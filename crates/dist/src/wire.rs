@@ -20,7 +20,7 @@
 //! range-checks every number and answers malformed input with an `Err`.
 
 use std::fmt;
-use twobit_obs::json::{obj, parse, FromJson, Json, ToJson};
+use twobit_obs::json::{parse, to_text, FromJson, Json, Sink, ToJson};
 use twobit_obs::json_struct;
 use twobit_types::{CacheToMemory, MemRef, MemoryToCache, TxnId, Version};
 
@@ -228,8 +228,8 @@ pub enum Response {
 
 /// The `Display` form, as a string.
 impl ToJson for Actor {
-    fn json(&self) -> Json {
-        Json::Str(self.to_string())
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.display(self);
     }
 }
 
@@ -241,35 +241,33 @@ impl FromJson for Actor {
 
 /// A `"t"`-tagged object, fields inline.
 impl ToJson for Payload {
-    fn json(&self) -> Json {
-        match self {
-            Payload::ClientReq { txn, op, sv } => obj([
-                ("t", "client_req".json()),
-                ("txn", txn.json()),
-                ("op", op.json()),
-                ("sv", sv.json()),
-            ]),
-            Payload::ClientResp {
-                txn,
-                observed,
-                was_hit,
-            } => obj([
-                ("t", "client_resp".json()),
-                ("txn", txn.json()),
-                ("observed", observed.json()),
-                ("hit", was_hit.json()),
-            ]),
-            Payload::ToMemory { cmd } => obj([("t", "to_mem".json()), ("cmd", cmd.json())]),
-            Payload::ToCache { cmd, ack } => obj([
-                ("t", "to_cache".json()),
-                ("cmd", cmd.json()),
-                ("ack", ack.json()),
-            ]),
-            Payload::InvAck { barrier } => {
-                obj([("t", "inv_ack".json()), ("barrier", barrier.json())])
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.object(|o| {
+            o.member("t", self.kind());
+            match self {
+                Payload::ClientReq { txn, op, sv } => {
+                    o.member("txn", txn);
+                    o.member("op", op);
+                    o.member("sv", sv);
+                }
+                Payload::ClientResp {
+                    txn,
+                    observed,
+                    was_hit,
+                } => {
+                    o.member("txn", txn);
+                    o.member("observed", observed);
+                    o.member("hit", was_hit);
+                }
+                Payload::ToMemory { cmd } => o.member("cmd", cmd),
+                Payload::ToCache { cmd, ack } => {
+                    o.member("cmd", cmd);
+                    o.member("ack", ack);
+                }
+                Payload::InvAck { barrier } => o.member("barrier", barrier),
+                Payload::WtAck { sv } => o.member("sv", sv),
             }
-            Payload::WtAck { sv } => obj([("t", "wt_ack".json()), ("sv", sv.json())]),
-        }
+        });
     }
 }
 
@@ -319,19 +317,25 @@ json_struct!(NodeConfig {
 
 /// A `"t"`-tagged object, fields inline.
 impl ToJson for Request {
-    fn json(&self) -> Json {
-        match self {
-            Request::Init(c) => obj([("t", "init".json()), ("config", c.json())]),
-            Request::Deliver { now, replay, env } => obj([
-                ("t", "deliver".json()),
-                ("now", now.json()),
-                ("replay", replay.json()),
-                ("env", env.json()),
-            ]),
-            Request::Checkpoint => obj([("t", "checkpoint".json())]),
-            Request::Restore { state } => obj([("t", "restore".json()), ("state", state.clone())]),
-            Request::Shutdown => obj([("t", "shutdown".json())]),
-        }
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.object(|o| match self {
+            Request::Init(config) => {
+                o.member("t", "init");
+                o.member("config", config.as_ref());
+            }
+            Request::Deliver { now, replay, env } => {
+                o.member("t", "deliver");
+                o.member("now", now);
+                o.member("replay", replay);
+                o.member("env", env);
+            }
+            Request::Checkpoint => o.member("t", "checkpoint"),
+            Request::Restore { state } => {
+                o.member("t", "restore");
+                o.member("state", state);
+            }
+            Request::Shutdown => o.member("t", "shutdown"),
+        });
     }
 }
 
@@ -356,21 +360,25 @@ impl FromJson for Request {
 
 /// A `"t"`-tagged object, fields inline.
 impl ToJson for Response {
-    fn json(&self) -> Json {
-        match self {
-            Response::InitOk => obj([("t", "init_ok".json())]),
-            Response::DeliverOk { outputs, events } => obj([
-                ("t", "deliver_ok".json()),
-                ("outputs", outputs.json()),
-                ("events", events.json()),
-            ]),
-            Response::CheckpointOk { state } => {
-                obj([("t", "checkpoint_ok".json()), ("state", state.clone())])
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.object(|o| match self {
+            Response::InitOk => o.member("t", "init_ok"),
+            Response::DeliverOk { outputs, events } => {
+                o.member("t", "deliver_ok");
+                o.member("outputs", outputs);
+                o.member("events", events);
             }
-            Response::RestoreOk => obj([("t", "restore_ok".json())]),
-            Response::ShutdownOk => obj([("t", "shutdown_ok".json())]),
-            Response::Error { msg } => obj([("t", "error".json()), ("msg", msg.json())]),
-        }
+            Response::CheckpointOk { state } => {
+                o.member("t", "checkpoint_ok");
+                o.member("state", state);
+            }
+            Response::RestoreOk => o.member("t", "restore_ok"),
+            Response::ShutdownOk => o.member("t", "shutdown_ok"),
+            Response::Error { msg } => {
+                o.member("t", "error");
+                o.member("msg", msg);
+            }
+        });
     }
 }
 
@@ -398,7 +406,7 @@ impl FromJson for Response {
 /// Renders a request as one frame.
 #[must_use]
 pub fn request_line(r: &Request) -> String {
-    r.json().to_json()
+    to_text(r)
 }
 
 /// Parses one frame as a request.
@@ -409,7 +417,7 @@ pub fn request_from_line(line: &str) -> Result<Request, String> {
 /// Renders a response as one frame.
 #[must_use]
 pub fn response_line(r: &Response) -> String {
-    r.json().to_json()
+    to_text(r)
 }
 
 /// Parses one frame as a response.

@@ -47,7 +47,7 @@ pub mod flow_graph;
 use twobit_core::transitions::{
     ActionKind, Cond, EventKind, Next, Rule, StateSet, TransitionTable,
 };
-use twobit_obs::json::{obj, Json, ToJson};
+use twobit_obs::json::{obj, Sink, ToJson};
 use twobit_types::GlobalState;
 
 /// One verdict from an analysis: which check, which scheme, which rule
@@ -548,16 +548,16 @@ pub fn render_human(findings: &[Finding]) -> String {
 /// An object of the seven fields, absent ones `null`. Write-only: the
 /// `&'static str` analysis and verdict names cannot be read back.
 impl ToJson for Finding {
-    fn json(&self) -> Json {
-        obj([
-            ("analysis", self.analysis.json()),
-            ("scheme", self.scheme.json()),
-            ("rule", self.rule.json()),
-            ("provenance", self.provenance.json()),
-            ("message", self.message.json()),
-            ("verdict", self.verdict.json()),
-            ("evidence", self.evidence.json()),
-        ])
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.object(|o| {
+            o.member("analysis", &self.analysis);
+            o.member("scheme", &self.scheme);
+            o.member("rule", &self.rule);
+            o.member("provenance", &self.provenance);
+            o.member("message", &self.message);
+            o.member("verdict", &self.verdict);
+            o.member("evidence", &self.evidence);
+        });
     }
 }
 

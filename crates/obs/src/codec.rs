@@ -7,7 +7,7 @@
 //! are strings; commands are objects with a `"t"` tag naming the variant
 //! and the fields inline.
 
-use crate::json::{obj, FromJson, Json, ToJson};
+use crate::json::{FromJson, Json, Sink, ToJson};
 use crate::{json_enum, json_struct};
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, CacheStats, CacheToMemory, ControllerStats, Counter, MemRef,
@@ -19,8 +19,8 @@ use twobit_types::{
 macro_rules! number_codec {
     ($($ty:ident: $raw:ty, $get:ident, $new:expr;)*) => {$(
         impl ToJson for $ty {
-            fn json(&self) -> Json {
-                self.$get().json()
+            fn emit<S: Sink>(&self, out: &mut S) {
+                self.$get().emit(out);
             }
         }
 
@@ -46,12 +46,12 @@ json_enum!(WritebackKind { Clean => "clean", Dirty => "dirty" });
 
 /// `{a, d, rw}`.
 impl ToJson for MemRef {
-    fn json(&self) -> Json {
-        obj([
-            ("a", self.addr.block.json()),
-            ("d", self.addr.offset.json()),
-            ("rw", self.kind.json()),
-        ])
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.object(|o| {
+            o.member("a", &self.addr.block);
+            o.member("d", &self.addr.offset);
+            o.member("rw", &self.kind);
+        });
     }
 }
 
@@ -68,24 +68,28 @@ impl FromJson for MemRef {
 }
 
 impl ToJson for CacheToMemory {
-    fn json(&self) -> Json {
-        let (t, k, a, extra) = match *self {
-            CacheToMemory::Request { k, a, rw } => ("REQUEST", k, a, Some(("rw", rw.json()))),
-            CacheToMemory::MRequest { k, a, version } => {
-                ("MREQUEST", k, a, Some(("v", version.json())))
-            }
-            CacheToMemory::Eject { k, olda, wb } => ("EJECT", k, olda, Some(("wb", wb.json()))),
-            CacheToMemory::PutData { from, a, version } => {
-                ("PUT", from, a, Some(("v", version.json())))
-            }
-            CacheToMemory::WriteThrough { k, a, version } => {
-                ("WRITETHRU", k, a, Some(("v", version.json())))
-            }
-            CacheToMemory::DirectRead { k, a } => ("DIRECTREAD", k, a, None),
+    fn emit<S: Sink>(&self, out: &mut S) {
+        let (t, k, a) = match *self {
+            CacheToMemory::Request { k, a, .. } => ("REQUEST", k, a),
+            CacheToMemory::MRequest { k, a, .. } => ("MREQUEST", k, a),
+            CacheToMemory::Eject { k, olda, .. } => ("EJECT", k, olda),
+            CacheToMemory::PutData { from, a, .. } => ("PUT", from, a),
+            CacheToMemory::WriteThrough { k, a, .. } => ("WRITETHRU", k, a),
+            CacheToMemory::DirectRead { k, a } => ("DIRECTREAD", k, a),
         };
-        obj([("t", t.json()), ("k", k.json()), ("a", a.json())]
-            .into_iter()
-            .chain(extra))
+        out.object(|o| {
+            o.member("t", t);
+            o.member("k", &k);
+            o.member("a", &a);
+            match self {
+                CacheToMemory::Request { rw, .. } => o.member("rw", rw),
+                CacheToMemory::Eject { wb, .. } => o.member("wb", wb),
+                CacheToMemory::MRequest { version, .. }
+                | CacheToMemory::PutData { version, .. }
+                | CacheToMemory::WriteThrough { version, .. } => o.member("v", version),
+                CacheToMemory::DirectRead { .. } => {}
+            }
+        });
     }
 }
 
@@ -125,46 +129,48 @@ impl FromJson for CacheToMemory {
 }
 
 impl ToJson for MemoryToCache {
-    fn json(&self) -> Json {
-        match *self {
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.object(|o| match self {
             MemoryToCache::GetData {
                 k,
                 a,
                 version,
                 exclusive,
-            } => obj([
-                ("t", "GET".json()),
-                ("k", k.json()),
-                ("a", a.json()),
-                ("v", version.json()),
-                ("x", exclusive.json()),
-            ]),
-            MemoryToCache::BroadInv { a, exclude } => obj([
-                ("t", "BROADINV".json()),
-                ("a", a.json()),
-                ("k", exclude.json()),
-            ]),
-            MemoryToCache::BroadQuery { a, rw } => obj([
-                ("t", "BROADQUERY".json()),
-                ("a", a.json()),
-                ("rw", rw.json()),
-            ]),
-            MemoryToCache::MGranted { k, a, granted } => obj([
-                ("t", "MGRANTED".json()),
-                ("k", k.json()),
-                ("a", a.json()),
-                ("y", granted.json()),
-            ]),
-            MemoryToCache::Inv { a, to } => {
-                obj([("t", "INV".json()), ("a", a.json()), ("k", to.json())])
+            } => {
+                o.member("t", "GET");
+                o.member("k", k);
+                o.member("a", a);
+                o.member("v", version);
+                o.member("x", exclusive);
             }
-            MemoryToCache::Purge { a, to, rw } => obj([
-                ("t", "PURGE".json()),
-                ("a", a.json()),
-                ("k", to.json()),
-                ("rw", rw.json()),
-            ]),
-        }
+            MemoryToCache::BroadInv { a, exclude } => {
+                o.member("t", "BROADINV");
+                o.member("a", a);
+                o.member("k", exclude);
+            }
+            MemoryToCache::BroadQuery { a, rw } => {
+                o.member("t", "BROADQUERY");
+                o.member("a", a);
+                o.member("rw", rw);
+            }
+            MemoryToCache::MGranted { k, a, granted } => {
+                o.member("t", "MGRANTED");
+                o.member("k", k);
+                o.member("a", a);
+                o.member("y", granted);
+            }
+            MemoryToCache::Inv { a, to } => {
+                o.member("t", "INV");
+                o.member("a", a);
+                o.member("k", to);
+            }
+            MemoryToCache::Purge { a, to, rw } => {
+                o.member("t", "PURGE");
+                o.member("a", a);
+                o.member("k", to);
+                o.member("rw", rw);
+            }
+        });
     }
 }
 

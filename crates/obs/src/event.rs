@@ -1,13 +1,14 @@
 //! The structured trace record and its JSONL wire form.
 //!
-//! Every observable protocol step becomes one [`SimEvent`].
-//! [`SimEvent::to_jsonl`] writes its members in a fixed, hand-chosen
-//! order (the trace bytes are frozen as golden digests in
-//! `crates/sim/tests/determinism.rs`), quoting through the shared
-//! escaper; [`SimEvent::from_jsonl`] reads a line back through
+//! Every observable protocol step becomes one [`SimEvent`]. Its
+//! [`ToJson`] statement lists the members in a fixed, hand-chosen order,
+//! and [`SimEvent::to_jsonl`] is that statement written as stated — the
+//! trace bytes are older than the canonical sorted-key form and frozen
+//! as golden digests in `crates/sim/tests/determinism.rs`.
+//! [`SimEvent::from_jsonl`] reads a line back through
 //! [`crate::json::parse`]. The two are exact inverses.
 
-use crate::json::{self, FromJson, Json};
+use crate::json::{self, FromJson, Json, Sink, Text, ToJson};
 use std::fmt;
 use twobit_types::{BlockAddr, CacheId, CommandClass, GlobalState, LineState, ModuleId, TxnId};
 
@@ -154,41 +155,11 @@ impl SimEvent {
         self
     }
 
-    /// Encodes as one JSON object (no trailing newline).
+    /// Encodes as one JSON object (no trailing newline), members in the
+    /// order the [`ToJson`] statement lists them.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"t\":");
-        s.push_str(&self.t.to_string());
-        s.push_str(",\"actor\":\"");
-        s.push_str(&self.actor.to_string());
-        s.push_str("\",\"block\":");
-        s.push_str(&self.block.number().to_string());
-        s.push_str(",\"cmd\":");
-        json::write_string(&mut s, &self.cmd);
-        if let Some(c) = self.class {
-            s.push_str(",\"class\":\"");
-            s.push_str(&c.to_string());
-            s.push('"');
-        }
-        if let Some(g) = self.global {
-            s.push_str(",\"global\":\"");
-            s.push_str(&format!("{}>{}", g.from, g.to));
-            s.push('"');
-        }
-        if let Some(l) = self.local {
-            s.push_str(",\"local\":\"");
-            s.push_str(&format!("{}>{}", l.from, l.to));
-            s.push('"');
-        }
-        if let Some(txn) = self.txn {
-            s.push_str(",\"txn\":");
-            s.push_str(&txn.raw().to_string());
-        }
-        s.push_str(",\"useless\":");
-        s.push_str(if self.useless { "true" } else { "false" });
-        s.push('}');
-        s
+        Text::as_stated().write(self).to_owned()
     }
 
     /// Decodes one JSON object produced by [`to_jsonl`](Self::to_jsonl).
@@ -198,6 +169,36 @@ impl SimEvent {
     #[must_use]
     pub fn from_jsonl(line: &str) -> Option<SimEvent> {
         Self::from_json(&json::parse(line).ok()?).ok()
+    }
+}
+
+/// `{t, actor, block, cmd, class?, global?, local?, txn?, useless}`: an
+/// optional member is left out, not `null`, and names are display forms.
+impl ToJson for SimEvent {
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.object(|o| {
+            o.member("t", &self.t);
+            o.key("actor");
+            o.display(self.actor);
+            o.member("block", &self.block);
+            o.member("cmd", &self.cmd);
+            if let Some(c) = self.class {
+                o.key("class");
+                o.display(c);
+            }
+            if let Some(g) = self.global {
+                o.key("global");
+                o.display(format_args!("{}>{}", g.from, g.to));
+            }
+            if let Some(l) = self.local {
+                o.key("local");
+                o.display(format_args!("{}>{}", l.from, l.to));
+            }
+            if let Some(txn) = self.txn {
+                o.member("txn", &txn);
+            }
+            o.member("useless", &self.useless);
+        });
     }
 }
 

@@ -28,9 +28,19 @@
 //! errors name the key. The pairs for the `twobit-types` wire types live
 //! beside this module in `codec.rs`; every other crate implements them
 //! for its own types.
+//!
+//! The encode half is an *emission*: [`ToJson::emit`] says what the value
+//! is made of to a [`Sink`], and there are two sinks. [`ToJson::json`]
+//! collects the emission into a [`Json`] tree (checkpoints and documents,
+//! which are kept, merged and read back); [`Text`] writes it straight
+//! into a `String` (wire frames, timeline lines and trace events, which
+//! are written once and never looked at again). Both produce the same
+//! canonical text — [`Text`] puts an object's members in sorted-key order
+//! itself, whatever order they were stated in — so which sink a caller
+//! picks is a question of cost, never of format.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 ///
@@ -282,11 +292,280 @@ const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
 /// memory node's checkpoint with held envelopes) nests eight levels.
 pub const MAX_DEPTH: usize = 64;
 
-/// A type with one JSON form. The method is `json`, not `to_json`:
-/// [`Json::to_json`] is the *text* writer.
+/// Where a [`ToJson`] statement goes: one call per scalar, a closure per
+/// array or object. Inside [`object`](Self::object) every value is
+/// preceded by its [`key`](Self::key) (or written with
+/// [`member`](Self::member)); inside [`array`](Self::array) values follow
+/// one another.
+pub trait Sink: Sized {
+    /// `null`.
+    fn null(&mut self);
+    /// `true` / `false`.
+    fn bool(&mut self, b: bool);
+    /// An unsigned integer (exact below 2^53, like every number here).
+    fn uint(&mut self, n: u64);
+    /// A string.
+    fn str(&mut self, s: &str);
+    /// A string holding `d`'s `Display` form, without building it first.
+    fn display(&mut self, d: impl fmt::Display);
+    /// A value that already is a tree (a checkpoint inside a frame).
+    fn tree(&mut self, j: &Json);
+    /// An array of the values `items` emits.
+    fn array(&mut self, items: impl FnOnce(&mut Self));
+    /// An object of the members `members` emits (a repeated key keeps
+    /// its last value).
+    fn object(&mut self, members: impl FnOnce(&mut Self));
+    /// The key of the member whose value is emitted next.
+    fn key(&mut self, key: &'static str);
+
+    /// One member of an object.
+    fn member<T: ToJson + ?Sized>(&mut self, key: &'static str, value: &T) {
+        self.key(key);
+        value.emit(self);
+    }
+}
+
+/// A type with one JSON form, stated once as an emission into a [`Sink`].
 pub trait ToJson {
-    /// This value as a JSON value.
-    fn json(&self) -> Json;
+    /// States this value's form to `out`.
+    fn emit<S: Sink>(&self, out: &mut S);
+
+    /// This value as a JSON value. The method is `json`, not `to_json`:
+    /// [`Json::to_json`] is the *text* writer.
+    fn json(&self) -> Json {
+        let mut tree = Tree::default();
+        self.emit(&mut tree);
+        tree.values.pop().expect("a statement emits one value")
+    }
+}
+
+/// The sink behind [`ToJson::json`]: the values emitted at one nesting
+/// level, and the keys that preceded them when the level is an object.
+#[derive(Default)]
+struct Tree {
+    keys: Vec<&'static str>,
+    values: Vec<Json>,
+}
+
+impl Sink for Tree {
+    fn null(&mut self) {
+        self.values.push(Json::Null);
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.values.push(Json::Bool(b));
+    }
+
+    fn uint(&mut self, n: u64) {
+        self.values.push(num_u64(n));
+    }
+
+    fn str(&mut self, s: &str) {
+        self.values.push(Json::Str(s.to_string()));
+    }
+
+    fn display(&mut self, d: impl fmt::Display) {
+        self.values.push(Json::Str(d.to_string()));
+    }
+
+    fn tree(&mut self, j: &Json) {
+        self.values.push(j.clone());
+    }
+
+    fn array(&mut self, items: impl FnOnce(&mut Self)) {
+        let mut inner = Tree::default();
+        items(&mut inner);
+        self.values.push(Json::Arr(inner.values));
+    }
+
+    fn object(&mut self, members: impl FnOnce(&mut Self)) {
+        let mut inner = Tree::default();
+        members(&mut inner);
+        self.values
+            .push(obj(inner.keys.into_iter().zip(inner.values)));
+    }
+
+    fn key(&mut self, key: &'static str) {
+        self.keys.push(key);
+    }
+}
+
+/// The sink that writes text: compact JSON, appended to one `String`
+/// with no tree and no temporary in between.
+///
+/// [`Text::canonical`] writes exactly what `value.json().to_json()`
+/// writes: it notes where each member of an open object starts and, when
+/// the object closes with its keys out of order, moves the members into
+/// sorted-key order (a statement that lists them sorted pays nothing).
+/// [`Text::as_stated`] keeps the statement's order, for the one format
+/// whose member order is older than the canonical one — the JSONL trace
+/// event.
+#[derive(Debug, Default)]
+pub struct Text {
+    out: String,
+    /// Whether the next value or key is preceded by a comma.
+    comma: bool,
+    as_stated: bool,
+    /// The members of every object still open, innermost last.
+    members: Vec<Member>,
+    /// Holds an object's members while they are put in order.
+    scratch: String,
+}
+
+impl Text {
+    /// A writer of canonical text (sorted keys).
+    #[must_use]
+    pub fn canonical() -> Text {
+        Text::default()
+    }
+
+    /// A writer that keeps each statement's member order.
+    #[must_use]
+    pub fn as_stated() -> Text {
+        Text {
+            as_stated: true,
+            ..Text::default()
+        }
+    }
+
+    /// Writes `value` and lends the text until the next write. A writer
+    /// that is used again allocates nothing for a line; the caller keeps
+    /// a line by copying it out at its exact length.
+    pub fn write<T: ToJson + ?Sized>(&mut self, value: &T) -> &str {
+        if self.out.capacity() == 0 {
+            // A frame or a line is one or two hundred bytes, nested a
+            // handful of objects deep.
+            self.out.reserve(128);
+            if !self.as_stated {
+                self.members.reserve(16);
+            }
+        }
+        self.out.clear();
+        self.comma = false;
+        value.emit(self);
+        &self.out
+    }
+
+    fn value(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    /// The member being written ends here.
+    fn end_member(&mut self) {
+        if let Some(m) = self.members.last_mut() {
+            m.end = self.out.len();
+        }
+    }
+
+    /// Puts the members noted since `first` in sorted-key order, the
+    /// last of equal keys winning, as a `BTreeMap` would.
+    fn sort_members(&mut self, first: usize) {
+        let members = &mut self.members[first..];
+        if members.windows(2).all(|w| w[0].key < w[1].key) {
+            return;
+        }
+        let body = members[0].start;
+        self.scratch.clear();
+        self.scratch.push_str(&self.out[body..]);
+        self.out.truncate(body);
+        members.sort_by_key(|m| m.key);
+        for (i, m) in members.iter().enumerate() {
+            if members.get(i + 1).is_some_and(|next| next.key == m.key) {
+                continue;
+            }
+            if self.out.len() > body {
+                self.out.push(',');
+            }
+            self.out
+                .push_str(&self.scratch[m.start - body..m.end - body]);
+        }
+    }
+}
+
+/// Where one member of an open object — `"key":value`, without its
+/// comma — lies in [`Text`]'s output.
+#[derive(Debug)]
+struct Member {
+    key: &'static str,
+    start: usize,
+    end: usize,
+}
+
+impl Sink for Text {
+    fn null(&mut self) {
+        self.value();
+        self.out.push_str("null");
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.value();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    fn uint(&mut self, n: u64) {
+        self.value();
+        // Through the double, as the tree goes: the two sinks agree on
+        // every `u64`, including the ones a double cannot hold.
+        write_number(&mut self.out, n as f64);
+    }
+
+    fn str(&mut self, s: &str) {
+        self.value();
+        write_string(&mut self.out, s);
+    }
+
+    fn display(&mut self, d: impl fmt::Display) {
+        self.value();
+        self.out.push('"');
+        let _ = write!(Escaped(&mut self.out), "{d}");
+        self.out.push('"');
+    }
+
+    fn tree(&mut self, j: &Json) {
+        self.value();
+        j.write(&mut self.out, None, 0);
+    }
+
+    fn array(&mut self, items: impl FnOnce(&mut Self)) {
+        self.value();
+        self.out.push('[');
+        self.comma = false;
+        items(self);
+        self.out.push(']');
+        self.comma = true;
+    }
+
+    fn object(&mut self, members: impl FnOnce(&mut Self)) {
+        self.value();
+        self.out.push('{');
+        self.comma = false;
+        let first = self.members.len();
+        members(self);
+        if self.members.len() > first {
+            self.end_member();
+            self.sort_members(first);
+            self.members.truncate(first);
+        }
+        self.out.push('}');
+        self.comma = true;
+    }
+
+    fn key(&mut self, key: &'static str) {
+        if self.comma {
+            self.end_member();
+            self.out.push(',');
+        }
+        self.comma = false;
+        if !self.as_stated {
+            let start = self.out.len();
+            self.members.push(Member { key, start, end: 0 });
+        }
+        write_string(&mut self.out, key);
+        self.out.push(':');
+    }
 }
 
 /// A type decodable from its JSON form, with every number range-checked.
@@ -303,8 +582,8 @@ pub trait FromJson: Sized {
 macro_rules! unsigned_codec {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
-            fn json(&self) -> Json {
-                num_u64(*self as u64)
+            fn emit<S: Sink>(&self, out: &mut S) {
+                out.uint(*self as u64);
             }
         }
 
@@ -328,8 +607,8 @@ impl FromJson for f64 {
 }
 
 impl ToJson for bool {
-    fn json(&self) -> Json {
-        Json::Bool(*self)
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.bool(*self);
     }
 }
 
@@ -340,14 +619,14 @@ impl FromJson for bool {
 }
 
 impl ToJson for str {
-    fn json(&self) -> Json {
-        Json::Str(self.to_string())
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.str(self);
     }
 }
 
 impl ToJson for String {
-    fn json(&self) -> Json {
-        Json::Str(self.clone())
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.str(self);
     }
 }
 
@@ -359,16 +638,26 @@ impl FromJson for String {
     }
 }
 
+/// A tree is its own form.
+impl ToJson for Json {
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.tree(self);
+    }
+}
+
 impl<T: ToJson + ?Sized> ToJson for &T {
-    fn json(&self) -> Json {
-        (**self).json()
+    fn emit<S: Sink>(&self, out: &mut S) {
+        (**self).emit(out);
     }
 }
 
 /// `None` is `null`.
 impl<T: ToJson> ToJson for Option<T> {
-    fn json(&self) -> Json {
-        self.as_ref().map_or(Json::Null, ToJson::json)
+    fn emit<S: Sink>(&self, out: &mut S) {
+        match self {
+            Some(v) => v.emit(out),
+            None => out.null(),
+        }
     }
 }
 
@@ -382,14 +671,14 @@ impl<T: FromJson> FromJson for Option<T> {
 }
 
 impl<T: ToJson> ToJson for [T] {
-    fn json(&self) -> Json {
-        self.iter().map(ToJson::json).collect()
+    fn emit<S: Sink>(&self, out: &mut S) {
+        out.array(|a| self.iter().for_each(|v| v.emit(a)));
     }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn json(&self) -> Json {
-        self.as_slice().json()
+    fn emit<S: Sink>(&self, out: &mut S) {
+        self.as_slice().emit(out);
     }
 }
 
@@ -412,10 +701,10 @@ impl FromIterator<Json> for Json {
 macro_rules! json_struct {
     ($ty:ty { $($field:ident),* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
-            fn json(&self) -> $crate::json::Json {
-                $crate::json::obj([
-                    $((stringify!($field), $crate::json::ToJson::json(&self.$field))),*
-                ])
+            fn emit<S: $crate::json::Sink>(&self, out: &mut S) {
+                out.object(|o| {
+                    $(o.member(stringify!($field), &self.$field);)*
+                });
             }
         }
 
@@ -433,10 +722,10 @@ macro_rules! json_struct {
 macro_rules! json_enum {
     ($ty:ident { $($variant:ident => $name:literal),* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
-            fn json(&self) -> $crate::json::Json {
-                $crate::json::ToJson::json(match self {
+            fn emit<S: $crate::json::Sink>(&self, out: &mut S) {
+                out.str(match self {
                     $($ty::$variant => $name),*
-                })
+                });
             }
         }
 
@@ -456,6 +745,12 @@ pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
+/// `value` as canonical text: what `value.json().to_json()` writes,
+/// without the tree.
+pub fn to_text<T: ToJson + ?Sized>(value: &T) -> String {
+    Text::canonical().write(value).to_owned()
+}
+
 /// A number from an unsigned integer (exact below 2^53).
 #[must_use]
 pub fn num_u64(n: u64) -> Json {
@@ -467,30 +762,68 @@ fn write_number(out: &mut String, n: f64) {
         // JSON has no NaN/Inf; the schema never produces them, but a
         // defensive null beats an unparsable document.
         out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 {
-        let _ = write!(out, "{}", n as i64);
+    } else if n.fract() == 0.0 && n.abs() <= EXACT_INTEGERS {
+        if n < 0.0 {
+            out.push('-');
+        }
+        write_u64(out, n.abs() as u64);
     } else {
         let _ = write!(out, "{n}");
     }
 }
 
+/// Appends `n` in decimal — what nearly every number written here is,
+/// so it does not go through `fmt`.
+fn write_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 /// Appends `s` as a quoted JSON string — the workspace's one escaper.
 pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    let _ = Escaped(out).write_str(s);
     out.push('"');
+}
+
+/// Escapes what is written through it into the string it wraps.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        // Runs of plain bytes go over whole; only `"`, `\` and the
+        // control characters (all one byte long) are rewritten.
+        let mut plain = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            self.0.push_str(&s[plain..i]);
+            plain = i + 1;
+            if escape.is_empty() {
+                let _ = write!(self.0, "\\u{b:04x}");
+            } else {
+                self.0.push_str(escape);
+            }
+        }
+        self.0.push_str(&s[plain..]);
+        Ok(())
+    }
 }
 
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
@@ -785,6 +1118,72 @@ mod tests {
         let mut out = String::new();
         write_string(&mut out, "a\"b\\c\nd");
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\"");
+    }
+
+    /// A statement that lists members out of order, repeats a key, nests
+    /// disordered objects in arrays and in members, and uses every scalar.
+    struct Disordered(u64);
+
+    impl ToJson for Disordered {
+        fn emit<S: Sink>(&self, out: &mut S) {
+            out.object(|o| {
+                o.member("t", "tag \"quoted\"\n");
+                o.member("n", &self.0);
+                o.key("who");
+                o.display(format_args!("C{}\t\\", self.0));
+                o.member("n", &self.0.wrapping_add(1));
+                o.key("inner");
+                o.object(|i| {
+                    i.member("z", &true);
+                    i.member("a", &None::<u64>);
+                    i.member("m", &[3u8, 2, 1][..]);
+                });
+                o.key("list");
+                o.array(|l| {
+                    l.object(|e| {
+                        e.member("b", &1u8);
+                        e.member("a", &2u8);
+                    });
+                    l.object(|_| {});
+                    l.array(|_| {});
+                    l.tree(&obj([("y", num_u64(1)), ("x", Json::Num(-0.5))]));
+                });
+                o.member("a", &self.0);
+            });
+        }
+    }
+
+    #[test]
+    fn both_sinks_write_the_same_canonical_text() {
+        let mut text = Text::canonical();
+        for n in [0, 7, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            let value = Disordered(n);
+            let tree = value.json();
+            assert_eq!(to_text(&value), tree.to_json(), "{n}");
+            // A writer that is used again starts clean.
+            assert_eq!(text.write(&value), tree.to_json(), "{n}");
+            if n < 1 << 53 {
+                assert_eq!(parse(&to_text(&value)).unwrap(), tree, "{n}");
+            }
+        }
+        assert_eq!(
+            to_text(&Disordered(7)),
+            "{\"a\":7,\"inner\":{\"a\":null,\"m\":[3,2,1],\"z\":true},\
+             \"list\":[{\"a\":2,\"b\":1},{},[],{\"x\":-0.5,\"y\":1}],\"n\":8,\
+             \"t\":\"tag \\\"quoted\\\"\\n\",\"who\":\"C7\\t\\\\\"}"
+        );
+    }
+
+    #[test]
+    fn as_stated_keeps_the_statement_order() {
+        let mut text = Text::as_stated();
+        assert_eq!(
+            text.write(&Disordered(7)),
+            "{\"t\":\"tag \\\"quoted\\\"\\n\",\"n\":7,\"who\":\"C7\\t\\\\\",\"n\":8,\
+             \"inner\":{\"z\":true,\"a\":null,\"m\":[3,2,1]},\
+             \"list\":[{\"b\":1,\"a\":2},{},[],{\"x\":-0.5,\"y\":1}],\"a\":7}"
+        );
+        assert_eq!(text.write("x"), "\"x\"");
     }
 
     #[test]
