@@ -198,14 +198,15 @@ fn main() -> ExitCode {
                         .collect();
                     println!(
                         "{scheme} [{}]: {} refs linearizable ({} retries, {} retransmits, \
-                         heal lag {:?}, vt {}, {:.2} ms; {})",
+                         heal lag {:?}, vt {}, {:.2} ms, {:.0} refs/s; {})",
                         report.schedule,
                         report.total_refs,
                         report.retries,
                         report.retransmits,
                         report.heal_lag,
                         report.virtual_end,
-                        report.wall_ns as f64 / 1e6,
+                        wall_s * 1e3,
+                        report.total_refs as f64 / wall_s,
                         lat.join(", "),
                     );
                     runs.push(doc);

@@ -3,8 +3,11 @@
 //! Spawned by the driver. Speaks the JSONL control protocol on
 //! stdin/stdout by default, or over TCP with `--tcp ADDR` (the node
 //! connects to the listening driver). The first frame must be `init`;
-//! after that the node answers one response per request until EOF or
-//! `shutdown`.
+//! after that the node answers one response per request, in request
+//! order, until EOF or `shutdown`. Replies are queued and leave together
+//! when the node has no request left to read (the transport writes them
+//! out before it blocks), so a batch of requests that arrived in one read
+//! is answered in one write.
 
 use std::process::ExitCode;
 
@@ -36,12 +39,12 @@ fn serve(io: &mut dyn Transport) -> Result<(), String> {
                 Some(n) => n.handle(&req),
             },
         };
-        let done = matches!(resp, Response::ShutdownOk);
-        io.send(&response_line(&resp))
-            .map_err(|e| format!("send: {e}"))?;
-        if done {
-            break;
+        let line = response_line(&resp);
+        if matches!(resp, Response::ShutdownOk) {
+            // No read follows to carry it out.
+            return io.send(&line).map_err(|e| format!("send: {e}"));
         }
+        io.queue(&line).map_err(|e| format!("send: {e}"))?;
     }
     Ok(())
 }

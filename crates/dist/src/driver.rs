@@ -9,12 +9,16 @@
 //! *multiplexed*: a maximal run of same-instant deliveries is dispatched
 //! as one batch over a [`PollTransport`] — phase one sends every node
 //! request in `seq` order, phase two consumes the replies and routes
-//! their outputs in the same `seq` order. The batch is equivalent to the
-//! old one-exchange-at-a-time loop because a node answers each request
-//! before reading the next (per-connection FIFO), every output is
-//! scheduled as a *later* calendar entry with a strictly larger `seq`,
-//! and all observable effects (timeline lines, rng draws, routing) happen
-//! in phase two's deterministic order. OS scheduling decides only *when*
+//! their outputs in the same `seq` order. Phase one only queues: the
+//! requests leave, one write per node, when phase two first waits, and
+//! the wait is a blocking read of the one connection whose reply comes
+//! next in `seq` order. The batch is equivalent to the old
+//! one-exchange-at-a-time loop because a node answers its requests in
+//! request order (per-connection FIFO; it may read several before it
+//! writes their replies together), every output is scheduled as a
+//! *later* calendar entry with a strictly larger `seq`, and all
+//! observable effects (timeline lines, rng draws, routing) happen in
+//! phase two's deterministic order. OS scheduling decides only *when*
 //! replies arrive, never the order anything is applied — so the whole
 //! run, including every fault decision (drawn from a seeded [`Rng`]), is
 //! a pure function of `(RunConfig, seed)`. Running the same configuration
@@ -456,6 +460,24 @@ impl NodeLink {
     }
 }
 
+/// Ends a child that was sent `shutdown`: waits `patience` for its
+/// acknowledgement and then for its exit. Anything but `shutdown_ok` —
+/// silence, a closed stream, a stale `deliver_ok` left by a batch that
+/// failed — means the node cannot be trusted to exit by itself, so it is
+/// killed first: `wait` must not be what hangs.
+fn reap(poll: &mut PollTransport, child: &mut Child, token: Token, patience: Duration) {
+    let reply = poll.recv_deadline(token, patience);
+    let acknowledged = matches!(
+        reply.ok().flatten().as_deref().map(response_from_line),
+        Some(Ok(Response::ShutdownOk))
+    );
+    if !acknowledged {
+        let _ = child.kill();
+    }
+    let _ = child.wait();
+    poll.deregister(token);
+}
+
 /// One blocking request/response exchange (used off the hot path: init,
 /// restore, replay, checkpoint — places where pipelining buys nothing).
 fn rpc(
@@ -803,8 +825,9 @@ impl<'c> Driver<'c> {
     }
 
     fn shutdown_fleet(&mut self) {
-        // Phase 1: tell everyone at once (the multiplexed transport
-        // makes shutdown latency the max, not the sum).
+        // Phase 1: tell everyone. The requests are queued; phase 2's
+        // first wait writes them all out, so the nodes shut down side by
+        // side and the latency is the max, not the sum.
         for link in self.links.values_mut() {
             match link {
                 NodeLink::InProc(n) => {
@@ -818,9 +841,7 @@ impl<'c> Driver<'c> {
         // Phase 2: reap.
         for link in self.links.values_mut() {
             if let NodeLink::Child { child, token } = link {
-                let _ = self.poll.recv_deadline(*token, SHUTDOWN_TIMEOUT);
-                let _ = child.wait();
-                self.poll.deregister(*token);
+                reap(&mut self.poll, child, *token, SHUTDOWN_TIMEOUT);
             }
         }
     }
@@ -1157,8 +1178,9 @@ impl<'c> Driver<'c> {
     ///
     /// Phase one walks the batch in `seq` order and *starts* every node
     /// exchange (an in-process node is stepped directly and the outcome
-    /// is parked in the slot; child requests go out pipelined over the
-    /// poll transport). Phase two walks the slots in the same order,
+    /// is parked in the slot; child requests are queued on the poll
+    /// transport, which writes them out, one write per node, when phase
+    /// two first waits). Phase two walks the slots in the same order,
     /// consumes each reply, and applies all observable effects —
     /// timeline lines, history records, output routing, rng draws — so
     /// the result is identical to having performed the exchanges one at
@@ -1365,6 +1387,52 @@ impl<'c> Driver<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A stub node: `/bin/sh` running `script` on piped stdio, sent
+    /// `shutdown` and reaped with a short patience. Returns how it ended.
+    #[cfg(unix)]
+    fn reaped(script: &str) -> std::process::ExitStatus {
+        let mut child = Command::new("/bin/sh")
+            .args(["-c", script])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn /bin/sh");
+        let mut poll = PollTransport::new();
+        let token = poll.register_pipe(
+            child.stdout.take().expect("piped stdout"),
+            child.stdin.take().expect("piped stdin"),
+        );
+        poll.send(token, &request_line(&Request::Shutdown)).unwrap();
+        reap(&mut poll, &mut child, token, Duration::from_millis(200));
+        // `reap` has waited: the status is there, and asking is not a hang.
+        child.try_wait().unwrap().expect("reaped")
+    }
+
+    /// A node that never acknowledges `shutdown` — it ignores its input,
+    /// or what it has to say is the stale reply of a batch that failed —
+    /// is killed, not waited on without end; one that does acknowledge
+    /// is left to exit by itself.
+    #[cfg(unix)]
+    #[test]
+    fn a_node_that_does_not_acknowledge_shutdown_is_killed() {
+        use crate::wire::response_line;
+        use std::os::unix::process::ExitStatusExt;
+
+        let silent = reaped("exec sleep 600");
+        assert_eq!(silent.signal(), Some(9), "{silent}");
+
+        let stale = response_line(&Response::DeliverOk {
+            outputs: Vec::new(),
+            events: Vec::new(),
+        });
+        let stale = reaped(&format!("echo '{stale}'; exec sleep 600"));
+        assert_eq!(stale.signal(), Some(9), "{stale}");
+
+        let ack = response_line(&Response::ShutdownOk);
+        let acknowledged = reaped(&format!("read request; echo '{ack}'"));
+        assert!(acknowledged.success(), "{acknowledged}");
+    }
 
     fn rec(client: usize, block: u64, invoked: u64, completed: u64) -> OpRecord {
         OpRecord {

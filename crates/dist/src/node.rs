@@ -1022,6 +1022,42 @@ mod tests {
         );
     }
 
+    /// The largest frame the fleet can legitimately send is the
+    /// checkpoint of a cache at [`MAX_CACHE_LINES`] with every line valid
+    /// (it also comes back inside `restore`); the transport's frame bound
+    /// is sized from it, so measure it against the bound.
+    #[test]
+    fn a_full_cache_checkpoint_fits_one_frame() {
+        use crate::wire::response_line;
+        use twobit_interconnect::transport::MAX_FRAME_BYTES;
+
+        let mut big = cfg(Actor::Cache(0), "two-bit");
+        (big.caches, big.modules) = (1, 1);
+        (big.sets, big.assoc) = ((MAX_CACHE_LINES / 2) as u32, 2);
+        let mut cache = Node::new(&big).unwrap();
+        big.role = Actor::Module(0);
+        let mut module = Node::new(&big).unwrap();
+        for block in 0..MAX_CACHE_LINES {
+            let op = MemRef::write(WordAddr::new(block, 0));
+            let to_mem = deliver(&mut cache, &client_req(0, block + 1, op, None));
+            let grant = deliver(&mut module, &to_mem[0]);
+            let resp = deliver(&mut cache, &grant[0]);
+            assert!(matches!(resp[0].payload, Payload::ClientResp { .. }));
+        }
+        let frame = response_line(&cache.handle(&Request::Checkpoint));
+        assert!(
+            frame.len() > 6 << 20,
+            "{} bytes: not a full cache",
+            frame.len()
+        );
+        assert!(
+            frame.len() * 4 < MAX_FRAME_BYTES,
+            "a full cache's checkpoint is {} bytes, more than a quarter of the {} a frame may be",
+            frame.len(),
+            MAX_FRAME_BYTES
+        );
+    }
+
     #[test]
     fn node_checkpoint_roundtrips_through_text() {
         let mut cache = Node::new(&cfg(Actor::Cache(0), "two-bit")).unwrap();

@@ -1,44 +1,62 @@
-//! Multiplexed, poll-based message I/O for the distributed driver.
+//! Every node connection of the distributed driver, behind one owner.
 //!
 //! [`super::transport`] gives the fleet its framing: one JSON document
 //! per `\n`-terminated line over a byte stream. What it cannot give the
-//! driver is *concurrency*: a [`super::transport::Transport`] is a
-//! blocking request/response pipe, so a driver built on it can only keep
-//! one exchange in flight and its wall-clock is the sum of every
-//! round-trip in the run. This module is the other half: a
-//! [`PollTransport`] owns **all** node connections at once, so a single
-//! driver thread can start many exchanges, let the replies arrive in
-//! whatever order the OS produces them, and still *consume* them in a
-//! deterministic order of its own choosing (the property DESIGN.md §9
-//! leans on).
+//! driver is *concurrency*: a [`super::transport::Transport`] is one
+//! request/response pipe, so a driver built on it can only keep one
+//! exchange in flight and its wall-clock is the sum of every round-trip
+//! in the run. This module is the other half: a [`PollTransport`] owns
+//! **all** node connections at once, so a single driver thread can start
+//! many exchanges, let the nodes compute concurrently, and still
+//! *consume* the replies in a deterministic order of its own choosing
+//! (the property DESIGN.md §9 leans on).
 //!
 //! # Model
 //!
 //! * **Registration** hands a connection to the transport and returns a
-//!   [`Token`]. TCP streams are switched to non-blocking mode and polled
-//!   directly; pipe-like streams (a child's stdout, which `std` cannot
-//!   make non-blocking without raw fd calls) are pumped by a small
-//!   reader thread into a channel the poll loop drains without blocking.
-//!   Either way the *driver* thread never blocks on a single peer.
-//! * **Readiness polling** ([`PollTransport::poll_once`]) makes one
-//!   non-blocking pass over every connection: drain available bytes,
-//!   split complete frames into per-connection buffers, flush any
-//!   back-pressured writes.
-//! * **Per-connection frame buffers** decouple arrival order from
-//!   consumption order: a frame that arrives for connection B while the
-//!   driver waits on connection A is buffered, not lost and not
-//!   reordered. [`PollTransport::recv_deadline`] serves from the buffer
-//!   first and only then polls.
+//!   [`Token`]. A TCP stream is used directly, in blocking mode with a
+//!   timeout; a pipe-like stream (a child's stdout, which `std` can
+//!   neither time out nor poll without raw fd calls) is pumped by a
+//!   small reader thread into a channel.
+//! * **Sending queues.** [`PollTransport::send`] appends a frame to its
+//!   connection's output buffer and touches no stream.
+//! * **Receiving hands over.** The caller names the connection whose
+//!   reply it needs next; [`PollTransport::recv_deadline`] first writes
+//!   out every connection's queue, one `write` each, and then waits *in
+//!   the kernel* on that one connection — a blocking read, or a channel
+//!   receive for a pumped pipe. No readiness multiplexer is needed
+//!   because the caller consumes replies in an order it already knows:
+//!   replies of the connections it is not waiting on wait too, in their
+//!   socket or channel buffers, and cost nothing until asked for. A
+//!   thread that waits this way gives its CPU to the node that must
+//!   compute the reply instead of competing with it.
 //!
-//! Reads that would block are simply retried on the next poll; a peer
-//! that never answers surfaces as the typed [`PollError::Timeout`]
-//! rather than a hung driver.
+//! So a same-instant batch of requests costs one write and one read per
+//! node, however many frames it holds. Inbound bytes are split by the
+//! one `FrameBuf` of [`super::transport`], per connection, so a frame
+//! that arrives in pieces or behind another is neither lost nor
+//! reordered.
+//!
+//! # Bounds
+//!
+//! No call waits without end on a TCP connection: the call's deadline is
+//! the stream's read *and* write timeout, so a peer that never answers —
+//! or never reads — surfaces as the typed [`PollError::Timeout`]. No
+//! system call waits longer than the deadline and none starts after it
+//! has passed. A frame longer than
+//! [`MAX_FRAME_BYTES`](super::transport::MAX_FRAME_BYTES) is
+//! [`PollError::Frame`]. After any error a connection's framing cannot be
+//! trusted (a reply may be half-read, a request half-written), so the
+//! connection is closed and its token is dead. A pipe's *write* has no
+//! timeout (`std` offers none); DESIGN.md §9.2 states why the frames the
+//! driver writes cannot fill one.
 
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::TcpStream;
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::time::{Duration, Instant};
+
+use crate::transport::{push_frame, FrameBuf, FrameError};
 
 /// Identifies one registered connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,13 +65,16 @@ pub struct Token(usize);
 /// What [`PollTransport::recv_deadline`] can fail with.
 #[derive(Debug)]
 pub enum PollError {
-    /// The peer produced no frame within the deadline.
+    /// The peer produced no frame — or accepted no more bytes — within
+    /// the deadline.
     Timeout {
         /// How long the call waited before giving up.
         waited: Duration,
     },
     /// The underlying stream failed.
     Io(io::Error),
+    /// The peer's bytes are not frames.
+    Frame(FrameError),
     /// The token does not name a live registration.
     Unregistered,
 }
@@ -62,9 +83,10 @@ impl std::fmt::Display for PollError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PollError::Timeout { waited } => {
-                write!(f, "no frame within {} ms", waited.as_millis())
+                write!(f, "no progress within {} ms", waited.as_millis())
             }
             PollError::Io(e) => write!(f, "i/o error: {e}"),
+            PollError::Frame(e) => write!(f, "bad frame: {e}"),
             PollError::Unregistered => f.write_str("connection is not registered"),
         }
     }
@@ -78,138 +100,132 @@ impl From<io::Error> for PollError {
     }
 }
 
-/// Where a connection's inbound bytes come from.
-enum Feed {
-    /// A non-blocking TCP stream read directly by the poll loop.
-    Tcp(TcpStream),
-    /// A blocking byte stream pumped by a dedicated reader thread; the
-    /// poll loop drains the channel, never the stream.
-    Pumped(Receiver<io::Result<Vec<u8>>>),
+impl From<FrameError> for PollError {
+    fn from(e: FrameError) -> Self {
+        PollError::Frame(e)
+    }
 }
 
-/// Where a connection's outbound bytes go.
-enum Sink {
-    /// Non-blocking; short writes park the remainder in `outbuf`.
-    Tcp(TcpStream),
-    /// Blocking writer (child stdin). Frames are small and the peer is
-    /// a reader-first node loop, so blocking writes cannot deadlock.
-    Pipe(Box<dyn Write + Send>),
+/// The two kinds of byte stream a connection can be.
+enum Link {
+    /// A blocking TCP stream, read and written directly. `armed` is the
+    /// read and write timeout last set on it, so the hot path — every
+    /// call carrying the same deadline — sets none.
+    Tcp {
+        stream: TcpStream,
+        armed: Option<Duration>,
+    },
+    /// A child's stdout pumped into `rx` by a reader thread, and its
+    /// stdin written directly (blocking).
+    Pipe {
+        rx: Receiver<io::Result<Vec<u8>>>,
+        writer: Box<dyn Write + Send>,
+    },
+}
+
+/// Makes `timeout` the stream's read and write timeout unless it is
+/// already.
+fn arm(stream: &TcpStream, armed: &mut Option<Duration>, timeout: Duration) -> io::Result<()> {
+    // `std` refuses a zero timeout: to the socket it would mean none.
+    let timeout = Some(timeout.max(Duration::from_micros(1)));
+    if *armed != timeout {
+        stream.set_read_timeout(timeout)?;
+        stream.set_write_timeout(timeout)?;
+        *armed = timeout;
+    }
+    Ok(())
+}
+
+/// A blocking call that ran into the stream's timeout (`WouldBlock` on
+/// Unix, `TimedOut` on Windows) is a [`PollError::Timeout`].
+fn timed(e: io::Error, start: Instant) -> PollError {
+    match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => PollError::Timeout {
+            waited: start.elapsed(),
+        },
+        _ => PollError::Io(e),
+    }
 }
 
 struct Conn {
-    feed: Feed,
-    sink: Sink,
-    /// Raw inbound bytes not yet split at a `\n`.
-    inbuf: Vec<u8>,
-    /// Complete frames awaiting consumption.
-    frames: VecDeque<String>,
-    /// Outbound bytes a non-blocking sink has not accepted yet.
+    link: Link,
+    /// Inbound bytes and the cursor that splits them into frames.
+    inbuf: FrameBuf,
+    /// Frames queued since the last write.
     outbuf: Vec<u8>,
-    eof: bool,
+    /// Why a write to this connection failed while another was being
+    /// waited on; reported when this one is next named.
+    failed: Option<PollError>,
 }
 
 impl Conn {
-    /// Splits every complete frame out of `inbuf`.
-    fn harvest(&mut self) -> io::Result<()> {
-        while let Some(pos) = self.inbuf.iter().position(|&b| b == b'\n') {
-            let rest = self.inbuf.split_off(pos + 1);
-            let mut line = std::mem::replace(&mut self.inbuf, rest);
-            line.pop(); // the '\n'
-            let frame = String::from_utf8(line)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
-            self.frames.push_back(frame);
+    fn new(link: Link) -> Self {
+        Conn {
+            link,
+            inbuf: FrameBuf::default(),
+            outbuf: Vec::new(),
+            failed: None,
         }
-        if self.eof && !self.inbuf.is_empty() {
-            // A trailing unterminated line at EOF is delivered as a
-            // final frame, matching `LineTransport::recv`.
-            let line = std::mem::take(&mut self.inbuf);
-            let frame = String::from_utf8(line)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
-            self.frames.push_back(frame);
+    }
+
+    /// Writes out everything queued, as one buffer.
+    fn write_out(&mut self, start: Instant, timeout: Duration) -> Result<(), PollError> {
+        match &mut self.link {
+            Link::Tcp { stream, armed } => {
+                arm(stream, armed, timeout)?;
+                (&*stream)
+                    .write_all(&self.outbuf)
+                    .map_err(|e| timed(e, start))?;
+            }
+            Link::Pipe { writer, .. } => {
+                writer.write_all(&self.outbuf)?;
+                writer.flush()?;
+            }
         }
+        self.outbuf.clear();
         Ok(())
     }
 
-    /// One non-blocking intake pass. Returns whether new bytes arrived.
-    fn intake(&mut self) -> io::Result<bool> {
-        if self.eof {
-            return Ok(false);
-        }
-        let mut progressed = false;
-        match &mut self.feed {
-            Feed::Tcp(stream) => {
-                let mut chunk = [0u8; 8192];
-                loop {
-                    match stream.read(&mut chunk) {
-                        Ok(0) => {
-                            self.eof = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            self.inbuf.extend_from_slice(&chunk[..n]);
-                            progressed = true;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+    /// The next frame, waiting in the kernel for bytes until `timeout`
+    /// has passed since `start`; `Ok(None)` at end-of-stream.
+    fn await_frame(
+        &mut self,
+        start: Instant,
+        timeout: Duration,
+    ) -> Result<Option<String>, PollError> {
+        loop {
+            if let Some(frame) = self.inbuf.next_frame()? {
+                return Ok(Some(frame));
+            }
+            if self.inbuf.is_closed() {
+                return Ok(None);
+            }
+            let waited = start.elapsed();
+            if waited >= timeout {
+                return Err(PollError::Timeout { waited });
+            }
+            match &mut self.link {
+                Link::Tcp { stream, armed } => {
+                    arm(stream, armed, timeout)?;
+                    match self.inbuf.fill(&*stream) {
+                        Ok(()) => {}
                         // A peer killed mid-exchange (crash injection)
                         // resets rather than closes; treat it as EOF.
                         Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {
-                            self.eof = true;
-                            break;
+                            self.inbuf.close();
                         }
-                        Err(e) => return Err(e),
+                        Err(e) => return Err(timed(e, start)),
                     }
                 }
-            }
-            Feed::Pumped(rx) => loop {
-                match rx.try_recv() {
-                    Ok(Ok(chunk)) => {
-                        self.inbuf.extend_from_slice(&chunk);
-                        progressed = true;
+                Link::Pipe { rx, .. } => match rx.recv_timeout(timeout - waited) {
+                    Ok(chunk) => self.inbuf.push(&chunk?),
+                    Err(RecvTimeoutError::Disconnected) => self.inbuf.close(),
+                    Err(RecvTimeoutError::Timeout) => {
+                        return Err(PollError::Timeout {
+                            waited: start.elapsed(),
+                        })
                     }
-                    Ok(Err(e)) => return Err(e),
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        self.eof = true;
-                        break;
-                    }
-                }
-            },
-        }
-        if progressed || self.eof {
-            self.harvest()?;
-        }
-        Ok(progressed)
-    }
-
-    /// Pushes buffered outbound bytes toward the sink.
-    fn flush_pending(&mut self) -> io::Result<()> {
-        match &mut self.sink {
-            Sink::Pipe(w) => {
-                if !self.outbuf.is_empty() {
-                    w.write_all(&self.outbuf)?;
-                    self.outbuf.clear();
-                }
-                w.flush()
-            }
-            Sink::Tcp(stream) => {
-                while !self.outbuf.is_empty() {
-                    match stream.write(&self.outbuf) {
-                        Ok(0) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::WriteZero,
-                                "peer stopped accepting bytes",
-                            ))
-                        }
-                        Ok(n) => {
-                            self.outbuf.drain(..n);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(())
+                },
             }
         }
     }
@@ -217,9 +233,9 @@ impl Conn {
 
 /// One driver thread's window onto every node connection at once.
 ///
-/// See the module docs for the model. All methods are non-blocking
-/// except [`PollTransport::recv_deadline`], which bounds its wait and
-/// fails with the typed [`PollError::Timeout`].
+/// See the module docs for the model. [`PollTransport::send`] never
+/// blocks; [`PollTransport::recv_deadline`] and [`PollTransport::flush`]
+/// bound their wait and fail with the typed [`PollError::Timeout`].
 #[derive(Default)]
 pub struct PollTransport {
     conns: Vec<Option<Conn>>,
@@ -243,165 +259,121 @@ impl PollTransport {
         Token(self.conns.len() - 1)
     }
 
+    /// The live connection `t` names. A connection whose write failed
+    /// while another was waited on reports that now, and is closed.
     fn conn_mut(&mut self, t: Token) -> Result<&mut Conn, PollError> {
-        self.conns
-            .get_mut(t.0)
-            .and_then(Option::as_mut)
-            .ok_or(PollError::Unregistered)
+        let slot = self.conns.get_mut(t.0).ok_or(PollError::Unregistered)?;
+        if let Some(e) = slot.as_mut().and_then(|c| c.failed.take()) {
+            *slot = None;
+            return Err(e);
+        }
+        slot.as_mut().ok_or(PollError::Unregistered)
     }
 
-    /// Registers a TCP connection, switching it to non-blocking mode.
+    /// Registers a TCP connection. It is read and written in blocking
+    /// mode, under the deadline of the call that does so.
     ///
     /// # Errors
     ///
-    /// Propagates `set_nonblocking`/`try_clone` failures.
+    /// Propagates `set_nonblocking`/`set_nodelay` failures.
     pub fn register_tcp(&mut self, stream: TcpStream) -> io::Result<Token> {
-        stream.set_nonblocking(true)?;
+        stream.set_nonblocking(false)?;
         stream.set_nodelay(true)?;
-        let write_half = stream.try_clone()?;
-        Ok(self.slot(Conn {
-            feed: Feed::Tcp(stream),
-            sink: Sink::Tcp(write_half),
-            inbuf: Vec::new(),
-            frames: VecDeque::new(),
-            outbuf: Vec::new(),
-            eof: false,
-        }))
+        Ok(self.slot(Conn::new(Link::Tcp {
+            stream,
+            armed: None,
+        })))
     }
 
     /// Registers a pipe-like connection: `reader` is handed to a pump
-    /// thread (blocking reads never touch the poll loop), `writer` is
-    /// written directly.
+    /// thread (so a wait on it can time out), `writer` is written
+    /// directly.
     pub fn register_pipe<R, W>(&mut self, reader: R, writer: W) -> Token
     where
-        R: Read + Send + 'static,
+        R: io::Read + Send + 'static,
         W: Write + Send + 'static,
     {
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = std::sync::mpsc::sync_channel(PUMP_CHUNKS);
         std::thread::spawn(move || pump(reader, &tx));
-        self.slot(Conn {
-            feed: Feed::Pumped(rx),
-            sink: Sink::Pipe(Box::new(writer)),
-            inbuf: Vec::new(),
-            frames: VecDeque::new(),
-            outbuf: Vec::new(),
-            eof: false,
-        })
+        self.slot(Conn::new(Link::Pipe {
+            rx,
+            writer: Box::new(writer),
+        }))
     }
 
-    /// Drops a registration (e.g. after killing the peer). Buffered
-    /// frames are discarded; a pump thread, if any, exits on its next
-    /// read returning EOF.
+    /// Drops a registration (e.g. after killing the peer), closing the
+    /// connection. Buffered frames are discarded; a pump thread, if any,
+    /// exits on its next read returning EOF.
     pub fn deregister(&mut self, t: Token) {
         if let Some(slot) = self.conns.get_mut(t.0) {
             *slot = None;
         }
     }
 
-    /// Queues one frame toward the peer and pushes it as far as the
-    /// sink accepts without blocking.
+    /// Queues one frame toward the peer. Nothing is written until the
+    /// next [`PollTransport::recv_deadline`] or [`PollTransport::flush`].
     ///
     /// # Errors
     ///
-    /// [`PollError::Unregistered`] for a dead token, otherwise the
-    /// sink's I/O error. `msg` must not contain `\n` (asserted in debug
-    /// builds, same contract as `LineTransport::send`).
+    /// [`PollError::Unregistered`] for a dead token, or the error that
+    /// killed the connection if it has not been reported yet. `msg` must
+    /// not contain `\n` (asserted in debug builds, same contract as
+    /// `Transport::send`).
     pub fn send(&mut self, t: Token, msg: &str) -> Result<(), PollError> {
-        debug_assert!(
-            !msg.contains('\n'),
-            "a frame must be a single line; escape newlines in the payload"
-        );
-        let conn = self.conn_mut(t)?;
-        conn.outbuf.extend_from_slice(msg.as_bytes());
-        conn.outbuf.push(b'\n');
-        conn.flush_pending().map_err(PollError::Io)
+        push_frame(&mut self.conn_mut(t)?.outbuf, msg);
+        Ok(())
     }
 
-    /// One readiness pass over every connection: drain available input,
-    /// split frames, flush back-pressured output. Returns `true` if any
-    /// connection produced new bytes.
+    /// Writes out every connection's queue, one `write` per connection,
+    /// each under `timeout`. [`PollTransport::recv_deadline`] does this
+    /// itself; a caller needs it only after a send it will not wait on.
     ///
-    /// # Errors
-    ///
-    /// The first connection-level I/O error encountered.
-    pub fn poll_once(&mut self) -> io::Result<bool> {
-        let mut progressed = false;
+    /// A connection whose write fails (or times out: the peer stopped
+    /// reading) reports that at the next call that names it.
+    pub fn flush(&mut self, timeout: Duration) {
+        let start = Instant::now();
         for conn in self.conns.iter_mut().flatten() {
-            progressed |= conn.intake()?;
-            if !conn.outbuf.is_empty() {
-                conn.flush_pending()?;
+            if conn.failed.is_none() && !conn.outbuf.is_empty() {
+                conn.failed = conn.write_out(start, timeout).err();
             }
         }
-        Ok(progressed)
     }
 
-    /// Whether a frame is already buffered for `t`.
-    #[must_use]
-    pub fn has_frame(&self, t: Token) -> bool {
-        self.conns
-            .get(t.0)
-            .and_then(Option::as_ref)
-            .is_some_and(|c| !c.frames.is_empty())
-    }
-
-    /// Pops a buffered frame for `t` without polling.
-    pub fn try_recv(&mut self, t: Token) -> Option<String> {
-        self.conns
-            .get_mut(t.0)
-            .and_then(Option::as_mut)
-            .and_then(|c| c.frames.pop_front())
-    }
-
-    /// Receives the next frame on `t`, polling **all** connections while
-    /// it waits (frames for other tokens are buffered, not dropped).
-    /// Returns `Ok(None)` at end-of-stream.
+    /// Receives the next frame on `t`: writes out what is queued on
+    /// **every** connection, then blocks on `t` alone (frames for other
+    /// tokens wait in their own connections, not lost and not
+    /// reordered). Returns `Ok(None)` at end-of-stream.
     ///
     /// # Errors
     ///
     /// [`PollError::Timeout`] if no frame (and no EOF) arrives within
-    /// `timeout`; I/O errors otherwise.
+    /// `timeout`, [`PollError::Frame`] for bytes that are not frames, I/O
+    /// errors otherwise. After any of them the connection is closed and
+    /// `t` is [`PollError::Unregistered`].
     pub fn recv_deadline(
         &mut self,
         t: Token,
         timeout: Duration,
     ) -> Result<Option<String>, PollError> {
         let start = Instant::now();
-        let mut idle_passes: u32 = 0;
-        loop {
-            if let Some(frame) = self.conn_mut(t)?.frames.pop_front() {
-                return Ok(Some(frame));
-            }
-            if self.conn_mut(t)?.eof {
-                return Ok(None);
-            }
-            if self.poll_once()? {
-                idle_passes = 0;
-                continue;
-            }
-            if start.elapsed() >= timeout {
-                return Err(PollError::Timeout {
-                    waited: start.elapsed(),
-                });
-            }
-            // Spin briefly (replies usually land within microseconds),
-            // then back off so an idle wait does not burn a core.
-            idle_passes = idle_passes.saturating_add(1);
-            if idle_passes > 64 {
-                std::thread::sleep(Duration::from_micros(if idle_passes > 512 {
-                    500
-                } else {
-                    50
-                }));
-            } else {
-                std::hint::spin_loop();
-            }
+        self.flush(timeout);
+        let outcome = self.conn_mut(t)?.await_frame(start, timeout);
+        if outcome.is_err() {
+            self.deregister(t);
         }
+        outcome
     }
 }
 
+/// How many chunks a pump may hold ahead of the driver: with 8 KiB
+/// chunks, what a socket's receive buffer would hold. Beyond that the
+/// pump stops reading and the pipe's own back-pressure reaches the peer,
+/// so a child that floods its stdout costs a bounded queue.
+const PUMP_CHUNKS: usize = 16;
+
 /// Body of a pipe pump thread: blocking reads forwarded as chunks until
-/// EOF or error; dropping the sender signals EOF to the poll loop.
-fn pump<R: Read>(mut reader: R, tx: &Sender<io::Result<Vec<u8>>>) {
+/// EOF or error; dropping the sender signals EOF to the waiting side.
+fn pump<R: io::Read>(mut reader: R, tx: &SyncSender<io::Result<Vec<u8>>>) {
     let mut chunk = [0u8; 8192];
     loop {
         match reader.read(&mut chunk) {
@@ -423,7 +395,10 @@ fn pump<R: Read>(mut reader: R, tx: &Sender<io::Result<Vec<u8>>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use std::net::TcpListener;
+    use std::sync::mpsc::Sender;
+    use std::sync::{Arc, Mutex};
 
     /// An in-memory blocking reader fed by a channel (pipe stand-in).
     struct TestReader(Receiver<Vec<u8>>);
@@ -441,12 +416,18 @@ mod tests {
         }
     }
 
-    struct TestWriter(Sender<Vec<u8>>);
+    /// Records every `write` call it is given, whole.
+    #[derive(Clone, Default)]
+    struct TestWriter(Arc<Mutex<Vec<String>>>);
+    impl TestWriter {
+        fn writes(&self) -> Vec<String> {
+            self.0.lock().unwrap().clone()
+        }
+    }
     impl Write for TestWriter {
         fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
-            self.0
-                .send(bytes.to_vec())
-                .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer dropped"))?;
+            let text = String::from_utf8(bytes.to_vec()).unwrap();
+            self.0.lock().unwrap().push(text);
             Ok(bytes.len())
         }
         fn flush(&mut self) -> io::Result<()> {
@@ -454,92 +435,139 @@ mod tests {
         }
     }
 
+    const LONG: Duration = Duration::from_secs(5);
+
+    fn pipe(poll: &mut PollTransport) -> (Token, Sender<Vec<u8>>, TestWriter) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let out = TestWriter::default();
+        (poll.register_pipe(TestReader(rx), out.clone()), tx, out)
+    }
+
     #[test]
     fn frames_multiplex_across_pipe_connections() {
         let mut poll = PollTransport::new();
-        let (in_a, rx_a) = std::sync::mpsc::channel();
-        let (in_b, rx_b) = std::sync::mpsc::channel();
-        let (out_a, _keep_a) = std::sync::mpsc::channel();
-        let (out_b, _keep_b) = std::sync::mpsc::channel();
-        let a = poll.register_pipe(TestReader(rx_a), TestWriter(out_a));
-        let b = poll.register_pipe(TestReader(rx_b), TestWriter(out_b));
+        let (a, in_a, _) = pipe(&mut poll);
+        let (b, in_b, _) = pipe(&mut poll);
 
-        // B's frames are sent first; a recv on A must buffer whatever of
-        // B it meets, not lose it, and per-connection order must hold.
-        // Nothing orders B's pump thread against A's, so B's chunk may
-        // still be in flight when A's frame returns: wait for it.
+        // B's frames are sent first; a recv on A must leave them where
+        // they are, not lose them, and per-connection order must hold.
         in_b.send(b"b1\nb2\n".to_vec()).unwrap();
         in_a.send(b"a1\n".to_vec()).unwrap();
-        let got = poll
-            .recv_deadline(a, Duration::from_secs(5))
-            .unwrap()
-            .unwrap();
-        assert_eq!(got, "a1");
-        let got = poll
-            .recv_deadline(b, Duration::from_secs(5))
-            .unwrap()
-            .unwrap();
-        assert_eq!(got, "b1");
-        assert_eq!(poll.try_recv(b).as_deref(), Some("b2"));
-        assert_eq!(poll.try_recv(b), None);
+        for (t, want) in [(a, "a1"), (b, "b1"), (b, "b2")] {
+            let got = poll.recv_deadline(t, LONG).unwrap();
+            assert_eq!(got.as_deref(), Some(want));
+        }
     }
 
     #[test]
     fn split_frames_reassemble() {
         let mut poll = PollTransport::new();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let (out, _keep) = std::sync::mpsc::channel();
-        let t = poll.register_pipe(TestReader(rx), TestWriter(out));
+        let (t, tx, _) = pipe(&mut poll);
         tx.send(b"{\"half\":".to_vec()).unwrap();
         tx.send(b"1}\n{\"next\":2}\n".to_vec()).unwrap();
-        assert_eq!(
-            poll.recv_deadline(t, Duration::from_secs(5))
-                .unwrap()
-                .as_deref(),
-            Some("{\"half\":1}")
-        );
-        assert_eq!(poll.try_recv(t).as_deref(), Some("{\"next\":2}"));
+        for want in ["{\"half\":1}", "{\"next\":2}"] {
+            let got = poll.recv_deadline(t, LONG).unwrap();
+            assert_eq!(got.as_deref(), Some(want));
+        }
+    }
+
+    /// The tie on the driver's end, counted: `send` writes nothing, and
+    /// the next `recv_deadline` — on whichever connection — writes every
+    /// connection's queue as one buffer.
+    #[test]
+    fn queued_frames_leave_as_one_write_per_connection_at_the_next_recv() {
+        let mut poll = PollTransport::new();
+        let (a, in_a, out_a) = pipe(&mut poll);
+        let (b, _in_b, out_b) = pipe(&mut poll);
+        for frame in ["a1", "a2", "a3"] {
+            poll.send(a, frame).unwrap();
+        }
+        for frame in ["b1", "b2"] {
+            poll.send(b, frame).unwrap();
+        }
+        assert!(out_a.writes().is_empty() && out_b.writes().is_empty());
+
+        in_a.send(b"reply\n".to_vec()).unwrap();
+        let got = poll.recv_deadline(a, LONG).unwrap();
+        assert_eq!(got.as_deref(), Some("reply"));
+        assert_eq!(out_a.writes(), ["a1\na2\na3\n"]);
+        assert_eq!(out_b.writes(), ["b1\nb2\n"]);
+
+        // Nothing is queued now, so nothing more is written; and a
+        // caller that will not wait has `flush`.
+        in_a.send(b"again\n".to_vec()).unwrap();
+        poll.recv_deadline(a, LONG).unwrap();
+        poll.send(b, "b3").unwrap();
+        poll.flush(LONG);
+        assert_eq!(out_a.writes().len(), 1);
+        assert_eq!(out_b.writes(), ["b1\nb2\n", "b3\n"]);
     }
 
     #[test]
     fn recv_deadline_times_out_with_typed_error() {
         let mut poll = PollTransport::new();
-        let (_tx, rx) = std::sync::mpsc::channel::<Vec<u8>>();
-        let (out, _keep) = std::sync::mpsc::channel();
-        let t = poll.register_pipe(TestReader(rx), TestWriter(out));
+        let (t, _tx, _) = pipe(&mut poll);
         let started = Instant::now();
         match poll.recv_deadline(t, Duration::from_millis(30)) {
             Err(PollError::Timeout { waited }) => {
                 assert!(waited >= Duration::from_millis(30));
-                assert!(started.elapsed() < Duration::from_secs(5), "bounded wait");
+                assert!(started.elapsed() < LONG, "bounded wait");
             }
             other => panic!("expected Timeout, got {other:?}"),
         }
+        // A late reply would be taken for the next request's: the
+        // connection is closed, not left a frame out of step.
+        assert!(matches!(poll.send(t, "x"), Err(PollError::Unregistered)));
+    }
+
+    /// A write that fails while another connection is being waited on is
+    /// that connection's error, reported when it is next named.
+    #[test]
+    fn a_failed_write_is_reported_by_its_own_connection() {
+        struct Broken;
+        impl Write for Broken {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut poll = PollTransport::new();
+        let (good, tx, _) = pipe(&mut poll);
+        let (_keep, rx) = std::sync::mpsc::channel();
+        let bad = poll.register_pipe(TestReader(rx), Broken);
+        poll.send(bad, "lost").unwrap();
+        tx.send(b"fine\n".to_vec()).unwrap();
+        let got = poll.recv_deadline(good, LONG).unwrap();
+        assert_eq!(got.as_deref(), Some("fine"));
+        match poll.recv_deadline(bad, LONG) {
+            Err(PollError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::BrokenPipe),
+            other => panic!("expected the broken pipe, got {other:?}"),
+        }
+        assert!(matches!(
+            poll.recv_deadline(bad, LONG),
+            Err(PollError::Unregistered)
+        ));
     }
 
     #[test]
     fn peer_eof_yields_none_and_trailing_line_is_delivered() {
         let mut poll = PollTransport::new();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let (out, _keep) = std::sync::mpsc::channel();
-        let t = poll.register_pipe(TestReader(rx), TestWriter(out));
+        let (t, tx, _) = pipe(&mut poll);
         tx.send(b"last-without-newline".to_vec()).unwrap();
         drop(tx);
         assert_eq!(
-            poll.recv_deadline(t, Duration::from_secs(5))
-                .unwrap()
-                .as_deref(),
+            poll.recv_deadline(t, LONG).unwrap().as_deref(),
             Some("last-without-newline")
         );
-        assert_eq!(poll.recv_deadline(t, Duration::from_secs(5)).unwrap(), None);
+        assert_eq!(poll.recv_deadline(t, LONG).unwrap(), None);
     }
 
     #[test]
     fn deregistered_token_is_a_typed_error() {
         let mut poll = PollTransport::new();
-        let (_tx, rx) = std::sync::mpsc::channel::<Vec<u8>>();
-        let (out, _keep) = std::sync::mpsc::channel();
-        let t = poll.register_pipe(TestReader(rx), TestWriter(out));
+        let (t, _tx, _) = pipe(&mut poll);
         poll.deregister(t);
         assert!(matches!(
             poll.recv_deadline(t, Duration::from_millis(10)),
@@ -549,19 +577,15 @@ mod tests {
     }
 
     #[test]
-    fn tcp_connections_poll_without_blocking_each_other() {
+    fn tcp_exchanges_overlap_and_are_consumed_in_any_order() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         // Two echo peers that each wait for one inbound frame.
         let mut joins = Vec::new();
         for tag in ["one", "two"] {
             let join = std::thread::spawn(move || {
-                let stream = TcpStream::connect(addr).unwrap();
-                let mut t = crate::transport::LineTransport::new(
-                    std::io::BufReader::new(stream.try_clone().unwrap()),
-                    stream,
-                );
                 use crate::transport::Transport;
+                let mut t = crate::transport::tcp_connect(addr).unwrap();
                 let got = t.recv().unwrap().unwrap();
                 t.send(&format!("{tag}:{got}")).unwrap();
             });
@@ -575,19 +599,12 @@ mod tests {
         // Both exchanges in flight at once; consume in reverse order.
         poll.send(t1, "ping").unwrap();
         poll.send(t2, "ping").unwrap();
-        let r2 = poll
-            .recv_deadline(t2, Duration::from_secs(5))
-            .unwrap()
-            .unwrap();
-        let r1 = poll
-            .recv_deadline(t1, Duration::from_secs(5))
-            .unwrap()
-            .unwrap();
+        let r2 = poll.recv_deadline(t2, LONG).unwrap().unwrap();
+        let r1 = poll.recv_deadline(t1, LONG).unwrap().unwrap();
         // Peers are accepted in connect order but either may be s1.
         let mut got = [r1, r2];
         got.sort();
-        let tails: Vec<&str> = got.iter().map(|s| s.as_str()).collect();
-        assert_eq!(tails, ["one:ping", "two:ping"]);
+        assert_eq!(got, ["one:ping", "two:ping"]);
         for j in joins {
             j.join().unwrap();
         }

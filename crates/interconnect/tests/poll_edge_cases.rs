@@ -1,14 +1,18 @@
-//! Frame-reassembly edge cases for the multiplexed poll transport —
-//! the boundaries the in-module unit tests do not reach: a partial
-//! frame cut off by TCP EOF, partial frames interleaved across two
-//! connections, and a single frame wider than one 8 KiB intake read.
+//! Frame-reassembly edge cases for the two users of the one frame
+//! splitter, `PollTransport` and `LineTransport` — the boundaries the
+//! in-module unit tests do not reach: a partial frame cut off by TCP
+//! EOF, partial frames interleaved across two connections, a single
+//! frame wider than one 8 KiB read, any chunking of any bytes, a frame
+//! with no end, and a TCP peer that stopped reading.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc::{Receiver, Sender};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use twobit_interconnect::poll::PollTransport;
+use proptest::prelude::*;
+use twobit_interconnect::poll::{PollError, PollTransport};
+use twobit_interconnect::transport::{FrameError, LineTransport, Transport, MAX_FRAME_BYTES};
 
 /// A blocking reader fed by a channel — stands in for a child's stdout.
 /// Chunks larger than the caller's buffer are carried over, so tests
@@ -118,13 +122,13 @@ fn interleaved_partial_frames_stay_per_connection() {
         poll.recv_deadline(a, DEADLINE).unwrap().as_deref(),
         Some("alpha-one")
     );
-    // B's completed frame was buffered while the driver waited on A.
+    // B's completed frame waited in B's connection meanwhile.
     assert_eq!(
         poll.recv_deadline(b, DEADLINE).unwrap().as_deref(),
         Some("beta-two")
     );
-    // B's trailing fragment is still pending, not a frame.
-    assert!(!poll.has_frame(b));
+    // B's trailing fragment is still pending, not a frame: it comes
+    // back as the head of the frame the next send completes.
     in_b.send(b"frame\n".to_vec()).unwrap();
     assert_eq!(
         poll.recv_deadline(b, DEADLINE).unwrap().as_deref(),
@@ -132,14 +136,12 @@ fn interleaved_partial_frames_stay_per_connection() {
     );
 }
 
-/// One frame far wider than the transport's 8 KiB intake buffer, sent
-/// over TCP so the poll loop must stitch it together across many
-/// non-blocking reads (and likely several `poll_once` passes, since the
-/// sender is pushing through a real socket). A small frame behind it
-/// proves the split leaves no residue.
+/// One frame far wider than the transport's 8 KiB read, sent over TCP so
+/// the transport must stitch it together across many blocking reads. A
+/// small frame behind it proves the split leaves no residue.
 #[test]
 fn tcp_frame_larger_than_one_read_buffer_reassembles() {
-    let payload = "0123456789abcdef".repeat(6 * 1024); // 96 KiB, ≥ 12 intake-buffer fills
+    let payload = "0123456789abcdef".repeat(6 * 1024); // 96 KiB, ≥ 12 reads
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let sent = payload.clone();
@@ -178,4 +180,139 @@ fn pipe_frame_larger_than_one_read_buffer_reassembles() {
     tx.send(format!("{payload}\n").into_bytes()).unwrap();
     let big = poll.recv_deadline(t, DEADLINE).unwrap().unwrap();
     assert_eq!(big, payload);
+}
+
+/// The frames of `bytes`, worked out without a cursor: the pieces
+/// between `\n`s, an unterminated tail included, up to and including the
+/// first that is not UTF-8 (`None`), which is where a link stops.
+fn frames_of(bytes: &[u8]) -> Vec<Option<String>> {
+    let mut pieces: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+    if pieces.last().is_some_and(|tail| tail.is_empty()) {
+        pieces.pop(); // the bytes ended on a terminator (or are empty)
+    }
+    let mut frames = Vec::new();
+    for piece in pieces {
+        frames.push(String::from_utf8(piece.to_vec()).ok());
+        if frames.last() == Some(&None) {
+            break;
+        }
+    }
+    frames
+}
+
+/// A reader that yields `bytes` cut at `cuts` (cycled), then EOF.
+fn chunked(bytes: &[u8], cuts: &[usize]) -> ChanReader {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut rest = bytes;
+    for &cut in cuts.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (chunk, tail) = rest.split_at(cut.min(rest.len()));
+        tx.send(chunk.to_vec()).unwrap();
+        rest = tail;
+    }
+    ChanReader::new(rx)
+}
+
+/// Everything a receive loop yields until end-of-stream or an error
+/// (`None`, last).
+fn drain<E>(mut recv: impl FnMut() -> Result<Option<String>, E>) -> Vec<Option<String>> {
+    let mut frames = Vec::new();
+    loop {
+        match recv() {
+            Ok(Some(frame)) => frames.push(Some(frame)),
+            Ok(None) => return frames,
+            Err(_) => {
+                frames.push(None);
+                return frames;
+            }
+        }
+    }
+}
+
+proptest! {
+    /// Any chunking of any byte string yields the frames of the whole
+    /// string, through both users of the splitter: a trailing
+    /// unterminated line is delivered at EOF, bytes that are not UTF-8
+    /// are an error at their frame and never a panic.
+    #[test]
+    fn any_chunking_yields_the_frames_of_the_whole_string(
+        bytes in prop::collection::vec(
+            prop_oneof![Just(b'\n'), Just(b'x'), Just(0xc3u8), Just(0xa9u8), any::<u8>()],
+            0..200,
+        ),
+        cuts in prop::collection::vec(1usize..40, 1..8),
+    ) {
+        let expected = frames_of(&bytes);
+
+        let mut line = LineTransport::new(chunked(&bytes, &cuts), io::sink());
+        prop_assert_eq!(&drain(|| line.recv()), &expected);
+
+        let mut poll = PollTransport::new();
+        let t = poll.register_pipe(chunked(&bytes, &cuts), io::sink());
+        prop_assert_eq!(&drain(|| poll.recv_deadline(t, DEADLINE)), &expected);
+    }
+}
+
+/// A peer that never sends `\n`: both users refuse the frame once it is
+/// longer than the stated bound, with the typed error, and the
+/// connection is closed — not an input buffer that grows for ever.
+#[test]
+fn a_frame_with_no_end_is_refused_at_the_bound() {
+    let mut line = LineTransport::new(io::repeat(b'['), io::sink());
+    let refused = line.recv().unwrap_err();
+    assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+    let typed = refused
+        .get_ref()
+        .and_then(|e| e.downcast_ref::<FrameError>());
+    let too_long = FrameError::TooLong {
+        limit: MAX_FRAME_BYTES,
+    };
+    assert_eq!(typed, Some(&too_long));
+
+    let mut poll = PollTransport::new();
+    let t = poll.register_pipe(io::repeat(b'['), io::sink());
+    match poll.recv_deadline(t, DEADLINE) {
+        Err(PollError::Frame(e)) => assert_eq!(e, too_long),
+        other => panic!("expected the frame to be refused, got {other:?}"),
+    }
+    assert!(matches!(poll.send(t, "x"), Err(PollError::Unregistered)));
+}
+
+/// A TCP peer that accepts and never reads, and a frame larger than the
+/// socket buffers between the two: the write cannot complete, and inside
+/// the deadline that is the typed timeout and a dead token, not a driver
+/// hung in `write(2)`.
+#[test]
+fn a_write_to_a_peer_that_stopped_reading_times_out() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let _ = held.recv(); // keep the connection open, read nothing
+        drop(stream);
+    });
+
+    let mut poll = PollTransport::new();
+    let t = poll
+        .register_tcp(TcpStream::connect(addr).unwrap())
+        .unwrap();
+    poll.send(t, &"w".repeat(16 << 20)).unwrap();
+    let started = Instant::now();
+    match poll.recv_deadline(t, Duration::from_millis(200)) {
+        Err(PollError::Timeout { waited }) => {
+            assert!(waited >= Duration::from_millis(200), "{waited:?}");
+            assert!(started.elapsed() < DEADLINE, "bounded wait");
+        }
+        other => panic!("expected Timeout, got {other:?}"),
+    }
+    assert!(matches!(poll.send(t, "x"), Err(PollError::Unregistered)));
+    assert!(matches!(
+        poll.recv_deadline(t, DEADLINE),
+        Err(PollError::Unregistered)
+    ));
+    release.send(()).unwrap();
+    peer.join().unwrap();
 }
