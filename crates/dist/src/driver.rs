@@ -1329,11 +1329,17 @@ impl<'c> Driver<'c> {
         };
         let mut link = spawn_link(&self.cfg.mode, &node_cfg, &mut self.poll)?;
         // …restore the last checkpoint…
-        if let Some(state) = self.checkpoints.get(&node).cloned() {
-            match rpc(&mut link, &mut self.poll, node, &Request::Restore { state })? {
+        if let Some(state) = self.checkpoints.remove(&node) {
+            let req = Request::Restore { state };
+            match rpc(&mut link, &mut self.poll, node, &req)? {
                 Response::RestoreOk => {}
                 other => return Err(format!("{node}: restore failed: {other:?}")),
             }
+            let Request::Restore { state } = req else {
+                unreachable!("built above");
+            };
+            // A second crash before the next checkpoint restores it again.
+            self.checkpoints.insert(node, state);
         }
         // …and replay the deliveries logged since. The node recomputes
         // identical outputs; they were already routed before the crash,

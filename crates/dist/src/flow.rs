@@ -14,8 +14,9 @@
 //! * the **WtAck hold** — a write-through's client response waits for
 //!   the memory node's synthesized acknowledgment
 //!   ([`CacheNode`](crate::node::CacheNode));
-//! * **txn-id idempotency** — duplicate client requests are answered
-//!   from the done-table or dropped while in flight.
+//! * **txn-id idempotency** — a duplicate client request is answered
+//!   from the last recorded reply, or dropped while in flight or once a
+//!   newer transaction has acknowledged it.
 //!
 //! This module states those mechanisms *declaratively*, as
 //! [`FlowState`]s and [`FlowRule`]s, so `twobit-lint` can assemble one
@@ -342,6 +343,20 @@ fn cache_client(caps: Caps) -> (Vec<FlowState>, Vec<FlowRule>) {
             &blocked_states,
         ));
     }
+    // A late retry of a transaction a newer one has acknowledged is
+    // dropped wherever the block stands: nobody waits for its answer.
+    let cache_states: Vec<&str> = states
+        .iter()
+        .filter(|s| s.role == Cache)
+        .map(|s| s.name.as_str())
+        .collect();
+    rules.push(FlowRule::new(
+        "cache/stale-drop",
+        here!(),
+        Cache,
+        M::ClientReq,
+        &cache_states,
+    ));
 
     // --- Fills and upgrade replies.
     if caps.grants {
@@ -764,6 +779,36 @@ mod tests {
             deliver(&mut cache, &req).is_empty(),
             "cache/duplicate-drop: retry while blocked emits nothing"
         );
+    }
+
+    /// `cache/stale-drop`: a request below the floor — idle or blocked —
+    /// produces no traffic and leaves the node as it was.
+    #[test]
+    fn stale_drop_rule_matches_the_node() {
+        let (_, rules) = assemble(table("two-bit"), &GateSpec::shipped());
+        let rule = rules.iter().find(|r| r.name == "cache/stale-drop").unwrap();
+        assert!(rule.emits.is_empty() && rule.next.is_empty());
+        for state in [IDLE_INVALID, IDLE_CLEAN, IDLE_OWNER, AWAITING_GRANT] {
+            assert!(rule.when.contains(&state.to_string()), "{state}");
+        }
+
+        let mut cache = Node::new(&cfg(Actor::Cache(0), "two-bit")).unwrap();
+        let req = |txn, block| Envelope {
+            src: Actor::Client(0),
+            dst: Actor::Cache(0),
+            payload: Payload::ClientReq {
+                txn: TxnId::new(txn),
+                op: MemRef::read(WordAddr::new(block, 0)),
+                sv: None,
+            },
+        };
+        assert_eq!(deliver(&mut cache, &req(5, 3)).len(), 1, "awaiting-grant");
+        let before = format!("{:?}", cache.handle(&Request::Checkpoint));
+        assert!(
+            deliver(&mut cache, &req(4, 9)).is_empty(),
+            "cache/stale-drop: an acknowledged id emits nothing"
+        );
+        assert_eq!(before, format!("{:?}", cache.handle(&Request::Checkpoint)));
     }
 
     /// `cache/recall-bystander` at `awaiting-grant`: a recall reaching

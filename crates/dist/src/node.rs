@@ -141,7 +141,7 @@ impl Node {
                     map: AddressMap::interleaved(cfg.modules),
                     current: None,
                     held: None,
-                    done: BTreeMap::new(),
+                    last: None,
                 }))
             }
             Actor::Module(j) => {
@@ -232,8 +232,15 @@ impl Node {
 ///
 /// Wraps the simulator's [`CacheAgent`] with the client-edge idempotency
 /// layer: the client↔cache edge is at-least-once (the driver retries on
-/// timeout), so the node keeps a table of completed transactions and
-/// answers duplicates from it without re-executing.
+/// timeout), so the node keeps the one reply that can still be asked for
+/// and answers a duplicate from it without re-executing.
+///
+/// One reply is enough because of the client-edge contract (DESIGN.md
+/// §9.3): a client has one transaction outstanding, its transaction ids
+/// only increase, and its edge is FIFO — so a *new* `ClientReq` proves
+/// every earlier reply was received. The recovery state is therefore what
+/// is live, not what has happened, and a checkpoint does not grow with
+/// the run.
 #[derive(Debug)]
 pub struct CacheNode {
     agent: CacheAgent,
@@ -247,8 +254,10 @@ pub struct CacheNode {
     /// memory node's [`Payload::WtAck`] (global visibility). At most one:
     /// the client is blocking.
     held: Option<HeldResp>,
-    /// Completed transactions, for duplicate-request replay.
-    done: BTreeMap<u64, (Version, bool)>,
+    /// The last completed transaction and its answer (observed version,
+    /// hit flag), for duplicate-request replay. The next transaction
+    /// acknowledges it away.
+    last: Option<(TxnId, Version, bool)>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -277,9 +286,7 @@ impl CacheNode {
         }
     }
 
-    fn respond(&mut self, txn: TxnId, observed: Version, was_hit: bool) -> Envelope {
-        self.done.insert(txn.raw(), (observed, was_hit));
-        self.current = None;
+    fn client_resp(&self, txn: TxnId, observed: Version, was_hit: bool) -> Envelope {
         Envelope {
             src: self.me(),
             dst: Actor::Client(self.id),
@@ -289,6 +296,12 @@ impl CacheNode {
                 was_hit,
             },
         }
+    }
+
+    fn respond(&mut self, txn: TxnId, observed: Version, was_hit: bool) -> Envelope {
+        self.last = Some((txn, observed, was_hit));
+        self.current = None;
+        self.client_resp(txn, observed, was_hit)
     }
 
     fn complete(&mut self, c: &Completion, outputs: &mut Vec<Envelope>) -> Result<(), String> {
@@ -308,24 +321,25 @@ impl CacheNode {
         let mut events = Vec::new();
         match &env.payload {
             Payload::ClientReq { txn, op, sv } => {
-                if let Some(&(observed, was_hit)) = self.done.get(&txn.raw()) {
-                    // Duplicate of a completed transaction: replay the
-                    // answer, touch nothing.
-                    outputs.push(Envelope {
-                        src: self.me(),
-                        dst: Actor::Client(self.id),
-                        payload: Payload::ClientResp {
-                            txn: *txn,
-                            observed,
-                            was_hit,
-                        },
-                    });
-                    return Ok((outputs, events));
-                }
-                if self.current == Some(*txn) {
-                    // Duplicate of the in-flight transaction: the answer
-                    // is on its way; drop the retry.
-                    return Ok((outputs, events));
+                // The client has one transaction outstanding, its ids only
+                // increase and its edge is FIFO, so `txn` is one of four
+                // things (DESIGN.md §9.3).
+                match self.last {
+                    // The last completed transaction: replay the answer,
+                    // touch nothing.
+                    Some((last, observed, was_hit)) if last == *txn => {
+                        outputs.push(self.client_resp(*txn, observed, was_hit));
+                        return Ok((outputs, events));
+                    }
+                    // The in-flight one (its answer is on its way), or one
+                    // below the floor: a late duplicate of a transaction a
+                    // newer one has acknowledged. Nobody waits for it and
+                    // running it again would apply it twice: drop.
+                    last if Some(*txn) <= self.current.max(last.map(|l| l.0)) => {
+                        return Ok((outputs, events));
+                    }
+                    // New.
+                    _ => {}
                 }
                 if let Some(busy) = self.current {
                     return Err(format!(
@@ -437,11 +451,14 @@ impl CacheNode {
                     ])
                 }),
             ),
+            // An array of at most one entry, so that a checkpoint from
+            // when the whole completed-transaction table was kept
+            // restores here, and this one there.
             (
                 "done",
-                self.done
+                self.last
                     .iter()
-                    .map(|(txn, (v, hit))| {
+                    .map(|(txn, v, hit)| {
                         obj([("txn", txn.json()), ("v", v.json()), ("hit", hit.json())])
                     })
                     .collect(),
@@ -464,14 +481,16 @@ impl CacheNode {
                 was_hit: h.field("hit")?,
             }),
         };
-        let mut done = BTreeMap::new();
+        // Of an older checkpoint's whole table only the highest entry
+        // can still be asked for.
+        let mut last: Option<(TxnId, Version, bool)> = None;
         for e in j.array("done")? {
-            done.insert(e.field("txn")?, (e.field("v")?, e.field("hit")?));
+            last = last.max(Some((e.field("txn")?, e.field("v")?, e.field("hit")?)));
         }
         self.agent.restore_state(j.member("agent")?)?;
         self.current = current;
         self.held = held;
-        self.done = done;
+        self.last = last;
         Ok(())
     }
 }
@@ -809,6 +828,18 @@ mod tests {
         }
     }
 
+    fn checkpoint(node: &mut Node) -> Json {
+        match node.handle(&Request::Checkpoint) {
+            Response::CheckpointOk { state } => state,
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
+
+    /// The node's `checkpoint_ok` frame: its whole state, as bytes.
+    fn checkpoint_frame(node: &mut Node) -> String {
+        crate::wire::response_line(&node.handle(&Request::Checkpoint))
+    }
+
     #[test]
     fn read_miss_flows_cache_to_module_and_back() {
         let mut cache = Node::new(&cfg(Actor::Cache(0), "two-bit")).unwrap();
@@ -838,8 +869,8 @@ mod tests {
         assert!(deliver(&mut cache, &req).is_empty());
         let grant = deliver(&mut module, &to_mem[0]);
         let resp1 = deliver(&mut cache, &grant[0]);
-        // Retry after completion: replayed from the dedup table, with the
-        // same observed version, and no new traffic to memory.
+        // Retry after completion: replayed from the recorded reply, with
+        // the same observed version, and no new traffic to memory.
         let resp2 = deliver(&mut cache, &req);
         assert_eq!(resp1, resp2);
     }
@@ -1044,10 +1075,22 @@ mod tests {
             let resp = deliver(&mut cache, &grant[0]);
             assert!(matches!(resp[0].payload, Payload::ClientResp { .. }));
         }
-        let frame = response_line(&cache.handle(&Request::Checkpoint));
+        let state = checkpoint(&mut cache);
+        let tag_store = state.member("agent").unwrap().member("cache").unwrap();
+        assert_eq!(
+            tag_store.array("lines").unwrap().len() as u64,
+            MAX_CACHE_LINES,
+            "not a full cache"
+        );
+        // The lines alone: 39 bytes of keys and punctuation and at least
+        // 9 of values each (measured: 4,707,503 bytes for the frame, a
+        // 19-byte replacement word per set included). The 65,536
+        // transactions that filled the cache add nothing: with an entry
+        // for each the frame was 6.8 MB.
+        let frame = response_line(&Response::CheckpointOk { state });
         assert!(
-            frame.len() > 6 << 20,
-            "{} bytes: not a full cache",
+            frame.len() as u64 > MAX_CACHE_LINES * 48 && frame.len() < 5 << 20,
+            "{} bytes: not the size of 65,536 lines",
             frame.len()
         );
         assert!(
@@ -1056,6 +1099,164 @@ mod tests {
             frame.len(),
             MAX_FRAME_BYTES
         );
+    }
+
+    /// Completes `txns` read transactions, ids `from..from + txns`, over
+    /// nine blocks that fit the cache together: from the tenth on every
+    /// one is a hit and the lines change only in their counters.
+    fn run_reads(cache: &mut Node, module: &mut Node, from: u64, txns: u64) {
+        for txn in from..from + txns {
+            let op = MemRef::read(WordAddr::new(txn % 9, 0));
+            let mut out = deliver(cache, &client_req(0, txn, op, None));
+            if let Payload::ToMemory { .. } = out[0].payload {
+                let grant = deliver(module, &out[0]);
+                out = deliver(cache, &grant[0]);
+            }
+            assert!(matches!(out[0].payload, Payload::ClientResp { .. }));
+        }
+    }
+
+    /// The recovery state is what is live, not what has happened: counted
+    /// in bytes, not timed.
+    #[test]
+    fn a_checkpoint_does_not_grow_with_the_transactions_completed() {
+        let mut small = cfg(Actor::Cache(0), "two-bit");
+        (small.caches, small.modules) = (1, 1);
+        (small.sets, small.assoc) = (8, 2);
+        let mut cache = Node::new(&small).unwrap();
+        small.role = Actor::Module(0);
+        let mut module = Node::new(&small).unwrap();
+
+        // Every run of digits becomes one `0`: what is left is the shape.
+        let shape = |frame: &str| {
+            let mut out = String::new();
+            for c in frame.chars() {
+                let c = if c.is_ascii_digit() { '0' } else { c };
+                if !(c == '0' && out.ends_with('0')) {
+                    out.push(c);
+                }
+            }
+            out
+        };
+        run_reads(&mut cache, &mut module, 1, 10);
+        let after_10 = checkpoint_frame(&mut cache);
+        run_reads(&mut cache, &mut module, 11, 9_990);
+        let after_10_000 = checkpoint_frame(&mut cache);
+        assert_eq!(
+            shape(&after_10),
+            shape(&after_10_000),
+            "the two checkpoints may differ by digit widths only"
+        );
+        assert!(
+            after_10_000.len() < after_10.len() + 200,
+            "{} bytes after 10 transactions, {} after 10,000",
+            after_10.len(),
+            after_10_000.len()
+        );
+    }
+
+    /// A checkpoint written when the whole completed-transaction table
+    /// was kept: only its highest entry can still be asked for.
+    #[test]
+    fn a_parent_format_checkpoint_restores_to_its_highest_entry() {
+        let mut cache = Node::new(&cfg(Actor::Cache(0), "two-bit")).unwrap();
+        let mut state = checkpoint(&mut cache);
+        let Json::Obj(fields) = &mut state else {
+            panic!("a checkpoint is an object");
+        };
+        // Not in id order: the highest is found, not assumed last.
+        fields.insert(
+            "done".into(),
+            [3_u64, 500, 7, 499, 1]
+                .iter()
+                .map(|&t| {
+                    obj([
+                        ("txn", t.json()),
+                        ("v", (t + 1000).json()),
+                        ("hit", true.json()),
+                    ])
+                })
+                .collect(),
+        );
+        assert!(matches!(
+            cache.handle(&Request::Restore { state }),
+            Response::RestoreOk
+        ));
+        let op = MemRef::read(WordAddr::new(4, 0));
+        let replay = deliver(&mut cache, &client_req(0, 500, op, None));
+        assert_eq!(replay.len(), 1);
+        assert!(matches!(
+            replay[0].payload,
+            Payload::ClientResp { txn, observed, was_hit: true }
+                if txn.raw() == 500 && observed == Version::new(1500)
+        ));
+        for txn in [1, 3, 7, 499] {
+            assert!(deliver(&mut cache, &client_req(0, txn, op, None)).is_empty());
+        }
+        let kept = checkpoint(&mut cache);
+        assert_eq!(kept.array("done").unwrap().len(), 1);
+    }
+
+    /// What a `ClientReq` is to the node that gets it: a duplicate of the
+    /// last completed transaction, a duplicate of the one in flight, a
+    /// stale id below the floor, or new.
+    #[test]
+    fn a_client_request_is_one_of_four_things() {
+        let mut cache = Node::new(&cfg(Actor::Cache(0), "two-bit")).unwrap();
+        let mut module = Node::new(&cfg(Actor::Module(0), "two-bit")).unwrap();
+        let read = |block| MemRef::read(WordAddr::new(block, 0));
+
+        // Transactions 5 and 9 complete; 9 is the last.
+        for (txn, block) in [(5, 4), (9, 6)] {
+            let to_mem = deliver(&mut cache, &client_req(0, txn, read(block), None));
+            let grant = deliver(&mut module, &to_mem[0]);
+            deliver(&mut cache, &grant[0]);
+        }
+        // Idle. The last one replays, whatever the duplicate asks for…
+        let idle = checkpoint_frame(&mut cache);
+        let replay = deliver(&mut cache, &client_req(0, 9, read(6), None));
+        assert!(matches!(replay[0].payload, Payload::ClientResp { txn, .. } if txn.raw() == 9));
+        assert_eq!(replay.len(), 1, "nothing goes to memory");
+        // …and everything below it is dropped: the acknowledged 5, and ids
+        // the node never saw (a miss on a fresh block if it were run).
+        for stale in [5, 1, 8] {
+            assert!(deliver(&mut cache, &client_req(0, stale, read(12), None)).is_empty());
+        }
+        assert_eq!(
+            checkpoint_frame(&mut cache),
+            idle,
+            "a dropped request changes nothing"
+        );
+
+        // Busy with 12: its duplicate is dropped and so is everything
+        // below the floor, now 12; 9 still replays (its reply may be the
+        // one that was lost, though 12 says it was not).
+        let to_mem = deliver(&mut cache, &client_req(0, 12, read(8), None));
+        assert_eq!(to_mem.len(), 1);
+        let busy = checkpoint_frame(&mut cache);
+        for dropped in [12, 5, 10, 11] {
+            assert!(deliver(&mut cache, &client_req(0, dropped, read(12), None)).is_empty());
+        }
+        assert_eq!(
+            deliver(&mut cache, &client_req(0, 9, read(6), None)),
+            replay
+        );
+        assert_eq!(checkpoint_frame(&mut cache), busy);
+        // An id above the floor is a second transaction: the client broke
+        // the one-outstanding contract.
+        match cache.handle(&Request::Deliver {
+            now: 0,
+            replay: false,
+            env: client_req(0, 13, read(12), None),
+        }) {
+            Response::Error { msg } => assert_eq!(msg, "C0: new txn 13 while 12 in flight"),
+            other => panic!("unexpected response: {other:?}"),
+        }
+        assert_eq!(checkpoint_frame(&mut cache), busy);
+        // 12 still completes, and is then what replays.
+        let grant = deliver(&mut module, &to_mem[0]);
+        let resp = deliver(&mut cache, &grant[0]);
+        assert_eq!(deliver(&mut cache, &client_req(0, 12, read(8), None)), resp);
     }
 
     #[test]

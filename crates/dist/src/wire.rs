@@ -78,7 +78,7 @@ pub enum Payload {
     /// Client → cache node: one processor reference. Retries reuse the
     /// same `txn` *and* the same `sv` (the pre-assigned store version),
     /// so a node that already serviced the transaction can answer from
-    /// its dedup table without re-executing.
+    /// the reply it recorded without re-executing.
     ClientReq {
         /// Idempotency key, unique per logical reference.
         txn: TxnId,

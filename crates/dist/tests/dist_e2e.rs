@@ -7,6 +7,7 @@ use std::path::PathBuf;
 use twobit_dist::driver::{run, ArrivalSchedule, Mode, RunConfig};
 use twobit_dist::faults::{Crash, FaultConfig};
 use twobit_dist::wire::Actor;
+use twobit_types::AccessKind;
 
 const SCHEMES: [&str; 6] = [
     "two-bit",
@@ -80,6 +81,82 @@ fn crash_and_restart_resumes_all_schemes() {
         let report = run(&cfg).unwrap_or_else(|e| panic!("{scheme}: {e}"));
         assert_eq!(report.total_refs, 240, "{scheme}");
         assert_eq!(report.recoveries, 2, "{scheme}: both crashes must fire");
+    }
+}
+
+/// Idempotency across a restart — the one scenario a cache node records
+/// its last reply for. A hit completes at the instant it starts, so a
+/// read hit that needed a retry although its request arrived on time is
+/// one whose `ClientResp` was lost; the cache is crashed between that loss
+/// and the retry, and the retry must be answered from what recovery
+/// rebuilt — the checkpoint's entry, or the replay's — not executed again.
+#[test]
+fn a_lost_reply_is_replayed_across_a_crash_not_executed_twice() {
+    // When the cache node started executing `txn`: once, if it is idempotent.
+    let started = |timeline: &[String], client: usize, txn: u64| -> Vec<u64> {
+        let actor = format!("\"actor\":\"C{client}\"");
+        let cmd = format!("\"cmd\":\"txn {txn} Read start\"");
+        timeline
+            .iter()
+            .filter(|l| l.contains(&actor) && l.contains(&cmd))
+            .filter_map(|l| line_t(l))
+            .collect()
+    };
+    // A cadence that puts a checkpoint between the loss and the crash
+    // (the entry comes back out of the checkpoint), and none at all (the
+    // replay from the start records it again).
+    for checkpoint_every in [50, 0] {
+        let mut cfg = adversarial_cfg("two-bit", 0x1D3A);
+        cfg.faults.partitions.clear();
+        cfg.faults.checkpoint_every = checkpoint_every;
+        let probe = run(&cfg).unwrap();
+        let lost = probe
+            .ops
+            .iter()
+            .find(|o| {
+                o.retries == 1
+                    && o.kind == AccessKind::Read
+                    && o.was_hit
+                    && started(&probe.timeline, o.client, o.txn) == [o.invoked + 1]
+            })
+            .expect("the seed loses the reply to a hit");
+        let retry_at = lost.invoked + cfg.faults.client_timeout;
+
+        // Down from just after the next checkpoint tick (or the loss)
+        // until well before the retry.
+        let at = match checkpoint_every {
+            0 => lost.invoked + 2,
+            c => (lost.invoked / c + 1) * c + 1,
+        };
+        assert!(lost.invoked + 1 < at && at + 40 < retry_at);
+        cfg.faults.crashes = vec![Crash {
+            at,
+            node: Actor::Cache(lost.client),
+            down_for: 40,
+        }];
+        let report = run(&cfg).unwrap(); // `run` refuses a history that is not linearizable
+        assert_eq!(report.total_refs, 400, "every reference completes");
+        assert_eq!(report.checker.ops, 400);
+        assert_eq!(report.recoveries, 1);
+        assert!(report.retries > 0 && report.client_drops > 0);
+        let retried = report
+            .ops
+            .iter()
+            .find(|o| o.txn == lost.txn)
+            .expect("the transaction completes");
+        assert!(retried.retries >= 1 && retried.completed > retry_at);
+        assert_eq!(
+            (retried.version, retried.was_hit),
+            (lost.version, lost.was_hit),
+            "the answer is the one recorded before the crash"
+        );
+        // Replayed deliveries leave no timeline lines, so a second
+        // `start` would be a second execution.
+        assert_eq!(
+            started(&report.timeline, lost.client, lost.txn),
+            [lost.invoked + 1],
+            "executed once"
+        );
     }
 }
 

@@ -5,12 +5,19 @@
 //! whose cache organization sized the tag-store allocation unchecked
 //! (ISSUE 15) — 2^31 sets × (2^32 − 1) ways died with `capacity overflow`,
 //! 2^31 sets × 1 way aborted on allocation failure. Each must now get an
-//! error reply, and the node must keep serving afterwards.
+//! error reply, and the node must keep serving afterwards. Last, client
+//! requests whose transaction ids are repeated, stale or early (ISSUE 21):
+//! none is executed twice, only the early one is an error.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
 
-use twobit_dist::wire::{request_line, response_from_line, Actor, NodeConfig, Request, Response};
+use twobit_dist::node::Node;
+use twobit_dist::wire::{
+    request_line, response_from_line, response_line, Actor, Envelope, NodeConfig, Payload, Request,
+    Response,
+};
+use twobit_types::{MemRef, TxnId, WordAddr};
 
 #[test]
 fn hostile_frames_get_error_replies_from_the_binary() {
@@ -73,4 +80,122 @@ fn hostile_frames_get_error_replies_from_the_binary() {
         }
         other => panic!("unexpected replies: {other:?}"),
     }
+}
+
+/// Writes `frames` to a fresh `dist_node`, closes its input and returns
+/// its reply lines.
+fn replies_of(frames: &[String]) -> Vec<String> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dist_node"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn dist_node");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    for frame in frames {
+        writeln!(stdin, "{frame}").expect("write frame");
+    }
+    drop(stdin);
+    let out = child.wait_with_output().expect("wait for dist_node");
+    assert!(out.status.success(), "dist_node exited with {}", out.status);
+    let text = String::from_utf8(out.stdout).expect("UTF-8 replies");
+    text.lines().map(str::to_string).collect()
+}
+
+/// A client that repeats, reorders or runs ahead of its transaction ids.
+/// What a cache node does with each is decided in-process first (the node
+/// is deterministic); the binary must answer the same frames with the
+/// same bytes.
+#[test]
+fn repeated_stale_and_early_transaction_ids_are_never_executed_twice() {
+    let mut cfg = NodeConfig {
+        role: Actor::Cache(0),
+        scheme: "two-bit".into(),
+        caches: 2,
+        modules: 1,
+        sets: 8,
+        assoc: 2,
+        block_words: 4,
+        shared_from: 1 << 32,
+        bias_entries: 0,
+        tlb_entries: 0,
+    };
+    let init = Request::Init(Box::new(cfg.clone()));
+    let mut cache = Node::new(&cfg).unwrap();
+    cfg.role = Actor::Module(0);
+    let mut module = Node::new(&cfg).unwrap();
+
+    let deliver = |env: Envelope| Request::Deliver {
+        now: 0,
+        replay: false,
+        env,
+    };
+    let read = |txn, block| {
+        deliver(Envelope {
+            src: Actor::Client(0),
+            dst: Actor::Cache(0),
+            payload: Payload::ClientReq {
+                txn: TxnId::new(txn),
+                op: MemRef::read(WordAddr::new(block, 0)),
+                sv: None,
+            },
+        })
+    };
+    let outputs = |resp: Response| match resp {
+        Response::DeliverOk { outputs, .. } => outputs,
+        other => panic!("unexpected response: {other:?}"),
+    };
+
+    // Each request goes to the in-process node now and to the binary
+    // afterwards.
+    let mut frames = vec![request_line(&init)];
+    let mut expected = vec![response_line(&Response::InitOk)];
+    let mut step = |req: Request| {
+        let resp = cache.handle(&req);
+        frames.push(request_line(&req));
+        expected.push(response_line(&resp));
+        resp
+    };
+    // Transaction 5 misses; memory's grant completes it.
+    let to_mem = outputs(step(read(5, 4)));
+    let grant = outputs(module.handle(&deliver(to_mem[0].clone())));
+    for req in [
+        deliver(grant[0].clone()),
+        Request::Checkpoint, // 2: idle, 5 recorded
+        read(5, 4),          // 3: duplicate of the last completed: replayed
+        read(3, 9),          // 4: below the floor, idle: dropped
+        Request::Checkpoint, // 5
+        read(8, 6),          // 6: new: a miss
+        Request::Checkpoint, // 7: busy with 8
+        read(8, 6),          // 8: duplicate of the in-flight one: dropped
+        read(2, 9),          // 9: below the floor, busy: dropped
+        read(7, 9),          // 10: never seen, still below the floor: dropped
+        Request::Checkpoint, // 11
+        read(9, 9),          // 12: above the floor while busy: an error
+        Request::Checkpoint, // 13
+        Request::Shutdown,
+    ] {
+        step(req);
+    }
+    let got = replies_of(&frames);
+    assert_eq!(got, expected);
+
+    // And what those bytes say.
+    let reply = |i: usize| response_from_line(&got[i + 1]).expect("a response frame");
+    let resp_5 = outputs(reply(1));
+    assert!(matches!(resp_5[0].payload, Payload::ClientResp { txn, .. } if txn.raw() == 5));
+    assert_eq!(outputs(reply(3)), resp_5, "replayed, nothing to memory");
+    for dropped in [4, 8, 9, 10] {
+        assert!(outputs(reply(dropped)).is_empty(), "request {dropped}");
+    }
+    assert_eq!(got[2 + 1], got[5 + 1], "no state change while idle");
+    assert_eq!(got[7 + 1], got[11 + 1], "no state change while busy");
+    match reply(12) {
+        Response::Error { msg } => assert_eq!(msg, "C0: new txn 9 while 8 in flight"),
+        other => panic!("unexpected response: {other:?}"),
+    }
+    assert_eq!(
+        got[7 + 1],
+        got[13 + 1],
+        "the refused request changed nothing"
+    );
 }

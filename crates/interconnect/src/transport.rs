@@ -52,11 +52,11 @@ use std::time::{Duration, Instant};
 /// Sized from the largest frame the fleet can legitimately produce: the
 /// `checkpoint_ok` reply of a cache node whose tag store is at
 /// `twobit_dist::node::MAX_CACHE_LINES`, every line valid, measures
-/// 6.8 MB (`a_full_cache_checkpoint_fits_one_frame` in `twobit-dist`
+/// 4.7 MB (`a_full_cache_checkpoint_fits_one_frame` in `twobit-dist`
 /// measures it again), and the same document comes back inside
-/// `restore`. Nearly five times that leaves room for the parts of a
-/// checkpoint that grow with the run (a cache's completed-transaction
-/// table, a module's memory image) and stays far above the 2 MB of `[`
+/// `restore`. Seven times that leaves room for the one part of a
+/// checkpoint that grows with the run (a module's memory image, bounded
+/// by the distinct blocks written) and stays far above the 2 MB of `[`
 /// that `node_hostile_input.rs` sends and must see answered, not refused.
 pub const MAX_FRAME_BYTES: usize = 32 << 20;
 
