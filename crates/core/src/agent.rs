@@ -3,38 +3,46 @@
 //! and services the coherence commands that arrive from memory
 //! controllers.
 //!
-//! One agent type serves every scheme; an [`AgentPolicy`] selects the
-//! cache discipline:
+//! One agent type serves every scheme, and it decides nothing itself: an
+//! [`AgentPolicy`] picks one of the cache-side transition tables of
+//! [`cache_table`](crate::cache_table) (write-back, write-back with the
+//! Yen–Fu exclusive fill, write-through, static), and the agent
+//! *interprets* it — it resolves the block's
+//! [`CacheState`] (the line's state, or what the outstanding reference
+//! awaits when it is on this block), looks the rule up in the compiled
+//! dispatch array and runs the rule's [`CacheAction`]s, each one call on
+//! the tag store, one message or one counter. The same tables are what
+//! the linter analyses and what the whole-system flow graph's cache role
+//! is lifted from, so there is one statement of the cache half of each
+//! protocol.
 //!
-//! * [`AgentPolicy::WriteBack`] — the paper's write-back caches
-//!   (two-bit, full-map, full-map+tlb). With `use_exclusive`, fills may
-//!   enter the Yen–Fu [`LocalState::Exclusive`] state and writes to it
-//!   upgrade silently.
-//! * [`AgentPolicy::WriteThrough`] — the classical scheme: stores update
-//!   the local copy (if any) and post a `WRITETHRU` to memory,
-//!   fire-and-forget; no allocation on store misses; no dirty lines ever.
-//! * [`AgentPolicy::Static`] — the software scheme: blocks at or above
-//!   `shared_from` are public and never cached (`DIRECTREAD`/`WRITETHRU`);
-//!   blocks below are private, write-back cached, and written without any
-//!   coherence transaction.
+//! What stays code is data path, not protocol: the BIAS filter, the tag
+//! store's victim choice, stolen-cycle accounting (a coherence command
+//! searches the cache directory — one tag probe — whatever it finds; a
+//! reply goes to the register holding the outstanding reference and
+//! searches nothing), and the checkpoint codec.
 //!
 //! The agent holds at most one outstanding processor reference
 //! (a blocking cache, as 1984 designs were) but keeps servicing network
 //! commands while stalled — that interleaving is where the section 3.2.5
 //! races live, and the tests here reproduce them.
 
+use crate::cache_table::{
+    self, CacheAction, CacheCond, CacheEvent, CacheSide, CacheState, CacheTable, Emit, Observed,
+    PendingKind, Stat,
+};
 use crate::local::LocalState;
+use crate::transitions::{cond_bits, undeclared, Dispatch, Rule, Set};
 use std::fmt;
 use twobit_cache::Cache;
-use twobit_cache::LineMeta as _;
 use twobit_obs::json::{obj, FromJson, Json, Sink, ToJson};
 use twobit_obs::json_enum;
 use twobit_types::{
-    AccessKind, BlockAddr, CacheId, CacheOrg, CacheStats, CacheToMemory, Fingerprinter, MemRef,
-    MemoryToCache, ProtocolError, Version, WritebackKind,
+    AccessKind, BlockAddr, CacheId, CacheOrg, CacheStats, CacheToMemory, Counter, Fingerprinter,
+    MemRef, MemoryToCache, ProtocolError, Version, WritebackKind,
 };
 
-/// The cache discipline an agent runs (see module docs).
+/// The cache discipline an agent runs: which table it interprets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AgentPolicy {
     /// Write-back private cache served by a directory.
@@ -54,13 +62,27 @@ pub enum AgentPolicy {
     },
 }
 
-/// Why the agent is stalled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PendingKind {
-    ReadMiss,
-    WriteMiss,
-    Modify,
-    DirectRead,
+impl AgentPolicy {
+    /// The compiled table the policy names and the first uncached block
+    /// number, if it has one — the one place a cache discipline is
+    /// chosen; the agent never asks which it runs.
+    fn select(self) -> (&'static Dispatch<CacheSide>, Option<u64>) {
+        match self {
+            AgentPolicy::WriteBack { use_exclusive } => {
+                (cache_table::write_back(use_exclusive), None)
+            }
+            AgentPolicy::WriteThrough => (cache_table::write_through(), None),
+            AgentPolicy::Static { shared_from } => {
+                (cache_table::static_software(), Some(shared_from))
+            }
+        }
+    }
+
+    /// The table an agent under this policy interprets.
+    #[must_use]
+    pub fn table(self) -> &'static CacheTable {
+        self.select().0.table()
+    }
 }
 
 /// The agent's single outstanding reference.
@@ -123,6 +145,8 @@ pub struct StartOutcome {
     pub completed: Option<Completion>,
     /// Commands to send to memory controllers.
     pub sends: Vec<CacheToMemory>,
+    /// The table rule that fired.
+    pub rule: &'static str,
 }
 
 /// Result of delivering a network command to the cache.
@@ -135,6 +159,9 @@ pub struct NetOutcome {
     /// Whether the delivery was a coherence command that consumed a cache
     /// directory cycle (for stolen-cycle accounting).
     pub counted: bool,
+    /// The table rule that fired; empty when the BIAS memory absorbed the
+    /// command before any rule could.
+    pub rule: &'static str,
 }
 
 /// The BIAS memory of section 2.3: a small FIFO of block addresses whose
@@ -184,23 +211,42 @@ impl BiasFilter {
     }
 }
 
+/// What a rule's actions read: the block they act on, the reference
+/// being serviced, and the data in hand.
+#[derive(Clone, Copy)]
+struct Frame {
+    a: BlockAddr,
+    /// The processor reference: the one being started, or the
+    /// outstanding one a network event on its block concerns.
+    op: Option<MemRef>,
+    /// The version that reference's store publishes.
+    store: Option<Version>,
+    /// The version a grant carried, or an evicted victim held.
+    data: Option<Version>,
+}
+
 /// The per-processor cache controller.
 #[derive(Clone)]
 pub struct CacheAgent {
     id: CacheId,
     cache: Cache<LocalState>,
-    policy: AgentPolicy,
+    program: &'static Dispatch<CacheSide>,
+    /// First public block number of the static scheme.
+    uncached_from: Option<u64>,
     duplicate_directory: bool,
     bias: BiasFilter,
     pending: Option<Pending>,
     stats: CacheStats,
+    /// Bit `i` is set once rule `i` of the table has fired (coverage;
+    /// not state: excluded from fingerprints and checkpoints).
+    fired: u64,
 }
 
 impl fmt::Debug for CacheAgent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CacheAgent")
             .field("id", &self.id)
-            .field("policy", &self.policy)
+            .field("table", &self.table().scheme)
             .field("pending", &self.pending)
             .field("occupancy", &self.cache.occupancy())
             .finish()
@@ -211,14 +257,17 @@ impl CacheAgent {
     /// Creates an agent with an empty cache.
     #[must_use]
     pub fn new(id: CacheId, org: CacheOrg, policy: AgentPolicy, duplicate_directory: bool) -> Self {
+        let (program, uncached_from) = policy.select();
         CacheAgent {
             id,
             cache: Cache::new(org),
-            policy,
+            program,
+            uncached_from,
             duplicate_directory,
             bias: BiasFilter::new(0),
             pending: None,
             stats: CacheStats::default(),
+            fired: 0,
         }
     }
 
@@ -238,6 +287,19 @@ impl CacheAgent {
     #[must_use]
     pub fn cache(&self) -> &Cache<LocalState> {
         &self.cache
+    }
+
+    /// The transition table this agent interprets.
+    #[must_use]
+    pub fn table(&self) -> &'static CacheTable {
+        self.program.table()
+    }
+
+    /// Which rules of [`CacheAgent::table`] have fired so far, as a bit
+    /// per rule index.
+    #[must_use]
+    pub fn fired(&self) -> u64 {
+        self.fired
     }
 
     /// Accumulated statistics.
@@ -261,23 +323,11 @@ impl CacheAgent {
     /// Feeds this agent's complete future-relevant state into `fp` for
     /// the model checker's visited-set: tag store (replacement stamps
     /// rank-reduced, see [`Cache::canonical_sets`]), BIAS filter, and the
-    /// outstanding reference. Statistics counters never influence
-    /// behavior and are excluded, as are the per-run constants (`policy`
-    /// is still included: it is cheap and guards against cross-config
-    /// fingerprint reuse).
+    /// outstanding reference. Statistics and rule coverage never
+    /// influence behavior and are excluded, as are the per-run constants
+    /// (table, cache organization).
     pub fn fingerprint(&self, fp: &mut Fingerprinter) {
         fp.write_usize(self.id.index());
-        match self.policy {
-            AgentPolicy::WriteBack { use_exclusive } => {
-                fp.write_tag(0);
-                fp.write_bool(use_exclusive);
-            }
-            AgentPolicy::WriteThrough => fp.write_tag(1),
-            AgentPolicy::Static { shared_from } => {
-                fp.write_tag(2);
-                fp.write_u64(shared_from);
-            }
-        }
         for set in self.cache.canonical_sets() {
             fp.write_u64(u64::from(set.index));
             fp.write_u64(set.rng);
@@ -369,8 +419,11 @@ impl CacheAgent {
     /// # Errors
     ///
     /// Returns a message if the document is malformed, names a different
-    /// cache id, or its tag-store snapshot does not fit this agent's
-    /// cache organization. On error `self` is left unchanged.
+    /// cache id, its tag-store snapshot does not fit this agent's cache
+    /// organization, or it holds a line in a state this agent's table
+    /// declares no processor reference in (a checkpoint is untrusted, and
+    /// [`CacheAgent::start`] cannot refuse). On error `self` is left
+    /// unchanged.
     pub fn restore_state(&mut self, j: &Json) -> Result<(), String> {
         let id: CacheId = j.field("id")?;
         if id != self.id {
@@ -381,6 +434,21 @@ impl CacheAgent {
         }
         let snap = crate::snapshot::cache_snapshot_from(j.member("cache")?)?;
         let cache = Cache::restore(self.cache.org(), &snap)?;
+        let table = self.table();
+        let held = table
+            .spec(CacheEvent::Load)
+            .map_or(Set::EMPTY, |spec| spec.domain);
+        if let Some(line) = cache
+            .valid_lines()
+            .find(|line| !held.contains(CacheState::of_line(line.state)))
+        {
+            return Err(format!(
+                "checkpoint holds {} {}, a state the {} table does not declare",
+                line.addr,
+                CacheState::of_line(line.state),
+                table.scheme
+            ));
+        }
         let b = j.member("bias")?;
         // Built from what the document holds, not `BiasFilter::new`: that
         // allocates `capacity` entries, and the number is untrusted.
@@ -404,299 +472,76 @@ impl CacheAgent {
         Ok(())
     }
 
+    /// The state of `a`'s line without a directory search: unlike
+    /// `Cache::state_of` it counts no tag probe. For debug assertions (so
+    /// the `tag_probes` statistic is the same in every build profile) and
+    /// for a reply that matches no outstanding reference, which is about
+    /// to be dropped or refused and must change nothing.
+    fn line_unsearched(&self, a: BlockAddr) -> LocalState {
+        let line = self.cache.valid_lines().find(|line| line.addr == a);
+        line.map_or(LocalState::Invalid, |line| line.state)
+    }
+
+    fn resident_uncounted(&self, a: BlockAddr) -> bool {
+        self.line_unsearched(a) != LocalState::Invalid
+    }
+
+    /// The state of `a`'s line: one search of the cache directory when
+    /// `search`ed for — but none for a public block of the static scheme,
+    /// which address decoding alone says is never cached.
+    fn line_state(&self, a: BlockAddr, search: bool) -> CacheState {
+        if self.uncached_from.is_some_and(|from| a.number() >= from) {
+            debug_assert!(
+                !self.resident_uncounted(a),
+                "public blocks are never cached"
+            );
+            CacheState::Uncached
+        } else if search {
+            CacheState::of_line(self.cache.state_of(a))
+        } else {
+            CacheState::of_line(self.line_unsearched(a))
+        }
+    }
+
     /// Presents a processor reference. For stores, `store_version` is the
     /// fresh version this store will publish.
     ///
     /// # Panics
     ///
     /// Panics if a reference is already outstanding (the processor is
-    /// blocked until the previous one retires).
+    /// blocked until the previous one retires), or if the line is in a
+    /// state the table declares no reference in — which no table's own
+    /// actions produce and [`CacheAgent::restore_state`] refuses.
     pub fn start(&mut self, op: MemRef, store_version: Version) -> StartOutcome {
         assert!(
             self.pending.is_none(),
             "{}: reference issued while stalled",
             self.id
         );
-        match op.kind {
-            AccessKind::Read => self.stats.reads.inc(),
-            AccessKind::Write => self.stats.writes.inc(),
-        }
-        match self.policy {
-            AgentPolicy::WriteBack { .. } => self.start_write_back(op, store_version, false),
-            AgentPolicy::WriteThrough => self.start_write_through(op, store_version),
-            AgentPolicy::Static { shared_from } => {
-                if op.addr.block.number() >= shared_from {
-                    self.start_static_public(op, store_version)
-                } else {
-                    // Private data: write-back, silent clean→dirty upgrade.
-                    self.start_write_back(op, store_version, true)
-                }
-            }
-        }
-    }
-
-    fn start_write_back(
-        &mut self,
-        op: MemRef,
-        store_version: Version,
-        silent_upgrade: bool,
-    ) -> StartOutcome {
-        let a = op.addr.block;
-        let state = self.cache.state_of(a);
-        match (op.kind, state) {
-            (AccessKind::Read, s) if s.is_valid() => {
-                self.cache.touch(a);
-                self.stats.read_hits.inc();
-                let observed = self.cache.version_of(a).expect("valid line has a version");
-                StartOutcome {
-                    completed: Some(Completion {
-                        op,
-                        observed,
-                        was_hit: true,
-                    }),
-                    sends: Vec::new(),
-                }
-            }
-            (AccessKind::Read, _) => {
-                self.stats.read_misses.inc();
-                let mut sends = self.make_room(a);
-                sends.push(CacheToMemory::Request {
-                    k: self.id,
-                    a,
-                    rw: AccessKind::Read,
-                });
-                self.pending = Some(Pending {
-                    a,
-                    kind: PendingKind::ReadMiss,
-                    op,
-                    store_version: None,
-                });
-                StartOutcome {
-                    completed: None,
-                    sends,
-                }
-            }
-            (AccessKind::Write, LocalState::Dirty | LocalState::Exclusive) => {
-                self.cache.touch(a);
-                self.cache.set_state(a, LocalState::Dirty);
-                self.cache.set_version(a, store_version);
-                self.stats.write_hits_dirty.inc();
-                StartOutcome {
-                    completed: Some(Completion {
-                        op,
-                        observed: store_version,
-                        was_hit: true,
-                    }),
-                    sends: Vec::new(),
-                }
-            }
-            (AccessKind::Write, LocalState::Shared) if silent_upgrade => {
-                // Static-scheme private data: no one else can hold it.
-                self.cache.touch(a);
-                self.cache.set_state(a, LocalState::Dirty);
-                self.cache.set_version(a, store_version);
-                self.stats.write_hits_dirty.inc();
-                StartOutcome {
-                    completed: Some(Completion {
-                        op,
-                        observed: store_version,
-                        was_hit: true,
-                    }),
-                    sends: Vec::new(),
-                }
-            }
-            (AccessKind::Write, LocalState::Shared) => {
-                // Write hit on a previously unmodified block: MREQUEST
-                // (section 3.2.4).
-                self.cache.touch(a);
-                self.stats.write_hits_clean.inc();
-                self.pending = Some(Pending {
-                    a,
-                    kind: PendingKind::Modify,
-                    op,
-                    store_version: Some(store_version),
-                });
-                StartOutcome {
-                    completed: None,
-                    sends: vec![CacheToMemory::MRequest {
-                        k: self.id,
-                        a,
-                        version: self.cache.version_of(a).expect("clean hit has a version"),
-                    }],
-                }
-            }
-            (AccessKind::Write, LocalState::Invalid) => {
-                self.stats.write_misses.inc();
-                let mut sends = self.make_room(a);
-                sends.push(CacheToMemory::Request {
-                    k: self.id,
-                    a,
-                    rw: AccessKind::Write,
-                });
-                self.pending = Some(Pending {
-                    a,
-                    kind: PendingKind::WriteMiss,
-                    op,
-                    store_version: Some(store_version),
-                });
-                StartOutcome {
-                    completed: None,
-                    sends,
-                }
-            }
-        }
-    }
-
-    fn start_write_through(&mut self, op: MemRef, store_version: Version) -> StartOutcome {
-        let a = op.addr.block;
-        match op.kind {
+        let (event, store) = match op.kind {
             AccessKind::Read => {
-                if self.cache.contains(a) {
-                    self.cache.touch(a);
-                    self.stats.read_hits.inc();
-                    let observed = self.cache.version_of(a).expect("valid line has a version");
-                    StartOutcome {
-                        completed: Some(Completion {
-                            op,
-                            observed,
-                            was_hit: true,
-                        }),
-                        sends: Vec::new(),
-                    }
-                } else {
-                    self.stats.read_misses.inc();
-                    let sends = self.make_room(a); // silent clean evictions
-                    debug_assert!(sends.is_empty(), "write-through evictions are silent");
-                    self.pending = Some(Pending {
-                        a,
-                        kind: PendingKind::ReadMiss,
-                        op,
-                        store_version: None,
-                    });
-                    StartOutcome {
-                        completed: None,
-                        sends: vec![CacheToMemory::Request {
-                            k: self.id,
-                            a,
-                            rw: AccessKind::Read,
-                        }],
-                    }
-                }
+                self.stats.reads.inc();
+                (CacheEvent::Load, None)
             }
             AccessKind::Write => {
-                // Update the local copy (if present) and post through to
-                // memory; no allocation on miss, no stall.
-                let hit = self.cache.contains(a);
-                if hit {
-                    self.cache.touch(a);
-                    self.cache.set_version(a, store_version);
-                    self.stats.write_hits_dirty.inc();
-                } else {
-                    self.stats.write_misses.inc();
-                }
-                StartOutcome {
-                    completed: Some(Completion {
-                        op,
-                        observed: store_version,
-                        was_hit: hit,
-                    }),
-                    sends: vec![CacheToMemory::WriteThrough {
-                        k: self.id,
-                        a,
-                        version: store_version,
-                    }],
-                }
+                self.stats.writes.inc();
+                (CacheEvent::Store, Some(store_version))
             }
-        }
-    }
-
-    /// Whether `a` is resident, for debug assertions: unlike
-    /// `Cache::contains` it counts no tag probe, so the `tag_probes`
-    /// statistic is the same in every build profile.
-    fn resident_uncounted(&self, a: BlockAddr) -> bool {
-        self.cache.valid_lines().any(|line| line.addr == a)
-    }
-
-    fn start_static_public(&mut self, op: MemRef, store_version: Version) -> StartOutcome {
-        let a = op.addr.block;
-        debug_assert!(
-            !self.resident_uncounted(a),
-            "public blocks are never cached"
-        );
-        match op.kind {
-            AccessKind::Read => {
-                self.stats.read_misses.inc();
-                self.pending = Some(Pending {
-                    a,
-                    kind: PendingKind::DirectRead,
-                    op,
-                    store_version: None,
-                });
-                StartOutcome {
-                    completed: None,
-                    sends: vec![CacheToMemory::DirectRead { k: self.id, a }],
-                }
-            }
-            AccessKind::Write => {
-                self.stats.write_misses.inc();
-                StartOutcome {
-                    completed: Some(Completion {
-                        op,
-                        observed: store_version,
-                        was_hit: false,
-                    }),
-                    sends: vec![CacheToMemory::WriteThrough {
-                        k: self.id,
-                        a,
-                        version: store_version,
-                    }],
-                }
-            }
-        }
-    }
-
-    /// Runs the replacement protocol of section 3.2.1 for an incoming
-    /// block `a`: picks a victim if `a`'s set is full, invalidates it, and
-    /// emits the appropriate `EJECT` (plus `put` for dirty victims).
-    fn make_room(&mut self, a: BlockAddr) -> Vec<CacheToMemory> {
-        let Some(victim) = self.cache.peek_victim(a) else {
-            return Vec::new();
         };
-        let (va, vstate, vversion) = (victim.addr, victim.state, victim.version);
-        self.cache.invalidate(va);
-        match vstate {
-            LocalState::Dirty => {
-                self.stats.evictions_dirty.inc();
-                vec![
-                    CacheToMemory::Eject {
-                        k: self.id,
-                        olda: va,
-                        wb: WritebackKind::Dirty,
-                    },
-                    CacheToMemory::PutData {
-                        from: self.id,
-                        a: va,
-                        version: vversion,
-                    },
-                ]
-            }
-            LocalState::Shared | LocalState::Exclusive => {
-                self.stats.evictions_clean.inc();
-                match self.policy {
-                    // Write-through and static caches have no directory
-                    // state to maintain for clean lines: silent.
-                    AgentPolicy::WriteThrough => Vec::new(),
-                    AgentPolicy::Static { .. } => Vec::new(),
-                    AgentPolicy::WriteBack { .. } => {
-                        vec![CacheToMemory::Eject {
-                            k: self.id,
-                            olda: va,
-                            wb: WritebackKind::Clean,
-                        }]
-                    }
-                }
-            }
-            LocalState::Invalid => unreachable!("victims are valid lines"),
+        let a = op.addr.block;
+        let frame = Frame {
+            a,
+            op: Some(op),
+            store,
+            data: None,
+        };
+        let mut out = NetOutcome::default();
+        let state = self.line_state(a, true);
+        self.fire(event, state, frame, &mut out);
+        StartOutcome {
+            completed: out.completed,
+            sends: out.sends,
+            rule: out.rule,
         }
     }
 
@@ -704,10 +549,14 @@ impl CacheAgent {
     ///
     /// # Errors
     ///
-    /// Returns [`ProtocolError`] for deliveries that are impossible under
-    /// a correct protocol (e.g. a data grant with no pending miss).
+    /// Returns [`ProtocolError::UnexpectedCommand`], naming the table,
+    /// the event and the state, for a delivery the table declares no rule
+    /// for (e.g. a data grant with no pending miss). No line, reference or
+    /// statistic has changed then; a refused coherence command has still
+    /// searched the cache directory, a refused reply has searched nothing.
     pub fn on_network(&mut self, msg: MemoryToCache) -> Result<NetOutcome, ProtocolError> {
-        match msg {
+        let holds = |cond, value| cond_bits(&[(cond, value)]);
+        let (event, a, conds, data) = match msg {
             MemoryToCache::GetData {
                 k,
                 a,
@@ -715,162 +564,37 @@ impl CacheAgent {
                 exclusive,
             } => {
                 debug_assert_eq!(k, self.id, "misrouted grant");
-                self.handle_grant(a, version, exclusive)
+                let conds = holds(CacheCond::Exclusive, exclusive);
+                (CacheEvent::Grant, a, conds, Some(version))
             }
             MemoryToCache::MGranted { k, a, granted } => {
                 debug_assert_eq!(k, self.id, "misrouted MGRANTED");
-                Ok(self.handle_mgranted(a, granted))
+                let conds = holds(CacheCond::Granted, granted);
+                (CacheEvent::UpgradeReply, a, conds, None)
             }
             MemoryToCache::BroadInv { a, exclude } => {
                 debug_assert_ne!(exclude, self.id, "BROADINV delivered to its initiator");
-                Ok(self.handle_invalidate(a))
+                (CacheEvent::Invalidate, a, 0, None)
             }
             MemoryToCache::Inv { a, to } => {
                 debug_assert_eq!(to, self.id, "misrouted INV");
-                Ok(self.handle_invalidate(a))
+                (CacheEvent::Invalidate, a, 0, None)
             }
-            MemoryToCache::BroadQuery { a, rw } => Ok(self.handle_query(a, rw)),
-            MemoryToCache::Purge { a, to, rw } => {
-                debug_assert_eq!(to, self.id, "misrouted PURGE");
-                Ok(self.handle_query(a, rw))
-            }
-        }
-    }
-
-    fn handle_grant(
-        &mut self,
-        a: BlockAddr,
-        version: Version,
-        exclusive: bool,
-    ) -> Result<NetOutcome, ProtocolError> {
-        let pending = self
-            .pending
-            .take()
-            .ok_or_else(|| ProtocolError::UnexpectedCommand {
-                state: format!("{} idle", self.id),
-                command: format!("get({a})"),
-            })?;
-        if pending.a != a {
-            return Err(ProtocolError::UnexpectedCommand {
-                state: format!("{} awaiting {}", self.id, pending.a),
-                command: format!("get({a})"),
-            });
-        }
-        // The block is becoming resident again: it must leave the BIAS
-        // filter so future invalidations search the directory.
-        self.bias.remove(a);
-        let completion = match pending.kind {
-            PendingKind::ReadMiss => {
-                let use_exclusive = matches!(
-                    self.policy,
-                    AgentPolicy::WriteBack {
-                        use_exclusive: true
-                    }
-                );
-                let state = if exclusive && use_exclusive {
-                    LocalState::Exclusive
-                } else {
-                    LocalState::Shared
-                };
-                self.cache.insert(a, state, version);
-                Completion {
-                    op: pending.op,
-                    observed: version,
-                    was_hit: false,
-                }
-            }
-            PendingKind::WriteMiss => {
-                let store_version = pending
-                    .store_version
-                    .expect("write miss carries its store version");
-                self.cache.insert(a, LocalState::Dirty, store_version);
-                Completion {
-                    op: pending.op,
-                    observed: store_version,
-                    was_hit: false,
-                }
-            }
-            PendingKind::DirectRead => {
-                // Public block: consumed, never cached.
-                Completion {
-                    op: pending.op,
-                    observed: version,
-                    was_hit: false,
-                }
-            }
-            PendingKind::Modify => {
-                return Err(ProtocolError::UnexpectedCommand {
-                    state: format!("{} awaiting MGRANTED for {a}", self.id),
-                    command: format!("get({a})"),
-                });
+            MemoryToCache::BroadQuery { a, rw } | MemoryToCache::Purge { a, rw, .. } => {
+                let conds = holds(CacheCond::ForWrite, rw.is_write());
+                (CacheEvent::Recall, a, conds, None)
             }
         };
-        Ok(NetOutcome {
-            sends: Vec::new(),
-            completed: Some(completion),
-            counted: false,
-        })
-    }
-
-    fn handle_mgranted(&mut self, a: BlockAddr, granted: bool) -> NetOutcome {
-        match self.pending {
-            Some(Pending {
-                a: pa,
-                kind: PendingKind::Modify,
-                op,
-                store_version,
-            }) if pa == a => {
-                if granted {
-                    let version = store_version.expect("modify carries its store version");
-                    debug_assert!(
-                        self.resident_uncounted(a),
-                        "granted modify but the line vanished"
-                    );
-                    self.cache.set_state(a, LocalState::Dirty);
-                    self.cache.set_version(a, version);
-                    self.pending = None;
-                    NetOutcome {
-                        completed: Some(Completion {
-                            op,
-                            observed: version,
-                            was_hit: true,
-                        }),
-                        ..NetOutcome::default()
-                    }
-                } else {
-                    // Denied: our copy is gone (the invalidate ordered
-                    // before this reply). Retry as a write miss.
-                    debug_assert!(
-                        !self.resident_uncounted(a),
-                        "denied modify but line survives"
-                    );
-                    self.pending = Some(Pending {
-                        a,
-                        kind: PendingKind::WriteMiss,
-                        op,
-                        store_version,
-                    });
-                    let mut sends = self.make_room(a);
-                    sends.push(CacheToMemory::Request {
-                        k: self.id,
-                        a,
-                        rw: AccessKind::Write,
-                    });
-                    NetOutcome {
-                        sends,
-                        ..NetOutcome::default()
-                    }
-                }
-            }
-            // Stale reply: we already converted on the invalidate.
-            _ => NetOutcome::default(),
-        }
-    }
-
-    fn handle_invalidate(&mut self, a: BlockAddr) -> NetOutcome {
+        // A coherence command searches the cache directory; a reply goes
+        // to the register holding the outstanding reference.
+        let command = matches!(event, CacheEvent::Invalidate | CacheEvent::Recall);
+        let mut out = NetOutcome {
+            counted: command,
+            ..NetOutcome::default()
+        };
         // BIAS filter: a repeated invalidation for a block already known
         // absent is absorbed without a directory search or stolen cycle.
-        if self.bias.contains(a) {
+        if event == CacheEvent::Invalidate && self.bias.contains(a) {
             debug_assert!(
                 !self.resident_uncounted(a),
                 "BIAS entry for a resident block"
@@ -878,88 +602,202 @@ impl CacheAgent {
             self.stats.commands_received.inc();
             self.stats.useless_commands.inc();
             self.stats.bias_filtered.inc();
-            return NetOutcome {
-                counted: true,
-                ..NetOutcome::default()
-            };
+            return Ok(out);
         }
-        let matched = self.cache.contains(a);
-        self.record_command(matched);
-        let mut out = NetOutcome {
-            counted: true,
-            ..NetOutcome::default()
+        let waiting = self.pending.filter(|p| p.a == a);
+        let line = (command || waiting.is_none()).then(|| self.line_state(a, command));
+        let state = waiting
+            .map(|p| CacheState::awaiting(p.kind))
+            .or(line)
+            .expect("the line is looked at when nothing is outstanding on the block");
+        let frame = Frame {
+            a,
+            op: waiting.map(|p| p.op),
+            store: waiting.and_then(|p| p.store_version),
+            data,
         };
-        if matched {
-            self.cache.invalidate(a);
-            self.stats.invalidated_lines.inc();
-            self.stats.effective_commands.inc();
-        }
-        self.bias.insert(a);
-        // Pending MREQUEST on this block: the invalidate doubles as
-        // MGRANTED(false) (section 3.2.5).
-        if let Some(Pending {
-            a: pa,
-            kind: PendingKind::Modify,
-            op,
-            store_version,
-        }) = self.pending
-        {
-            if pa == a {
-                self.pending = Some(Pending {
-                    a,
-                    kind: PendingKind::WriteMiss,
-                    op,
-                    store_version,
-                });
-                out.sends.extend(self.make_room(a));
-                out.sends.push(CacheToMemory::Request {
-                    k: self.id,
-                    a,
-                    rw: AccessKind::Write,
-                });
+        let Some(found) = self.program.lookup(event, state, conds) else {
+            return Err(self.refusal(msg, event, state));
+        };
+        if command {
+            self.record_command(matches!(
+                line,
+                Some(CacheState::Clean | CacheState::Exclusive | CacheState::Dirty)
+            ));
+            if event == CacheEvent::Invalidate {
+                self.bias.insert(a);
             }
         }
-        out
+        self.apply(found, frame, &mut out);
+        Ok(out)
     }
 
-    fn handle_query(&mut self, a: BlockAddr, rw: AccessKind) -> NetOutcome {
-        let state = self.cache.state_of(a);
-        let matched = state.is_valid();
-        self.record_command(matched);
-        let mut out = NetOutcome {
-            counted: true,
-            ..NetOutcome::default()
+    /// The typed error for a delivery the table declares no rule for.
+    #[cold]
+    fn refusal(&self, msg: MemoryToCache, event: CacheEvent, state: CacheState) -> ProtocolError {
+        let a = msg.block();
+        let who = match self.pending {
+            None => format!("{} idle", self.id),
+            Some(p) if p.a != a => format!("{} awaiting {}", self.id, p.a),
+            Some(_) => format!("{} in {state}", self.id),
         };
-        match state {
-            LocalState::Dirty | LocalState::Exclusive => {
-                let version = self.cache.version_of(a).expect("valid line has a version");
-                out.sends.push(CacheToMemory::PutData {
-                    from: self.id,
-                    a,
-                    version,
-                });
-                self.stats.blocks_supplied.inc();
-                self.stats.effective_commands.inc();
-                match rw {
-                    AccessKind::Read => {
-                        // Reset the modified bit, keep a read-only copy.
-                        self.cache.set_state(a, LocalState::Shared);
-                    }
-                    AccessKind::Write => {
-                        // Reset the valid bit.
-                        self.cache.invalidate(a);
-                        self.stats.invalidated_lines.inc();
+        ProtocolError::UnexpectedCommand {
+            state: format!("{who} ({})", undeclared(self.table(), event, state)),
+            command: match msg {
+                MemoryToCache::GetData { a, .. } => format!("get({a})"),
+                other => other.to_string(),
+            },
+        }
+    }
+
+    /// Looks up and runs the one rule for a processor reference or a
+    /// replacement on the frame's block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table declares none: no action of any table leaves a
+    /// line in such a state and `restore_state` refuses one.
+    fn fire(&mut self, event: CacheEvent, state: CacheState, frame: Frame, out: &mut NetOutcome) {
+        match self.program.lookup(event, state, 0) {
+            Some(found) => self.apply(found, frame, out),
+            None => panic!("{}: {}", self.id, undeclared(self.table(), event, state)),
+        }
+    }
+
+    fn apply(
+        &mut self,
+        (index, rule): (usize, &'static Rule<CacheSide>),
+        f: Frame,
+        out: &mut NetOutcome,
+    ) {
+        self.fired |= 1 << index;
+        if rule.event != CacheEvent::Evict {
+            out.rule = rule.name;
+        }
+        let a = f.a;
+        let stored = || f.store.expect("a store rule fires on a store");
+        for action in &rule.actions {
+            match *action {
+                CacheAction::Touch => self.cache.touch(a),
+                CacheAction::MarkDirty => {
+                    self.cache.set_state(a, LocalState::Dirty);
+                }
+                CacheAction::Downgrade => {
+                    self.cache.set_state(a, LocalState::Shared);
+                }
+                CacheAction::Store => {
+                    self.cache.set_version(a, stored());
+                }
+                CacheAction::Fill(state) => {
+                    // The block is becoming resident again: it must leave
+                    // the BIAS filter so future invalidations search the
+                    // directory.
+                    self.bias.remove(a);
+                    let version = match state {
+                        LocalState::Dirty => stored(),
+                        _ => f.data.expect("a fill rule fires on a grant"),
+                    };
+                    self.cache.insert(a, state, version);
+                }
+                CacheAction::Drop => {
+                    self.cache.invalidate(a);
+                }
+                CacheAction::MakeRoom => {
+                    // The replacement protocol of section 3.2.1: if the
+                    // incoming block's set is full the tag store names a
+                    // victim, and the table says how it leaves.
+                    if let Some(victim) = self.cache.peek_victim(a) {
+                        let leaving = Frame {
+                            a: victim.addr,
+                            data: Some(victim.version),
+                            ..f
+                        };
+                        let state = CacheState::of_line(victim.state);
+                        self.fire(CacheEvent::Evict, state, leaving, out);
                     }
                 }
-            }
-            LocalState::Shared | LocalState::Invalid => {
-                // Not the owner: a two-bit BROADQUERY probes everyone and
-                // most probes find nothing — the scheme's cost. (A clean
-                // line can legitimately coexist with an in-flight query
-                // only transiently; it owes no data.)
+                CacheAction::Emit(emit) => self.emit(emit, f, out),
+                CacheAction::Stall(kind) => {
+                    self.pending = Some(Pending {
+                        a,
+                        kind,
+                        op: f.op.expect("a stalling rule fires on a reference"),
+                        store_version: f.store,
+                    });
+                }
+                CacheAction::Retire { hit, observed } => {
+                    self.pending = None;
+                    out.completed = Some(Completion {
+                        op: f.op.expect("a retiring rule fires on a reference"),
+                        observed: match observed {
+                            Observed::Line => self.line_version(a),
+                            Observed::Granted => f.data.expect("a grant carries data"),
+                            Observed::Stored => stored(),
+                        },
+                        was_hit: hit,
+                    });
+                }
+                CacheAction::Count(stat) => self.counter(stat).inc(),
             }
         }
-        out
+    }
+
+    fn line_version(&self, a: BlockAddr) -> Version {
+        self.cache.version_of(a).expect("valid line has a version")
+    }
+
+    fn emit(&mut self, emit: Emit, f: Frame, out: &mut NetOutcome) {
+        let (k, a) = (self.id, f.a);
+        let request = |rw| CacheToMemory::Request { k, a, rw };
+        let eject = |wb| CacheToMemory::Eject { k, olda: a, wb };
+        let put = |version| CacheToMemory::PutData {
+            from: k,
+            a,
+            version,
+        };
+        let command = match emit {
+            Emit::ReadReq => request(AccessKind::Read),
+            Emit::WriteReq => request(AccessKind::Write),
+            Emit::UpgradeReq => CacheToMemory::MRequest {
+                k,
+                a,
+                version: self.line_version(a),
+            },
+            Emit::StoreThrough => CacheToMemory::WriteThrough {
+                k,
+                a,
+                version: f.store.expect("a store rule fires on a store"),
+            },
+            Emit::DirectReadReq => CacheToMemory::DirectRead { k, a },
+            Emit::Put => put(self.line_version(a)),
+            Emit::EjectClean => eject(WritebackKind::Clean),
+            Emit::EjectDirty => {
+                out.sends.push(eject(WritebackKind::Dirty));
+                put(f.data.expect("a victim's data is in hand"))
+            }
+        };
+        if out.sends.capacity() == 0 {
+            // Most rules send one command: size the first allocation for
+            // it, as `vec![command]` would.
+            out.sends = Vec::with_capacity(1);
+        }
+        out.sends.push(command);
+    }
+
+    fn counter(&mut self, stat: Stat) -> &mut Counter {
+        let s = &mut self.stats;
+        match stat {
+            Stat::ReadHits => &mut s.read_hits,
+            Stat::ReadMisses => &mut s.read_misses,
+            Stat::WriteHitsDirty => &mut s.write_hits_dirty,
+            Stat::WriteHitsClean => &mut s.write_hits_clean,
+            Stat::WriteMisses => &mut s.write_misses,
+            Stat::EvictionsClean => &mut s.evictions_clean,
+            Stat::EvictionsDirty => &mut s.evictions_dirty,
+            Stat::InvalidatedLines => &mut s.invalidated_lines,
+            Stat::EffectiveCommands => &mut s.effective_commands,
+            Stat::BlocksSupplied => &mut s.blocks_supplied,
+        }
     }
 
     fn record_command(&mut self, matched: bool) {
@@ -1445,5 +1283,80 @@ mod tests {
         let mut a = wb();
         let err = a.on_network(grant(0, 1, 0, false)).unwrap_err();
         assert!(matches!(err, ProtocolError::UnexpectedCommand { .. }));
+    }
+
+    #[test]
+    fn outcomes_name_the_rule_and_coverage_counts_the_eviction() {
+        let mut a = wb();
+        assert_eq!(a.start(read(0), Version::initial()).rule, "read-miss");
+        let filled = a.on_network(grant(0, 0, 0, false)).unwrap();
+        assert_eq!(filled.rule, "grant-fill-read");
+        assert_eq!(a.start(read(0), Version::initial()).rule, "read-hit");
+        // Fill block 0's set, then miss into it: the outcome names the
+        // miss, and the coverage word also has the victim's eviction.
+        a.start(read(8), Version::initial());
+        a.on_network(grant(0, 8, 0, false)).unwrap();
+        let fired = |a: &CacheAgent, name: &str| {
+            let index = a.table().rules.iter().position(|r| r.name == name);
+            a.fired() & (1 << index.expect("a rule of the table")) != 0
+        };
+        assert!(!fired(&a, "evict-clean"));
+        let out = a.start(read(16), Version::initial());
+        assert_eq!(out.rule, "read-miss");
+        assert!(fired(&a, "evict-clean") && !fired(&a, "evict-dirty"));
+        // A command the BIAS memory absorbs fires no rule at all.
+        let mut b = wb();
+        b.set_bias_entries(2);
+        let inv = MemoryToCache::BroadInv {
+            a: BlockAddr::new(3),
+            exclude: CacheId::new(1),
+        };
+        assert_eq!(b.on_network(inv).unwrap().rule, "inv-while-missing");
+        assert_eq!(b.on_network(inv).unwrap().rule, "");
+    }
+
+    #[test]
+    fn an_undeclared_delivery_names_table_event_and_state_and_changes_nothing() {
+        // A write-through cache never asks for an upgrade: its table
+        // declares no reply to one.
+        let mut a = agent(AgentPolicy::WriteThrough);
+        a.start(read(1), Version::initial());
+        let before = a.save_state().to_json();
+        let err = a
+            .on_network(MemoryToCache::MGranted {
+                k: CacheId::new(0),
+                a: BlockAddr::new(1),
+                granted: false,
+            })
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unexpected command MGRANTED(C0, blk:0x1, no) in state C0 in await-read \
+             (write-through: the table declares no upgrade-reply in await-read)"
+        );
+        assert_eq!(a.save_state().to_json(), before);
+        assert_eq!(a.fired().count_ones(), 1, "only the read miss ran");
+    }
+
+    #[test]
+    fn restore_refuses_a_line_the_table_declares_no_reference_in() {
+        let mut yen_fu = agent(AgentPolicy::WriteBack {
+            use_exclusive: true,
+        });
+        yen_fu.start(read(1), Version::initial());
+        yen_fu.on_network(grant(0, 1, 0, true)).unwrap();
+        let checkpoint = yen_fu.save_state();
+        // Plain write-back never fills Exclusive and says nothing about
+        // such a line; `start` could only panic on it.
+        let err = wb().restore_state(&checkpoint).unwrap_err();
+        assert_eq!(
+            err,
+            "checkpoint holds blk:0x1 exclusive, a state the write-back table does not declare"
+        );
+        let mut same = agent(AgentPolicy::WriteBack {
+            use_exclusive: true,
+        });
+        same.restore_state(&checkpoint).unwrap();
+        assert!(same.start(write(1), Version::new(2)).completed.is_some());
     }
 }

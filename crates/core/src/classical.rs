@@ -23,9 +23,10 @@ use twobit_types::GlobalState;
 /// so the relation is two rules — fills from memory, and the per-store
 /// memory-update-plus-invalidate-broadcast that defines the scheme
 /// ("each cache broadcasts to all other caches the address of the block
-/// being modified") — plus the silent clean eject. No rule grants write
-/// permission, which is how the consistency check knows no dirty copy
-/// may exist.
+/// being modified"). Replacement is silent — a write-through cache tells
+/// nobody when it drops a line, so the table declares no eject at all —
+/// and no rule grants write permission, which is how the consistency
+/// check knows no dirty copy may exist.
 pub(crate) fn classical_program() -> &'static Program {
     static PROGRAM: OnceLock<Program> = OnceLock::new();
     PROGRAM.get_or_init(|| {
@@ -38,7 +39,6 @@ pub(crate) fn classical_program() -> &'static Program {
             events: vec![
                 EventSpec::new(E::ReadMiss, here, &[]),
                 EventSpec::new(E::WriteThrough, here, &[]),
-                EventSpec::new(E::EjectClean, here, &[]),
             ],
             rules: vec![
                 crate::rule!("read-miss", E::ReadMiss, here).action(A::Grant { exclusive: false }),
@@ -52,7 +52,6 @@ pub(crate) fn classical_program() -> &'static Program {
                         delivery: Delivery::Broadcast,
                     })
                     .guarded_by(OrderGuarantee::AckBarrier),
-                crate::rule!("eject-clean", E::EjectClean, here),
             ],
         };
         Program::compile(table).expect("the shipped classical-wt table compiles")
@@ -63,7 +62,8 @@ pub(crate) fn classical_program() -> &'static Program {
 /// traffic whatsoever — the broadcast-necessity analysis verifies the
 /// *absence* of invalidates and recalls here. Private-block misses are
 /// plain fills (write misses exclusively: nobody else will care) and
-/// private dirty blocks write back normally; public blocks are served
+/// private dirty blocks write back normally (clean ones leave silently:
+/// there is no directory state to maintain); public blocks are served
 /// straight from memory, never cached — "the public data is always
 /// up-to-date in main memory".
 pub(crate) fn null_program() -> &'static Program {
@@ -80,7 +80,6 @@ pub(crate) fn null_program() -> &'static Program {
                 EventSpec::new(E::WriteMiss, here, &[]),
                 EventSpec::new(E::DirectRead, here, &[]),
                 EventSpec::new(E::WriteThrough, here, &[]),
-                EventSpec::new(E::EjectClean, here, &[]),
                 EventSpec::new(E::EjectDirty, here, &[]),
             ],
             rules: vec![
@@ -89,7 +88,6 @@ pub(crate) fn null_program() -> &'static Program {
                 crate::rule!("direct-read", E::DirectRead, here)
                     .action(A::Grant { exclusive: false }),
                 crate::rule!("write-through", E::WriteThrough, here).action(A::WriteMemory),
-                crate::rule!("eject-clean", E::EjectClean, here),
                 crate::rule!("eject-dirty", E::EjectDirty, here).action(A::WriteMemory),
             ],
         };
@@ -125,12 +123,14 @@ mod tests {
     fn classical_write_broadcasts_and_updates_memory() {
         let mut d = classical();
         let mem = MemoryImage::new();
-        let s = d.open(
-            cid(0),
-            blk(1),
-            OpenKind::WriteThrough(Version::new(4)),
-            &mem,
-        );
+        let s = d
+            .open(
+                cid(0),
+                blk(1),
+                OpenKind::WriteThrough(Version::new(4)),
+                &mem,
+            )
+            .unwrap();
         assert!(s.completes);
         assert_eq!(s.write_memory, Some((blk(1), Version::new(4))));
         match &s.sends[0] {
@@ -149,7 +149,7 @@ mod tests {
         let mut d = classical();
         let mut mem = MemoryImage::new();
         mem.write(blk(2), Version::new(9));
-        let s = d.open(cid(1), blk(2), OpenKind::ReadMiss, &mem);
+        let s = d.open(cid(1), blk(2), OpenKind::ReadMiss, &mem).unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
                 cmd:
@@ -166,11 +166,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "classical-wt: the table declares no write-miss")]
     fn classical_rejects_write_miss() {
         let mut d = classical();
         let mem = MemoryImage::new();
-        d.open(cid(0), blk(1), OpenKind::WriteMiss, &mem);
+        let err = d
+            .open(cid(0), blk(1), OpenKind::WriteMiss, &mem)
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("classical-wt: the table declares no write-miss"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -186,7 +192,7 @@ mod tests {
     fn null_directory_serves_private_and_public_paths() {
         let mut d = null();
         let mem = MemoryImage::new();
-        let s = d.open(cid(0), blk(1), OpenKind::WriteMiss, &mem);
+        let s = d.open(cid(0), blk(1), OpenKind::WriteMiss, &mem).unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
                 cmd: MemoryToCache::GetData { exclusive, .. },
@@ -196,14 +202,16 @@ mod tests {
             }
             other => panic!("expected exclusive grant, got {other:?}"),
         }
-        let s = d.open(cid(0), blk(2), OpenKind::DirectRead, &mem);
+        let s = d.open(cid(0), blk(2), OpenKind::DirectRead, &mem).unwrap();
         assert_eq!(s.sends.len(), 1);
-        let s = d.open(
-            cid(0),
-            blk(2),
-            OpenKind::WriteThrough(Version::new(3)),
-            &mem,
-        );
+        let s = d
+            .open(
+                cid(0),
+                blk(2),
+                OpenKind::WriteThrough(Version::new(3)),
+                &mem,
+            )
+            .unwrap();
         assert_eq!(s.write_memory, Some((blk(2), Version::new(3))));
         assert!(
             s.sends.is_empty(),
@@ -214,7 +222,7 @@ mod tests {
     #[test]
     fn null_directory_absorbs_private_writebacks() {
         let mut d = null();
-        let s = d.eject_dirty(cid(0), blk(7), Version::new(2));
+        let s = d.eject_dirty(cid(0), blk(7), Version::new(2)).unwrap();
         assert_eq!(s.write_memory, Some((blk(7), Version::new(2))));
     }
 }

@@ -59,6 +59,23 @@ pub enum CtrlEmit {
     },
 }
 
+/// A transaction-opening command as the directory takes it.
+fn opener(cmd: CacheToMemory) -> (CacheId, BlockAddr, OpenKind) {
+    match cmd {
+        CacheToMemory::Request { k, a, rw } => {
+            let kind = match rw {
+                AccessKind::Read => OpenKind::ReadMiss,
+                AccessKind::Write => OpenKind::WriteMiss,
+            };
+            (k, a, kind)
+        }
+        CacheToMemory::MRequest { k, a, version } => (k, a, OpenKind::Modify(version)),
+        CacheToMemory::WriteThrough { k, a, version } => (k, a, OpenKind::WriteThrough(version)),
+        CacheToMemory::DirectRead { k, a } => (k, a, OpenKind::DirectRead),
+        other => unreachable!("not an opener: {other}"),
+    }
+}
+
 /// A memory-module controller: directory + request queue + module
 /// storage. `Clone` lets the model checker branch system states.
 #[derive(Debug, Clone)]
@@ -352,10 +369,14 @@ impl Controller {
             | CacheToMemory::DirectRead { .. } => {
                 let a = cmd.block();
                 if self.can_start(a) {
-                    let mut emits = self.process_open(cmd, perf);
-                    emits.extend(self.drain_queue(perf));
+                    let mut emits = self.process_open(cmd, perf)?;
+                    emits.extend(self.drain_queue(perf)?);
                     Ok(emits)
                 } else {
+                    // Refused now, not when the queue drains under some
+                    // other cache's command.
+                    let (k, _, kind) = opener(cmd);
+                    self.protocol.declares(k, a, kind)?;
                     self.enqueue(cmd, perf);
                     Ok(Vec::new())
                 }
@@ -363,7 +384,7 @@ impl Controller {
             CacheToMemory::Eject { k, olda, wb } => {
                 self.stats.ejects.inc();
                 match wb {
-                    WritebackKind::Clean => Ok(self.handle_clean_eject(k, olda, perf)),
+                    WritebackKind::Clean => self.handle_clean_eject(k, olda, perf),
                     WritebackKind::Dirty => {
                         if !self.eject_announced.contains(&(k, olda)) {
                             self.eject_announced.push((k, olda));
@@ -399,32 +420,20 @@ impl Controller {
         perf.end("ctrl.queue.enqueue");
     }
 
-    fn process_open(&mut self, cmd: CacheToMemory, perf: &mut Profiler) -> Vec<CtrlEmit> {
+    fn process_open(
+        &mut self,
+        cmd: CacheToMemory,
+        perf: &mut Profiler,
+    ) -> Result<Vec<CtrlEmit>, ProtocolError> {
         perf.begin("ctrl.protocol.open");
-        let (k, a, kind) = match cmd {
-            CacheToMemory::Request { k, a, rw } => {
-                self.stats.requests.inc();
-                let kind = match rw {
-                    AccessKind::Read => OpenKind::ReadMiss,
-                    AccessKind::Write => OpenKind::WriteMiss,
-                };
-                (k, a, kind)
-            }
-            CacheToMemory::MRequest { k, a, version } => {
-                self.stats.mrequests.inc();
-                (k, a, OpenKind::Modify(version))
-            }
-            CacheToMemory::WriteThrough { k, a, version } => {
-                self.stats.requests.inc();
-                (k, a, OpenKind::WriteThrough(version))
-            }
-            CacheToMemory::DirectRead { k, a } => {
-                self.stats.requests.inc();
-                (k, a, OpenKind::DirectRead)
-            }
-            other => unreachable!("not an opener: {other}"),
-        };
+        let (k, a, kind) = opener(cmd);
         let step = self.protocol.open(k, a, kind, &self.memory);
+        perf.end("ctrl.protocol.open");
+        let step = step?;
+        match kind {
+            OpenKind::Modify(_) => self.stats.mrequests.inc(),
+            _ => self.stats.requests.inc(),
+        }
         if !step.completes {
             let rw = match kind {
                 OpenKind::ReadMiss => AccessKind::Read,
@@ -433,9 +442,7 @@ impl Controller {
             };
             self.awaiting.insert(a, rw);
         }
-        let emits = self.apply_step(a, step);
-        perf.end("ctrl.protocol.open");
-        emits
+        Ok(self.apply_step(a, step))
     }
 
     fn handle_clean_eject(
@@ -443,7 +450,7 @@ impl Controller {
         k: CacheId,
         olda: BlockAddr,
         perf: &mut Profiler,
-    ) -> Vec<CtrlEmit> {
+    ) -> Result<Vec<CtrlEmit>, ProtocolError> {
         if self.awaiting.contains_key(olda)
             && self
                 .protocol
@@ -452,14 +459,16 @@ impl Controller {
             // A clean eject racing a recall: memory already holds the
             // data; resolve the wait with it.
             let version = self.memory.read(olda);
-            let step = self.protocol.supply(olda, k, version, false, &self.memory);
+            let step = self
+                .protocol
+                .supply(olda, k, version, false, &self.memory)?;
             self.awaiting.remove(olda);
             let mut emits = self.apply_step(olda, step);
-            emits.extend(self.drain_queue(perf));
-            emits
+            emits.extend(self.drain_queue(perf)?);
+            Ok(emits)
         } else {
-            self.protocol.eject_clean(k, olda);
-            Vec::new()
+            self.protocol.eject_clean(k, olda)?;
+            Ok(Vec::new())
         }
     }
 
@@ -471,34 +480,38 @@ impl Controller {
         perf: &mut Profiler,
     ) -> Result<Vec<CtrlEmit>, ProtocolError> {
         if let Some(i) = self.eject_announced.iter().position(|&e| e == (from, a)) {
-            // The write-back half of a dirty eject.
-            self.eject_announced.swap_remove(i);
-            let step = if self.awaiting.contains_key(a)
+            // The write-back half of a dirty eject…
+            let answers_query = self.awaiting.contains_key(a)
                 && self
                     .protocol
-                    .eject_satisfies_wait(a, from, WritebackKind::Dirty)
-            {
+                    .eject_satisfies_wait(a, from, WritebackKind::Dirty);
+            let step = if answers_query {
                 // …which doubles as the answer to an in-flight query.
-                self.awaiting.remove(a);
-                self.protocol.supply(a, from, version, false, &self.memory)
+                self.protocol
+                    .supply(a, from, version, false, &self.memory)?
             } else {
-                self.protocol.eject_dirty(from, a, version)
+                self.protocol.eject_dirty(from, a, version)?
             };
+            self.eject_announced.swap_remove(i);
+            if answers_query {
+                self.awaiting.remove(a);
+            }
             self.eject_locked.remove(a);
             let mut emits = self.apply_step(a, step);
-            emits.extend(self.drain_queue(perf));
+            emits.extend(self.drain_queue(perf)?);
             return Ok(emits);
         }
-        match self.awaiting.remove(a) {
+        match self.awaiting.get(a).copied() {
             Some(rw) => {
                 // A query/purge response. On a read the responder kept a
                 // clean copy; on a write it invalidated itself.
                 let retains = rw == AccessKind::Read;
                 let step = self
                     .protocol
-                    .supply(a, from, version, retains, &self.memory);
+                    .supply(a, from, version, retains, &self.memory)?;
+                self.awaiting.remove(a);
                 let mut emits = self.apply_step(a, step);
-                emits.extend(self.drain_queue(perf));
+                emits.extend(self.drain_queue(perf)?);
                 Ok(emits)
             }
             None => Err(ProtocolError::UnexpectedCommand {
@@ -552,7 +565,7 @@ impl Controller {
         });
     }
 
-    fn drain_queue(&mut self, perf: &mut Profiler) -> Vec<CtrlEmit> {
+    fn drain_queue(&mut self, perf: &mut Profiler) -> Result<Vec<CtrlEmit>, ProtocolError> {
         perf.begin("ctrl.queue.drain");
         let mut emits = Vec::new();
         loop {
@@ -574,10 +587,16 @@ impl Controller {
             };
             let Some(idx) = idx else { break };
             let cmd = self.queue.remove(idx).expect("index just found");
-            emits.extend(self.process_open(cmd, perf));
+            match self.process_open(cmd, perf) {
+                Ok(more) => emits.extend(more),
+                Err(e) => {
+                    perf.end("ctrl.queue.drain");
+                    return Err(e);
+                }
+            }
         }
         perf.end("ctrl.queue.drain");
-        emits
+        Ok(emits)
     }
 }
 

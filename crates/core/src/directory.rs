@@ -23,12 +23,13 @@ use crate::memory::MemoryImage;
 use crate::owner_set::OwnerSet;
 use crate::tlb::TranslationBuffer;
 use crate::transitions::{
-    cond_bits, ActionKind, Cond, Delivery, EventKind, Next, Program, TransitionTable,
+    cond_bits, undeclared, ActionKind, Cond, Delivery, EventKind, Next, Program, Rule,
+    TransitionTable,
 };
 use twobit_obs::json::{obj, Json, ToJson};
 use twobit_types::{
-    AccessKind, BlockAddr, CacheId, Fingerprinter, GlobalState, MemoryToCache, Version,
-    WritebackKind,
+    AccessKind, BlockAddr, CacheId, Fingerprinter, GlobalState, MemoryToCache, ProtocolError,
+    Version, WritebackKind,
 };
 
 /// The transaction-opening commands a controller can hand a protocol,
@@ -98,6 +99,18 @@ pub struct DirStep {
     /// `false` when the protocol now awaits a data supply
     /// (`BROADQUERY`/`PURGE` response or racing write-back).
     pub completes: bool,
+}
+
+impl OpenKind {
+    fn event(self) -> EventKind {
+        match self {
+            OpenKind::ReadMiss => EventKind::ReadMiss,
+            OpenKind::WriteMiss => EventKind::WriteMiss,
+            OpenKind::Modify(_) => EventKind::Modify,
+            OpenKind::WriteThrough(_) => EventKind::WriteThrough,
+            OpenKind::DirectRead => EventKind::DirectRead,
+        }
+    }
 }
 
 impl DirStep {
@@ -289,7 +302,14 @@ pub struct Directory {
     states: BlockMap<GlobalState>,
     waiting: BlockMap<Waiting>,
     identities: Identities,
+    /// Bit `i` is set once rule `i` of the table has fired (coverage;
+    /// not state: excluded from fingerprints and checkpoints).
+    fired: u64,
 }
+
+/// A rule chosen for an arrival: the block's state before it, the rule's
+/// index in the table, the rule.
+type Chosen = (GlobalState, usize, &'static Rule);
 
 impl Directory {
     /// An empty directory running `program` for a system of `caches`
@@ -318,7 +338,15 @@ impl Directory {
                     holders: BlockMap::new(),
                 },
             },
+            fired: 0,
         }
+    }
+
+    /// Which rules of [`Directory::table`] have fired so far, as a bit
+    /// per rule index.
+    #[must_use]
+    pub fn fired(&self) -> u64 {
+        self.fired
     }
 
     /// Short stable scheme name for reports.
@@ -346,16 +374,21 @@ impl Directory {
     /// The controller guarantees `a` has no other transaction in flight
     /// (section 3.2.5's per-block serialization).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an [`OpenKind`] the scheme's table declares no rule for
-    /// (e.g. `WriteThrough` at a full-map directory); such a call is a
-    /// wiring bug, not a runtime condition.
-    pub fn open(&mut self, k: CacheId, a: BlockAddr, kind: OpenKind, mem: &MemoryImage) -> DirStep {
+    /// [`ProtocolError::UnexpectedCommand`], naming scheme, event and
+    /// state, for an [`OpenKind`] the scheme's table declares no rule for
+    /// (e.g. `WriteThrough` at a two-bit directory); nothing has changed
+    /// then.
+    pub fn open(
+        &mut self,
+        k: CacheId,
+        a: BlockAddr,
+        kind: OpenKind,
+        mem: &MemoryImage,
+    ) -> Result<DirStep, ProtocolError> {
         debug_assert!(!self.waiting.contains_key(a), "open on a waiting block");
-        let (event, fresh, data) = match kind {
-            OpenKind::ReadMiss => (EventKind::ReadMiss, false, Data::Memory(mem)),
-            OpenKind::WriteMiss => (EventKind::WriteMiss, false, Data::Memory(mem)),
+        let (fresh, data) = match kind {
             // `Fresh`: the requester's copy is current. Where identities
             // are exact that is "a recorded holder"; otherwise the carried
             // version detects the crossing-window race the two-bit map
@@ -363,24 +396,50 @@ impl Directory {
             // memory's unless an invalidation for it is in flight (see
             // the `MREQUEST` docs in twobit-types).
             OpenKind::Modify(version) => (
-                EventKind::Modify,
                 self.identities
                     .records(a, k)
                     .unwrap_or_else(|| version == mem.read(a)),
                 Data::Memory(mem),
             ),
-            OpenKind::WriteThrough(version) => {
-                (EventKind::WriteThrough, false, Data::InHand(version))
-            }
-            OpenKind::DirectRead => (EventKind::DirectRead, false, Data::Memory(mem)),
+            OpenKind::WriteThrough(version) => (false, Data::InHand(version)),
+            _ => (false, Data::Memory(mem)),
         };
-        self.fire(event, cond_bits(&[(Cond::Fresh, fresh)]), k, a, data, None)
+        let chosen = self.choose(kind.event(), cond_bits(&[(Cond::Fresh, fresh)]), k, a)?;
+        Ok(self.fire(chosen, k, a, data, None))
+    }
+
+    /// Checks that the table declares `kind`'s event at all — what a
+    /// controller asks before queueing a command it cannot start yet.
+    ///
+    /// # Errors
+    ///
+    /// As [`Directory::open`], if it declares none.
+    pub fn declares(&self, k: CacheId, a: BlockAddr, kind: OpenKind) -> Result<(), ProtocolError> {
+        match self.table().spec(kind.event()) {
+            Some(_) => Ok(()),
+            None => Err(self.refusal(kind.event(), k, a)),
+        }
+    }
+
+    /// The typed error for an arrival outside the table's declared
+    /// domain — it may have come off a socket, so it is not a crash.
+    #[cold]
+    fn refusal(&self, event: EventKind, k: CacheId, a: BlockAddr) -> ProtocolError {
+        ProtocolError::UnexpectedCommand {
+            state: undeclared(self.table(), event, self.global_state(a)),
+            command: format!("{event}({k}, {a})"),
+        }
     }
 
     /// Handles block data arriving for a transaction left waiting by
     /// [`Directory::open`]. `retains` tells whether the supplier kept a
     /// clean copy (a `BROADQUERY(read)` response) or gave the block up
     /// entirely (an invalidating response or a racing write-back).
+    ///
+    /// # Errors
+    ///
+    /// As [`Directory::open`], for a supply in a state outside the
+    /// table's declared domain.
     ///
     /// # Panics
     ///
@@ -392,19 +451,16 @@ impl Directory {
         version: Version,
         retains: bool,
         _mem: &MemoryImage,
-    ) -> DirStep {
-        let waiting = self
+    ) -> Result<DirStep, ProtocolError> {
+        let waiting = *self
             .waiting
-            .remove(a)
+            .get(a)
             .expect("supply without a waiting transaction");
-        self.fire(
-            EventKind::Supply,
-            cond_bits(&[(Cond::WaitWrite, waiting.write), (Cond::Retains, retains)]),
-            waiting.k,
-            a,
-            Data::InHand(version),
-            (retains && !waiting.write).then_some(from),
-        )
+        let conds = cond_bits(&[(Cond::WaitWrite, waiting.write), (Cond::Retains, retains)]);
+        let chosen = self.choose(EventKind::Supply, conds, waiting.k, a)?;
+        self.waiting.remove(a);
+        let keeper = (retains && !waiting.write).then_some(from);
+        Ok(self.fire(chosen, waiting.k, a, Data::InHand(version), keeper))
     }
 
     /// Whether an eject notice from `k` (clean or dirty) stands in for the
@@ -422,39 +478,63 @@ impl Directory {
     }
 
     /// Absorbs a clean (advisory) eject notice.
-    pub fn eject_clean(&mut self, k: CacheId, a: BlockAddr) {
+    ///
+    /// # Errors
+    ///
+    /// As [`Directory::open`].
+    pub fn eject_clean(&mut self, k: CacheId, a: BlockAddr) -> Result<(), ProtocolError> {
+        let chosen = self.choose(EventKind::EjectClean, 0, k, a)?;
         self.identities.remove(a, k);
-        self.fire(EventKind::EjectClean, 0, k, a, Data::None, None);
+        self.fire(chosen, k, a, Data::None, None);
+        Ok(())
     }
 
     /// Absorbs a dirty eject once its data has arrived; typically writes
     /// memory and frees the directory entry.
-    pub fn eject_dirty(&mut self, k: CacheId, a: BlockAddr, version: Version) -> DirStep {
+    ///
+    /// # Errors
+    ///
+    /// As [`Directory::open`].
+    pub fn eject_dirty(
+        &mut self,
+        k: CacheId,
+        a: BlockAddr,
+        version: Version,
+    ) -> Result<DirStep, ProtocolError> {
+        let chosen = self.choose(EventKind::EjectDirty, 0, k, a)?;
         self.identities.remove(a, k);
-        self.fire(EventKind::EjectDirty, 0, k, a, Data::InHand(version), None)
+        Ok(self.fire(chosen, k, a, Data::InHand(version), None))
     }
 
-    /// Looks up and executes the one rule for `event` on block `a`.
-    /// `k` is the initiator (the requester, the waiting requester a
-    /// supply resolves, or the ejector); `keeper` a supplier that kept a
-    /// clean copy.
-    fn fire(
-        &mut self,
+    /// Looks up the one rule for `event` on block `a` in its present
+    /// state.
+    fn choose(
+        &self,
         event: EventKind,
         conds: u8,
+        k: CacheId,
+        a: BlockAddr,
+    ) -> Result<Chosen, ProtocolError> {
+        let before = self.global_state(a);
+        match self.program.code().lookup(event, before, conds) {
+            Some((index, rule)) => Ok((before, index, rule)),
+            None => Err(self.refusal(event, k, a)),
+        }
+    }
+
+    /// Executes a chosen rule. `k` is the initiator (the requester, the
+    /// waiting requester a supply resolves, or the ejector); `keeper` a
+    /// supplier that kept a clean copy.
+    fn fire(
+        &mut self,
+        (before, index, rule): Chosen,
         k: CacheId,
         a: BlockAddr,
         data: Data<'_>,
         keeper: Option<CacheId>,
     ) -> DirStep {
-        let before = self.global_state(a);
-        let program = self.program;
-        let rule = program.rule(event, before, conds).unwrap_or_else(|| {
-            panic!(
-                "{}: the table declares no {event} in {before}",
-                program.table().scheme
-            )
-        });
+        self.fired |= 1 << index;
+        let event = rule.event;
         let rw = if event == EventKind::WriteMiss {
             AccessKind::Write
         } else {
@@ -655,6 +735,7 @@ impl Directory {
             program: self.program,
             states: BlockMap::new(),
             waiting: BlockMap::new(),
+            fired: self.fired,
             identities: match &self.identities {
                 Identities::Unknown => Identities::Unknown,
                 Identities::Buffered(buffer) => {

@@ -11,9 +11,11 @@
 //! interleaving.
 
 use crate::agent::{AgentPolicy, CacheAgent, Completion};
+use crate::cache_table::CacheTable;
 use crate::controller::{Controller, CtrlEmit};
 use crate::directory::Directory;
 use crate::invariants;
+use crate::transitions::Program;
 use crate::{classical, full_map, full_map_local, tlb, two_bit};
 use std::collections::{HashMap, VecDeque};
 use twobit_types::{
@@ -94,7 +96,12 @@ impl Oracle {
 /// `twobit-bus`, not the directory executor.
 #[must_use]
 pub fn build_protocol_for(config: &SystemConfig) -> Directory {
-    let (program, buffer_entries) = match config.protocol {
+    let (program, buffer_entries) = program_for(config.protocol);
+    Directory::new(program, config.caches, buffer_entries)
+}
+
+fn program_for(protocol: ProtocolKind) -> (&'static Program, usize) {
+    match protocol {
         ProtocolKind::TwoBit => (two_bit::program(), 0),
         ProtocolKind::TwoBitTlb { entries } => (tlb::program(), entries as usize),
         ProtocolKind::FullMap => (full_map::program(), 0),
@@ -104,8 +111,25 @@ pub fn build_protocol_for(config: &SystemConfig) -> Directory {
         ProtocolKind::WriteOnce | ProtocolKind::Illinois => {
             unreachable!("bus protocols are built by twobit-bus, not the directory executor")
         }
-    };
-    Directory::new(program, config.caches, buffer_entries)
+    }
+}
+
+/// The cache table the agents of the shipped scheme named `scheme` run —
+/// the cache half that goes with that directory table, as
+/// [`build_policy_for`] pairs them.
+#[must_use]
+pub fn cache_table_for(scheme: &str) -> Option<&'static CacheTable> {
+    [
+        ProtocolKind::TwoBit,
+        ProtocolKind::TwoBitTlb { entries: 1 },
+        ProtocolKind::FullMap,
+        ProtocolKind::FullMapLocal,
+        ProtocolKind::ClassicalWriteThrough,
+        ProtocolKind::StaticSoftware,
+    ]
+    .into_iter()
+    .find(|&protocol| program_for(protocol).0.table().scheme == scheme)
+    .map(|protocol| build_policy_for(protocol, DEFAULT_STATIC_SHARED_FROM).table())
 }
 
 /// The cache policy matching a directory protocol.
@@ -133,6 +157,36 @@ pub fn build_policy_for(protocol: ProtocolKind, static_shared_from: u64) -> Agen
         ProtocolKind::WriteOnce | ProtocolKind::Illinois => {
             unreachable!("bus protocols are built by twobit-bus")
         }
+    }
+}
+
+/// Which rules of a scheme's two tables have fired — a bit per index
+/// into the directory table's and the cache table's `rules` — across
+/// whatever agents and controllers it was gathered from.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Fired {
+    /// Rules of the scheme's directory table.
+    pub memory: u64,
+    /// Rules of its cache table.
+    pub cache: u64,
+}
+
+impl Fired {
+    /// What these components have fired so far.
+    #[must_use]
+    pub fn of(agents: &[CacheAgent], controllers: &[Controller]) -> Fired {
+        Fired {
+            memory: controllers
+                .iter()
+                .fold(0, |bits, c| bits | c.protocol().fired()),
+            cache: agents.iter().fold(0, |bits, a| bits | a.fired()),
+        }
+    }
+
+    /// Adds what `other` saw fire.
+    pub fn merge(&mut self, other: Fired) {
+        self.memory |= other.memory;
+        self.cache |= other.cache;
     }
 }
 
@@ -344,6 +398,63 @@ impl FunctionalSystem {
     #[must_use]
     pub fn references(&self) -> u64 {
         self.references
+    }
+
+    /// Which table rules the run has fired so far.
+    #[must_use]
+    pub fn fired(&self) -> Fired {
+        Fired::of(&self.agents, &self.controllers)
+    }
+
+    /// The fixed reference stream `tests/transcript_digests.rs` pins the
+    /// directories' decisions on and `verify_protocols` counts rule
+    /// coverage over: a system of 4 caches × 2 modules with a 4-block
+    /// cache under `protocol` (invariants on; blocks from 32 up public
+    /// under the static scheme), and 4,000 seeded references to it — so
+    /// clean and dirty ejects, recalls, upgrades, denied upgrades and
+    /// translation-buffer evictions all occur.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `protocol` is a bus protocol.
+    pub fn transcript_stream(
+        protocol: ProtocolKind,
+    ) -> (FunctionalSystem, impl Iterator<Item = (CacheId, MemRef)>) {
+        const SHARED_FROM: u64 = 32;
+        let config = SystemConfig {
+            address_map: twobit_types::AddressMap::interleaved(2),
+            cache: twobit_types::CacheOrg::new(2, 2, 4).expect("valid 4-block cache"),
+            ..SystemConfig::with_defaults(4)
+        }
+        .with_protocol(protocol);
+        let mut sys = FunctionalSystem::with_static_threshold(config, SHARED_FROM).expect("valid");
+        sys.set_check_invariants(true);
+        let static_split = protocol == ProtocolKind::StaticSoftware;
+        let mut x = 0x0dd0_15ea_5e5c_a1e5_u64;
+        let refs = (0..4000).map(move |_| {
+            // splitmix64
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            let k = CacheId::new(((z >> 40) % 4) as usize);
+            let block = if !static_split {
+                (z >> 8) % 20
+            } else if z & 1 == 0 {
+                (k.index() as u64) * 8 + (z >> 8) % 8 // private to cache k
+            } else {
+                SHARED_FROM + (z >> 8) % 6 // public, never cached
+            };
+            let addr = twobit_types::WordAddr::new(block, 0);
+            let op = if (z >> 20) % 5 < 2 {
+                MemRef::write(addr)
+            } else {
+                MemRef::read(addr)
+            };
+            (k, op)
+        });
+        (sys, refs)
     }
 
     /// Collects statistics from every component.

@@ -16,9 +16,11 @@
 //! * [`FlowRule`] — a guarded rule at a role: *when* `trigger` arrives
 //!   in one of the `when` states, emit `emits` and move to a state in
 //!   `next`. Memory-role rules are lifted mechanically from a
-//!   [`TransitionTable`] by [`lift_memory`]; cache/client rules are
-//!   declared by `twobit-dist` (whose node loop they describe) and the
-//!   whole system is assembled and analyzed by `twobit-lint`.
+//!   [`TransitionTable`] by [`lift_memory`] and cache-role rules from a
+//!   [`CacheTable`] by [`lift_cache`] — the tables the directory and the
+//!   cache agent execute; `twobit-dist` overlays what its node loop adds
+//!   (acknowledgments, the gate, the client edge) and the whole system
+//!   is assembled and analyzed by `twobit-lint`.
 //! * [`FlowEmit`] — one emission edge, annotated with its delivery
 //!   shape ([`Delivery`]), destination aim ([`DestHint`]), and the
 //!   [`OrderGuarantee`]s it rides on.
@@ -28,9 +30,11 @@
 //! one block. That is exactly the granularity of the dist layer's
 //! gates and of the paper's section 3.2.5 races.
 
+use crate::cache_table::{successor, CacheAction, CacheEvent, CacheState, CacheTable, Emit};
 use crate::transitions::{
     ActionKind, Cond, Delivery, EventKind, Next, OrderGuarantee, TransitionTable,
 };
+use std::collections::BTreeMap;
 use std::fmt;
 use twobit_types::GlobalState;
 
@@ -516,6 +520,143 @@ pub fn lift_memory(table: &TransitionTable) -> (Vec<FlowState>, Vec<FlowRule>) {
             }
         }
         rules.push(fr);
+    }
+    (states, rules)
+}
+
+/// Cache-role state: no copy of the block.
+pub const IDLE_INVALID: &str = "idle-invalid";
+/// Cache-role state: a clean (read-only) copy.
+pub const IDLE_CLEAN: &str = "idle-clean";
+/// Cache-role state: an owned copy (dirty or exclusive) — the copy a
+/// recall targets.
+pub const IDLE_OWNER: &str = "idle-owner";
+/// Cache-role blocked state: a miss request (or direct read) is out, the
+/// data has not arrived.
+pub const AWAITING_GRANT: &str = "awaiting-grant";
+/// Cache-role blocked state: an `MREQUEST` is out.
+pub const AWAITING_UPGRADE: &str = "awaiting-upgrade";
+
+/// The name a [`CacheState`] gets as a cache-role flow state, and the
+/// message class a blocked one sits waiting for. The projection is
+/// many-to-one: the flow graph does not tell an exclusive line from a
+/// dirty one, an uncached block from an absent one, or the three kinds
+/// of awaited data apart.
+#[must_use]
+pub fn cache_state_name(s: CacheState) -> (&'static str, Option<MsgClass>) {
+    match s {
+        CacheState::Invalid | CacheState::Uncached => (IDLE_INVALID, None),
+        CacheState::Clean => (IDLE_CLEAN, None),
+        CacheState::Exclusive | CacheState::Dirty => (IDLE_OWNER, None),
+        CacheState::AwaitRead | CacheState::AwaitWrite | CacheState::AwaitDirect => {
+            (AWAITING_GRANT, Some(MsgClass::Grant))
+        }
+        CacheState::AwaitUpgrade => (AWAITING_UPGRADE, Some(MsgClass::UpgradeAck)),
+    }
+}
+
+/// The flow message class (or local stimulus) that triggers a cache
+/// table event. Both processor references are the client's request.
+#[must_use]
+pub fn cache_event_trigger(e: CacheEvent) -> MsgClass {
+    match e {
+        CacheEvent::Load | CacheEvent::Store => MsgClass::ClientReq,
+        CacheEvent::Grant => MsgClass::Grant,
+        CacheEvent::UpgradeReply => MsgClass::UpgradeAck,
+        CacheEvent::Invalidate => MsgClass::Inv,
+        CacheEvent::Recall => MsgClass::Recall,
+        CacheEvent::Evict => MsgClass::Evict,
+    }
+}
+
+/// The cache-role half of a flow graph, lifted mechanically from the
+/// [`CacheTable`] the cache agent interprets — the twin of
+/// [`lift_memory`].
+///
+/// * The table's declared states project onto cache-role [`FlowState`]s
+///   ([`cache_state_name`]); the awaiting ones are blocked.
+/// * Each rule becomes a `cache/`-prefixed [`FlowRule`] triggered by its
+///   event's class. Its emissions are its [`CacheAction::Emit`]s, aimed
+///   home, and a `ClientResp` to the issuer where it retires the
+///   reference. [`CacheAction::MakeRoom`] emits nothing itself: the
+///   replacement it may cause is the table's own `Evict` rules, lifted
+///   under the local [`MsgClass::Evict`] stimulus.
+/// * Successors are derived, not declared
+///   ([`successor`]): a rule whose source
+///   states do not all move alike lifts to one flow rule per successor
+///   set, so no edge is invented between them.
+#[must_use]
+pub fn lift_cache(table: &CacheTable) -> (Vec<FlowState>, Vec<FlowRule>) {
+    let mut states: Vec<FlowState> = Vec::new();
+    for spec in &table.events {
+        for s in spec.domain.iter() {
+            let (name, awaits) = cache_state_name(s);
+            if !states.iter().any(|known| known.name == name) {
+                states.push(FlowState {
+                    role: FlowRole::Cache,
+                    name: name.to_string(),
+                    awaits,
+                    defers: false,
+                });
+            }
+        }
+    }
+    let mut rules = Vec::new();
+    for rule in &table.rules {
+        let emits: Vec<FlowEmit> = rule
+            .actions
+            .iter()
+            .filter_map(|action| match *action {
+                CacheAction::Emit(emit) => Some(FlowEmit::new(
+                    match emit {
+                        Emit::ReadReq => MsgClass::ReadReq,
+                        Emit::WriteReq => MsgClass::WriteReq,
+                        Emit::UpgradeReq => MsgClass::UpgradeReq,
+                        Emit::StoreThrough => MsgClass::StoreThrough,
+                        Emit::DirectReadReq => MsgClass::DirectReadReq,
+                        Emit::Put => MsgClass::Put,
+                        Emit::EjectClean => MsgClass::EjectClean,
+                        Emit::EjectDirty => MsgClass::EjectDirty,
+                    },
+                    DestHint::Home,
+                )),
+                CacheAction::Retire { .. } => {
+                    Some(FlowEmit::new(MsgClass::ClientResp, DestHint::Issuer))
+                }
+                _ => None,
+            })
+            .collect();
+        // Source states by where the rule takes them (empty: nowhere).
+        let mut moves: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+        for from in rule.when.iter() {
+            let tos = moves.entry(cache_state_name(from).0).or_default();
+            let to = cache_state_name(successor(rule, from)).0;
+            if !tos.contains(&to) {
+                tos.push(to);
+            }
+        }
+        let mut by_successors: Vec<(Vec<&str>, Vec<&str>)> = Vec::new();
+        for (from, mut tos) in moves {
+            if tos == [from] {
+                tos.clear();
+            }
+            match by_successors.iter_mut().find(|(next, _)| *next == tos) {
+                Some((_, when)) => when.push(from),
+                None => by_successors.push((tos, vec![from])),
+            }
+        }
+        for (next, when) in by_successors {
+            let mut lifted = FlowRule::new(
+                format!("cache/{}", rule.name),
+                rule.provenance(),
+                FlowRole::Cache,
+                cache_event_trigger(rule.event),
+                &when,
+            )
+            .to(&next);
+            lifted.emits.clone_from(&emits);
+            rules.push(lifted);
+        }
     }
     (states, rules)
 }

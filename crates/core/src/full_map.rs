@@ -177,8 +177,8 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(1);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
-        d.open(cid(2), a, OpenKind::ReadMiss, &mem);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open(cid(2), a, OpenKind::ReadMiss, &mem).unwrap();
         let holders = d.holders(a).unwrap();
         assert!(holders.contains(cid(0)) && holders.contains(cid(2)));
         assert_eq!(d.global_state(a), GlobalState::PresentStar);
@@ -189,11 +189,11 @@ mod tests {
         let mut d = full_map(8);
         let mem = MemoryImage::new();
         let a = blk(2);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem);
-        d.open(cid(5), a, OpenKind::ReadMiss, &mem);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open(cid(5), a, OpenKind::ReadMiss, &mem).unwrap();
 
-        let s = d.open(cid(7), a, OpenKind::WriteMiss, &mem);
+        let s = d.open(cid(7), a, OpenKind::WriteMiss, &mem).unwrap();
         assert!(s.completes);
         let mut invs = unicast_invs(&s);
         invs.sort();
@@ -211,8 +211,8 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(3);
-        d.open(cid(1), a, OpenKind::WriteMiss, &mem);
-        let s = d.open(cid(2), a, OpenKind::ReadMiss, &mem);
+        d.open(cid(1), a, OpenKind::WriteMiss, &mem).unwrap();
+        let s = d.open(cid(2), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(!s.completes);
         assert_eq!(
             s.sends.len(),
@@ -230,7 +230,7 @@ mod tests {
             }
             other => panic!("expected PURGE, got {other:?}"),
         }
-        let s = d.supply(a, cid(1), Version::new(4), true, &mem);
+        let s = d.supply(a, cid(1), Version::new(4), true, &mem).unwrap();
         assert!(s.completes);
         let holders = d.holders(a).unwrap();
         assert!(holders.contains(cid(1)) && holders.contains(cid(2)));
@@ -242,9 +242,9 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(4);
-        d.open(cid(1), a, OpenKind::WriteMiss, &mem);
-        d.open(cid(2), a, OpenKind::WriteMiss, &mem);
-        let s = d.supply(a, cid(1), Version::new(6), false, &mem);
+        d.open(cid(1), a, OpenKind::WriteMiss, &mem).unwrap();
+        d.open(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
+        let s = d.supply(a, cid(1), Version::new(6), false, &mem).unwrap();
         assert_eq!(s.write_memory, Some((a, Version::new(6))));
         assert_eq!(d.holders(a).unwrap().sole_member(), Some(cid(2)));
         assert_eq!(d.global_state(a), GlobalState::PresentM);
@@ -255,9 +255,11 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(5);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem);
-        let s = d.open(cid(0), a, OpenKind::Modify(mem.read(a)), &mem);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        let s = d
+            .open(cid(0), a, OpenKind::Modify(mem.read(a)), &mem)
+            .unwrap();
         assert_eq!(unicast_invs(&s), vec![cid(1)]);
         assert_eq!(d.global_state(a), GlobalState::PresentM);
     }
@@ -267,8 +269,10 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(6);
-        d.open(cid(3), a, OpenKind::ReadMiss, &mem);
-        let s = d.open(cid(3), a, OpenKind::Modify(mem.read(a)), &mem);
+        d.open(cid(3), a, OpenKind::ReadMiss, &mem).unwrap();
+        let s = d
+            .open(cid(3), a, OpenKind::Modify(mem.read(a)), &mem)
+            .unwrap();
         assert_eq!(s.sends.len(), 1, "just the MGRANTED");
     }
 
@@ -278,7 +282,9 @@ mod tests {
         let mem = MemoryImage::new();
         let a = blk(7);
         // C1 never fetched the block: its MREQUEST is stale by definition.
-        let s = d.open(cid(1), a, OpenKind::Modify(mem.read(a)), &mem);
+        let s = d
+            .open(cid(1), a, OpenKind::Modify(mem.read(a)), &mem)
+            .unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
                 cmd: MemoryToCache::MGranted { granted, .. },
@@ -295,12 +301,12 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(8);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem);
-        d.eject_clean(cid(0), a);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.eject_clean(cid(0), a).unwrap();
         assert_eq!(d.holders(a).unwrap().sole_member(), Some(cid(1)));
         assert_eq!(d.global_state(a), GlobalState::Present1);
-        d.eject_clean(cid(1), a);
+        d.eject_clean(cid(1), a).unwrap();
         assert_eq!(d.global_state(a), GlobalState::Absent);
     }
 
@@ -309,8 +315,8 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(9);
-        d.open(cid(2), a, OpenKind::WriteMiss, &mem);
-        let s = d.eject_dirty(cid(2), a, Version::new(11));
+        d.open(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
+        let s = d.eject_dirty(cid(2), a, Version::new(11)).unwrap();
         assert_eq!(s.write_memory, Some((a, Version::new(11))));
         assert_eq!(d.global_state(a), GlobalState::Absent);
     }
@@ -320,8 +326,8 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(10);
-        d.open(cid(0), a, OpenKind::WriteMiss, &mem);
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem); // purge to C0 pending
+        d.open(cid(0), a, OpenKind::WriteMiss, &mem).unwrap();
+        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap(); // purge to C0 pending
         assert!(d.eject_satisfies_wait(a, cid(0), WritebackKind::Dirty));
         assert!(!d.eject_satisfies_wait(a, cid(2), WritebackKind::Dirty));
         assert!(!d.eject_satisfies_wait(a, cid(0), WritebackKind::Clean));
@@ -332,7 +338,7 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(11);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
         let clean = OwnerSet::singleton(4, cid(0));
         let none = OwnerSet::new(4);
         assert!(d.check_consistency(a, &clean, &none).is_ok());

@@ -90,7 +90,7 @@ mod tests {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
         let a = blk(1);
-        let s = d.open(cid(0), a, OpenKind::ReadMiss, &mem);
+        let s = d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
                 cmd: MemoryToCache::GetData { exclusive, .. },
@@ -112,8 +112,8 @@ mod tests {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
         let a = blk(2);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
-        let s = d.open(cid(1), a, OpenKind::ReadMiss, &mem);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        let s = d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(
             !s.completes,
             "must recall the exclusive holder — it may be dirty"
@@ -129,7 +129,7 @@ mod tests {
             }
             other => panic!("expected PURGE, got {other:?}"),
         }
-        let s = d.supply(a, cid(0), Version::new(3), true, &mem);
+        let s = d.supply(a, cid(0), Version::new(3), true, &mem).unwrap();
         assert!(s.completes);
         let holders = d.holders(a).unwrap();
         assert!(holders.contains(cid(0)) && holders.contains(cid(1)));
@@ -141,10 +141,12 @@ mod tests {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
         let a = blk(3);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem);
-        d.supply(a, cid(0), Version::initial(), true, &mem);
-        let s = d.open(cid(1), a, OpenKind::Modify(mem.read(a)), &mem);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.supply(a, cid(0), Version::initial(), true, &mem).unwrap();
+        let s = d
+            .open(cid(1), a, OpenKind::Modify(mem.read(a)), &mem)
+            .unwrap();
         let invs: Vec<CacheId> = s
             .sends
             .iter()
@@ -165,8 +167,8 @@ mod tests {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
         let a = blk(4);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
-        d.eject_clean(cid(0), a);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.eject_clean(cid(0), a).unwrap();
         assert_eq!(d.global_state(a), GlobalState::Absent);
     }
 
@@ -175,12 +177,12 @@ mod tests {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
         let a = blk(5);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem); // exclusive at C0
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem); // recall in flight
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap(); // exclusive at C0
+        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap(); // recall in flight
         assert!(d.eject_satisfies_wait(a, cid(0), WritebackKind::Clean));
         assert!(!d.eject_satisfies_wait(a, cid(1), WritebackKind::Clean));
         // The racing clean eject supplies memory's (current) data.
-        let s = d.supply(a, cid(0), mem.read(a), false, &mem);
+        let s = d.supply(a, cid(0), mem.read(a), false, &mem).unwrap();
         assert!(s.completes);
         assert_eq!(d.global_state(a), GlobalState::Present1);
     }
@@ -190,8 +192,8 @@ mod tests {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
         let a = blk(6);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
-        let s = d.open(cid(1), a, OpenKind::WriteMiss, &mem);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        let s = d.open(cid(1), a, OpenKind::WriteMiss, &mem).unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
                 cmd: MemoryToCache::Purge { rw, .. },
@@ -201,7 +203,7 @@ mod tests {
             }
             other => panic!("expected PURGE(write), got {other:?}"),
         }
-        let s = d.supply(a, cid(0), Version::new(7), false, &mem);
+        let s = d.supply(a, cid(0), Version::new(7), false, &mem).unwrap();
         assert_eq!(s.write_memory, Some((a, Version::new(7))));
         assert_eq!(d.holders(a).unwrap().sole_member(), Some(cid(1)));
     }
@@ -210,7 +212,9 @@ mod tests {
     fn stale_modify_denied() {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
-        let s = d.open(cid(2), blk(7), OpenKind::Modify(mem.read(blk(7))), &mem);
+        let s = d
+            .open(cid(2), blk(7), OpenKind::Modify(mem.read(blk(7))), &mem)
+            .unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
                 cmd: MemoryToCache::MGranted { granted, .. },
@@ -227,7 +231,7 @@ mod tests {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
         let a = blk(8);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem); // exclusive-or-modified at C0
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap(); // exclusive-or-modified at C0
         let none = OwnerSet::new(4);
         let c0 = OwnerSet::singleton(4, cid(0));
         // Clean at C0: fine. Dirty at C0 (silent upgrade): also fine.

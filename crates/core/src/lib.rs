@@ -53,6 +53,7 @@
 
 mod agent;
 mod blockmap;
+pub mod cache_table;
 mod classical;
 mod controller;
 mod directory;
@@ -73,10 +74,12 @@ mod two_bit;
 
 pub use agent::{AgentPolicy, CacheAgent, Completion, NetOutcome, StartOutcome};
 pub use blockmap::{BlockMap, BlockSet};
+pub use cache_table::{shipped_cache_tables, CacheTable};
 pub use controller::{Controller, CtrlEmit};
 pub use directory::{DirSend, DirStep, Directory, OpenKind, SendCost};
 pub use exec::{
-    build_policy_for, build_protocol_for, FunctionalSystem, Oracle, DEFAULT_STATIC_SHARED_FROM,
+    build_policy_for, build_protocol_for, cache_table_for, Fired, FunctionalSystem, Oracle,
+    DEFAULT_STATIC_SHARED_FROM,
 };
 pub use local::LocalState;
 pub use memory::MemoryImage;

@@ -68,9 +68,19 @@ pub type RaceScenario = (&'static str, SystemConfig, Vec<Vec<MemRef>>);
 /// The canonical race scripts, one list for every consumer
 /// (`verify_protocols`, the CI model-check gate, the `cargo test` smoke):
 /// the section 3.2.5 write race, the replacement/recall race (a
-/// two-set direct-mapped cache forces the conflict miss) and the upgrade
-/// with a third reader, each under the five coherent schemes, script by
-/// script; then their counterparts for the static software scheme.
+/// two-set direct-mapped cache forces the conflict miss), the upgrade
+/// with a third reader, and an upgrade gone stale while a third cache
+/// re-shares the block, each under the five coherent schemes, script by
+/// script; a clean replacement racing a write and a third reader (the
+/// eject notice lands on a block that has since been written, or written
+/// back and read again) under the schemes that survive it; then the
+/// first three's counterparts for the static software scheme.
+///
+/// The last race is *not* run under the two-bit schemes because they
+/// fail it: a clean-eject notice delayed past a write, a write-back and
+/// another cache's read takes `Present1` to `Absent` under a live copy
+/// (`eject-clean-present1` cannot tell whose notice it is). ROADMAP
+/// item 9 has the counterexample; `tests/model_checking.rs` pins it.
 ///
 /// The static scheme is special: hardware maintains no coherence for
 /// private blocks (races on them are a *software* contract violation,
@@ -123,6 +133,18 @@ pub fn race_scenarios() -> Vec<RaceScenario> {
         vec![vec![rd(1), wr(1)], vec![wr(1)], vec![rd(1)]],
     );
     add(
+        "stale upgrade on a re-shared block (rd,wr / wr / rd,rd)",
+        &coherent,
+        None,
+        vec![vec![rd(1), wr(1)], vec![wr(1)], vec![rd(1), rd(1)]],
+    );
+    add(
+        "clean replacement / write race (rd,conflict-rd / wr,conflict-rd / rd)",
+        &coherent[2..],
+        conflict,
+        delayed_clean_eject_script(),
+    );
+    add(
         "public-block write race (rd,wr / rd,wr)",
         &static_sw,
         None,
@@ -145,6 +167,17 @@ pub fn race_scenarios() -> Vec<RaceScenario> {
         ],
     );
     scenarios
+}
+
+/// The clean replacement / write / third reader race of
+/// [`race_scenarios`] (for a two-set direct-mapped cache): cache 0's
+/// clean-eject notice for block 1 can be overtaken by cache 1's write
+/// and write-back of it and by cache 2's read.
+#[must_use]
+pub fn delayed_clean_eject_script() -> Vec<Vec<MemRef>> {
+    let rd = |b: u64| MemRef::read(WordAddr::new(b, 0));
+    let wr = |b: u64| MemRef::write(WordAddr::new(b, 0));
+    vec![vec![rd(1), rd(9)], vec![wr(1), rd(9)], vec![rd(1)]]
 }
 
 /// A channel endpoint (encoded for deterministic `BTreeMap` ordering).
@@ -247,6 +280,8 @@ pub struct Exploration {
     /// the full recorded DAG, so `interleavings` and
     /// `stale_reads_observed` stay exact regardless.
     pub depth_conflicts: u64,
+    /// Dedup search: the table rules fired on any explored step.
+    pub fired: crate::Fired,
 }
 
 /// The coarse class of one in-flight message, exposed to guided-search
@@ -313,6 +348,8 @@ struct ChunkOut {
     /// First violation in chunk order: (state fp, failing action if a
     /// step failed — `None` for a quiescent-leaf violation, error).
     violation: Option<(Fingerprint, Option<Action>, ProtocolError)>,
+    /// Table rules fired by the steps expanded here.
+    fired: crate::Fired,
 }
 
 /// Runs `f` over every input in parallel across up to `threads` scoped
@@ -936,6 +973,7 @@ impl ModelChecker {
                 std::collections::HashSet::new();
             for out in outs {
                 result.states_visited += out.expanded;
+                result.fired.merge(out.fired);
                 for (fp, stale) in out.leaves {
                     leaf_stale.insert(fp, stale);
                 }
@@ -1018,6 +1056,10 @@ impl ModelChecker {
                 };
                 match self.step(branch, action) {
                     Ok(succ) => {
+                        // A state carries what fired on its path, so every
+                        // successor's record covers the step just taken.
+                        out.fired
+                            .merge(crate::Fired::of(&succ.agents, &succ.controllers));
                         let sfp = self.fingerprint(&succ);
                         out.successors.push((sfp, fp, action, succ));
                     }

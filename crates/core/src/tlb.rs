@@ -328,11 +328,11 @@ mod tests {
         let mem = MemoryImage::new();
         let a = blk(1);
         // C0 reads from Absent: exact entry {C0} created.
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
         // C1 joins: entry extends to {C0, C1}.
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem);
+        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         // C2 write-misses: both copies invalidated *by name*.
-        let s = d.open(cid(2), a, OpenKind::WriteMiss, &mem);
+        let s = d.open(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
         assert!(!has_broadcast(&s), "buffer hit replaces the broadcast");
         let mut targets = unicast_targets(&s);
         targets.sort();
@@ -348,10 +348,10 @@ mod tests {
         // Fill the 1-entry buffer with block 1, then touch block 2 so
         // block 2's writers find no entry... block 2's first read (Absent)
         // records it, evicting block 1.
-        d.open(cid(0), blk(1), OpenKind::ReadMiss, &mem);
-        d.open(cid(0), blk(2), OpenKind::ReadMiss, &mem);
+        d.open(cid(0), blk(1), OpenKind::ReadMiss, &mem).unwrap();
+        d.open(cid(0), blk(2), OpenKind::ReadMiss, &mem).unwrap();
         // Writing block 1 (Present1, entry evicted): broadcast.
-        let s = d.open(cid(1), blk(1), OpenKind::WriteMiss, &mem);
+        let s = d.open(cid(1), blk(1), OpenKind::WriteMiss, &mem).unwrap();
         assert!(has_broadcast(&s));
         assert_eq!(tlb_misses(&d), 1);
     }
@@ -361,8 +361,8 @@ mod tests {
         let mut d = two_bit_tlb(8, 4);
         let mem = MemoryImage::new();
         let a = blk(3);
-        d.open(cid(0), a, OpenKind::WriteMiss, &mem); // entry {C0}, PresentM
-        let s = d.open(cid(1), a, OpenKind::ReadMiss, &mem);
+        d.open(cid(0), a, OpenKind::WriteMiss, &mem).unwrap(); // entry {C0}, PresentM
+        let s = d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(!has_broadcast(&s));
         assert_eq!(
             unicast_targets(&s),
@@ -370,8 +370,8 @@ mod tests {
             "purge goes straight to the owner"
         );
         // Resolution re-records exact owners {C0, C1}.
-        d.supply(a, cid(0), Version::new(2), true, &mem);
-        let s = d.open(cid(2), a, OpenKind::WriteMiss, &mem);
+        d.supply(a, cid(0), Version::new(2), true, &mem).unwrap();
+        let s = d.open(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
         let mut targets = unicast_targets(&s);
         targets.sort();
         assert_eq!(targets, vec![cid(0), cid(1)]);
@@ -382,9 +382,10 @@ mod tests {
         let mut d = two_bit_tlb(8, 4);
         let mem = MemoryImage::new();
         let a = blk(4);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
-        d.open(cid(0), a, OpenKind::Modify(mem.read(a)), &mem); // Present1 → PresentM, entry {C0}
-        let s = d.open(cid(1), a, OpenKind::ReadMiss, &mem);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open(cid(0), a, OpenKind::Modify(mem.read(a)), &mem)
+            .unwrap(); // Present1 → PresentM, entry {C0}
+        let s = d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         assert_eq!(unicast_targets(&s), vec![cid(0)]);
         assert_eq!(tlb_hits(&d), 1);
     }
@@ -394,10 +395,10 @@ mod tests {
         let mut d = two_bit_tlb(8, 4);
         let mem = MemoryImage::new();
         let a = blk(5);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem); // entry {C0, C1}
-        d.eject_clean(cid(0), a);
-        let s = d.open(cid(2), a, OpenKind::WriteMiss, &mem);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap(); // entry {C0, C1}
+        d.eject_clean(cid(0), a).unwrap();
+        let s = d.open(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
         assert_eq!(
             unicast_targets(&s),
             vec![cid(1)],
@@ -412,13 +413,16 @@ mod tests {
         let mut d = two_bit_tlb(1024, 8);
         let mem = MemoryImage::new();
         for b in 0..16u64 {
-            d.open(cid((b % 8) as usize), blk(b), OpenKind::ReadMiss, &mem);
-            let s = d.open(
-                cid(((b + 1) % 8) as usize),
-                blk(b),
-                OpenKind::WriteMiss,
-                &mem,
-            );
+            d.open(cid((b % 8) as usize), blk(b), OpenKind::ReadMiss, &mem)
+                .unwrap();
+            let s = d
+                .open(
+                    cid(((b + 1) % 8) as usize),
+                    blk(b),
+                    OpenKind::WriteMiss,
+                    &mem,
+                )
+                .unwrap();
             assert!(!has_broadcast(&s), "block {b} should be tracked");
         }
         assert_eq!(tlb_misses(&d), 0);
@@ -430,9 +434,9 @@ mod tests {
         let mut d = two_bit_tlb(4, 4);
         let mem = MemoryImage::new();
         let a = blk(6);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
         assert_eq!(d.global_state(a), GlobalState::Present1);
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem);
+        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         assert_eq!(d.global_state(a), GlobalState::PresentStar);
     }
 }

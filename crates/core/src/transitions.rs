@@ -1,29 +1,101 @@
-//! Declarative guarded-action transition tables for the directory
-//! protocols, and the compile step that makes them executable.
+//! Declarative guarded-action transition tables for both controllers of
+//! the paper's protocols — the memory module's directory (`K_j`) and the
+//! cache's controller (`C_k`) — and the compile step that makes a table
+//! executable.
 //!
-//! Every scheme in this crate *is* its [`TransitionTable`]: guarded
-//! rules, each naming the triggering [`EventKind`], the global states it
-//! fires from, the boolean [`Cond`]itions it requires, the abstract
-//! [`ActionKind`]s it performs, and the successor-state set.
-//! [`Program::compile`] turns a table into a dense `(event, state,
-//! condition bits) → rule` array, refusing a table with a gap or an
-//! overlap, and the one [`Directory`](crate::Directory) interprets the
-//! chosen rule's actions. The simulator, the model checker, the
-//! distributed memory nodes and the `twobit-lint` analyses
-//! (exhaustiveness, determinism, dead rules, invariant preservation,
-//! broadcast necessity, whole-system message flow) therefore all read
-//! one statement of each protocol.
+//! A [`Table`] is written in a [`Vocabulary`]: an alphabet of events,
+//! states, boolean conditions and actions. Its [`Rule`]s each name the
+//! triggering event, the states they fire from, the condition literals
+//! they require and the actions they perform. [`Dispatch::compile`] turns
+//! a table into a dense `(event, state, condition bits) → rule` array,
+//! refusing one with a gap or an overlap — the same
+//! [`Table::coverage`] enumeration the linter's exhaustiveness,
+//! determinism and dead-rule analyses read — and an interpreter runs the
+//! chosen rule's actions.
 //!
-//! The abstraction is deliberately coarse where the paper's schemes
-//! differ mechanically: an [`ActionKind::Invalidate`] stands for a
-//! `BROADINV` broadcast (two-bit), a set of targeted `INV`s (full-map),
+//! Two vocabularies ship. [`Memory`] (this module: [`EventKind`],
+//! [`GlobalState`], [`Cond`], [`ActionKind`]) is what the six
+//! [`TransitionTable`]s of the directory schemes are written in; the one
+//! [`Directory`](crate::Directory) interprets their [`Program`]s.
+//! [`CacheSide`](crate::cache_table::CacheSide) is what the cache
+//! disciplines are written in; the one [`CacheAgent`](crate::CacheAgent)
+//! interprets those. The simulator, the model checker, the distributed
+//! nodes and the `twobit-lint` analyses (exhaustiveness, determinism,
+//! dead rules; for the directory also invariant preservation and
+//! broadcast necessity; whole-system message flow over both halves)
+//! therefore all read one statement of each half of each protocol.
+//!
+//! The memory vocabulary is deliberately coarse where the paper's
+//! schemes differ mechanically: an [`ActionKind::Invalidate`] stands for
+//! a `BROADINV` broadcast (two-bit), a set of targeted `INV`s (full-map),
 //! or either (the translation-buffer scheme) — the [`Delivery`] field
 //! records which shapes a scheme admits, which is what the
 //! broadcast-necessity analysis inspects and what decides how much the
 //! directory must know about holder identities.
 
 use std::fmt;
+use std::hash::Hash;
+use std::marker::PhantomData;
 use twobit_types::GlobalState;
+
+/// One letter of a finite alphabet: an event, a state or a condition.
+pub trait Symbol: Copy + Eq + Hash + fmt::Debug + fmt::Display + 'static {
+    /// Every letter, in [`index`](Symbol::index) order.
+    const ALL: &'static [Self];
+    /// The letter's position in [`ALL`](Symbol::ALL).
+    fn index(self) -> usize;
+}
+
+/// Implements [`Symbol`] and `Display` for a fieldless enum declared in
+/// index order.
+macro_rules! symbols {
+    ($ty:ident { $($variant:ident => $text:literal),+ $(,)? }) => {
+        impl $crate::transitions::Symbol for $ty {
+            const ALL: &'static [Self] = &[$($ty::$variant),+];
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+        impl std::fmt::Display for $ty {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(match self {
+                    $($ty::$variant => $text),+
+                })
+            }
+        }
+    };
+}
+pub(crate) use symbols;
+
+/// The alphabets one controller's tables are written in.
+pub trait Vocabulary: Copy + Eq + fmt::Debug + 'static {
+    /// What the controller reacts to.
+    type Event: Symbol;
+    /// The per-block states a rule fires from.
+    type State: Symbol;
+    /// Boolean guard variables decided per arrival, not per state.
+    type Cond: Symbol;
+    /// What a rule does.
+    type Action: Copy + PartialEq + fmt::Debug;
+}
+
+/// The memory-module vocabulary: the directory's tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Memory;
+
+impl Vocabulary for Memory {
+    type Event = EventKind;
+    type State = GlobalState;
+    type Cond = Cond;
+    type Action = ActionKind;
+}
+
+impl Symbol for GlobalState {
+    const ALL: &'static [Self] = &GlobalState::ALL;
+    fn index(self) -> usize {
+        usize::from(self.bits())
+    }
+}
 
 /// The events a directory reacts to: the entry points of
 /// [`Directory`](crate::Directory), with `open`'s
@@ -48,20 +120,16 @@ pub enum EventKind {
     EjectDirty,
 }
 
-impl fmt::Display for EventKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            EventKind::ReadMiss => "read-miss",
-            EventKind::WriteMiss => "write-miss",
-            EventKind::Modify => "modify",
-            EventKind::WriteThrough => "write-through",
-            EventKind::DirectRead => "direct-read",
-            EventKind::Supply => "supply",
-            EventKind::EjectClean => "eject-clean",
-            EventKind::EjectDirty => "eject-dirty",
-        })
-    }
-}
+symbols!(EventKind {
+    ReadMiss => "read-miss",
+    WriteMiss => "write-miss",
+    Modify => "modify",
+    WriteThrough => "write-through",
+    DirectRead => "direct-read",
+    Supply => "supply",
+    EjectClean => "eject-clean",
+    EjectDirty => "eject-dirty",
+});
 
 /// A boolean guard variable whose value is decided per call, not per
 /// state. Each scheme gives the variable its own concrete reading; the
@@ -81,66 +149,67 @@ pub enum Cond {
     Retains,
 }
 
-impl fmt::Display for Cond {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Cond::Fresh => "fresh",
-            Cond::WaitWrite => "wait-write",
-            Cond::Retains => "retains",
-        })
-    }
-}
+symbols!(Cond {
+    Fresh => "fresh",
+    WaitWrite => "wait-write",
+    Retains => "retains",
+});
 
-const fn mask(s: GlobalState) -> u8 {
-    match s {
-        GlobalState::Absent => 1 << 0,
-        GlobalState::Present1 => 1 << 1,
-        GlobalState::PresentStar => 1 << 2,
-        GlobalState::PresentM => 1 << 3,
-    }
-}
-
-/// A set of [`GlobalState`]s, as a 4-bit mask.
+/// A set of states of one alphabet, as a bit mask (bit `i` is the state
+/// of [`index`](Symbol::index) `i`; sixteen states at most).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StateSet(u8);
+pub struct Set<S>(u16, PhantomData<S>);
 
-impl StateSet {
-    /// The empty set.
-    pub const EMPTY: StateSet = StateSet(0);
-    /// All four global states.
-    pub const ALL: StateSet = StateSet(0b1111);
+/// A set of [`GlobalState`]s.
+pub type StateSet = Set<GlobalState>;
+
+impl Set<GlobalState> {
     /// The clean shared states `{Present1, Present*}`.
-    pub const SHARED: StateSet =
-        StateSet(mask(GlobalState::Present1) | mask(GlobalState::PresentStar));
+    pub const SHARED: StateSet = Set(0b0110, PhantomData);
+}
+
+impl<S: Symbol> Set<S> {
+    /// The empty set.
+    pub const EMPTY: Self = Set(0, PhantomData);
+    /// Every state of the alphabet.
+    pub const ALL: Self = Set(((1u32 << S::ALL.len()) - 1) as u16, PhantomData);
 
     /// The singleton set `{s}`.
     #[must_use]
-    pub const fn only(s: GlobalState) -> StateSet {
-        StateSet(mask(s))
+    pub fn only(s: S) -> Self {
+        Set(1 << s.index(), PhantomData)
     }
 
     /// The set of the listed states.
     #[must_use]
-    pub fn of(states: &[GlobalState]) -> StateSet {
-        StateSet(states.iter().fold(0, |acc, &s| acc | mask(s)))
+    pub fn of(states: &[S]) -> Self {
+        states
+            .iter()
+            .fold(Self::EMPTY, |acc, &s| acc.union(Self::only(s)))
     }
 
     /// Membership test.
     #[must_use]
-    pub const fn contains(self, s: GlobalState) -> bool {
-        self.0 & mask(s) != 0
+    pub fn contains(self, s: S) -> bool {
+        self.0 & (1 << s.index()) != 0
     }
 
     /// Set union.
     #[must_use]
-    pub const fn union(self, other: StateSet) -> StateSet {
-        StateSet(self.0 | other.0)
+    pub const fn union(self, other: Self) -> Self {
+        Set(self.0 | other.0, PhantomData)
     }
 
     /// Set intersection.
     #[must_use]
-    pub const fn intersect(self, other: StateSet) -> StateSet {
-        StateSet(self.0 & other.0)
+    pub const fn intersect(self, other: Self) -> Self {
+        Set(self.0 & other.0, PhantomData)
+    }
+
+    /// The members of `self` that are not in `other`.
+    #[must_use]
+    pub const fn without(self, other: Self) -> Self {
+        Set(self.0 & !other.0, PhantomData)
     }
 
     /// `true` when no state is in the set.
@@ -151,30 +220,23 @@ impl StateSet {
 
     /// The member of a one-state set.
     #[must_use]
-    pub fn sole(self) -> Option<GlobalState> {
-        // `mask` puts state `s` at bit `s.bits()`.
-        (self.0.count_ones() == 1)
-            .then(|| GlobalState::from_bits(self.0.trailing_zeros() as u8))
-            .flatten()
+    pub fn sole(self) -> Option<S> {
+        (self.0.count_ones() == 1).then(|| S::ALL[self.0.trailing_zeros() as usize])
     }
 
-    /// Iterates the member states in encoding order.
-    pub fn iter(self) -> impl Iterator<Item = GlobalState> {
-        GlobalState::ALL
-            .into_iter()
-            .filter(move |&s| self.contains(s))
+    /// Iterates the member states in index order.
+    pub fn iter(self) -> impl Iterator<Item = S> {
+        S::ALL.iter().copied().filter(move |&s| self.contains(s))
     }
 }
 
-impl fmt::Display for StateSet {
+impl<S: Symbol> fmt::Display for Set<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        let mut first = true;
-        for s in self.iter() {
-            if !first {
+        for (i, s) in self.iter().enumerate() {
+            if i > 0 {
                 write!(f, ", ")?;
             }
-            first = false;
             write!(f, "{s}")?;
         }
         write!(f, "}}")
@@ -194,7 +256,7 @@ pub enum Delivery {
     Either,
 }
 
-/// An abstract protocol action — what the interpreter turns into the
+/// An abstract directory action — what the interpreter turns into the
 /// sends and memory write of a [`DirStep`](crate::DirStep), in the
 /// vocabulary the analyses reason in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,31 +325,31 @@ impl fmt::Display for OrderGuarantee {
 
 /// The successor-state constraint of a rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Next {
-    /// The global state is unchanged by the rule.
+pub enum Next<S = GlobalState> {
+    /// The state is unchanged by the rule.
     Same,
-    /// The global state after the rule is a member of the set.
-    In(StateSet),
+    /// The state after the rule is a member of the set.
+    In(Set<S>),
 }
 
-/// Declares one event a scheme reacts to: the states it may arrive in
+/// Declares one event a table reacts to: the states it may arrive in
 /// and the condition variables its guards may test.
 #[derive(Debug, Clone)]
-pub struct EventSpec {
+pub struct EventSpec<V: Vocabulary = Memory> {
     /// The event.
-    pub kind: EventKind,
-    /// The states the event can be observed in. The directory panics on
-    /// an event arriving outside its domain: no rule says what to do.
-    pub domain: StateSet,
+    pub kind: V::Event,
+    /// The states the event can be observed in. An event arriving outside
+    /// its domain is a protocol error: no rule says what to do.
+    pub domain: Set<V::State>,
     /// The condition variables meaningful for this event; guards may
     /// only test these.
-    pub conds: Vec<Cond>,
+    pub conds: Vec<V::Cond>,
 }
 
-impl EventSpec {
+impl<V: Vocabulary> EventSpec<V> {
     /// A new event declaration.
     #[must_use]
-    pub fn new(kind: EventKind, domain: StateSet, conds: &[Cond]) -> EventSpec {
+    pub fn new(kind: V::Event, domain: Set<V::State>, conds: &[V::Cond]) -> EventSpec<V> {
         EventSpec {
             kind,
             domain,
@@ -300,7 +362,7 @@ impl EventSpec {
 /// with `requires` holding, *do* `actions` and move to a state admitted
 /// by `next`.
 #[derive(Debug, Clone)]
-pub struct Rule {
+pub struct Rule<V: Vocabulary = Memory> {
     /// Stable rule name, unique within its table.
     pub name: &'static str,
     /// Source file of the table entry (for finding provenance).
@@ -308,17 +370,19 @@ pub struct Rule {
     /// Source line of the table entry.
     pub line: u32,
     /// The triggering event.
-    pub event: EventKind,
+    pub event: V::Event,
     /// The source states the guard admits.
-    pub when: StateSet,
+    pub when: Set<V::State>,
     /// Condition literals the guard requires, as `(variable, value)`
     /// conjuncts.
-    pub requires: Vec<(Cond, bool)>,
-    /// The abstract actions performed.
-    pub actions: Vec<ActionKind>,
-    /// The successor-state constraint.
-    pub next: Next,
-    /// `false` when the rule leaves the transaction awaiting a
+    pub requires: Vec<(V::Cond, bool)>,
+    /// The abstract actions performed, in order.
+    pub actions: Vec<V::Action>,
+    /// The successor-state constraint. Directory tables declare it;
+    /// cache tables leave it [`Next::Same`] and have it derived from the
+    /// actions ([`successor`](crate::cache_table::successor)).
+    pub next: Next<V::State>,
+    /// `false` when a directory rule leaves the transaction awaiting a
     /// [`EventKind::Supply`].
     pub completes: bool,
     /// Ordering guarantees the rule's emissions rely on: declared when
@@ -329,7 +393,7 @@ pub struct Rule {
     pub guarantees: Vec<OrderGuarantee>,
 }
 
-impl Rule {
+impl<V: Vocabulary> Rule<V> {
     /// A new rule; prefer the [`rule!`](crate::rule) macro, which fills
     /// in provenance automatically.
     #[must_use]
@@ -337,9 +401,9 @@ impl Rule {
         name: &'static str,
         file: &'static str,
         line: u32,
-        event: EventKind,
-        when: StateSet,
-    ) -> Rule {
+        event: V::Event,
+        when: Set<V::State>,
+    ) -> Rule<V> {
         Rule {
             name,
             file,
@@ -356,35 +420,42 @@ impl Rule {
 
     /// Adds a condition literal to the guard.
     #[must_use]
-    pub fn requires(mut self, cond: Cond, value: bool) -> Rule {
+    pub fn requires(mut self, cond: V::Cond, value: bool) -> Rule<V> {
         self.requires.push((cond, value));
         self
     }
 
     /// Adds an action.
     #[must_use]
-    pub fn action(mut self, action: ActionKind) -> Rule {
+    pub fn action(mut self, action: V::Action) -> Rule<V> {
         self.actions.push(action);
+        self
+    }
+
+    /// Adds actions, in order.
+    #[must_use]
+    pub fn actions(mut self, actions: &[V::Action]) -> Rule<V> {
+        self.actions.extend_from_slice(actions);
         self
     }
 
     /// Sets the successor-state set.
     #[must_use]
-    pub fn to(mut self, next: StateSet) -> Rule {
+    pub fn to(mut self, next: Set<V::State>) -> Rule<V> {
         self.next = Next::In(next);
         self
     }
 
     /// Marks the rule as leaving the transaction awaiting a supply.
     #[must_use]
-    pub fn awaits(mut self) -> Rule {
+    pub fn awaits(mut self) -> Rule<V> {
         self.completes = false;
         self
     }
 
     /// Declares an ordering guarantee the rule's emissions rely on.
     #[must_use]
-    pub fn guarded_by(mut self, guarantee: OrderGuarantee) -> Rule {
+    pub fn guarded_by(mut self, guarantee: OrderGuarantee) -> Rule<V> {
         self.guarantees.push(guarantee);
         self
     }
@@ -393,6 +464,24 @@ impl Rule {
     #[must_use]
     pub fn provenance(&self) -> String {
         format!("{}:{}", self.file, self.line)
+    }
+
+    /// Whether the guard holds at `(event, state, assignment)`. A
+    /// requirement naming a condition outside the assignment (a variable
+    /// the event does not declare) never holds.
+    #[must_use]
+    pub fn enabled_at(
+        &self,
+        event: V::Event,
+        state: V::State,
+        assignment: &[(V::Cond, bool)],
+    ) -> bool {
+        self.event == event
+            && self.when.contains(state)
+            && self
+                .requires
+                .iter()
+                .all(|literal| assignment.contains(literal))
     }
 }
 
@@ -404,40 +493,111 @@ macro_rules! rule {
     };
 }
 
-/// A protocol's complete transition relation as analyzable data.
+/// One controller's complete transition relation as analyzable data.
 #[derive(Debug, Clone)]
-pub struct TransitionTable {
-    /// The scheme's stable name, as reports and checkpoints print it.
+pub struct Table<V: Vocabulary = Memory> {
+    /// The table's stable name, as reports and checkpoints print it: the
+    /// scheme of a directory table, the discipline of a cache table.
     pub scheme: &'static str,
-    /// Whether the scheme maintains per-block global state. The
+    /// Whether a directory scheme maintains per-block global state. The
     /// stateless comparators (classical write-through, static software)
     /// report a constant state, and the state-dependent invariants do
-    /// not apply to them.
+    /// not apply to them. Cache tables always track their lines.
     pub tracks_state: bool,
     /// The declared events with their domains and condition variables.
-    pub events: Vec<EventSpec>,
+    pub events: Vec<EventSpec<V>>,
     /// The guarded-action rules.
-    pub rules: Vec<Rule>,
+    pub rules: Vec<Rule<V>>,
 }
 
-impl TransitionTable {
-    /// The declaration for `kind`, if the scheme reacts to it.
+/// A directory scheme's table — what [`Program::compile`] takes and the
+/// one [`Directory`](crate::Directory) executes.
+pub type TransitionTable = Table<Memory>;
+
+/// One point of an event's declared domain — a state plus a truth value
+/// for every condition variable the event declares — with the rules
+/// (indexes into [`Table::rules`]) enabled there. Exactly one is a
+/// well-formed table; none is a gap, more an overlap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Point<V: Vocabulary = Memory> {
+    /// The event.
+    pub event: V::Event,
+    /// The state.
+    pub state: V::State,
+    /// One literal per condition variable the event declares.
+    pub assignment: Vec<(V::Cond, bool)>,
+    /// The rules enabled at this point.
+    pub rules: Vec<usize>,
+}
+
+impl<V: Vocabulary> fmt::Display for Point<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "({}, {}", self.event, self.state)?;
+        for (cond, value) in &self.assignment {
+            write!(f, ", {cond}={value}")?;
+        }
+        write!(f, ")")
+    }
+}
+
+impl<V: Vocabulary> Table<V> {
+    /// The declaration for `kind`, if the table reacts to it.
     #[must_use]
-    pub fn spec(&self, kind: EventKind) -> Option<&EventSpec> {
+    pub fn spec(&self, kind: V::Event) -> Option<&EventSpec<V>> {
         self.events.iter().find(|e| e.kind == kind)
     }
 
     /// Looks up a rule by name.
     #[must_use]
-    pub fn rule(&self, name: &str) -> Option<&Rule> {
+    pub fn rule(&self, name: &str) -> Option<&Rule<V>> {
         self.rules.iter().find(|r| r.name == name)
     }
 
     /// Looks up a rule by name, mutably — used by tests and the seeded
     /// bug demo to break a shipped table on purpose.
-    pub fn rule_mut(&mut self, name: &str) -> Option<&mut Rule> {
+    pub fn rule_mut(&mut self, name: &str) -> Option<&mut Rule<V>> {
         self.rules.iter_mut().find(|r| r.name == name)
     }
+
+    /// Every point of every declared event's domain with the rules
+    /// enabled there — the enumeration behind [`Dispatch::compile`] and
+    /// the linter's exhaustiveness, determinism and dead-rule analyses.
+    #[must_use]
+    pub fn coverage(&self) -> Vec<Point<V>> {
+        let mut points = Vec::new();
+        for spec in &self.events {
+            for state in spec.domain.iter() {
+                // Three condition variables at most: eight assignments.
+                for bits in 0..1u8 << spec.conds.len() {
+                    let assignment: Vec<(V::Cond, bool)> = spec
+                        .conds
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &cond)| (cond, bits & (1 << i) != 0))
+                        .collect();
+                    let rules = (0..self.rules.len())
+                        .filter(|&r| self.rules[r].enabled_at(spec.kind, state, &assignment))
+                        .collect();
+                    points.push(Point {
+                        event: spec.kind,
+                        state,
+                        assignment,
+                        rules,
+                    });
+                }
+            }
+        }
+        points
+    }
+}
+
+/// `"<scheme>: the table declares no <event> in <state>"` — what both
+/// interpreters say, inside a typed
+/// [`ProtocolError::UnexpectedCommand`](twobit_types::ProtocolError), of
+/// an arrival outside a table's declared domain.
+#[must_use]
+pub fn undeclared<V: Vocabulary>(table: &Table<V>, event: V::Event, state: V::State) -> String {
+    format!("{}: the table declares no {event} in {state}", table.scheme)
 }
 
 /// The tables of all six shipped schemes, in protocol-tag order — each
@@ -461,101 +621,22 @@ pub fn shipped_tables() -> [&'static TransitionTable; 6] {
 // Compilation: the table as a dense dispatch array.
 // ---------------------------------------------------------------------
 
-/// One point of an event's declared domain — a state plus a truth value
-/// for every condition variable the event declares — with the rules
-/// (indexes into [`TransitionTable::rules`]) enabled there. Exactly one
-/// is a well-formed table; none is a gap, more an overlap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Point {
-    /// The event.
-    pub event: EventKind,
-    /// The state.
-    pub state: GlobalState,
-    /// One literal per condition variable the event declares.
-    pub assignment: Vec<(Cond, bool)>,
-    /// The rules enabled at this point.
-    pub rules: Vec<usize>,
-}
-
-impl fmt::Display for Point {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}, {}", self.event, self.state)?;
-        for (cond, value) in &self.assignment {
-            write!(f, ", {cond}={value}")?;
-        }
-        write!(f, ")")
-    }
-}
-
-impl Rule {
-    /// Whether the guard holds at `(event, state, assignment)`. A
-    /// requirement naming a condition outside the assignment (a variable
-    /// the event does not declare) never holds.
-    #[must_use]
-    pub fn enabled_at(
-        &self,
-        event: EventKind,
-        state: GlobalState,
-        assignment: &[(Cond, bool)],
-    ) -> bool {
-        self.event == event
-            && self.when.contains(state)
-            && self
-                .requires
-                .iter()
-                .all(|literal| assignment.contains(literal))
-    }
-}
-
-impl TransitionTable {
-    /// Every point of every declared event's domain with the rules
-    /// enabled there — the enumeration behind [`Program::compile`] and
-    /// the linter's exhaustiveness, determinism and dead-rule analyses.
-    #[must_use]
-    pub fn coverage(&self) -> Vec<Point> {
-        let mut points = Vec::new();
-        for spec in &self.events {
-            for state in spec.domain.iter() {
-                // Three condition variables at most: eight assignments.
-                for bits in 0..1u8 << spec.conds.len() {
-                    let assignment: Vec<(Cond, bool)> = spec
-                        .conds
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &cond)| (cond, bits & (1 << i) != 0))
-                        .collect();
-                    let rules = (0..self.rules.len())
-                        .filter(|&r| self.rules[r].enabled_at(spec.kind, state, &assignment))
-                        .collect();
-                    points.push(Point {
-                        event: spec.kind,
-                        state,
-                        assignment,
-                        rules,
-                    });
-                }
-            }
-        }
-        points
-    }
-}
-
 /// Why a table cannot be executed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CompileError {
+pub enum CompileError<V: Vocabulary = Memory> {
     /// No rule is enabled at a point of a declared domain.
     Gap {
         /// The table's scheme.
         scheme: &'static str,
         /// The uncovered point.
-        point: Point,
+        point: Point<V>,
     },
     /// Two rules are enabled at one point.
     Overlap {
         /// The table's scheme.
         scheme: &'static str,
         /// The doubly covered point.
-        point: Point,
+        point: Point<V>,
         /// The first two rules enabled there.
         rules: [&'static str; 2],
     },
@@ -570,7 +651,7 @@ pub enum CompileError {
     },
 }
 
-impl fmt::Display for CompileError {
+impl<V: Vocabulary> fmt::Display for CompileError<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CompileError::Gap { scheme, point } => {
@@ -588,74 +669,68 @@ impl fmt::Display for CompileError {
     }
 }
 
-impl std::error::Error for CompileError {}
+impl<V: Vocabulary> std::error::Error for CompileError<V> {}
 
-const fn cond_bit(cond: Cond) -> u8 {
-    match cond {
-        Cond::Fresh => 1 << 0,
-        Cond::WaitWrite => 1 << 1,
-        Cond::Retains => 1 << 2,
-    }
-}
-
-/// The bit pattern [`Program::rule`] takes: one bit per condition that
-/// holds among `literals`.
+/// The bit pattern [`Dispatch::lookup`] takes: one bit per condition
+/// that holds among `literals`.
 #[must_use]
-pub fn cond_bits(literals: &[(Cond, bool)]) -> u8 {
+pub fn cond_bits<C: Symbol>(literals: &[(C, bool)]) -> u8 {
     literals
         .iter()
         .filter(|(_, holds)| *holds)
-        .fold(0, |bits, &(cond, _)| bits | cond_bit(cond))
+        .fold(0, |bits, &(cond, _)| bits | 1 << cond.index())
 }
 
-const EVENTS: usize = 8;
-const STATES: usize = 4;
-const CONDS: usize = 8;
 const NO_RULE: u8 = u8::MAX;
+/// An interpreter records which rules have fired as one bit each of a
+/// `u64` ([`Directory::fired`](crate::Directory::fired),
+/// [`CacheAgent::fired`](crate::CacheAgent::fired)).
+const MAX_RULES: usize = 64;
 
-fn slot(event: EventKind, state: GlobalState, conds: u8) -> usize {
-    (event as usize * STATES + usize::from(state.bits())) * CONDS + usize::from(conds)
-}
-
-/// A [`TransitionTable`] compiled for execution: the table itself plus a
-/// dense `(event, state, condition bits) → rule` array and the few facts
-/// about the whole relation the [`Directory`](crate::Directory) reads.
+/// A [`Table`] compiled for execution: the table itself plus a dense
+/// `(event, state, condition bits) → rule` array.
 #[derive(Debug, Clone)]
-pub struct Program {
-    table: TransitionTable,
-    dispatch: [u8; EVENTS * STATES * CONDS],
-    initial: GlobalState,
-    delivery: Delivery,
-    clean_exclusive: bool,
-    grants_exclusive: bool,
+pub struct Dispatch<V: Vocabulary = Memory> {
+    table: Table<V>,
+    slots: Box<[u8]>,
 }
 
-impl Program {
-    /// Compiles `table`, refusing one the interpreter could not run
+impl<V: Vocabulary> Dispatch<V> {
+    fn slot(event: V::Event, state: V::State, conds: u8) -> usize {
+        let conds = usize::from(conds) & ((1 << V::Cond::ALL.len()) - 1);
+        ((event.index() * V::State::ALL.len() + state.index()) << V::Cond::ALL.len()) | conds
+    }
+
+    /// Compiles `table`, refusing one an interpreter could not run
     /// deterministically: a gap or an overlap inside a declared domain
-    /// (the linter's exhaustiveness and determinism findings), a
-    /// successor set wider than one state where holder identities are
-    /// not exact, or a state change in a scheme that tracks no state.
+    /// (the linter's exhaustiveness and determinism findings).
     ///
     /// # Errors
     ///
     /// Returns the first [`CompileError`] found, in table order.
-    pub fn compile(table: TransitionTable) -> Result<Program, CompileError> {
+    pub fn compile(table: Table<V>) -> Result<Dispatch<V>, CompileError<V>> {
         let scheme = table.scheme;
-        if let Some(rule) = table.rules.get(usize::from(NO_RULE)) {
+        if let Some(rule) = table.rules.get(MAX_RULES) {
             return Err(CompileError::Unexecutable {
                 scheme,
                 rule: rule.name,
-                why: "is beyond the 255 rules a dispatch entry can name",
+                why: "is beyond the 64 rules a coverage word can name",
             });
         }
-        let mut dispatch = [NO_RULE; EVENTS * STATES * CONDS];
+        let size = (V::Event::ALL.len() * V::State::ALL.len()) << V::Cond::ALL.len();
+        let mut slots = vec![NO_RULE; size].into_boxed_slice();
         for point in table.coverage() {
             match point.rules[..] {
                 [] => return Err(CompileError::Gap { scheme, point }),
                 [rule] => {
+                    // A condition the event does not declare does not
+                    // matter: the rule holds whatever its bit says.
+                    let declared = point.assignment.iter();
+                    let declared = declared.fold(0, |bits, &(c, _)| bits | 1u8 << c.index());
                     let conds = cond_bits(&point.assignment);
-                    dispatch[slot(point.event, point.state, conds)] = rule as u8;
+                    for free in (0..1u8 << V::Cond::ALL.len()).filter(|bits| bits & declared == 0) {
+                        slots[Self::slot(point.event, point.state, conds | free)] = rule as u8;
+                    }
                 }
                 [a, b, ..] => {
                     return Err(CompileError::Overlap {
@@ -666,6 +741,50 @@ impl Program {
                 }
             }
         }
+        Ok(Dispatch { table, slots })
+    }
+
+    /// The table this dispatch array executes.
+    #[must_use]
+    pub fn table(&self) -> &Table<V> {
+        &self.table
+    }
+
+    /// The rule (and its index in [`Table::rules`]) for `event` in
+    /// `state` under the condition bits of [`cond_bits`]; `None` outside
+    /// the event's declared domain.
+    #[must_use]
+    pub fn lookup(&self, event: V::Event, state: V::State, conds: u8) -> Option<(usize, &Rule<V>)> {
+        let r = usize::from(self.slots[Self::slot(event, state, conds)]);
+        self.table.rules.get(r).map(|rule| (r, rule))
+    }
+}
+
+/// A [`TransitionTable`] compiled for execution: its [`Dispatch`] array
+/// and the few facts about the whole relation the
+/// [`Directory`](crate::Directory) reads.
+#[derive(Debug, Clone)]
+pub struct Program {
+    code: Dispatch,
+    initial: GlobalState,
+    delivery: Delivery,
+    clean_exclusive: bool,
+    grants_exclusive: bool,
+}
+
+impl Program {
+    /// Compiles `table`, refusing one the directory could not run
+    /// deterministically: what [`Dispatch::compile`] refuses, a successor
+    /// set wider than one state where holder identities are not exact,
+    /// or a state change in a scheme that tracks no state.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`CompileError`] found, in table order.
+    pub fn compile(table: TransitionTable) -> Result<Program, CompileError> {
+        let code = Dispatch::compile(table)?;
+        let table = code.table();
+        let scheme = table.scheme;
         // What the directory must know about holder identities is what
         // the strongest delivery any rule asks for needs.
         let delivery = table
@@ -705,7 +824,6 @@ impl Program {
         };
         let moves_to = |rule: &Rule, s| matches!(rule.next, Next::In(set) if set.contains(s));
         Ok(Program {
-            dispatch,
             initial,
             delivery,
             // A clean eject that can empty a `PresentM` block means the
@@ -722,22 +840,27 @@ impl Program {
                         | ActionKind::ModifyGrant { granted: true }
                 )
             }),
-            table,
+            code,
         })
     }
 
     /// The table this program executes.
     #[must_use]
     pub fn table(&self) -> &TransitionTable {
-        &self.table
+        self.code.table()
+    }
+
+    /// The compiled dispatch array.
+    #[must_use]
+    pub fn code(&self) -> &Dispatch {
+        &self.code
     }
 
     /// The rule for `event` in `state` under the condition bits of
     /// [`cond_bits`]; `None` outside the event's declared domain.
     #[must_use]
     pub fn rule(&self, event: EventKind, state: GlobalState, conds: u8) -> Option<&Rule> {
-        let r = self.dispatch[slot(event, state, conds & (CONDS as u8 - 1))];
-        self.table.rules.get(usize::from(r))
+        self.code.lookup(event, state, conds).map(|(_, rule)| rule)
     }
 
     /// The state of a block nothing has happened to: `Absent`, or the

@@ -179,7 +179,9 @@ mod tests {
     use crate::directory::{DirSend, DirStep, Directory, OpenKind, SendCost};
     use crate::memory::MemoryImage;
     use crate::owner_set::OwnerSet;
-    use twobit_types::{AccessKind, BlockAddr, CacheId, MemoryToCache, Version, WritebackKind};
+    use twobit_types::{
+        AccessKind, BlockAddr, CacheId, MemoryToCache, ProtocolError, Version, WritebackKind,
+    };
 
     fn two_bit() -> Directory {
         Directory::new(program(), 4, 0)
@@ -218,16 +220,16 @@ mod tests {
         let mem = MemoryImage::new();
         let a = blk(1);
 
-        let s = d.open(cid(0), a, OpenKind::ReadMiss, &mem);
+        let s = d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(s.completes && !has_broadcast(&s));
         assert_eq!(grants_to(&s), vec![cid(0)]);
         assert_eq!(d.global_state(a), GlobalState::Present1);
 
-        let s = d.open(cid(1), a, OpenKind::ReadMiss, &mem);
+        let s = d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(s.completes && !has_broadcast(&s));
         assert_eq!(d.global_state(a), GlobalState::PresentStar);
 
-        let s = d.open(cid(2), a, OpenKind::ReadMiss, &mem);
+        let s = d.open(cid(2), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(s.completes);
         assert_eq!(
             d.global_state(a),
@@ -241,10 +243,10 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(2);
-        d.open(cid(0), a, OpenKind::WriteMiss, &mem);
+        d.open(cid(0), a, OpenKind::WriteMiss, &mem).unwrap();
         assert_eq!(d.global_state(a), GlobalState::PresentM);
 
-        let s = d.open(cid(1), a, OpenKind::ReadMiss, &mem);
+        let s = d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(!s.completes);
         assert!(d.awaiting(a));
         match &s.sends[0] {
@@ -264,7 +266,7 @@ mod tests {
         }
 
         // Owner supplies, keeping a clean copy.
-        let s = d.supply(a, cid(0), Version::new(5), true, &mem);
+        let s = d.supply(a, cid(0), Version::new(5), true, &mem).unwrap();
         assert!(s.completes);
         assert_eq!(
             s.write_memory,
@@ -285,11 +287,11 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(3);
-        d.open(cid(0), a, OpenKind::WriteMiss, &mem);
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem);
+        d.open(cid(0), a, OpenKind::WriteMiss, &mem).unwrap();
+        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(d.eject_satisfies_wait(a, cid(0), WritebackKind::Dirty));
         assert!(!d.eject_satisfies_wait(a, cid(0), WritebackKind::Clean));
-        let s = d.supply(a, cid(0), Version::new(9), false, &mem);
+        let s = d.supply(a, cid(0), Version::new(9), false, &mem).unwrap();
         assert!(s.completes);
         assert_eq!(
             d.global_state(a),
@@ -303,10 +305,10 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(4);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem); // Present*
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap(); // Present*
 
-        let s = d.open(cid(2), a, OpenKind::WriteMiss, &mem);
+        let s = d.open(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
         assert!(s.completes, "invalidation needs no response");
         match &s.sends[0] {
             DirSend::Broadcast {
@@ -329,8 +331,8 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(5);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem); // Present1
-        let s = d.open(cid(1), a, OpenKind::WriteMiss, &mem);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap(); // Present1
+        let s = d.open(cid(1), a, OpenKind::WriteMiss, &mem).unwrap();
         assert!(has_broadcast(&s));
         assert_eq!(d.global_state(a), GlobalState::PresentM);
     }
@@ -340,8 +342,8 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(6);
-        d.open(cid(0), a, OpenKind::WriteMiss, &mem);
-        let s = d.open(cid(1), a, OpenKind::WriteMiss, &mem);
+        d.open(cid(0), a, OpenKind::WriteMiss, &mem).unwrap();
+        let s = d.open(cid(1), a, OpenKind::WriteMiss, &mem).unwrap();
         assert!(!s.completes);
         match &s.sends[0] {
             DirSend::Broadcast {
@@ -352,7 +354,7 @@ mod tests {
             }
             other => panic!("expected BROADQUERY(write), got {other:?}"),
         }
-        let s = d.supply(a, cid(0), Version::new(2), false, &mem);
+        let s = d.supply(a, cid(0), Version::new(2), false, &mem).unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
                 cmd:
@@ -377,8 +379,10 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(7);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
-        let s = d.open(cid(0), a, OpenKind::Modify(mem.read(a)), &mem);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        let s = d
+            .open(cid(0), a, OpenKind::Modify(mem.read(a)), &mem)
+            .unwrap();
         assert!(!has_broadcast(&s));
         match &s.sends[0] {
             DirSend::Unicast {
@@ -397,9 +401,11 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(8);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem); // Present*
-        let s = d.open(cid(0), a, OpenKind::Modify(mem.read(a)), &mem);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap(); // Present*
+        let s = d
+            .open(cid(0), a, OpenKind::Modify(mem.read(a)), &mem)
+            .unwrap();
         assert!(has_broadcast(&s));
         assert!(s.completes);
         assert_eq!(d.global_state(a), GlobalState::PresentM);
@@ -410,8 +416,10 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(9);
-        d.open(cid(0), a, OpenKind::WriteMiss, &mem); // PresentM at C0
-        let s = d.open(cid(1), a, OpenKind::Modify(mem.read(a)), &mem);
+        d.open(cid(0), a, OpenKind::WriteMiss, &mem).unwrap(); // PresentM at C0
+        let s = d
+            .open(cid(1), a, OpenKind::Modify(mem.read(a)), &mem)
+            .unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
                 cmd: MemoryToCache::MGranted { granted, k, .. },
@@ -434,15 +442,15 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(10);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem); // Present1
-        d.eject_clean(cid(0), a);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap(); // Present1
+        d.eject_clean(cid(0), a).unwrap();
         assert_eq!(d.global_state(a), GlobalState::Absent);
 
         // Present* never shrinks on clean ejects (identities unknown).
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem);
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem);
-        d.eject_clean(cid(0), a);
-        d.eject_clean(cid(1), a);
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.eject_clean(cid(0), a).unwrap();
+        d.eject_clean(cid(1), a).unwrap();
         assert_eq!(
             d.global_state(a),
             GlobalState::PresentStar,
@@ -455,8 +463,8 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(11);
-        d.open(cid(0), a, OpenKind::WriteMiss, &mem);
-        let s = d.eject_dirty(cid(0), a, Version::new(3));
+        d.open(cid(0), a, OpenKind::WriteMiss, &mem).unwrap();
+        let s = d.eject_dirty(cid(0), a, Version::new(3)).unwrap();
         assert_eq!(s.write_memory, Some((a, Version::new(3))));
         assert_eq!(d.global_state(a), GlobalState::Absent);
     }
@@ -466,7 +474,7 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(12);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem); // Present1
+        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap(); // Present1
         let one = OwnerSet::singleton(4, cid(0));
         let none = OwnerSet::new(4);
         assert!(d.check_consistency(a, &one, &none).is_ok());
@@ -475,16 +483,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "two-bit: the table declares no write-through")]
-    fn write_through_is_a_wiring_bug() {
+    fn write_through_is_a_typed_error() {
         let mut d = two_bit();
         let mem = MemoryImage::new();
-        d.open(
-            cid(0),
-            blk(0),
-            OpenKind::WriteThrough(Version::new(1)),
-            &mem,
+        let err = d
+            .open(
+                cid(0),
+                blk(0),
+                OpenKind::WriteThrough(Version::new(1)),
+                &mem,
+            )
+            .unwrap_err();
+        assert!(matches!(err, ProtocolError::UnexpectedCommand { .. }));
+        assert!(
+            err.to_string()
+                .contains("two-bit: the table declares no write-through in Absent"),
+            "{err}"
         );
+        assert_eq!(d.fired(), 0, "nothing ran");
     }
 
     #[test]
@@ -492,6 +508,7 @@ mod tests {
     fn unsolicited_supply_panics() {
         let mut d = two_bit();
         let mem = MemoryImage::new();
-        d.supply(blk(0), cid(0), Version::new(1), true, &mem);
+        d.supply(blk(0), cid(0), Version::new(1), true, &mem)
+            .unwrap();
     }
 }

@@ -6,7 +6,9 @@
 //! 4 caches × 2 modules with a 4-block cache — so clean and dirty
 //! ejects, recalls, upgrades, denied upgrades and translation-buffer
 //! evictions (two entries) all occur — driven through
-//! [`FunctionalSystem`] with invariants on. After every reference, each
+//! [`FunctionalSystem`] with invariants on (the stream is
+//! [`FunctionalSystem::transcript_stream`], which `verify_protocols`
+//! also counts rule coverage over). After every reference, each
 //! controller's view of every block touched so far (`global_state`,
 //! `holders`) and its `ControllerStats` are folded into a
 //! [`Fingerprinter`]. A digest that moves means the table interpreter no
@@ -14,16 +16,7 @@
 
 use std::collections::BTreeSet;
 use twobit_core::FunctionalSystem;
-use twobit_types::{
-    AddressMap, BlockAddr, CacheId, CacheOrg, ControllerStats, Fingerprinter, MemRef, ProtocolKind,
-    SystemConfig, WordAddr,
-};
-
-const REFS: usize = 4000;
-
-/// First public block under the static scheme's contract; blocks below
-/// are private to one cache.
-const SHARED_FROM: u64 = 32;
+use twobit_types::{BlockAddr, ControllerStats, Fingerprinter, ProtocolKind};
 
 fn fold_stats(fp: &mut Fingerprinter, s: &ControllerStats) {
     for c in [
@@ -45,42 +38,12 @@ fn fold_stats(fp: &mut Fingerprinter, s: &ControllerStats) {
 }
 
 fn transcript(protocol: ProtocolKind) -> String {
-    let config = SystemConfig {
-        address_map: AddressMap::interleaved(2),
-        cache: CacheOrg::new(2, 2, 4).expect("valid 4-block cache"),
-        ..SystemConfig::with_defaults(4)
-    }
-    .with_protocol(protocol);
-    let static_split = protocol == ProtocolKind::StaticSoftware;
-    let mut sys = FunctionalSystem::with_static_threshold(config, SHARED_FROM).expect("valid");
-    sys.set_check_invariants(true);
+    let (mut sys, refs) = FunctionalSystem::transcript_stream(protocol);
 
     let mut fp = Fingerprinter::new();
     let mut touched: BTreeSet<u64> = BTreeSet::new();
-    let mut x = 0x0dd0_15ea_5e5c_a1e5_u64;
-    for i in 0..REFS {
-        // splitmix64
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        let k = CacheId::new(((z >> 40) % 4) as usize);
-        let block = if static_split {
-            if z & 1 == 0 {
-                (k.index() as u64) * 8 + (z >> 8) % 8 // private to cache k
-            } else {
-                SHARED_FROM + (z >> 8) % 6 // public, never cached
-            }
-        } else {
-            (z >> 8) % 20
-        };
-        let addr = WordAddr::new(block, 0);
-        let op = if (z >> 20) % 5 < 2 {
-            MemRef::write(addr)
-        } else {
-            MemRef::read(addr)
-        };
+    for (i, (k, op)) in refs.enumerate() {
+        let block = op.addr.block.number();
         sys.do_ref(k, op)
             .unwrap_or_else(|e| panic!("{protocol}: reference {i} failed: {e}"));
         touched.insert(block);

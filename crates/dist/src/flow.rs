@@ -19,22 +19,33 @@
 //!   newer transaction has acknowledged it.
 //!
 //! This module states those mechanisms *declaratively*, as
-//! [`FlowState`]s and [`FlowRule`]s, so `twobit-lint` can assemble one
-//! graph per scheme and run the unserviced-message, wait-cycle, and
-//! reorder-sensitivity analyses over it. [`GateSpec`] parameterizes the
-//! ordering machinery: [`GateSpec::shipped`] is what the node code
-//! does; [`GateSpec::pr9_regression`] reproduces the pre-fix barrier
+//! [`FlowState`]s and [`FlowRule`]s laid over the two lifted roles, so
+//! `twobit-lint` can assemble one graph per scheme and run the
+//! unserviced-message, wait-cycle, and reorder-sensitivity analyses over
+//! it. [`GateSpec`] parameterizes the ordering machinery:
+//! [`GateSpec::shipped`] is what the node code does;
+//! [`GateSpec::pr9_regression`] reproduces the pre-fix barrier
 //! discipline (completions held but later emissions not), the seeded
 //! bug behind `lint_protocols --demo-barrier-livelock`.
 //!
-//! The cache/client rules are an abstraction of `CacheAgent` (see
-//! `crates/core/src/agent.rs`) and the node wrappers; the honesty tests
-//! at the bottom replay the key rules against the real nodes.
+//! Nothing here restates a controller. The memory role is
+//! [`lift_memory`] of the table the directory executes and the cache
+//! role is [`lift_cache`] of the table the cache agent interprets
+//! (`crates/core/src/cache_table.rs`); [`assemble`] adds only what
+//! [`node`](crate::node) adds to each — on the cache side the `InvAck`
+//! every invalidation earns, the WtAck hold and its `holding-wt` state,
+//! the two idempotency drops and the client ([`CACHE_OVERLAY_RULES`]).
+//! The honesty tests at the bottom replay those overlay rules against the
+//! real nodes.
 
 use twobit_core::flow::{
-    lift_memory, DestHint, FlowEmit, FlowRole, FlowRule, FlowState, MsgClass, GATED,
+    lift_cache, lift_memory, DestHint, FlowEmit, FlowRole, FlowRule, FlowState, MsgClass, GATED,
 };
-use twobit_core::transitions::{EventKind, OrderGuarantee, TransitionTable};
+pub use twobit_core::flow::{
+    AWAITING_GRANT, AWAITING_UPGRADE, IDLE_CLEAN, IDLE_INVALID, IDLE_OWNER,
+};
+use twobit_core::transitions::{OrderGuarantee, TransitionTable};
+use twobit_core::CacheTable;
 
 /// Which ordering guarantees the deployment's gate and links actually
 /// provide. The analyses flag every reorder-sensitive emission pair
@@ -110,18 +121,6 @@ impl GateSpec {
     }
 }
 
-/// Cache-role state: no copy of the block.
-pub const IDLE_INVALID: &str = "idle-invalid";
-/// Cache-role state: a clean (read-only) copy.
-pub const IDLE_CLEAN: &str = "idle-clean";
-/// Cache-role state: an owned copy (dirty or exclusive) — the copy a
-/// recall targets.
-pub const IDLE_OWNER: &str = "idle-owner";
-/// Cache-role blocked state: a miss request is out, the fill has not
-/// arrived.
-pub const AWAITING_GRANT: &str = "awaiting-grant";
-/// Cache-role blocked state: an `MREQUEST` is out.
-pub const AWAITING_UPGRADE: &str = "awaiting-upgrade";
 /// Cache-role blocked state: a write-through retired locally but its
 /// client response is held for the memory node's `WtAck`.
 pub const HOLDING_WT: &str = "holding-wt";
@@ -129,45 +128,15 @@ pub const HOLDING_WT: &str = "holding-wt";
 /// outstanding request (the client edge is blocking, at-least-once).
 pub const CLIENT_WAITING: &str = "waiting";
 
-/// What the scheme's memory half implies about its cache half: which
-/// states and rules exist at all. Derived from the transition table, so
-/// the cache catalog can never drift ahead of the scheme.
-#[derive(Debug, Clone, Copy)]
-struct Caps {
-    grants: bool,
-    upgrades: bool,
-    invalidates: bool,
-    recalls: bool,
-    store_through: bool,
-    direct_read: bool,
-    write_req: bool,
-    eject_clean: bool,
-    eject_dirty: bool,
-    /// An owned (dirty/exclusive) cache state exists: something can
-    /// upgrade, fill exclusively, or write back dirty.
-    owner: bool,
-}
-
-fn caps_of(table: &TransitionTable) -> Caps {
-    let has_event = |e: EventKind| table.rules.iter().any(|r| r.event == e);
-    let (_, mem_rules) = lift_memory(table);
-    let emits = |m: MsgClass| mem_rules.iter().any(|r| r.emits_class(m));
-    let upgrades = has_event(EventKind::Modify);
-    let recalls = emits(MsgClass::Recall);
-    let eject_dirty = has_event(EventKind::EjectDirty);
-    Caps {
-        grants: emits(MsgClass::Grant),
-        upgrades,
-        invalidates: emits(MsgClass::Inv),
-        recalls,
-        store_through: has_event(EventKind::WriteThrough),
-        direct_read: has_event(EventKind::DirectRead),
-        write_req: has_event(EventKind::WriteMiss),
-        eject_clean: has_event(EventKind::EjectClean),
-        eject_dirty,
-        owner: upgrades || recalls || eject_dirty,
-    }
-}
+/// The `cache/` rules [`assemble`] adds to the lifted cache role — what
+/// [`CacheNode`](crate::node::CacheNode) does around its agent. Every
+/// other `cache/` rule of the graph is a rule of the cache table.
+pub const CACHE_OVERLAY_RULES: [&str; 4] = [
+    "cache/wt-ack",
+    "cache/inv-while-holding",
+    "cache/duplicate-drop",
+    "cache/stale-drop",
+];
 
 macro_rules! here {
     () => {
@@ -175,53 +144,89 @@ macro_rules! here {
     };
 }
 
-fn emit(msg: MsgClass, hint: DestHint) -> FlowEmit {
-    FlowEmit::new(msg, hint)
-}
-
-/// The cache and client roles of one scheme's flow graph, shaped by the
-/// scheme's capabilities.
-fn cache_client(caps: Caps) -> (Vec<FlowState>, Vec<FlowRule>) {
-    use DestHint as D;
+/// The cache and client roles: the lifted cache table under the node
+/// wrapper's overlay.
+fn cache_role(table: &CacheTable) -> (Vec<FlowState>, Vec<FlowRule>) {
     use FlowRole::{Cache, Client};
     use MsgClass as M;
+    let (mut states, mut rules) = lift_cache(table);
+    let to_issuer = FlowEmit::new(M::ClientResp, DestHint::Issuer);
+    let inv_ack = FlowEmit::new(M::InvAck, DestHint::Home);
 
-    let mut states = vec![
-        FlowState::idle(Cache, IDLE_INVALID),
-        FlowState::blocked(Client, CLIENT_WAITING, M::ClientResp),
-    ];
-    if caps.grants {
-        states.push(FlowState::idle(Cache, IDLE_CLEAN));
-        states.push(FlowState::blocked(Cache, AWAITING_GRANT, M::Grant));
+    // Every invalidation delivered is acknowledged (the barrier counts
+    // on it), whatever the agent did with it — and after whatever the
+    // agent sent because of it (node.rs `CacheNode::deliver`).
+    let acks = rules.iter().any(|r| r.trigger == M::Inv);
+    for r in rules.iter_mut().filter(|r| r.trigger == M::Inv) {
+        r.emits.push(inv_ack.clone());
     }
-    if caps.owner {
-        states.push(FlowState::idle(Cache, IDLE_OWNER));
+
+    // The WtAck hold (node.rs `CacheNode`): a fire-and-forget store
+    // retires in the agent, but its client response is held until the
+    // memory node's acknowledgment says it is globally visible.
+    let mut released_into: Vec<String> = Vec::new();
+    for r in rules.iter_mut().filter(|r| r.emits_class(M::StoreThrough)) {
+        r.emits.retain(|e| e.msg != M::ClientResp);
+        let lands = if r.next.is_empty() { &r.when } else { &r.next };
+        released_into.extend(lands.iter().cloned());
+        r.next = vec![HOLDING_WT.to_string()];
     }
-    if caps.upgrades {
-        states.push(FlowState::blocked(Cache, AWAITING_UPGRADE, M::UpgradeAck));
-    }
-    if caps.store_through {
+    if !released_into.is_empty() {
+        released_into.sort();
+        released_into.dedup();
+        let released_into: Vec<&str> = released_into.iter().map(String::as_str).collect();
         states.push(FlowState::blocked(Cache, HOLDING_WT, M::WtAck));
+        rules.push(
+            FlowRule::new("cache/wt-ack", here!(), Cache, M::WtAck, &[HOLDING_WT])
+                .emit(to_issuer)
+                .to(&released_into),
+        );
+        if acks {
+            rules.push(
+                FlowRule::new(
+                    "cache/inv-while-holding",
+                    here!(),
+                    Cache,
+                    M::Inv,
+                    &[HOLDING_WT],
+                )
+                .emit(inv_ack),
+            );
+        }
     }
 
-    let copy_states: Vec<&str> = [(caps.grants, IDLE_CLEAN), (caps.owner, IDLE_OWNER)]
-        .into_iter()
-        .filter_map(|(on, s)| on.then_some(s))
-        .collect();
-    let blocked_states: Vec<&str> = [
-        (caps.grants, AWAITING_GRANT),
-        (caps.upgrades, AWAITING_UPGRADE),
-        (caps.store_through, HOLDING_WT),
-    ]
-    .into_iter()
-    .filter_map(|(on, s)| on.then_some(s))
-    .collect();
-
-    let mut rules = Vec::new();
+    // Txn-id idempotency (node.rs `CacheNode::deliver`, `ClientReq`
+    // arm): a retry of the in-flight transaction is dropped — the answer
+    // is already on its way — and so, wherever the block stands, is a
+    // late retry of one a newer transaction has acknowledged.
+    let in_states = |blocked_only: bool| -> Vec<&str> {
+        states
+            .iter()
+            .filter(|s| s.awaits.is_some() || !blocked_only)
+            .map(|s| s.name.as_str())
+            .collect()
+    };
+    let drops = [
+        FlowRule::new(
+            "cache/duplicate-drop",
+            here!(),
+            Cache,
+            M::ClientReq,
+            &in_states(true),
+        ),
+        FlowRule::new(
+            "cache/stale-drop",
+            here!(),
+            Cache,
+            M::ClientReq,
+            &in_states(false),
+        ),
+    ];
+    rules.extend(drops.into_iter().filter(|r| !r.when.is_empty()));
 
     // The client edge: one blocking client per cache; each response
-    // elicits the next request. Retries of the in-flight request are
-    // modeled by `cache/duplicate-drop` below.
+    // elicits the next request.
+    states.push(FlowState::blocked(Client, CLIENT_WAITING, M::ClientResp));
     rules.push(
         FlowRule::new(
             "client/next-request",
@@ -230,296 +235,23 @@ fn cache_client(caps: Caps) -> (Vec<FlowState>, Vec<FlowRule>) {
             M::ClientResp,
             &[CLIENT_WAITING],
         )
-        .emit(emit(M::ClientReq, D::Issuer))
+        .emit(FlowEmit::new(M::ClientReq, DestHint::Issuer))
         .to(&[CLIENT_WAITING]),
     );
-
-    // --- ClientReq: hits complete locally, misses open a transaction.
-    rules.push(
-        FlowRule::new("cache/read-hit", here!(), Cache, M::ClientReq, &copy_states)
-            .emit(emit(M::ClientResp, D::Issuer)),
-    );
-    if caps.grants {
-        rules.push(
-            FlowRule::new(
-                "cache/read-miss",
-                here!(),
-                Cache,
-                M::ClientReq,
-                &[IDLE_INVALID],
-            )
-            .emit(emit(M::ReadReq, D::Home))
-            .to(&[AWAITING_GRANT]),
-        );
-    }
-    if caps.direct_read {
-        rules.push(
-            FlowRule::new(
-                "cache/direct-read",
-                here!(),
-                Cache,
-                M::ClientReq,
-                &[IDLE_INVALID],
-            )
-            .emit(emit(M::DirectReadReq, D::Home))
-            .to(&[AWAITING_GRANT]),
-        );
-    }
-    if caps.write_req {
-        rules.push(
-            FlowRule::new(
-                "cache/write-miss",
-                here!(),
-                Cache,
-                M::ClientReq,
-                &[IDLE_INVALID],
-            )
-            .emit(emit(M::WriteReq, D::Home))
-            .to(&[AWAITING_GRANT]),
-        );
-    }
-    if caps.upgrades {
-        rules.push(
-            FlowRule::new("cache/upgrade", here!(), Cache, M::ClientReq, &[IDLE_CLEAN])
-                .emit(emit(M::UpgradeReq, D::Home))
-                .to(&[AWAITING_UPGRADE]),
-        );
-    } else if caps.write_req && caps.owner && caps.grants {
-        // The static scheme upgrades private clean lines silently.
-        rules.push(
-            FlowRule::new(
-                "cache/write-hit-silent-upgrade",
-                here!(),
-                Cache,
-                M::ClientReq,
-                &[IDLE_CLEAN],
-            )
-            .emit(emit(M::ClientResp, D::Issuer))
-            .to(&[IDLE_OWNER]),
-        );
-    }
-    if caps.store_through {
-        // Write-through stores: from a clean copy too when the scheme
-        // has no write-miss path (the classical scheme never takes
-        // ownership).
-        let st_states: Vec<&str> = if caps.write_req {
-            vec![IDLE_INVALID]
-        } else {
-            vec![IDLE_INVALID, IDLE_CLEAN]
-        };
-        rules.push(
-            FlowRule::new(
-                "cache/store-through",
-                here!(),
-                Cache,
-                M::ClientReq,
-                &st_states,
-            )
-            .emit(emit(M::StoreThrough, D::Home))
-            .to(&[HOLDING_WT]),
-        );
-    }
-    if caps.owner {
-        rules.push(
-            FlowRule::new(
-                "cache/write-hit-owner",
-                here!(),
-                Cache,
-                M::ClientReq,
-                &[IDLE_OWNER],
-            )
-            .emit(emit(M::ClientResp, D::Issuer)),
-        );
-    }
-    // Txn-id idempotency (node.rs `CacheNode::deliver`, `ClientReq`
-    // arm): a retry of the in-flight transaction is dropped — the
-    // answer is already on its way.
-    if !blocked_states.is_empty() {
-        rules.push(FlowRule::new(
-            "cache/duplicate-drop",
-            here!(),
-            Cache,
-            M::ClientReq,
-            &blocked_states,
-        ));
-    }
-    // A late retry of a transaction a newer one has acknowledged is
-    // dropped wherever the block stands: nobody waits for its answer.
-    let cache_states: Vec<&str> = states
-        .iter()
-        .filter(|s| s.role == Cache)
-        .map(|s| s.name.as_str())
-        .collect();
-    rules.push(FlowRule::new(
-        "cache/stale-drop",
-        here!(),
-        Cache,
-        M::ClientReq,
-        &cache_states,
-    ));
-
-    // --- Fills and upgrade replies.
-    if caps.grants {
-        let mut fill_next: Vec<&str> = vec![IDLE_CLEAN];
-        if caps.owner {
-            // A write miss or exclusive read fill lands owned.
-            fill_next.push(IDLE_OWNER);
-        }
-        if caps.direct_read {
-            // A direct read is consumed, never cached.
-            fill_next.push(IDLE_INVALID);
-        }
-        rules.push(
-            FlowRule::new(
-                "cache/grant-fill",
-                here!(),
-                Cache,
-                M::Grant,
-                &[AWAITING_GRANT],
-            )
-            .emit(emit(M::ClientResp, D::Issuer))
-            .to(&fill_next),
-        );
-    }
-    if caps.upgrades {
-        rules.push(
-            FlowRule::new(
-                "cache/upgrade-granted",
-                here!(),
-                Cache,
-                M::UpgradeAck,
-                &[AWAITING_UPGRADE],
-            )
-            .emit(emit(M::ClientResp, D::Issuer))
-            .to(&[IDLE_OWNER]),
-        );
-        // Denied: the copy is gone (the invalidate ordered before this
-        // reply); retry as a write miss (agent.rs `handle_mgranted`).
-        rules.push(
-            FlowRule::new(
-                "cache/upgrade-denied",
-                here!(),
-                Cache,
-                M::UpgradeAck,
-                &[AWAITING_UPGRADE],
-            )
-            .emit(emit(M::WriteReq, D::Home))
-            .to(&[AWAITING_GRANT]),
-        );
-        // Stale reply: the invalidate already converted the MREQUEST to
-        // a write miss; the late MGRANTED is dropped.
-        rules.push(FlowRule::new(
-            "cache/upgrade-stale-reply",
-            here!(),
-            Cache,
-            M::UpgradeAck,
-            &[AWAITING_GRANT],
-        ));
-    }
-
-    // --- Invalidations: every delivery is acknowledged (the dist
-    // layer's barrier counts on it), whatever the local state.
-    if caps.invalidates {
-        rules.push(
-            FlowRule::new("cache/inv-drop-copy", here!(), Cache, M::Inv, &copy_states)
-                .emit(emit(M::InvAck, D::Home))
-                .to(&[IDLE_INVALID]),
-        );
-        let mut missing: Vec<&str> = vec![IDLE_INVALID];
-        if caps.grants {
-            missing.push(AWAITING_GRANT);
-        }
-        if caps.store_through {
-            missing.push(HOLDING_WT);
-        }
-        rules.push(
-            FlowRule::new("cache/inv-while-missing", here!(), Cache, M::Inv, &missing)
-                .emit(emit(M::InvAck, D::Home)),
-        );
-        if caps.upgrades {
-            // The invalidate doubles as MGRANTED(false) (section 3.2.5,
-            // agent.rs `handle_invalidate`): the pending MREQUEST is
-            // converted to a write miss on the spot.
-            rules.push(
-                FlowRule::new(
-                    "cache/inv-converts-upgrade",
-                    here!(),
-                    Cache,
-                    M::Inv,
-                    &[AWAITING_UPGRADE],
-                )
-                .emit(emit(M::InvAck, D::Home))
-                .emit(emit(M::WriteReq, D::Home))
-                .to(&[AWAITING_GRANT]),
-            );
-        }
-    }
-
-    // --- Recalls: only an owned copy supplies data; every other state
-    // absorbs the (broadcast or misdelivered) probe without answering.
-    if caps.recalls {
-        rules.push(
-            FlowRule::new(
-                "cache/recall-owner",
-                here!(),
-                Cache,
-                M::Recall,
-                &[IDLE_OWNER],
-            )
-            .emit(emit(M::Put, D::Home))
-            .to(&[IDLE_CLEAN, IDLE_INVALID]),
-        );
-        let mut bystanders: Vec<&str> = vec![IDLE_INVALID, IDLE_CLEAN];
-        bystanders.extend(blocked_states.iter().copied());
-        rules.push(FlowRule::new(
-            "cache/recall-bystander",
-            here!(),
-            Cache,
-            M::Recall,
-            &bystanders,
-        ));
-    }
-
-    // --- The WtAck hold (node.rs `CacheNode`): the held client
-    // response is released by the memory node's acknowledgment.
-    if caps.store_through {
-        let mut wt_next: Vec<&str> = vec![IDLE_INVALID];
-        if !caps.write_req {
-            // Classical write-through keeps the clean copy it wrote.
-            wt_next.push(IDLE_CLEAN);
-        }
-        rules.push(
-            FlowRule::new("cache/wt-ack", here!(), Cache, M::WtAck, &[HOLDING_WT])
-                .emit(emit(M::ClientResp, D::Issuer))
-                .to(&wt_next),
-        );
-    }
-
-    // --- Capacity pressure.
-    if caps.eject_clean && caps.grants {
-        rules.push(
-            FlowRule::new("cache/evict-clean", here!(), Cache, M::Evict, &[IDLE_CLEAN])
-                .emit(emit(M::EjectClean, D::Home))
-                .to(&[IDLE_INVALID]),
-        );
-    }
-    if caps.eject_dirty && caps.owner {
-        rules.push(
-            FlowRule::new("cache/evict-dirty", here!(), Cache, M::Evict, &[IDLE_OWNER])
-                .emit(emit(M::EjectDirty, D::Home))
-                .to(&[IDLE_INVALID]),
-        );
-    }
-
     (states, rules)
 }
 
 /// Assembles the whole-system flow graph for one scheme under a gate
-/// discipline: the lifted memory role, the dist-layer overlay (WtAck
-/// synthesis, the inv-ack gate state), and the cache/client catalog.
+/// discipline: the lifted memory role with its dist-layer overlay (WtAck
+/// synthesis, the inv-ack gate state), and the lifted cache role of the
+/// cache table the scheme's agents run with its overlay and the client.
+///
+/// # Panics
+///
+/// Panics if `table.scheme` is not a shipped scheme: there is then no
+/// cache half to assemble it with.
 #[must_use]
 pub fn assemble(table: &TransitionTable, gate: &GateSpec) -> (Vec<FlowState>, Vec<FlowRule>) {
-    let caps = caps_of(table);
     let (mut states, mut rules) = lift_memory(table);
 
     // WtAck synthesis (node.rs `MemNode::process`): every write-through
@@ -549,7 +281,7 @@ pub fn assemble(table: &TransitionTable, gate: &GateSpec) -> (Vec<FlowState>, Ve
     // releases it. Whether the gated window also withholds later
     // emissions and defers commands is the [`GateSpec`]'s business —
     // the state records it so the analyses see the difference.
-    if caps.invalidates {
+    if rules.iter().any(|r| r.emits_class(MsgClass::Inv)) {
         let idle_names: Vec<String> = states
             .iter()
             .filter(|s| s.awaits.is_none())
@@ -576,7 +308,9 @@ pub fn assemble(table: &TransitionTable, gate: &GateSpec) -> (Vec<FlowState>, Ve
         );
     }
 
-    let (cc_states, cc_rules) = cache_client(caps);
+    let cache = twobit_core::cache_table_for(table.scheme)
+        .unwrap_or_else(|| panic!("no cache table ships for scheme '{}'", table.scheme));
+    let (cc_states, cc_rules) = cache_role(cache);
     states.extend(cc_states);
     rules.extend(cc_rules);
     (states, rules)
@@ -725,6 +459,40 @@ mod tests {
             st.when.contains(&IDLE_CLEAN.to_string()),
             "write-through stores fire from clean copies too"
         );
+    }
+
+    /// A hand-written agent rule cannot come back: every cache-role rule
+    /// of the assembled graph is a rule of the cache table the agent
+    /// interprets (same name, same table entry) or one of the named
+    /// node-level overlay rules.
+    #[test]
+    fn every_cache_rule_is_lifted_or_a_named_overlay() {
+        for t in shipped_tables() {
+            let cache = twobit_core::cache_table_for(t.scheme).expect("a shipped scheme");
+            let (_, rules) = assemble(t, &GateSpec::shipped());
+            for r in rules.iter().filter(|r| r.role == FlowRole::Cache) {
+                let lifted = cache.rules.iter().any(|c| {
+                    r.name == format!("cache/{}", c.name) && r.provenance == c.provenance()
+                });
+                assert!(
+                    lifted || CACHE_OVERLAY_RULES.contains(&r.name.as_str()),
+                    "{}: {} ({}) is neither a rule of the {} table nor a named overlay",
+                    t.scheme,
+                    r.name,
+                    r.provenance,
+                    cache.scheme
+                );
+            }
+            for name in CACHE_OVERLAY_RULES {
+                assert!(
+                    cache
+                        .rules
+                        .iter()
+                        .all(|c| format!("cache/{}", c.name) != name),
+                    "{name} is an overlay name and a table rule"
+                );
+            }
+        }
     }
 
     // ------------------------------------------------------------------

@@ -7,7 +7,9 @@
 //! 2^31 sets × 1 way aborted on allocation failure. Each must now get an
 //! error reply, and the node must keep serving afterwards. Last, client
 //! requests whose transaction ids are repeated, stale or early (ISSUE 21):
-//! none is executed twice, only the early one is an error.
+//! none is executed twice, only the early one is an error. And well-formed
+//! commands a node's table declares no rule for (ISSUE 23): an `error`
+//! reply from either interpreter, where the memory node used to exit 101.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -17,7 +19,7 @@ use twobit_dist::wire::{
     request_line, response_from_line, response_line, Actor, Envelope, NodeConfig, Payload, Request,
     Response,
 };
-use twobit_types::{MemRef, TxnId, WordAddr};
+use twobit_types::{BlockAddr, CacheId, MemRef, MemoryToCache, TxnId, Version, WordAddr};
 
 #[test]
 fn hostile_frames_get_error_replies_from_the_binary() {
@@ -198,4 +200,107 @@ fn repeated_stale_and_early_transaction_ids_are_never_executed_twice() {
         got[13 + 1],
         "the refused request changed nothing"
     );
+}
+
+fn two_bit(role: Actor) -> String {
+    request_line(&Request::Init(Box::new(NodeConfig {
+        role,
+        scheme: "two-bit".into(),
+        caches: 4,
+        modules: 1,
+        sets: 8,
+        assoc: 2,
+        block_words: 4,
+        shared_from: 1 << 32,
+        bias_entries: 0,
+        tlb_entries: 0,
+    })))
+}
+
+fn error_of(reply: &str) -> String {
+    match response_from_line(reply).expect("a response frame") {
+        Response::Error { msg } => msg,
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+}
+
+/// A well-formed command the scheme's table declares no event for
+/// (ISSUE 23): one `WRITETHRU` frame at a two-bit memory node used to
+/// kill the process — `Directory::fire` panicked, exit 101, no reply. It
+/// is now a typed protocol error: an `error` reply naming scheme, event
+/// and state, and the node keeps serving.
+#[test]
+fn an_undeclared_event_is_an_error_reply_not_a_crash() {
+    let writethru = r#"{"env":{"dst":"M0","payload":{"cmd":{"a":42,"k":3,"t":"WRITETHRU","v":7},"t":"to_mem"},"src":"C3"},"now":109,"replay":false,"t":"deliver"}"#;
+    let checkpoint = request_line(&Request::Checkpoint);
+    let got = replies_of(&[
+        two_bit(Actor::Module(0)),
+        checkpoint.clone(),
+        writethru.to_string(),
+        checkpoint,
+        request_line(&Request::Shutdown),
+    ]);
+    assert_eq!(got.len(), 5, "{got:?}");
+    assert_eq!(got[0], response_line(&Response::InitOk));
+    assert_eq!(
+        error_of(&got[2]),
+        "M0: unexpected command write-through(C3, blk:0x2a) in state two-bit: the table \
+         declares no write-through in Absent"
+    );
+    assert_eq!(got[1], got[3], "the refused command changed nothing");
+    assert_eq!(got[4], response_line(&Response::ShutdownOk));
+}
+
+/// The cache-side twin: a `GET` the agent is not waiting for is outside
+/// its table's declared domain — an `error` reply, as it always was, now
+/// also naming table, event and state — while a stale `MGRANTED` is a
+/// declared rule and stays a silent drop.
+#[test]
+fn an_unsolicited_grant_is_an_error_and_a_stale_mgranted_a_silent_drop() {
+    let deliver = |cmd: MemoryToCache| {
+        request_line(&Request::Deliver {
+            now: 7,
+            replay: false,
+            env: Envelope {
+                src: Actor::Module(0),
+                dst: Actor::Cache(0),
+                payload: Payload::ToCache { cmd, ack: None },
+            },
+        })
+    };
+    let (k, a) = (CacheId::new(0), BlockAddr::new(42));
+    let checkpoint = request_line(&Request::Checkpoint);
+    let got = replies_of(&[
+        two_bit(Actor::Cache(0)),
+        checkpoint.clone(),
+        deliver(MemoryToCache::GetData {
+            k,
+            a,
+            version: Version::new(7),
+            exclusive: false,
+        }),
+        deliver(MemoryToCache::MGranted {
+            k,
+            a,
+            granted: false,
+        }),
+        checkpoint,
+        request_line(&Request::Shutdown),
+    ]);
+    assert_eq!(got.len(), 6, "{got:?}");
+    let msg = error_of(&got[2]);
+    assert!(
+        msg.starts_with("C0: unexpected command get(blk:0x2a) in state C0 idle"),
+        "{msg}"
+    );
+    assert!(
+        msg.ends_with("(write-back: the table declares no grant in invalid)"),
+        "{msg}"
+    );
+    match response_from_line(&got[3]).expect("a response frame") {
+        Response::DeliverOk { outputs, .. } => assert!(outputs.is_empty(), "{outputs:?}"),
+        other => panic!("a stale MGRANTED is dropped, not {other:?}"),
+    }
+    assert_eq!(got[1], got[4], "neither frame changed the agent");
+    assert_eq!(got[5], response_line(&Response::ShutdownOk));
 }

@@ -1,9 +1,10 @@
-//! Lints every shipped protocol's transition table — the five
-//! per-table analyses plus the three whole-system flow analyses
-//! (unserviced messages, wait cycles, reorder sensitivity). The tables
-//! are the ones the directory executes, so there is nothing to
-//! cross-check them against; `verify_protocols` model-checks them.
-//! Exits nonzero on any finding.
+//! Lints every shipped transition table: each scheme's directory table
+//! (the five per-table analyses plus the three whole-system flow
+//! analyses — unserviced messages, wait cycles, reorder sensitivity)
+//! and each cache table (exhaustiveness, determinism, dead rules). The
+//! tables are the ones the directory and the cache agent execute, so
+//! there is nothing to cross-check them against; `verify_protocols`
+//! model-checks them. Exits nonzero on any finding.
 //!
 //! ```text
 //! lint_protocols [--json PATH] [--demo-drop-invalidate]
@@ -18,7 +19,9 @@ use twobit_core::transitions::ActionKind;
 use twobit_dist::flow::GateSpec;
 use twobit_lint::confirm::confirm_livelock_findings;
 use twobit_lint::flow_graph::lint_flow;
-use twobit_lint::{dedup_findings, lint_table, render_human, render_json, two_bit_table, Finding};
+use twobit_lint::{
+    dedup_findings, lint_each, lint_table, render_human, render_json, two_bit_table, Finding,
+};
 
 struct Options {
     json: Option<String>,
@@ -112,14 +115,9 @@ fn main() -> ExitCode {
         findings.extend(demo_barrier_livelock(opts.budget, opts.jobs));
     }
     if !opts.demo_drop_invalidate && !opts.demo_barrier_livelock {
-        let gate = GateSpec::shipped();
-        for table in twobit_core::shipped_tables() {
-            let mut these = lint_table(table);
-            these.extend(lint_flow(table, gate));
+        for (table, rules, these) in lint_each() {
             println!(
-                "lint {:<14} {} rule(s), {} finding(s)",
-                table.scheme,
-                table.rules.len(),
+                "lint {table:<20} {rules} rule(s), {} finding(s)",
                 these.len()
             );
             findings.extend(these);

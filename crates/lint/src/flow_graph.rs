@@ -843,6 +843,48 @@ mod tests {
         assert!(r.classes.contains(&MsgClass::InvAck));
     }
 
+    /// The disagreement ISSUE 23 found: the agent replaces a clean
+    /// Exclusive line with `EJECT(clean)`, which only full-map+local's
+    /// `eject-clean-exclusive` rule can receive — and the hand-written
+    /// cache catalog the lint used to read had no such edge. The lifted
+    /// graph has it, exactly there, and the three analyses stay quiet.
+    #[test]
+    fn a_clean_exclusive_line_is_evicted_with_eject_clean() {
+        let evicts_owner_clean = |sys: &FlowSystem| {
+            sys.rules.iter().any(|r| {
+                r.role == FlowRole::Cache
+                    && r.trigger == MsgClass::Evict
+                    && r.when.iter().any(|w| w == twobit_dist::flow::IDLE_OWNER)
+                    && r.emits_class(MsgClass::EjectClean)
+            })
+        };
+        for t in shipped_tables() {
+            let sys = FlowSystem::build(t, GateSpec::shipped());
+            assert_eq!(
+                evicts_owner_clean(&sys),
+                t.scheme == "full-map+local",
+                "{}",
+                t.scheme
+            );
+        }
+        let sys = FlowSystem::build(table("full-map+local"), GateSpec::shipped());
+        let reach = sys.reach();
+        let receiver = sys
+            .rules
+            .iter()
+            .find(|r| r.name == "mem/eject-clean-exclusive")
+            .expect("the rule that receives it");
+        assert_eq!(receiver.when, ["PresentM"]);
+        assert!(
+            reach.classes.contains(&receiver.trigger)
+                && reach
+                    .states
+                    .contains(&(FlowRole::Memory, "PresentM".to_string())),
+            "mem/eject-clean-exclusive is reachable"
+        );
+        assert!(sys.analyze().is_empty());
+    }
+
     /// Broken fixture for the unserviced analysis: drop the stale-reply
     /// rule and the perturbed `MGRANTED` arrival has nowhere to go.
     #[test]

@@ -1,9 +1,11 @@
 //! Static analyses over the protocols' transition tables (see
-//! `twobit_core::transitions`) — the very tables the one directory
-//! executes in the simulator, the model checker and the distributed
-//! memory nodes, so a finding here is a finding about what runs.
+//! `twobit_core::transitions`) — the very tables the one directory and
+//! the one cache agent execute in the simulator, the model checker and
+//! the distributed nodes, so a finding here is a finding about what runs.
 //!
-//! Five analyses run per table:
+//! Three structural analyses run on every table of either vocabulary —
+//! the six directory tables and the four cache tables
+//! (`twobit_core::cache_table`) — and two more on the directory tables:
 //!
 //! * **Exhaustiveness** — every `(event, state, condition-assignment)`
 //!   point in an event's declared domain is covered by at least one
@@ -34,9 +36,11 @@
 //! implicated states ([`confirm`]).
 //!
 //! Each [`Finding`] carries the offending rule's provenance (file:line
-//! of the table entry). [`lint_table`] runs everything on one table;
-//! [`lint_shipped`] adds the flow analyses and deduplicates identical
-//! findings across schemes.
+//! of the table entry). [`lint_structure`] runs the first three on a
+//! table of any vocabulary, [`lint_table`] all five on a directory table;
+//! [`lint_each`] covers every shipped table of both kinds and adds the
+//! flow analyses; [`lint_shipped`] deduplicates identical findings
+//! across schemes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +49,7 @@ pub mod confirm;
 pub mod flow_graph;
 
 use twobit_core::transitions::{
-    ActionKind, Cond, EventKind, Next, Rule, StateSet, TransitionTable,
+    ActionKind, Cond, EventKind, Next, Rule, StateSet, Table, TransitionTable, Vocabulary,
 };
 use twobit_obs::json::{obj, Sink, ToJson};
 use twobit_types::GlobalState;
@@ -75,7 +79,11 @@ pub struct Finding {
 }
 
 impl Finding {
-    fn of_table(analysis: &'static str, table: &TransitionTable, message: String) -> Finding {
+    fn of_table<V: Vocabulary>(
+        analysis: &'static str,
+        table: &Table<V>,
+        message: String,
+    ) -> Finding {
         Finding {
             analysis,
             scheme: table.scheme.to_string(),
@@ -87,10 +95,10 @@ impl Finding {
         }
     }
 
-    fn of_rule(
+    fn of_rule<V: Vocabulary>(
         analysis: &'static str,
-        table: &TransitionTable,
-        rule: &Rule,
+        table: &Table<V>,
+        rule: &Rule<V>,
         message: String,
     ) -> Finding {
         Finding {
@@ -156,7 +164,7 @@ pub fn dedup_findings(findings: Vec<Finding>) -> Vec<Finding> {
 /// Exhaustiveness: every point of every event's domain has at least one
 /// enabled rule — there is always something to execute.
 #[must_use]
-pub fn check_exhaustiveness(table: &TransitionTable) -> Vec<Finding> {
+pub fn check_exhaustiveness<V: Vocabulary>(table: &Table<V>) -> Vec<Finding> {
     table
         .coverage()
         .iter()
@@ -166,7 +174,7 @@ pub fn check_exhaustiveness(table: &TransitionTable) -> Vec<Finding> {
                 "exhaustiveness",
                 table,
                 format!(
-                    "no rule enabled for {point} — the directory's behavior here is undeclared"
+                    "no rule enabled for {point} — the controller's behavior here is undeclared"
                 ),
             )
         })
@@ -176,7 +184,7 @@ pub fn check_exhaustiveness(table: &TransitionTable) -> Vec<Finding> {
 /// Determinism: no point of any event's domain has two enabled rules —
 /// overlapping guards leave the table ambiguous.
 #[must_use]
-pub fn check_determinism(table: &TransitionTable) -> Vec<Finding> {
+pub fn check_determinism<V: Vocabulary>(table: &Table<V>) -> Vec<Finding> {
     table
         .coverage()
         .iter()
@@ -208,7 +216,7 @@ pub fn check_determinism(table: &TransitionTable) -> Vec<Finding> {
 /// states outside the event's domain, a guard over undeclared condition
 /// variables, or a self-contradictory guard.
 #[must_use]
-pub fn check_dead_rules(table: &TransitionTable) -> Vec<Finding> {
+pub fn check_dead_rules<V: Vocabulary>(table: &Table<V>) -> Vec<Finding> {
     let coverage = table.coverage();
     let mut findings = Vec::new();
     for (index, rule) in table.rules.iter().enumerate() {
@@ -478,12 +486,22 @@ pub fn check_broadcast_necessity(table: &TransitionTable) -> Vec<Finding> {
     findings
 }
 
-/// Runs all five analyses on one table, most fundamental first.
+/// Runs the three structural analyses — exhaustiveness, determinism,
+/// dead rules — on one table of either vocabulary, most fundamental
+/// first.
 #[must_use]
-pub fn lint_table(table: &TransitionTable) -> Vec<Finding> {
+pub fn lint_structure<V: Vocabulary>(table: &Table<V>) -> Vec<Finding> {
     let mut findings = check_exhaustiveness(table);
     findings.extend(check_determinism(table));
     findings.extend(check_dead_rules(table));
+    findings
+}
+
+/// Runs all five analyses on one directory table, most fundamental
+/// first.
+#[must_use]
+pub fn lint_table(table: &TransitionTable) -> Vec<Finding> {
+    let mut findings = lint_structure(table);
     findings.extend(check_invariants(table));
     findings.extend(check_broadcast_necessity(table));
     findings
@@ -503,22 +521,27 @@ pub fn two_bit_table() -> &'static TransitionTable {
         .expect("two-bit ships a table")
 }
 
-/// Lints every shipped scheme's table — the five per-table analyses
-/// plus the three whole-system flow analyses under the shipped gate
-/// discipline — and deduplicates identical findings across schemes.
+/// Every shipped table with its rule count and findings: each scheme's
+/// directory table under the five per-table analyses plus the three
+/// whole-system flow analyses of its scheme under the shipped gate
+/// discipline, then each cache table under the three structural ones.
+#[must_use]
+pub fn lint_each() -> Vec<(&'static str, usize, Vec<Finding>)> {
+    let gate = twobit_dist::flow::GateSpec::shipped();
+    let memory = twobit_core::shipped_tables().map(|t| {
+        let mut findings = lint_table(t);
+        findings.extend(flow_graph::lint_flow(t, gate));
+        (t.scheme, t.rules.len(), findings)
+    });
+    let cache =
+        twobit_core::shipped_cache_tables().map(|t| (t.scheme, t.rules.len(), lint_structure(t)));
+    memory.into_iter().chain(cache).collect()
+}
+
+/// [`lint_each`], with identical findings deduplicated across tables.
 #[must_use]
 pub fn lint_shipped() -> Vec<Finding> {
-    let gate = twobit_dist::flow::GateSpec::shipped();
-    dedup_findings(
-        twobit_core::shipped_tables()
-            .iter()
-            .flat_map(|t| {
-                let mut findings = lint_table(t);
-                findings.extend(flow_graph::lint_flow(t, gate));
-                findings
-            })
-            .collect(),
-    )
+    dedup_findings(lint_each().into_iter().flat_map(|t| t.2).collect())
 }
 
 /// Renders findings for terminals: one line per finding (confirmation
@@ -564,14 +587,24 @@ impl ToJson for Finding {
 /// Renders findings as an indented JSON document, keys sorted. Schema
 /// `twobit-lint/v2`: `{"count", "findings": [{"analysis", "evidence",
 /// "message", "provenance", "rule", "scheme", "verdict"}], "schema":
-/// "twobit-lint/v2"}` — v2 added the top-level `schema` tag and the
-/// per-finding dynamic confirmation fields (`verdict`:
-/// `"CONFIRMED"`/`"PLAUSIBLE"`/null, `evidence`: the replayed timeline
-/// or null).
+/// "twobit-lint/v2", "tables": [{"rules", "table"}]}` — v2 added the
+/// top-level `schema` tag and the per-finding dynamic confirmation fields
+/// (`verdict`: `"CONFIRMED"`/`"PLAUSIBLE"`/null, `evidence`: the
+/// replayed timeline or null). `tables` (an added key; no existing key
+/// changed meaning, so still v2) names every table analysed — directory
+/// and, since the cache half became tables, cache — with its rule count.
 #[must_use]
 pub fn render_json(findings: &[Finding]) -> String {
+    let memory = twobit_core::shipped_tables().map(|t| (t.scheme, t.rules.len()));
+    let cache = twobit_core::shipped_cache_tables().map(|t| (t.scheme, t.rules.len()));
+    let tables = memory
+        .into_iter()
+        .chain(cache)
+        .map(|(table, rules)| obj([("table", table.json()), ("rules", rules.json())]))
+        .collect();
     let mut text = obj([
         ("schema", "twobit-lint/v2".json()),
+        ("tables", tables),
         ("findings", findings.json()),
         ("count", findings.len().json()),
     ])

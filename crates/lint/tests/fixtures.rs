@@ -1,11 +1,15 @@
 //! One deliberately broken fixture table per analysis — each asserted
 //! flagged by exactly the analysis it targets — plus a golden run
-//! asserting every shipped scheme lints clean.
+//! asserting every shipped scheme lints clean. The three structural
+//! analyses serve both vocabularies, so their cases also take a broken
+//! *cache* table: the shipped write-back table with one thing wrong.
 
+use twobit_core::cache_table::{CacheCond, CacheEvent, CacheState};
 use twobit_core::rule;
 use twobit_core::transitions::{
-    ActionKind, Cond, Delivery, EventKind, EventSpec, StateSet, TransitionTable,
+    ActionKind, Cond, Delivery, EventKind, EventSpec, Set, StateSet, TransitionTable,
 };
+use twobit_core::CacheTable;
 use twobit_lint::{
     check_broadcast_necessity, check_dead_rules, check_determinism, check_exhaustiveness,
     check_invariants, lint_table, two_bit_table,
@@ -13,6 +17,13 @@ use twobit_lint::{
 use twobit_types::GlobalState;
 
 use GlobalState::{Absent, Present1, PresentM, PresentStar};
+
+/// The shipped plain write-back cache table, to break a copy of.
+fn write_back() -> CacheTable {
+    let table = twobit_core::shipped_cache_tables()[0].clone();
+    assert_eq!(table.scheme, "write-back");
+    table
+}
 
 /// A fixture with a hole: read-miss is declared over all four states
 /// but no rule handles `PresentM` — the missing `match` arm.
@@ -39,6 +50,24 @@ fn exhaustiveness_flags_a_missing_arm() {
     let findings = check_exhaustiveness(&table);
     assert_eq!(findings.len(), 1, "exactly the PresentM hole: {findings:?}");
     assert!(findings[0].message.contains("PresentM"), "{}", findings[0]);
+
+    // The cache side: a cache that forgot what to do with a recall it
+    // owes nothing for.
+    let mut cache = write_back();
+    cache.rules.retain(|r| r.name != "recall-bystander");
+    let findings = check_exhaustiveness(&cache);
+    assert_eq!(
+        findings.len(),
+        10,
+        "five bystander states × for-write: {findings:?}"
+    );
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.message.contains("(recall, await-write, for-write=true)")),
+        "{findings:?}"
+    );
+    assert!(check_determinism(&cache).is_empty() && check_dead_rules(&cache).is_empty());
 }
 
 /// A fixture with overlapping guards: two rules both enabled for a
@@ -79,6 +108,22 @@ fn determinism_flags_overlapping_guards() {
     );
     // The overlap is only at Present*; Present1 has a single rule.
     assert_eq!(findings.len(), 1, "{findings:?}");
+
+    // The cache side: "nothing to invalidate" widened over a state that
+    // has something.
+    let mut cache = write_back();
+    let missing = cache.rule_mut("inv-while-missing").expect("declared");
+    missing.when = missing.when.union(Set::only(CacheState::Clean));
+    let findings = check_determinism(&cache);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(
+        findings[0].message.contains("(invalidate, clean)")
+            && findings[0].message.contains("inv-drop-copy")
+            && findings[0].message.contains("inv-while-missing"),
+        "{}",
+        findings[0]
+    );
+    assert!(check_exhaustiveness(&cache).is_empty());
 }
 
 /// A fixture with two dead rules: one whose source states fall outside
@@ -124,6 +169,36 @@ fn dead_rules_are_flagged_with_provenance() {
             .is_some_and(|p| p.contains("fixtures.rs"))),
         "dead-rule findings must carry file:line provenance: {findings:?}"
     );
+
+    // The cache side: a plain write-back cache never holds an Exclusive
+    // line, and a load carries no condition.
+    let mut cache = write_back();
+    cache.rules.push(rule!(
+        "read-hit-exclusive",
+        CacheEvent::Load,
+        Set::only(CacheState::Exclusive)
+    ));
+    cache.rules.push(
+        rule!(
+            "read-miss-granted",
+            CacheEvent::Load,
+            Set::only(CacheState::Invalid)
+        )
+        .requires(CacheCond::Granted, true),
+    );
+    let findings = check_dead_rules(&cache);
+    let flagged: Vec<&str> = findings.iter().filter_map(|f| f.rule.as_deref()).collect();
+    assert_eq!(
+        flagged,
+        ["read-hit-exclusive", "read-miss-granted"],
+        "{findings:?}"
+    );
+    assert!(
+        findings[0].message.contains("never intersect"),
+        "{}",
+        findings[0]
+    );
+    assert!(findings[1].message.contains("'granted'"), "{}", findings[1]);
 }
 
 /// The classic seeded directory bug: the write-hit upgrade on
@@ -229,6 +304,15 @@ fn broadcast_necessity_flags_gratuitous_commands() {
             .any(|f| f.rule.as_deref() == Some("eject-clean-recall")),
         "{findings:?}"
     );
+}
+
+/// Golden run: every shipped cache table passes the structural analyses.
+#[test]
+fn shipped_cache_tables_lint_clean() {
+    for table in twobit_core::shipped_cache_tables() {
+        let findings = twobit_lint::lint_structure(table);
+        assert!(findings.is_empty(), "{}: {findings:?}", table.scheme);
+    }
 }
 
 /// Golden run: every shipped scheme's table passes every analysis.

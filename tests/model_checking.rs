@@ -182,7 +182,11 @@ fn random_walks_on_a_bigger_mix() {
 #[test]
 fn every_race_scenario_explores_clean() {
     let scenarios = twobit::core::model_check::race_scenarios();
-    assert_eq!(scenarios.len(), 18, "3 scripts x 5 coherent schemes + 3");
+    assert_eq!(
+        scenarios.len(),
+        26,
+        "4 scripts x 5 coherent schemes + 1 x the 3 that survive it + 3 for static-sw"
+    );
     for (label, config, script) in scenarios {
         let protocol = config.protocol;
         let checker = ModelChecker::new(config, script).unwrap();
@@ -190,5 +194,39 @@ fn every_race_scenario_explores_clean() {
             .explore_dedup(30_000, 2)
             .unwrap_or_else(|cex| panic!("{label} / {protocol}: {}", cex.error));
         assert!(!result.truncated, "{label} / {protocol}: truncated");
+    }
+}
+
+/// A known defect of the two-bit table, pinned so that it stays visible
+/// and so that fixing it means editing this test (ROADMAP item 9). Rule
+/// coverage asked for a script in which a clean-eject notice is delayed;
+/// under the two-bit schemes that script is not survived: C0 reads and
+/// silently replaces block 1, C1 writes it and writes it back, C2 reads
+/// it (`Present1` — C2's copy), and only then C0's `EJECT(clean)`
+/// arrives: `eject-clean-present1` cannot tell whose notice it is and
+/// takes the block to `Absent` under C2's live copy. The next write miss
+/// would be granted without a broadcast. The schemes that keep holder
+/// identities survive the same script (`race_scenarios` runs it for
+/// them).
+#[test]
+fn a_delayed_clean_eject_breaks_two_bit_present1() {
+    use twobit::core::model_check::delayed_clean_eject_script;
+    use twobit::types::{CacheOrg, ProtocolError};
+    for protocol in [ProtocolKind::TwoBit, ProtocolKind::TwoBitTlb { entries: 2 }] {
+        let mut config = SystemConfig::with_defaults(3).with_protocol(protocol);
+        config.cache = CacheOrg::new(2, 1, 4).unwrap();
+        let checker = ModelChecker::new(config, delayed_clean_eject_script()).unwrap();
+        let cex = checker
+            .explore_dedup(30_000, 2)
+            .expect_err("fixed? then run the script under these schemes in race_scenarios");
+        assert!(
+            matches!(&cex.error, ProtocolError::DirectoryInconsistent { detail, .. }
+                if detail.contains("state Absent does not admit 1 clean")),
+            "{protocol}: {}",
+            cex.error
+        );
+        checker
+            .replay(&cex.path)
+            .expect_err("the counterexample replays");
     }
 }
