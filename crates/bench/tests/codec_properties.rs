@@ -24,6 +24,7 @@
 use proptest::prelude::*;
 use twobit_core::{
     build_policy_for, build_protocol_for, CacheAgent, Controller, CtrlEmit, FunctionalSystem,
+    Observer,
 };
 use twobit_dist::node::Node;
 use twobit_dist::wire::{
@@ -33,9 +34,9 @@ use twobit_dist::wire::{
 use twobit_obs::json::{self, FromJson, Json, ToJson};
 use twobit_obs::{ActorId, SimEvent};
 use twobit_types::{
-    AccessKind, BlockAddr, CacheId, CacheOrg, CacheToMemory, CommandClass, Fingerprinter,
-    GlobalState, LineState, MemRef, MemoryToCache, ModuleId, ProtocolKind, SystemConfig, TxnId,
-    Version, WordAddr, WritebackKind,
+    AccessKind, AddressMap, BlockAddr, CacheId, CacheOrg, CacheToMemory, CommandClass,
+    Fingerprinter, GlobalState, LineState, MemRef, MemoryToCache, ModuleId, ProtocolKind,
+    SystemConfig, TxnId, Version, WordAddr, WritebackKind,
 };
 use twobit_workload::Trace;
 
@@ -193,32 +194,31 @@ fn mid_transaction() -> (Controller, CacheAgent) {
     let (mut a0, mut a1, mut a2) = (agent(0), agent(1), agent(2));
     let mut ctrl = Controller::new(
         ModuleId::new(0),
+        AddressMap::interleaved(1),
         build_protocol_for(&cfg),
         3,
         cfg.concurrency,
     );
-    // A miss that nobody else holds: request, grant, done.
-    let mut fetch = |agent: &mut CacheAgent, op, v| {
-        for cmd in agent.start(op, Version::new(v)).sends {
-            for emit in ctrl.submit(cmd).unwrap() {
-                if let CtrlEmit::Unicast { cmd, .. } = emit {
-                    agent.on_network(cmd).unwrap();
-                }
+    // Starts `op` at `agent` and hands what it sends to the controller;
+    // the unicast replies, if wanted, go straight back to the agent.
+    let mut issue = |agent: &mut CacheAgent, op, v, deliver_replies: bool| {
+        let (mut sends, mut emits) = (Vec::new(), Vec::new());
+        agent.start(op, Version::new(v), &mut sends);
+        for cmd in sends.drain(..) {
+            ctrl.submit(cmd, Observer::none(), &mut emits).unwrap();
+        }
+        for emit in emits.into_iter().filter(|_| deliver_replies) {
+            if let CtrlEmit::Unicast { cmd, .. } = emit {
+                agent.on_network(cmd, &mut sends).unwrap();
             }
         }
     };
+    // Two misses that nobody else holds: request, grant, done.
     let w = MemRef::write(WordAddr::new(5, 0));
-    fetch(&mut a0, w, 1);
-    fetch(&mut a1, MemRef::read(WordAddr::new(9, 2)), 0);
-    for cmd in a1.start(w, Version::new(2)).sends {
-        ctrl.submit(cmd).unwrap();
-    }
-    for cmd in a2
-        .start(MemRef::read(WordAddr::new(5, 1)), Version::new(0))
-        .sends
-    {
-        ctrl.submit(cmd).unwrap();
-    }
+    issue(&mut a0, w, 1, true);
+    issue(&mut a1, MemRef::read(WordAddr::new(9, 2)), 0, true);
+    issue(&mut a1, w, 2, false);
+    issue(&mut a2, MemRef::read(WordAddr::new(5, 1)), 0, false);
     assert!(a1.is_stalled() && ctrl.busy() && ctrl.queued() == 1);
     (ctrl, a1)
 }
@@ -522,6 +522,7 @@ fn restored_checkpoints_write_the_same_text() {
     let cfg = SystemConfig::with_defaults(3).with_protocol(ProtocolKind::TwoBit);
     let mut ctrl = Controller::new(
         ModuleId::new(0),
+        AddressMap::interleaved(1),
         build_protocol_for(&cfg),
         3,
         cfg.concurrency,

@@ -137,23 +137,21 @@ pub struct Completion {
     pub was_hit: bool,
 }
 
-/// Result of presenting a processor reference to the cache.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Result of presenting a processor reference to the cache, besides the
+/// commands for memory controllers it wrote into the caller's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StartOutcome {
     /// Set when the reference retired immediately (hit or fire-and-forget
     /// store); otherwise the agent is stalled until a network reply.
     pub completed: Option<Completion>,
-    /// Commands to send to memory controllers.
-    pub sends: Vec<CacheToMemory>,
     /// The table rule that fired.
     pub rule: &'static str,
 }
 
-/// Result of delivering a network command to the cache.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Result of delivering a network command to the cache, besides the
+/// responses for memory controllers it wrote into the caller's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetOutcome {
-    /// Responses to send to memory controllers.
-    pub sends: Vec<CacheToMemory>,
     /// Set when the delivery retired the stalled reference.
     pub completed: Option<Completion>,
     /// Whether the delivery was a coherence command that consumed a cache
@@ -503,8 +501,10 @@ impl CacheAgent {
         }
     }
 
-    /// Presents a processor reference. For stores, `store_version` is the
-    /// fresh version this store will publish.
+    /// Presents a processor reference, appending the commands to send to
+    /// memory controllers, in order, to `sends` — a buffer the caller owns
+    /// and reuses, so a reference allocates nothing. For stores,
+    /// `store_version` is the fresh version this store will publish.
     ///
     /// # Panics
     ///
@@ -512,7 +512,12 @@ impl CacheAgent {
     /// blocked until the previous one retires), or if the line is in a
     /// state the table declares no reference in — which no table's own
     /// actions produce and [`CacheAgent::restore_state`] refuses.
-    pub fn start(&mut self, op: MemRef, store_version: Version) -> StartOutcome {
+    pub fn start(
+        &mut self,
+        op: MemRef,
+        store_version: Version,
+        sends: &mut Vec<CacheToMemory>,
+    ) -> StartOutcome {
         assert!(
             self.pending.is_none(),
             "{}: reference issued while stalled",
@@ -537,15 +542,15 @@ impl CacheAgent {
         };
         let mut out = NetOutcome::default();
         let state = self.line_state(a, true);
-        self.fire(event, state, frame, &mut out);
+        self.fire(event, state, frame, &mut out, sends);
         StartOutcome {
             completed: out.completed,
-            sends: out.sends,
             rule: out.rule,
         }
     }
 
-    /// Delivers a network command.
+    /// Delivers a network command, appending the responses to send to
+    /// memory controllers, in order, to `sends`.
     ///
     /// # Errors
     ///
@@ -554,7 +559,11 @@ impl CacheAgent {
     /// for (e.g. a data grant with no pending miss). No line, reference or
     /// statistic has changed then; a refused coherence command has still
     /// searched the cache directory, a refused reply has searched nothing.
-    pub fn on_network(&mut self, msg: MemoryToCache) -> Result<NetOutcome, ProtocolError> {
+    pub fn on_network(
+        &mut self,
+        msg: MemoryToCache,
+        sends: &mut Vec<CacheToMemory>,
+    ) -> Result<NetOutcome, ProtocolError> {
         let holds = |cond, value| cond_bits(&[(cond, value)]);
         let (event, a, conds, data) = match msg {
             MemoryToCache::GetData {
@@ -628,7 +637,7 @@ impl CacheAgent {
                 self.bias.insert(a);
             }
         }
-        self.apply(found, frame, &mut out);
+        self.apply(found, frame, &mut out, sends);
         Ok(out)
     }
 
@@ -657,9 +666,16 @@ impl CacheAgent {
     ///
     /// Panics if the table declares none: no action of any table leaves a
     /// line in such a state and `restore_state` refuses one.
-    fn fire(&mut self, event: CacheEvent, state: CacheState, frame: Frame, out: &mut NetOutcome) {
+    fn fire(
+        &mut self,
+        event: CacheEvent,
+        state: CacheState,
+        frame: Frame,
+        out: &mut NetOutcome,
+        sends: &mut Vec<CacheToMemory>,
+    ) {
         match self.program.lookup(event, state, 0) {
-            Some(found) => self.apply(found, frame, out),
+            Some(found) => self.apply(found, frame, out, sends),
             None => panic!("{}: {}", self.id, undeclared(self.table(), event, state)),
         }
     }
@@ -669,6 +685,7 @@ impl CacheAgent {
         (index, rule): (usize, &'static Rule<CacheSide>),
         f: Frame,
         out: &mut NetOutcome,
+        sends: &mut Vec<CacheToMemory>,
     ) {
         self.fired |= 1 << index;
         if rule.event != CacheEvent::Evict {
@@ -713,10 +730,10 @@ impl CacheAgent {
                             ..f
                         };
                         let state = CacheState::of_line(victim.state);
-                        self.fire(CacheEvent::Evict, state, leaving, out);
+                        self.fire(CacheEvent::Evict, state, leaving, out, sends);
                     }
                 }
-                CacheAction::Emit(emit) => self.emit(emit, f, out),
+                CacheAction::Emit(emit) => self.emit(emit, f, sends),
                 CacheAction::Stall(kind) => {
                     self.pending = Some(Pending {
                         a,
@@ -746,7 +763,7 @@ impl CacheAgent {
         self.cache.version_of(a).expect("valid line has a version")
     }
 
-    fn emit(&mut self, emit: Emit, f: Frame, out: &mut NetOutcome) {
+    fn emit(&mut self, emit: Emit, f: Frame, sends: &mut Vec<CacheToMemory>) {
         let (k, a) = (self.id, f.a);
         let request = |rw| CacheToMemory::Request { k, a, rw };
         let eject = |wb| CacheToMemory::Eject { k, olda: a, wb };
@@ -772,16 +789,11 @@ impl CacheAgent {
             Emit::Put => put(self.line_version(a)),
             Emit::EjectClean => eject(WritebackKind::Clean),
             Emit::EjectDirty => {
-                out.sends.push(eject(WritebackKind::Dirty));
+                sends.push(eject(WritebackKind::Dirty));
                 put(f.data.expect("a victim's data is in hand"))
             }
         };
-        if out.sends.capacity() == 0 {
-            // Most rules send one command: size the first allocation for
-            // it, as `vec![command]` would.
-            out.sends = Vec::with_capacity(1);
-        }
-        out.sends.push(command);
+        sends.push(command);
     }
 
     fn counter(&mut self, stat: Stat) -> &mut Counter {
@@ -822,6 +834,41 @@ mod tests {
     use super::*;
     use twobit_types::WordAddr;
 
+    /// An outcome with the sends that went with it.
+    #[derive(Debug)]
+    struct Told {
+        sends: Vec<CacheToMemory>,
+        completed: Option<Completion>,
+        counted: bool,
+        rule: &'static str,
+    }
+
+    impl CacheAgent {
+        /// [`CacheAgent::start`] with a fresh send buffer.
+        fn start_told(&mut self, op: MemRef, store_version: Version) -> Told {
+            let mut sends = Vec::new();
+            let out = self.start(op, store_version, &mut sends);
+            Told {
+                sends,
+                completed: out.completed,
+                counted: false,
+                rule: out.rule,
+            }
+        }
+
+        /// [`CacheAgent::on_network`] with a fresh send buffer.
+        fn net_told(&mut self, msg: MemoryToCache) -> Result<Told, ProtocolError> {
+            let mut sends = Vec::new();
+            let out = self.on_network(msg, &mut sends)?;
+            Ok(Told {
+                sends,
+                completed: out.completed,
+                counted: out.counted,
+                rule: out.rule,
+            })
+        }
+    }
+
     fn agent(policy: AgentPolicy) -> CacheAgent {
         CacheAgent::new(
             CacheId::new(0),
@@ -857,7 +904,7 @@ mod tests {
     #[test]
     fn read_miss_then_fill_then_hit() {
         let mut a = wb();
-        let out = a.start(read(1), Version::initial());
+        let out = a.start_told(read(1), Version::initial());
         assert!(out.completed.is_none());
         assert!(matches!(
             out.sends[0],
@@ -868,12 +915,12 @@ mod tests {
         ));
         assert!(a.is_stalled());
 
-        let out = a.on_network(grant(0, 1, 3, false)).unwrap();
+        let out = a.net_told(grant(0, 1, 3, false)).unwrap();
         let c = out.completed.unwrap();
         assert_eq!(c.observed, Version::new(3));
         assert!(!a.is_stalled());
 
-        let out = a.start(read(1), Version::initial());
+        let out = a.start_told(read(1), Version::initial());
         let c = out.completed.unwrap();
         assert!(c.was_hit);
         assert_eq!(c.observed, Version::new(3));
@@ -884,7 +931,7 @@ mod tests {
     #[test]
     fn write_miss_fills_dirty_with_store_version() {
         let mut a = wb();
-        let out = a.start(write(2), Version::new(10));
+        let out = a.start_told(write(2), Version::new(10));
         assert!(matches!(
             out.sends[0],
             CacheToMemory::Request {
@@ -892,7 +939,7 @@ mod tests {
                 ..
             }
         ));
-        let out = a.on_network(grant(0, 2, 4, true)).unwrap();
+        let out = a.net_told(grant(0, 2, 4, true)).unwrap();
         let c = out.completed.unwrap();
         assert_eq!(
             c.observed,
@@ -905,16 +952,16 @@ mod tests {
     #[test]
     fn write_hit_clean_sends_mrequest_and_waits() {
         let mut a = wb();
-        a.start(read(3), Version::initial());
-        a.on_network(grant(0, 3, 0, false)).unwrap();
+        a.start_told(read(3), Version::initial());
+        a.net_told(grant(0, 3, 0, false)).unwrap();
 
-        let out = a.start(write(3), Version::new(5));
+        let out = a.start_told(write(3), Version::new(5));
         assert!(out.completed.is_none());
         assert!(matches!(out.sends[0], CacheToMemory::MRequest { .. }));
         assert_eq!(a.stats().write_hits_clean.get(), 1);
 
         let out = a
-            .on_network(MemoryToCache::MGranted {
+            .net_told(MemoryToCache::MGranted {
                 k: CacheId::new(0),
                 a: BlockAddr::new(3),
                 granted: true,
@@ -928,9 +975,9 @@ mod tests {
     #[test]
     fn write_hit_dirty_is_silent() {
         let mut a = wb();
-        a.start(write(4), Version::new(1));
-        a.on_network(grant(0, 4, 0, true)).unwrap();
-        let out = a.start(write(4), Version::new(2));
+        a.start_told(write(4), Version::new(1));
+        a.net_told(grant(0, 4, 0, true)).unwrap();
+        let out = a.start_told(write(4), Version::new(2));
         assert!(out.completed.is_some());
         assert!(out.sends.is_empty(), "dirty hit needs no directory trip");
         assert_eq!(a.stats().write_hits_dirty.get(), 1);
@@ -940,12 +987,12 @@ mod tests {
     fn broadinv_invalidates_and_converts_pending_modify() {
         // Section 3.2.5: BROADINV doubles as MGRANTED(false).
         let mut a = wb();
-        a.start(read(5), Version::initial());
-        a.on_network(grant(0, 5, 0, false)).unwrap();
-        a.start(write(5), Version::new(9)); // MREQUEST outstanding
+        a.start_told(read(5), Version::initial());
+        a.net_told(grant(0, 5, 0, false)).unwrap();
+        a.start_told(write(5), Version::new(9)); // MREQUEST outstanding
 
         let out = a
-            .on_network(MemoryToCache::BroadInv {
+            .net_told(MemoryToCache::BroadInv {
                 a: BlockAddr::new(5),
                 exclude: CacheId::new(1),
             })
@@ -963,17 +1010,17 @@ mod tests {
         );
         assert!(a.is_stalled());
         // The store still completes once the write-miss grant arrives.
-        let out = a.on_network(grant(0, 5, 3, true)).unwrap();
+        let out = a.net_told(grant(0, 5, 3, true)).unwrap();
         assert_eq!(out.completed.unwrap().observed, Version::new(9));
     }
 
     #[test]
     fn stale_mgranted_after_conversion_is_dropped() {
         let mut a = wb();
-        a.start(read(5), Version::initial());
-        a.on_network(grant(0, 5, 0, false)).unwrap();
-        a.start(write(5), Version::new(9));
-        a.on_network(MemoryToCache::BroadInv {
+        a.start_told(read(5), Version::initial());
+        a.net_told(grant(0, 5, 0, false)).unwrap();
+        a.start_told(write(5), Version::new(9));
+        a.net_told(MemoryToCache::BroadInv {
             a: BlockAddr::new(5),
             exclude: CacheId::new(1),
         })
@@ -981,7 +1028,7 @@ mod tests {
         // The controller had already replied false to the (now deleted)
         // MREQUEST; the reply arrives late.
         let out = a
-            .on_network(MemoryToCache::MGranted {
+            .net_told(MemoryToCache::MGranted {
                 k: CacheId::new(0),
                 a: BlockAddr::new(5),
                 granted: false,
@@ -996,11 +1043,11 @@ mod tests {
     #[test]
     fn query_makes_dirty_owner_supply_and_downgrade() {
         let mut a = wb();
-        a.start(write(6), Version::new(4));
-        a.on_network(grant(0, 6, 0, true)).unwrap();
+        a.start_told(write(6), Version::new(4));
+        a.net_told(grant(0, 6, 0, true)).unwrap();
 
         let out = a
-            .on_network(MemoryToCache::BroadQuery {
+            .net_told(MemoryToCache::BroadQuery {
                 a: BlockAddr::new(6),
                 rw: AccessKind::Read,
             })
@@ -1015,9 +1062,9 @@ mod tests {
 
         // A write query instead invalidates.
         let mut b = wb();
-        b.start(write(6), Version::new(4));
-        b.on_network(grant(0, 6, 0, true)).unwrap();
-        b.on_network(MemoryToCache::BroadQuery {
+        b.start_told(write(6), Version::new(4));
+        b.net_told(grant(0, 6, 0, true)).unwrap();
+        b.net_told(MemoryToCache::BroadQuery {
             a: BlockAddr::new(6),
             rw: AccessKind::Write,
         })
@@ -1029,7 +1076,7 @@ mod tests {
     fn query_on_absent_block_is_counted_useless() {
         let mut a = wb();
         let out = a
-            .on_network(MemoryToCache::BroadQuery {
+            .net_told(MemoryToCache::BroadQuery {
                 a: BlockAddr::new(7),
                 rw: AccessKind::Read,
             })
@@ -1054,7 +1101,7 @@ mod tests {
             },
             true,
         );
-        a.on_network(MemoryToCache::BroadInv {
+        a.net_told(MemoryToCache::BroadInv {
             a: BlockAddr::new(8),
             exclude: CacheId::new(1),
         })
@@ -1072,20 +1119,20 @@ mod tests {
         // 4 sets → blocks 0 and 8 and 16 collide (assoc 2).
         let mut a = wb();
         for b in [0u64, 8] {
-            a.start(read(b), Version::initial());
-            a.on_network(grant(0, b, 0, false)).unwrap();
+            a.start_told(read(b), Version::initial());
+            a.net_told(grant(0, b, 0, false)).unwrap();
         }
         // Dirty one of them.
-        a.start(write(0), Version::new(2));
-        a.on_network(MemoryToCache::MGranted {
+        a.start_told(write(0), Version::new(2));
+        a.net_told(MemoryToCache::MGranted {
             k: CacheId::new(0),
             a: BlockAddr::new(0),
             granted: true,
         })
         .unwrap();
         // Touch block 8 so block 0 is LRU, then miss block 16.
-        a.start(read(8), Version::initial());
-        let out = a.start(read(16), Version::initial());
+        a.start_told(read(8), Version::initial());
+        let out = a.start_told(read(16), Version::initial());
         assert!(
             matches!(
                 out.sends[0],
@@ -1107,10 +1154,10 @@ mod tests {
         let mut a = agent(AgentPolicy::WriteBack {
             use_exclusive: true,
         });
-        a.start(read(1), Version::initial());
-        a.on_network(grant(0, 1, 0, true)).unwrap();
+        a.start_told(read(1), Version::initial());
+        a.net_told(grant(0, 1, 0, true)).unwrap();
         assert_eq!(a.cache().state_of(BlockAddr::new(1)), LocalState::Exclusive);
-        let out = a.start(write(1), Version::new(6));
+        let out = a.start_told(write(1), Version::new(6));
         assert!(out.completed.is_some());
         assert!(out.sends.is_empty(), "Yen-Fu's saved MREQUEST");
         assert_eq!(a.cache().state_of(BlockAddr::new(1)), LocalState::Dirty);
@@ -1119,7 +1166,7 @@ mod tests {
     #[test]
     fn write_through_store_is_fire_and_forget() {
         let mut a = agent(AgentPolicy::WriteThrough);
-        let out = a.start(write(1), Version::new(3));
+        let out = a.start_told(write(1), Version::new(3));
         assert!(out.completed.is_some());
         assert!(matches!(out.sends[0], CacheToMemory::WriteThrough { .. }));
         assert!(!a.is_stalled());
@@ -1130,9 +1177,9 @@ mod tests {
     #[test]
     fn write_through_store_updates_resident_copy() {
         let mut a = agent(AgentPolicy::WriteThrough);
-        a.start(read(1), Version::initial());
-        a.on_network(grant(0, 1, 2, false)).unwrap();
-        a.start(write(1), Version::new(7));
+        a.start_told(read(1), Version::initial());
+        a.net_told(grant(0, 1, 2, false)).unwrap();
+        a.start_told(write(1), Version::new(7));
         assert_eq!(
             a.cache().version_of(BlockAddr::new(1)),
             Some(Version::new(7))
@@ -1147,16 +1194,16 @@ mod tests {
     #[test]
     fn static_public_blocks_bypass_the_cache() {
         let mut a = agent(AgentPolicy::Static { shared_from: 100 });
-        let out = a.start(read(150), Version::initial());
+        let out = a.start_told(read(150), Version::initial());
         assert!(matches!(out.sends[0], CacheToMemory::DirectRead { .. }));
-        let out = a.on_network(grant(0, 150, 9, false)).unwrap();
+        let out = a.net_told(grant(0, 150, 9, false)).unwrap();
         assert_eq!(out.completed.unwrap().observed, Version::new(9));
         assert!(
             !a.cache().contains(BlockAddr::new(150)),
             "no fill for public data"
         );
 
-        let out = a.start(write(150), Version::new(11));
+        let out = a.start_told(write(150), Version::new(11));
         assert!(out.completed.is_some());
         assert!(matches!(out.sends[0], CacheToMemory::WriteThrough { .. }));
     }
@@ -1164,9 +1211,9 @@ mod tests {
     #[test]
     fn static_private_blocks_write_back_silently() {
         let mut a = agent(AgentPolicy::Static { shared_from: 100 });
-        a.start(read(5), Version::initial());
-        a.on_network(grant(0, 5, 0, false)).unwrap();
-        let out = a.start(write(5), Version::new(2));
+        a.start_told(read(5), Version::initial());
+        a.net_told(grant(0, 5, 0, false)).unwrap();
+        let out = a.start_told(write(5), Version::new(2));
         assert!(out.completed.is_some());
         assert!(
             out.sends.is_empty(),
@@ -1180,7 +1227,7 @@ mod tests {
         let mut a = wb();
         a.set_bias_entries(4);
         // First invalidation for an absent block: searched, then buffered.
-        a.on_network(MemoryToCache::BroadInv {
+        a.net_told(MemoryToCache::BroadInv {
             a: BlockAddr::new(3),
             exclude: CacheId::new(1),
         })
@@ -1189,7 +1236,7 @@ mod tests {
         assert_eq!(a.stats().bias_filtered.get(), 0);
         // Repeats are filtered: counted as received but no cycle stolen.
         for _ in 0..3 {
-            a.on_network(MemoryToCache::BroadInv {
+            a.net_told(MemoryToCache::BroadInv {
                 a: BlockAddr::new(3),
                 exclude: CacheId::new(1),
             })
@@ -1212,17 +1259,17 @@ mod tests {
     fn bias_entry_clears_on_refetch() {
         let mut a = wb();
         a.set_bias_entries(4);
-        a.on_network(MemoryToCache::BroadInv {
+        a.net_told(MemoryToCache::BroadInv {
             a: BlockAddr::new(3),
             exclude: CacheId::new(1),
         })
         .unwrap();
         // Refetch the block: the BIAS entry must go, so the next
         // invalidation really invalidates.
-        a.start(read(3), Version::initial());
-        a.on_network(grant(0, 3, 5, false)).unwrap();
+        a.start_told(read(3), Version::initial());
+        a.net_told(grant(0, 3, 5, false)).unwrap();
         assert!(a.cache().contains(BlockAddr::new(3)));
-        a.on_network(MemoryToCache::BroadInv {
+        a.net_told(MemoryToCache::BroadInv {
             a: BlockAddr::new(3),
             exclude: CacheId::new(1),
         })
@@ -1239,7 +1286,7 @@ mod tests {
         let mut a = wb();
         a.set_bias_entries(2);
         for b in [1u64, 2, 3] {
-            a.on_network(MemoryToCache::BroadInv {
+            a.net_told(MemoryToCache::BroadInv {
                 a: BlockAddr::new(b),
                 exclude: CacheId::new(1),
             })
@@ -1247,7 +1294,7 @@ mod tests {
         }
         // Block 1 was pushed out by block 3; a repeat for it searches again.
         let stolen = a.stats().stolen_cycles.get();
-        a.on_network(MemoryToCache::BroadInv {
+        a.net_told(MemoryToCache::BroadInv {
             a: BlockAddr::new(1),
             exclude: CacheId::new(1),
         })
@@ -1258,7 +1305,7 @@ mod tests {
             "evicted entry no longer filters"
         );
         // Block 3 is still buffered.
-        a.on_network(MemoryToCache::BroadInv {
+        a.net_told(MemoryToCache::BroadInv {
             a: BlockAddr::new(3),
             exclude: CacheId::new(1),
         })
@@ -1274,34 +1321,34 @@ mod tests {
     #[should_panic(expected = "issued while stalled")]
     fn double_issue_panics() {
         let mut a = wb();
-        a.start(read(1), Version::initial());
-        a.start(read(2), Version::initial());
+        a.start_told(read(1), Version::initial());
+        a.start_told(read(2), Version::initial());
     }
 
     #[test]
     fn unsolicited_grant_is_an_error() {
         let mut a = wb();
-        let err = a.on_network(grant(0, 1, 0, false)).unwrap_err();
+        let err = a.net_told(grant(0, 1, 0, false)).unwrap_err();
         assert!(matches!(err, ProtocolError::UnexpectedCommand { .. }));
     }
 
     #[test]
     fn outcomes_name_the_rule_and_coverage_counts_the_eviction() {
         let mut a = wb();
-        assert_eq!(a.start(read(0), Version::initial()).rule, "read-miss");
-        let filled = a.on_network(grant(0, 0, 0, false)).unwrap();
+        assert_eq!(a.start_told(read(0), Version::initial()).rule, "read-miss");
+        let filled = a.net_told(grant(0, 0, 0, false)).unwrap();
         assert_eq!(filled.rule, "grant-fill-read");
-        assert_eq!(a.start(read(0), Version::initial()).rule, "read-hit");
+        assert_eq!(a.start_told(read(0), Version::initial()).rule, "read-hit");
         // Fill block 0's set, then miss into it: the outcome names the
         // miss, and the coverage word also has the victim's eviction.
-        a.start(read(8), Version::initial());
-        a.on_network(grant(0, 8, 0, false)).unwrap();
+        a.start_told(read(8), Version::initial());
+        a.net_told(grant(0, 8, 0, false)).unwrap();
         let fired = |a: &CacheAgent, name: &str| {
             let index = a.table().rules.iter().position(|r| r.name == name);
             a.fired() & (1 << index.expect("a rule of the table")) != 0
         };
         assert!(!fired(&a, "evict-clean"));
-        let out = a.start(read(16), Version::initial());
+        let out = a.start_told(read(16), Version::initial());
         assert_eq!(out.rule, "read-miss");
         assert!(fired(&a, "evict-clean") && !fired(&a, "evict-dirty"));
         // A command the BIAS memory absorbs fires no rule at all.
@@ -1311,8 +1358,8 @@ mod tests {
             a: BlockAddr::new(3),
             exclude: CacheId::new(1),
         };
-        assert_eq!(b.on_network(inv).unwrap().rule, "inv-while-missing");
-        assert_eq!(b.on_network(inv).unwrap().rule, "");
+        assert_eq!(b.net_told(inv).unwrap().rule, "inv-while-missing");
+        assert_eq!(b.net_told(inv).unwrap().rule, "");
     }
 
     #[test]
@@ -1320,10 +1367,10 @@ mod tests {
         // A write-through cache never asks for an upgrade: its table
         // declares no reply to one.
         let mut a = agent(AgentPolicy::WriteThrough);
-        a.start(read(1), Version::initial());
+        a.start_told(read(1), Version::initial());
         let before = a.save_state().to_json();
         let err = a
-            .on_network(MemoryToCache::MGranted {
+            .net_told(MemoryToCache::MGranted {
                 k: CacheId::new(0),
                 a: BlockAddr::new(1),
                 granted: false,
@@ -1343,8 +1390,8 @@ mod tests {
         let mut yen_fu = agent(AgentPolicy::WriteBack {
             use_exclusive: true,
         });
-        yen_fu.start(read(1), Version::initial());
-        yen_fu.on_network(grant(0, 1, 0, true)).unwrap();
+        yen_fu.start_told(read(1), Version::initial());
+        yen_fu.net_told(grant(0, 1, 0, true)).unwrap();
         let checkpoint = yen_fu.save_state();
         // Plain write-back never fills Exclusive and says nothing about
         // such a line; `start` could only panic on it.
@@ -1357,6 +1404,9 @@ mod tests {
             use_exclusive: true,
         });
         same.restore_state(&checkpoint).unwrap();
-        assert!(same.start(write(1), Version::new(2)).completed.is_some());
+        assert!(same
+            .start_told(write(1), Version::new(2))
+            .completed
+            .is_some());
     }
 }

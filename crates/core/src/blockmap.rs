@@ -1,30 +1,92 @@
-//! A paged map keyed by [`BlockAddr`], tuned for the directory hot path.
+//! A paged map keyed by [`BlockAddr`] — the storage behind every
+//! per-block table a memory module keeps.
 //!
-//! Directory state (`states`, `waiting`), the memory image, and the
-//! controller's transaction bookkeeping are all keyed by block address,
-//! and the access pattern is dominated by short runs over a small working
-//! set: the same handful of contended blocks probed on every command.
-//! [`BlockMap`] exploits that by storing entries in 64-slot **pages**
-//! (block number's low 6 bits index the slot) held in one arena `Vec`,
-//! with a `HashMap` only from page number to arena position and a
-//! one-entry hint remembering the last page touched. A repeat probe of a
-//! recently-used region is then a compare plus two array indexes — no
-//! hashing, no per-entry allocation — while memory stays proportional to
-//! the touched address-space footprint, not its span.
+//! The paper's directory is a table *at the block's own module*, indexed
+//! by the block's position in that module (section 3): two bits per
+//! resident block, whatever the system size. Directory state (`states`,
+//! `waiting`, `holders`), the memory image, and the controller's
+//! transaction bookkeeping are all held that way here. A [`BlockMap`]
+//! is built for the interleave factor `m` of the address map its owner
+//! serves ([`AddressMap::stride`](twobit_types::AddressMap::stride); 1
+//! for a blocked map or no map at all), and splits a block number `n`
+//! into the residue `n % m` — the module, constant for everything one
+//! module owns — and the module-local slot `n / m`
+//! ([`AddressMap::slot_of`](twobit_types::AddressMap::slot_of)). Entries
+//! live in 64-slot **pages** held in one arena `Vec`; a page gathers 64
+//! *consecutive slots of one residue*:
+//!
+//! ```text
+//! page  p = ((n / m) >> 6) * m + n % m        slot  s = (n / m) & 63
+//! n = ((p / m) << 6 | s) * m + p % m
+//! ```
+//!
+//! That is a bijection on every `u64` block number for every `m`, so a
+//! block of another residue (a misrouted command off a socket) gets an
+//! entry of its own and can never alias a neighbour's — which keying by
+//! the bare slot would allow — it merely lands on a page of its own. At
+//! `m = 1` the page is `n >> 6` and the slot `n & 63`, the layout this
+//! map had before it knew about interleaving. Measured density: 4,096
+//! consecutive blocks of one module under the default 8-way interleave
+//! occupy 64 pages, 64 of 64 slots each; keyed by the global block
+//! number they took 512 pages with 8 of 64 slots used, i.e. a whole
+//! hardware cache line per written `Version`.
+//!
+//! Page number → arena position is a `HashMap` with a fixed
+//! multiplicative hasher ([`FixedHasher`]) behind a one-entry hint
+//! remembering the last page touched. Consecutive commands at a module
+//! land on different pages, so the hint misses on nearly every probe and
+//! the index lookup *is* the probe: one multiply, not a SipHash of the
+//! page number. A sorted page table would do without a hasher, but costs
+//! a dozen unpredictable branches where this costs one probe, and the
+//! translation buffer needs the hasher anyway. The hasher is not keyed:
+//! a peer that can name arbitrary blocks can make page numbers collide,
+//! which slows lookups of the pages *it* created and nothing else — it
+//! could always make the table that large.
 //!
 //! Iteration ([`BlockMap::iter`]) visits entries in ascending block
-//! order, which lets fingerprinting feed entries straight into the hasher
-//! without collecting and sorting first.
+//! order whatever the map holds, which lets fingerprinting and
+//! checkpoints feed entries straight out without collecting and sorting
+//! first.
 
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use twobit_types::BlockAddr;
 
 const PAGE_BITS: u32 = 6;
 const PAGE_LEN: usize = 1 << PAGE_BITS;
-/// Sentinel page number for the empty hint; unreachable, since real page
-/// numbers are block numbers shifted right by [`PAGE_BITS`].
+/// Sentinel page number for the empty hint; unreachable, since a page
+/// number never exceeds the number of a block on it.
 const NO_PAGE: u64 = u64::MAX;
+
+/// The hasher of every map keyed by a block or page number on the hot
+/// path: one widening multiplication by the 64-bit golden ratio, the
+/// high half of the product folded onto the low, so that both ends of
+/// the hash — the standard table takes its bucket index from the low
+/// bits and its control byte from the top seven — depend on every bit of
+/// the key.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FixedHasher(u64);
+
+impl Hasher for FixedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` hashed by [`FixedHasher`].
+pub(crate) type FixedHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FixedHasher>>;
 
 #[derive(Debug, Clone)]
 struct Page<T> {
@@ -47,9 +109,11 @@ impl<T> Page<T> {
 /// module docs).
 #[derive(Debug, Clone)]
 pub struct BlockMap<T> {
+    /// The interleave factor `m` the keys are split by; at least 1.
+    stride: u64,
     /// Page number → position in `pages`. Pages are never removed, so
     /// positions are stable and the `hint` below can never dangle.
-    index: HashMap<u64, u32>,
+    index: FixedHashMap<u64, u32>,
     pages: Vec<Page<T>>,
     /// `(page number, arena position)` of the last page touched; a `Cell`
     /// so read-only probes can refresh it.
@@ -59,25 +123,40 @@ pub struct BlockMap<T> {
 
 impl<T> Default for BlockMap<T> {
     fn default() -> Self {
+        BlockMap::with_stride(1)
+    }
+}
+
+impl<T> BlockMap<T> {
+    /// An empty map keyed by the global block number (stride 1).
+    #[must_use]
+    pub fn new() -> Self {
+        BlockMap::default()
+    }
+
+    /// An empty map for the tables of one module of a `stride`-way
+    /// interleaved memory (see the module docs). Any block may still be
+    /// a key; the module's own are the ones stored densely.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride` is zero.
+    #[must_use]
+    pub fn with_stride(stride: u64) -> Self {
+        assert!(stride > 0, "an address map has at least one module");
         BlockMap {
-            index: HashMap::new(),
+            stride,
+            index: FixedHashMap::default(),
             pages: Vec::new(),
             hint: Cell::new((NO_PAGE, 0)),
             len: 0,
         }
     }
-}
 
-fn split(a: BlockAddr) -> (u64, usize) {
-    let n = a.number();
-    (n >> PAGE_BITS, (n & (PAGE_LEN as u64 - 1)) as usize)
-}
-
-impl<T> BlockMap<T> {
-    /// An empty map.
+    /// The interleave factor this map's keys are split by.
     #[must_use]
-    pub fn new() -> Self {
-        BlockMap::default()
+    pub fn stride(&self) -> u64 {
+        self.stride
     }
 
     /// Number of entries.
@@ -91,6 +170,21 @@ impl<T> BlockMap<T> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Block `a`'s page number and slot within the page.
+    fn split(&self, a: BlockAddr) -> (u64, usize) {
+        let (local, residue) = (a.number() / self.stride, a.number() % self.stride);
+        (
+            (local >> PAGE_BITS) * self.stride + residue,
+            (local & (PAGE_LEN as u64 - 1)) as usize,
+        )
+    }
+
+    /// The inverse of [`BlockMap::split`].
+    fn join(&self, page: u64, slot: usize) -> BlockAddr {
+        let local = ((page / self.stride) << PAGE_BITS) | slot as u64;
+        BlockAddr::new(local * self.stride + page % self.stride)
     }
 
     fn page_pos(&self, pno: u64) -> Option<u32> {
@@ -111,14 +205,14 @@ impl<T> BlockMap<T> {
         if self.len == 0 {
             return None;
         }
-        let (pno, slot) = split(a);
+        let (pno, slot) = self.split(a);
         let pos = self.page_pos(pno)?;
         self.pages[pos as usize].slots[slot].as_ref()
     }
 
     /// Mutable access to the entry for block `a`, if present.
     pub fn get_mut(&mut self, a: BlockAddr) -> Option<&mut T> {
-        let (pno, slot) = split(a);
+        let (pno, slot) = self.split(a);
         let pos = self.page_pos(pno)?;
         self.pages[pos as usize].slots[slot].as_mut()
     }
@@ -131,7 +225,7 @@ impl<T> BlockMap<T> {
 
     /// Inserts an entry for block `a`, returning the previous one.
     pub fn insert(&mut self, a: BlockAddr, value: T) -> Option<T> {
-        let (pno, slot) = split(a);
+        let (pno, slot) = self.split(a);
         let pos = match self.page_pos(pno) {
             Some(pos) => pos as usize,
             None => {
@@ -153,7 +247,7 @@ impl<T> BlockMap<T> {
     /// Removes block `a`'s entry, returning it. The page stays allocated
     /// for reuse.
     pub fn remove(&mut self, a: BlockAddr) -> Option<T> {
-        let (pno, slot) = split(a);
+        let (pno, slot) = self.split(a);
         let pos = self.page_pos(pno)? as usize;
         let old = self.pages[pos].slots[slot].take();
         if old.is_some() {
@@ -165,14 +259,41 @@ impl<T> BlockMap<T> {
 
     /// Iterates over entries in ascending block order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &T)> {
-        let mut order: Vec<&Page<T>> = self.pages.iter().filter(|p| p.occupied > 0).collect();
-        order.sort_unstable_by_key(|p| p.no);
-        order.into_iter().flat_map(|page| {
-            page.slots.iter().enumerate().filter_map(move |(s, slot)| {
-                slot.as_ref()
-                    .map(|v| (BlockAddr::new((page.no << PAGE_BITS) | s as u64), v))
-            })
+        // Occupied pages in ascending order, each with its `no / m`. Pages
+        // that differ in it cover disjoint ascending ranges. Pages that
+        // share it are the same 64 slots of different residues (only a
+        // map holding blocks of several modules has any) and interleave
+        // slot by slot: `from..at` walks them for the current `slot`.
+        let occupied = self.pages.iter().filter(|p| p.occupied > 0);
+        let mut order: Vec<(u64, &Page<T>)> = occupied.map(|p| (p.no / self.stride, p)).collect();
+        order.sort_unstable_by_key(|(_, p)| p.no);
+        let (mut from, mut at, mut slot) = (0, 0, 0);
+        std::iter::from_fn(move || loop {
+            let group = order.get(from)?.0;
+            match order.get(at).filter(|(g, _)| *g == group) {
+                Some((_, page)) => {
+                    at += 1;
+                    if let Some(v) = &page.slots[slot] {
+                        return Some((self.join(page.no, slot), v));
+                    }
+                }
+                None if slot + 1 < PAGE_LEN => (at, slot) = (from, slot + 1),
+                None => (from, slot) = (at, 0),
+            }
         })
+    }
+
+    /// A copy of this map keyed for `stride`-way interleaving.
+    #[must_use]
+    pub fn keyed_by(&self, stride: u64) -> Self
+    where
+        T: Clone,
+    {
+        let mut map = BlockMap::with_stride(stride);
+        for (a, v) in self.iter() {
+            map.insert(a, v.clone());
+        }
+        map
     }
 }
 
@@ -195,6 +316,14 @@ impl BlockSet {
     #[must_use]
     pub fn new() -> Self {
         BlockSet::default()
+    }
+
+    /// An empty set stored as [`BlockMap::with_stride`] stores a map.
+    #[must_use]
+    pub fn with_stride(stride: u64) -> Self {
+        BlockSet {
+            map: BlockMap::with_stride(stride),
+        }
     }
 
     /// Adds `a`; `true` if it was not already present.
@@ -321,5 +450,92 @@ mod tests {
         assert!(s.remove(blk(3)));
         assert!(!s.remove(blk(3)));
         assert!(s.is_empty());
+    }
+
+    /// Every page number of `m`, in allocation order.
+    fn pages<T>(m: &BlockMap<T>) -> Vec<u64> {
+        m.pages.iter().map(|p| p.no).collect()
+    }
+
+    #[test]
+    fn equal_slots_of_different_residues_do_not_alias() {
+        let map = twobit_types::AddressMap::interleaved(8);
+        let (mine, misrouted) = (blk(8 * 5 + 1), blk(8 * 5 + 2));
+        assert_eq!(map.slot_of(mine), map.slot_of(misrouted));
+        let mut m = BlockMap::with_stride(map.stride());
+        m.insert(mine, "mine");
+        assert_eq!(m.get(misrouted), None);
+        m.insert(misrouted, "misrouted");
+        assert_eq!(m.get(mine), Some(&"mine"));
+        assert_eq!(m.remove(misrouted), Some("misrouted"));
+        assert_eq!(m.get(mine), Some(&"mine"));
+        assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn stride_one_pages_by_the_global_block_number() {
+        let mut m = BlockMap::new();
+        assert_eq!(m.stride(), 1);
+        let blocks = [0u64, 64, 4096 + 3, (1 << 32) + 70, u64::MAX];
+        for n in blocks {
+            m.insert(blk(n), n);
+        }
+        m.insert(blk(63), 63); // page 0 again
+        assert_eq!(pages(&m), blocks.map(|n| n >> PAGE_BITS));
+    }
+
+    #[test]
+    fn a_modules_blocks_fill_their_pages() {
+        // 4,096 consecutive blocks of module 3 of 8: 64 pages keyed by
+        // the module-local slot, 512 keyed by the global block number.
+        let of_module_3 = (0..4096u64).map(|slot| blk(slot * 8 + 3));
+        let mut dense = BlockMap::with_stride(8);
+        let mut sparse = BlockMap::new();
+        for a in of_module_3.clone() {
+            dense.insert(a, ());
+            sparse.insert(a, ());
+        }
+        assert_eq!(pages(&dense).len(), 64);
+        assert!(dense.pages.iter().all(|p| p.occupied == PAGE_LEN as u32));
+        assert_eq!(pages(&sparse).len(), 512);
+        assert!(dense.iter().map(|(a, ())| a).eq(of_module_3));
+        assert_eq!(dense, sparse, "the same content either way");
+    }
+
+    #[test]
+    fn iter_merges_residues_into_ascending_block_order() {
+        let mut m = BlockMap::with_stride(3);
+        // Three residues across two page groups, inserted out of order.
+        let mut blocks = [200u64, 1, 0, 192, 5, 3 * 64 + 1, 2, 191, 4];
+        for n in blocks {
+            m.insert(blk(n), n);
+        }
+        blocks.sort_unstable();
+        let got: Vec<(u64, u64)> = m.iter().map(|(a, &v)| (a.number(), v)).collect();
+        assert_eq!(got, blocks.map(|n| (n, n)));
+        assert_eq!(m.keyed_by(1), m);
+        assert!(m.keyed_by(8).iter().map(|(a, _)| a.number()).eq(blocks));
+    }
+
+    #[test]
+    fn fixed_hasher_spreads_consecutive_and_aligned_keys() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let hash = |n: u64| BuildHasherDefault::<FixedHasher>::default().hash_one(n);
+        // Keys that are not one `u64` go through `write`: every byte counts.
+        let hash_str = |s: &str| BuildHasherDefault::<FixedHasher>::default().hash_one(s);
+        assert_ne!(hash_str("ab"), hash_str("bb"));
+        // The standard table indexes buckets by the low bits and tags
+        // entries by the top seven: neither may be constant over page
+        // numbers that are consecutive or share their low bits.
+        for step in [1u64, 64, 1 << 20] {
+            let low: std::collections::HashSet<u64> =
+                (0..64).map(|i| hash(i * step) & 63).collect();
+            let top: std::collections::HashSet<u64> =
+                (0..64).map(|i| hash(i * step) >> 57).collect();
+            assert!(
+                low.len() > 32 && top.len() > 32,
+                "step {step}: {low:?} {top:?}"
+            );
+        }
     }
 }

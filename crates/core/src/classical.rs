@@ -124,7 +124,7 @@ mod tests {
         let mut d = classical();
         let mem = MemoryImage::new();
         let s = d
-            .open(
+            .open_step(
                 cid(0),
                 blk(1),
                 OpenKind::WriteThrough(Version::new(4)),
@@ -149,7 +149,9 @@ mod tests {
         let mut d = classical();
         let mut mem = MemoryImage::new();
         mem.write(blk(2), Version::new(9));
-        let s = d.open(cid(1), blk(2), OpenKind::ReadMiss, &mem).unwrap();
+        let s = d
+            .open_step(cid(1), blk(2), OpenKind::ReadMiss, &mem)
+            .unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
                 cmd:
@@ -170,7 +172,7 @@ mod tests {
         let mut d = classical();
         let mem = MemoryImage::new();
         let err = d
-            .open(cid(0), blk(1), OpenKind::WriteMiss, &mem)
+            .open_step(cid(0), blk(1), OpenKind::WriteMiss, &mem)
             .unwrap_err();
         assert!(
             err.to_string()
@@ -192,7 +194,9 @@ mod tests {
     fn null_directory_serves_private_and_public_paths() {
         let mut d = null();
         let mem = MemoryImage::new();
-        let s = d.open(cid(0), blk(1), OpenKind::WriteMiss, &mem).unwrap();
+        let s = d
+            .open_step(cid(0), blk(1), OpenKind::WriteMiss, &mem)
+            .unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
                 cmd: MemoryToCache::GetData { exclusive, .. },
@@ -202,10 +206,12 @@ mod tests {
             }
             other => panic!("expected exclusive grant, got {other:?}"),
         }
-        let s = d.open(cid(0), blk(2), OpenKind::DirectRead, &mem).unwrap();
+        let s = d
+            .open_step(cid(0), blk(2), OpenKind::DirectRead, &mem)
+            .unwrap();
         assert_eq!(s.sends.len(), 1);
         let s = d
-            .open(
+            .open_step(
                 cid(0),
                 blk(2),
                 OpenKind::WriteThrough(Version::new(3)),
@@ -222,7 +228,7 @@ mod tests {
     #[test]
     fn null_directory_absorbs_private_writebacks() {
         let mut d = null();
-        let s = d.eject_dirty(cid(0), blk(7), Version::new(2)).unwrap();
+        let s = d.eject_dirty_step(cid(0), blk(7), Version::new(2)).unwrap();
         assert_eq!(s.write_memory, Some((blk(7), Version::new(2))));
     }
 }

@@ -8,10 +8,11 @@
 //! its scheme's compiled [`TransitionTable`] (a [`Program`]): handed a
 //! transaction-opening command (or owner-supplied data resolving an
 //! earlier one, or an eject), it looks the rule up by `(event, state,
-//! conditions)` and turns the rule's actions into a [`DirStep`] describing
-//! exactly which commands to send where, what to write to memory, and
-//! whether the transaction is complete. It never asks which scheme it
-//! serves; the table and the identity store are all that differ.
+//! conditions)` and runs the rule's actions: the commands to send go, in
+//! order, into a buffer the caller owns and reuses (a decision allocates
+//! nothing), and a [`DirStep`] says what to write to memory and whether
+//! the transaction is complete. It never asks which scheme it serves; the
+//! table and the identity store are all that differ.
 //!
 //! The [`Controller`](crate::Controller) executes steps and enforces the
 //! section 3.2.5 queueing discipline; the timed simulator adds latencies
@@ -87,11 +88,10 @@ pub enum DirSend {
     },
 }
 
-/// The outcome of one protocol decision.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// The outcome of one protocol decision, besides the messages it wrote
+/// into the caller's send buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirStep {
-    /// Messages to send, in order.
-    pub sends: Vec<DirSend>,
     /// A block write into the module's storage (a write-back landing),
     /// applied before any send is delivered.
     pub write_memory: Option<(BlockAddr, Version)>,
@@ -110,41 +110,6 @@ impl OpenKind {
             OpenKind::WriteThrough(_) => EventKind::WriteThrough,
             OpenKind::DirectRead => EventKind::DirectRead,
         }
-    }
-}
-
-impl DirStep {
-    /// A completed step with no sends and no memory write.
-    #[must_use]
-    pub fn done() -> Self {
-        DirStep {
-            completes: true,
-            ..DirStep::default()
-        }
-    }
-
-    /// A step that leaves the transaction waiting for data.
-    #[must_use]
-    pub fn awaiting(sends: Vec<DirSend>) -> Self {
-        DirStep {
-            sends,
-            write_memory: None,
-            completes: false,
-        }
-    }
-
-    /// Builder: add a send.
-    #[must_use]
-    pub fn with_send(mut self, send: DirSend) -> Self {
-        self.sends.push(send);
-        self
-    }
-
-    /// Builder: set the memory write.
-    #[must_use]
-    pub fn with_memory_write(mut self, a: BlockAddr, version: Version) -> Self {
-        self.write_memory = Some((a, version));
-        self
     }
 }
 
@@ -342,6 +307,20 @@ impl Directory {
         }
     }
 
+    /// This directory with its per-block tables stored for one module of
+    /// a `stride`-way interleaved memory ([`BlockMap::with_stride`]) —
+    /// what a [`Controller`](crate::Controller) makes of the directory it
+    /// is given. Content and behaviour are the same at any stride.
+    #[must_use]
+    pub fn keyed_by(mut self, stride: u64) -> Self {
+        self.states = self.states.keyed_by(stride);
+        self.waiting = self.waiting.keyed_by(stride);
+        if let Identities::Exact { holders, .. } = &mut self.identities {
+            *holders = holders.keyed_by(stride);
+        }
+        self
+    }
+
     /// Which rules of [`Directory::table`] have fired so far, as a bit
     /// per rule index.
     #[must_use]
@@ -369,7 +348,8 @@ impl Directory {
         }
     }
 
-    /// Handles a transaction-opening command from cache `k` for block `a`.
+    /// Handles a transaction-opening command from cache `k` for block `a`,
+    /// appending the messages to send, in order, to `sends`.
     ///
     /// The controller guarantees `a` has no other transaction in flight
     /// (section 3.2.5's per-block serialization).
@@ -386,6 +366,7 @@ impl Directory {
         a: BlockAddr,
         kind: OpenKind,
         mem: &MemoryImage,
+        sends: &mut Vec<DirSend>,
     ) -> Result<DirStep, ProtocolError> {
         debug_assert!(!self.waiting.contains_key(a), "open on a waiting block");
         let (fresh, data) = match kind {
@@ -405,7 +386,7 @@ impl Directory {
             _ => (false, Data::Memory(mem)),
         };
         let chosen = self.choose(kind.event(), cond_bits(&[(Cond::Fresh, fresh)]), k, a)?;
-        Ok(self.fire(chosen, k, a, data, None))
+        Ok(self.fire(chosen, k, a, data, None, sends))
     }
 
     /// Checks that the table declares `kind`'s event at all — what a
@@ -434,7 +415,8 @@ impl Directory {
     /// Handles block data arriving for a transaction left waiting by
     /// [`Directory::open`]. `retains` tells whether the supplier kept a
     /// clean copy (a `BROADQUERY(read)` response) or gave the block up
-    /// entirely (an invalidating response or a racing write-back).
+    /// entirely (an invalidating response or a racing write-back). The
+    /// grant goes into `sends`.
     ///
     /// # Errors
     ///
@@ -450,7 +432,7 @@ impl Directory {
         from: CacheId,
         version: Version,
         retains: bool,
-        _mem: &MemoryImage,
+        sends: &mut Vec<DirSend>,
     ) -> Result<DirStep, ProtocolError> {
         let waiting = *self
             .waiting
@@ -460,7 +442,7 @@ impl Directory {
         let chosen = self.choose(EventKind::Supply, conds, waiting.k, a)?;
         self.waiting.remove(a);
         let keeper = (retains && !waiting.write).then_some(from);
-        Ok(self.fire(chosen, waiting.k, a, Data::InHand(version), keeper))
+        Ok(self.fire(chosen, waiting.k, a, Data::InHand(version), keeper, sends))
     }
 
     /// Whether an eject notice from `k` (clean or dirty) stands in for the
@@ -485,7 +467,11 @@ impl Directory {
     pub fn eject_clean(&mut self, k: CacheId, a: BlockAddr) -> Result<(), ProtocolError> {
         let chosen = self.choose(EventKind::EjectClean, 0, k, a)?;
         self.identities.remove(a, k);
-        self.fire(chosen, k, a, Data::None, None);
+        // The notice is advisory: its rule moves the state and sends
+        // nothing, so this `Vec` never allocates.
+        let mut sends = Vec::new();
+        self.fire(chosen, k, a, Data::None, None, &mut sends);
+        debug_assert!(sends.is_empty(), "a clean eject notice is advisory");
         Ok(())
     }
 
@@ -500,10 +486,11 @@ impl Directory {
         k: CacheId,
         a: BlockAddr,
         version: Version,
+        sends: &mut Vec<DirSend>,
     ) -> Result<DirStep, ProtocolError> {
         let chosen = self.choose(EventKind::EjectDirty, 0, k, a)?;
         self.identities.remove(a, k);
-        Ok(self.fire(chosen, k, a, Data::InHand(version), None))
+        Ok(self.fire(chosen, k, a, Data::InHand(version), None, sends))
     }
 
     /// Looks up the one rule for `event` on block `a` in its present
@@ -532,6 +519,7 @@ impl Directory {
         a: BlockAddr,
         data: Data<'_>,
         keeper: Option<CacheId>,
+        sends: &mut Vec<DirSend>,
     ) -> DirStep {
         self.fired |= 1 << index;
         let event = rule.event;
@@ -541,13 +529,13 @@ impl Directory {
             AccessKind::Read
         };
         let mut step = DirStep {
+            write_memory: None,
             completes: rule.completes,
-            ..DirStep::default()
         };
         for action in &rule.actions {
             match *action {
                 ActionKind::Grant { exclusive } => {
-                    step.sends.push(match data {
+                    sends.push(match data {
                         Data::Memory(mem) => grant_from_memory(k, a, mem, exclusive),
                         Data::InHand(version) => grant_forwarded(k, a, version, exclusive),
                         Data::None => panic!("'{}' grants with no data to grant", rule.name),
@@ -561,16 +549,16 @@ impl Directory {
                     }
                 }
                 ActionKind::ModifyGrant { granted } => {
-                    step.sends.push(mgranted(k, a, granted));
+                    sends.push(mgranted(k, a, granted));
                     if granted {
                         self.identities.set(a, k, None);
                     }
                 }
                 ActionKind::Invalidate { delivery } => {
-                    self.deliver(&mut step, delivery, a, k, None);
+                    self.deliver(sends, delivery, a, k, None);
                 }
                 ActionKind::Recall { delivery } => {
-                    self.deliver(&mut step, delivery, a, k, Some(rw));
+                    self.deliver(sends, delivery, a, k, Some(rw));
                 }
                 ActionKind::WriteMemory => match data {
                     Data::InHand(version) => step.write_memory = Some((a, version)),
@@ -616,7 +604,7 @@ impl Directory {
     #[inline(never)]
     fn deliver(
         &mut self,
-        step: &mut DirStep,
+        sends: &mut Vec<DirSend>,
         delivery: Delivery,
         a: BlockAddr,
         k: CacheId,
@@ -628,7 +616,7 @@ impl Directory {
             Delivery::Targeted | Delivery::Either => self.identities.lookup(a),
         };
         match known {
-            Some(owners) => step.sends.extend(
+            Some(owners) => sends.extend(
                 owners
                     .into_iter()
                     .flat_map(OwnerSet::iter)
@@ -642,7 +630,7 @@ impl Directory {
                         cost,
                     }),
             ),
-            None => step.sends.push(DirSend::Broadcast {
+            None => sends.push(DirSend::Broadcast {
                 cmd: match recall {
                     Some(rw) => MemoryToCache::BroadQuery { a, rw },
                     None => MemoryToCache::BroadInv { a, exclude: k },
@@ -724,17 +712,19 @@ impl Directory {
     }
 
     /// Rebuilds a directory like this one — same table, same identity
-    /// store dimensions — from a [`Directory::save_state`] document.
+    /// store dimensions, same table keying — from a
+    /// [`Directory::save_state`] document.
     ///
     /// # Errors
     ///
     /// Returns a message naming the malformed field, or a presence vector
     /// or buffer whose width or capacity is not this directory's.
     pub fn restored(&self, j: &Json) -> Result<Directory, String> {
+        let stride = self.states.stride();
         let mut d = Directory {
             program: self.program,
-            states: BlockMap::new(),
-            waiting: BlockMap::new(),
+            states: BlockMap::with_stride(stride),
+            waiting: BlockMap::with_stride(stride),
             fired: self.fired,
             identities: match &self.identities {
                 Identities::Unknown => Identities::Unknown,
@@ -742,7 +732,7 @@ impl Directory {
                     Identities::Buffered(buffer.restored(j.member("buffer")?)?)
                 }
                 Identities::Exact { width, .. } => {
-                    let mut holders = BlockMap::new();
+                    let mut holders = BlockMap::with_stride(stride);
                     for e in j.array("holders")? {
                         let owners: OwnerSet = e.field("o")?;
                         if owners.capacity() != *width {
@@ -918,24 +908,70 @@ pub(crate) fn mgranted(k: CacheId, a: BlockAddr, granted: bool) -> DirSend {
     }
 }
 
+/// What the scheme tests drive a directory through: each call with a
+/// fresh send buffer, handed back beside the step's outcome.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// A [`DirStep`] with the sends it made.
+    #[derive(Debug)]
+    pub(crate) struct Stepped {
+        pub(crate) sends: Vec<DirSend>,
+        pub(crate) write_memory: Option<(BlockAddr, Version)>,
+        pub(crate) completes: bool,
+    }
+
+    fn stepped(
+        step: impl FnOnce(&mut Vec<DirSend>) -> Result<DirStep, ProtocolError>,
+    ) -> Result<Stepped, ProtocolError> {
+        let mut sends = Vec::new();
+        let DirStep {
+            write_memory,
+            completes,
+        } = step(&mut sends)?;
+        Ok(Stepped {
+            sends,
+            write_memory,
+            completes,
+        })
+    }
+
+    impl Directory {
+        pub(crate) fn open_step(
+            &mut self,
+            k: CacheId,
+            a: BlockAddr,
+            kind: OpenKind,
+            mem: &MemoryImage,
+        ) -> Result<Stepped, ProtocolError> {
+            stepped(|sends| self.open(k, a, kind, mem, sends))
+        }
+
+        pub(crate) fn supply_step(
+            &mut self,
+            a: BlockAddr,
+            from: CacheId,
+            version: Version,
+            retains: bool,
+        ) -> Result<Stepped, ProtocolError> {
+            stepped(|sends| self.supply(a, from, version, retains, sends))
+        }
+
+        pub(crate) fn eject_dirty_step(
+            &mut self,
+            k: CacheId,
+            a: BlockAddr,
+            version: Version,
+        ) -> Result<Stepped, ProtocolError> {
+            stepped(|sends| self.eject_dirty(k, a, version, sends))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dir_step_builders() {
-        let done = DirStep::done();
-        assert!(done.completes && done.sends.is_empty() && done.write_memory.is_none());
-
-        let s = DirStep::done()
-            .with_memory_write(BlockAddr::new(1), Version::new(2))
-            .with_send(mgranted(CacheId::new(0), BlockAddr::new(1), true));
-        assert_eq!(s.write_memory, Some((BlockAddr::new(1), Version::new(2))));
-        assert_eq!(s.sends.len(), 1);
-
-        let w = DirStep::awaiting(vec![]);
-        assert!(!w.completes);
-    }
 
     #[test]
     fn grant_helpers_build_expected_commands() {

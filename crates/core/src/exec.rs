@@ -11,13 +11,13 @@
 //! interleaving.
 
 use crate::agent::{AgentPolicy, CacheAgent, Completion};
+use crate::blockmap::BlockMap;
 use crate::cache_table::CacheTable;
-use crate::controller::{Controller, CtrlEmit};
+use crate::controller::{Controller, CtrlEmit, Observer};
 use crate::directory::Directory;
 use crate::invariants;
 use crate::transitions::Program;
 use crate::{classical, full_map, full_map_local, tlb, two_bit};
-use std::collections::{HashMap, VecDeque};
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, CacheToMemory, ConfigError, MemRef, MemoryToCache,
     ProtocolError, ProtocolKind, SystemConfig, SystemStats, Version,
@@ -28,7 +28,7 @@ use twobit_types::{
 /// executable.
 #[derive(Debug, Default)]
 pub struct Oracle {
-    expected: HashMap<BlockAddr, Version>,
+    expected: BlockMap<Version>,
     next_version: u64,
 }
 
@@ -54,7 +54,7 @@ impl Oracle {
     #[must_use]
     pub fn expected(&self, a: BlockAddr) -> Version {
         self.expected
-            .get(&a)
+            .get(a)
             .copied()
             .unwrap_or_else(Version::initial)
     }
@@ -199,6 +199,13 @@ pub struct FunctionalSystem {
     oracle: Oracle,
     check_invariants: bool,
     references: u64,
+    /// The messages of the reference being executed, each queue consumed
+    /// from the front by a cursor, and what one controller command
+    /// emitted before broadcasts fan out. Kept between references, so
+    /// executing one allocates nothing once they have grown.
+    to_memory: Vec<CacheToMemory>,
+    to_caches: Vec<(CacheId, MemoryToCache)>,
+    emits: Vec<CtrlEmit>,
 }
 
 impl FunctionalSystem {
@@ -259,7 +266,15 @@ impl FunctionalSystem {
             })
             .collect();
         let controllers = twobit_types::ModuleId::all(config.address_map.modules())
-            .map(|m| Controller::new(m, directory.clone(), config.caches, config.concurrency))
+            .map(|m| {
+                Controller::new(
+                    m,
+                    config.address_map,
+                    directory.clone(),
+                    config.caches,
+                    config.concurrency,
+                )
+            })
             .collect();
         Ok(FunctionalSystem {
             config,
@@ -268,6 +283,9 @@ impl FunctionalSystem {
             oracle: Oracle::new(),
             check_invariants: false,
             references: 0,
+            to_memory: Vec::new(),
+            to_caches: Vec::new(),
+            emits: Vec::new(),
         })
     }
 
@@ -314,36 +332,39 @@ impl FunctionalSystem {
             AccessKind::Write => self.oracle.fresh_version(),
             AccessKind::Read => Version::initial(),
         };
-        let start = self.agents[k.index()].start(op, store_version);
+        self.to_memory.clear();
+        self.to_caches.clear();
+        let start = self.agents[k.index()].start(op, store_version, &mut self.to_memory);
         let mut retired = start.completed;
-        let mut to_memory: VecDeque<CacheToMemory> = start.sends.into();
-        let mut to_caches: VecDeque<(CacheId, MemoryToCache)> = VecDeque::new();
+        let (mut next_command, mut next_delivery) = (0, 0);
 
         // Process to quiescence. Cache-bound deliveries drain first so
         // per-reference ordering matches the timed simulator's
         // (commands sent earlier arrive earlier).
         loop {
-            if let Some((dst, msg)) = to_caches.pop_front() {
-                let out = self.agents[dst.index()].on_network(msg)?;
-                to_memory.extend(out.sends);
+            if let Some(&(dst, msg)) = self.to_caches.get(next_delivery) {
+                next_delivery += 1;
+                let out = self.agents[dst.index()].on_network(msg, &mut self.to_memory)?;
                 if let Some(c) = out.completed {
                     debug_assert!(retired.is_none(), "a reference retires exactly once");
                     retired = Some(c);
                 }
                 continue;
             }
-            if let Some(cmd) = to_memory.pop_front() {
+            if let Some(&cmd) = self.to_memory.get(next_command) {
+                next_command += 1;
                 let module = self.config.address_map.module_of(cmd.block());
-                let emits = self.controllers[module.index()].submit(cmd)?;
-                for emit in emits {
-                    match emit {
-                        CtrlEmit::Unicast { to, cmd, .. } => to_caches.push_back((to, cmd)),
+                self.emits.clear();
+                self.controllers[module.index()].submit(cmd, Observer::none(), &mut self.emits)?;
+                for emit in &self.emits {
+                    match *emit {
+                        CtrlEmit::Unicast { to, cmd, .. } => self.to_caches.push((to, cmd)),
                         CtrlEmit::Broadcast { cmd, exclude, .. } => {
-                            for id in CacheId::all(self.config.caches) {
-                                if id != exclude {
-                                    to_caches.push_back((id, cmd));
-                                }
-                            }
+                            self.to_caches.extend(
+                                CacheId::all(self.config.caches)
+                                    .filter(|&id| id != exclude)
+                                    .map(|id| (id, cmd)),
+                            );
                         }
                     }
                 }

@@ -142,7 +142,8 @@ pub(crate) fn program() -> &'static Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directory::{DirSend, DirStep, Directory, OpenKind};
+    use crate::directory::testing::Stepped;
+    use crate::directory::{DirSend, Directory, OpenKind};
     use crate::memory::MemoryImage;
     use crate::owner_set::OwnerSet;
     use twobit_types::{AccessKind, BlockAddr, CacheId, MemoryToCache, Version, WritebackKind};
@@ -159,7 +160,7 @@ mod tests {
         CacheId::new(n)
     }
 
-    fn unicast_invs(step: &DirStep) -> Vec<CacheId> {
+    fn unicast_invs(step: &Stepped) -> Vec<CacheId> {
         step.sends
             .iter()
             .filter_map(|s| match s {
@@ -177,8 +178,8 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(1);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
-        d.open(cid(2), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(2), a, OpenKind::ReadMiss, &mem).unwrap();
         let holders = d.holders(a).unwrap();
         assert!(holders.contains(cid(0)) && holders.contains(cid(2)));
         assert_eq!(d.global_state(a), GlobalState::PresentStar);
@@ -189,11 +190,11 @@ mod tests {
         let mut d = full_map(8);
         let mem = MemoryImage::new();
         let a = blk(2);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
-        d.open(cid(5), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(5), a, OpenKind::ReadMiss, &mem).unwrap();
 
-        let s = d.open(cid(7), a, OpenKind::WriteMiss, &mem).unwrap();
+        let s = d.open_step(cid(7), a, OpenKind::WriteMiss, &mem).unwrap();
         assert!(s.completes);
         let mut invs = unicast_invs(&s);
         invs.sort();
@@ -211,8 +212,8 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(3);
-        d.open(cid(1), a, OpenKind::WriteMiss, &mem).unwrap();
-        let s = d.open(cid(2), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(1), a, OpenKind::WriteMiss, &mem).unwrap();
+        let s = d.open_step(cid(2), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(!s.completes);
         assert_eq!(
             s.sends.len(),
@@ -230,7 +231,7 @@ mod tests {
             }
             other => panic!("expected PURGE, got {other:?}"),
         }
-        let s = d.supply(a, cid(1), Version::new(4), true, &mem).unwrap();
+        let s = d.supply_step(a, cid(1), Version::new(4), true).unwrap();
         assert!(s.completes);
         let holders = d.holders(a).unwrap();
         assert!(holders.contains(cid(1)) && holders.contains(cid(2)));
@@ -242,9 +243,9 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(4);
-        d.open(cid(1), a, OpenKind::WriteMiss, &mem).unwrap();
-        d.open(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
-        let s = d.supply(a, cid(1), Version::new(6), false, &mem).unwrap();
+        d.open_step(cid(1), a, OpenKind::WriteMiss, &mem).unwrap();
+        d.open_step(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
+        let s = d.supply_step(a, cid(1), Version::new(6), false).unwrap();
         assert_eq!(s.write_memory, Some((a, Version::new(6))));
         assert_eq!(d.holders(a).unwrap().sole_member(), Some(cid(2)));
         assert_eq!(d.global_state(a), GlobalState::PresentM);
@@ -255,10 +256,10 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(5);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         let s = d
-            .open(cid(0), a, OpenKind::Modify(mem.read(a)), &mem)
+            .open_step(cid(0), a, OpenKind::Modify(mem.read(a)), &mem)
             .unwrap();
         assert_eq!(unicast_invs(&s), vec![cid(1)]);
         assert_eq!(d.global_state(a), GlobalState::PresentM);
@@ -269,9 +270,9 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(6);
-        d.open(cid(3), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(3), a, OpenKind::ReadMiss, &mem).unwrap();
         let s = d
-            .open(cid(3), a, OpenKind::Modify(mem.read(a)), &mem)
+            .open_step(cid(3), a, OpenKind::Modify(mem.read(a)), &mem)
             .unwrap();
         assert_eq!(s.sends.len(), 1, "just the MGRANTED");
     }
@@ -283,7 +284,7 @@ mod tests {
         let a = blk(7);
         // C1 never fetched the block: its MREQUEST is stale by definition.
         let s = d
-            .open(cid(1), a, OpenKind::Modify(mem.read(a)), &mem)
+            .open_step(cid(1), a, OpenKind::Modify(mem.read(a)), &mem)
             .unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
@@ -301,8 +302,8 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(8);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         d.eject_clean(cid(0), a).unwrap();
         assert_eq!(d.holders(a).unwrap().sole_member(), Some(cid(1)));
         assert_eq!(d.global_state(a), GlobalState::Present1);
@@ -315,8 +316,8 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(9);
-        d.open(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
-        let s = d.eject_dirty(cid(2), a, Version::new(11)).unwrap();
+        d.open_step(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
+        let s = d.eject_dirty_step(cid(2), a, Version::new(11)).unwrap();
         assert_eq!(s.write_memory, Some((a, Version::new(11))));
         assert_eq!(d.global_state(a), GlobalState::Absent);
     }
@@ -326,8 +327,8 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(10);
-        d.open(cid(0), a, OpenKind::WriteMiss, &mem).unwrap();
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap(); // purge to C0 pending
+        d.open_step(cid(0), a, OpenKind::WriteMiss, &mem).unwrap();
+        d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap(); // purge to C0 pending
         assert!(d.eject_satisfies_wait(a, cid(0), WritebackKind::Dirty));
         assert!(!d.eject_satisfies_wait(a, cid(2), WritebackKind::Dirty));
         assert!(!d.eject_satisfies_wait(a, cid(0), WritebackKind::Clean));
@@ -338,7 +339,7 @@ mod tests {
         let mut d = full_map(4);
         let mem = MemoryImage::new();
         let a = blk(11);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
         let clean = OwnerSet::singleton(4, cid(0));
         let none = OwnerSet::new(4);
         assert!(d.check_consistency(a, &clean, &none).is_ok());

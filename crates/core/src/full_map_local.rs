@@ -90,7 +90,7 @@ mod tests {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
         let a = blk(1);
-        let s = d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        let s = d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
                 cmd: MemoryToCache::GetData { exclusive, .. },
@@ -112,8 +112,8 @@ mod tests {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
         let a = blk(2);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
-        let s = d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        let s = d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(
             !s.completes,
             "must recall the exclusive holder — it may be dirty"
@@ -129,7 +129,7 @@ mod tests {
             }
             other => panic!("expected PURGE, got {other:?}"),
         }
-        let s = d.supply(a, cid(0), Version::new(3), true, &mem).unwrap();
+        let s = d.supply_step(a, cid(0), Version::new(3), true).unwrap();
         assert!(s.completes);
         let holders = d.holders(a).unwrap();
         assert!(holders.contains(cid(0)) && holders.contains(cid(1)));
@@ -141,11 +141,11 @@ mod tests {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
         let a = blk(3);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
-        d.supply(a, cid(0), Version::initial(), true, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.supply_step(a, cid(0), Version::initial(), true).unwrap();
         let s = d
-            .open(cid(1), a, OpenKind::Modify(mem.read(a)), &mem)
+            .open_step(cid(1), a, OpenKind::Modify(mem.read(a)), &mem)
             .unwrap();
         let invs: Vec<CacheId> = s
             .sends
@@ -167,7 +167,7 @@ mod tests {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
         let a = blk(4);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
         d.eject_clean(cid(0), a).unwrap();
         assert_eq!(d.global_state(a), GlobalState::Absent);
     }
@@ -177,12 +177,12 @@ mod tests {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
         let a = blk(5);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap(); // exclusive at C0
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap(); // recall in flight
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap(); // exclusive at C0
+        d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap(); // recall in flight
         assert!(d.eject_satisfies_wait(a, cid(0), WritebackKind::Clean));
         assert!(!d.eject_satisfies_wait(a, cid(1), WritebackKind::Clean));
         // The racing clean eject supplies memory's (current) data.
-        let s = d.supply(a, cid(0), mem.read(a), false, &mem).unwrap();
+        let s = d.supply_step(a, cid(0), mem.read(a), false).unwrap();
         assert!(s.completes);
         assert_eq!(d.global_state(a), GlobalState::Present1);
     }
@@ -192,8 +192,8 @@ mod tests {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
         let a = blk(6);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
-        let s = d.open(cid(1), a, OpenKind::WriteMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        let s = d.open_step(cid(1), a, OpenKind::WriteMiss, &mem).unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
                 cmd: MemoryToCache::Purge { rw, .. },
@@ -203,7 +203,7 @@ mod tests {
             }
             other => panic!("expected PURGE(write), got {other:?}"),
         }
-        let s = d.supply(a, cid(0), Version::new(7), false, &mem).unwrap();
+        let s = d.supply_step(a, cid(0), Version::new(7), false).unwrap();
         assert_eq!(s.write_memory, Some((a, Version::new(7))));
         assert_eq!(d.holders(a).unwrap().sole_member(), Some(cid(1)));
     }
@@ -213,7 +213,7 @@ mod tests {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
         let s = d
-            .open(cid(2), blk(7), OpenKind::Modify(mem.read(blk(7))), &mem)
+            .open_step(cid(2), blk(7), OpenKind::Modify(mem.read(blk(7))), &mem)
             .unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
@@ -231,7 +231,7 @@ mod tests {
         let mut d = full_map_local(4);
         let mem = MemoryImage::new();
         let a = blk(8);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap(); // exclusive-or-modified at C0
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap(); // exclusive-or-modified at C0
         let none = OwnerSet::new(4);
         let c0 = OwnerSet::singleton(4, cid(0));
         // Clean at C0: fine. Dirty at C0 (silent upgrade): also fine.

@@ -136,8 +136,9 @@ pub fn holders_of(agents: &[CacheAgent], a: BlockAddr) -> Vec<CacheId> {
 mod tests {
     use super::*;
     use crate::agent::AgentPolicy;
+    use crate::controller::Observer;
     use crate::directory::Directory;
-    use twobit_types::{CacheOrg, ControllerConcurrency, ModuleId, Version};
+    use twobit_types::{CacheOrg, ControllerConcurrency, MemRef, ModuleId, Version, WordAddr};
 
     fn agent(id: usize) -> CacheAgent {
         CacheAgent::new(
@@ -150,33 +151,37 @@ mod tests {
         )
     }
 
+    /// Fills `op`'s block via the network path — the miss, then its
+    /// grant — to keep the agent consistent.
+    fn fill(agent: &mut CacheAgent, op: MemRef, exclusive: bool) {
+        let mut sends = Vec::new();
+        agent.start(op, Version::new(1), &mut sends);
+        let grant = twobit_types::MemoryToCache::GetData {
+            k: agent.id(),
+            a: op.addr.block,
+            version: Version::initial(),
+            exclusive,
+        };
+        agent.on_network(grant, &mut sends).unwrap();
+    }
+
+    fn controller() -> Controller {
+        Controller::new(
+            ModuleId::new(0),
+            AddressMap::interleaved(1),
+            Directory::new(crate::two_bit::program(), 2, 0),
+            2,
+            ControllerConcurrency::PerBlock,
+        )
+    }
+
     #[test]
     fn truth_gathers_states_by_kind() {
         let mut a0 = agent(0);
         let mut a1 = agent(1);
         // Fill via the network path to keep agents consistent.
-        a0.start(
-            twobit_types::MemRef::read(twobit_types::WordAddr::new(1, 0)),
-            Version::initial(),
-        );
-        a0.on_network(twobit_types::MemoryToCache::GetData {
-            k: CacheId::new(0),
-            a: BlockAddr::new(1),
-            version: Version::initial(),
-            exclusive: false,
-        })
-        .unwrap();
-        a1.start(
-            twobit_types::MemRef::write(twobit_types::WordAddr::new(2, 0)),
-            Version::new(1),
-        );
-        a1.on_network(twobit_types::MemoryToCache::GetData {
-            k: CacheId::new(1),
-            a: BlockAddr::new(2),
-            version: Version::initial(),
-            exclusive: true,
-        })
-        .unwrap();
+        fill(&mut a0, MemRef::read(WordAddr::new(1, 0)), false);
+        fill(&mut a1, MemRef::write(WordAddr::new(2, 0)), true);
         let truth = gather_truth(&[a0, a1]);
         assert!(truth[&BlockAddr::new(1)].clean.contains(CacheId::new(0)));
         assert!(truth[&BlockAddr::new(2)].dirty.contains(CacheId::new(1)));
@@ -185,47 +190,26 @@ mod tests {
     #[test]
     fn clean_system_passes() {
         let agents = vec![agent(0), agent(1)];
-        let controllers = vec![Controller::new(
-            ModuleId::new(0),
-            Directory::new(crate::two_bit::program(), 2, 0),
-            2,
-            ControllerConcurrency::PerBlock,
-        )];
+        let controllers = vec![controller()];
         check_system(&agents, &controllers, AddressMap::interleaved(1)).unwrap();
     }
 
     #[test]
     fn directory_overclaim_is_caught() {
         // Directory says Present1 on a block, but two caches hold it.
-        let mut c = Controller::new(
-            ModuleId::new(0),
-            Directory::new(crate::two_bit::program(), 2, 0),
-            2,
-            ControllerConcurrency::PerBlock,
-        );
+        let mut c = controller();
         // Make the directory believe only C0 read block 1.
-        c.submit(twobit_types::CacheToMemory::Request {
+        let read = twobit_types::CacheToMemory::Request {
             k: CacheId::new(0),
             a: BlockAddr::new(1),
             rw: twobit_types::AccessKind::Read,
-        })
-        .unwrap();
+        };
+        c.submit(read, Observer::none(), &mut Vec::new()).unwrap();
         // But fabricate copies in both caches (fault injection).
         let mut a0 = agent(0);
         let mut a1 = agent(1);
-        for (agent, id) in [(&mut a0, 0usize), (&mut a1, 1)] {
-            agent.start(
-                twobit_types::MemRef::read(twobit_types::WordAddr::new(1, 0)),
-                Version::initial(),
-            );
-            agent
-                .on_network(twobit_types::MemoryToCache::GetData {
-                    k: CacheId::new(id),
-                    a: BlockAddr::new(1),
-                    version: Version::initial(),
-                    exclusive: false,
-                })
-                .unwrap();
+        for agent in [&mut a0, &mut a1] {
+            fill(agent, MemRef::read(WordAddr::new(1, 0)), false);
         }
         let err = check_system(&[a0, a1], &[c], AddressMap::interleaved(1)).unwrap_err();
         assert!(matches!(err, ProtocolError::DirectoryInconsistent { .. }));
@@ -235,26 +219,10 @@ mod tests {
     fn duplicate_dirty_owners_are_caught() {
         let mut a0 = agent(0);
         let mut a1 = agent(1);
-        for (agent, id) in [(&mut a0, 0usize), (&mut a1, 1)] {
-            agent.start(
-                twobit_types::MemRef::write(twobit_types::WordAddr::new(3, 0)),
-                Version::new(1),
-            );
-            agent
-                .on_network(twobit_types::MemoryToCache::GetData {
-                    k: CacheId::new(id),
-                    a: BlockAddr::new(3),
-                    version: Version::initial(),
-                    exclusive: true,
-                })
-                .unwrap();
+        for agent in [&mut a0, &mut a1] {
+            fill(agent, MemRef::write(WordAddr::new(3, 0)), true);
         }
-        let controllers = vec![Controller::new(
-            ModuleId::new(0),
-            Directory::new(crate::two_bit::program(), 2, 0),
-            2,
-            ControllerConcurrency::PerBlock,
-        )];
+        let controllers = vec![controller()];
         let err = check_system(&[a0, a1], &controllers, AddressMap::interleaved(1)).unwrap_err();
         assert!(matches!(err, ProtocolError::DuplicateOwner { .. }));
     }
@@ -262,17 +230,7 @@ mod tests {
     #[test]
     fn holders_of_reports_ground_truth() {
         let mut a0 = agent(0);
-        a0.start(
-            twobit_types::MemRef::read(twobit_types::WordAddr::new(9, 0)),
-            Version::initial(),
-        );
-        a0.on_network(twobit_types::MemoryToCache::GetData {
-            k: CacheId::new(0),
-            a: BlockAddr::new(9),
-            version: Version::initial(),
-            exclusive: false,
-        })
-        .unwrap();
+        fill(&mut a0, MemRef::read(WordAddr::new(9, 0)), false);
         let agents = [a0, agent(1)];
         assert_eq!(
             holders_of(&agents, BlockAddr::new(9)),

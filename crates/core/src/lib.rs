@@ -75,7 +75,7 @@ mod two_bit;
 pub use agent::{AgentPolicy, CacheAgent, Completion, NetOutcome, StartOutcome};
 pub use blockmap::{BlockMap, BlockSet};
 pub use cache_table::{shipped_cache_tables, CacheTable};
-pub use controller::{Controller, CtrlEmit};
+pub use controller::{Controller, CtrlEmit, Observer};
 pub use directory::{DirSend, DirStep, Directory, OpenKind, SendCost};
 pub use exec::{
     build_policy_for, build_protocol_for, cache_table_for, Fired, FunctionalSystem, Oracle,

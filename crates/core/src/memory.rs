@@ -7,18 +7,29 @@ use twobit_types::{BlockAddr, Version};
 ///
 /// Blocks never written still hold their initial image
 /// ([`Version::initial`]); only written blocks occupy space. Storage is a
-/// [`BlockMap`], so the `read` on every memory-sourced grant is a paged
-/// array probe rather than a hash lookup.
+/// [`BlockMap`] keyed for the module's place in the address map, so the
+/// blocks a module owns sit 64 to a page and the `read` on every
+/// memory-sourced grant is one multiplicative hash of the page number
+/// (none when it repeats the last page touched) and two array indexes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoryImage {
     blocks: BlockMap<Version>,
 }
 
 impl MemoryImage {
-    /// An all-initial memory image.
+    /// An all-initial memory image, stored by global block number.
     #[must_use]
     pub fn new() -> Self {
         MemoryImage::default()
+    }
+
+    /// This image stored for one module of a `stride`-way interleaved
+    /// memory ([`BlockMap::with_stride`]); the content is the same.
+    #[must_use]
+    pub fn keyed_by(&self, stride: u64) -> Self {
+        MemoryImage {
+            blocks: self.blocks.keyed_by(stride),
+        }
     }
 
     /// The current content (version) of block `a`.

@@ -49,7 +49,7 @@
 //! reachable ordering of those actions is a distinct interleaving.
 
 use crate::agent::CacheAgent;
-use crate::controller::{Controller, CtrlEmit};
+use crate::controller::{Controller, CtrlEmit, Observer};
 use crate::exec::{build_policy_for, build_protocol_for};
 use crate::invariants;
 use std::collections::BTreeMap;
@@ -460,6 +460,7 @@ impl ModelChecker {
             .map(|m| {
                 Controller::new(
                     m,
+                    self.config.address_map,
                     build_protocol_for(&self.config),
                     self.config.caches,
                     self.config.concurrency,
@@ -675,7 +676,8 @@ impl ModelChecker {
                     }
                     AccessKind::Read => Version::initial(),
                 };
-                let outcome = state.agents[i].start(op, version);
+                let mut sends = Vec::new();
+                let outcome = state.agents[i].start(op, version, &mut sends);
                 if let Some(c) = outcome.completed {
                     if let Some((observed, expected)) =
                         Self::record_retirement(&mut state, c.op, c.observed)
@@ -685,7 +687,7 @@ impl ModelChecker {
                         }
                     }
                 }
-                self.send_to_memory(&mut state, CacheId::new(i), outcome.sends);
+                self.send_to_memory(&mut state, CacheId::new(i), sends);
             }
             Action::Deliver(src, dst) => {
                 let msg = {
@@ -701,11 +703,13 @@ impl ModelChecker {
                 };
                 match (dst, msg) {
                     (Node::Module(m), Msg::ToModule(cmd)) => {
-                        let emits = state.controllers[m as usize].submit(cmd)?;
+                        let mut emits = Vec::new();
+                        state.controllers[m as usize].submit(cmd, Observer::none(), &mut emits)?;
                         self.send_emits(&mut state, ModuleId::new(m as usize), emits);
                     }
                     (Node::Cache(c), Msg::ToCache(cmd)) => {
-                        let out = state.agents[c as usize].on_network(cmd)?;
+                        let mut sends = Vec::new();
+                        let out = state.agents[c as usize].on_network(cmd, &mut sends)?;
                         if let Some(completion) = out.completed {
                             if let Some((observed, expected)) = Self::record_retirement(
                                 &mut state,
@@ -722,7 +726,7 @@ impl ModelChecker {
                                 }
                             }
                         }
-                        self.send_to_memory(&mut state, CacheId::new(c as usize), out.sends);
+                        self.send_to_memory(&mut state, CacheId::new(c as usize), sends);
                     }
                     (node, msg) => unreachable!("misrouted {msg:?} at {node:?}"),
                 }

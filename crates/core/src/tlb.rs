@@ -24,9 +24,9 @@
 //! simply forgets a block, degrading it to broadcast service. Ejects
 //! remove the ejector, keeping entries exact.
 
+use crate::blockmap::FixedHashMap;
 use crate::owner_set::OwnerSet;
 use crate::transitions::{ActionKind, Delivery, Program};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 use twobit_obs::json::{Json, Sink, ToJson};
 use twobit_types::{BlockAddr, CacheId, Fingerprinter};
@@ -34,7 +34,7 @@ use twobit_types::{BlockAddr, CacheId, Fingerprinter};
 /// A bounded LRU buffer of exact owner sets.
 #[derive(Debug, Clone)]
 pub struct TranslationBuffer {
-    entries: HashMap<BlockAddr, (OwnerSet, u64)>,
+    entries: FixedHashMap<BlockAddr, (OwnerSet, u64)>,
     capacity: usize,
     width: usize,
     clock: u64,
@@ -53,7 +53,7 @@ impl TranslationBuffer {
         assert!(capacity > 0, "a zero-entry buffer is plain two-bit");
         assert!(width > 0, "owner sets need at least one cache");
         TranslationBuffer {
-            entries: HashMap::new(),
+            entries: FixedHashMap::default(),
             capacity,
             width,
             clock: 0,
@@ -252,7 +252,8 @@ pub(crate) fn program() -> &'static Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directory::{DirSend, DirStep, Directory, OpenKind};
+    use crate::directory::testing::Stepped;
+    use crate::directory::{DirSend, Directory, OpenKind};
     use crate::memory::MemoryImage;
     use twobit_types::{GlobalState, MemoryToCache, Version};
 
@@ -276,13 +277,13 @@ mod tests {
         CacheId::new(n)
     }
 
-    fn has_broadcast(step: &DirStep) -> bool {
+    fn has_broadcast(step: &Stepped) -> bool {
         step.sends
             .iter()
             .any(|s| matches!(s, DirSend::Broadcast { .. }))
     }
 
-    fn unicast_targets(step: &DirStep) -> Vec<CacheId> {
+    fn unicast_targets(step: &Stepped) -> Vec<CacheId> {
         step.sends
             .iter()
             .filter_map(|s| match s {
@@ -328,11 +329,11 @@ mod tests {
         let mem = MemoryImage::new();
         let a = blk(1);
         // C0 reads from Absent: exact entry {C0} created.
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
         // C1 joins: entry extends to {C0, C1}.
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         // C2 write-misses: both copies invalidated *by name*.
-        let s = d.open(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
+        let s = d.open_step(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
         assert!(!has_broadcast(&s), "buffer hit replaces the broadcast");
         let mut targets = unicast_targets(&s);
         targets.sort();
@@ -348,10 +349,14 @@ mod tests {
         // Fill the 1-entry buffer with block 1, then touch block 2 so
         // block 2's writers find no entry... block 2's first read (Absent)
         // records it, evicting block 1.
-        d.open(cid(0), blk(1), OpenKind::ReadMiss, &mem).unwrap();
-        d.open(cid(0), blk(2), OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(0), blk(1), OpenKind::ReadMiss, &mem)
+            .unwrap();
+        d.open_step(cid(0), blk(2), OpenKind::ReadMiss, &mem)
+            .unwrap();
         // Writing block 1 (Present1, entry evicted): broadcast.
-        let s = d.open(cid(1), blk(1), OpenKind::WriteMiss, &mem).unwrap();
+        let s = d
+            .open_step(cid(1), blk(1), OpenKind::WriteMiss, &mem)
+            .unwrap();
         assert!(has_broadcast(&s));
         assert_eq!(tlb_misses(&d), 1);
     }
@@ -361,8 +366,8 @@ mod tests {
         let mut d = two_bit_tlb(8, 4);
         let mem = MemoryImage::new();
         let a = blk(3);
-        d.open(cid(0), a, OpenKind::WriteMiss, &mem).unwrap(); // entry {C0}, PresentM
-        let s = d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::WriteMiss, &mem).unwrap(); // entry {C0}, PresentM
+        let s = d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(!has_broadcast(&s));
         assert_eq!(
             unicast_targets(&s),
@@ -370,8 +375,8 @@ mod tests {
             "purge goes straight to the owner"
         );
         // Resolution re-records exact owners {C0, C1}.
-        d.supply(a, cid(0), Version::new(2), true, &mem).unwrap();
-        let s = d.open(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
+        d.supply_step(a, cid(0), Version::new(2), true).unwrap();
+        let s = d.open_step(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
         let mut targets = unicast_targets(&s);
         targets.sort();
         assert_eq!(targets, vec![cid(0), cid(1)]);
@@ -382,10 +387,10 @@ mod tests {
         let mut d = two_bit_tlb(8, 4);
         let mem = MemoryImage::new();
         let a = blk(4);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
-        d.open(cid(0), a, OpenKind::Modify(mem.read(a)), &mem)
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::Modify(mem.read(a)), &mem)
             .unwrap(); // Present1 → PresentM, entry {C0}
-        let s = d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        let s = d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         assert_eq!(unicast_targets(&s), vec![cid(0)]);
         assert_eq!(tlb_hits(&d), 1);
     }
@@ -395,10 +400,10 @@ mod tests {
         let mut d = two_bit_tlb(8, 4);
         let mem = MemoryImage::new();
         let a = blk(5);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap(); // entry {C0, C1}
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap(); // entry {C0, C1}
         d.eject_clean(cid(0), a).unwrap();
-        let s = d.open(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
+        let s = d.open_step(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
         assert_eq!(
             unicast_targets(&s),
             vec![cid(1)],
@@ -413,10 +418,10 @@ mod tests {
         let mut d = two_bit_tlb(1024, 8);
         let mem = MemoryImage::new();
         for b in 0..16u64 {
-            d.open(cid((b % 8) as usize), blk(b), OpenKind::ReadMiss, &mem)
+            d.open_step(cid((b % 8) as usize), blk(b), OpenKind::ReadMiss, &mem)
                 .unwrap();
             let s = d
-                .open(
+                .open_step(
                     cid(((b + 1) % 8) as usize),
                     blk(b),
                     OpenKind::WriteMiss,
@@ -434,9 +439,9 @@ mod tests {
         let mut d = two_bit_tlb(4, 4);
         let mem = MemoryImage::new();
         let a = blk(6);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
         assert_eq!(d.global_state(a), GlobalState::Present1);
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         assert_eq!(d.global_state(a), GlobalState::PresentStar);
     }
 }

@@ -176,7 +176,8 @@ pub(crate) fn program() -> &'static Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directory::{DirSend, DirStep, Directory, OpenKind, SendCost};
+    use crate::directory::testing::Stepped;
+    use crate::directory::{DirSend, Directory, OpenKind, SendCost};
     use crate::memory::MemoryImage;
     use crate::owner_set::OwnerSet;
     use twobit_types::{
@@ -195,7 +196,7 @@ mod tests {
         CacheId::new(n)
     }
 
-    fn grants_to(step: &DirStep) -> Vec<CacheId> {
+    fn grants_to(step: &Stepped) -> Vec<CacheId> {
         step.sends
             .iter()
             .filter_map(|s| match s {
@@ -208,7 +209,7 @@ mod tests {
             .collect()
     }
 
-    fn has_broadcast(step: &DirStep) -> bool {
+    fn has_broadcast(step: &Stepped) -> bool {
         step.sends
             .iter()
             .any(|s| matches!(s, DirSend::Broadcast { .. }))
@@ -220,16 +221,16 @@ mod tests {
         let mem = MemoryImage::new();
         let a = blk(1);
 
-        let s = d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        let s = d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(s.completes && !has_broadcast(&s));
         assert_eq!(grants_to(&s), vec![cid(0)]);
         assert_eq!(d.global_state(a), GlobalState::Present1);
 
-        let s = d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        let s = d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(s.completes && !has_broadcast(&s));
         assert_eq!(d.global_state(a), GlobalState::PresentStar);
 
-        let s = d.open(cid(2), a, OpenKind::ReadMiss, &mem).unwrap();
+        let s = d.open_step(cid(2), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(s.completes);
         assert_eq!(
             d.global_state(a),
@@ -243,10 +244,10 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(2);
-        d.open(cid(0), a, OpenKind::WriteMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::WriteMiss, &mem).unwrap();
         assert_eq!(d.global_state(a), GlobalState::PresentM);
 
-        let s = d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        let s = d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(!s.completes);
         assert!(d.awaiting(a));
         match &s.sends[0] {
@@ -266,7 +267,7 @@ mod tests {
         }
 
         // Owner supplies, keeping a clean copy.
-        let s = d.supply(a, cid(0), Version::new(5), true, &mem).unwrap();
+        let s = d.supply_step(a, cid(0), Version::new(5), true).unwrap();
         assert!(s.completes);
         assert_eq!(
             s.write_memory,
@@ -287,11 +288,11 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(3);
-        d.open(cid(0), a, OpenKind::WriteMiss, &mem).unwrap();
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::WriteMiss, &mem).unwrap();
+        d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         assert!(d.eject_satisfies_wait(a, cid(0), WritebackKind::Dirty));
         assert!(!d.eject_satisfies_wait(a, cid(0), WritebackKind::Clean));
-        let s = d.supply(a, cid(0), Version::new(9), false, &mem).unwrap();
+        let s = d.supply_step(a, cid(0), Version::new(9), false).unwrap();
         assert!(s.completes);
         assert_eq!(
             d.global_state(a),
@@ -305,10 +306,10 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(4);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap(); // Present*
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap(); // Present*
 
-        let s = d.open(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
+        let s = d.open_step(cid(2), a, OpenKind::WriteMiss, &mem).unwrap();
         assert!(s.completes, "invalidation needs no response");
         match &s.sends[0] {
             DirSend::Broadcast {
@@ -331,8 +332,8 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(5);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap(); // Present1
-        let s = d.open(cid(1), a, OpenKind::WriteMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap(); // Present1
+        let s = d.open_step(cid(1), a, OpenKind::WriteMiss, &mem).unwrap();
         assert!(has_broadcast(&s));
         assert_eq!(d.global_state(a), GlobalState::PresentM);
     }
@@ -342,8 +343,8 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(6);
-        d.open(cid(0), a, OpenKind::WriteMiss, &mem).unwrap();
-        let s = d.open(cid(1), a, OpenKind::WriteMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::WriteMiss, &mem).unwrap();
+        let s = d.open_step(cid(1), a, OpenKind::WriteMiss, &mem).unwrap();
         assert!(!s.completes);
         match &s.sends[0] {
             DirSend::Broadcast {
@@ -354,7 +355,7 @@ mod tests {
             }
             other => panic!("expected BROADQUERY(write), got {other:?}"),
         }
-        let s = d.supply(a, cid(0), Version::new(2), false, &mem).unwrap();
+        let s = d.supply_step(a, cid(0), Version::new(2), false).unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
                 cmd:
@@ -379,9 +380,9 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(7);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
         let s = d
-            .open(cid(0), a, OpenKind::Modify(mem.read(a)), &mem)
+            .open_step(cid(0), a, OpenKind::Modify(mem.read(a)), &mem)
             .unwrap();
         assert!(!has_broadcast(&s));
         match &s.sends[0] {
@@ -401,10 +402,10 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(8);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap(); // Present*
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap(); // Present*
         let s = d
-            .open(cid(0), a, OpenKind::Modify(mem.read(a)), &mem)
+            .open_step(cid(0), a, OpenKind::Modify(mem.read(a)), &mem)
             .unwrap();
         assert!(has_broadcast(&s));
         assert!(s.completes);
@@ -416,9 +417,9 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(9);
-        d.open(cid(0), a, OpenKind::WriteMiss, &mem).unwrap(); // PresentM at C0
+        d.open_step(cid(0), a, OpenKind::WriteMiss, &mem).unwrap(); // PresentM at C0
         let s = d
-            .open(cid(1), a, OpenKind::Modify(mem.read(a)), &mem)
+            .open_step(cid(1), a, OpenKind::Modify(mem.read(a)), &mem)
             .unwrap();
         match &s.sends[0] {
             DirSend::Unicast {
@@ -442,13 +443,13 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(10);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap(); // Present1
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap(); // Present1
         d.eject_clean(cid(0), a).unwrap();
         assert_eq!(d.global_state(a), GlobalState::Absent);
 
         // Present* never shrinks on clean ejects (identities unknown).
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
-        d.open(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap();
+        d.open_step(cid(1), a, OpenKind::ReadMiss, &mem).unwrap();
         d.eject_clean(cid(0), a).unwrap();
         d.eject_clean(cid(1), a).unwrap();
         assert_eq!(
@@ -463,8 +464,8 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(11);
-        d.open(cid(0), a, OpenKind::WriteMiss, &mem).unwrap();
-        let s = d.eject_dirty(cid(0), a, Version::new(3)).unwrap();
+        d.open_step(cid(0), a, OpenKind::WriteMiss, &mem).unwrap();
+        let s = d.eject_dirty_step(cid(0), a, Version::new(3)).unwrap();
         assert_eq!(s.write_memory, Some((a, Version::new(3))));
         assert_eq!(d.global_state(a), GlobalState::Absent);
     }
@@ -474,7 +475,7 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let a = blk(12);
-        d.open(cid(0), a, OpenKind::ReadMiss, &mem).unwrap(); // Present1
+        d.open_step(cid(0), a, OpenKind::ReadMiss, &mem).unwrap(); // Present1
         let one = OwnerSet::singleton(4, cid(0));
         let none = OwnerSet::new(4);
         assert!(d.check_consistency(a, &one, &none).is_ok());
@@ -487,7 +488,7 @@ mod tests {
         let mut d = two_bit();
         let mem = MemoryImage::new();
         let err = d
-            .open(
+            .open_step(
                 cid(0),
                 blk(0),
                 OpenKind::WriteThrough(Version::new(1)),
@@ -507,8 +508,7 @@ mod tests {
     #[should_panic(expected = "supply without a waiting transaction")]
     fn unsolicited_supply_panics() {
         let mut d = two_bit();
-        let mem = MemoryImage::new();
-        d.supply(blk(0), cid(0), Version::new(1), true, &mem)
+        d.supply_step(blk(0), cid(0), Version::new(1), true)
             .unwrap();
     }
 }

@@ -8,11 +8,14 @@
 //! exact state — same fingerprint, same statistics, and identical future
 //! behavior.
 
-use twobit_core::{build_policy_for, build_protocol_for, CacheAgent, Controller, FunctionalSystem};
+use twobit_core::{
+    build_policy_for, build_protocol_for, CacheAgent, Controller, CtrlEmit, FunctionalSystem,
+    Observer,
+};
 use twobit_obs::json::parse;
 use twobit_types::{
-    AccessKind, CacheId, CacheToMemory, Fingerprint, Fingerprinter, MemRef, ProtocolKind,
-    SystemConfig, Version, WordAddr,
+    AccessKind, AddressMap, CacheId, CacheToMemory, Fingerprint, Fingerprinter, MemRef,
+    MemoryToCache, ProtocolKind, SystemConfig, Version, WordAddr,
 };
 
 const ALL_SCHEMES: [ProtocolKind; 6] = [
@@ -76,6 +79,25 @@ fn fingerprint_controller(c: &Controller) -> Fingerprint {
     fp.finish()
 }
 
+/// What `ctrl` sends on the commands in `cmds`, which it must accept.
+fn emitted(ctrl: &mut Controller, cmds: &[CacheToMemory]) -> Vec<CtrlEmit> {
+    let mut emits = Vec::new();
+    for &cmd in cmds {
+        ctrl.submit(cmd, Observer::none(), &mut emits).unwrap();
+    }
+    emits
+}
+
+/// The commands `agent` sends on the deliveries in `msgs`, which it must
+/// accept.
+fn answered(agent: &mut CacheAgent, msgs: &[MemoryToCache]) -> Vec<CacheToMemory> {
+    let mut sends = Vec::new();
+    for &msg in msgs {
+        agent.on_network(msg, &mut sends).unwrap();
+    }
+    sends
+}
+
 fn config_for(protocol: ProtocolKind) -> SystemConfig {
     let mut cfg = SystemConfig::with_defaults(3).with_protocol(protocol);
     cfg.bias_entries = 2; // exercise the BIAS filter in checkpoints
@@ -113,6 +135,7 @@ fn agents_and_controllers_roundtrip_across_all_schemes() {
             let doc = parse(&ctrl.save_state().to_json()).unwrap();
             let mut fresh = Controller::new(
                 ctrl.module(),
+                cfg.address_map,
                 build_protocol_for(&cfg),
                 cfg.caches,
                 cfg.concurrency,
@@ -146,34 +169,33 @@ fn mid_transaction_checkpoint_resumes_correctly() {
     let mut a1 = CacheAgent::new(CacheId::new(1), cfg.cache, policy, false);
     let mut ctrl = Controller::new(
         twobit_types::ModuleId::new(0),
+        AddressMap::interleaved(1),
         build_protocol_for(&cfg),
         2,
         cfg.concurrency,
     );
 
     let w0 = MemRef::write(WordAddr::new(5, 0));
-    let out = a0.start(w0, Version::new(1));
-    for cmd in out.sends {
-        for emit in ctrl.submit(cmd).unwrap() {
-            if let twobit_core::CtrlEmit::Unicast { to, cmd, .. } = emit {
-                assert_eq!(to, CacheId::new(0));
-                a0.on_network(cmd).unwrap();
-            }
+    let mut sends = Vec::new();
+    a0.start(w0, Version::new(1), &mut sends);
+    for emit in emitted(&mut ctrl, &sends) {
+        if let CtrlEmit::Unicast { to, cmd, .. } = emit {
+            assert_eq!(to, CacheId::new(0));
+            answered(&mut a0, &[cmd]);
         }
     }
     assert!(!a0.is_stalled());
 
     let w1 = MemRef::write(WordAddr::new(5, 0));
-    let out = a1.start(w1, Version::new(2));
+    sends.clear();
+    a1.start(w1, Version::new(2), &mut sends);
     let mut queries = Vec::new();
-    for cmd in out.sends {
-        for emit in ctrl.submit(cmd).unwrap() {
-            match emit {
-                twobit_core::CtrlEmit::Unicast { cmd, .. } => queries.push(cmd),
-                twobit_core::CtrlEmit::Broadcast { cmd, exclude, .. } => {
-                    assert_ne!(exclude, CacheId::new(0));
-                    queries.push(cmd);
-                }
+    for emit in emitted(&mut ctrl, &sends) {
+        match emit {
+            CtrlEmit::Unicast { cmd, .. } => queries.push(cmd),
+            CtrlEmit::Broadcast { cmd, exclude, .. } => {
+                assert_ne!(exclude, CacheId::new(0));
+                queries.push(cmd);
             }
         }
     }
@@ -187,6 +209,7 @@ fn mid_transaction_checkpoint_resumes_correctly() {
 
     let mut ctrl2 = Controller::new(
         twobit_types::ModuleId::new(0),
+        AddressMap::interleaved(1),
         build_protocol_for(&cfg),
         2,
         cfg.concurrency,
@@ -207,11 +230,7 @@ fn mid_transaction_checkpoint_resumes_correctly() {
     // Complete the transaction on the restored trio: deliver the held
     // query to cache 0, route its supply to the controller, and deliver
     // the resulting grant to cache 1.
-    let mut to_ctrl = Vec::new();
-    for cmd in queries {
-        let out = a0r.on_network(cmd).unwrap();
-        to_ctrl.extend(out.sends);
-    }
+    let to_ctrl = answered(&mut a0r, &queries);
     assert!(
         to_ctrl
             .iter()
@@ -219,17 +238,15 @@ fn mid_transaction_checkpoint_resumes_correctly() {
         "dirty owner must supply the block"
     );
     let mut grants = Vec::new();
-    for cmd in to_ctrl {
-        for emit in ctrl2.submit(cmd).unwrap() {
-            if let twobit_core::CtrlEmit::Unicast { to, cmd, .. } = emit {
-                assert_eq!(to, CacheId::new(1));
-                grants.push(cmd);
-            }
+    for emit in emitted(&mut ctrl2, &to_ctrl) {
+        if let CtrlEmit::Unicast { to, cmd, .. } = emit {
+            assert_eq!(to, CacheId::new(1));
+            grants.push(cmd);
         }
     }
     let mut completion = None;
     for cmd in grants {
-        let out = a1r.on_network(cmd).unwrap();
+        let out = a1r.on_network(cmd, &mut sends).unwrap();
         if let Some(c) = out.completed {
             completion = Some(c);
         }
@@ -256,6 +273,7 @@ fn restore_rejects_mismatched_checkpoints() {
 
     let ctrl = Controller::new(
         twobit_types::ModuleId::new(0),
+        AddressMap::interleaved(1),
         build_protocol_for(&cfg),
         2,
         cfg.concurrency,
@@ -264,6 +282,7 @@ fn restore_rejects_mismatched_checkpoints() {
     let full_map_cfg = cfg.with_protocol(ProtocolKind::FullMap);
     let mut other = Controller::new(
         twobit_types::ModuleId::new(0),
+        AddressMap::interleaved(1),
         build_protocol_for(&full_map_cfg),
         2,
         full_map_cfg.concurrency,
@@ -288,6 +307,7 @@ fn restore_refuses_another_identity_store() {
         let cfg = config_for(protocol);
         let mut ctrl = Controller::new(
             twobit_types::ModuleId::new(0),
+            cfg.address_map,
             build_protocol_for(&cfg),
             cfg.caches,
             cfg.concurrency,
@@ -312,4 +332,65 @@ fn restore_refuses_another_identity_store() {
     let overfull = four.replace("\"capacity\":4", "\"capacity\":2");
     assert_ne!(overfull, four);
     refuses(two, &overfull, "exceeds its own capacity");
+}
+
+/// Module 1 of 3 after [`spread_run`], as the parent of the commit that
+/// keyed the per-block tables by module-local slot wrote it (tables paged
+/// by global block number): blocks up to 583, so ten of its pages and
+/// four of this commit's.
+const PARENT_TWO_BIT_M1: &str = r#"{"awaiting":[],"eject_announced":[],"eject_locked":[],"memory":[[169,4],[184,27]],"module":1,"protocol":{"states":[{"a":10,"s":3},{"a":46,"s":1},{"a":52,"s":3},{"a":61,"s":3},{"a":64,"s":3},{"a":88,"s":3},{"a":97,"s":3},{"a":172,"s":3},{"a":184,"s":3},{"a":190,"s":1},{"a":211,"s":3},{"a":229,"s":1},{"a":241,"s":3},{"a":262,"s":3},{"a":298,"s":3},{"a":316,"s":3},{"a":322,"s":3},{"a":325,"s":3},{"a":361,"s":1},{"a":367,"s":3},{"a":370,"s":3},{"a":406,"s":3},{"a":421,"s":3},{"a":451,"s":1},{"a":457,"s":3},{"a":460,"s":3},{"a":514,"s":3},{"a":538,"s":3},{"a":547,"s":3},{"a":550,"s":3},{"a":553,"s":3},{"a":583,"s":1}],"waiting":[]},"queue":[],"scheme":"two-bit","stats":{"broadcasts_sent":1,"conflicts_queued":0,"deliveries":36,"ejects":1,"memory_reads":33,"memory_writes":2,"mrequests":0,"queue_peak":0,"requests":34,"tlb_hits":0,"tlb_misses":0,"unicasts_sent":34}}"#;
+const PARENT_FULL_MAP_M1: &str = r#"{"awaiting":[],"eject_announced":[],"eject_locked":[],"memory":[[169,4],[184,27]],"module":1,"protocol":{"holders":[{"a":10,"o":[3,2]},{"a":46,"o":[3,2]},{"a":52,"o":[3,1]},{"a":61,"o":[3,2]},{"a":64,"o":[3,2]},{"a":88,"o":[3,0]},{"a":97,"o":[3,1]},{"a":172,"o":[3,0]},{"a":184,"o":[3,1]},{"a":190,"o":[3,2]},{"a":211,"o":[3,2]},{"a":229,"o":[3,0]},{"a":241,"o":[3,2]},{"a":262,"o":[3,1]},{"a":298,"o":[3,1]},{"a":316,"o":[3,0]},{"a":322,"o":[3,2]},{"a":325,"o":[3,0]},{"a":361,"o":[3,0]},{"a":367,"o":[3,0]},{"a":370,"o":[3,2]},{"a":406,"o":[3,1]},{"a":421,"o":[3,2]},{"a":451,"o":[3,0]},{"a":457,"o":[3,2]},{"a":460,"o":[3,2]},{"a":514,"o":[3,1]},{"a":538,"o":[3,1]},{"a":547,"o":[3,1]},{"a":550,"o":[3,2]},{"a":553,"o":[3,0]},{"a":583,"o":[3,0]}],"states":[{"a":10,"s":3},{"a":46,"s":1},{"a":52,"s":3},{"a":61,"s":3},{"a":64,"s":3},{"a":88,"s":3},{"a":97,"s":3},{"a":172,"s":3},{"a":184,"s":3},{"a":190,"s":1},{"a":211,"s":3},{"a":229,"s":1},{"a":241,"s":3},{"a":262,"s":3},{"a":298,"s":3},{"a":316,"s":3},{"a":322,"s":3},{"a":325,"s":3},{"a":361,"s":1},{"a":367,"s":3},{"a":370,"s":3},{"a":406,"s":3},{"a":421,"s":3},{"a":451,"s":1},{"a":457,"s":3},{"a":460,"s":3},{"a":514,"s":3},{"a":538,"s":3},{"a":547,"s":3},{"a":550,"s":3},{"a":553,"s":3},{"a":583,"s":1}],"waiting":[]},"queue":[],"scheme":"full-map","stats":{"broadcasts_sent":0,"conflicts_queued":0,"deliveries":35,"ejects":1,"memory_reads":33,"memory_writes":2,"mrequests":0,"queue_peak":0,"requests":34,"tlb_hits":0,"tlb_misses":0,"unicasts_sent":35}}"#;
+
+/// Ninety references from three caches over 600 blocks of a 3-module
+/// memory: few blocks per page, many pages.
+fn spread_run(protocol: ProtocolKind) -> FunctionalSystem {
+    let cfg = SystemConfig::with_defaults(3).with_protocol(protocol);
+    let mut sys = FunctionalSystem::new(cfg).unwrap();
+    let mut x = 0x2468_ace0_1357_9bdf_u64;
+    for i in 0..90 {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        let addr = WordAddr::new(z % 600, 0);
+        let op = if z & 0x300 != 0 {
+            MemRef::write(addr)
+        } else {
+            MemRef::read(addr)
+        };
+        sys.do_ref(CacheId::new(i % 3), op).unwrap();
+    }
+    sys
+}
+
+/// How a table is keyed is not in a checkpoint, so checkpoints cross the
+/// commit that changed it in both directions: what this commit writes is
+/// byte for byte what its parent wrote for the same state (which the
+/// parent restores), and the parent's text restores here to that state.
+#[test]
+fn checkpoints_cross_the_table_keying_change_both_ways() {
+    for (protocol, parent_text) in [
+        (ProtocolKind::TwoBit, PARENT_TWO_BIT_M1),
+        (ProtocolKind::FullMap, PARENT_FULL_MAP_M1),
+    ] {
+        let sys = spread_run(protocol);
+        let ctrl = &sys.controllers()[1];
+        assert_eq!(ctrl.save_state().to_json(), parent_text, "{protocol}");
+        let cfg = *sys.config();
+        let mut fresh = Controller::new(
+            ctrl.module(),
+            cfg.address_map,
+            build_protocol_for(&cfg),
+            cfg.caches,
+            cfg.concurrency,
+        );
+        fresh.restore_state(&parse(parent_text).unwrap()).unwrap();
+        assert_eq!(
+            fingerprint_controller(&fresh),
+            fingerprint_controller(ctrl),
+            "{protocol}"
+        );
+        assert_eq!(fresh.save_state().to_json(), parent_text, "{protocol}");
+    }
 }

@@ -6,7 +6,7 @@
 use twobit_core::transitions::{ActionKind, CompileError, EventKind, Program};
 use twobit_core::{
     build_protocol_for, invariants, AgentPolicy, CacheAgent, Controller, Directory,
-    FunctionalSystem, DEFAULT_STATIC_SHARED_FROM,
+    FunctionalSystem, NetOutcome, Observer, DEFAULT_STATIC_SHARED_FROM,
 };
 use twobit_types::GlobalState;
 use twobit_types::{
@@ -25,9 +25,25 @@ fn agent(id: usize) -> CacheAgent {
     )
 }
 
+// These tests look at what a component accepts and how it is left, never
+// at what it sends: each call gets a send buffer of its own to drop.
+
+fn start(a: &mut CacheAgent, op: MemRef, store_version: Version) {
+    a.start(op, store_version, &mut Vec::new());
+}
+
+fn deliver(a: &mut CacheAgent, msg: MemoryToCache) -> Result<NetOutcome, ProtocolError> {
+    a.on_network(msg, &mut Vec::new())
+}
+
+fn submit(c: &mut Controller, cmd: CacheToMemory) -> Result<(), ProtocolError> {
+    c.submit(cmd, Observer::none(), &mut Vec::new())
+}
+
 fn controller() -> Controller {
     Controller::new(
         ModuleId::new(0),
+        AddressMap::interleaved(1),
         build_protocol_for(&SystemConfig::with_defaults(2).with_protocol(ProtocolKind::TwoBit)),
         2,
         ControllerConcurrency::PerBlock,
@@ -45,29 +61,37 @@ fn cid(n: usize) -> CacheId {
 #[test]
 fn unsolicited_data_grant_is_rejected() {
     let mut a = agent(0);
-    let err = a
-        .on_network(MemoryToCache::GetData {
+    let err = deliver(
+        &mut a,
+        MemoryToCache::GetData {
             k: cid(0),
             a: blk(1),
             version: Version::new(1),
             exclusive: false,
-        })
-        .unwrap_err();
+        },
+    )
+    .unwrap_err();
     assert!(matches!(err, ProtocolError::UnexpectedCommand { .. }));
 }
 
 #[test]
 fn grant_for_wrong_block_is_rejected() {
     let mut a = agent(0);
-    a.start(MemRef::read(WordAddr::new(1, 0)), Version::initial());
-    let err = a
-        .on_network(MemoryToCache::GetData {
+    start(
+        &mut a,
+        MemRef::read(WordAddr::new(1, 0)),
+        Version::initial(),
+    );
+    let err = deliver(
+        &mut a,
+        MemoryToCache::GetData {
             k: cid(0),
             a: blk(99), // not the block we asked for
             version: Version::new(1),
             exclusive: false,
-        })
-        .unwrap_err();
+        },
+    )
+    .unwrap_err();
     assert!(matches!(err, ProtocolError::UnexpectedCommand { .. }));
 }
 
@@ -75,70 +99,92 @@ fn grant_for_wrong_block_is_rejected() {
 fn data_grant_answering_an_mrequest_is_rejected() {
     let mut a = agent(0);
     // Get a clean copy, then MREQUEST.
-    a.start(MemRef::read(WordAddr::new(1, 0)), Version::initial());
-    a.on_network(MemoryToCache::GetData {
-        k: cid(0),
-        a: blk(1),
-        version: Version::initial(),
-        exclusive: false,
-    })
+    start(
+        &mut a,
+        MemRef::read(WordAddr::new(1, 0)),
+        Version::initial(),
+    );
+    deliver(
+        &mut a,
+        MemoryToCache::GetData {
+            k: cid(0),
+            a: blk(1),
+            version: Version::initial(),
+            exclusive: false,
+        },
+    )
     .unwrap();
-    a.start(MemRef::write(WordAddr::new(1, 0)), Version::new(1));
+    start(&mut a, MemRef::write(WordAddr::new(1, 0)), Version::new(1));
     // A data grant is the wrong reply to a permission request.
-    let err = a
-        .on_network(MemoryToCache::GetData {
+    let err = deliver(
+        &mut a,
+        MemoryToCache::GetData {
             k: cid(0),
             a: blk(1),
             version: Version::initial(),
             exclusive: true,
-        })
-        .unwrap_err();
+        },
+    )
+    .unwrap_err();
     assert!(matches!(err, ProtocolError::UnexpectedCommand { .. }));
 }
 
 #[test]
 fn unsolicited_writeback_data_is_rejected_by_controller() {
     let mut c = controller();
-    let err = c
-        .submit(CacheToMemory::PutData {
+    let err = submit(
+        &mut c,
+        CacheToMemory::PutData {
             from: cid(0),
             a: blk(1),
             version: Version::new(1),
-        })
-        .unwrap_err();
+        },
+    )
+    .unwrap_err();
     assert!(matches!(err, ProtocolError::UnexpectedCommand { .. }));
 }
 
 #[test]
 fn double_supply_for_one_query_is_rejected() {
     let mut c = controller();
-    c.submit(CacheToMemory::Request {
-        k: cid(0),
-        a: blk(1),
-        rw: AccessKind::Write,
-    })
+    submit(
+        &mut c,
+        CacheToMemory::Request {
+            k: cid(0),
+            a: blk(1),
+            rw: AccessKind::Write,
+        },
+    )
     .unwrap();
-    c.submit(CacheToMemory::Request {
-        k: cid(1),
-        a: blk(1),
-        rw: AccessKind::Read,
-    })
+    submit(
+        &mut c,
+        CacheToMemory::Request {
+            k: cid(1),
+            a: blk(1),
+            rw: AccessKind::Read,
+        },
+    )
     .unwrap();
     // First supply resolves the BROADQUERY.
-    c.submit(CacheToMemory::PutData {
-        from: cid(0),
-        a: blk(1),
-        version: Version::new(2),
-    })
+    submit(
+        &mut c,
+        CacheToMemory::PutData {
+            from: cid(0),
+            a: blk(1),
+            version: Version::new(2),
+        },
+    )
     .unwrap();
     // A second, fabricated supply has no transaction to satisfy.
-    let err = c
-        .submit(CacheToMemory::PutData {
+    let err = submit(
+        &mut c,
+        CacheToMemory::PutData {
             from: cid(0),
             a: blk(1),
             version: Version::new(3),
-        })
-        .unwrap_err();
+        },
+    )
+    .unwrap_err();
     assert!(matches!(err, ProtocolError::UnexpectedCommand { .. }));
 }
 
@@ -147,28 +193,41 @@ fn planted_directory_overclaim_is_detected() {
     // The directory believes Absent while a cache secretly holds a copy.
     let mut c = controller();
     // Give C0 a copy through the legitimate path…
-    c.submit(CacheToMemory::Request {
-        k: cid(0),
-        a: blk(1),
-        rw: AccessKind::Read,
-    })
+    submit(
+        &mut c,
+        CacheToMemory::Request {
+            k: cid(0),
+            a: blk(1),
+            rw: AccessKind::Read,
+        },
+    )
     .unwrap();
     let mut a0 = agent(0);
-    a0.start(MemRef::read(WordAddr::new(1, 0)), Version::initial());
-    a0.on_network(MemoryToCache::GetData {
-        k: cid(0),
-        a: blk(1),
-        version: Version::initial(),
-        exclusive: false,
-    })
+    start(
+        &mut a0,
+        MemRef::read(WordAddr::new(1, 0)),
+        Version::initial(),
+    );
+    deliver(
+        &mut a0,
+        MemoryToCache::GetData {
+            k: cid(0),
+            a: blk(1),
+            version: Version::initial(),
+            exclusive: false,
+        },
+    )
     .unwrap();
     // …then plant a clean eject notice the cache never sent, resetting
     // the directory to Absent while the copy survives.
-    c.submit(CacheToMemory::Eject {
-        k: cid(0),
-        olda: blk(1),
-        wb: twobit_types::WritebackKind::Clean,
-    })
+    submit(
+        &mut c,
+        CacheToMemory::Eject {
+            k: cid(0),
+            olda: blk(1),
+            wb: twobit_types::WritebackKind::Clean,
+        },
+    )
     .unwrap();
     let err =
         invariants::check_system(&[a0, agent(1)], &[c], AddressMap::interleaved(1)).unwrap_err();
@@ -180,18 +239,21 @@ fn fabricated_second_dirty_owner_is_detected() {
     let mut a0 = agent(0);
     let mut a1 = agent(1);
     for (agent, id) in [(&mut a0, 0usize), (&mut a1, 1)] {
-        agent.start(
+        start(
+            agent,
             MemRef::write(WordAddr::new(3, 0)),
             Version::new(1 + id as u64),
         );
-        agent
-            .on_network(MemoryToCache::GetData {
+        deliver(
+            agent,
+            MemoryToCache::GetData {
                 k: cid(id),
                 a: blk(3),
                 version: Version::initial(),
                 exclusive: true,
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
     }
     let err = invariants::check_system(&[a0, a1], &[controller()], AddressMap::interleaved(1))
         .unwrap_err();

@@ -22,7 +22,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use twobit_core::{
-    build_policy_for, build_protocol_for, CacheAgent, Completion, Controller, CtrlEmit,
+    build_policy_for, build_protocol_for, CacheAgent, Completion, Controller, CtrlEmit, Observer,
 };
 use twobit_obs::json::{obj, Json, ToJson};
 use twobit_obs::{ActorId, SimEvent};
@@ -139,6 +139,7 @@ impl Node {
                     agent,
                     id: k,
                     map: AddressMap::interleaved(cfg.modules),
+                    sends: Vec::new(),
                     current: None,
                     held: None,
                     last: None,
@@ -151,12 +152,14 @@ impl Node {
                 let sys = SystemConfig::with_defaults(cfg.caches).with_protocol(kind);
                 let ctrl = Controller::new(
                     ModuleId::new(j),
+                    AddressMap::interleaved(cfg.modules),
                     build_protocol_for(&sys),
                     cfg.caches,
                     ControllerConcurrency::PerBlock,
                 );
                 Ok(Node::Mem(MemNode {
                     ctrl,
+                    emits: Vec::new(),
                     module: j,
                     caches: cfg.caches,
                     next_barrier: 1,
@@ -246,6 +249,9 @@ pub struct CacheNode {
     agent: CacheAgent,
     id: usize,
     map: AddressMap,
+    /// What the agent sends on the delivery being handled; empty between
+    /// deliveries.
+    sends: Vec<CacheToMemory>,
     /// The transaction being serviced, if any. Set from `ClientReq`
     /// until its `ClientResp` is emitted; duplicate requests for it are
     /// dropped (the reply will reach the client when ready).
@@ -351,7 +357,8 @@ impl CacheNode {
                 }
                 self.current = Some(*txn);
                 let store_version = sv.unwrap_or(Version::new(0));
-                let out = self.agent.start(*op, store_version);
+                self.sends.clear();
+                let out = self.agent.start(*op, store_version, &mut self.sends);
                 events.push(
                     SimEvent::new(
                         now,
@@ -365,12 +372,10 @@ impl CacheNode {
                 // static-scheme public store) retires locally but is not
                 // globally visible until memory confirms it; hold the
                 // client response for the WtAck.
-                let through = out.sends.iter().any(|s| {
+                let through = self.sends.iter().any(|s| {
                     matches!(s, CacheToMemory::WriteThrough { version, .. } if *version == store_version)
                 });
-                for send in out.sends {
-                    outputs.push(self.route(send));
-                }
+                outputs.extend(self.sends.iter().map(|&send| self.route(send)));
                 if let Some(c) = out.completed {
                     if through {
                         self.held = Some(HeldResp {
@@ -394,13 +399,12 @@ impl CacheNode {
                     )
                     .to_jsonl(),
                 );
+                self.sends.clear();
                 let out = self
                     .agent
-                    .on_network(*cmd)
+                    .on_network(*cmd, &mut self.sends)
                     .map_err(|e| format!("C{}: {e}", self.id))?;
-                for send in out.sends {
-                    outputs.push(self.route(send));
-                }
+                outputs.extend(self.sends.iter().map(|&send| self.route(send)));
                 // The ack goes after the responses the command provoked,
                 // so a PUT supplied by a purge is already on the (FIFO)
                 // link when the barrier releases.
@@ -508,6 +512,9 @@ impl CacheNode {
 #[derive(Debug)]
 pub struct MemNode {
     ctrl: Controller,
+    /// What the controller emits on the command being processed; empty
+    /// between commands.
+    emits: Vec<CtrlEmit>,
     module: usize,
     caches: usize,
     next_barrier: u64,
@@ -589,9 +596,9 @@ impl MemNode {
             _ => None,
         };
         let queued_before = self.ctrl.queued();
-        let emits = self
-            .ctrl
-            .submit(cmd)
+        self.emits.clear();
+        self.ctrl
+            .submit(cmd, Observer::none(), &mut self.emits)
             .map_err(|e| format!("M{}: {e}", self.module))?;
         if wt_ack.is_some() && self.ctrl.queued() > queued_before {
             // The write-through schemes never make the controller busy,
@@ -607,8 +614,8 @@ impl MemNode {
             needs_ack: bool,
         }
         let mut expanded = Vec::new();
-        for emit in emits {
-            match emit {
+        for emit in &self.emits {
+            match *emit {
                 CtrlEmit::Unicast { to, cmd, .. } => {
                     let needs_ack = matches!(cmd, MemoryToCache::Inv { .. });
                     expanded.push(Out {

@@ -9,7 +9,9 @@
 //! requests whose transaction ids are repeated, stale or early (ISSUE 21):
 //! none is executed twice, only the early one is an error. And well-formed
 //! commands a node's table declares no rule for (ISSUE 23): an `error`
-//! reply from either interpreter, where the memory node used to exit 101.
+//! reply from either interpreter, where the memory node used to exit 101
+//! — and a command for a block another module owns (ISSUE 24), which a
+//! memory node used to serve as if the block were its own.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -19,7 +21,9 @@ use twobit_dist::wire::{
     request_line, response_from_line, response_line, Actor, Envelope, NodeConfig, Payload, Request,
     Response,
 };
-use twobit_types::{BlockAddr, CacheId, MemRef, MemoryToCache, TxnId, Version, WordAddr};
+use twobit_types::{
+    AccessKind, BlockAddr, CacheId, CacheToMemory, MemRef, MemoryToCache, TxnId, Version, WordAddr,
+};
 
 #[test]
 fn hostile_frames_get_error_replies_from_the_binary() {
@@ -202,12 +206,12 @@ fn repeated_stale_and_early_transaction_ids_are_never_executed_twice() {
     );
 }
 
-fn two_bit(role: Actor) -> String {
+fn two_bit(role: Actor, modules: usize) -> String {
     request_line(&Request::Init(Box::new(NodeConfig {
         role,
         scheme: "two-bit".into(),
         caches: 4,
-        modules: 1,
+        modules,
         sets: 8,
         assoc: 2,
         block_words: 4,
@@ -234,7 +238,7 @@ fn an_undeclared_event_is_an_error_reply_not_a_crash() {
     let writethru = r#"{"env":{"dst":"M0","payload":{"cmd":{"a":42,"k":3,"t":"WRITETHRU","v":7},"t":"to_mem"},"src":"C3"},"now":109,"replay":false,"t":"deliver"}"#;
     let checkpoint = request_line(&Request::Checkpoint);
     let got = replies_of(&[
-        two_bit(Actor::Module(0)),
+        two_bit(Actor::Module(0), 1),
         checkpoint.clone(),
         writethru.to_string(),
         checkpoint,
@@ -249,6 +253,55 @@ fn an_undeclared_event_is_an_error_reply_not_a_crash() {
     );
     assert_eq!(got[1], got[3], "the refused command changed nothing");
     assert_eq!(got[4], response_line(&Response::ShutdownOk));
+}
+
+/// A well-formed `REQUEST` for a block of another module (ISSUE 24): `M0`
+/// of four owns the blocks `n ≡ 0 (mod 4)`, and cache nodes route by the
+/// same rule, so block 5 at `M0` is a misrouting peer. It used to open a
+/// transaction — two modules could both "own" the block; it is refused
+/// with a typed error naming module and block before any table is
+/// touched.
+#[test]
+fn a_command_for_another_modules_block_is_refused_not_served() {
+    let request = |block| {
+        request_line(&Request::Deliver {
+            now: 3,
+            replay: false,
+            env: Envelope {
+                src: Actor::Cache(1),
+                dst: Actor::Module(0),
+                payload: Payload::ToMemory {
+                    cmd: CacheToMemory::Request {
+                        k: CacheId::new(1),
+                        a: BlockAddr::new(block),
+                        rw: AccessKind::Read,
+                    },
+                },
+            },
+        })
+    };
+    let checkpoint = request_line(&Request::Checkpoint);
+    let got = replies_of(&[
+        two_bit(Actor::Module(0), 4),
+        checkpoint.clone(),
+        request(5),
+        checkpoint,
+        request(8),
+        request_line(&Request::Shutdown),
+    ]);
+    assert_eq!(got.len(), 6, "{got:?}");
+    assert_eq!(got[0], response_line(&Response::InitOk));
+    assert_eq!(
+        error_of(&got[2]),
+        "M0: unexpected command REQUEST(C1, blk:0x5, read) in state M0 serving only its own \
+         blocks (blk:0x5 is M1's)"
+    );
+    assert_eq!(got[1], got[3], "the refused command changed nothing");
+    match response_from_line(&got[4]).expect("a response frame") {
+        Response::DeliverOk { outputs, .. } => assert_eq!(outputs.len(), 1, "{outputs:?}"),
+        other => panic!("M0 serves its own block 8, not {other:?}"),
+    }
+    assert_eq!(got[5], response_line(&Response::ShutdownOk));
 }
 
 /// The cache-side twin: a `GET` the agent is not waiting for is outside
@@ -271,7 +324,7 @@ fn an_unsolicited_grant_is_an_error_and_a_stale_mgranted_a_silent_drop() {
     let (k, a) = (CacheId::new(0), BlockAddr::new(42));
     let checkpoint = request_line(&Request::Checkpoint);
     let got = replies_of(&[
-        two_bit(Actor::Cache(0)),
+        two_bit(Actor::Cache(0), 1),
         checkpoint.clone(),
         deliver(MemoryToCache::GetData {
             k,

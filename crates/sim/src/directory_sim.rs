@@ -87,6 +87,7 @@ impl DirectorySim {
             .map(|m| {
                 Controller::new(
                     m,
+                    config.address_map,
                     build_protocol_for(&config),
                     config.caches,
                     config.concurrency,

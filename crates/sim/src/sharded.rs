@@ -82,7 +82,7 @@ use crate::engine::{Event, EventKey};
 use crate::report::Report;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-use twobit_core::{CacheAgent, Controller, CtrlEmit, SendCost};
+use twobit_core::{CacheAgent, Controller, CtrlEmit, Observer, SendCost};
 use twobit_interconnect::{Crossbar, MessageSize, Network, NodeId};
 use twobit_obs::{ActorId, Gauge, Metrics, Profiler, SimEvent, Tracer, TxnClass};
 use twobit_types::{
@@ -293,6 +293,12 @@ struct Shard {
     metrics: Metrics,
     tracer: BufTracer,
     profiler: Profiler,
+    /// What the handler running now has its agent or controller send,
+    /// before it is costed and addressed into `outbox`. Both are empty
+    /// between events and keep their capacity, so an event allocates
+    /// nothing.
+    sends: Vec<CacheToMemory>,
+    emits: Vec<CtrlEmit>,
     /// Sends buffered while processing the current window.
     outbox: Vec<OutMsg>,
     /// Sends addressed to this shard, awaiting the cause-sorted drain.
@@ -414,13 +420,13 @@ impl Shard {
                     AccessKind::Read => Version::initial(),
                 };
                 self.profiler.begin("agent.start");
-                let outcome = self.agents[li].start(op, version);
+                let outcome = self.agents[li].start(op, version, &mut self.sends);
                 self.profiler.end("agent.start");
                 let base = self.now;
                 let txn = if outcome.completed.is_some() {
                     None
                 } else {
-                    let class = DirectorySim::classify_open(&outcome.sends, op.kind);
+                    let class = DirectorySim::classify_open(&self.sends, op.kind);
                     let id = self.open_txn(cpu, class, base);
                     tick(GaugeId::Outstanding, base, 1);
                     Some(id)
@@ -437,7 +443,7 @@ impl Shard {
                     }
                     self.tracer.record(ev);
                 }
-                self.buffer_to_memory(cpu, outcome.sends, base);
+                self.buffer_to_memory(cpu, base);
                 if outcome.completed.is_some() {
                     self.refs_done[li] += 1;
                     self.schedule_next_issue(cpu, base);
@@ -461,7 +467,7 @@ impl Shard {
                     None
                 };
                 self.profiler.begin("agent.on_network");
-                let out = self.agents[li].on_network(msg)?;
+                let out = self.agents[li].on_network(msg, &mut self.sends)?;
                 self.profiler.end("agent.on_network");
                 let base = self.now
                     + if out.counted {
@@ -511,7 +517,7 @@ impl Shard {
                     }
                     self.tracer.record(ev);
                 }
-                self.buffer_to_memory(cache, out.sends, base);
+                self.buffer_to_memory(cache, base);
                 if out.completed.is_some() {
                     self.refs_done[li] += 1;
                     self.schedule_next_issue(cache, base);
@@ -522,11 +528,10 @@ impl Shard {
                 let lj = self.local_module(module);
                 self.profiler.begin("event.deliver_module");
                 let queued_before = self.controllers[lj].queued();
-                let emits = self.controllers[lj].submit_observed(
+                self.controllers[lj].submit(
                     cmd,
-                    self.now,
-                    &mut self.tracer,
-                    &mut self.profiler,
+                    Observer::new(self.now, &mut self.tracer, &mut self.profiler),
+                    &mut self.emits,
                 )?;
                 // Like `outstanding`, the queue depth is observed when it
                 // changes; most commands start at once and leave it alone.
@@ -536,7 +541,7 @@ impl Shard {
                     tick(GaugeId::QueueDepth, self.now, delta);
                 }
                 let base = self.now;
-                self.buffer_emits(module, emits, base);
+                self.buffer_emits(module, base);
                 self.profiler.end("event.deliver_module");
             }
         }
@@ -590,10 +595,11 @@ impl Shard {
         });
     }
 
-    /// Buffers cache→module sends.
-    fn buffer_to_memory(&mut self, src: CacheId, sends: Vec<CacheToMemory>, base: u64) {
+    /// Buffers the cache→module commands in `sends`, leaving it empty.
+    fn buffer_to_memory(&mut self, src: CacheId, base: u64) {
         self.profiler.begin("net.dispatch");
-        for cmd in sends {
+        let mut sends = std::mem::take(&mut self.sends);
+        for cmd in sends.drain(..) {
             let module = self.config.address_map.module_of(cmd.block());
             let size = match cmd {
                 CacheToMemory::PutData { .. } => MessageSize::Data,
@@ -602,13 +608,15 @@ impl Shard {
             self.network.note_injection(size);
             self.send(base, size, MsgKind::ToModule { src, module, cmd });
         }
+        self.sends = sends;
         self.profiler.end("net.dispatch");
     }
 
-    /// Buffers module→cache sends.
-    fn buffer_emits(&mut self, module: ModuleId, emits: Vec<CtrlEmit>, base: u64) {
+    /// Buffers the module→cache messages in `emits`, leaving it empty.
+    fn buffer_emits(&mut self, module: ModuleId, base: u64) {
         self.profiler.begin("net.dispatch");
-        for emit in emits {
+        let mut emits = std::mem::take(&mut self.emits);
+        for emit in emits.drain(..) {
             match emit {
                 CtrlEmit::Unicast { to, cmd, cost } => {
                     let (size, extra) = match cost {
@@ -655,6 +663,7 @@ impl Shard {
                 }
             }
         }
+        self.emits = emits;
         self.profiler.end("net.dispatch");
     }
 
@@ -1179,6 +1188,8 @@ impl DirectorySim {
                     p.set_enabled(self.profiling);
                     p
                 },
+                sends: Vec::new(),
+                emits: Vec::new(),
                 outbox: Vec::new(),
                 inbox: Vec::new(),
                 next: u64::MAX,

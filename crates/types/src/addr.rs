@@ -178,10 +178,29 @@ impl AddressMap {
         }
     }
 
+    /// The interleave factor: how far apart in block numbers consecutive
+    /// slots of one module lie — `modules` for an interleaved map, 1 for
+    /// a blocked one, whose modules own contiguous ranges. A controller
+    /// hands it to its per-block tables (`twobit_core::BlockMap`), which
+    /// split a block number `n` into the residue `n % stride` and the
+    /// local position `n / stride` and store the latter densely.
+    #[must_use]
+    pub fn stride(self) -> u64 {
+        match self {
+            AddressMap::Interleaved { modules } => u64::from(modules),
+            AddressMap::Blocked { .. } => 1,
+        }
+    }
+
     /// The dense per-module slot of block `a` within its owning module.
     ///
-    /// Controllers size their directory storage by module capacity; this is
-    /// the index of `a`'s entry within that storage.
+    /// This is the index of `a`'s entry in its module's directory storage:
+    /// under an interleaved map it is the `n / stride` that
+    /// `twobit_core::BlockMap` pages by (64 consecutive slots to a page),
+    /// which is what makes a module's tables cost what the module holds
+    /// rather than what the whole memory spans. A blocked map's slot is an
+    /// offset from the module's base, so the global block number is
+    /// already dense within a module and is used as is.
     #[must_use]
     pub fn slot_of(self, a: BlockAddr) -> u64 {
         match self {
@@ -231,6 +250,18 @@ mod tests {
         assert_eq!(map.slot_of(BlockAddr::new(0)), 0);
         assert_eq!(map.slot_of(BlockAddr::new(4)), 1);
         assert_eq!(map.slot_of(BlockAddr::new(9)), 2);
+    }
+
+    #[test]
+    fn stride_is_what_separates_a_modules_consecutive_slots() {
+        let map = AddressMap::interleaved(4);
+        assert_eq!(map.stride(), 4);
+        for n in 0..64 {
+            let a = BlockAddr::new(n);
+            assert_eq!(map.slot_of(a), n / map.stride());
+            assert_eq!(map.module_of(a).index() as u64, n % map.stride());
+        }
+        assert_eq!(AddressMap::blocked(3, 10).stride(), 1);
     }
 
     #[test]
