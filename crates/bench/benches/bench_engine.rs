@@ -43,8 +43,8 @@ fn timed_engine(c: &mut Criterion) {
             black_box(system.run(workload, REFS).expect("run"))
         });
     });
-    // Eight shards on one worker (`run` and `run_jobs(.., 1)` are the
-    // same code, so one measurement serves both).
+    // The global event loop at eight cpus (`run` and `run_jobs(.., 1)`
+    // are the same code, so one measurement serves both).
     group.throughput(Throughput::Elements(REFS * 8));
     group.bench_function("two_bit_8cpu", |b| {
         b.iter(|| {
@@ -55,15 +55,17 @@ fn timed_engine(c: &mut Criterion) {
     });
     group.finish();
 
-    // One processor over eight modules: at most one event is in flight,
-    // so almost every window holds a single event and elements/second is
-    // rounds/second — the fixed cost of a round.
+    // One processor over eight modules on two workers (one worker runs
+    // the global event loop, which has no rounds): at most one event is
+    // in flight, so almost every window holds a single event and
+    // elements/second is rounds/second — the fixed cost of a round. A
+    // one-core host clamps to one worker and measures the global loop.
     let round_run = || {
         let mut config = SystemConfig::with_defaults(1);
         config.address_map = AddressMap::interleaved(8);
         let workload = SharingModel::new(SharingParams::moderate(), 1, 11).expect("workload");
         let mut system = System::build(config).expect("system");
-        system.run_jobs(workload, REFS * 8, 1).expect("run")
+        system.run_jobs(workload, REFS * 8, 2).expect("run")
     };
     let mut group = c.benchmark_group("engine/round");
     group.throughput(Throughput::Elements(round_run().events));

@@ -167,14 +167,13 @@ fn main() -> ExitCode {
 
     // `System::run_jobs` caps the request at the host's cores, and the
     // engine at its shard count: one per memory module, of which the
-    // suite's configurations have one per cache.
+    // suite's configurations have one per cache, when two or more
+    // workers run rounds; one, the global event loop, for one worker.
     let jobs = args.cfg.jobs;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers = jobs.clamp(1, cores).min(args.cfg.caches.max(1));
-    println!(
-        "workers: {workers} (--jobs {jobs}, {cores} cores, {} shards)",
-        args.cfg.caches
-    );
+    let shards = if workers == 1 { 1 } else { args.cfg.caches };
+    println!("workers: {workers} (--jobs {jobs}, {cores} cores, {shards} shards)");
     if workers < jobs {
         eprintln!(
             "warning: --jobs {jobs} was asked for but {workers} worker(s) run; \

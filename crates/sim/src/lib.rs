@@ -12,8 +12,9 @@
 //! interleave and the section 3.2.5 races actually happen in flight.
 //!
 //! [`System`] is the facade: it runs directory protocols on the one timed
-//! engine — conservative rounds over per-module shards, the same code for
-//! [`System::run`] and [`System::run_jobs`] at any worker count — and the
+//! engine — the global event loop at one worker, conservative rounds over
+//! per-module shards at two or more, the same code for [`System::run`]
+//! and [`System::run_jobs`] — and the
 //! section 2.5 bus protocols on
 //! [`twobit_bus::BusSystem`], reporting through one [`Report`] type so
 //! every scheme in the paper's spectrum is measured in the same units

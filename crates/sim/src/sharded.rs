@@ -1,23 +1,34 @@
-//! The timed directory engine: cycle-barrier execution of the directory
-//! simulation, partitioned by home memory module.
+//! The timed directory engine: the global event loop at one worker,
+//! cycle-barrier rounds over shards partitioned by home memory module at
+//! two or more.
 //!
 //! [`DirectorySim::run`] and [`DirectorySim::run_jobs`] are the same
 //! code: `run` is the one-worker case.
 //!
-//! # Partitioning
+//! # One worker: the global event loop
+//!
+//! With one worker the engine runs `S = 1` shard, which is the whole
+//! system: one calendar popped in canonical [`EventKey`] order, one
+//! crossbar, and every send scheduled on that crossbar and enqueued where
+//! the handler makes it. That *is* the loop the digests in
+//! `tests/determinism.rs` were recorded from, so it has no rounds, no
+//! outbox and no inbox sort to pay for. A zero-latency network (`W = 0`,
+//! below) or a single memory module runs it too, whatever the worker
+//! count.
+//!
+//! # Two or more workers: partitioning
 //!
 //! Blocks are owned by their home module (the address map), so all
 //! directory state for a block lives in exactly one controller. The
-//! engine partitions *both* controllers and caches round-robin over `S`
-//! shards (module `j` → shard `j mod S`, cache `k` → shard `k mod S`);
-//! every agent, controller, pending-transaction slot, and per-cpu
-//! counter is then owned by exactly one shard, and a shard's event
-//! handlers touch only shard-local state. `S` is fixed by the
-//! configuration alone (the module count), never by the worker count —
-//! which is what makes the results identical for any `--jobs`. The
-//! workload is owned once per *worker* and lent to that worker's shards,
-//! so it is asked only for the cpus of shards the worker owns (the
-//! contract on [`Workload::next_ref`] is what makes that unobservable).
+//! engine partitions *both* controllers and caches round-robin over
+//! `S` = module-count shards (module `j` → shard `j mod S`, cache `k` →
+//! shard `k mod S`); every agent, controller, pending-transaction slot,
+//! and per-cpu counter is then owned by exactly one shard, and a shard's
+//! event handlers touch only shard-local state. `S` does not depend on
+//! how many (≥ 2) workers run the shards. The workload is owned once per
+//! *worker* and lent to that worker's shards, so it is asked only for the
+//! cpus of shards the worker owns (the contract on
+//! [`Workload::next_ref`] is what makes that unobservable).
 //!
 //! # Conservative windows
 //!
@@ -34,27 +45,24 @@
 //! arrival; reduce the global minimum next event time through the second
 //! barrier; advance `T`. When the reduced minimum is `u64::MAX` every
 //! queue is empty and the run is complete. `W == 0` (a zero-latency
-//! network) collapses to one shard, which processes and drains per event.
+//! network) leaves no window, so it runs the global loop.
 //!
 //! # What a round costs
 //!
 //! With the default latencies `W = 2`, so a run is hundreds of thousands
 //! of rounds of a handful of events each, and the round's fixed cost is
-//! the engine's cost. One loop serves every worker count, and it pays
-//! only for what a round contains: worker 0 is the calling thread (one
-//! worker spawns nothing); a shard whose next event lies beyond the
-//! window is skipped; outboxes, inboxes and mailboxes are drained in
-//! place and keep their buffers; and the [`RoundBarrier`] returns at
-//! once for a single party and otherwise spins, then yields, then parks.
-//! With one worker every shard is local, so a round takes no lock, no
-//! barrier and no allocation.
+//! the engine's cost. The loop pays only for what a round contains:
+//! worker 0 is the calling thread; a shard whose next event lies beyond
+//! the window is skipped; outboxes, inboxes and mailboxes are drained in
+//! place and keep their buffers; and the [`RoundBarrier`] spins, then
+//! yields, then parks.
 //!
 //! # Why the shard and worker counts are invisible
 //!
-//! A single global event loop would pop events in canonical [`EventKey`]
-//! order, and its only order-sensitive shared resources would be the
-//! crossbar's per-destination port clocks, which advance in `schedule()`
-//! *call* order, and the two run-wide gauges, which are observed in event
+//! The global event loop pops events in canonical [`EventKey`] order,
+//! and its only order-sensitive shared resources are the crossbar's
+//! per-destination port clocks, which advance in `schedule()` *call*
+//! order, and the two run-wide gauges, which are observed in event
 //! order. Within a window, shards process disjoint state, so only those
 //! two orders matter, and both are restored from the canonical key of the
 //! *causing* event. Inboxes are drained sorted by `(cause key, sub)` — the
@@ -64,8 +72,9 @@
 //! `(cause key, cycle, which gauge, delta)`, when the count changes — and
 //! worker 0 collects the round's ticks (its own directly, the other
 //! workers' through its mailbox), sorts them by cause key after the first
-//! barrier crossing and feeds one pair of run-wide gauges. Arrival times,
-//! event counts, per-cache statistics, latency histograms, gauges, and
+//! barrier crossing and feeds one pair of run-wide gauges (the global
+//! loop feeds each event's tick as the event ends). Arrival times, event
+//! counts, per-cache statistics, latency histograms, gauges, and
 //! version/transaction numbering (interleaved per-cpu) are therefore
 //! bit-for-bit identical for any shard or worker count, and equal to the
 //! digests frozen in `tests/determinism.rs`. Trace events are buffered
@@ -73,7 +82,7 @@
 //! so a traced run emits one stream in canonical order.
 //!
 //! The engine is not generic over the workload: workloads are lent as
-//! trait objects, so the round loop and the handlers are compiled once,
+//! trait objects, so both loops and the handlers are compiled once,
 //! in this crate, whatever the caller runs.
 
 use crate::calendar::ShardQueue;
@@ -105,10 +114,10 @@ type Failure = (EventKey, ProtocolError);
 /// into one canonically ordered stream after the run.
 ///
 /// The `sub` counter doubles as the interleaving position for *sends*:
-/// reserving a slot for each buffered [`OutMsg`] keeps the destination
-/// shard's drain — and any trace records the drain-side network
-/// scheduling emits under the reserved slot — in the exact position a
-/// single global event loop would have produced them.
+/// reserving a slot for each send keeps its delivery — and any trace
+/// records the network scheduling emits under the reserved slot, at the
+/// send or in a destination shard's drain — in the exact position the
+/// global event loop produces them.
 #[derive(Debug)]
 struct BufTracer {
     on: bool,
@@ -143,7 +152,7 @@ impl BufTracer {
         self.fixed = None;
     }
 
-    /// Claims the next interleaving slot (for a buffered send).
+    /// Claims the next interleaving slot (for a send).
     fn reserve_sub(&mut self) -> u32 {
         let s = self.sub;
         self.sub += 1;
@@ -151,7 +160,7 @@ impl BufTracer {
     }
 
     /// Pins subsequent records to a reserved slot of a (possibly remote)
-    /// cause — used while draining that send at its destination.
+    /// cause — used while delivering that send.
     fn begin_drain(&mut self, cause: EventKey, sub: u32) {
         self.cause = cause;
         self.fixed = Some(sub);
@@ -294,12 +303,12 @@ struct Shard {
     tracer: BufTracer,
     profiler: Profiler,
     /// What the handler running now has its agent or controller send,
-    /// before it is costed and addressed into `outbox`. Both are empty
-    /// between events and keep their capacity, so an event allocates
-    /// nothing.
+    /// before it is costed and sent. Both are empty between events and
+    /// keep their capacity, so an event allocates nothing.
     sends: Vec<CacheToMemory>,
     emits: Vec<CtrlEmit>,
-    /// Sends buffered while processing the current window.
+    /// Sends buffered while processing the current window (rounds only:
+    /// the global loop delivers each send where it is made).
     outbox: Vec<OutMsg>,
     /// Sends addressed to this shard, awaiting the cause-sorted drain.
     inbox: Vec<OutMsg>,
@@ -340,14 +349,15 @@ impl Shard {
         }
     }
 
-    /// The single-shard (serial) loop: process and immediately deliver,
-    /// event by event — used when there is one module or the network
-    /// lookahead is zero.
+    /// The global event loop, run by the one shard that is the whole
+    /// system: pop in canonical order, handle (each send is delivered as
+    /// it is made), feed the event's gauge tick; stop at the first error.
     fn run_serial(
         &mut self,
         workload: &mut dyn Workload,
         gauges: &mut GaugeFeed,
     ) -> Result<(), Failure> {
+        debug_assert_eq!(self.n_shards, 1);
         let mut ticks = Vec::new();
         loop {
             self.profiler.begin("engine.pop");
@@ -358,10 +368,6 @@ impl Shard {
             };
             self.step(time, event, workload, &mut ticks)?;
             gauges.apply(&mut ticks);
-            // One shard: every send is to self. The inbox is empty
-            // here, so the swap also hands the outbox its buffer back.
-            std::mem::swap(&mut self.inbox, &mut self.outbox);
-            self.apply_inbox();
         }
     }
 
@@ -577,14 +583,21 @@ impl Shard {
         }
     }
 
-    /// Buffers one point delivery, injected at cycle `inject`, for the
-    /// shard that owns its recipient.
+    /// Sends one point delivery, injected at cycle `inject`: when this
+    /// shard is the whole system, delivers it at once — the global loop's
+    /// schedule-call order is the order sends are made — and otherwise
+    /// buffers it for the shard that owns its recipient.
     fn send(&mut self, inject: u64, size: MessageSize, kind: MsgKind) {
+        let sub = self.tracer.reserve_sub();
+        if self.n_shards == 1 {
+            self.deliver(self.tracer.cause, sub, inject, size, kind);
+            return;
+        }
         let recipient = match kind {
             MsgKind::ToModule { module, .. } => module.index(),
             MsgKind::ToCache { cache, .. } => cache.index(),
         };
-        let sub = self.tracer.reserve_sub();
+        note(Op::OutMsg);
         self.outbox.push(OutMsg {
             dst: recipient % self.n_shards,
             cause: self.tracer.cause,
@@ -668,74 +681,102 @@ impl Shard {
     }
 
     /// Delivers the inbox: sorts by the sender-side canonical order (so
-    /// the order sends *arrived* in the inbox never matters), reserves
-    /// the destination port on the shard-local crossbar (in the one
-    /// schedule-call order a global event loop would use, hence its
-    /// arrival times), and enqueues the arrivals. The inbox keeps its
-    /// buffer.
+    /// the order sends *arrived* in the inbox never matters), then
+    /// delivers each in the one schedule-call order the global event loop
+    /// uses, hence its arrival times. The inbox keeps its buffer.
     fn apply_inbox(&mut self) {
         if self.inbox.is_empty() {
             return;
         }
         let mut msgs = std::mem::take(&mut self.inbox);
+        note(Op::InboxSort);
         msgs.sort_unstable_by_key(|m| (m.cause, m.sub));
         for msg in msgs.drain(..) {
-            self.tracer.begin_drain(msg.cause, msg.sub);
-            let (src, dst, block, event) = match msg.kind {
-                MsgKind::ToModule { src, module, cmd } => (
-                    NodeId::Cache(src),
-                    NodeId::Module(module),
-                    cmd.block(),
-                    Event::DeliverToModule { module, cmd },
-                ),
-                MsgKind::ToCache { module, cache, cmd } => (
-                    NodeId::Module(module),
-                    NodeId::Cache(cache),
-                    cmd.block(),
-                    Event::DeliverToCache { cache, msg: cmd },
-                ),
-            };
-            let arrival = self.network.schedule_profiled(
-                src,
-                dst,
-                msg.size,
-                msg.inject,
-                block,
-                &mut self.tracer,
-                &mut self.profiler,
-            );
-            // The replacement "transaction" (EJECT, optionally followed by
-            // the write-back put) never stalls the processor, so its
-            // latency is the eject notice's injection-to-delivery time.
-            if let Event::DeliverToModule {
-                cmd: CacheToMemory::Eject { .. },
-                ..
-            } = event
-            {
-                self.metrics
-                    .record_latency(TxnClass::Replacement, arrival - msg.inject);
-            }
-            self.queue.push(arrival, event);
+            self.deliver(msg.cause, msg.sub, msg.inject, msg.size, msg.kind);
         }
         self.inbox = msgs;
-        self.tracer.end_drain();
         self.next = self.queue.min_time().unwrap_or(u64::MAX);
     }
+
+    /// Delivers the send made in slot `sub` of the event keyed `cause`:
+    /// reserves the destination port on this shard's crossbar, which
+    /// gives the arrival time, and enqueues the arrival. Trace records of
+    /// the scheduling are pinned to the send's slot.
+    fn deliver(
+        &mut self,
+        cause: EventKey,
+        sub: u32,
+        inject: u64,
+        size: MessageSize,
+        kind: MsgKind,
+    ) {
+        self.tracer.begin_drain(cause, sub);
+        let (src, dst, block, event) = match kind {
+            MsgKind::ToModule { src, module, cmd } => (
+                NodeId::Cache(src),
+                NodeId::Module(module),
+                cmd.block(),
+                Event::DeliverToModule { module, cmd },
+            ),
+            MsgKind::ToCache { module, cache, cmd } => (
+                NodeId::Module(module),
+                NodeId::Cache(cache),
+                cmd.block(),
+                Event::DeliverToCache { cache, msg: cmd },
+            ),
+        };
+        let arrival = self.network.schedule_profiled(
+            src,
+            dst,
+            size,
+            inject,
+            block,
+            &mut self.tracer,
+            &mut self.profiler,
+        );
+        self.tracer.end_drain();
+        // The replacement "transaction" (EJECT, optionally followed by
+        // the write-back put) never stalls the processor, so its latency
+        // is the eject notice's injection-to-delivery time.
+        if let Event::DeliverToModule {
+            cmd: CacheToMemory::Eject { .. },
+            ..
+        } = event
+        {
+            self.metrics
+                .record_latency(TxnClass::Replacement, arrival - inject);
+        }
+        self.queue.push(arrival, event);
+    }
+}
+
+/// The round machinery's operations, counted per thread by tests —
+/// everything a one-worker run, which is the global loop, must never do.
+#[derive(Clone, Copy)]
+enum Op {
+    /// A thread spawned, a mailbox lock taken, or a barrier wait entered.
+    Sync,
+    /// A send buffered as an [`OutMsg`].
+    OutMsg,
+    /// An inbox sorted before its drain.
+    InboxSort,
+    /// A round entered.
+    Round,
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Threads spawned, mailbox locks taken, and barrier waits entered by
-    /// the current thread — everything a one-worker run must never do.
-    static SYNC_OPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Counts of each [`Op`] by the current thread, indexed by `Op as usize`.
+    static OPS: [std::cell::Cell<u64>; 4] = const { [const { std::cell::Cell::new(0) }; 4] };
 }
 
-/// Counts one synchronisation operation (tests only; compiles to nothing
-/// otherwise).
+/// Counts one `op` (tests only; compiles to nothing otherwise).
 #[inline]
-fn note_sync_op() {
+fn note(op: Op) {
     #[cfg(test)]
-    SYNC_OPS.with(|ops| ops.set(ops.get() + 1));
+    OPS.with(|ops| ops[op as usize].set(ops[op as usize].get() + 1));
+    #[cfg(not(test))]
+    let _ = op;
 }
 
 /// Busy-polls of the generation word before a waiter starts yielding:
@@ -796,7 +837,7 @@ impl RoundBarrier {
         if self.parties == 1 {
             return local;
         }
-        note_sync_op();
+        note(Op::Sync);
         // No party can be a generation ahead: the word moves only after
         // all parties, this one included, have arrived.
         let generation = self.generation.0.load(Ordering::Acquire);
@@ -927,6 +968,7 @@ impl Coordinator {
         // own collection and every other worker's batch for it.
         let mut staged: Vec<Mail> = self.mailboxes.iter().map(|_| Mail::default()).collect();
         while t != u64::MAX {
+            note(Op::Round);
             let end = t.saturating_add(self.window);
             for i in 0..my.len() {
                 if my[i].next >= end {
@@ -953,7 +995,7 @@ impl Coordinator {
                 if worker == me || (batch.msgs.is_empty() && batch.ticks.is_empty()) {
                     continue;
                 }
-                note_sync_op();
+                note(Op::Sync);
                 let mailbox = &self.mailboxes[worker];
                 let mut mail = mailbox.mail.lock().expect("mailbox lock");
                 mail.msgs.append(&mut batch.msgs);
@@ -970,7 +1012,7 @@ impl Coordinator {
             let mailbox = &self.mailboxes[me];
             if mailbox.has_mail.load(Ordering::Acquire) {
                 mailbox.has_mail.store(false, Ordering::Relaxed);
-                note_sync_op();
+                note(Op::Sync);
                 let mut mail = mailbox.mail.lock().expect("mailbox lock");
                 for msg in mail.msgs.drain(..) {
                     my[self.home[msg.dst].1].inbox.push(msg);
@@ -1013,7 +1055,9 @@ impl DirectorySim {
     }
 
     /// [`run`](DirectorySim::run) on up to `workers` OS threads, the
-    /// calling thread included, each owning a clone of `workload`.
+    /// calling thread included, each owning a clone of `workload`. One
+    /// worker runs the global event loop on the calling thread; two or
+    /// more run conservative rounds over one shard per memory module.
     ///
     /// Produces the same [`Report`] — same cycle count, event count,
     /// statistics, latency histograms, gauges, versions, transaction ids,
@@ -1054,10 +1098,11 @@ impl DirectorySim {
         latency.net_command.min(latency.net_data)
     }
 
-    /// `S`: one shard per memory module — or one in all when there is no
-    /// lookahead, which leaves only serial per-event delivery.
-    fn shard_count(&self) -> usize {
-        if self.lookahead() == 0 {
+    /// `S` for `workers` workers: one shard per memory module when they
+    /// run rounds — two or more workers and a lookahead — and otherwise
+    /// one, the whole system, which runs the global event loop.
+    fn shard_count(&self, workers: usize) -> usize {
+        if workers < 2 || self.lookahead() == 0 {
             1
         } else {
             self.config.address_map.modules()
@@ -1076,7 +1121,7 @@ impl DirectorySim {
     where
         W: Workload + Clone + Send,
     {
-        let n_workers = workers.clamp(1, self.shard_count());
+        let n_workers = workers.clamp(1, self.shard_count(workers));
         let peers = (1..n_workers)
             .map(|_| Box::new(workload.clone()) as Box<dyn Workload + Send + '_>)
             .collect();
@@ -1084,8 +1129,9 @@ impl DirectorySim {
     }
 
     /// The engine: one worker per workload — the calling thread with
-    /// `workload`, one spawned thread per entry of `peers`. Workloads are
-    /// lent as trait objects, so the engine is compiled once, here, and a
+    /// `workload`, one spawned thread per entry of `peers`. One shard runs
+    /// the global event loop; several run rounds. Workloads are lent as
+    /// trait objects, so the engine is compiled once, here, and a
     /// reference costs one indirect call.
     fn run_rounds(
         &mut self,
@@ -1096,8 +1142,8 @@ impl DirectorySim {
     ) -> Result<Report, ProtocolError> {
         self.refs_target = refs_per_cpu;
         let lookahead = self.lookahead();
-        let n_shards = self.shard_count();
         let n_workers = 1 + peers.len();
+        let n_shards = self.shard_count(n_workers);
         debug_assert!(n_workers <= n_shards, "a worker owns at least one shard");
 
         let outstanding = self.pending.iter().flatten().count() as u64;
@@ -1125,7 +1171,7 @@ impl DirectorySim {
                     .zip(peers)
                     .enumerate()
                     .map(|(i, (mut theirs, mut workload))| {
-                        note_sync_op();
+                        note(Op::Sync);
                         scope.spawn(move || {
                             let failure =
                                 coord.worker_loop(i + 1, &mut theirs, workload.as_mut(), None, t0);
@@ -1316,8 +1362,10 @@ mod tests {
         }
     }
 
-    /// DESIGN §8 mechanism 4: a failing run fails identically for any
-    /// worker count, and leaves the simulation inspectable.
+    /// DESIGN §8 mechanism 4: a failing run returns the same error for
+    /// any worker count and leaves the simulation inspectable. The global
+    /// loop stops at that error; rounds stop at the end of its window,
+    /// identically for any number of round workers.
     #[test]
     fn failure_is_identical_for_any_worker_count() {
         let fail_with = |jobs: usize| {
@@ -1334,27 +1382,52 @@ mod tests {
             (err, sim.now, sim.events, format!("{cache_stats:?}"))
         };
         let one = fail_with(1);
+        let two = fail_with(2);
+        let eight = fail_with(8);
         assert!(
             one.0.to_string().contains("liveness budget exhausted"),
             "{}",
             one.0
         );
-        assert_eq!(fail_with(2), one, "2 workers");
-        assert_eq!(fail_with(8), one, "8 workers");
+        assert_eq!(two.0, one.0, "2 workers: the error");
+        assert_eq!(eight.0, one.0, "8 workers: the error");
+        assert_eq!(eight, two, "rounds: 8 workers stop where 2 do");
+        // The global loop's clock is the failing event's cycle, which the
+        // liveness error names, and it ran no event past that one.
+        assert!(
+            one.0.to_string().contains(&format!("cycle {}", one.1)),
+            "{} at {}",
+            one.0,
+            one.1
+        );
+        assert!(one.2 <= two.2, "{} events, rounds ran {}", one.2, two.2);
     }
 
-    /// With one worker the run must spawn no thread, take no mailbox
-    /// lock, and never enter the barrier: everything is shard-local.
+    /// The [`Op`] counts of the calling thread over one `run`.
+    fn ops_of(run: impl FnOnce(&mut DirectorySim) -> Result<Report, ProtocolError>) -> [u64; 4] {
+        OPS.with(|ops| ops.iter().for_each(|op| op.set(0)));
+        let mut sim = DirectorySim::build(config(8, ProtocolKind::TwoBit)).unwrap();
+        run(&mut sim).unwrap();
+        OPS.with(|ops| ops.each_ref().map(std::cell::Cell::get))
+    }
+
+    /// With one worker the run is the global loop: it spawns no thread,
+    /// takes no mailbox lock, enters no barrier and no round, buffers no
+    /// send and sorts no inbox. The counter sees the calling thread —
+    /// worker 0's share at two workers.
     #[test]
     fn one_worker_never_synchronises() {
-        let sync_ops_of = |jobs: usize| {
-            SYNC_OPS.with(|ops| ops.set(0));
-            let mut sim = DirectorySim::build(config(8, ProtocolKind::TwoBit)).unwrap();
-            sim.run_jobs(workload(8, 42), 200, jobs).unwrap();
-            SYNC_OPS.with(std::cell::Cell::get)
-        };
-        assert_eq!(sync_ops_of(1), 0);
-        assert!(sync_ops_of(2) > 0, "the counter sees worker 0's share");
+        let one_worker = [
+            ops_of(|sim| sim.run_jobs(workload(8, 42), 200, 1)),
+            ops_of(|sim| sim.run(workload(8, 42), 200)),
+        ];
+        for ops in one_worker {
+            assert_eq!(ops, [0; 4], "[sync, OutMsg, inbox sort, round]");
+        }
+        let two_workers = ops_of(|sim| sim.run_jobs(workload(8, 42), 200, 2));
+        for op in [Op::Sync, Op::OutMsg, Op::InboxSort, Op::Round] {
+            assert!(two_workers[op as usize] > 0, "{two_workers:?}");
+        }
     }
 
     #[test]
