@@ -1,13 +1,12 @@
 //! Criterion bench of the raw simulation machinery: functional executor
-//! throughput, timed-engine throughput, the timed engine's cost per
-//! round, and workload generation.
+//! throughput, timed-engine throughput, and workload generation.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use twobit_core::FunctionalSystem;
 use twobit_obs::{JsonlTracer, RingTracer, Tracer};
 use twobit_sim::System;
-use twobit_types::{AddressMap, CacheId, ProtocolKind, SystemConfig};
+use twobit_types::{CacheId, ProtocolKind, SystemConfig};
 use twobit_workload::{SharingModel, SharingParams, Workload};
 
 const REFS: u64 = 5_000;
@@ -43,8 +42,7 @@ fn timed_engine(c: &mut Criterion) {
             black_box(system.run(workload, REFS).expect("run"))
         });
     });
-    // The global event loop at eight cpus (`run` and `run_jobs(.., 1)`
-    // are the same code, so one measurement serves both).
+    // The event loop at eight cpus.
     group.throughput(Throughput::Elements(REFS * 8));
     group.bench_function("two_bit_8cpu", |b| {
         b.iter(|| {
@@ -53,23 +51,6 @@ fn timed_engine(c: &mut Criterion) {
             black_box(system.run(workload, REFS).expect("run"))
         });
     });
-    group.finish();
-
-    // One processor over eight modules on two workers (one worker runs
-    // the global event loop, which has no rounds): at most one event is
-    // in flight, so almost every window holds a single event and
-    // elements/second is rounds/second — the fixed cost of a round. A
-    // one-core host clamps to one worker and measures the global loop.
-    let round_run = || {
-        let mut config = SystemConfig::with_defaults(1);
-        config.address_map = AddressMap::interleaved(8);
-        let workload = SharingModel::new(SharingParams::moderate(), 1, 11).expect("workload");
-        let mut system = System::build(config).expect("system");
-        system.run_jobs(workload, REFS * 8, 2).expect("run")
-    };
-    let mut group = c.benchmark_group("engine/round");
-    group.throughput(Throughput::Elements(round_run().events));
-    group.bench_function("one_cpu_8_modules", |b| b.iter(|| black_box(round_run())));
     group.finish();
 }
 

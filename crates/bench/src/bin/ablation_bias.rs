@@ -6,6 +6,7 @@
 //! invalidation requests for the same block."
 
 use twobit_bench::sweep;
+use twobit_core::parallel_map;
 use twobit_sim::System;
 use twobit_types::{fmt3, AddressMap, ProtocolKind, SystemConfig, Table};
 use twobit_workload::{SharingModel, SharingParams};
@@ -27,7 +28,7 @@ fn main() {
     // here, invalidated on every one of their stores) — where the filter
     // approaches total absorption.
     let capacities: Vec<u32> = vec![0, 1, 2, 4, 8, 32, 128, 1024];
-    let results = sweep::run(capacities.clone(), sweep::default_threads(), |&bias| {
+    let results = parallel_map(capacities.clone(), sweep::default_threads(), |bias| {
         let mut config =
             SystemConfig::with_defaults(n).with_protocol(ProtocolKind::ClassicalWriteThrough);
         config.address_map = AddressMap::interleaved(1);

@@ -7,6 +7,7 @@
 //! related to a given block only one at a time."
 
 use twobit_bench::sweep;
+use twobit_core::parallel_map;
 use twobit_sim::System;
 use twobit_types::{fmt3, ControllerConcurrency, ProtocolKind, SystemConfig, Table};
 use twobit_workload::{scenarios::LockContention, SharingModel, SharingParams, Workload};
@@ -24,7 +25,7 @@ fn main() {
         grid.push(("lock-contention", concurrency));
     }
 
-    let results = sweep::run(grid, sweep::default_threads(), |&(label, concurrency)| {
+    let results = parallel_map(grid, sweep::default_threads(), |(label, concurrency)| {
         let mut config = SystemConfig::with_defaults(n).with_protocol(ProtocolKind::TwoBit);
         config.concurrency = concurrency;
         // Concentrate memory traffic: a single module makes the

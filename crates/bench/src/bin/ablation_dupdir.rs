@@ -8,6 +8,7 @@
 //! potentially prohibitive bus traffic."
 
 use twobit_bench::sweep;
+use twobit_core::parallel_map;
 use twobit_sim::System;
 use twobit_types::{fmt3, ProtocolKind, SystemConfig, Table};
 use twobit_workload::{SharingModel, SharingParams};
@@ -28,7 +29,7 @@ fn main() {
         }
     }
 
-    let results = sweep::run(grid, sweep::default_threads(), |&(label, params, dup)| {
+    let results = parallel_map(grid, sweep::default_threads(), |(label, params, dup)| {
         let mut config = SystemConfig::with_defaults(n).with_protocol(ProtocolKind::TwoBit);
         config.duplicate_directory = dup;
         let workload = SharingModel::new(params, n, 0xd0b).expect("valid workload");

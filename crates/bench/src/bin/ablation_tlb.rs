@@ -11,6 +11,7 @@ use twobit_analytic::enhancements;
 use twobit_bench::obs_cli::{self, ObsArgs};
 use twobit_bench::sweep;
 use twobit_bench::{extra_commands_per_reference, run_protocol};
+use twobit_core::parallel_map;
 use twobit_types::{fmt3, ProtocolKind, Table};
 use twobit_workload::SharingParams;
 
@@ -21,17 +22,17 @@ fn main() {
     let params = SharingParams::moderate().with_w(0.3);
     let seed = 0x71b;
 
-    let baselines = sweep::run(
+    let baselines = parallel_map(
         vec![ProtocolKind::TwoBit, ProtocolKind::FullMap],
         2,
-        |&protocol| run_protocol(protocol, params, n, seed, refs_per_cpu).expect("baseline run"),
+        |protocol| run_protocol(protocol, params, n, seed, refs_per_cpu).expect("baseline run"),
     );
     let two_bit = &baselines[0];
     let full_map = &baselines[1];
     let base_extra = extra_commands_per_reference(two_bit, full_map);
 
     let capacities: Vec<u32> = vec![1, 2, 4, 8, 16, 32, 64];
-    let runs = sweep::run(capacities.clone(), sweep::default_threads(), |&entries| {
+    let runs = parallel_map(capacities.clone(), sweep::default_threads(), |entries| {
         run_protocol(
             ProtocolKind::TwoBitTlb { entries },
             params,

@@ -5,18 +5,13 @@
 //!
 //! ```text
 //! bench_throughput [--label NAME] [--out PATH] [--refs N] [--caches N]
-//!                  [--seed N] [--jobs N] [--profile] [--quick]
+//!                  [--seed N] [--profile] [--quick]
 //! ```
 //!
 //! - `--label` names the output `BENCH_<label>.json` (default `local`);
 //!   `--out` overrides the path entirely.
-//! - `--jobs N` runs each case on up to `N` worker threads; results are
-//!   identical for any `N` (the engine is deterministic), only wall-clock
-//!   figures change. The document's `config.jobs` records the request;
-//!   the count that actually runs — capped by the host's cores and by
-//!   the shard count — is printed first, with a warning on stderr when it
-//!   is lower. Cases always run one at a time so each case's wall clock
-//!   is unpolluted.
+//! - Cases run one at a time, each on the calling thread, so each case's
+//!   wall clock is its own.
 //! - `--profile` records the "top handlers by self-time" span table per
 //!   case (needs the `perf-spans` cargo feature to be more than a no-op).
 //! - `--quick` shrinks the sweep for CI smoke runs (500 refs/cpu).
@@ -112,7 +107,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: bench_throughput [--label NAME] [--out PATH] [--refs N] \
-         [--caches N] [--seed N] [--jobs N] [--profile] [--quick]"
+         [--caches N] [--seed N] [--profile] [--quick]"
     );
     std::process::exit(2);
 }
@@ -142,7 +137,6 @@ fn parse_args() -> Args {
             "--refs" => cfg.refs_per_cpu = numeric("--refs"),
             "--caches" => cfg.caches = numeric("--caches") as usize,
             "--seed" => cfg.seed = numeric("--seed"),
-            "--jobs" => cfg.jobs = numeric("--jobs") as usize,
             "--profile" => cfg.profile = true,
             "--quick" => cfg.refs_per_cpu = 500,
             "--help" | "-h" => usage(),
@@ -162,22 +156,6 @@ fn main() -> ExitCode {
         eprintln!(
             "note: --profile requested but built without the perf-spans \
              feature; span tables will be empty"
-        );
-    }
-
-    // `System::run_jobs` caps the request at the host's cores, and the
-    // engine at its shard count: one per memory module, of which the
-    // suite's configurations have one per cache, when two or more
-    // workers run rounds; one, the global event loop, for one worker.
-    let jobs = args.cfg.jobs;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = jobs.clamp(1, cores).min(args.cfg.caches.max(1));
-    let shards = if workers == 1 { 1 } else { args.cfg.caches };
-    println!("workers: {workers} (--jobs {jobs}, {cores} cores, {shards} shards)");
-    if workers < jobs {
-        eprintln!(
-            "warning: --jobs {jobs} was asked for but {workers} worker(s) run; \
-             the document still records jobs = {jobs}"
         );
     }
 

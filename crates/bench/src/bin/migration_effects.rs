@@ -6,6 +6,7 @@
 //! rotate across CPUs, measured across migration frequencies.
 
 use twobit_bench::sweep;
+use twobit_core::parallel_map;
 use twobit_sim::System;
 use twobit_types::{fmt3, ProtocolKind, SystemConfig, Table};
 use twobit_workload::scenarios::ProcessMigration;
@@ -22,7 +23,7 @@ fn main() {
         }
     }
 
-    let results = sweep::run(grid, sweep::default_threads(), |&(phase, protocol)| {
+    let results = parallel_map(grid, sweep::default_threads(), |(phase, protocol)| {
         let config = SystemConfig::with_defaults(n).with_protocol(protocol);
         let workload = ProcessMigration::new(n, 48, phase, 0x316).expect("valid workload");
         let mut system = System::build(config).expect("valid system");

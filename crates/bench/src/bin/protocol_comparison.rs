@@ -4,6 +4,7 @@
 use twobit_bench::obs_cli::{self, ObsArgs};
 use twobit_bench::run_protocol;
 use twobit_bench::sweep;
+use twobit_core::parallel_map;
 use twobit_types::{fmt3, ProtocolKind, Table};
 use twobit_workload::SharingParams;
 
@@ -34,10 +35,10 @@ fn main() {
         }
     }
 
-    let results = sweep::run(
+    let results = parallel_map(
         grid,
         sweep::default_threads(),
-        |&(label, params, protocol)| {
+        |(label, params, protocol)| {
             let report =
                 run_protocol(protocol, params, n, 0x200, refs_per_cpu).expect("protocol run");
             (label, protocol, report)

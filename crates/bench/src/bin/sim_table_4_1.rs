@@ -14,6 +14,7 @@
 use twobit_bench::obs_cli::{self, ObsArgs};
 use twobit_bench::sweep;
 use twobit_bench::{extra_commands_per_reference, predicted_overhead, run_protocol};
+use twobit_core::parallel_map;
 use twobit_types::{fmt3, ProtocolKind, Table};
 use twobit_workload::SharingParams;
 
@@ -51,7 +52,7 @@ fn main() {
         }
     }
 
-    let results = sweep::run(grid, sweep::default_threads(), |cell| {
+    let results = parallel_map(grid, sweep::default_threads(), |cell| {
         let seed = 0x07ab_1e41 + cell.n as u64;
         let two_bit = run_protocol(
             ProtocolKind::TwoBit,

@@ -5,6 +5,7 @@
 
 use twobit_bench::obs_cli::{self, ObsArgs};
 use twobit_bench::sweep;
+use twobit_core::parallel_map;
 use twobit_sim::System;
 use twobit_types::{fmt3, CacheOrg, ProtocolKind, SystemConfig, Table};
 use twobit_workload::{SharingModel, SharingParams};
@@ -35,7 +36,7 @@ fn main() {
     }
     let cells = grid.clone();
 
-    let results = sweep::run(grid, sweep::default_threads(), |&(q, w, n)| {
+    let results = parallel_map(grid, sweep::default_threads(), |(q, w, n)| {
         let params = SharingParams::table4_2(q, w);
         let workload = SharingModel::new(params, n, 0x42_0000 + n as u64).expect("valid workload");
         let mut system = table_4_2_system(n);

@@ -10,6 +10,7 @@
 
 use std::time::Instant;
 
+use twobit_core::parallel_map;
 use twobit_obs::json::{self, num_u64, obj, Json};
 use twobit_obs::{SpanStat, TxnClass};
 use twobit_sim::System;
@@ -61,10 +62,6 @@ pub struct BenchConfig {
     /// Workload seed (fixed: the suite is deterministic in simulated
     /// work; only wall-clock figures vary between runs).
     pub seed: u64,
-    /// Worker threads for the sharded simulation engine
-    /// ([`System::run_jobs`]). Cases themselves always run one at a
-    /// time so each case's wall clock measures only its own run.
-    pub jobs: usize,
     /// Whether span profiling was requested (only effective when built
     /// with the `perf-spans` feature).
     pub profile: bool,
@@ -80,7 +77,6 @@ impl Default for BenchConfig {
             caches: 8,
             refs_per_cpu: 2_000,
             seed: 42,
-            jobs: 1,
             profile: false,
             schemes: all_schemes(),
             workloads: all_workloads(),
@@ -90,8 +86,7 @@ impl Default for BenchConfig {
 
 /// Hooks into a counting global allocator, passed by the binary when
 /// built with the `counting-alloc` feature. The peak is process-wide,
-/// which is exact because cases run sequentially (engine worker threads
-/// within a case are part of that case's footprint).
+/// which is exact because cases run sequentially on one thread.
 #[derive(Debug, Clone, Copy)]
 pub struct AllocHooks {
     /// Resets the peak-tracking watermark to the current usage.
@@ -161,8 +156,8 @@ pub struct BenchDoc {
 }
 
 /// Runs the full suite. Deterministic in simulated work: the same config
-/// yields identical `refs`/`events`/`cycles`/`tag_probes` regardless of
-/// `jobs` or wall-clock noise.
+/// yields identical `refs`/`events`/`cycles`/`tag_probes` whatever the
+/// wall-clock noise.
 ///
 /// # Panics
 ///
@@ -179,10 +174,10 @@ pub fn run_suite(cfg: &BenchConfig, alloc: Option<AllocHooks>) -> BenchDoc {
                 .map(move |(name, params)| (scheme, name.clone(), *params))
         })
         .collect();
-    // One case at a time: `jobs` parallelizes *inside* the engine, so
-    // per-case wall clock is never polluted by sibling cases.
-    let cases = crate::sweep::run(grid, 1, |(scheme, workload_name, params)| {
-        run_case(cfg, *scheme, workload_name, *params, alloc)
+    // One case at a time, so per-case wall clock is never polluted by
+    // sibling cases.
+    let cases = parallel_map(grid, 1, |(scheme, workload_name, params)| {
+        run_case(cfg, scheme, &workload_name, params, alloc)
     });
     BenchDoc {
         config: cfg.clone(),
@@ -208,7 +203,7 @@ fn run_case(
     }
     let start = Instant::now();
     let report = system
-        .run_jobs(workload, cfg.refs_per_cpu, cfg.jobs)
+        .run(workload, cfg.refs_per_cpu)
         .unwrap_or_else(|e| panic!("run {}/{workload_name}: {e}", scheme.name()));
     let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let peak_alloc_bytes = alloc.map(|hooks| (hooks.peak_bytes)());
@@ -253,7 +248,6 @@ impl BenchDoc {
             ("caches", num_u64(self.config.caches as u64)),
             ("refs_per_cpu", num_u64(self.config.refs_per_cpu)),
             ("seed", num_u64(self.config.seed)),
-            ("jobs", num_u64(self.config.jobs as u64)),
             ("profile", Json::Bool(self.config.profile)),
         ]);
         let cases = self
@@ -320,7 +314,8 @@ impl BenchDoc {
     ///
     /// The stored `refs_per_sec`/`events_per_sec` fields are derived and
     /// ignored on input; rates are always recomputed from `refs`,
-    /// `events`, and `wall_ns`.
+    /// `events`, and `wall_ns`. So is `config.jobs`, which documents
+    /// written before the simulator became one event loop carry.
     ///
     /// # Errors
     ///
@@ -336,7 +331,6 @@ impl BenchDoc {
             caches: config_json.field("caches")?,
             refs_per_cpu: config_json.field("refs_per_cpu")?,
             seed: config_json.field("seed")?,
-            jobs: config_json.field("jobs")?,
             profile: config_json.opt_field("profile")?.unwrap_or(false),
             schemes: Vec::new(),
             workloads: Vec::new(),
@@ -448,7 +442,6 @@ mod tests {
             caches: 2,
             refs_per_cpu: 60,
             seed: 7,
-            jobs: 2,
             schemes: vec![ProtocolKind::TwoBit, ProtocolKind::FullMap],
             workloads: vec![("moderate".to_string(), SharingParams::moderate())],
             ..BenchConfig::default()
@@ -495,21 +488,12 @@ mod tests {
     }
 
     #[test]
-    fn simulated_work_is_deterministic_across_jobs() {
-        let mut one = small_config();
-        one.jobs = 1;
-        let mut four = small_config();
-        four.jobs = 4;
-        let a = run_suite(&one, None);
-        let b = run_suite(&four, None);
-        for (x, y) in a.cases.iter().zip(&b.cases) {
-            assert_eq!(x.label, y.label);
-            assert_eq!(x.refs, y.refs, "{}", x.label);
-            assert_eq!(x.events, y.events, "{}", x.label);
-            assert_eq!(x.cycles, y.cycles, "{}", x.label);
-            assert_eq!(x.tag_probes, y.tag_probes, "{}", x.label);
-            assert_eq!(x.latency, y.latency, "{}", x.label);
-        }
+    fn the_committed_baseline_still_parses() {
+        let text = include_str!("../../../BENCH_baseline.json");
+        let doc = BenchDoc::from_json(text).unwrap();
+        assert_eq!(doc.cases.len(), 24);
+        assert_eq!(doc.config.refs_per_cpu, 500);
+        assert!(doc.case("two-bit/high").is_some_and(|c| c.events > 0));
     }
 
     #[test]
@@ -532,7 +516,6 @@ mod tests {
     fn profiled_suite_attributes_event_handlers() {
         let mut cfg = small_config();
         cfg.profile = true;
-        cfg.jobs = 1;
         let doc = run_suite(&cfg, None);
         let case = &doc.cases[0];
         assert!(!case.spans.is_empty(), "profiling must produce spans");

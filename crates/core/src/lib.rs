@@ -67,6 +67,7 @@ mod local;
 mod memory;
 pub mod model_check;
 mod owner_set;
+mod parallel;
 pub mod snapshot;
 mod tlb;
 pub mod transitions;
@@ -87,6 +88,7 @@ pub use model_check::{
     Action, Counterexample, Exploration, FlightMsg, GuidedSearch, ModelChecker, Node, State,
 };
 pub use owner_set::OwnerSet;
+pub use parallel::parallel_map;
 pub use tlb::TranslationBuffer;
 pub use transitions::{
     shipped_tables, ActionKind, Cond, Delivery, EventKind, EventSpec, Next, OrderGuarantee, Rule,

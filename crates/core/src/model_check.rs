@@ -52,9 +52,9 @@ use crate::agent::CacheAgent;
 use crate::controller::{Controller, CtrlEmit, Observer};
 use crate::exec::{build_policy_for, build_protocol_for};
 use crate::invariants;
+use crate::parallel::parallel_map;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::sync::Mutex;
 use twobit_obs::{ActorId, Metrics, NullTracer, RingTracer, SimEvent, Tracer};
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, CacheOrg, CacheToMemory, ConfigError, Fingerprint,
@@ -350,43 +350,6 @@ struct ChunkOut {
     violation: Option<(Fingerprint, Option<Action>, ProtocolError)>,
     /// Table rules fired by the steps expanded here.
     fired: crate::Fired,
-}
-
-/// Runs `f` over every input in parallel across up to `threads` scoped
-/// workers (the `twobit-bench` sweep idiom: shared work list, outputs
-/// keyed by input index so aggregation order is independent of
-/// scheduling). `f` must be deterministic per input.
-fn parallel_map<I, O, F>(inputs: Vec<I>, threads: usize, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    let threads = threads.max(1).min(inputs.len());
-    if threads <= 1 {
-        return inputs.into_iter().map(f).collect();
-    }
-    let results: Mutex<Vec<Option<O>>> = Mutex::new((0..inputs.len()).map(|_| None).collect());
-    let work: Mutex<Vec<(usize, I)>> = Mutex::new(inputs.into_iter().enumerate().rev().collect());
-    // Neither lock is held across `f`, so a panicking chunk cannot poison
-    // one; `scope` re-raises the panic after joining.
-    const UNPOISONED: &str = "no model-check worker panics while holding a lock";
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let item = work.lock().expect(UNPOISONED).pop();
-                let Some((index, input)) = item else { break };
-                let output = f(input);
-                results.lock().expect(UNPOISONED)[index] = Some(output);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect(UNPOISONED)
-        .into_iter()
-        .map(|slot| slot.expect("every chunk produces an output"))
-        .collect()
 }
 
 /// The model checker: a system configuration plus a finite per-cache

@@ -129,9 +129,9 @@ pub trait Network {
 ///
 /// Port bookkeeping is two flat vectors indexed by the dense cache /
 /// module indices (node ids are small and contiguous), grown on demand —
-/// the dispatch path does no hashing. The sharded engine gives each
-/// shard its own `Crossbar` tracking only the ports of the destinations
-/// that shard owns, and sums their traffic counters after the run.
+/// the dispatch path does no hashing. The timed engine gives each run a
+/// fresh `Crossbar` and folds its traffic counters into the simulation's
+/// after the run.
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     command_latency: u64,

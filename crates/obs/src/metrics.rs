@@ -168,25 +168,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
 }
 
 /// A gauge sampled on a fixed cadence, with an exact (cadence-independent)
@@ -472,35 +453,6 @@ impl Metrics {
         Ok(())
     }
 
-    /// Folds a shard's registry into this run-wide one: latency
-    /// histograms merge (multiset union) and per-cache command counters
-    /// add. Gauges and search statistics are run-wide series, fed where
-    /// the whole run is visible, so this registry's are kept.
-    ///
-    /// Shards index per-cache counters by *global* cache id and each
-    /// cache is owned by exactly one shard, so the element-wise sum
-    /// reconstructs exactly the counters one registry watching every
-    /// cache records.
-    pub fn merge(&mut self, other: &Metrics) {
-        for (mine, theirs) in self.latency.iter_mut().zip(&other.latency) {
-            mine.merge(theirs);
-        }
-        for (mine, theirs) in self
-            .useless_per_cache
-            .iter_mut()
-            .zip(&other.useless_per_cache)
-        {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self
-            .commands_per_cache
-            .iter_mut()
-            .zip(&other.commands_per_cache)
-        {
-            *mine += theirs;
-        }
-    }
-
     /// Summarizes the registry for a report.
     #[must_use]
     pub fn summary(&self) -> MetricsSummary {
@@ -622,23 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        a.record(5);
-        let mut b = Histogram::new();
-        b.record(100);
-        b.record(1);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), 1);
-        assert_eq!(a.max(), 100);
-        assert_eq!(a.sum(), 106);
-        let mut empty = Histogram::new();
-        empty.merge(&a);
-        assert_eq!(empty, a);
-    }
-
-    #[test]
     fn gauge_peak_is_exact_despite_cadence() {
         let mut g = Gauge::new(100);
         g.observe(0, 1);
@@ -657,39 +592,6 @@ mod tests {
             g.observe(t, t);
         }
         assert_eq!(g.samples(), 10);
-    }
-
-    #[test]
-    fn metrics_merge_equals_single_registry() {
-        // Two shards each watching one cache must merge to what one
-        // registry watching both records.
-        let mut whole = Metrics::new(2, 0);
-        let mut shard0 = Metrics::new(2, 0);
-        let mut shard1 = Metrics::new(2, 0);
-        for (m, useless) in [(&mut whole, true), (&mut shard0, true)] {
-            m.record_command(CacheId::new(0), useless);
-            m.record_latency(TxnClass::ReadMiss, 8);
-        }
-        for m in [&mut whole, &mut shard1] {
-            m.record_command(CacheId::new(1), false);
-            m.record_latency(TxnClass::WriteMiss, 40);
-        }
-        // Gauges are run-wide: a shard's are not folded in.
-        shard1.queue_depth.observe(7, 3);
-        shard0.merge(&shard1);
-        assert_eq!(shard0.commands_total(), whole.commands_total());
-        assert_eq!(shard0.useless_total(), whole.useless_total());
-        assert_eq!(shard0.useless_for(CacheId::new(0)), 1);
-        assert_eq!(
-            shard0.latency(TxnClass::ReadMiss),
-            whole.latency(TxnClass::ReadMiss)
-        );
-        assert_eq!(
-            shard0.latency(TxnClass::WriteMiss),
-            whole.latency(TxnClass::WriteMiss)
-        );
-        assert_eq!(shard0.queue_depth.peak(), whole.queue_depth.peak());
-        assert_eq!(shard0.summary(), whole.summary());
     }
 
     #[test]

@@ -95,13 +95,6 @@ impl PerfReport {
         }
     }
 
-    /// Merges another report (same-name spans accumulate).
-    pub fn merge(&mut self, other: &PerfReport) {
-        for (name, stat) in &other.spans {
-            self.add(name, *stat);
-        }
-    }
-
     /// Spans sorted by descending self time (ties broken by name, so the
     /// order is stable across runs with equal timings).
     #[must_use]
@@ -344,18 +337,6 @@ mod tests {
         assert_eq!(r.total_self_ns(), 190);
         let table = r.render_top(10);
         assert!(table.contains("a"), "{table}");
-
-        let mut other = PerfReport::new();
-        other.add(
-            "b",
-            SpanStat {
-                count: 1,
-                total_ns: 10,
-                self_ns: 10,
-            },
-        );
-        r.merge(&other);
-        assert_eq!(r.get("b").unwrap().count, 2);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The per-shard scheduler: a bucketed calendar queue.
+//! The event loop's scheduler: a bucketed calendar queue.
 //!
 //! A directory simulation's pending-event horizon is tiny — wire
 //! latencies, memory service, and think time are all small integers — so
 //! almost every push lands within a few cycles of the current time. A
 //! comparison-based heap pays `O(log n)` pointer-chasing for what is
-//! really array indexing. [`ShardQueue`] instead keeps a ring of
+//! really array indexing. [`Calendar`] instead keeps a ring of
 //! [`NEAR_HORIZON`] one-cycle buckets (slot = `time & 63`) with a `u64`
 //! occupancy bitmask, so "next non-empty cycle" is one rotate plus
 //! `trailing_zeros`, and falls back to a small binary heap only for the
@@ -56,7 +56,7 @@ impl PartialOrd for FarEntry {
 /// A calendar queue ordered by canonical [`EventKey`]s (see the module
 /// docs): pops in sorted-key order, with O(1) near-horizon scheduling.
 #[derive(Debug)]
-pub(crate) struct ShardQueue {
+pub(crate) struct Calendar {
     /// All events before `base` have been popped; the near ring covers
     /// `[base, base + NEAR_HORIZON)`.
     base: u64,
@@ -71,9 +71,9 @@ pub(crate) struct ShardQueue {
     len: usize,
 }
 
-impl ShardQueue {
+impl Calendar {
     pub(crate) fn new(start: u64) -> Self {
-        ShardQueue {
+        Calendar {
             base: start,
             near: (0..NEAR_HORIZON).map(|_| Vec::new()).collect(),
             occupied: 0,
@@ -115,26 +115,11 @@ impl ShardQueue {
         }
     }
 
-    /// The earliest pending cycle, if any.
-    pub(crate) fn min_time(&self) -> Option<u64> {
-        let near = self.next_near_time();
-        let far = self.far.peek().map(|f| f.key.time);
-        match (near, far) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Pops the earliest event strictly before cycle `end`, advancing the
-    /// base time to it. Events at or after `end` stay queued — this is
-    /// the window boundary of the sharded engine's conservative rounds.
-    pub(crate) fn pop_in(&mut self, end: u64) -> Option<(u64, Event)> {
+    /// Pops the earliest event, advancing the base time to it.
+    pub(crate) fn pop(&mut self) -> Option<(u64, Event)> {
         loop {
             self.migrate();
             if let Some(t) = self.next_near_time() {
-                if t >= end {
-                    return None;
-                }
                 self.base = t;
                 let slot = (t & (NEAR_HORIZON - 1)) as usize;
                 let bucket = &mut self.near[slot];
@@ -149,12 +134,8 @@ impl ShardQueue {
                 self.len -= 1;
                 return Some((key.time, event));
             }
-            // Near ring exhausted: jump the base to the far frontier if it
-            // is inside the window, else nothing is poppable.
-            match self.far.peek() {
-                Some(f) if f.key.time < end => self.base = f.key.time,
-                _ => return None,
-            }
+            // Near ring exhausted: jump the base to the far frontier.
+            self.base = self.far.peek()?.key.time;
         }
     }
 
@@ -225,52 +206,38 @@ mod tests {
             (5, deliver_module(2)),
             (1000, issue(4)),
         ];
-        let mut calendar = ShardQueue::new(0);
+        let mut calendar = Calendar::new(0);
         for (t, e) in &schedule {
             calendar.push(*t, e.clone());
         }
         schedule.sort_by_key(|(t, e)| e.key(*t));
         for want in schedule {
-            assert_eq!(calendar.pop_in(u64::MAX), Some(want));
+            assert_eq!(calendar.pop(), Some(want));
         }
-        assert!(calendar.pop_in(u64::MAX).is_none());
+        assert!(calendar.pop().is_none());
         assert!(calendar.is_empty());
-    }
-
-    #[test]
-    fn window_boundary_is_exclusive() {
-        let mut q = ShardQueue::new(0);
-        q.push(3, issue(0));
-        q.push(7, issue(1));
-        assert_eq!(q.min_time(), Some(3));
-        assert!(q.pop_in(3).is_none(), "end is exclusive");
-        assert_eq!(q.pop_in(4).map(|(t, _)| t), Some(3));
-        assert!(q.pop_in(7).is_none());
-        assert_eq!(q.pop_in(8).map(|(t, _)| t), Some(7));
-        assert!(q.is_empty());
-        assert_eq!(q.min_time(), None);
     }
 
     #[test]
     fn same_cycle_push_mid_pop_sorts_canonically() {
         // Pop the issue at t=9, then push a module delivery at t=9: the
         // delivery (lower class rank) must still come out next.
-        let mut q = ShardQueue::new(0);
+        let mut q = Calendar::new(0);
         q.push(9, issue(0));
         q.push(9, issue(1));
-        assert_eq!(q.pop_in(u64::MAX).unwrap().1, issue(0));
+        assert_eq!(q.pop().unwrap().1, issue(0));
         q.push(9, deliver_module(0));
-        assert_eq!(q.pop_in(u64::MAX).unwrap().1, deliver_module(0));
-        assert_eq!(q.pop_in(u64::MAX).unwrap().1, issue(1));
+        assert_eq!(q.pop().unwrap().1, deliver_module(0));
+        assert_eq!(q.pop().unwrap().1, issue(1));
     }
 
     #[test]
     fn far_events_migrate_through_multiple_horizons() {
-        let mut q = ShardQueue::new(0);
+        let mut q = Calendar::new(0);
         for i in 0..10u64 {
             q.push(i * 200, issue(0));
         }
-        let times: Vec<u64> = std::iter::from_fn(|| q.pop_in(u64::MAX).map(|(t, _)| t)).collect();
+        let times: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
         assert_eq!(times, (0..10).map(|i| i * 200).collect::<Vec<_>>());
     }
 
@@ -278,13 +245,13 @@ mod tests {
     fn ring_slots_never_mix_cycles() {
         // 0 and 64 share slot 0 but are 1 horizon apart: 64 goes to far,
         // then migrates after 0 pops.
-        let mut q = ShardQueue::new(0);
+        let mut q = Calendar::new(0);
         q.push(0, issue(0));
         q.push(64, issue(1));
         q.push(63, issue(2));
-        assert_eq!(q.pop_in(u64::MAX).map(|(t, _)| t), Some(0));
-        assert_eq!(q.pop_in(u64::MAX).map(|(t, _)| t), Some(63));
-        assert_eq!(q.pop_in(u64::MAX).map(|(t, _)| t), Some(64));
-        assert!(q.pop_in(u64::MAX).is_none());
+        assert_eq!(q.pop().map(|(t, _)| t), Some(0));
+        assert_eq!(q.pop().map(|(t, _)| t), Some(63));
+        assert_eq!(q.pop().map(|(t, _)| t), Some(64));
+        assert!(q.pop().is_none());
     }
 }

@@ -1,14 +1,13 @@
 //! The event-driven simulation of a directory-based Figure 3-1 system:
 //! its state, construction, observers and the quiescent-end checks. The
-//! engine that runs it — [`DirectorySim::run`] and
-//! [`DirectorySim::run_jobs`] — is [`crate::sharded`].
+//! event loop that runs it, [`DirectorySim::run`], is [`crate::engine`].
 
 use crate::report::Report;
 use twobit_core::{
     build_policy_for, build_protocol_for, invariants, CacheAgent, Controller,
     DEFAULT_STATIC_SHARED_FROM,
 };
-use twobit_obs::{Metrics, NullTracer, PerfReport, Tracer, TxnClass};
+use twobit_obs::{Metrics, NullTracer, PerfReport, Profiler, Tracer, TxnClass};
 use twobit_types::{
     AccessKind, CacheId, CacheToMemory, ConfigError, Counter, ModuleId, NetworkStats,
     ProtocolError, SystemConfig, SystemStats, TxnId,
@@ -30,7 +29,7 @@ pub(crate) struct PendingTxn {
 ///
 /// Uses the identical protocol machines as
 /// [`twobit_core::FunctionalSystem`] — agents and controllers — driven by
-/// calendar queues with the latencies of
+/// one calendar queue with the latencies of
 /// [`SystemConfig::latency`](twobit_types::SystemConfig) and crossbar
 /// port contention, so controller queueing (section 3.2.5), in-flight
 /// invalidation races, and broadcast traffic all play out in time.
@@ -39,8 +38,8 @@ pub struct DirectorySim {
     pub(crate) config: SystemConfig,
     pub(crate) agents: Vec<CacheAgent>,
     pub(crate) controllers: Vec<Controller>,
-    /// Run-wide traffic statistics; each shard schedules on a crossbar of
-    /// its own and its counters are folded in here after a run.
+    /// Traffic statistics; each run schedules on a crossbar of its own
+    /// and its counters are folded in here after the run.
     pub(crate) network: NetworkStats,
     pub(crate) now: u64,
     pub(crate) version_counters: Vec<u64>,
@@ -50,10 +49,7 @@ pub struct DirectorySim {
     pub(crate) metrics: Metrics,
     pub(crate) pending: Vec<Option<PendingTxn>>,
     pub(crate) txn_counters: Vec<u64>,
-    /// Whether shards time their hot-path spans.
-    pub(crate) profiling: bool,
-    /// The shards' span reports, merged after each run.
-    pub(crate) perf: PerfReport,
+    pub(crate) profiler: Profiler,
     pub(crate) events: u64,
 }
 
@@ -107,8 +103,7 @@ impl DirectorySim {
             metrics: Metrics::new(config.caches, DEFAULT_METRICS_CADENCE),
             pending: vec![None; config.caches],
             txn_counters: vec![0; config.caches],
-            profiling: false,
-            perf: PerfReport::default(),
+            profiler: Profiler::disabled(),
             events: 0,
         })
     }
@@ -143,7 +138,7 @@ impl DirectorySim {
     /// Turns hot-path span timing on or off. Spans cost nothing unless
     /// the `perf-spans` cargo feature is enabled *and* this is set.
     pub fn set_profiling(&mut self, on: bool) {
-        self.profiling = on;
+        self.profiler.set_enabled(on);
     }
 
     /// The accumulated span report: event-class handlers
@@ -151,10 +146,10 @@ impl DirectorySim {
     /// the calendar-queue pop (`engine.pop`), network scheduling
     /// (`net.dispatch` / `net.schedule`), and the controller's per-block
     /// queue ops (`ctrl.*`) — one unified hierarchy, so self-times sum to
-    /// the instrumented wall time (summed over worker threads).
+    /// the instrumented wall time.
     #[must_use]
     pub fn perf_report(&self) -> PerfReport {
-        self.perf.clone()
+        self.profiler.report()
     }
 
     /// Simulation events processed so far (one per calendar-queue pop).
@@ -192,7 +187,7 @@ impl DirectorySim {
     }
 
     /// Quiescence checks, invariants, trace flush, and the final report,
-    /// once the engine has merged shard state back.
+    /// once the event loop has drained.
     pub(crate) fn finish(&mut self) -> Result<Report, ProtocolError> {
         // Quiescence checks: everyone retired, nothing stuck.
         for (i, agent) in self.agents.iter().enumerate() {

@@ -11,11 +11,9 @@
 //! concurrency, and per-processor think time, so transactions genuinely
 //! interleave and the section 3.2.5 races actually happen in flight.
 //!
-//! [`System`] is the facade: it runs directory protocols on the one timed
-//! engine — the global event loop at one worker, conservative rounds over
-//! per-module shards at two or more, the same code for [`System::run`]
-//! and [`System::run_jobs`] — and the
-//! section 2.5 bus protocols on
+//! [`System`] is the facade: it runs directory protocols on the timed
+//! engine — one event loop on the calling thread, events popped in a
+//! canonical order — and the section 2.5 bus protocols on
 //! [`twobit_bus::BusSystem`], reporting through one [`Report`] type so
 //! every scheme in the paper's spectrum is measured in the same units
 //! (commands received per cache per memory reference, stolen cycles,
@@ -47,7 +45,6 @@ mod calendar;
 mod directory_sim;
 mod engine;
 mod report;
-mod sharded;
 mod system;
 
 pub use bus_sim::BusSim;

@@ -56,31 +56,22 @@ impl System {
         }
     }
 
-    /// [`System::run`] on up to `jobs` OS threads, the calling thread
-    /// included — `jobs = 1` spawns none — (clamped to the machine's
-    /// available parallelism). The report is identical to
-    /// [`System::run`]'s for any `jobs` — see [`DirectorySim::run_jobs`] —
-    /// so callers can scale workers freely without perturbing results.
-    /// The bus backend has nothing to shard (a single bus serializes
-    /// everything); it ignores `jobs` and runs the bus loop.
+    /// [`System::run`]; `jobs` is ignored. A simulation is one event loop
+    /// on the calling thread, and parallelism goes across runs
+    /// (`twobit_core::parallel_map`). This exists because the repository
+    /// benchmark (`benchmark/src/sim.rs`) calls it, until ROADMAP item
+    /// 1(f) moves that call to `run`.
     ///
     /// # Errors
     ///
-    /// Returns [`ProtocolError`] on coherence violations, liveness
-    /// failures, or invariant breaks, exactly as [`System::run`].
-    pub fn run_jobs<W: Workload + Clone + Send>(
+    /// Exactly as [`System::run`].
+    pub fn run_jobs<W: Workload>(
         &mut self,
         workload: W,
         refs_per_cpu: u64,
-        jobs: usize,
+        _jobs: usize,
     ) -> Result<Report, ProtocolError> {
-        match &mut self.inner {
-            Inner::Directory(sim) => {
-                let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-                sim.run_jobs(workload, refs_per_cpu, jobs.clamp(1, hw))
-            }
-            Inner::Bus(sim) => sim.run(workload, refs_per_cpu),
-        }
+        self.run(workload, refs_per_cpu)
     }
 
     /// Installs a trace sink on the underlying simulator (default

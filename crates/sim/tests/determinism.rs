@@ -1,26 +1,20 @@
 //! Integration tests for the timed engine's determinism contract:
-//! [`DirectorySim::run`] and [`DirectorySim::run_jobs`] at any worker
-//! count produce the same cycle count, event count, per-cache
+//! [`DirectorySim::run`] produces the cycle count, event count, per-cache
 //! statistics, latency histograms, gauges, and (when a tracer is
-//! installed) the same JSONL trace byte-for-byte — and all of it equals
-//! the digests frozen below.
+//! installed) the JSONL trace byte-for-byte that the digests frozen below
+//! record.
 //!
-//! The digests were recorded from the `BinaryHeap` event loop this
-//! repository used to ship beside the sharded round loop (its
-//! `DirectorySim::run`, at the commit before that loop was deleted,
-//! built with `--release`): one global queue, events popped in canonical
-//! key order, gauges observed per event. They are what "exactly the
-//! single-threaded simulation" means now that no second engine is left
-//! to compare against. A change that moves one changes simulated
-//! behaviour and must say why. They hold in every build profile — at that
-//! commit a debug build counted extra `tag_probes` for three debug
-//! assertions in the cache agent, which now look without counting.
-//!
-//! These tests call `DirectorySim::run_jobs` directly with explicit
-//! worker counts (the `System` facade clamps to the machine's available
-//! parallelism, which on a small CI box would silently reduce every case
-//! to one worker), so real threads, mailboxes, and barriers are
-//! exercised even on a single-core host.
+//! The digests were recorded from a `BinaryHeap` event loop this
+//! repository once shipped (one global queue, events popped in canonical
+//! key order, gauges observed per event, built with `--release`); the
+//! multi-worker round engine that later ran beside today's loop
+//! reproduced them at 1, 2, 4 and 8 workers before it was deleted. A
+//! change that moves one changes simulated behaviour and must say why.
+//! They hold in every build profile — when they were recorded a debug
+//! build counted extra `tag_probes` for three debug assertions in the
+//! cache agent, which now look without counting. The trace the rounds
+//! buffered and sorted now streams to the tracer in event order, with
+//! the same bytes.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -30,7 +24,7 @@ use std::rc::Rc;
 use twobit_obs::{JsonlTracer, Metrics, SimEvent, TxnClass};
 use twobit_sim::{DirectorySim, Report, System};
 use twobit_types::{
-    AddressMap, CacheId, CacheOrg, Fingerprinter, LatencyConfig, MemRef, ProtocolKind, SystemConfig,
+    AddressMap, CacheOrg, Fingerprinter, LatencyConfig, ProtocolKind, SystemConfig,
 };
 use twobit_workload::{scenarios, SharingModel, SharingParams, Workload};
 
@@ -43,8 +37,6 @@ const SCHEMES: [ProtocolKind; 6] = [
     ProtocolKind::ClassicalWriteThrough,
     ProtocolKind::StaticSoftware,
 ];
-
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// [`run_digest`] per scheme (in [`SCHEMES`] order): 8 caches,
 /// `SharingParams::high()`, seed 11, 200 references per cpu.
@@ -68,13 +60,13 @@ const GOLDEN_TRACES: [u128; 6] = [
     0xbc15_c555_3d2d_23f5_1b9a_d35f_2157_e87f,
 ];
 
-/// [`run_digest`]: two-bit, 4 caches on one memory module (one shard),
-/// seed 9, 150 references per cpu.
+/// [`run_digest`]: two-bit, 4 caches on one memory module, seed 9, 150
+/// references per cpu.
 const GOLDEN_SINGLE_MODULE: u128 = 0x2ad1_d20d_d3c8_6ca9_a70c_e34d_ba36_702d;
 
 /// [`run_digest`]: two-bit, 4 caches, `LatencyConfig::zero()` and no think
-/// time (no lookahead, so per-event delivery), seed 41, 500 references
-/// per cpu.
+/// time (deliveries and reissues at the cycle that caused them), seed 41,
+/// 500 references per cpu.
 const GOLDEN_ZERO_LATENCY: u128 = 0x4084_606b_0370_239e_e2ca_a955_238f_1b30;
 
 /// [`report_digest`] through `System::run`: two-bit, 8 caches, a boxed
@@ -127,63 +119,16 @@ fn run_digest(report: &Report, metrics: &Metrics) -> u128 {
     digest(text.as_bytes())
 }
 
-/// How a test enters the engine.
-#[derive(Debug, Clone, Copy)]
-enum Entry {
-    Run,
-    Jobs(usize),
-}
-
-/// `run`, then `run_jobs` at every worker count.
-fn entries() -> impl Iterator<Item = Entry> {
-    std::iter::once(Entry::Run).chain(WORKER_COUNTS.into_iter().map(Entry::Jobs))
-}
-
-fn run_via(cfg: SystemConfig, seed: u64, refs: u64, entry: Entry) -> u128 {
+fn run_via(cfg: SystemConfig, seed: u64, refs: u64) -> u128 {
     let mut sim = DirectorySim::build(cfg).unwrap();
-    let workload = workload(cfg.caches, seed);
-    let report = match entry {
-        Entry::Run => sim.run(workload, refs),
-        Entry::Jobs(jobs) => sim.run_jobs(workload, refs, jobs),
-    }
-    .unwrap();
+    let report = sim.run(workload(cfg.caches, seed), refs).unwrap();
     run_digest(&report, sim.metrics())
 }
 
 #[test]
-fn sharded_rounds_reproduce_the_frozen_digests_for_all_schemes() {
+fn runs_reproduce_the_frozen_digests_for_all_schemes() {
     for (protocol, golden) in SCHEMES.into_iter().zip(GOLDEN_RUNS) {
-        for entry in entries() {
-            assert_eq!(
-                run_via(config(8, protocol), 11, 200, entry),
-                golden,
-                "{protocol} via {entry:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn worker_count_is_invisible_in_results() {
-    for protocol in [ProtocolKind::TwoBit, ProtocolKind::FullMap] {
-        let baseline = run_via(config(8, protocol), 42, 250, Entry::Run);
-        for jobs in WORKER_COUNTS {
-            assert_eq!(
-                run_via(config(8, protocol), 42, 250, Entry::Jobs(jobs)),
-                baseline,
-                "{protocol}: jobs={jobs} diverged from run"
-            );
-        }
-    }
-}
-
-#[test]
-fn reruns_are_bit_stable() {
-    // Thread scheduling varies between reruns; results must not.
-    let first = run_via(config(8, ProtocolKind::TwoBit), 7, 300, Entry::Jobs(8));
-    for _ in 0..3 {
-        let again = run_via(config(8, ProtocolKind::TwoBit), 7, 300, Entry::Jobs(8));
-        assert_eq!(again, first);
+        assert_eq!(run_via(config(8, protocol), 11, 200), golden, "{protocol}");
     }
 }
 
@@ -203,32 +148,21 @@ impl Write for SharedBuf {
     }
 }
 
-/// The JSONL trace bytes and the run digest of 8 caches, seed 3, 80
-/// references per cpu.
-fn traced_run(protocol: ProtocolKind, entry: Entry) -> (Vec<u8>, u128) {
+/// The JSONL trace bytes of 8 caches, seed 3, 80 references per cpu.
+fn traced_run(protocol: ProtocolKind) -> Vec<u8> {
     let buf = SharedBuf::default();
     let mut sim = DirectorySim::build(config(8, protocol)).unwrap();
     sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
-    let report = match entry {
-        Entry::Run => sim.run(workload(8, 3), 80),
-        Entry::Jobs(jobs) => sim.run_jobs(workload(8, 3), 80, jobs),
-    }
-    .unwrap();
+    sim.run(workload(8, 3), 80).unwrap();
     drop(sim.take_tracer());
-    let bytes = buf.0.borrow().clone();
-    (bytes, run_digest(&report, sim.metrics()))
+    buf.0.take()
 }
 
 #[test]
-fn sharded_jsonl_traces_are_valid_and_reproduce_the_frozen_digests() {
+fn jsonl_traces_are_valid_and_reproduce_the_frozen_digests() {
     for (protocol, golden) in SCHEMES.into_iter().zip(GOLDEN_TRACES) {
-        let (trace, run) = traced_run(protocol, Entry::Run);
-        assert_eq!(digest(&trace), golden, "{protocol} via run");
-        for jobs in WORKER_COUNTS {
-            let (again, run_again) = traced_run(protocol, Entry::Jobs(jobs));
-            assert!(again == trace, "{protocol}, {jobs} workers: trace bytes");
-            assert_eq!(run_again, run, "{protocol}, {jobs} workers: traced report");
-        }
+        let trace = traced_run(protocol);
+        assert_eq!(digest(&trace), golden, "{protocol}: trace bytes");
         // The stream is also valid JSONL, line by line.
         let text = String::from_utf8(trace).unwrap();
         for line in text.lines() {
@@ -242,8 +176,9 @@ fn sharded_jsonl_traces_are_valid_and_reproduce_the_frozen_digests() {
 }
 
 #[test]
-fn facade_run_and_run_jobs_cover_both_backends() {
-    // Directory backend: both entries reproduce the frozen digest.
+fn facade_covers_both_backends() {
+    // Directory backend: `run`, and the `run_jobs` shim, which ignores
+    // `jobs`, reproduce the frozen digest.
     let mut a = System::build(config(4, ProtocolKind::TwoBit)).unwrap();
     let ra = a.run(workload(4, 5), 100).unwrap();
     assert_eq!(report_digest(&ra), GOLDEN_FACADE, "System::run");
@@ -251,47 +186,31 @@ fn facade_run_and_run_jobs_cover_both_backends() {
     let rb = b.run_jobs(workload(4, 5), 100, 8).unwrap();
     assert_eq!(report_digest(&rb), GOLDEN_FACADE, "System::run_jobs");
 
-    // Bus backend ignores `jobs` and still completes.
     let mut cfg = config(4, ProtocolKind::Illinois);
     cfg.address_map = AddressMap::interleaved(1);
     let mut bus = System::build(cfg).unwrap();
-    let report = bus.run_jobs(workload(4, 5), 100, 8).unwrap();
+    let report = bus.run(workload(4, 5), 100).unwrap();
     assert_eq!(report.stats.total_references(), 400);
 }
 
 #[test]
-fn single_module_map_collapses_to_one_shard_and_reproduces_its_digest() {
-    // One memory module means one shard: the serial per-event path.
+fn single_module_map_reproduces_its_digest() {
     let mut cfg = config(4, ProtocolKind::TwoBit);
     cfg.address_map = AddressMap::interleaved(1);
-    for entry in entries() {
-        assert_eq!(
-            run_via(cfg, 9, 150, entry),
-            GOLDEN_SINGLE_MODULE,
-            "{entry:?}"
-        );
-    }
+    assert_eq!(run_via(cfg, 9, 150), GOLDEN_SINGLE_MODULE);
 }
 
 #[test]
 fn zero_latency_network_reproduces_its_digest() {
-    // No lookahead: one shard, per-event delivery, whatever the map.
     let mut cfg = config(4, ProtocolKind::TwoBit);
     cfg.latency = LatencyConfig::zero();
     cfg.think_time = 0;
-    for entry in entries() {
-        assert_eq!(
-            run_via(cfg, 41, 500, entry),
-            GOLDEN_ZERO_LATENCY,
-            "{entry:?}"
-        );
-    }
+    assert_eq!(run_via(cfg, 41, 500), GOLDEN_ZERO_LATENCY);
 }
 
 #[test]
 fn boxed_scenario_through_system_run_reproduces_its_digest() {
-    // `Box<dyn Workload>` is neither `Clone` nor `Send`: `run` must take
-    // it, and ask it shard by shard for what a global event order would.
+    // `Box<dyn Workload>` is neither `Clone` nor `Send`: `run` takes it.
     let boxed: Box<dyn Workload> = Box::new(scenarios::Migratory::new(8, 4, 16, 4).unwrap());
     let mut system = System::build(config(8, ProtocolKind::TwoBit)).unwrap();
     let report = system.run(boxed, 300).unwrap();
@@ -299,70 +218,14 @@ fn boxed_scenario_through_system_run_reproduces_its_digest() {
 }
 
 #[test]
-fn gauges_are_run_wide_for_any_worker_count() {
+fn gauges_are_run_wide() {
     // The Table 4-2 cell at n = 16: every processor cold-misses at cycle
-    // 0, so 16 transactions are open at once — a count no single shard
-    // (one cache each here) ever sees.
+    // 0, so 16 transactions are open at once.
     let mut cfg = config(16, ProtocolKind::TwoBit);
     cfg.cache = CacheOrg::new(64, 2, 4).unwrap();
-    let table_4_2 =
-        || SharingModel::new(SharingParams::table4_2(0.10, 0.4), 16, 0x42_0010).unwrap();
+    let table_4_2 = SharingModel::new(SharingParams::table4_2(0.10, 0.4), 16, 0x42_0010).unwrap();
     let mut sim = DirectorySim::build(cfg).unwrap();
-    let baseline = sim.run(table_4_2(), 2_000).unwrap().obs.unwrap();
-    assert_eq!(baseline.peak_outstanding, 16);
-    assert!(baseline.mean_outstanding > 1.0, "{baseline:?}");
-    for jobs in [1, 4] {
-        let mut sim = DirectorySim::build(cfg).unwrap();
-        let obs = sim.run_jobs(table_4_2(), 2_000, jobs).unwrap().obs;
-        assert_eq!(obs, Some(baseline.clone()), "{jobs} workers");
-    }
-}
-
-/// A workload wrapper that panics if it is asked for a cpu of a shard
-/// another worker owns — each worker holds one instance and lends it to
-/// its own shards only, which is why `Workload::next_ref(k)` may depend
-/// on nothing but `k`'s own earlier calls.
-#[derive(Debug, Clone)]
-struct OwnShardsOnly {
-    inner: SharingModel,
-    n_shards: usize,
-    n_workers: usize,
-    /// The worker holding this instance, discovered from its first query.
-    worker: Option<usize>,
-}
-
-impl Workload for OwnShardsOnly {
-    fn next_ref(&mut self, k: CacheId) -> MemRef {
-        // Cache `k` lives on shard `k mod S`, shard `s` with worker
-        // `s mod workers`.
-        let worker = k.index() % self.n_shards % self.n_workers;
-        assert_eq!(
-            *self.worker.get_or_insert(worker),
-            worker,
-            "a worker's instance was asked for {k:?}, a cpu of another worker's shard"
-        );
-        self.inner.next_ref(k)
-    }
-
-    fn name(&self) -> &'static str {
-        "own-shards-only"
-    }
-}
-
-#[test]
-fn each_worker_queries_only_cpus_of_its_own_shards() {
-    let cfg = config(8, ProtocolKind::TwoBit);
-    let n_shards = cfg.address_map.modules();
-    assert!(n_shards >= 4, "default map must shard");
-    for n_workers in [1, 2, 4] {
-        let wrapped = OwnShardsOnly {
-            inner: workload(8, 21),
-            n_shards,
-            n_workers,
-            worker: None,
-        };
-        let mut sim = DirectorySim::build(cfg).unwrap();
-        let report = sim.run_jobs(wrapped, 100, n_workers).unwrap();
-        assert_eq!(report.stats.total_references(), 800);
-    }
+    let obs = sim.run(table_4_2, 2_000).unwrap().obs.unwrap();
+    assert_eq!(obs.peak_outstanding, 16);
+    assert!(obs.mean_outstanding > 1.0, "{obs:?}");
 }

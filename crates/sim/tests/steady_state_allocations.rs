@@ -12,10 +12,9 @@
 //! the benchmark's two miss-heavy parameter sets.
 //!
 //! What may still happen there, and is why growth is counted apart, is
-//! amortised: a calendar bucket, a shard's `outbox`/`inbox` or the
-//! send buffers an agent or controller writes into reaching a new high
-//! mark, a gauge's sample list doubling, and a `BlockMap` taking a new
-//! page (which the warm-up rules out here). Each is bounded by a peak,
+//! amortised: a calendar bucket or the send buffers an agent or
+//! controller writes into reaching a new high mark, and a `BlockMap`
+//! taking a new page (which the warm-up rules out here). Each is bounded by a peak,
 //! not by the length of the run; the test bounds them all together.
 //! Before per-event `Vec` returns became caller-owned buffers the same
 //! window held 2.9 fresh allocations per reference on the first

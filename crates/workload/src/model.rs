@@ -24,10 +24,11 @@ const PRIVATE_REGION_STRIDE: u64 = 1 << 20;
 /// What `next_ref(k)` returns may depend only on the construction
 /// parameters and on how many times `next_ref(k)` was called before for
 /// that same `k` — never on calls for other CPUs, nor on the order in
-/// which calls for different CPUs interleave. The timed engine relies on
-/// it: a round asks for the CPUs of one shard after another, not in
-/// global event order, and with several workers each one holds a clone
-/// and asks it only for the CPUs of its own shards. Per-CPU state (an RNG,
+/// which calls for different CPUs interleave. The executors rely on it:
+/// the functional executor asks round-robin, one reference per CPU in
+/// turn, while the timed simulator asks in event order, when each CPU's
+/// previous reference retires — so the two run the same per-CPU streams
+/// only because neither order is visible in them. Per-CPU state (an RNG,
 /// a cursor, a counter per CPU) is the way to comply; state shared across
 /// CPUs — one RNG for all, a global reference count — is not.
 pub trait Workload {
