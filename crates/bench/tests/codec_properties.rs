@@ -16,6 +16,9 @@
 //! * **One statement, two sinks.** For generated envelopes, control
 //!   messages, events and checkpoint documents, the text sink writes
 //!   what the tree writes, and parsing it gives the tree back.
+//! * **Statements in key order.** Every frame and every line the driver
+//!   writes is stated with its members in sorted-key order, so the
+//!   canonical writer never has to re-sort one on the hot path.
 //! * **Hostile input.** Arbitrary bytes, every prefix of a valid frame
 //!   and every single-bit flip of one go to every decoder, which must
 //!   answer `Err`/`None` or a value — never panic, never overflow the
@@ -26,12 +29,13 @@ use twobit_core::{
     build_policy_for, build_protocol_for, CacheAgent, Controller, CtrlEmit, FunctionalSystem,
     Observer,
 };
+use twobit_dist::driver::{DeliveryLine, LivelockLine, RestartLine};
 use twobit_dist::node::Node;
 use twobit_dist::wire::{
     request_from_line, request_line, response_from_line, response_line, Actor, Envelope,
     NodeConfig, Payload, Request, Response,
 };
-use twobit_obs::json::{self, FromJson, Json, ToJson};
+use twobit_obs::json::{self, FromJson, Json, Text, ToJson};
 use twobit_obs::{ActorId, SimEvent};
 use twobit_types::{
     AccessKind, AddressMap, BlockAddr, CacheId, CacheOrg, CacheToMemory, CommandClass,
@@ -555,6 +559,15 @@ fn sinks_agree<T: ToJson + ?Sized>(value: &T) {
     assert_eq!(json::parse(&text).unwrap(), tree);
 }
 
+/// `value`'s statement lists every object's members in sorted-key order:
+/// written as stated, it is already the canonical text.
+fn stated_in_key_order<T: ToJson + ?Sized>(value: &T) {
+    assert_eq!(
+        Text::as_stated().write(value),
+        Text::canonical().write(value)
+    );
+}
+
 /// Builds values out of drawn words: every field from the stream, the
 /// variant from the stream too.
 struct Draw(std::vec::IntoIter<u64>);
@@ -770,13 +783,19 @@ proptest! {
     fn the_text_sink_writes_what_the_tree_writes(
         words in prop::collection::vec(
             prop_oneof![any::<u64>(), 0u64..70_000, (1u64 << 53) - 2..(1u64 << 53) + 2],
-            96..97,
+            128..129,
         ),
     ) {
         let mut d = Draw(words.into_iter());
-        sinks_agree(&d.envelope());
-        sinks_agree(&d.request());
-        sinks_agree(&d.response());
+        let env = d.envelope();
+        sinks_agree(&env);
+        stated_in_key_order(&env);
+        let request = d.request();
+        sinks_agree(&request);
+        stated_in_key_order(&request);
+        let response = d.response();
+        sinks_agree(&response);
+        stated_in_key_order(&response);
         sinks_agree(&d.checkpoint());
         // An event also has its stated order, which is the JSONL line:
         // same members, so the same tree; and the line reads back.
@@ -789,6 +808,12 @@ proptest! {
         if exact(event.t) && exact(event.block.number()) && event.txn.is_none_or(|t| exact(t.raw())) {
             prop_assert_eq!(SimEvent::from_jsonl(&line), Some(event));
         }
+        // The driver's own lines, from words the values above left over.
+        let t = d.word();
+        stated_in_key_order(&DeliveryLine { t, env: &env });
+        stated_in_key_order(&RestartLine { t, node: d.actor() });
+        let done: Vec<usize> = (0..d.pick(5)).map(|_| d.word() as usize).collect();
+        stated_in_key_order(&LivelockLine { t, events: d.word(), done: &done });
     }
 }
 

@@ -12,11 +12,14 @@
 use std::process::ExitCode;
 
 use twobit_dist::node::Node;
-use twobit_dist::wire::{request_from_line, response_line, Request, Response};
+use twobit_dist::wire::{request_from_line, Request, Response};
 use twobit_interconnect::transport::{stdio, tcp_connect, Transport};
+use twobit_obs::json::Text;
 
 fn serve(io: &mut dyn Transport) -> Result<(), String> {
     let mut node: Option<Node> = None;
+    // Every reply frame is written here, and the transport copies it out.
+    let mut text = Text::canonical();
     while let Some(line) = io.recv().map_err(|e| format!("recv: {e}"))? {
         let resp = match request_from_line(&line) {
             Err(e) => Response::Error {
@@ -39,12 +42,12 @@ fn serve(io: &mut dyn Transport) -> Result<(), String> {
                 Some(n) => n.handle(&req),
             },
         };
-        let line = response_line(&resp);
+        let line = text.write(&resp);
         if matches!(resp, Response::ShutdownOk) {
             // No read follows to carry it out.
-            return io.send(&line).map_err(|e| format!("send: {e}"));
+            return io.send(line).map_err(|e| format!("send: {e}"));
         }
-        io.queue(&line).map_err(|e| format!("send: {e}"))?;
+        io.queue(line).map_err(|e| format!("send: {e}"))?;
     }
     Ok(())
 }

@@ -66,11 +66,16 @@ use crate::wire::{
 };
 
 /// The lines of the merged timeline the driver writes itself (node
-/// events arrive written). Each states its form once, like any other
-/// type, and [`Driver::line`] is the one place a line becomes text.
-struct DeliveryLine<'a> {
-    t: u64,
-    env: &'a Envelope,
+/// events arrive written). Each states its form once, members in key
+/// order like every frame, and the driver writes them through one held
+/// canonical [`Text`].
+///
+/// A delivery: `{dst, env, t}`.
+pub struct DeliveryLine<'a> {
+    /// When.
+    pub t: u64,
+    /// What was delivered.
+    pub env: &'a Envelope,
 }
 
 impl ToJson for DeliveryLine<'_> {
@@ -83,9 +88,12 @@ impl ToJson for DeliveryLine<'_> {
     }
 }
 
-struct RestartLine {
-    t: u64,
-    node: Actor,
+/// A crashed node rebuilt: `{dst, restart, t}`.
+pub struct RestartLine {
+    /// When.
+    pub t: u64,
+    /// The node.
+    pub node: Actor,
 }
 
 impl ToJson for RestartLine {
@@ -98,11 +106,15 @@ impl ToJson for RestartLine {
     }
 }
 
-/// The livelock guard's verdict, the last line of the tail it reports.
-struct LivelockLine<'a> {
-    t: u64,
-    events: u64,
-    done: &'a [usize],
+/// The livelock guard's verdict, the last line of the tail it reports:
+/// `{done, livelock, t}`.
+pub struct LivelockLine<'a> {
+    /// When.
+    pub t: u64,
+    /// Calendar events processed.
+    pub events: u64,
+    /// References completed per client.
+    pub done: &'a [usize],
 }
 
 impl ToJson for LivelockLine<'_> {
@@ -638,27 +650,6 @@ struct Client {
 // Driver
 // ---------------------------------------------------------------------------
 
-/// Phase-one outcome of one batched delivery, consumed by phase two in
-/// the same `seq` order.
-enum Slot {
-    /// Destination is mid-crash; the delivery was re-pushed.
-    Requeued,
-    /// A client-edge delivery (handled entirely driver-side).
-    Client(Envelope),
-    /// A node delivery whose exchange has started. The envelope itself
-    /// has moved on (into the replay log, or nowhere); what phase two
-    /// needs of it is its timeline `line`. `early` carries the outcome
-    /// when the node is in-process (stepped synchronously).
-    Sent {
-        who: Actor,
-        line: String,
-        early: Option<Result<Delivered, String>>,
-    },
-}
-
-/// What a node's step yields: envelopes to route, trace-event lines.
-type Delivered = (Vec<Envelope>, Vec<String>);
-
 struct Driver<'c> {
     cfg: &'c RunConfig,
     rng: Rng,
@@ -676,11 +667,21 @@ struct Driver<'c> {
     replay_log: BTreeMap<Actor, Vec<(u64, Envelope)>>,
     ops: Vec<OpRecord>,
     timeline: Vec<String>,
-    /// The one writer of the driver's own timeline lines.
+    /// The one writer of the driver's timeline lines and of the
+    /// deliver frames it sends.
     text: Text,
     /// Per node, its share of the timeline — filled only when
     /// `trace_dir` asks for the per-node files.
     node_events: BTreeMap<Actor, Vec<String>>,
+    /// The same-instant deliveries being dispatched, and those of them
+    /// phase two completes: buffers kept from one batch to the next.
+    batch: Vec<Envelope>,
+    slots: Vec<Envelope>,
+    /// What one delivery yields, envelopes to route and trace-event
+    /// lines: an in-process node appends to them, and they are emptied
+    /// before the next delivery.
+    outputs: Vec<Envelope>,
+    events: Vec<String>,
     lat_read: Histogram,
     lat_write: Histogram,
     retries: u64,
@@ -813,6 +814,10 @@ impl<'c> Driver<'c> {
             timeline: Vec::new(),
             text: Text::canonical(),
             node_events,
+            batch: Vec::new(),
+            slots: Vec::new(),
+            outputs: Vec::new(),
+            events: Vec::new(),
             lat_read: Histogram::new(),
             lat_write: Histogram::new(),
             retries: 0,
@@ -852,15 +857,11 @@ impl<'c> Driver<'c> {
         self.calendar.push(Reverse(Event { t, seq, kind }));
     }
 
-    /// One of the driver's own timeline lines, as text of its exact
-    /// length (the timeline keeps every line for the whole run).
-    fn line(&mut self, line: &impl ToJson) -> String {
-        self.text.write(line).to_owned()
-    }
-
-    /// Writes `line` at the end of the timeline.
+    /// Writes one of the driver's own lines at the end of the timeline,
+    /// as text of its exact length (the timeline keeps every line for
+    /// the whole run).
     fn record(&mut self, line: &impl ToJson) {
-        let line = self.line(line);
+        let line = self.text.write(line).to_owned();
         self.timeline.push(line);
     }
 
@@ -896,7 +897,7 @@ impl<'c> Driver<'c> {
                     // (they are the top of the heap, in seq order) and
                     // dispatch them as one multiplexed batch. Any other
                     // event kind, or a later instant, ends the batch.
-                    let mut batch = vec![env];
+                    self.batch.push(env);
                     while let Some(Reverse(peek)) = self.calendar.peek() {
                         if peek.t != self.now || !matches!(peek.kind, EventKind::Deliver(_)) {
                             break;
@@ -909,9 +910,9 @@ impl<'c> Driver<'c> {
                             unreachable!("peeked a same-instant delivery");
                         };
                         processed += 1;
-                        batch.push(e);
+                        self.batch.push(e);
                     }
-                    self.deliver_batch(batch)?;
+                    self.deliver_batch()?;
                 }
                 EventKind::ClientArrival(k) => self.on_arrival(k),
                 EventKind::ClientTimeout { client, txn } => self.on_timeout(client, txn),
@@ -1174,122 +1175,154 @@ impl<'c> Driver<'c> {
         }
     }
 
-    /// Dispatches one same-instant batch of deliveries.
+    /// Dispatches the same-instant batch of deliveries in `self.batch`.
     ///
-    /// Phase one walks the batch in `seq` order and *starts* every node
-    /// exchange (an in-process node is stepped directly and the outcome
-    /// is parked in the slot; child requests are queued on the poll
-    /// transport, which writes them out, one write per node, when phase
-    /// two first waits). Phase two walks the slots in the same order,
-    /// consumes each reply, and applies all observable effects —
-    /// timeline lines, history records, output routing, rng draws — so
-    /// the result is identical to having performed the exchanges one at
-    /// a time, while the children compute concurrently.
+    /// Phase one walks the batch in `seq` order, re-pushes the deliveries
+    /// whose destination is down, and *starts* every child exchange
+    /// (requests are queued on the poll transport, which writes them out,
+    /// one write per node, when phase two first waits). Phase two walks
+    /// the rest in the same order, steps each in-process node or consumes
+    /// each child's reply, and applies all observable effects — timeline
+    /// lines, history records, output routing, rng draws — so the result
+    /// is identical to having performed the exchanges one at a time,
+    /// while the children compute concurrently. (An in-process node is
+    /// stepped in phase two: nothing phase two does before its turn
+    /// reaches a node, so its outcome is the one phase one would get.)
     ///
-    /// An envelope is never copied on the way: it is popped off the
-    /// calendar, lent to the node's step (or to the frame writer, which
-    /// hands it back), lent to the timeline line, and then moved into
+    /// An envelope is popped off the calendar, lent to the frame writer
+    /// or the node's step and to the timeline line, and then moved into
     /// the replay log when the plan has a crash to replay it for, or
     /// dropped.
-    fn deliver_batch(&mut self, batch: Vec<Envelope>) -> Result<(), String> {
-        let keep_replay_log = !self.cfg.faults.crashes.is_empty();
-        let mut slots = Vec::with_capacity(batch.len());
-        for env in batch {
+    fn deliver_batch(&mut self) -> Result<(), String> {
+        let mut batch = std::mem::take(&mut self.batch);
+        let mut slots = std::mem::take(&mut self.slots);
+        let result = self
+            .start_batch(&mut batch, &mut slots)
+            .and_then(|()| slots.drain(..).try_for_each(|env| self.finish(env)));
+        batch.clear();
+        slots.clear();
+        self.batch = batch;
+        self.slots = slots;
+        result
+    }
+
+    /// Phase one: moves what phase two completes from `batch` to
+    /// `slots`.
+    fn start_batch(
+        &mut self,
+        batch: &mut Vec<Envelope>,
+        slots: &mut Vec<Envelope>,
+    ) -> Result<(), String> {
+        for env in batch.drain(..) {
             // A message reaching a node inside its crash window waits
             // for the restart (the restart event carries an earlier
             // sequence number, so the rebuilt node is up before this
             // re-fires).
             if let Some(up) = self.down_until(env.dst, self.now) {
                 self.push(up, EventKind::Deliver(env));
-                slots.push(Slot::Requeued);
-                continue;
-            }
-            if matches!(env.dst, Actor::Client(_)) {
-                slots.push(Slot::Client(env));
                 continue;
             }
             let who = env.dst;
-            let link = self.links.get_mut(&who).expect("known node");
-            let (env, early) = match link {
-                NodeLink::InProc(n) => {
-                    let outcome = n.deliver(self.now, &env);
-                    (env, Some(outcome))
-                }
-                NodeLink::Child { token, .. } => {
-                    let req = Request::Deliver {
-                        now: self.now,
-                        replay: false,
-                        env,
-                    };
-                    self.poll
-                        .send(*token, &request_line(&req))
-                        .map_err(|e| format!("{who}: send failed: {e}"))?;
-                    let Request::Deliver { env, .. } = req else {
-                        unreachable!("built three lines up");
-                    };
-                    (env, None)
-                }
+            let Some(NodeLink::Child { token, .. }) = self.links.get(&who) else {
+                slots.push(env);
+                continue;
             };
-            let line = self.line(&DeliveryLine {
-                t: self.now,
-                env: &env,
-            });
-            if keep_replay_log {
-                self.replay_log
-                    .entry(who)
-                    .or_default()
-                    .push((self.now, env));
-            }
-            slots.push(Slot::Sent { who, line, early });
-        }
-
-        for slot in slots {
-            match slot {
-                Slot::Requeued => {}
-                Slot::Client(env) => {
-                    self.deliveries += 1;
-                    let Payload::ClientResp {
-                        txn,
-                        observed,
-                        was_hit,
-                    } = env.payload
-                    else {
-                        return Err(format!(
-                            "client got non-response payload {}",
-                            env.payload.kind()
-                        ));
-                    };
-                    self.record(&DeliveryLine {
-                        t: self.now,
-                        env: &env,
-                    });
-                    let Actor::Client(k) = env.dst else {
-                        unreachable!("matched in phase one");
-                    };
-                    self.on_client_resp(k, txn, observed, was_hit);
-                }
-                Slot::Sent { who, line, early } => {
-                    self.deliveries += 1;
-                    self.timeline.push(line);
-                    let (outputs, events) = match early {
-                        Some(outcome) => outcome.map_err(|msg| format!("{who}: {msg}"))?,
-                        None => match self.recv_child(who)? {
-                            Response::DeliverOk { outputs, events } => (outputs, events),
-                            Response::Error { msg } => return Err(format!("{who}: {msg}")),
-                            other => return Err(format!("{who}: unexpected reply {other:?}")),
-                        },
-                    };
-                    if let Some(own) = self.node_events.get_mut(&who) {
-                        own.extend_from_slice(&events);
-                    }
-                    self.timeline.extend(events);
-                    for out in outputs {
-                        self.route(out);
-                    }
-                }
-            }
+            let req = Request::Deliver {
+                now: self.now,
+                replay: false,
+                env,
+            };
+            self.poll
+                .send(*token, self.text.write(&req))
+                .map_err(|e| format!("{who}: send failed: {e}"))?;
+            let Request::Deliver { env, .. } = req else {
+                unreachable!("built four lines up");
+            };
+            slots.push(env);
         }
         Ok(())
+    }
+
+    /// Phase two for one delivery.
+    fn finish(&mut self, env: Envelope) -> Result<(), String> {
+        self.deliveries += 1;
+        self.record(&DeliveryLine {
+            t: self.now,
+            env: &env,
+        });
+        let who = env.dst;
+        if let Actor::Client(k) = who {
+            let Payload::ClientResp {
+                txn,
+                observed,
+                was_hit,
+            } = env.payload
+            else {
+                return Err(format!(
+                    "client got non-response payload {}",
+                    env.payload.kind()
+                ));
+            };
+            self.on_client_resp(k, txn, observed, was_hit);
+            return Ok(());
+        }
+        let mut outputs = std::mem::take(&mut self.outputs);
+        let mut events = std::mem::take(&mut self.events);
+        match self
+            .links
+            .get_mut(&who)
+            .expect("a node: outputs are checked")
+        {
+            NodeLink::InProc(n) => n
+                .deliver(self.now, &env, &mut outputs, &mut events)
+                .map_err(|msg| format!("{who}: {msg}"))?,
+            NodeLink::Child { .. } => match self.recv_child(who)? {
+                Response::DeliverOk {
+                    outputs: sent,
+                    events: lines,
+                } => {
+                    self.check_outputs(who, &sent)?;
+                    outputs.extend(sent);
+                    events.extend(lines);
+                }
+                Response::Error { msg } => return Err(format!("{who}: {msg}")),
+                other => return Err(format!("{who}: unexpected reply {other:?}")),
+            },
+        }
+        if !self.cfg.faults.crashes.is_empty() {
+            self.replay_log
+                .entry(who)
+                .or_default()
+                .push((self.now, env));
+        }
+        if let Some(own) = self.node_events.get_mut(&who) {
+            own.extend_from_slice(&events);
+        }
+        self.timeline.append(&mut events);
+        for out in outputs.drain(..) {
+            self.route(out);
+        }
+        self.outputs = outputs;
+        self.events = events;
+        Ok(())
+    }
+
+    /// A child's reply may route only its own envelopes, and only to a
+    /// node or a client the fleet has: anything else is refused here,
+    /// before routing indexes by it.
+    fn check_outputs(&self, who: Actor, outputs: &[Envelope]) -> Result<(), String> {
+        let known = |a: Actor| match a {
+            Actor::Client(k) => k < self.clients.len(),
+            node => self.links.contains_key(&node),
+        };
+        match outputs.iter().find(|o| o.src != who || !known(o.dst)) {
+            Some(o) => Err(format!(
+                "{who}: reply routes an envelope from {} to {}, but a node sends only as itself, \
+                 to one of {} caches, {} modules and their clients",
+                o.src, o.dst, self.cfg.caches, self.cfg.modules
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Receives the next pipelined reply from a child node.

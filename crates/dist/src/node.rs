@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, VecDeque};
 use twobit_core::{
     build_policy_for, build_protocol_for, CacheAgent, Completion, Controller, CtrlEmit, Observer,
 };
-use twobit_obs::json::{obj, Json, ToJson};
+use twobit_obs::json::{obj, Json, Text, ToJson};
 use twobit_obs::{ActorId, SimEvent};
 use twobit_types::{
     AddressMap, BlockAddr, CacheId, CacheOrg, CacheToMemory, ControllerConcurrency, MemoryToCache,
@@ -140,6 +140,7 @@ impl Node {
                     id: k,
                     map: AddressMap::interleaved(cfg.modules),
                     sends: Vec::new(),
+                    text: Text::as_stated(),
                     current: None,
                     held: None,
                     last: None,
@@ -160,6 +161,7 @@ impl Node {
                 Ok(Node::Mem(MemNode {
                     ctrl,
                     emits: Vec::new(),
+                    text: Text::as_stated(),
                     module: j,
                     caches: cfg.caches,
                     next_barrier: 1,
@@ -172,10 +174,11 @@ impl Node {
     }
 
     /// The node's step: takes one envelope at virtual time `now` and
-    /// yields the envelopes to send, in issue order, and the node-local
-    /// trace events as JSONL lines. This is what [`Request::Deliver`]
-    /// carries across a process boundary; a driver hosting the node in
-    /// its own process calls it directly.
+    /// appends the envelopes to send, in issue order, to `outputs` and
+    /// the node-local trace events, as JSONL lines, to `events`. This is
+    /// what [`Request::Deliver`] carries across a process boundary; a
+    /// driver hosting the node in its own process calls it directly,
+    /// with buffers it keeps from one delivery to the next.
     ///
     /// # Errors
     ///
@@ -185,10 +188,12 @@ impl Node {
         &mut self,
         now: u64,
         env: &Envelope,
-    ) -> Result<(Vec<Envelope>, Vec<String>), String> {
+        outputs: &mut Vec<Envelope>,
+        events: &mut Vec<String>,
+    ) -> Result<(), String> {
         match self {
-            Node::Cache(n) => n.deliver(now, env),
-            Node::Mem(n) => n.deliver(now, env),
+            Node::Cache(n) => n.deliver(now, env, outputs, events),
+            Node::Mem(n) => n.deliver(now, env, outputs, events),
         }
     }
 
@@ -202,10 +207,13 @@ impl Node {
             // `replay` does not change node behavior: the node is
             // deterministic, so re-delivering the logged inputs rebuilds
             // the state; the *driver* discards the outputs.
-            Request::Deliver { now, env, .. } => match self.deliver(*now, env) {
-                Ok((outputs, events)) => Response::DeliverOk { outputs, events },
-                Err(msg) => Response::Error { msg },
-            },
+            Request::Deliver { now, env, .. } => {
+                let (mut outputs, mut events) = (Vec::new(), Vec::new());
+                match self.deliver(*now, env, &mut outputs, &mut events) {
+                    Ok(()) => Response::DeliverOk { outputs, events },
+                    Err(msg) => Response::Error { msg },
+                }
+            }
             Request::Checkpoint => Response::CheckpointOk {
                 state: match self {
                     Node::Cache(n) => n.save_state(),
@@ -252,6 +260,8 @@ pub struct CacheNode {
     /// What the agent sends on the delivery being handled; empty between
     /// deliveries.
     sends: Vec<CacheToMemory>,
+    /// The writer of this node's trace-event lines.
+    text: Text,
     /// The transaction being serviced, if any. Set from `ClientReq`
     /// until its `ClientResp` is emitted; duplicate requests for it are
     /// dropped (the reply will reach the client when ready).
@@ -322,9 +332,9 @@ impl CacheNode {
         &mut self,
         now: u64,
         env: &Envelope,
-    ) -> Result<(Vec<Envelope>, Vec<String>), String> {
-        let mut outputs = Vec::new();
-        let mut events = Vec::new();
+        outputs: &mut Vec<Envelope>,
+        events: &mut Vec<String>,
+    ) -> Result<(), String> {
         match &env.payload {
             Payload::ClientReq { txn, op, sv } => {
                 // The client has one transaction outstanding, its ids only
@@ -335,14 +345,14 @@ impl CacheNode {
                     // touch nothing.
                     Some((last, observed, was_hit)) if last == *txn => {
                         outputs.push(self.client_resp(*txn, observed, was_hit));
-                        return Ok((outputs, events));
+                        return Ok(());
                     }
                     // The in-flight one (its answer is on its way), or one
                     // below the floor: a late duplicate of a transaction a
                     // newer one has acknowledged. Nobody waits for it and
                     // running it again would apply it twice: drop.
                     last if Some(*txn) <= self.current.max(last.map(|l| l.0)) => {
-                        return Ok((outputs, events));
+                        return Ok(());
                     }
                     // New.
                     _ => {}
@@ -360,13 +370,14 @@ impl CacheNode {
                 self.sends.clear();
                 let out = self.agent.start(*op, store_version, &mut self.sends);
                 events.push(
-                    SimEvent::new(
-                        now,
-                        self.actor_id(),
-                        op.addr.block,
-                        format!("txn {} {:?} start", txn.raw(), op.kind),
-                    )
-                    .to_jsonl(),
+                    self.text
+                        .write(&SimEvent::with(
+                            now,
+                            self.actor_id(),
+                            op.addr.block,
+                            format_args!("txn {} {:?} start", txn.raw(), op.kind),
+                        ))
+                        .to_owned(),
                 );
                 // A fire-and-forget store (write-through policy or a
                 // static-scheme public store) retires locally but is not
@@ -385,19 +396,20 @@ impl CacheNode {
                             was_hit: c.was_hit,
                         });
                     } else {
-                        self.complete(&c, &mut outputs)?;
+                        self.complete(&c, outputs)?;
                     }
                 }
             }
             Payload::ToCache { cmd, ack } => {
                 events.push(
-                    SimEvent::new(
-                        now,
-                        self.actor_id(),
-                        block_of_m2c(cmd),
-                        format!("deliver {cmd}"),
-                    )
-                    .to_jsonl(),
+                    self.text
+                        .write(&SimEvent::with(
+                            now,
+                            self.actor_id(),
+                            block_of_m2c(cmd),
+                            format_args!("deliver {cmd}"),
+                        ))
+                        .to_owned(),
                 );
                 self.sends.clear();
                 let out = self
@@ -416,7 +428,7 @@ impl CacheNode {
                     });
                 }
                 if let Some(c) = out.completed {
-                    self.complete(&c, &mut outputs)?;
+                    self.complete(&c, outputs)?;
                 }
             }
             Payload::WtAck { sv } => {
@@ -436,7 +448,7 @@ impl CacheNode {
             }
             other => return Err(format!("C{}: unexpected payload {}", self.id, other.kind())),
         }
-        Ok((outputs, events))
+        Ok(())
     }
 
     fn save_state(&self) -> Json {
@@ -515,6 +527,8 @@ pub struct MemNode {
     /// What the controller emits on the command being processed; empty
     /// between commands.
     emits: Vec<CtrlEmit>,
+    /// The writer of this node's trace-event lines.
+    text: Text,
     module: usize,
     caches: usize,
     next_barrier: u64,
@@ -545,24 +559,25 @@ impl MemNode {
         &mut self,
         now: u64,
         env: &Envelope,
-    ) -> Result<(Vec<Envelope>, Vec<String>), String> {
-        let mut outputs = Vec::new();
-        let mut events = Vec::new();
+        outputs: &mut Vec<Envelope>,
+        events: &mut Vec<String>,
+    ) -> Result<(), String> {
         match &env.payload {
             Payload::ToMemory { cmd } => {
                 events.push(
-                    SimEvent::new(
-                        now,
-                        ActorId::Module(ModuleId::new(self.module)),
-                        block_of_c2m(cmd),
-                        format!("deliver {cmd}"),
-                    )
-                    .to_jsonl(),
+                    self.text
+                        .write(&SimEvent::with(
+                            now,
+                            ActorId::Module(ModuleId::new(self.module)),
+                            block_of_c2m(cmd),
+                            format_args!("deliver {cmd}"),
+                        ))
+                        .to_owned(),
                 );
-                self.process(*cmd, &mut outputs)?;
+                self.process(*cmd, outputs)?;
             }
             Payload::InvAck { barrier } => {
-                self.on_inv_ack(now, *barrier, &mut outputs, &mut events)?;
+                self.on_inv_ack(now, *barrier, outputs, events)?;
             }
             other => {
                 return Err(format!(
@@ -572,7 +587,7 @@ impl MemNode {
                 ))
             }
         }
-        Ok((outputs, events))
+        Ok(())
     }
 
     /// Submits one command to the controller, expanding broadcasts and
@@ -607,40 +622,8 @@ impl MemNode {
             return Err(format!("M{}: WRITETHRU was queued", self.module));
         }
 
-        // Expand emits to unicast envelopes, tagging invalidations.
-        struct Out {
-            dst: usize,
-            cmd: MemoryToCache,
-            needs_ack: bool,
-        }
-        let mut expanded = Vec::new();
-        for emit in &self.emits {
-            match *emit {
-                CtrlEmit::Unicast { to, cmd, .. } => {
-                    let needs_ack = matches!(cmd, MemoryToCache::Inv { .. });
-                    expanded.push(Out {
-                        dst: to.index(),
-                        cmd,
-                        needs_ack,
-                    });
-                }
-                CtrlEmit::Broadcast { cmd, exclude, .. } => {
-                    let needs_ack = matches!(cmd, MemoryToCache::BroadInv { .. });
-                    for k in 0..self.caches {
-                        if k == exclude.index() {
-                            continue;
-                        }
-                        expanded.push(Out {
-                            dst: k,
-                            cmd,
-                            needs_ack,
-                        });
-                    }
-                }
-            }
-        }
-
-        // Barrier discipline, applied in emission order. The first
+        // Barrier discipline, applied in emission order, a broadcast
+        // expanded to its unicasts in cache order. The first
         // invalidation for a block opens a gate (one submit can cover
         // several transactions — the controller drains its internal
         // queue — so a `GETDATA` completing a read may precede the
@@ -653,47 +636,23 @@ impl MemNode {
         // the purge before the data and the controller waits forever for
         // a PUT that never comes. Only the invalidations themselves go
         // straight out — they are what the gate counts acks for.
-        let me = self.me();
-        for out in expanded {
-            let block = block_of_m2c(&out.cmd).number();
-            if out.needs_ack {
-                if !self.gates.contains_key(&block) {
-                    let barrier = self.next_barrier;
-                    self.next_barrier += 1;
-                    self.gated_block.insert(barrier, block);
-                    self.gates.insert(
-                        block,
-                        Gate {
-                            barrier,
-                            outstanding: 0,
-                            held: Vec::new(),
-                            deferred: VecDeque::new(),
-                        },
-                    );
-                }
-                let gate = self.gates.get_mut(&block).expect("gate just ensured");
-                gate.outstanding += 1;
-                outputs.push(Envelope {
-                    src: me,
-                    dst: Actor::Cache(out.dst),
-                    payload: Payload::ToCache {
-                        cmd: out.cmd,
-                        ack: Some(gate.barrier),
-                    },
-                });
-                continue;
-            }
-            let env = Envelope {
-                src: me,
-                dst: Actor::Cache(out.dst),
-                payload: Payload::ToCache {
-                    cmd: out.cmd,
-                    ack: None,
-                },
+        for i in 0..self.emits.len() {
+            let (cmd, dsts, skip, needs_ack) = match self.emits[i] {
+                CtrlEmit::Unicast { to, cmd, .. } => (
+                    cmd,
+                    to.index()..to.index() + 1,
+                    None,
+                    matches!(cmd, MemoryToCache::Inv { .. }),
+                ),
+                CtrlEmit::Broadcast { cmd, exclude, .. } => (
+                    cmd,
+                    0..self.caches,
+                    Some(exclude.index()),
+                    matches!(cmd, MemoryToCache::BroadInv { .. }),
+                ),
             };
-            match self.gates.get_mut(&block) {
-                Some(g) => g.held.push(env),
-                None => outputs.push(env),
+            for dst in dsts.filter(|&k| Some(k) != skip) {
+                self.send_gated(dst, cmd, needs_ack, outputs);
             }
         }
         if let Some(ack_env) = wt_ack {
@@ -704,6 +663,49 @@ impl MemNode {
             }
         }
         Ok(())
+    }
+
+    /// Sends `cmd` to cache `dst` under the barrier discipline: an
+    /// invalidation opens its block's gate (or joins the open one) and
+    /// goes out; anything else waits in an open gate or goes out.
+    fn send_gated(
+        &mut self,
+        dst: usize,
+        cmd: MemoryToCache,
+        needs_ack: bool,
+        outputs: &mut Vec<Envelope>,
+    ) {
+        let block = block_of_m2c(&cmd).number();
+        let me = self.me();
+        let env = |ack| Envelope {
+            src: me,
+            dst: Actor::Cache(dst),
+            payload: Payload::ToCache { cmd, ack },
+        };
+        if needs_ack {
+            if !self.gates.contains_key(&block) {
+                let barrier = self.next_barrier;
+                self.next_barrier += 1;
+                self.gated_block.insert(barrier, block);
+                self.gates.insert(
+                    block,
+                    Gate {
+                        barrier,
+                        outstanding: 0,
+                        held: Vec::new(),
+                        deferred: VecDeque::new(),
+                    },
+                );
+            }
+            let gate = self.gates.get_mut(&block).expect("gate just ensured");
+            gate.outstanding += 1;
+            outputs.push(env(Some(gate.barrier)));
+            return;
+        }
+        match self.gates.get_mut(&block) {
+            Some(g) => g.held.push(env(None)),
+            None => outputs.push(env(None)),
+        }
     }
 
     fn on_inv_ack(
@@ -725,13 +727,14 @@ impl MemNode {
         let gate = self.gates.remove(&block).expect("gate exists");
         self.gated_block.remove(&barrier);
         events.push(
-            SimEvent::new(
-                now,
-                ActorId::Module(ModuleId::new(self.module)),
-                BlockAddr::new(block),
-                format!("barrier {barrier} released"),
-            )
-            .to_jsonl(),
+            self.text
+                .write(&SimEvent::with(
+                    now,
+                    ActorId::Module(ModuleId::new(self.module)),
+                    BlockAddr::new(block),
+                    format_args!("barrier {barrier} released"),
+                ))
+                .to_owned(),
         );
         outputs.extend(gate.held);
         // Re-submit what queued up behind the barrier, in arrival order.

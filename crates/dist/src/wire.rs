@@ -39,25 +39,52 @@ pub enum Actor {
 
 impl fmt::Display for Actor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Actor::Cache(k) => write!(f, "C{k}"),
-            Actor::Module(j) => write!(f, "M{j}"),
-            Actor::Client(k) => write!(f, "L{k}"),
-        }
+        f.write_str(self.name(&mut [0; NAME_BYTES]))
     }
 }
 
+/// The longest name: a tag and the 20 digits of `usize::MAX`.
+const NAME_BYTES: usize = 21;
+
 impl Actor {
-    /// Parses the `Display` form (`C0`, `M1`, `L2`).
+    /// Parses the `Display` form (`C0`, `M1`, `L2`): a tag and an index
+    /// in plain decimal, so every accepted name is the one `Display`
+    /// writes.
     pub fn parse(s: &str) -> Result<Actor, String> {
-        let (tag, idx) = s.split_at(1.min(s.len()));
-        let n: usize = idx.parse().map_err(|_| format!("bad actor `{s}`"))?;
+        let bad = || format!("bad actor `{s}`");
+        let (tag, idx) = s.split_at_checked(1).ok_or_else(bad)?;
+        let plain = idx.bytes().all(|b| b.is_ascii_digit()) && !idx.starts_with('0');
+        if !(plain || idx == "0") {
+            return Err(bad());
+        }
+        let n: usize = idx.parse().map_err(|_| bad())?;
         match tag {
             "C" => Ok(Actor::Cache(n)),
             "M" => Ok(Actor::Module(n)),
             "L" => Ok(Actor::Client(n)),
-            _ => Err(format!("bad actor `{s}`")),
+            _ => Err(bad()),
         }
+    }
+
+    /// The `Display` form, written into `buf` without `fmt`.
+    fn name(self, buf: &mut [u8; NAME_BYTES]) -> &str {
+        let (tag, mut n) = match self {
+            Actor::Cache(k) => (b'C', k),
+            Actor::Module(j) => (b'M', j),
+            Actor::Client(k) => (b'L', k),
+        };
+        let mut at = NAME_BYTES;
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        at -= 1;
+        buf[at] = tag;
+        std::str::from_utf8(&buf[at..]).expect("ASCII")
     }
 }
 
@@ -229,7 +256,7 @@ pub enum Response {
 /// The `Display` form, as a string.
 impl ToJson for Actor {
     fn emit<S: Sink>(&self, out: &mut S) {
-        out.display(self);
+        out.str(self.name(&mut [0; NAME_BYTES]));
     }
 }
 
@@ -239,33 +266,44 @@ impl FromJson for Actor {
     }
 }
 
-/// A `"t"`-tagged object, fields inline.
+/// A `"t"`-tagged object, fields inline, stated in key order (as every
+/// statement here is).
 impl ToJson for Payload {
     fn emit<S: Sink>(&self, out: &mut S) {
-        out.object(|o| {
-            o.member("t", self.kind());
-            match self {
-                Payload::ClientReq { txn, op, sv } => {
-                    o.member("txn", txn);
-                    o.member("op", op);
-                    o.member("sv", sv);
-                }
-                Payload::ClientResp {
-                    txn,
-                    observed,
-                    was_hit,
-                } => {
-                    o.member("txn", txn);
-                    o.member("observed", observed);
-                    o.member("hit", was_hit);
-                }
-                Payload::ToMemory { cmd } => o.member("cmd", cmd),
-                Payload::ToCache { cmd, ack } => {
-                    o.member("cmd", cmd);
-                    o.member("ack", ack);
-                }
-                Payload::InvAck { barrier } => o.member("barrier", barrier),
-                Payload::WtAck { sv } => o.member("sv", sv),
+        let t = self.kind();
+        out.object(|o| match self {
+            Payload::ClientReq { txn, op, sv } => {
+                o.member("op", op);
+                o.member("sv", sv);
+                o.member("t", t);
+                o.member("txn", txn);
+            }
+            Payload::ClientResp {
+                txn,
+                observed,
+                was_hit,
+            } => {
+                o.member("hit", was_hit);
+                o.member("observed", observed);
+                o.member("t", t);
+                o.member("txn", txn);
+            }
+            Payload::ToMemory { cmd } => {
+                o.member("cmd", cmd);
+                o.member("t", t);
+            }
+            Payload::ToCache { cmd, ack } => {
+                o.member("ack", ack);
+                o.member("cmd", cmd);
+                o.member("t", t);
+            }
+            Payload::InvAck { barrier } => {
+                o.member("barrier", barrier);
+                o.member("t", t);
+            }
+            Payload::WtAck { sv } => {
+                o.member("sv", sv);
+                o.member("t", t);
             }
         });
     }
@@ -300,18 +338,18 @@ impl FromJson for Payload {
     }
 }
 
-json_struct!(Envelope { src, dst, payload });
+json_struct!(Envelope { dst, payload, src });
 
 json_struct!(NodeConfig {
-    role,
-    scheme,
+    assoc,
+    bias_entries,
+    block_words,
     caches,
     modules,
+    role,
+    scheme,
     sets,
-    assoc,
-    block_words,
     shared_from,
-    bias_entries,
     tlb_entries,
 });
 
@@ -320,19 +358,19 @@ impl ToJson for Request {
     fn emit<S: Sink>(&self, out: &mut S) {
         out.object(|o| match self {
             Request::Init(config) => {
-                o.member("t", "init");
                 o.member("config", config.as_ref());
+                o.member("t", "init");
             }
             Request::Deliver { now, replay, env } => {
-                o.member("t", "deliver");
+                o.member("env", env);
                 o.member("now", now);
                 o.member("replay", replay);
-                o.member("env", env);
+                o.member("t", "deliver");
             }
             Request::Checkpoint => o.member("t", "checkpoint"),
             Request::Restore { state } => {
-                o.member("t", "restore");
                 o.member("state", state);
+                o.member("t", "restore");
             }
             Request::Shutdown => o.member("t", "shutdown"),
         });
@@ -364,19 +402,19 @@ impl ToJson for Response {
         out.object(|o| match self {
             Response::InitOk => o.member("t", "init_ok"),
             Response::DeliverOk { outputs, events } => {
-                o.member("t", "deliver_ok");
-                o.member("outputs", outputs);
                 o.member("events", events);
+                o.member("outputs", outputs);
+                o.member("t", "deliver_ok");
             }
             Response::CheckpointOk { state } => {
-                o.member("t", "checkpoint_ok");
                 o.member("state", state);
+                o.member("t", "checkpoint_ok");
             }
             Response::RestoreOk => o.member("t", "restore_ok"),
             Response::ShutdownOk => o.member("t", "shutdown_ok"),
             Response::Error { msg } => {
-                o.member("t", "error");
                 o.member("msg", msg);
+                o.member("t", "error");
             }
         });
     }
@@ -432,11 +470,44 @@ mod tests {
 
     #[test]
     fn actor_display_parse_roundtrip() {
-        for a in [Actor::Cache(0), Actor::Module(13), Actor::Client(2)] {
+        for a in [
+            Actor::Cache(0),
+            Actor::Module(13),
+            Actor::Client(2),
+            Actor::Cache(usize::MAX),
+        ] {
             assert_eq!(Actor::parse(&a.to_string()).unwrap(), a);
         }
         assert!(Actor::parse("X1").is_err());
         assert!(Actor::parse("").is_err());
+    }
+
+    /// A name comes off a socket: what is not a tag and plain decimal is
+    /// an error, never a panic, and what is accepted is what `Display`
+    /// writes.
+    #[test]
+    fn actor_parse_accepts_only_display_forms() {
+        for bad in [
+            "é1", "C+1", "C", "C-1", "C 1", "C1 ", "C٣", "1C", "C01", "Cé",
+        ] {
+            assert!(Actor::parse(bad).is_err(), "{bad:?} accepted");
+        }
+        let wide = format!("C{}0", usize::MAX);
+        for s in [
+            "C0",
+            "M7",
+            "L42",
+            "C01",
+            "M00",
+            "L9",
+            &wide,
+            "C18446744073709551615",
+        ] {
+            if let Ok(a) = Actor::parse(s) {
+                assert_eq!(a.to_string(), s);
+            }
+        }
+        assert!(Actor::parse(&wide).is_err());
     }
 
     #[test]

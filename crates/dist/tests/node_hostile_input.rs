@@ -357,3 +357,47 @@ fn an_unsolicited_grant_is_an_error_and_a_stale_mgranted_a_silent_drop() {
     assert_eq!(got[1], got[4], "neither frame changed the agent");
     assert_eq!(got[5], response_line(&Response::ShutdownOk));
 }
+
+/// An actor name that is not a tag and plain decimal: `é1` put the split
+/// inside a character and took the process down (a panic, no reply), and
+/// `C+1` was read as `C1`. Each is now an `error` reply naming the name,
+/// and the node keeps serving.
+#[test]
+fn an_actor_name_that_is_not_one_is_an_error_reply() {
+    let read = request_line(&Request::Deliver {
+        now: 1,
+        replay: false,
+        env: Envelope {
+            src: Actor::Client(0),
+            dst: Actor::Cache(0),
+            payload: Payload::ClientReq {
+                txn: TxnId::new(1),
+                op: MemRef::read(WordAddr::new(4, 0)),
+                sv: None,
+            },
+        },
+    });
+    let checkpoint = request_line(&Request::Checkpoint);
+    let named = |src: &str| read.replace("\"src\":\"L0\"", &format!("\"src\":\"{src}\""));
+    assert_ne!(named("é1"), read);
+    let got = replies_of(&[
+        two_bit(Actor::Cache(0), 1),
+        checkpoint.clone(),
+        named("é1"),
+        named("C+1"),
+        checkpoint,
+        read,
+        request_line(&Request::Shutdown),
+    ]);
+    assert_eq!(got.len(), 7, "{got:?}");
+    for (reply, name) in [(&got[2], "é1"), (&got[3], "C+1")] {
+        let msg = error_of(reply);
+        assert!(msg.contains(&format!("bad actor `{name}`")), "{msg}");
+    }
+    assert_eq!(got[1], got[4], "the refused frames changed nothing");
+    match response_from_line(&got[5]).expect("a response frame") {
+        Response::DeliverOk { outputs, .. } => assert_eq!(outputs.len(), 1, "{outputs:?}"),
+        other => panic!("C0 still serves its client, not {other:?}"),
+    }
+    assert_eq!(got[6], response_line(&Response::ShutdownOk));
+}

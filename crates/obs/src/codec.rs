@@ -5,7 +5,8 @@
 //!
 //! Conventions: addresses, versions and ids are numbers; fieldless enums
 //! are strings; commands are objects with a `"t"` tag naming the variant
-//! and the fields inline.
+//! and the fields inline. Every object is stated in sorted-key order, the
+//! order its text has.
 
 use crate::json::{FromJson, Json, Sink, ToJson};
 use crate::{json_enum, json_struct};
@@ -78,16 +79,24 @@ impl ToJson for CacheToMemory {
             CacheToMemory::DirectRead { k, a } => ("DIRECTREAD", k, a),
         };
         out.object(|o| {
-            o.member("t", t);
-            o.member("k", &k);
             o.member("a", &a);
+            o.member("k", &k);
             match self {
-                CacheToMemory::Request { rw, .. } => o.member("rw", rw),
-                CacheToMemory::Eject { wb, .. } => o.member("wb", wb),
+                CacheToMemory::Request { rw, .. } => {
+                    o.member("rw", rw);
+                    o.member("t", t);
+                }
+                CacheToMemory::Eject { wb, .. } => {
+                    o.member("t", t);
+                    o.member("wb", wb);
+                }
                 CacheToMemory::MRequest { version, .. }
                 | CacheToMemory::PutData { version, .. }
-                | CacheToMemory::WriteThrough { version, .. } => o.member("v", version),
-                CacheToMemory::DirectRead { .. } => {}
+                | CacheToMemory::WriteThrough { version, .. } => {
+                    o.member("t", t);
+                    o.member("v", version);
+                }
+                CacheToMemory::DirectRead { .. } => o.member("t", t),
             }
         });
     }
@@ -137,38 +146,38 @@ impl ToJson for MemoryToCache {
                 version,
                 exclusive,
             } => {
-                o.member("t", "GET");
-                o.member("k", k);
                 o.member("a", a);
+                o.member("k", k);
+                o.member("t", "GET");
                 o.member("v", version);
                 o.member("x", exclusive);
             }
             MemoryToCache::BroadInv { a, exclude } => {
-                o.member("t", "BROADINV");
                 o.member("a", a);
                 o.member("k", exclude);
+                o.member("t", "BROADINV");
             }
             MemoryToCache::BroadQuery { a, rw } => {
-                o.member("t", "BROADQUERY");
                 o.member("a", a);
                 o.member("rw", rw);
+                o.member("t", "BROADQUERY");
             }
             MemoryToCache::MGranted { k, a, granted } => {
-                o.member("t", "MGRANTED");
-                o.member("k", k);
                 o.member("a", a);
+                o.member("k", k);
+                o.member("t", "MGRANTED");
                 o.member("y", granted);
             }
             MemoryToCache::Inv { a, to } => {
-                o.member("t", "INV");
                 o.member("a", a);
                 o.member("k", to);
+                o.member("t", "INV");
             }
             MemoryToCache::Purge { a, to, rw } => {
-                o.member("t", "PURGE");
                 o.member("a", a);
                 o.member("k", to);
                 o.member("rw", rw);
+                o.member("t", "PURGE");
             }
         });
     }

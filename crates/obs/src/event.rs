@@ -4,7 +4,10 @@
 //! [`ToJson`] statement lists the members in a fixed, hand-chosen order,
 //! and [`SimEvent::to_jsonl`] is that statement written as stated — the
 //! trace bytes are older than the canonical sorted-key form and frozen
-//! as golden digests in `crates/sim/tests/determinism.rs`.
+//! as golden digests in `crates/sim/tests/determinism.rs`. The statement
+//! is generic over the command text: a `SimEvent<fmt::Arguments>` is a
+//! line whose `cmd` is formatted straight into the writer that holds it
+//! ([`SimEvent::with`]), with no `String` in between.
 //! [`SimEvent::from_jsonl`] reads a line back through
 //! [`crate::json::parse`]. The two are exact inverses.
 
@@ -78,9 +81,11 @@ impl<S> StateChange<S> {
     }
 }
 
-/// One observable protocol step.
+/// One observable protocol step. `C` is the command text: owned by
+/// default, any `Display` value (a `format_args!`) for a line that is
+/// written and dropped.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SimEvent {
+pub struct SimEvent<C = String> {
     /// Simulated cycle the step happened at.
     pub t: u64,
     /// Where it happened.
@@ -89,7 +94,7 @@ pub struct SimEvent {
     pub block: BlockAddr,
     /// Human-readable command text (Table 3-1 spelling, e.g.
     /// `REQUEST(C0, blk:0x10, read)` or `deliver BROADINV(...)`).
-    pub cmd: String,
+    pub cmd: C,
     /// The command's class, when the step is a protocol command.
     pub class: Option<CommandClass>,
     /// Directory (global) state transition, when the step changed one.
@@ -107,11 +112,36 @@ impl SimEvent {
     /// A minimal event; optional fields start empty.
     #[must_use]
     pub fn new(t: u64, actor: ActorId, block: BlockAddr, cmd: impl Into<String>) -> Self {
+        SimEvent::with(t, actor, block, cmd.into())
+    }
+
+    /// Encodes as one JSON object (no trailing newline), members in the
+    /// order the [`ToJson`] statement lists them.
+    #[must_use]
+    pub fn to_jsonl(&self) -> String {
+        Text::as_stated().write(self).to_owned()
+    }
+
+    /// Decodes one JSON object produced by [`to_jsonl`](Self::to_jsonl).
+    /// Returns `None` on malformed input. Integers at or above 2^53 are
+    /// rejected, as they always were on the wire and in checkpoints (no
+    /// emitter produces them).
+    #[must_use]
+    pub fn from_jsonl(line: &str) -> Option<SimEvent> {
+        Self::from_json(&json::parse(line).ok()?).ok()
+    }
+}
+
+impl<C> SimEvent<C> {
+    /// A minimal event whose command text is `cmd` as it is; optional
+    /// fields start empty.
+    #[must_use]
+    pub fn with(t: u64, actor: ActorId, block: BlockAddr, cmd: C) -> Self {
         SimEvent {
             t,
             actor,
             block,
-            cmd: cmd.into(),
+            cmd,
             class: None,
             global: None,
             local: None,
@@ -154,34 +184,19 @@ impl SimEvent {
         self.useless = useless;
         self
     }
-
-    /// Encodes as one JSON object (no trailing newline), members in the
-    /// order the [`ToJson`] statement lists them.
-    #[must_use]
-    pub fn to_jsonl(&self) -> String {
-        Text::as_stated().write(self).to_owned()
-    }
-
-    /// Decodes one JSON object produced by [`to_jsonl`](Self::to_jsonl).
-    /// Returns `None` on malformed input. Integers at or above 2^53 are
-    /// rejected, as they always were on the wire and in checkpoints (no
-    /// emitter produces them).
-    #[must_use]
-    pub fn from_jsonl(line: &str) -> Option<SimEvent> {
-        Self::from_json(&json::parse(line).ok()?).ok()
-    }
 }
 
 /// `{t, actor, block, cmd, class?, global?, local?, txn?, useless}`: an
 /// optional member is left out, not `null`, and names are display forms.
-impl ToJson for SimEvent {
+impl<C: fmt::Display> ToJson for SimEvent<C> {
     fn emit<S: Sink>(&self, out: &mut S) {
         out.object(|o| {
             o.member("t", &self.t);
             o.key("actor");
             o.display(self.actor);
             o.member("block", &self.block);
-            o.member("cmd", &self.cmd);
+            o.key("cmd");
+            o.display(&self.cmd);
             if let Some(c) = self.class {
                 o.key("class");
                 o.display(c);
@@ -284,6 +299,19 @@ mod tests {
         .useless(true);
         let line = ev.to_jsonl();
         assert_eq!(SimEvent::from_jsonl(&line), Some(ev));
+    }
+
+    /// A line whose command is formatted straight into the writer is the
+    /// line of the owned event.
+    #[test]
+    fn a_formatted_command_writes_the_owned_events_line() {
+        let (k, block) = (ActorId::Cache(CacheId::new(3)), BlockAddr::new(9));
+        let cmd = "GET(C3, \"blk\"\n)";
+        let owned = SimEvent::new(7, k, block, format!("deliver {cmd}")).txn(TxnId::new(2));
+        let mut text = Text::as_stated();
+        let line = text
+            .write(&SimEvent::with(7, k, block, format_args!("deliver {cmd}")).txn(TxnId::new(2)));
+        assert_eq!(line, owned.to_jsonl());
     }
 
     #[test]

@@ -35,9 +35,11 @@
 //! which are kept, merged and read back); [`Text`] writes it straight
 //! into a `String` (wire frames, timeline lines and trace events, which
 //! are written once and never looked at again). Both produce the same
-//! canonical text — [`Text`] puts an object's members in sorted-key order
-//! itself, whatever order they were stated in — so which sink a caller
-//! picks is a question of cost, never of format.
+//! canonical text, so which sink a caller picks is a question of cost,
+//! never of format. The frame and timeline statements list their members
+//! in sorted-key order, so [`Text`] writes them as they come; it re-sorts
+//! an object whose statement lists its members out of order, as a
+//! fallback that costs such a statement a copy.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -396,7 +398,9 @@ impl Sink for Tree {
 /// [`Text::canonical`] writes exactly what `value.json().to_json()`
 /// writes: it notes where each member of an open object starts and, when
 /// the object closes with its keys out of order, moves the members into
-/// sorted-key order (a statement that lists them sorted pays nothing).
+/// sorted-key order (a statement that lists them sorted pays nothing
+/// more; every frame and timeline statement does, and
+/// `codec_properties.rs` checks that they still do).
 /// [`Text::as_stated`] keeps the statement's order, for the one format
 /// whose member order is older than the canonical one — the JSONL trace
 /// event.
@@ -563,8 +567,13 @@ impl Sink for Text {
             let start = self.out.len();
             self.members.push(Member { key, start, end: 0 });
         }
-        write_string(&mut self.out, key);
-        self.out.push(':');
+        debug_assert!(
+            key.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\'),
+            "key {key:?} needs escaping"
+        );
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
     }
 }
 
