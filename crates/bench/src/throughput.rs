@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use twobit_core::parallel_map;
-use twobit_obs::json::{self, num_u64, obj, Json};
+use twobit_obs::json::{self, num_u64, obj, Json, Value};
 use twobit_obs::{SpanStat, TxnClass};
 use twobit_sim::System;
 use twobit_types::{ProtocolKind, SystemConfig};
@@ -337,7 +337,6 @@ impl BenchDoc {
         };
         let cases = doc
             .array("cases")?
-            .iter()
             .map(parse_case)
             .collect::<Result<Vec<_>, String>>()?;
         Ok(BenchDoc { config, cases })

@@ -19,15 +19,20 @@
 //! * **Statements in key order.** Every frame and every line the driver
 //!   writes is stated with its members in sorted-key order, so the
 //!   canonical writer never has to re-sort one on the hot path.
+//! * **Two sources, one answer.** Each `FromJson` statement reads the
+//!   text through a `json::Reader` and the tree of `json::parse`; for
+//!   generated values and for seeded mutations of the frozen text, both
+//!   give the same value or the same error.
 //! * **Hostile input.** Arbitrary bytes, every prefix of a valid frame
 //!   and every single-bit flip of one go to every decoder, which must
 //!   answer `Err`/`None` or a value — never panic, never overflow the
 //!   stack.
 
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use twobit_core::{
     build_policy_for, build_protocol_for, CacheAgent, Controller, CtrlEmit, FunctionalSystem,
-    Observer,
+    MemoryImage, Observer, OwnerSet,
 };
 use twobit_dist::driver::{DeliveryLine, LivelockLine, RestartLine};
 use twobit_dist::node::Node;
@@ -35,12 +40,12 @@ use twobit_dist::wire::{
     request_from_line, request_line, response_from_line, response_line, Actor, Envelope,
     NodeConfig, Payload, Request, Response,
 };
-use twobit_obs::json::{self, FromJson, Json, Text, ToJson};
+use twobit_obs::json::{self, FromJson, Json, Reader, Text, ToJson};
 use twobit_obs::{ActorId, SimEvent};
 use twobit_types::{
-    AccessKind, AddressMap, BlockAddr, CacheId, CacheOrg, CacheToMemory, CommandClass,
-    Fingerprinter, GlobalState, LineState, MemRef, MemoryToCache, ModuleId, ProtocolKind,
-    SystemConfig, TxnId, Version, WordAddr, WritebackKind,
+    AccessKind, AddressMap, BlockAddr, CacheId, CacheOrg, CacheStats, CacheToMemory, CommandClass,
+    ControllerStats, Fingerprinter, GlobalState, LineState, MemRef, MemoryToCache, ModuleId,
+    ProtocolKind, SystemConfig, TxnId, Version, WordAddr, WritebackKind,
 };
 use twobit_workload::Trace;
 
@@ -815,6 +820,270 @@ proptest! {
         let done: Vec<usize> = (0..d.pick(5)).map(|_| d.word() as usize).collect();
         stated_in_key_order(&LivelockLine { t, events: d.word(), done: &done });
     }
+}
+
+// ---------------------------------------------------------------------------
+// Two sources, one answer
+// ---------------------------------------------------------------------------
+
+/// What `reader` makes of `text` is what the tree decoder makes of
+/// `parse(text)`: the same value, or the same error. Returns whether it
+/// was a value.
+fn sources_agree<T: FromJson + PartialEq + std::fmt::Debug>(
+    reader: &mut Reader,
+    text: &str,
+) -> bool {
+    let from_tree = json::parse(text).and_then(|j| T::from_json(&j));
+    let from_text = reader.read::<T>(text);
+    assert_eq!(from_text, from_tree, "{text:?}");
+    from_text.is_ok()
+}
+
+proptest! {
+    #[test]
+    fn the_text_decoder_reads_what_the_tree_decoder_reads(
+        words in prop::collection::vec(
+            prop_oneof![any::<u64>(), 0u64..70_000, (1u64 << 53) - 2..(1u64 << 53) + 2],
+            128..129,
+        ),
+    ) {
+        let mut d = Draw(words.into_iter());
+        let mut reader = Reader::default();
+        sources_agree::<Envelope>(&mut reader, &json::to_text(&d.envelope()));
+        sources_agree::<Request>(&mut reader, &request_line(&d.request()));
+        sources_agree::<Response>(&mut reader, &response_line(&d.response()));
+        sources_agree::<SimEvent>(&mut reader, &d.event().to_jsonl());
+    }
+}
+
+/// Every text decoder, from text and from the tree, on one text; the
+/// number that accepted it.
+fn all_sources_agree(reader: &mut Reader, text: &str) -> usize {
+    [
+        sources_agree::<Request>(reader, text),
+        sources_agree::<Response>(reader, text),
+        sources_agree::<SimEvent>(reader, text),
+        sources_agree::<Envelope>(reader, text),
+        sources_agree::<Payload>(reader, text),
+        sources_agree::<NodeConfig>(reader, text),
+        sources_agree::<CacheToMemory>(reader, text),
+        sources_agree::<MemoryToCache>(reader, text),
+        sources_agree::<MemRef>(reader, text),
+        sources_agree::<CacheStats>(reader, text),
+        sources_agree::<ControllerStats>(reader, text),
+        sources_agree::<MemoryImage>(reader, text),
+        sources_agree::<OwnerSet>(reader, text),
+        sources_agree::<Vec<Option<u64>>>(reader, text),
+        sources_agree::<String>(reader, text),
+    ]
+    .into_iter()
+    .filter(|&ok| ok)
+    .count()
+}
+
+/// splitmix64: the mutation loop's one stream.
+struct Mix(u64);
+
+impl Mix {
+    fn word(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn pick(&mut self, n: usize) -> usize {
+        (self.word() % n.max(1) as u64) as usize
+    }
+
+    /// A char boundary of `s`, `s.len()` included.
+    fn cut(&mut self, s: &str) -> usize {
+        let mut at = self.pick(s.len() + 1);
+        while !s.is_char_boundary(at) {
+            at -= 1;
+        }
+        at
+    }
+}
+
+/// The numbers at the edges of what a field holds.
+const EDGE_NUMBERS: [&str; 8] = [
+    "9007199254740992",
+    "9007199254740991",
+    "-1",
+    "18446744073709551615",
+    "0",
+    "4294967296",
+    "65536",
+    "1.5",
+];
+
+/// `j` as text, every object's members in a drawn order; with `dup`,
+/// one object in three also repeats one of its keys, with another value,
+/// before or after the member it repeats.
+fn shuffled(j: &Json, mix: &mut Mix, dup: bool, out: &mut String) {
+    match j {
+        Json::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                shuffled(item, mix, dup, out);
+            }
+            out.push(']');
+        }
+        Json::Obj(map) => {
+            let mut members: Vec<(&String, Json)> =
+                map.iter().map(|(k, v)| (k, v.clone())).collect();
+            for i in (1..members.len()).rev() {
+                members.swap(i, mix.pick(i + 1));
+            }
+            if dup && !members.is_empty() && mix.pick(3) == 0 {
+                let i = mix.pick(members.len());
+                let other = match &members[i].1 {
+                    Json::Num(n) => Json::Num(n + 1.0),
+                    Json::Str(s) => Json::Str(format!("{s}x")),
+                    Json::Bool(b) => Json::Bool(!b),
+                    Json::Null => Json::Num(0.0),
+                    _ => Json::Null,
+                };
+                let at = i + mix.pick(2);
+                members.insert(at, (members[i].0, other));
+            }
+            out.push('{');
+            for (i, (k, v)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::write_string(out, k);
+                out.push(':');
+                shuffled(v, mix, dup, out);
+            }
+            out.push('}');
+        }
+        scalar => out.push_str(&scalar.to_json()),
+    }
+}
+
+/// How deep `j` nests arrays and objects.
+fn depth(j: &Json) -> usize {
+    match j {
+        Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+        Json::Obj(map) => 1 + map.values().map(depth).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// A drawn value somewhere inside `j`.
+fn inner<'j>(j: &'j Json, mix: &mut Mix) -> &'j Json {
+    let children: Vec<&Json> = match j {
+        Json::Arr(items) => items.iter().collect(),
+        Json::Obj(map) => map.values().collect(),
+        _ => Vec::new(),
+    };
+    if children.is_empty() || mix.pick(3) == 0 {
+        j
+    } else {
+        let child = children[mix.pick(children.len())];
+        inner(child, mix)
+    }
+}
+
+/// One drawn mutation of a drawn corpus entry.
+fn mutate(corpus: &[String], mix: &mut Mix) -> String {
+    let text = &corpus[mix.pick(corpus.len())];
+    let tree = json::parse(text).ok();
+    match (mix.pick(8), tree) {
+        (0, _) => {
+            let mut bytes = text.clone().into_bytes();
+            let at = mix.pick(bytes.len());
+            bytes[at] ^= 1 << mix.pick(8);
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+        (1, _) => text[..mix.cut(text)].to_owned(),
+        (2, _) => {
+            let other = &corpus[mix.pick(corpus.len())];
+            format!("{}{}", &text[..mix.cut(text)], &other[mix.cut(other)..])
+        }
+        (3, Some(tree)) => {
+            let mut out = String::new();
+            shuffled(&tree, mix, false, &mut out);
+            out
+        }
+        (4, Some(tree)) => {
+            let mut out = String::new();
+            shuffled(&tree, mix, true, &mut out);
+            out
+        }
+        (5, _) => {
+            let runs: Vec<(usize, usize)> = text
+                .match_indices(|c: char| c.is_ascii_digit())
+                .map(|(i, _)| i)
+                .filter(|&i| i == 0 || !text.as_bytes()[i - 1].is_ascii_digit())
+                .map(|i| {
+                    (
+                        i,
+                        i + text[i..].bytes().take_while(u8::is_ascii_digit).count(),
+                    )
+                })
+                .collect();
+            let Some(&(start, end)) = runs.get(mix.pick(runs.len())) else {
+                return text.clone();
+            };
+            let edge = EDGE_NUMBERS[mix.pick(EDGE_NUMBERS.len())];
+            format!("{}{edge}{}", &text[..start], &text[end..])
+        }
+        (6, tree) => {
+            // Nested to 63, 64 or 65 levels in all.
+            let within = tree.as_ref().map_or(0, depth);
+            let wrap = (63 + mix.pick(3)).saturating_sub(within);
+            format!("{}{text}{}", "[".repeat(wrap), "]".repeat(wrap))
+        }
+        (_, Some(tree)) => inner(&tree, mix).to_json(),
+        (_, None) => text.clone(),
+    }
+}
+
+/// The frozen frames, lines and checkpoints, and the checkpoint texts of
+/// every scheme.
+fn corpus() -> Vec<String> {
+    every_frame()
+        .map(str::to_owned)
+        .chain(ALL_SCHEMES.into_iter().flat_map(|p| {
+            let (agent, ctrl) = checkpoint_texts(p);
+            [agent, ctrl]
+        }))
+        .collect()
+}
+
+/// A seeded mutation fuzzer over every text decoder: byte flips,
+/// truncations, splices, reordered members, repeated keys, numbers at
+/// the edges, nesting at the depth bound, and values cut out of their
+/// documents. The reader and the tree must accept the same texts with
+/// equal values and refuse the same texts with equal errors, and no text
+/// may panic either.
+#[test]
+fn mutated_text_decodes_alike_from_text_and_tree() {
+    const SEED: u64 = 0x2b17_0d3c_0de5;
+    const ROUNDS: usize = 4_000;
+    let corpus = corpus();
+    let mut mix = Mix(SEED);
+    // One reader for every text, as a node and the driver keep one.
+    let mut reader = Reader::default();
+    let (mut accepted, mut texts_accepted) = (0, 0);
+    for round in 0..ROUNDS {
+        let text = mutate(&corpus, &mut mix);
+        let decoded = catch_unwind(AssertUnwindSafe(|| all_sources_agree(&mut reader, &text)))
+            .unwrap_or_else(|_| panic!("round {round}: {text:?}"));
+        accepted += decoded;
+        texts_accepted += usize::from(decoded > 0);
+    }
+    println!("{ROUNDS} mutants: {texts_accepted} accepted by some decoder, {accepted} decodes");
+    // The mutations keep enough texts valid that values, not only
+    // errors, are compared.
+    assert!(texts_accepted > ROUNDS / 4, "{texts_accepted} of {ROUNDS}");
 }
 
 // ---------------------------------------------------------------------------

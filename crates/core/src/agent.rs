@@ -35,7 +35,7 @@ use crate::local::LocalState;
 use crate::transitions::{cond_bits, undeclared, Dispatch, Rule, Set};
 use std::fmt;
 use twobit_cache::Cache;
-use twobit_obs::json::{obj, FromJson, Json, Sink, ToJson};
+use twobit_obs::json::{obj, FromJson, Json, Sink, ToJson, Value};
 use twobit_obs::json_enum;
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, CacheOrg, CacheStats, CacheToMemory, Counter, Fingerprinter,
@@ -114,7 +114,7 @@ impl ToJson for Pending {
 }
 
 impl FromJson for Pending {
-    fn from_json(j: &Json) -> Result<Self, String> {
+    fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
         Ok(Pending {
             a: j.field("a")?,
             kind: j.field("kind")?,

@@ -29,7 +29,7 @@ use crate::blockmap::{BlockMap, BlockSet};
 use crate::directory::{DirSend, DirStep, Directory, OpenKind, SendCost};
 use crate::memory::MemoryImage;
 use std::collections::VecDeque;
-use twobit_obs::json::{obj, Json, ToJson};
+use twobit_obs::json::{obj, Json, ToJson, Value};
 use twobit_obs::{ActorId, Profiler, SimEvent, Tracer};
 use twobit_types::{
     AccessKind, AddressMap, BlockAddr, CacheId, CacheToMemory, ControllerConcurrency,

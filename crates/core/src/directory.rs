@@ -27,7 +27,7 @@ use crate::transitions::{
     cond_bits, undeclared, ActionKind, Cond, Delivery, EventKind, Next, Program, Rule,
     TransitionTable,
 };
-use twobit_obs::json::{obj, Json, ToJson};
+use twobit_obs::json::{obj, Json, ToJson, Value};
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, Fingerprinter, GlobalState, MemoryToCache, ProtocolError,
     Version, WritebackKind,

@@ -27,7 +27,7 @@ use crate::local::LocalState;
 use crate::memory::MemoryImage;
 use crate::owner_set::OwnerSet;
 use twobit_cache::{CacheSnapshot, SlotSnapshot};
-use twobit_obs::json::{obj, FromJson, Json, Sink, ToJson};
+use twobit_obs::json::{obj, FromJson, Json, Sink, ToJson, Value};
 use twobit_obs::json_enum;
 use twobit_types::CacheId;
 
@@ -44,12 +44,13 @@ impl ToJson for OwnerSet {
 }
 
 impl FromJson for OwnerSet {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        let (width, members) = j.items()?.split_first().ok_or("empty owner set encoding")?;
+    fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
+        let mut items = j.items()?;
+        let width = items.next().ok_or("empty owner set encoding")?;
         // Cache ids are 16 bits wide, which also bounds the allocation.
-        let mut s = OwnerSet::new(usize::from(u16::from_json(width)?));
-        for m in members {
-            let k = CacheId::from_json(m)?;
+        let mut s = OwnerSet::new(usize::from(u16::decode(width)?));
+        for m in items {
+            let k = CacheId::decode(m)?;
             if k.index() >= s.capacity() {
                 return Err(format!("owner {k} exceeds set width {}", s.capacity()));
             }
@@ -74,13 +75,14 @@ impl ToJson for MemoryImage {
 }
 
 impl FromJson for MemoryImage {
-    fn from_json(j: &Json) -> Result<Self, String> {
+    fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
         let mut m = MemoryImage::new();
         for entry in j.items()? {
-            let [a, v] = entry.items()? else {
+            let mut pair = entry.items()?;
+            let (Some(a), Some(v), None) = (pair.next(), pair.next(), pair.next()) else {
                 return Err("memory entry is not a pair".into());
             };
-            m.write(FromJson::from_json(a)?, FromJson::from_json(v)?);
+            m.write(FromJson::decode(a)?, FromJson::decode(v)?);
         }
         Ok(m)
     }
@@ -130,7 +132,6 @@ pub fn cache_snapshot_from(j: &Json) -> Result<CacheSnapshot<LocalState>, String
         .collect::<Result<_, _>>()?;
     let lines = j
         .array("lines")?
-        .iter()
         .map(|l| {
             Ok(SlotSnapshot {
                 slot: l.field("slot")?,

@@ -28,7 +28,7 @@ use crate::blockmap::FixedHashMap;
 use crate::owner_set::OwnerSet;
 use crate::transitions::{ActionKind, Delivery, Program};
 use std::sync::OnceLock;
-use twobit_obs::json::{Json, Sink, ToJson};
+use twobit_obs::json::{Json, Sink, ToJson, Value};
 use twobit_types::{BlockAddr, CacheId, Fingerprinter};
 
 /// A bounded LRU buffer of exact owner sets.

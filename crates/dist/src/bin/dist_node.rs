@@ -12,16 +12,18 @@
 use std::process::ExitCode;
 
 use twobit_dist::node::Node;
-use twobit_dist::wire::{request_from_line, Request, Response};
+use twobit_dist::wire::{Request, Response};
 use twobit_interconnect::transport::{stdio, tcp_connect, Transport};
-use twobit_obs::json::Text;
+use twobit_obs::json::{Reader, Text};
 
 fn serve(io: &mut dyn Transport) -> Result<(), String> {
     let mut node: Option<Node> = None;
-    // Every reply frame is written here, and the transport copies it out.
+    // Every request frame is read here, and every reply frame is written
+    // here and copied out by the transport.
+    let mut reader = Reader::default();
     let mut text = Text::canonical();
     while let Some(line) = io.recv().map_err(|e| format!("recv: {e}"))? {
-        let resp = match request_from_line(&line) {
+        let resp = match reader.read::<Request>(&line) {
             Err(e) => Response::Error {
                 msg: format!("bad request: {e}"),
             },

@@ -54,7 +54,7 @@ use std::time::Duration;
 use twobit_core::Oracle;
 use twobit_interconnect::poll::{PollTransport, Token};
 use twobit_interconnect::transport::tcp_accept_stream;
-use twobit_obs::json::{num_u64, obj, Json, Sink, Text, ToJson};
+use twobit_obs::json::{num_u64, obj, Json, Reader, Sink, Text, ToJson};
 use twobit_obs::Histogram;
 use twobit_types::{AccessKind, AddressMap, BlockAddr, MemRef, TxnId, Version, WordAddr};
 
@@ -670,6 +670,8 @@ struct Driver<'c> {
     /// The one writer of the driver's timeline lines and of the
     /// deliver frames it sends.
     text: Text,
+    /// The one reader of the reply frames children send.
+    reader: Reader,
     /// Per node, its share of the timeline — filled only when
     /// `trace_dir` asks for the per-node files.
     node_events: BTreeMap<Actor, Vec<String>>,
@@ -813,6 +815,7 @@ impl<'c> Driver<'c> {
             ops: Vec::new(),
             timeline: Vec::new(),
             text: Text::canonical(),
+            reader: Reader::default(),
             node_events,
             batch: Vec::new(),
             slots: Vec::new(),
@@ -1336,7 +1339,8 @@ impl<'c> Driver<'c> {
             .recv_deadline(*token, RPC_TIMEOUT)
             .map_err(|e| format!("{who}: recv failed: {e}"))?
             .ok_or_else(|| format!("{who}: node exited unexpectedly"))?;
-        response_from_line(&line).map_err(|e| format!("{who}: bad response: {e}"))
+        let reply = self.reader.read(&line);
+        reply.map_err(|e| format!("{who}: bad response: {e}"))
     }
 
     // -- faults ------------------------------------------------------------

@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, VecDeque};
 use twobit_core::{
     build_policy_for, build_protocol_for, CacheAgent, Completion, Controller, CtrlEmit, Observer,
 };
-use twobit_obs::json::{obj, Json, Text, ToJson};
+use twobit_obs::json::{obj, Json, Text, ToJson, Value};
 use twobit_obs::{ActorId, SimEvent};
 use twobit_types::{
     AddressMap, BlockAddr, CacheId, CacheOrg, CacheToMemory, ControllerConcurrency, MemoryToCache,

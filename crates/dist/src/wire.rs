@@ -20,7 +20,7 @@
 //! range-checks every number and answers malformed input with an `Err`.
 
 use std::fmt;
-use twobit_obs::json::{parse, to_text, FromJson, Json, Sink, ToJson};
+use twobit_obs::json::{to_text, FromJson, Json, Reader, Sink, ToJson, Value};
 use twobit_obs::json_struct;
 use twobit_types::{CacheToMemory, MemRef, MemoryToCache, TxnId, Version};
 
@@ -261,8 +261,8 @@ impl ToJson for Actor {
 }
 
 impl FromJson for Actor {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Actor::parse(j.as_str().ok_or("actor is not a string")?)
+    fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
+        Actor::parse(&j.as_str().ok_or("actor is not a string")?)
     }
 }
 
@@ -310,8 +310,8 @@ impl ToJson for Payload {
 }
 
 impl FromJson for Payload {
-    fn from_json(p: &Json) -> Result<Self, String> {
-        Ok(match p.req_str("t")? {
+    fn decode<'a, V: Value<'a>>(p: V) -> Result<Self, String> {
+        Ok(match &*p.req_str("t")? {
             "client_req" => Payload::ClientReq {
                 txn: p.field("txn")?,
                 op: p.field("op")?,
@@ -378,8 +378,8 @@ impl ToJson for Request {
 }
 
 impl FromJson for Request {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(match j.req_str("t")? {
+    fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
+        Ok(match &*j.req_str("t")? {
             "init" => Request::Init(Box::new(j.field("config")?)),
             "deliver" => Request::Deliver {
                 now: j.field("now")?,
@@ -388,7 +388,7 @@ impl FromJson for Request {
             },
             "checkpoint" => Request::Checkpoint,
             "restore" => Request::Restore {
-                state: j.member("state")?.clone(),
+                state: j.member("state")?.tree(),
             },
             "shutdown" => Request::Shutdown,
             other => return Err(format!("bad request tag {other:?}")),
@@ -421,15 +421,15 @@ impl ToJson for Response {
 }
 
 impl FromJson for Response {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(match j.req_str("t")? {
+    fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
+        Ok(match &*j.req_str("t")? {
             "init_ok" => Response::InitOk,
             "deliver_ok" => Response::DeliverOk {
                 outputs: j.field("outputs")?,
                 events: j.field("events")?,
             },
             "checkpoint_ok" => Response::CheckpointOk {
-                state: j.member("state")?.clone(),
+                state: j.member("state")?.tree(),
             },
             "restore_ok" => Response::RestoreOk,
             "shutdown_ok" => Response::ShutdownOk,
@@ -447,9 +447,10 @@ pub fn request_line(r: &Request) -> String {
     to_text(r)
 }
 
-/// Parses one frame as a request.
+/// Decodes one frame as a request (a reader kept across frames is
+/// `reader.read::<Request>(line)`).
 pub fn request_from_line(line: &str) -> Result<Request, String> {
-    Request::from_json(&parse(line)?)
+    Reader::default().read(line)
 }
 
 /// Renders a response as one frame.
@@ -458,9 +459,10 @@ pub fn response_line(r: &Response) -> String {
     to_text(r)
 }
 
-/// Parses one frame as a response.
+/// Decodes one frame as a response (a reader kept across frames is
+/// `reader.read::<Response>(line)`).
 pub fn response_from_line(line: &str) -> Result<Response, String> {
-    Response::from_json(&parse(line)?)
+    Reader::default().read(line)
 }
 
 #[cfg(test)]
@@ -568,7 +570,7 @@ mod tests {
         ];
         for env in envs {
             let line = env.json().to_json();
-            let back = Envelope::from_json(&parse(&line).unwrap()).unwrap();
+            let back = Reader::default().read::<Envelope>(&line).unwrap();
             assert_eq!(back, env);
         }
     }

@@ -8,7 +8,7 @@
 //! and the fields inline. Every object is stated in sorted-key order, the
 //! order its text has.
 
-use crate::json::{FromJson, Json, Sink, ToJson};
+use crate::json::{FromJson, Sink, ToJson, Value};
 use crate::{json_enum, json_struct};
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, CacheStats, CacheToMemory, ControllerStats, Counter, MemRef,
@@ -26,8 +26,8 @@ macro_rules! number_codec {
         }
 
         impl FromJson for $ty {
-            fn from_json(j: &Json) -> Result<Self, String> {
-                <$raw>::from_json(j).map($new)
+            fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
+                <$raw>::decode(j).map($new)
             }
         }
     )*};
@@ -57,7 +57,7 @@ impl ToJson for MemRef {
 }
 
 impl FromJson for MemRef {
-    fn from_json(j: &Json) -> Result<Self, String> {
+    fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
         Ok(MemRef {
             addr: WordAddr {
                 block: j.field("a")?,
@@ -103,9 +103,9 @@ impl ToJson for CacheToMemory {
 }
 
 impl FromJson for CacheToMemory {
-    fn from_json(j: &Json) -> Result<Self, String> {
+    fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
         let (k, a) = (j.field("k")?, j.field("a")?);
-        Ok(match j.req_str("t")? {
+        Ok(match &*j.req_str("t")? {
             "REQUEST" => CacheToMemory::Request {
                 k,
                 a,
@@ -184,9 +184,9 @@ impl ToJson for MemoryToCache {
 }
 
 impl FromJson for MemoryToCache {
-    fn from_json(j: &Json) -> Result<Self, String> {
+    fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
         let a = j.field("a")?;
-        Ok(match j.req_str("t")? {
+        Ok(match &*j.req_str("t")? {
             "GET" => MemoryToCache::GetData {
                 k: j.field("k")?,
                 a,

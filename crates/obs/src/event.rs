@@ -8,10 +8,10 @@
 //! is generic over the command text: a `SimEvent<fmt::Arguments>` is a
 //! line whose `cmd` is formatted straight into the writer that holds it
 //! ([`SimEvent::with`]), with no `String` in between.
-//! [`SimEvent::from_jsonl`] reads a line back through
-//! [`crate::json::parse`]. The two are exact inverses.
+//! [`SimEvent::from_jsonl`] reads a line back through a
+//! [`crate::json::Reader`]. The two are exact inverses.
 
-use crate::json::{self, FromJson, Json, Sink, Text, ToJson};
+use crate::json::{FromJson, Reader, Sink, Text, ToJson, Value};
 use std::fmt;
 use twobit_types::{BlockAddr, CacheId, CommandClass, GlobalState, LineState, ModuleId, TxnId};
 
@@ -128,7 +128,7 @@ impl SimEvent {
     /// emitter produces them).
     #[must_use]
     pub fn from_jsonl(line: &str) -> Option<SimEvent> {
-        Self::from_json(&json::parse(line).ok()?).ok()
+        Reader::default().read(line).ok()
     }
 }
 
@@ -220,11 +220,11 @@ impl<C: fmt::Display> ToJson for SimEvent<C> {
 /// The object [`SimEvent::to_jsonl`] writes; absent optional members are
 /// `None`.
 impl FromJson for SimEvent {
-    fn from_json(j: &Json) -> Result<SimEvent, String> {
+    fn decode<'a, V: Value<'a>>(j: V) -> Result<SimEvent, String> {
         let named = |key: &str| j.opt_field::<String>(key);
         Ok(SimEvent {
             t: j.field("t")?,
-            actor: ActorId::parse(j.req_str("actor")?).ok_or("bad actor")?,
+            actor: ActorId::parse(&j.req_str("actor")?).ok_or("bad actor")?,
             block: j.field("block")?,
             cmd: j.field("cmd")?,
             class: named("class")?

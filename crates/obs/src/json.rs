@@ -1,16 +1,18 @@
-//! The workspace's one JSON: value model, parser, escaper, writer, and
+//! The workspace's one JSON: value model, grammar, escaper, writer, and
 //! the typed field codec every text format here is built on.
 //!
 //! The lint `--json` report, the `BENCH_*.json` documents, node
 //! checkpoints, the distributed service's wire frames and the JSONL event
 //! trace all go through this module. It supports the JSON subset those
 //! schemas use: objects, arrays, strings with `\uXXXX` escapes, finite
-//! numbers, booleans, and `null`.
+//! numbers in RFC 8259's grammar, booleans, and `null`.
 //!
 //! Input is untrusted (a frame arrives over a socket, a checkpoint over a
-//! process boundary), so three limits are part of the contract:
+//! process boundary), so three limits are part of the contract, and they
+//! hold alike for a tree ([`parse`]) and for text read straight into a
+//! type ([`Reader`]) — the two share one scan:
 //!
-//! * **Nesting depth.** [`parse`] recurses once per nested array or
+//! * **Nesting depth.** The scan recurses once per nested array or
 //!   object and refuses a document deeper than [`MAX_DEPTH`] with an
 //!   `Err`, so no input can exhaust the stack.
 //! * **Integers.** Numbers are `f64`. An integer is read back only when
@@ -22,12 +24,17 @@
 //!   only through [`FromJson`], which range-checks; out of range is an
 //!   `Err`, never a wrap.
 //!
-//! A type's text form is stated once, as a [`ToJson`]/[`FromJson`] pair,
-//! and decoders fetch members with the typed accessors [`Json::field`],
-//! [`Json::opt_field`], [`Json::array`] and [`Json::member`], whose
-//! errors name the key. The pairs for the `twobit-types` wire types live
-//! beside this module in `codec.rs`; every other crate implements them
-//! for its own types.
+//! A type's text form is stated once, as a [`ToJson`]/[`FromJson`] pair.
+//! A decode is written against [`Value`], whose typed accessors
+//! ([`Value::field`], [`Value::opt_field`], [`Value::array`],
+//! [`Value::member`]) name the key in their errors, and it reads either
+//! source: a tree node, or a value of text a [`Reader`] scanned, where a
+//! frame decodes with no tree and a string without escapes is borrowed.
+//! Both sources answer alike — a repeated key yields its last value — so
+//! one statement decodes the same value, or refuses with the same error,
+//! from either. The pairs for the `twobit-types` wire types live beside
+//! this module in `codec.rs`; every other crate implements them for its
+//! own types.
 //!
 //! The encode half is an *emission*: [`ToJson::emit`] says what the value
 //! is made of to a [`Sink`], and there are two sinks. [`ToJson::json`]
@@ -41,6 +48,7 @@
 //! an object whose statement lists its members out of order, as a
 //! fallback that costs such a statement a copy.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
@@ -84,17 +92,6 @@ impl Json {
         }
     }
 
-    /// The numeric value as an unsigned integer (rejects negatives,
-    /// fractional values, and anything at or above 2^53, where a double
-    /// may already stand for a different integer than the text did).
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_INTEGERS => Some(*n as u64),
-            _ => None,
-        }
-    }
-
     /// The string value, if this is a string.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
@@ -131,76 +128,22 @@ impl Json {
         }
     }
 
-    /// A required member of an object, undecoded.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming `key` when it is absent (or `self` is not
-    /// an object).
-    pub fn member(&self, key: &str) -> Result<&Json, String> {
-        self.get(key)
-            .ok_or_else(|| format!("missing field {key:?}"))
-    }
-
-    /// A required member, decoded and range-checked as `T`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming `key` when it is absent or is not a `T`.
-    pub fn field<T: FromJson>(&self, key: &str) -> Result<T, String> {
-        T::from_json(self.member(key)?).map_err(|e| format!("field {key:?}: {e}"))
-    }
-
-    /// A member that may be absent (`None`), decoded as `T` when present.
-    /// A member that is always written but may be `null` is
-    /// `field::<Option<T>>` instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming `key` when it is present but not a `T`.
-    pub fn opt_field<T: FromJson>(&self, key: &str) -> Result<Option<T>, String> {
-        self.get(key)
-            .map(|v| T::from_json(v).map_err(|e| format!("field {key:?}: {e}")))
-            .transpose()
-    }
-
-    /// The elements of a required array member, undecoded (for arrays of
-    /// entry objects; an array of one type is `field::<Vec<T>>`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming `key` when it is absent or not an array.
-    pub fn array(&self, key: &str) -> Result<&[Json], String> {
-        self.member(key)?
-            .items()
-            .map_err(|e| format!("field {key:?}: {e}"))
-    }
-
-    /// The elements, or an error if this is not an array.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when `self` is not an array.
-    pub fn items(&self) -> Result<&[Json], String> {
-        self.as_array().ok_or_else(|| "not an array".to_string())
-    }
-
-    /// [`field::<u64>`](Self::field).
+    /// [`field::<u64>`](Value::field).
     ///
     /// # Errors
     ///
     /// Returns a message naming `key` when absent or not an integer.
     pub fn req_u64(&self, key: &str) -> Result<u64, String> {
-        self.field(key)
+        Value::field(self, key)
     }
 
-    /// [`field::<f64>`](Self::field).
+    /// [`field::<f64>`](Value::field).
     ///
     /// # Errors
     ///
     /// Returns a message naming `key` when absent or not a number.
     pub fn req_f64(&self, key: &str) -> Result<f64, String> {
-        self.field(key)
+        Value::field(self, key)
     }
 
     /// A required string member, borrowed.
@@ -209,7 +152,7 @@ impl Json {
     ///
     /// Returns a message naming `key` when absent or not a string.
     pub fn req_str(&self, key: &str) -> Result<&str, String> {
-        self.member(key)?
+        Value::member(self, key)?
             .as_str()
             .ok_or_else(|| format!("field {key:?}: not a string"))
     }
@@ -578,14 +521,153 @@ impl Sink for Text {
 }
 
 /// A type decodable from its JSON form, with every number range-checked.
+///
+/// The decode is stated once, against [`Value`], so the same statement
+/// reads a tree ([`FromJson::from_json`]) and scanned text
+/// ([`Reader::read`]).
 pub trait FromJson: Sized {
-    /// Decodes `j`.
+    /// Decodes `v`.
     ///
     /// # Errors
     ///
-    /// Returns a message when `j` has the wrong shape or a value does not
+    /// Returns a message when `v` has the wrong shape or a value does not
     /// fit the type.
-    fn from_json(j: &Json) -> Result<Self, String>;
+    fn decode<'a, V: Value<'a>>(v: V) -> Result<Self, String>;
+
+    /// Decodes a tree.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode`](Self::decode).
+    fn from_json(j: &Json) -> Result<Self, String> {
+        Self::decode(j)
+    }
+}
+
+/// A JSON value a [`FromJson`] statement reads: a tree node (`&Json`) or
+/// a value of a scanned document ([`Scanned`]). Both answer every
+/// question alike — a repeated key yields its last value, a string its
+/// unescaped text — so a statement decodes the same value from either.
+pub trait Value<'a>: Copy {
+    /// The elements of an array, in order.
+    type Items: ExactSizeIterator<Item = Self>;
+
+    /// The member named `key` (the last one, if repeated); `None` for an
+    /// absent key or a non-object.
+    fn get(self, key: &str) -> Option<Self>;
+    /// The number, if this is one.
+    fn as_f64(self) -> Option<f64>;
+    /// The boolean, if this is one.
+    fn as_bool(self) -> Option<bool>;
+    /// The string, if this is one: borrowed unless it had escapes.
+    fn as_str(self) -> Option<Cow<'a, str>>;
+    /// Whether this is `null`.
+    fn is_null(self) -> bool;
+    /// The elements, or an error if this is not an array.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when `self` is not an array.
+    fn items(self) -> Result<Self::Items, String>;
+    /// This value as a tree (a checkpoint carried in a frame).
+    fn tree(self) -> Json;
+
+    /// The number as an unsigned integer: refused when negative,
+    /// fractional, or at or above 2^53, where a double may already stand
+    /// for a different integer than the text did.
+    fn as_u64(self) -> Option<u64> {
+        let exact = |n: &f64| *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_INTEGERS;
+        self.as_f64().filter(exact).map(|n| n as u64)
+    }
+
+    /// A required member, undecoded.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `key` when it is absent (or `self` is not
+    /// an object).
+    fn member(self, key: &str) -> Result<Self, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field {key:?}"))
+    }
+
+    /// A required member, decoded and range-checked as `T`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `key` when it is absent or is not a `T`.
+    fn field<T: FromJson>(self, key: &str) -> Result<T, String> {
+        T::decode(self.member(key)?).map_err(|e| format!("field {key:?}: {e}"))
+    }
+
+    /// A member that may be absent (`None`), decoded as `T` when present.
+    /// A member that is always written but may be `null` is
+    /// `field::<Option<T>>` instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `key` when it is present but not a `T`.
+    fn opt_field<T: FromJson>(self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| T::decode(v).map_err(|e| format!("field {key:?}: {e}")))
+            .transpose()
+    }
+
+    /// The elements of a required array member, undecoded (for arrays of
+    /// entry objects; an array of one type is `field::<Vec<T>>`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `key` when it is absent or not an array.
+    fn array(self, key: &str) -> Result<Self::Items, String> {
+        self.member(key)?
+            .items()
+            .map_err(|e| format!("field {key:?}: {e}"))
+    }
+
+    /// A required string member.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `key` when absent or not a string.
+    fn req_str(self, key: &str) -> Result<Cow<'a, str>, String> {
+        self.member(key)?
+            .as_str()
+            .ok_or_else(|| format!("field {key:?}: not a string"))
+    }
+}
+
+impl<'a> Value<'a> for &'a Json {
+    type Items = std::slice::Iter<'a, Json>;
+
+    fn get(self, key: &str) -> Option<Self> {
+        Json::get(self, key)
+    }
+
+    fn as_f64(self) -> Option<f64> {
+        Json::as_f64(self)
+    }
+
+    fn as_bool(self) -> Option<bool> {
+        Json::as_bool(self)
+    }
+
+    fn as_str(self) -> Option<Cow<'a, str>> {
+        Json::as_str(self).map(Cow::Borrowed)
+    }
+
+    fn is_null(self) -> bool {
+        matches!(self, Json::Null)
+    }
+
+    fn items(self) -> Result<Self::Items, String> {
+        let items = self.as_array().map(<[Json]>::iter);
+        items.ok_or_else(|| "not an array".to_string())
+    }
+
+    fn tree(self) -> Json {
+        self.clone()
+    }
 }
 
 macro_rules! unsigned_codec {
@@ -597,10 +679,10 @@ macro_rules! unsigned_codec {
         }
 
         impl FromJson for $t {
-            fn from_json(j: &Json) -> Result<Self, String> {
-                let n = j
-                    .as_u64()
-                    .ok_or_else(|| format!("not an unsigned integer below 2^53: {}", j.to_json()))?;
+            fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
+                let n = j.as_u64().ok_or_else(|| {
+                    format!("not an unsigned integer below 2^53: {}", j.tree().to_json())
+                })?;
                 <$t>::try_from(n).map_err(|_| format!("{n} does not fit {}", stringify!($t)))
             }
         }
@@ -610,7 +692,7 @@ macro_rules! unsigned_codec {
 unsigned_codec!(u8, u16, u32, u64, usize);
 
 impl FromJson for f64 {
-    fn from_json(j: &Json) -> Result<Self, String> {
+    fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
         j.as_f64().ok_or_else(|| "not a number".to_string())
     }
 }
@@ -622,7 +704,7 @@ impl ToJson for bool {
 }
 
 impl FromJson for bool {
-    fn from_json(j: &Json) -> Result<Self, String> {
+    fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
         j.as_bool().ok_or_else(|| "not a boolean".to_string())
     }
 }
@@ -640,9 +722,9 @@ impl ToJson for String {
 }
 
 impl FromJson for String {
-    fn from_json(j: &Json) -> Result<Self, String> {
+    fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
         j.as_str()
-            .map(str::to_string)
+            .map(Cow::into_owned)
             .ok_or_else(|| "not a string".to_string())
     }
 }
@@ -671,10 +753,11 @@ impl<T: ToJson> ToJson for Option<T> {
 }
 
 impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        match j {
-            Json::Null => Ok(None),
-            v => T::from_json(v).map(Some),
+    fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
+        if j.is_null() {
+            Ok(None)
+        } else {
+            T::decode(j).map(Some)
         }
     }
 }
@@ -691,9 +774,15 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
+/// Allocated once, at the array's length.
 impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        j.items()?.iter().map(T::from_json).collect()
+    fn decode<'a, V: Value<'a>>(j: V) -> Result<Self, String> {
+        let items = j.items()?;
+        let mut out = Vec::with_capacity(items.len());
+        for item in items {
+            out.push(T::decode(item)?);
+        }
+        Ok(out)
     }
 }
 
@@ -718,7 +807,7 @@ macro_rules! json_struct {
         }
 
         impl $crate::json::FromJson for $ty {
-            fn from_json(j: &$crate::json::Json) -> Result<Self, String> {
+            fn decode<'a, V: $crate::json::Value<'a>>(j: V) -> Result<Self, String> {
                 Ok(Self { $($field: j.field(stringify!($field))?),* })
             }
         }
@@ -739,10 +828,10 @@ macro_rules! json_enum {
         }
 
         impl $crate::json::FromJson for $ty {
-            fn from_json(j: &$crate::json::Json) -> Result<Self, String> {
-                match j.as_str() {
+            fn decode<'a, V: $crate::json::Value<'a>>(j: V) -> Result<Self, String> {
+                match j.as_str().as_deref() {
                     $(Some($name) => Ok($ty::$variant),)*
-                    _ => Err(format!("not one of {:?}: {}", [$($name),*], j.to_json())),
+                    _ => Err(format!("not one of {:?}: {}", [$($name),*], j.tree().to_json())),
                 }
             }
         }
@@ -835,235 +924,404 @@ impl fmt::Write for Escaped<'_> {
     }
 }
 
-/// Parses one JSON document (trailing whitespace allowed, nothing else).
+/// Parses one JSON document (trailing whitespace allowed, nothing else)
+/// into a tree: the [`Reader`]'s scan, then the tree of what it indexed.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message with a byte offset on malformed
 /// input, including a document nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
+    Reader::default().with(text, |root| root.tree())
+}
+
+/// Reads JSON documents straight from their text: one pass validates a
+/// document against the grammar and indexes its values into a token
+/// tape, and a [`FromJson`] statement then reads the tape through
+/// [`Scanned`] — no tree, and no string copied unless it has escapes.
+/// The tape is kept from one document to the next, so a reader that is
+/// used again allocates nothing for a document no larger than one it
+/// has read.
+///
+/// The scan is the grammar's one statement: [`parse`] builds its tree
+/// from it, so a document is accepted or refused alike on both paths,
+/// with the same message.
+#[derive(Debug, Default)]
+pub struct Reader {
+    tape: Vec<Token>,
+}
+
+impl Reader {
+    /// Decodes `text`'s one document as a `T`.
+    ///
+    /// # Errors
+    ///
+    /// As [`parse`] for malformed text, as [`FromJson::decode`] for a
+    /// document that is not a `T`.
+    pub fn read<T: FromJson>(&mut self, text: &str) -> Result<T, String> {
+        self.with(text, |root| T::decode(root))?
     }
-    Ok(value)
-}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays and objects currently open.
-    depth: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+    /// Scans `text`'s one document and hands its root value to `f`.
+    fn with<R>(&mut self, text: &str, f: impl FnOnce(Scanned<'_>) -> R) -> Result<R, String> {
+        self.tape.clear();
+        let tape = &mut self.tape;
+        let mut scan = Scan { text, pos: 0, tape };
+        scan.skip_ws();
+        scan.value(0)?;
+        scan.skip_ws();
+        if scan.pos != text.len() {
+            return scan.fail("trailing garbage");
         }
+        let tape = &self.tape;
+        let doc = Doc { text, tape };
+        Ok(f(Scanned { doc: &doc, at: 0 }))
+    }
+}
+
+/// One value on the tape, in document order: a container's elements (an
+/// object's as key, value, key, value, …) follow its own token.
+#[derive(Debug, Clone, Copy)]
+enum Token {
+    Null,
+    Bool(bool),
+    Num(f64),
+    /// The bytes between the quotes, and whether they hold an escape.
+    Str(usize, usize, bool),
+    /// The number of elements, and the tape index just past the last.
+    Arr(usize, usize),
+    /// The number of members, and the tape index just past the last.
+    Obj(usize, usize),
+}
+
+/// The scan of one document: recursive descent, once per nested array or
+/// object and never deeper than [`MAX_DEPTH`]. `depth` is how many arrays
+/// and objects are open around the value being scanned.
+struct Scan<'a> {
+    text: &'a str,
+    pos: usize,
+    tape: &'a mut Vec<Token>,
+}
+
+impl Scan<'_> {
+    fn fail<T>(&self, what: impl fmt::Display) -> Result<T, String> {
+        Err(format!("{what} at byte {}", self.pos))
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
+    /// Steps over `b` if it is next.
+    fn eat(&mut self, b: u8) -> bool {
+        let next = self.peek() == Some(b);
+        self.pos += usize::from(next);
+        next
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
+    /// Steps over a run of decimal digits and says how long it was.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
         }
+        self.pos - start
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(open @ (b'{' | b'[')) => {
-                if self.depth == MAX_DEPTH {
-                    return Err(format!(
-                        "nested deeper than {MAX_DEPTH} levels at byte {}",
-                        self.pos
-                    ));
-                }
-                self.depth += 1;
-                let value = if open == b'{' {
-                    self.object()
-                } else {
-                    self.array()
-                };
-                self.depth -= 1;
-                value
-            }
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(format!(
-                "unexpected character {:?} at byte {}",
-                char::from(b),
-                self.pos
-            )),
-            None => Err("unexpected end of input".to_string()),
+    fn value(&mut self, depth: usize) -> Result<(), String> {
+        let (word, token) = match self.peek() {
+            Some(open @ (b'{' | b'[')) => return self.container(open, depth),
+            Some(b'"') => return self.string(),
+            Some(b'-' | b'0'..=b'9') => return self.number(),
+            Some(b't') => ("true", Token::Bool(true)),
+            Some(b'f') => ("false", Token::Bool(false)),
+            Some(b'n') => ("null", Token::Null),
+            Some(b) => return self.fail(format_args!("unexpected character {:?}", char::from(b))),
+            None => return Err("unexpected end of input".to_string()),
+        };
+        if !self.text[self.pos..].starts_with(word) {
+            return self.fail("invalid literal");
         }
+        self.pos += word.len();
+        self.tape.push(token);
+        Ok(())
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+    /// An object (`open` is `{`) or an array.
+    fn container(&mut self, open: u8, depth: usize) -> Result<(), String> {
+        if depth == MAX_DEPTH {
+            return self.fail(format_args!("nested deeper than {MAX_DEPTH} levels"));
+        }
+        self.pos += 1;
+        let container: fn(usize, usize) -> Token =
+            if open == b'{' { Token::Obj } else { Token::Arr };
+        let at = self.tape.len();
+        self.tape.push(Token::Null);
+        // `}` and `]` are two past their openers.
+        let close = open + 2;
+        let mut len = 0;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+        while !self.eat(close) {
+            if len > 0 && !self.eat(b',') {
+                return self.fail(format_args!("expected ',' or '{}'", char::from(close)));
             }
+            self.skip_ws();
+            if open == b'{' {
+                self.string()?;
+                self.skip_ws();
+                if !self.eat(b':') {
+                    return self.fail("expected ':'");
+                }
+                self.skip_ws();
+            }
+            self.value(depth + 1)?;
+            len += 1;
+            self.skip_ws();
         }
+        self.tape[at] = container(len, self.tape.len());
+        Ok(())
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+    /// A string: its escapes are checked here and decoded by [`unescape`]
+    /// when the string is read.
+    fn string(&mut self) -> Result<(), String> {
+        if !self.eat(b'"') {
+            return self.fail("expected '\"'");
         }
+        let (start, mut escaped, bytes) = (self.pos, false, self.text.as_bytes());
         loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: a run of plain bytes.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| format!("invalid UTF-8 near byte {start}"))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
+            match bytes.get(self.pos) {
+                Some(b'"') => break,
                 Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| {
-                                    format!("truncated \\u escape at byte {}", self.pos)
-                                })?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by the bench
-                            // schema; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    escaped = true;
+                    self.pos += 2;
+                    match bytes.get(self.pos - 1) {
+                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {}
+                        Some(b'u') => match bytes.get(self.pos..self.pos + 4) {
+                            Some(hex) if hex.iter().all(u8::is_ascii_hexdigit) => self.pos += 4,
+                            Some(_) => return self.fail("bad \\u escape"),
+                            None => return self.fail("truncated \\u escape"),
+                        },
+                        Some(&b) => {
+                            return self.fail(format_args!("unknown escape \\{}", char::from(b)))
                         }
-                        other => {
-                            return Err(format!(
-                                "unknown escape \\{} at byte {}",
-                                char::from(other),
-                                self.pos
-                            ))
-                        }
+                        None => return Err("unterminated escape".to_string()),
                     }
                 }
-                _ => return Err(format!("unterminated string at byte {}", self.pos)),
+                Some(&b) if b >= 0x20 => self.pos += 1,
+                _ => return self.fail("unterminated string"),
             }
         }
+        self.tape.push(Token::Str(start, self.pos, escaped));
+        self.pos += 1;
+        Ok(())
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// A number in RFC 8259's grammar: `-? (0 | [1-9][0-9]*)
+    /// (.[0-9]+)? ([eE][+-]?[0-9]+)?`.
+    fn number(&mut self) -> Result<(), String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        self.eat(b'-');
+        let int = self.pos;
+        // One digit, or more that do not start with `0`.
+        let mut valid =
+            self.digits() > 0 && (self.pos == int + 1 || !self.text[int..].starts_with('0'));
+        if self.eat(b'.') {
+            valid &= self.digits() > 0;
         }
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        if self.eat(b'e') || self.eat(b'E') {
+            let _ = self.eat(b'+') || self.eat(b'-');
+            valid &= self.digits() > 0;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        let n: f64 = text
-            .parse()
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))?;
+        let text = &self.text[start..self.pos];
+        if !valid {
+            return Err(format!("invalid number {text:?} at byte {start}"));
+        }
+        let n: f64 = text.parse().unwrap_or(f64::NAN);
         if !n.is_finite() {
             return Err(format!("non-finite number {text:?} at byte {start}"));
         }
-        Ok(Json::Num(n))
+        self.tape.push(Token::Num(n));
+        Ok(())
+    }
+}
+
+/// The text of a string whose escapes the scan checked — the one string
+/// decoder. `\uXXXX` is four hex digits, and a run of them is UTF-16: a
+/// high surrogate followed by a low one is one character, and a
+/// surrogate on its own is U+FFFD.
+fn unescape(raw: &str) -> String {
+    let b = raw.as_bytes();
+    let mut out = String::with_capacity(raw.len());
+    let (mut i, mut plain) = (0, 0);
+    while i < b.len() {
+        if b[i] != b'\\' {
+            i += 1;
+            continue;
+        }
+        out.push_str(&raw[plain..i]);
+        if b[i + 1] == b'u' {
+            let units = std::iter::from_fn(|| {
+                let hex = raw[i..].strip_prefix("\\u")?.get(..4)?;
+                i += 6;
+                u16::from_str_radix(hex, 16).ok()
+            });
+            out.extend(char::decode_utf16(units).map(|c| c.unwrap_or('\u{fffd}')));
+        } else {
+            out.push(match b[i + 1] {
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                other => char::from(other),
+            });
+            i += 2;
+        }
+        plain = i;
+    }
+    out.push_str(&raw[plain..]);
+    out
+}
+
+/// A scanned document: its text and its tape.
+struct Doc<'a> {
+    text: &'a str,
+    tape: &'a [Token],
+}
+
+/// A value of a document a [`Reader`] scanned: where it lies on the
+/// tape. Copying one is copying two words.
+#[derive(Clone, Copy)]
+pub struct Scanned<'a> {
+    doc: &'a Doc<'a>,
+    at: usize,
+}
+
+impl<'a> Scanned<'a> {
+    fn token(self) -> Token {
+        self.doc.tape[self.at]
+    }
+
+    /// The tape index just past this value.
+    fn skip(self) -> usize {
+        match self.token() {
+            Token::Arr(_, next) | Token::Obj(_, next) => next,
+            _ => self.at + 1,
+        }
+    }
+
+    /// The `len` values that follow one another from `at`.
+    fn run(self, at: usize, len: usize) -> Elements<'a> {
+        Elements {
+            next: Scanned { at, ..self },
+            left: len,
+        }
+    }
+}
+
+/// The elements of a scanned array.
+pub struct Elements<'a> {
+    next: Scanned<'a>,
+    left: usize,
+}
+
+impl<'a> Iterator for Elements<'a> {
+    type Item = Scanned<'a>;
+
+    fn next(&mut self) -> Option<Scanned<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        let item = self.next;
+        self.next.at = item.skip();
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Elements<'_> {}
+
+impl<'a> Value<'a> for Scanned<'a> {
+    type Items = Elements<'a>;
+
+    fn get(self, key: &str) -> Option<Self> {
+        let Token::Obj(len, _) = self.token() else {
+            return None;
+        };
+        let text = self.doc.text.as_bytes();
+        let (mut at, mut found) = (self.at + 1, None);
+        for _ in 0..len {
+            let value = Scanned { at: at + 1, ..self };
+            let named = match self.doc.tape[at] {
+                Token::Str(start, end, false) => text.get(start..end) == Some(key.as_bytes()),
+                _ => Scanned { at, ..self }.as_str().as_deref() == Some(key),
+            };
+            if named {
+                found = Some(value);
+            }
+            at = value.skip();
+        }
+        found
+    }
+
+    fn as_f64(self) -> Option<f64> {
+        match self.token() {
+            Token::Num(n) => Some(n),
+            _ => None,
+        }
+    }
+
+    fn as_bool(self) -> Option<bool> {
+        match self.token() {
+            Token::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    fn as_str(self) -> Option<Cow<'a, str>> {
+        match self.token() {
+            Token::Str(start, end, false) => Some(Cow::Borrowed(&self.doc.text[start..end])),
+            Token::Str(start, end, true) => Some(Cow::Owned(unescape(&self.doc.text[start..end]))),
+            _ => None,
+        }
+    }
+
+    fn is_null(self) -> bool {
+        matches!(self.token(), Token::Null)
+    }
+
+    fn items(self) -> Result<Elements<'a>, String> {
+        match self.token() {
+            Token::Arr(len, _) => Ok(self.run(self.at + 1, len)),
+            _ => Err("not an array".to_string()),
+        }
+    }
+
+    fn tree(self) -> Json {
+        match self.token() {
+            Token::Null => Json::Null,
+            Token::Bool(b) => Json::Bool(b),
+            Token::Num(n) => Json::Num(n),
+            Token::Str(..) => Json::Str(self.as_str().map(Cow::into_owned).unwrap_or_default()),
+            Token::Arr(len, _) => self.run(self.at + 1, len).map(Scanned::tree).collect(),
+            // Keys and values in turn; a repeated key keeps its last
+            // value, as `get` reads it.
+            Token::Obj(len, _) => {
+                let (mut map, mut values) = (BTreeMap::new(), self.run(self.at + 1, 2 * len));
+                while let (Some(k), Some(v)) = (values.next(), values.next()) {
+                    map.insert(k.as_str().unwrap_or_default().into_owned(), v.tree());
+                }
+                Json::Obj(map)
+            }
+        }
     }
 }
 
@@ -1076,6 +1334,11 @@ mod tests {
         for text in ["null", "true", "false", "0", "-17", "3.5", "\"hi\""] {
             let v = parse(text).unwrap();
             assert_eq!(v.to_json(), text, "{text}");
+        }
+        // Every form of RFC 8259's number grammar is accepted.
+        for text in ["-0", "1e3", "1.5E-2", "0.25e+1", "-9007199254740993"] {
+            let n: f64 = text.parse().unwrap();
+            assert_eq!(parse(text).unwrap().as_f64(), Some(n), "{text}");
         }
     }
 
@@ -1120,6 +1383,20 @@ mod tests {
         write_string(&mut out, s);
         assert_eq!(parse(&out).unwrap().as_str(), Some(s));
         assert_eq!(parse(r#""Aé""#).unwrap().as_str(), Some("Aé"));
+        // An escaped surrogate pair is one character; a surrogate on its
+        // own, or a high one before a non-surrogate, is U+FFFD.
+        for (text, want) in [
+            (r#""\ud83d\ude00""#, "\u{1f600}"),
+            (r#""x\uD83D\uDE00y""#, "x\u{1f600}y"),
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\n""#, "\u{fffd}\n"),
+        ] {
+            assert_eq!(parse(text).unwrap().as_str(), Some(want), "{text}");
+            let mut reader = Reader::default();
+            assert_eq!(reader.read::<String>(text).unwrap(), want, "{text}");
+        }
     }
 
     #[test]
@@ -1198,7 +1475,7 @@ mod tests {
     #[test]
     fn accessors_navigate() {
         let doc = parse(r#"{"a": {"b": [1, 2, {"c": "x"}]}}"#).unwrap();
-        let arr = doc.get("a").unwrap().get("b").unwrap().as_array().unwrap();
+        let arr: Vec<&Json> = doc.get("a").unwrap().array("b").unwrap().collect();
         assert_eq!(arr[0].as_u64(), Some(1));
         assert_eq!(arr[2].get("c").unwrap().as_str(), Some("x"));
         assert!(doc.get("missing").is_none());
@@ -1218,8 +1495,33 @@ mod tests {
             "1.2.3",
             "[] []",
             "nan",
+            // `\u` takes exactly four hex digits, and no sign.
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u004""#,
+            r#""\u00g1""#,
+            // RFC 8259's number grammar.
+            "01",
+            "-01",
+            "1.",
+            "1.e3",
+            "-",
+            "1e",
+            "1e+",
+            ".5",
+            "+1",
+            "1E400",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+        for (bad, error) in [
+            ("[1, 01]", "invalid number \"01\" at byte 4"),
+            ("[1e999]", "non-finite number \"1e999\" at byte 1"),
+            (r#""\x""#, "unknown escape \\x at byte 3"),
+            (r#""\u00"#, "truncated \\u escape at byte 3"),
+            (r#""\u00g1""#, "bad \\u escape at byte 3"),
+        ] {
+            assert_eq!(parse(bad).unwrap_err(), error, "{bad:?}");
         }
     }
 }
