@@ -1,34 +1,24 @@
-//! Perf-Compare: the CI perf-regression gate. Diffs two
-//! `BENCH_*.json` documents produced by `bench_throughput` and exits
-//! nonzero when the candidate regresses past the thresholds.
+//! Perf-Compare: the CI gate. Diffs two `BENCH_*.json` documents written
+//! by `bench_throughput` and exits nonzero unless the candidate simulated
+//! exactly the baseline's work.
 //!
 //! ```text
-//! perf_compare BASELINE.json CANDIDATE.json
-//!              [--warn-only] [--verbose] [--deterministic-only]
-//!              [--refs-frac F] [--events-frac F]
-//!              [--latency-frac F] [--alloc-frac F]
+//! perf_compare BASELINE.json CANDIDATE.json [--verbose]
 //! ```
 //!
-//! Wall-clock throughput thresholds default to ±25% (CI hosts are
-//! noisy); simulated latency percentiles and event/cycle counts are
-//! deterministic for a fixed config and default to zero tolerance.
-//! `--deterministic-only` compares *only* the deterministic quantities —
-//! the blocking CI mode, immune to host noise: any failure means the
-//! candidate simulates different work than the baseline. `--warn-only`
-//! prints regressions but exits 0 — for gating a fresh baseline in
-//! before enforcement, or for advisory wall-clock checks.
+//! Exit 0: every common case's events, cycles, tag probes and latency
+//! classes are equal. Exit 1: a quantity drifted, a baseline case is
+//! missing, or the two documents were produced with different
+//! `caches` / `refs_per_cpu` / `seed`. Exit 2: bad arguments or an
+//! unreadable document. `--verbose` also lists the unchanged quantities.
 
 use std::process::ExitCode;
 
-use twobit_bench::compare::{compare, Thresholds};
+use twobit_bench::compare::compare;
 use twobit_bench::throughput::BenchDoc;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: perf_compare BASELINE.json CANDIDATE.json [--warn-only] \
-         [--verbose] [--deterministic-only] [--refs-frac F] \
-         [--events-frac F] [--latency-frac F] [--alloc-frac F]"
-    );
+    eprintln!("usage: perf_compare BASELINE.json CANDIDATE.json [--verbose]");
     std::process::exit(2);
 }
 
@@ -44,30 +34,11 @@ fn load(path: &str) -> BenchDoc {
 }
 
 fn main() -> ExitCode {
-    let mut thr = Thresholds::default();
-    let mut warn_only = false;
     let mut verbose = false;
     let mut paths: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut frac = |flag: &str| -> f64 {
-            let raw = args.next().unwrap_or_else(|| {
-                eprintln!("{flag} requires a value");
-                usage()
-            });
-            raw.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} wants a fraction, got {raw:?}");
-                usage()
-            })
-        };
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--warn-only" => warn_only = true,
             "--verbose" => verbose = true,
-            "--deterministic-only" => thr.deterministic_only = true,
-            "--refs-frac" => thr.refs_per_sec_drop = frac("--refs-frac"),
-            "--events-frac" => thr.events_per_sec_drop = frac("--events-frac"),
-            "--latency-frac" => thr.latency_rise = frac("--latency-frac"),
-            "--alloc-frac" => thr.peak_alloc_rise = frac("--alloc-frac"),
             "--help" | "-h" => usage(),
             other if other.starts_with("--") => {
                 eprintln!("unknown argument {other:?}");
@@ -80,33 +51,18 @@ fn main() -> ExitCode {
         usage()
     };
 
-    let base = load(base_path);
-    let new = load(new_path);
-    if base.config.refs_per_cpu != new.config.refs_per_cpu
-        || base.config.caches != new.config.caches
-        || base.config.seed != new.config.seed
-    {
-        eprintln!(
-            "warning: config skew (baseline refs={} caches={} seed={}, \
-             candidate refs={} caches={} seed={}) — deterministic-count \
-             checks will flag it",
-            base.config.refs_per_cpu,
-            base.config.caches,
-            base.config.seed,
-            new.config.refs_per_cpu,
-            new.config.caches,
-            new.config.seed,
-        );
-    }
-
-    let cmp = compare(&base, &new, &thr);
-    print!("{}", cmp.render(verbose));
-    if cmp.has_regressions() {
-        if warn_only {
-            println!("regressions found, but --warn-only: exiting 0");
-            return ExitCode::SUCCESS;
+    match compare(&load(base_path), &load(new_path)) {
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
-        return ExitCode::FAILURE;
+        Ok(cmp) => {
+            print!("{}", cmp.render(verbose));
+            if cmp.has_regressions() {
+                ExitCode::FAILURE
+            } else {
+                ExitCode::SUCCESS
+            }
+        }
     }
-    ExitCode::SUCCESS
 }

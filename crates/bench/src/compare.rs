@@ -1,104 +1,44 @@
-//! Diffing two `BENCH_*.json` documents with per-metric thresholds — the
-//! CI perf-regression gate behind the `perf_compare` binary.
+//! The CI gate behind the `perf_compare` binary: a candidate `BENCH_*.json`
+//! document must record exactly the simulated work of the baseline.
 //!
-//! Wall-clock throughput (refs/sec, events/sec) is noisy across hosts,
-//! so its thresholds default generous; the simulated-latency percentiles
-//! and the event/reference counts are deterministic for a fixed config,
-//! so any drift there is flagged at zero tolerance — it means the
-//! *simulation itself* changed, which a perf PR should never do
+//! Every quantity in a document is deterministic for a fixed config, so
+//! each common case's events, cycles, tag probes and every latency
+//! class's count, p50 and p99 are compared for equality, in both
+//! directions and over the classes either side has. Any drift means the
+//! *simulation itself* changed, which a performance change must never do
 //! silently.
+
+use std::collections::BTreeSet;
 
 use crate::throughput::{BenchCase, BenchDoc};
 
-/// Per-metric allowed fractional change before a comparison counts as a
-/// regression.
-#[derive(Debug, Clone, Copy)]
-pub struct Thresholds {
-    /// Allowed fractional *drop* in refs/sec (0.25 = tolerate −25%).
-    pub refs_per_sec_drop: f64,
-    /// Allowed fractional drop in events/sec.
-    pub events_per_sec_drop: f64,
-    /// Allowed fractional *rise* in simulated latency p50/p99.
-    pub latency_rise: f64,
-    /// Allowed fractional rise in peak allocated bytes.
-    pub peak_alloc_rise: f64,
-    /// Compare only the deterministic simulated quantities (event and
-    /// cycle counts, tag probes, latency percentiles), skipping every
-    /// wall-clock- and allocator-derived metric. This is the blocking CI
-    /// mode: it never false-positives on a noisy host, and any failure
-    /// means the candidate *simulates different work* than the baseline.
-    pub deterministic_only: bool,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            refs_per_sec_drop: 0.25,
-            events_per_sec_drop: 0.25,
-            latency_rise: 0.0,
-            peak_alloc_rise: 0.10,
-            deterministic_only: false,
-        }
-    }
-}
-
-/// One metric comparison on one case.
+/// One quantity compared on one case.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// The case label (`<scheme>/<workload>`).
     pub label: String,
-    /// The metric compared (e.g. `refs_per_sec`, `p99[read-miss]`).
+    /// The quantity compared (e.g. `cycles`, `p99[read-miss]`).
     pub metric: String,
-    /// Baseline value.
-    pub base: f64,
-    /// Candidate value.
-    pub new: f64,
-    /// Signed fractional change (positive = increased).
-    pub change: f64,
-    /// Whether this exceeds the metric's threshold in the bad direction.
-    pub regressed: bool,
+    /// Baseline value (`None` for a latency class only the candidate has).
+    pub base: Option<u64>,
+    /// Candidate value (`None` for a latency class only the baseline has).
+    pub new: Option<u64>,
 }
 
 impl Finding {
-    fn compare(
-        label: &str,
-        metric: impl Into<String>,
-        base: f64,
-        new: f64,
-        allowed: f64,
-        higher_is_better: bool,
-    ) -> Self {
-        let change = if base == 0.0 {
-            if new == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            (new - base) / base
-        };
-        let regressed = if higher_is_better {
-            change < -allowed
-        } else {
-            change > allowed
-        };
-        Finding {
-            label: label.to_string(),
-            metric: metric.into(),
-            base,
-            new,
-            change,
-            regressed,
-        }
+    /// Whether the two sides differ.
+    #[must_use]
+    pub fn regressed(&self) -> bool {
+        self.base != self.new
     }
 }
 
-/// A full comparison: every metric on every common case, plus structural
-/// problems (cases present in the baseline but missing from the
-/// candidate, which always count as regressions).
+/// A full comparison: every quantity on every common case, plus the
+/// cases present in the baseline but missing from the candidate (always
+/// regressions).
 #[derive(Debug, Clone, Default)]
 pub struct Comparison {
-    /// All metric comparisons, in baseline case order.
+    /// All comparisons, in baseline case order.
     pub findings: Vec<Finding>,
     /// Labels in the baseline with no candidate counterpart.
     pub missing_cases: Vec<String>,
@@ -108,19 +48,20 @@ impl Comparison {
     /// Whether anything regressed.
     #[must_use]
     pub fn has_regressions(&self) -> bool {
-        !self.missing_cases.is_empty() || self.findings.iter().any(|f| f.regressed)
+        !self.missing_cases.is_empty() || self.findings.iter().any(Finding::regressed)
     }
 
     /// The regressed findings only.
     #[must_use]
     pub fn regressions(&self) -> Vec<&Finding> {
-        self.findings.iter().filter(|f| f.regressed).collect()
+        self.findings.iter().filter(|f| f.regressed()).collect()
     }
 
-    /// Renders the comparison. `verbose` includes unregressed metrics;
+    /// Renders the comparison. `verbose` includes unchanged quantities;
     /// otherwise only regressions (and a pass line) appear.
     #[must_use]
     pub fn render(&self, verbose: bool) -> String {
+        let show = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |v| v.to_string());
         let mut out = String::new();
         for label in &self.missing_cases {
             out.push_str(&format!(
@@ -128,17 +69,16 @@ impl Comparison {
             ));
         }
         for f in &self.findings {
-            if !f.regressed && !verbose {
+            if !f.regressed() && !verbose {
                 continue;
             }
-            let tag = if f.regressed { "REGRESSION" } else { "ok" };
+            let tag = if f.regressed() { "REGRESSION" } else { "ok" };
             out.push_str(&format!(
-                "{tag:<10} {:<26} {:<18} {:>14.1} -> {:>14.1}  ({:+.1}%)\n",
+                "{tag:<10} {:<26} {:<24} {:>10} -> {:>10}\n",
                 f.label,
                 f.metric,
-                f.base,
-                f.new,
-                f.change * 100.0,
+                show(f.base),
+                show(f.new),
             ));
         }
         if !self.has_regressions() {
@@ -151,134 +91,75 @@ impl Comparison {
     }
 }
 
-/// Compares `new` against the `base`line under `thr`.
+/// Compares `new` against the `base`line.
 ///
 /// Cases are joined by label; candidate-only cases are ignored (adding a
-/// scheme is not a regression), baseline-only cases are fatal. Alloc
-/// peaks are compared only when both documents carry them.
-#[must_use]
-pub fn compare(base: &BenchDoc, new: &BenchDoc, thr: &Thresholds) -> Comparison {
+/// scheme is not a regression), baseline-only cases are fatal.
+///
+/// # Errors
+///
+/// Returns a message when the two documents were produced with different
+/// `caches`, `refs_per_cpu` or `seed`: they simulated different work, so
+/// there is nothing to compare.
+pub fn compare(base: &BenchDoc, new: &BenchDoc) -> Result<Comparison, String> {
+    let (b, n) = (&base.config, &new.config);
+    if (b.caches, b.refs_per_cpu, b.seed) != (n.caches, n.refs_per_cpu, n.seed) {
+        return Err(format!(
+            "config skew: baseline caches={} refs_per_cpu={} seed={}, \
+             candidate caches={} refs_per_cpu={} seed={}",
+            b.caches, b.refs_per_cpu, b.seed, n.caches, n.refs_per_cpu, n.seed,
+        ));
+    }
     let mut out = Comparison::default();
     for base_case in &base.cases {
-        let Some(new_case) = new.case(&base_case.label) else {
-            out.missing_cases.push(base_case.label.clone());
-            continue;
-        };
-        compare_case(base_case, new_case, thr, &mut out.findings);
-    }
-    out
-}
-
-/// A zero-tolerance, both-directions comparison for quantities that are
-/// deterministic in the simulated work: any drift at all is a regression.
-fn exact(label: &str, metric: &str, base: u64, new: u64) -> Finding {
-    let change = if base == 0 {
-        if new == 0 {
-            0.0
-        } else {
-            f64::INFINITY
+        match new.case(&base_case.label) {
+            Some(new_case) => compare_case(base_case, new_case, &mut out.findings),
+            None => out.missing_cases.push(base_case.label.clone()),
         }
-    } else {
-        (new as f64 - base as f64) / base as f64
-    };
-    Finding {
-        label: label.to_string(),
-        metric: metric.to_string(),
-        base: base as f64,
-        new: new as f64,
-        change,
-        regressed: base != new,
     }
+    Ok(out)
 }
 
-fn compare_case(base: &BenchCase, new: &BenchCase, thr: &Thresholds, out: &mut Vec<Finding>) {
-    let label = &base.label;
-    if !thr.deterministic_only {
-        out.push(Finding::compare(
-            label,
-            "refs_per_sec",
-            base.refs_per_sec(),
-            new.refs_per_sec(),
-            thr.refs_per_sec_drop,
-            true,
-        ));
-        out.push(Finding::compare(
-            label,
-            "events_per_sec",
-            base.events_per_sec(),
-            new.events_per_sec(),
-            thr.events_per_sec_drop,
-            true,
-        ));
-    }
-    // Deterministic simulated quantities: any drift means the two runs
-    // simulated different work (config skew or behavior change) — flag it
-    // in either direction regardless of the latency threshold.
-    out.push(exact(label, "events", base.events, new.events));
-    out.push(exact(label, "cycles", base.cycles, new.cycles));
-    out.push(exact(label, "tag_probes", base.tag_probes, new.tag_probes));
-    for (class, _count, p50, p99) in &base.latency {
-        let Some((_, _, new_p50, new_p99)) = new.latency.iter().find(|(c, ..)| c == class) else {
-            out.push(Finding {
-                label: label.clone(),
-                metric: format!("latency[{class}]"),
-                base: *p50 as f64,
-                new: f64::NAN,
-                change: f64::INFINITY,
-                regressed: true,
-            });
-            continue;
-        };
-        out.push(Finding::compare(
-            label,
-            format!("p50[{class}]"),
-            *p50 as f64,
-            *new_p50 as f64,
-            thr.latency_rise,
-            false,
-        ));
-        out.push(Finding::compare(
-            label,
-            format!("p99[{class}]"),
-            *p99 as f64,
-            *new_p99 as f64,
-            thr.latency_rise,
-            false,
-        ));
-    }
-    if thr.deterministic_only {
-        return;
-    }
-    if let (Some(base_peak), Some(new_peak)) = (base.peak_alloc_bytes, new.peak_alloc_bytes) {
-        out.push(Finding::compare(
-            label,
-            "peak_alloc_bytes",
-            base_peak as f64,
-            new_peak as f64,
-            thr.peak_alloc_rise,
-            false,
-        ));
+fn compare_case(base: &BenchCase, new: &BenchCase, out: &mut Vec<Finding>) {
+    let mut push = |metric: String, base_value, new_value| {
+        out.push(Finding {
+            label: base.label.clone(),
+            metric,
+            base: base_value,
+            new: new_value,
+        });
+    };
+    push("events".into(), Some(base.events), Some(new.events));
+    push("cycles".into(), Some(base.cycles), Some(new.cycles));
+    push(
+        "tag_probes".into(),
+        Some(base.tag_probes),
+        Some(new.tag_probes),
+    );
+    let classes: BTreeSet<&String> = base.latency.keys().chain(new.latency.keys()).collect();
+    for class in classes {
+        let (b, n) = (base.latency.get(class), new.latency.get(class));
+        for (i, stat) in ["count", "p50", "p99"].into_iter().enumerate() {
+            push(format!("{stat}[{class}]"), b.map(|l| l[i]), n.map(|l| l[i]));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::throughput::{BenchCase, BenchConfig, BenchDoc};
+    use crate::throughput::BenchConfig;
 
-    fn case(label: &str, wall_ns: u64) -> BenchCase {
+    fn case(label: &str) -> BenchCase {
         BenchCase {
             label: label.to_string(),
             protocol: label.split('/').next().unwrap().to_string(),
             workload: "w".to_string(),
-            wall_ns,
             refs: 10_000,
             events: 50_000,
             cycles: 99_000,
             tag_probes: 123_456,
-            latency: vec![("read-miss".to_string(), 400, 32, 96)],
-            spans: Vec::new(),
-            peak_alloc_bytes: Some(1_000_000),
+            latency: [("read-miss".to_string(), [400, 32, 96])].into(),
         }
     }
 
@@ -289,123 +170,95 @@ mod tests {
         }
     }
 
-    #[test]
-    fn identical_documents_pass() {
-        let base = doc(vec![case("two-bit/low", 1_000_000)]);
-        let cmp = compare(&base, &base.clone(), &Thresholds::default());
-        assert!(!cmp.has_regressions(), "{}", cmp.render(true));
-        assert!(cmp.render(false).contains("no regressions"));
+    fn regressed_metrics(base: &BenchDoc, new: &BenchDoc) -> Vec<String> {
+        let cmp = compare(base, new).unwrap();
+        cmp.regressions().iter().map(|f| f.metric.clone()).collect()
     }
 
     #[test]
-    fn synthetic_20_percent_throughput_regression_is_detected() {
-        let base = doc(vec![case("two-bit/low", 1_000_000)]);
-        // Same simulated work, 25% more wall time → refs/sec drops 20%.
-        let slow = doc(vec![case("two-bit/low", 1_250_000)]);
-        let thr = Thresholds {
-            refs_per_sec_drop: 0.10,
-            events_per_sec_drop: 0.10,
-            ..Thresholds::default()
-        };
-        let cmp = compare(&base, &slow, &thr);
-        assert!(cmp.has_regressions());
-        let metrics: Vec<&str> = cmp
-            .regressions()
-            .iter()
-            .map(|f| f.metric.as_str())
-            .collect();
-        assert!(metrics.contains(&"refs_per_sec"), "{metrics:?}");
-        assert!(metrics.contains(&"events_per_sec"), "{metrics:?}");
-        assert!(cmp.render(false).contains("REGRESSION"));
-
-        // The same 20% drop passes under the default 25% tolerance.
-        let cmp = compare(&base, &slow, &Thresholds::default());
+    fn identical_documents_pass() {
+        let base = doc(vec![case("two-bit/low")]);
+        let cmp = compare(&base, &base.clone()).unwrap();
         assert!(!cmp.has_regressions(), "{}", cmp.render(true));
+        assert_eq!(cmp.findings.len(), 6, "3 counts + count/p50/p99 of 1 class");
+        assert!(cmp.render(false).contains("no regressions across 6"));
     }
 
     #[test]
     fn latency_rise_is_zero_tolerance_by_default() {
-        let base = doc(vec![case("two-bit/low", 1_000_000)]);
+        let base = doc(vec![case("two-bit/low")]);
         let mut worse = base.clone();
-        worse.cases[0].latency[0].3 = 128; // p99: 96 → 128
-        let cmp = compare(&base, &worse, &Thresholds::default());
-        let regs = cmp.regressions();
-        assert_eq!(regs.len(), 1, "{}", cmp.render(true));
-        assert_eq!(regs[0].metric, "p99[read-miss]");
+        worse.cases[0].latency.get_mut("read-miss").unwrap()[2] = 128; // p99: 96 → 128
+        assert_eq!(regressed_metrics(&base, &worse), ["p99[read-miss]"]);
+    }
+
+    #[test]
+    fn one_latency_count_changed_is_flagged() {
+        let base = doc(vec![case("two-bit/low")]);
+        let mut drifted = base.clone();
+        drifted.cases[0].latency.get_mut("read-miss").unwrap()[0] = 401;
+        assert_eq!(regressed_metrics(&base, &drifted), ["count[read-miss]"]);
+    }
+
+    #[test]
+    fn an_extra_latency_class_in_the_candidate_is_flagged() {
+        let base = doc(vec![case("two-bit/low")]);
+        let mut extra = base.clone();
+        extra.cases[0]
+            .latency
+            .insert("write-miss".to_string(), [1, 32, 32]);
+        assert_eq!(
+            regressed_metrics(&base, &extra),
+            ["count[write-miss]", "p50[write-miss]", "p99[write-miss]"]
+        );
+        // And the other way round: a class the candidate lost.
+        assert_eq!(regressed_metrics(&extra, &base).len(), 3);
+        let cmp = compare(&base, &extra).unwrap();
+        assert!(cmp.render(false).contains("-> "), "{}", cmp.render(false));
     }
 
     #[test]
     fn event_count_drift_is_flagged_both_directions() {
-        let base = doc(vec![case("two-bit/low", 1_000_000)]);
+        let base = doc(vec![case("two-bit/low")]);
         for events in [49_000, 51_000] {
             let mut drifted = base.clone();
             drifted.cases[0].events = events;
-            // Keep rates inside tolerance so only the count check fires.
-            drifted.cases[0].wall_ns = 1_000_000 * events / 50_000;
-            let cmp = compare(&base, &drifted, &Thresholds::default());
-            assert!(
-                cmp.regressions().iter().any(|f| f.metric == "events"),
-                "events {events}: {}",
-                cmp.render(true)
-            );
+            assert_eq!(regressed_metrics(&base, &drifted), ["events"]);
         }
     }
 
     #[test]
-    fn deterministic_only_ignores_wall_clock_but_flags_sim_drift() {
-        let base = doc(vec![case("two-bit/low", 1_000_000)]);
-        let thr = Thresholds {
-            deterministic_only: true,
-            ..Thresholds::default()
-        };
-        // 10× slower wall clock: irrelevant in deterministic-only mode.
-        let mut slow = base.clone();
-        slow.cases[0].wall_ns = 10_000_000;
-        slow.cases[0].peak_alloc_bytes = Some(9_000_000);
-        let cmp = compare(&base, &slow, &thr);
-        assert!(!cmp.has_regressions(), "{}", cmp.render(true));
-        assert!(!cmp
-            .findings
-            .iter()
-            .any(|f| f.metric.ends_with("_per_sec") || f.metric == "peak_alloc_bytes"));
-
-        // One cycle of simulated drift: fatal.
+    fn one_cycle_of_drift_is_fatal() {
+        let base = doc(vec![case("two-bit/low")]);
         let mut drifted = base.clone();
         drifted.cases[0].cycles += 1;
-        let cmp = compare(&base, &drifted, &thr);
-        assert!(cmp.regressions().iter().any(|f| f.metric == "cycles"));
+        assert_eq!(regressed_metrics(&base, &drifted), ["cycles"]);
+        let cmp = compare(&base, &drifted).unwrap();
+        assert!(cmp.render(false).starts_with("REGRESSION"));
+    }
+
+    #[test]
+    fn config_skew_is_an_error() {
+        let base = doc(vec![case("two-bit/low")]);
+        for skew in [
+            |c: &mut BenchConfig| c.caches += 1,
+            |c: &mut BenchConfig| c.refs_per_cpu += 1,
+            |c: &mut BenchConfig| c.seed += 1,
+        ] {
+            let mut other = base.clone();
+            skew(&mut other.config);
+            let err = compare(&base, &other).unwrap_err();
+            assert!(err.contains("config skew"), "{err}");
+        }
     }
 
     #[test]
     fn missing_case_is_fatal_extra_case_is_not() {
-        let base = doc(vec![
-            case("two-bit/low", 1_000_000),
-            case("full-map/low", 1_000_000),
-        ]);
-        let new = doc(vec![
-            case("two-bit/low", 1_000_000),
-            case("static-sw/low", 1_000_000),
-        ]);
-        let cmp = compare(&base, &new, &Thresholds::default());
+        let base = doc(vec![case("two-bit/low"), case("full-map/low")]);
+        let new = doc(vec![case("two-bit/low"), case("static-sw/low")]);
+        let cmp = compare(&base, &new).unwrap();
         assert_eq!(cmp.missing_cases, vec!["full-map/low".to_string()]);
         assert!(cmp.has_regressions());
         assert!(cmp.render(false).contains("case missing"));
-    }
-
-    #[test]
-    fn alloc_peak_compared_only_when_both_present() {
-        let base = doc(vec![case("two-bit/low", 1_000_000)]);
-        let mut new = base.clone();
-        new.cases[0].peak_alloc_bytes = None;
-        let cmp = compare(&base, &new, &Thresholds::default());
-        assert!(!cmp.findings.iter().any(|f| f.metric == "peak_alloc_bytes"));
-
-        let mut bloated = base.clone();
-        bloated.cases[0].peak_alloc_bytes = Some(1_200_000);
-        let cmp = compare(&base, &bloated, &Thresholds::default());
-        assert!(cmp
-            .regressions()
-            .iter()
-            .any(|f| f.metric == "peak_alloc_bytes"));
     }
 }

@@ -16,8 +16,9 @@
 //! | `protocol_comparison` | Proto-Zoo: all section 2 schemes on common workloads |
 //! | `acceptability` | Section 4.3 acceptability thresholds |
 //!
-//! Criterion benches (`benches/`) time the table generators and the
-//! simulation engine itself.
+//! `bench_throughput` and `perf_compare` are the deterministic gate:
+//! what every directory scheme simulates on four workloads, recorded and
+//! compared for equality ([`throughput`], [`mod@compare`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,9 +29,9 @@ pub mod obs_cli;
 pub mod sweep;
 pub mod throughput;
 
-pub use compare::{compare, Comparison, Thresholds};
+pub use compare::{compare, Comparison};
 pub use experiments::{
     extra_commands_per_reference, predicted_overhead, run_protocol, run_protocol_traced,
 };
 pub use obs_cli::ObsArgs;
-pub use throughput::{run_suite, AllocHooks, BenchConfig, BenchDoc};
+pub use throughput::{run_suite, BenchConfig, BenchDoc};

@@ -19,7 +19,9 @@
 //! * **Span timers** ([`Profiler`], [`PerfReport`]) — hierarchical
 //!   wall-clock attribution over the simulator's hot paths (event
 //!   dispatch, controller steps, queue ops, network scheduling),
-//!   compiled to no-ops unless the `perf-spans` feature is enabled.
+//!   compiled to no-ops unless the `perf-spans` feature is enabled. The
+//!   repository benchmark's `trace` build (`benchmark/`) is what enables
+//!   it; CI also tests this crate and `twobit-sim` with it on.
 //!
 //! The crate depends only on `twobit-types`; every other crate in the
 //! workspace can layer it in without cycles.

@@ -7,20 +7,18 @@
 //!
 //! * **compile-time**: without the `perf-spans` cargo feature the whole
 //!   type is a zero-sized struct and every method an empty `#[inline]`
-//!   function, so instrumented call sites cost literally nothing (the
-//!   `engine/spans` bench and a `size_of` test in this module hold that
-//!   claim to account);
+//!   function, so instrumented call sites cost literally nothing (a
+//!   `size_of` test in this module holds that claim to account);
 //! * **run-time**: with the feature on, a disabled profiler pays one
-//!   branch per span — the `bench_throughput` binary enables it only
-//!   when asked for attribution.
+//!   branch per span — the repository benchmark's `trace` build
+//!   (`benchmark/`, which turns the feature on) enables it only for the
+//!   runs whose spans it reports.
 //!
 //! Spans nest: `begin("deliver.module")` … `begin("ctrl.queue.drain")` …
 //! `end(…)` … `end(…)` attributes the inner drain time to the drain span
 //! and *subtracts it* from the outer handler, so [`PerfReport`] can rank
 //! handlers by **self time** — time spent in the handler's own code, the
 //! quantity that says where an optimization PR should aim.
-
-use std::fmt::Write as _;
 
 /// Accumulated timing for one span name.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -109,26 +107,6 @@ impl PerfReport {
     #[must_use]
     pub fn total_self_ns(&self) -> u64 {
         self.spans.iter().map(|(_, s)| s.self_ns).sum()
-    }
-
-    /// Renders the top-`n` handlers by self time as an aligned table.
-    #[must_use]
-    pub fn render_top(&self, n: usize) -> String {
-        let total = self.total_self_ns().max(1);
-        let mut out = String::from(
-            "  span                        count        total(ms)   self(ms)    self%\n",
-        );
-        for (name, s) in self.by_self_time().into_iter().take(n) {
-            let _ = writeln!(
-                out,
-                "  {name:<26} {:>8} {:>14.3} {:>10.3} {:>7.1}%",
-                s.count,
-                s.total_ns as f64 / 1e6,
-                s.self_ns as f64 / 1e6,
-                100.0 * s.self_ns as f64 / total as f64,
-            );
-        }
-        out
     }
 }
 
@@ -335,8 +313,6 @@ mod tests {
         let ranked = r.by_self_time();
         assert_eq!(ranked[0].0, "a", "100ns self ranks above 90ns");
         assert_eq!(r.total_self_ns(), 190);
-        let table = r.render_top(10);
-        assert!(table.contains("a"), "{table}");
     }
 
     #[test]
@@ -357,8 +333,8 @@ mod tests {
     #[cfg(not(feature = "perf-spans"))]
     #[test]
     fn compiled_out_profiler_is_zero_sized_and_silent() {
-        // The no-op claim the overhead bench measures empirically, held
-        // structurally: without the feature there is nothing to pay for.
+        // The no-op claim held structurally: without the feature there is
+        // nothing to pay for.
         assert_eq!(std::mem::size_of::<Profiler>(), 0);
         let mut p = Profiler::enabled();
         p.begin("x");

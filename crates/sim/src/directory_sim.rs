@@ -13,8 +13,8 @@ use twobit_types::{
     ProtocolError, SystemConfig, SystemStats, TxnId,
 };
 
-/// Default gauge sampling cadence, in cycles.
-const DEFAULT_METRICS_CADENCE: u64 = 64;
+/// Gauge sampling cadence, in cycles.
+const METRICS_CADENCE: u64 = 64;
 
 /// An open (started, not yet retired) cache transaction, for latency
 /// accounting and trace correlation.
@@ -100,7 +100,7 @@ impl DirectorySim {
             refs_done: vec![0; config.caches],
             refs_target: 0,
             tracer: Box::new(NullTracer),
-            metrics: Metrics::new(config.caches, DEFAULT_METRICS_CADENCE),
+            metrics: Metrics::new(config.caches, METRICS_CADENCE),
             pending: vec![None; config.caches],
             txn_counters: vec![0; config.caches],
             profiler: Profiler::disabled(),
@@ -127,12 +127,6 @@ impl DirectorySim {
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Resets the registry with a new gauge sampling cadence. Only
-    /// meaningful before [`run`](DirectorySim::run).
-    pub fn set_metrics_cadence(&mut self, cadence: u64) {
-        self.metrics = Metrics::new(self.config.caches, cadence);
     }
 
     /// Turns hot-path span timing on or off. Spans cost nothing unless

@@ -93,14 +93,6 @@ impl System {
         }
     }
 
-    /// Sets the gauge sampling cadence (directory backend only; the bus
-    /// backend's gauges are unused). Resets the metrics registry.
-    pub fn set_metrics_cadence(&mut self, cadence: u64) {
-        if let Inner::Directory(sim) = &mut self.inner {
-            sim.set_metrics_cadence(cadence);
-        }
-    }
-
     /// Turns hot-path span profiling on or off (directory backend only;
     /// the bus adapter has no event loop to attribute). No effect unless
     /// the `perf-spans` cargo feature is enabled.

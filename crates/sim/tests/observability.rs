@@ -1,13 +1,14 @@
 //! Integration tests for the observability layer: trace determinism,
-//! JSONL round-tripping through a whole run, and the differential check
+//! JSONL round-tripping through a whole run, the differential check
 //! that the metrics registry's useless-command accounting agrees exactly
-//! with the legacy per-cache statistics.
+//! with the legacy per-cache statistics, and span attribution (with the
+//! `twobit-obs/perf-spans` feature on or off).
 
 use std::cell::RefCell;
 use std::io::Write;
 use std::rc::Rc;
 
-use twobit_obs::{JsonlTracer, SimEvent, TxnClass};
+use twobit_obs::{JsonlTracer, Profiler, SimEvent, TxnClass};
 use twobit_sim::{DirectorySim, System};
 use twobit_types::{ProtocolKind, SystemConfig};
 use twobit_workload::{SharingModel, SharingParams};
@@ -151,4 +152,24 @@ fn bus_reports_carry_reconciled_metrics() {
         report.latency(TxnClass::ReadMiss).map_or(0, |l| l.count) > 0,
         "bus read misses measured in bus cycles"
     );
+}
+
+#[test]
+fn a_profiled_run_attributes_its_event_handlers() {
+    let mut system = System::build(SystemConfig::with_defaults(2)).unwrap();
+    system.set_profiling(true);
+    let workload = SharingModel::new(SharingParams::moderate(), 2, 7).unwrap();
+    system.run(workload, 60).unwrap();
+    let report = system.perf_report();
+    if Profiler::enabled().is_enabled() {
+        for span in ["engine.pop", "event.deliver_module"] {
+            assert!(
+                report.get(span).is_some_and(|s| s.count > 0),
+                "{span} missing from {:?}",
+                report.spans()
+            );
+        }
+    } else {
+        assert!(report.is_empty(), "spans compiled out record nothing");
+    }
 }
