@@ -12,7 +12,7 @@
 use std::process::ExitCode;
 
 use twobit_dist::node::Node;
-use twobit_dist::wire::{Request, Response};
+use twobit_dist::wire::{Lines, Request, Response};
 use twobit_interconnect::transport::{stdio, tcp_connect, Transport};
 use twobit_obs::json::{Reader, Text};
 
@@ -22,6 +22,8 @@ fn serve(io: &mut dyn Transport) -> Result<(), String> {
     // here and copied out by the transport.
     let mut reader = Reader::default();
     let mut text = Text::canonical();
+    // A delivery's event lines, kept from one delivery to the next.
+    let mut events = Lines::new();
     while let Some(line) = io.recv().map_err(|e| format!("recv: {e}"))? {
         let resp = match reader.read::<Request>(&line) {
             Err(e) => Response::Error {
@@ -41,7 +43,10 @@ fn serve(io: &mut dyn Transport) -> Result<(), String> {
                 None => Response::Error {
                     msg: "first request must be init".into(),
                 },
-                Some(n) => n.handle(&req),
+                Some(n) => match req {
+                    Request::Deliver { now, env, .. } => n.deliver_response(now, &env, &mut events),
+                    req => n.handle(&req),
+                },
             },
         };
         let line = text.write(&resp);

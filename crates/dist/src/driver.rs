@@ -62,7 +62,8 @@ use crate::faults::{FaultConfig, Partition, Rng};
 use crate::history::{check_history, LinearizationReport, OpRecord};
 use crate::node::Node;
 use crate::wire::{
-    request_line, response_from_line, Actor, Envelope, NodeConfig, Payload, Request, Response,
+    request_line, response_from_line, Actor, Envelope, Lines, NodeConfig, Payload, Request,
+    Response,
 };
 
 /// The lines of the merged timeline the driver writes itself (node
@@ -343,7 +344,7 @@ pub struct RunReport {
     /// Linearizability checker effort/result.
     pub checker: LinearizationReport,
     /// The merged timeline (one JSONL line per delivery or node event).
-    pub timeline: Vec<String>,
+    pub timeline: Lines,
     /// The raw history (for further analysis).
     pub ops: Vec<OpRecord>,
 }
@@ -666,7 +667,9 @@ struct Driver<'c> {
     /// when the plan has a crash, the one thing that reads it.
     replay_log: BTreeMap<Actor, Vec<(u64, Envelope)>>,
     ops: Vec<OpRecord>,
-    timeline: Vec<String>,
+    /// The merged timeline: the driver's own lines are copied in from
+    /// `text`, and an in-process node writes its event lines here.
+    timeline: Lines,
     /// The one writer of the driver's timeline lines and of the
     /// deliver frames it sends.
     text: Text,
@@ -674,16 +677,14 @@ struct Driver<'c> {
     reader: Reader,
     /// Per node, its share of the timeline — filled only when
     /// `trace_dir` asks for the per-node files.
-    node_events: BTreeMap<Actor, Vec<String>>,
+    node_events: BTreeMap<Actor, Lines>,
     /// The same-instant deliveries being dispatched, and those of them
     /// phase two completes: buffers kept from one batch to the next.
     batch: Vec<Envelope>,
     slots: Vec<Envelope>,
-    /// What one delivery yields, envelopes to route and trace-event
-    /// lines: an in-process node appends to them, and they are emptied
-    /// before the next delivery.
+    /// The envelopes one delivery yields, to route: an in-process node
+    /// appends to it, and it is emptied before the next delivery.
     outputs: Vec<Envelope>,
-    events: Vec<String>,
     lat_read: Histogram,
     lat_write: Histogram,
     retries: u64,
@@ -742,16 +743,14 @@ pub fn run(cfg: &RunConfig) -> Result<RunReport, String> {
 
 fn write_traces(
     dir: &std::path::Path,
-    timeline: &[String],
-    node_events: &BTreeMap<Actor, Vec<String>>,
+    timeline: &Lines,
+    node_events: &BTreeMap<Actor, Lines>,
 ) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let write = |name: &str, lines: &[String]| -> Result<(), String> {
-        let mut body = lines.join("\n");
-        if !body.is_empty() {
-            body.push('\n');
-        }
-        std::fs::write(dir.join(name), body).map_err(|e| format!("write {name}: {e}"))
+    let write = |name: &str, lines: &Lines| -> Result<(), String> {
+        std::fs::File::create(dir.join(name))
+            .and_then(|mut file| lines.write_to(&mut file))
+            .map_err(|e| format!("write {name}: {e}"))
     };
     write("merged.jsonl", timeline)?;
     for (who, lines) in node_events {
@@ -783,7 +782,7 @@ impl<'c> Driver<'c> {
             };
             links.insert(role, spawn_link(&cfg.mode, &node_cfg, &mut poll)?);
             if cfg.trace_dir.is_some() {
-                node_events.insert(role, Vec::new());
+                node_events.insert(role, Lines::new());
             }
         }
         // Stream 0 is the driver's fault stream; clients get 1..=caches.
@@ -813,14 +812,13 @@ impl<'c> Driver<'c> {
             checkpoints: BTreeMap::new(),
             replay_log: BTreeMap::new(),
             ops: Vec::new(),
-            timeline: Vec::new(),
+            timeline: Lines::new(),
             text: Text::canonical(),
             reader: Reader::default(),
             node_events,
             batch: Vec::new(),
             slots: Vec::new(),
             outputs: Vec::new(),
-            events: Vec::new(),
             lat_read: Histogram::new(),
             lat_write: Histogram::new(),
             retries: 0,
@@ -860,12 +858,9 @@ impl<'c> Driver<'c> {
         self.calendar.push(Reverse(Event { t, seq, kind }));
     }
 
-    /// Writes one of the driver's own lines at the end of the timeline,
-    /// as text of its exact length (the timeline keeps every line for
-    /// the whole run).
+    /// Writes one of the driver's own lines at the end of the timeline.
     fn record(&mut self, line: &impl ToJson) {
-        let line = self.text.write(line).to_owned();
-        self.timeline.push(line);
+        self.timeline.push(self.text.write(line));
     }
 
     fn all_done(&self) -> bool {
@@ -929,10 +924,10 @@ impl<'c> Driver<'c> {
                     events: processed,
                     done: &done,
                 });
-                let tail_from = self.timeline.len().saturating_sub(12);
+                let tail: Vec<&str> = self.timeline.last(12).collect();
                 return Err(format!(
                     "livelock: {processed} events without quiescence; timeline tail:\n{}",
-                    self.timeline[tail_from..].join("\n")
+                    tail.join("\n")
                 ));
             }
         }
@@ -1270,14 +1265,14 @@ impl<'c> Driver<'c> {
             return Ok(());
         }
         let mut outputs = std::mem::take(&mut self.outputs);
-        let mut events = std::mem::take(&mut self.events);
+        let before = self.timeline.len();
         match self
             .links
             .get_mut(&who)
             .expect("a node: outputs are checked")
         {
             NodeLink::InProc(n) => n
-                .deliver(self.now, &env, &mut outputs, &mut events)
+                .deliver(self.now, &env, &mut outputs, &mut self.timeline)
                 .map_err(|msg| format!("{who}: {msg}"))?,
             NodeLink::Child { .. } => match self.recv_child(who)? {
                 Response::DeliverOk {
@@ -1285,8 +1280,14 @@ impl<'c> Driver<'c> {
                     events: lines,
                 } => {
                     self.check_outputs(who, &sent)?;
+                    // The timeline keeps lines; a child's may not be two.
+                    if let Some(line) = lines.iter().find(|line| line.contains('\n')) {
+                        return Err(format!("{who}: an event line holds a newline: {line:?}"));
+                    }
                     outputs.extend(sent);
-                    events.extend(lines);
+                    for line in &lines {
+                        self.timeline.push(line);
+                    }
                 }
                 Response::Error { msg } => return Err(format!("{who}: {msg}")),
                 other => return Err(format!("{who}: unexpected reply {other:?}")),
@@ -1299,14 +1300,14 @@ impl<'c> Driver<'c> {
                 .push((self.now, env));
         }
         if let Some(own) = self.node_events.get_mut(&who) {
-            own.extend_from_slice(&events);
+            for line in self.timeline.last(self.timeline.len() - before) {
+                own.push(line);
+            }
         }
-        self.timeline.append(&mut events);
         for out in outputs.drain(..) {
             self.route(out);
         }
         self.outputs = outputs;
-        self.events = events;
         Ok(())
     }
 

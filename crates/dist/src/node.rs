@@ -31,7 +31,7 @@ use twobit_types::{
     ModuleId, ProtocolKind, SystemConfig, TxnId, Version,
 };
 
-use crate::wire::{Actor, Envelope, NodeConfig, Payload, Request, Response};
+use crate::wire::{Actor, Envelope, Lines, NodeConfig, Payload, Request, Response};
 
 /// Maps a scheme name (as carried in [`NodeConfig::scheme`]) to its
 /// [`ProtocolKind`].
@@ -178,7 +178,8 @@ impl Node {
     /// the node-local trace events, as JSONL lines, to `events`. This is
     /// what [`Request::Deliver`] carries across a process boundary; a
     /// driver hosting the node in its own process calls it directly,
-    /// with buffers it keeps from one delivery to the next.
+    /// with an outputs buffer it keeps from one delivery to the next and
+    /// its merged timeline as `events`.
     ///
     /// # Errors
     ///
@@ -189,11 +190,26 @@ impl Node {
         now: u64,
         env: &Envelope,
         outputs: &mut Vec<Envelope>,
-        events: &mut Vec<String>,
+        events: &mut Lines,
     ) -> Result<(), String> {
         match self {
             Node::Cache(n) => n.deliver(now, env, outputs, events),
             Node::Mem(n) => n.deliver(now, env, outputs, events),
+        }
+    }
+
+    /// [`deliver`](Self::deliver) answered as a [`Request::Deliver`] is:
+    /// the event lines go through `events`, which the caller may keep
+    /// from one delivery to the next, and become strings at the wire.
+    pub fn deliver_response(&mut self, now: u64, env: &Envelope, events: &mut Lines) -> Response {
+        events.clear();
+        let mut outputs = Vec::new();
+        match self.deliver(now, env, &mut outputs, events) {
+            Ok(()) => Response::DeliverOk {
+                outputs,
+                events: events.iter().map(str::to_owned).collect(),
+            },
+            Err(msg) => Response::Error { msg },
         }
     }
 
@@ -208,11 +224,7 @@ impl Node {
             // deterministic, so re-delivering the logged inputs rebuilds
             // the state; the *driver* discards the outputs.
             Request::Deliver { now, env, .. } => {
-                let (mut outputs, mut events) = (Vec::new(), Vec::new());
-                match self.deliver(*now, env, &mut outputs, &mut events) {
-                    Ok(()) => Response::DeliverOk { outputs, events },
-                    Err(msg) => Response::Error { msg },
-                }
+                self.deliver_response(*now, env, &mut Lines::new())
             }
             Request::Checkpoint => Response::CheckpointOk {
                 state: match self {
@@ -333,7 +345,7 @@ impl CacheNode {
         now: u64,
         env: &Envelope,
         outputs: &mut Vec<Envelope>,
-        events: &mut Vec<String>,
+        events: &mut Lines,
     ) -> Result<(), String> {
         match &env.payload {
             Payload::ClientReq { txn, op, sv } => {
@@ -369,16 +381,12 @@ impl CacheNode {
                 let store_version = sv.unwrap_or(Version::new(0));
                 self.sends.clear();
                 let out = self.agent.start(*op, store_version, &mut self.sends);
-                events.push(
-                    self.text
-                        .write(&SimEvent::with(
-                            now,
-                            self.actor_id(),
-                            op.addr.block,
-                            format_args!("txn {} {:?} start", txn.raw(), op.kind),
-                        ))
-                        .to_owned(),
-                );
+                events.push(self.text.write(&SimEvent::with(
+                    now,
+                    self.actor_id(),
+                    op.addr.block,
+                    format_args!("txn {} {:?} start", txn.raw(), op.kind),
+                )));
                 // A fire-and-forget store (write-through policy or a
                 // static-scheme public store) retires locally but is not
                 // globally visible until memory confirms it; hold the
@@ -401,16 +409,12 @@ impl CacheNode {
                 }
             }
             Payload::ToCache { cmd, ack } => {
-                events.push(
-                    self.text
-                        .write(&SimEvent::with(
-                            now,
-                            self.actor_id(),
-                            block_of_m2c(cmd),
-                            format_args!("deliver {cmd}"),
-                        ))
-                        .to_owned(),
-                );
+                events.push(self.text.write(&SimEvent::with(
+                    now,
+                    self.actor_id(),
+                    block_of_m2c(cmd),
+                    format_args!("deliver {cmd}"),
+                )));
                 self.sends.clear();
                 let out = self
                     .agent
@@ -560,20 +564,16 @@ impl MemNode {
         now: u64,
         env: &Envelope,
         outputs: &mut Vec<Envelope>,
-        events: &mut Vec<String>,
+        events: &mut Lines,
     ) -> Result<(), String> {
         match &env.payload {
             Payload::ToMemory { cmd } => {
-                events.push(
-                    self.text
-                        .write(&SimEvent::with(
-                            now,
-                            ActorId::Module(ModuleId::new(self.module)),
-                            block_of_c2m(cmd),
-                            format_args!("deliver {cmd}"),
-                        ))
-                        .to_owned(),
-                );
+                events.push(self.text.write(&SimEvent::with(
+                    now,
+                    ActorId::Module(ModuleId::new(self.module)),
+                    block_of_c2m(cmd),
+                    format_args!("deliver {cmd}"),
+                )));
                 self.process(*cmd, outputs)?;
             }
             Payload::InvAck { barrier } => {
@@ -713,7 +713,7 @@ impl MemNode {
         now: u64,
         barrier: u64,
         outputs: &mut Vec<Envelope>,
-        events: &mut Vec<String>,
+        events: &mut Lines,
     ) -> Result<(), String> {
         let block = *self
             .gated_block
@@ -726,16 +726,12 @@ impl MemNode {
         }
         let gate = self.gates.remove(&block).expect("gate exists");
         self.gated_block.remove(&barrier);
-        events.push(
-            self.text
-                .write(&SimEvent::with(
-                    now,
-                    ActorId::Module(ModuleId::new(self.module)),
-                    BlockAddr::new(block),
-                    format_args!("barrier {barrier} released"),
-                ))
-                .to_owned(),
-        );
+        events.push(self.text.write(&SimEvent::with(
+            now,
+            ActorId::Module(ModuleId::new(self.module)),
+            BlockAddr::new(block),
+            format_args!("barrier {barrier} released"),
+        )));
         outputs.extend(gate.held);
         // Re-submit what queued up behind the barrier, in arrival order.
         // If one of them starts a new barrier on this block, the rest

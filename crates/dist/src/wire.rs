@@ -250,6 +250,193 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
+// Lines
+// ---------------------------------------------------------------------------
+
+/// Bytes in one chunk of [`Lines`].
+const CHUNK: usize = 64 * 1024;
+
+/// JSONL text kept line by line: a node's trace events and the driver's
+/// merged timeline.
+///
+/// The lines are stored end to end, each ending in `\n`, in chunks of
+/// 64 KiB. No line is split across two chunks, and a line longer than a
+/// chunk gets a chunk of its own. So a kept line costs its bytes and a
+/// newline, not an allocation of its own, and nothing kept is ever
+/// copied to make room: a long run's timeline is a thousand chunks,
+/// where one big buffer would be copied each time it grew.
+/// [`clear`](Lines::clear) keeps the chunks for the next fill. Two
+/// `Lines` are equal, and hash alike, when they hold the same lines,
+/// however they were chunked.
+#[derive(Default)]
+pub struct Lines {
+    /// The chunks holding lines, then the emptied ones `clear` kept.
+    chunks: Vec<String>,
+    /// How many of `chunks` hold lines.
+    used: usize,
+    /// Lines kept.
+    len: usize,
+}
+
+impl Lines {
+    /// No lines.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends `line`, which holds no newline.
+    pub fn push(&mut self, line: &str) {
+        debug_assert!(!line.contains('\n'), "a line holds no newline: {line:?}");
+        let need = line.len() + 1;
+        let fits = self.used > 0 && {
+            let last = &self.chunks[self.used - 1];
+            last.capacity() - last.len() >= need
+        };
+        if !fits {
+            if self.used == self.chunks.len() {
+                self.chunks.push(String::with_capacity(CHUNK.max(need)));
+            }
+            self.used += 1;
+            // A kept chunk is short only of a line longer than `CHUNK`.
+            self.chunks[self.used - 1].reserve_exact(need);
+        }
+        let chunk = &mut self.chunks[self.used - 1];
+        chunk.push_str(line);
+        chunk.push('\n');
+        self.len += 1;
+    }
+
+    /// Lines kept.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no line is kept.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Forgets every line and keeps the chunks.
+    pub fn clear(&mut self) {
+        for chunk in &mut self.chunks[..self.used] {
+            chunk.clear();
+        }
+        self.used = 0;
+        self.len = 0;
+    }
+
+    /// The lines, in the order they were pushed.
+    #[must_use]
+    pub fn iter(&self) -> Iter<'_> {
+        self.starting_at(0, 0)
+    }
+
+    /// The last `n` lines (all of them, if fewer are kept), in order.
+    /// Costs the bytes of those lines, not of the whole text.
+    #[must_use]
+    pub(crate) fn last(&self, n: usize) -> Iter<'_> {
+        if n == 0 {
+            return self.starting_at(self.used, 0);
+        }
+        let mut need = n;
+        for k in (0..self.used).rev() {
+            let chunk = &self.chunks[k];
+            // Each newline before the chunk's final one starts one more
+            // line, counted from the end; the chunk's first starts at 0.
+            for (at, _) in chunk[..chunk.len() - 1].rmatch_indices('\n') {
+                need -= 1;
+                if need == 0 {
+                    return self.starting_at(k, at + 1);
+                }
+            }
+            need -= 1;
+            if need == 0 {
+                return self.starting_at(k, 0);
+            }
+        }
+        self.iter()
+    }
+
+    /// The lines from byte `at` of chunk `k` on.
+    fn starting_at(&self, k: usize, at: usize) -> Iter<'_> {
+        let (first, rest) = match self.chunks[..self.used].get(k..) {
+            Some([first, rest @ ..]) => (&first[at..], rest),
+            _ => ("", &[][..]),
+        };
+        Iter {
+            lines: first.split_terminator('\n'),
+            chunks: rest.iter(),
+        }
+    }
+
+    /// Writes the text, every line with its newline, a chunk at a time.
+    ///
+    /// # Errors
+    ///
+    /// The first write that fails.
+    pub(crate) fn write_to(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
+        self.chunks[..self.used]
+            .iter()
+            .try_for_each(|chunk| out.write_all(chunk.as_bytes()))
+    }
+}
+
+/// The lines of a [`Lines`], in order.
+pub struct Iter<'a> {
+    lines: std::str::SplitTerminator<'a, char>,
+    chunks: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        loop {
+            if let Some(line) = self.lines.next() {
+                return Some(line);
+            }
+            self.lines = self.chunks.next()?.split_terminator('\n');
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Lines {
+    type Item = &'a str;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+impl PartialEq for Lines {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Lines {}
+
+/// Hashes as the `Vec<String>` of the same lines does.
+impl std::hash::Hash for Lines {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_usize(self.len);
+        for line in self {
+            line.hash(state);
+        }
+    }
+}
+
+impl fmt::Debug for Lines {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Codecs
 // ---------------------------------------------------------------------------
 
@@ -468,6 +655,7 @@ pub fn response_from_line(line: &str) -> Result<Response, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twobit_obs::{ActorId, SimEvent};
     use twobit_types::{AccessKind, BlockAddr, CacheId, WordAddr};
 
     #[test]
@@ -611,5 +799,108 @@ mod tests {
         for r in resps {
             assert_eq!(response_from_line(&response_line(&r)).unwrap(), r);
         }
+    }
+
+    /// `n` lines of `width` bytes each, numbered so no two are alike.
+    fn numbered(n: usize, width: usize) -> Vec<String> {
+        (0..n).map(|i| format!("{i:0width$}")).collect()
+    }
+
+    fn filled(lines: &[String]) -> Lines {
+        let mut kept = Lines::new();
+        for line in lines {
+            kept.push(line);
+        }
+        kept
+    }
+
+    #[test]
+    fn lines_are_never_split_at_a_chunk_edge() {
+        // 101 bytes a line does not divide a chunk: 648 fit, 88 bytes
+        // are left over, and line 649 starts the next chunk.
+        let pushed = numbered(2_000, 100);
+        let kept = filled(&pushed);
+        assert_eq!(kept.len(), 2_000);
+        assert_eq!(kept.used, 4);
+        for chunk in &kept.chunks[..3] {
+            assert_eq!(chunk.len(), 648 * 101);
+            assert_eq!(chunk.capacity(), CHUNK);
+        }
+        for chunk in &kept.chunks {
+            assert!(chunk.ends_with('\n') && chunk.len() % 101 == 0);
+        }
+        assert_eq!(kept.iter().collect::<Vec<_>>(), pushed);
+        for n in [0, 1, 351, 352, 353, 648, 649, 1_352, 1_999, 2_000, 2_001] {
+            let from = pushed.len().saturating_sub(n);
+            assert_eq!(kept.last(n).collect::<Vec<_>>(), pushed[from..], "last {n}");
+        }
+    }
+
+    #[test]
+    fn a_line_longer_than_a_chunk_gets_a_chunk_of_its_own() {
+        let long = "x".repeat(2 * CHUNK);
+        let pushed = vec!["a".to_string(), long.clone(), "b".to_string()];
+        let kept = filled(&pushed);
+        assert_eq!(kept.chunks, ["a\n", &format!("{long}\n"), "b\n"]);
+        assert_eq!(kept.chunks[1].capacity(), long.len() + 1);
+        assert_eq!(kept.iter().collect::<Vec<_>>(), pushed);
+        assert_eq!(kept.last(2).collect::<Vec<_>>(), pushed[1..]);
+    }
+
+    #[test]
+    fn lines_compare_and_hash_by_their_lines_not_their_chunks() {
+        use std::hash::{BuildHasher, RandomState};
+        let pushed = numbered(900, 100);
+        let plain = filled(&pushed);
+        // A chunk kept from a line longer than two chunks takes all 900.
+        let mut refilled = filled(&["y".repeat(2 * CHUNK)]);
+        refilled.clear();
+        for line in &pushed {
+            refilled.push(line);
+        }
+        assert_eq!((plain.used, refilled.used), (2, 1));
+        assert_eq!(plain, refilled);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&plain), hasher.hash_one(&refilled));
+        assert_eq!(hasher.hash_one(&plain), hasher.hash_one(&pushed));
+
+        let mut other = pushed.clone();
+        other[450].replace_range(..1, "z");
+        assert_ne!(plain, filled(&other));
+        assert_ne!(filled(&["ab".into()]), filled(&["a".into(), "b".into()]));
+        assert_ne!(filled(&pushed[..899]), plain);
+    }
+
+    #[test]
+    fn iteration_returns_exactly_what_was_pushed() {
+        let event = SimEvent::new(
+            7,
+            ActorId::Cache(CacheId::new(0)),
+            BlockAddr::new(3),
+            "deliver \"GET\"\nthen é, 日本 and 🦀",
+        )
+        .to_jsonl();
+        assert!(event.contains(r#"\"GET\"\nthen é, 日本 and 🦀"#), "{event}");
+        let pushed: Vec<String> = [
+            event.as_str(),
+            "",
+            r#"{"cmd":"a\nb","q":"\"\\"}"#,
+            "ünïcödé ✓",
+            "",
+        ]
+        .map(String::from)
+        .into();
+        let mut kept = filled(&pushed);
+        assert_eq!(kept.len(), 5);
+        assert_eq!(kept.iter().collect::<Vec<_>>(), pushed);
+        assert_eq!(format!("{kept:?}"), format!("{pushed:?}"));
+        let mut text = Vec::new();
+        kept.write_to(&mut text).unwrap();
+        assert_eq!(text, format!("{}\n", pushed.join("\n")).into_bytes());
+
+        kept.clear();
+        assert!(kept.is_empty() && kept.iter().next().is_none());
+        kept.write_to(&mut text).unwrap();
+        assert_eq!(kept, Lines::new());
     }
 }

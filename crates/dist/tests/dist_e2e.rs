@@ -6,7 +6,7 @@ use std::path::PathBuf;
 
 use twobit_dist::driver::{run, ArrivalSchedule, Mode, RunConfig};
 use twobit_dist::faults::{Crash, FaultConfig};
-use twobit_dist::wire::Actor;
+use twobit_dist::wire::{Actor, Lines};
 use twobit_types::AccessKind;
 
 const SCHEMES: [&str; 6] = [
@@ -93,13 +93,13 @@ fn crash_and_restart_resumes_all_schemes() {
 #[test]
 fn a_lost_reply_is_replayed_across_a_crash_not_executed_twice() {
     // When the cache node started executing `txn`: once, if it is idempotent.
-    let started = |timeline: &[String], client: usize, txn: u64| -> Vec<u64> {
+    let started = |timeline: &Lines, client: usize, txn: u64| -> Vec<u64> {
         let actor = format!("\"actor\":\"C{client}\"");
         let cmd = format!("\"cmd\":\"txn {txn} Read start\"");
         timeline
             .iter()
             .filter(|l| l.contains(&actor) && l.contains(&cmd))
-            .filter_map(|l| line_t(l))
+            .filter_map(line_t)
             .collect()
     };
     // A cadence that puts a checkpoint between the loss and the crash
@@ -309,7 +309,7 @@ fn barrier_release(line: &str) -> Option<(u64, usize, u64)> {
 /// Finds an instant at which module `m` has an inv-ack barrier open:
 /// after an acked invalidation was delivered, before the barrier
 /// released. Returns `(crash_at, module, release_t)`.
-fn find_open_barrier(timeline: &[String]) -> Option<(u64, usize, u64)> {
+fn find_open_barrier(timeline: &Lines) -> Option<(u64, usize, u64)> {
     for line in timeline {
         let Some((t_rel, module, barrier)) = barrier_release(line) else {
             continue;
@@ -320,7 +320,7 @@ fn find_open_barrier(timeline: &[String]) -> Option<(u64, usize, u64)> {
         let t_ack = timeline
             .iter()
             .filter(|l| l.contains(&ack_pat) && l.contains(&src_pat))
-            .filter_map(|l| line_t(l))
+            .filter_map(line_t)
             .min()?;
         if t_rel > t_ack + 1 {
             return Some((t_ack + 1, module, t_rel));

@@ -1,29 +1,32 @@
-//! A delivery allocates what the timeline keeps and little else —
-//! counted, not timed.
+//! A delivery allocates next to nothing, and the timeline holds little
+//! more than its text — counted, not timed.
 //!
 //! A counting global allocator (this test binary only) tells a *fresh*
 //! allocation (`alloc`) from the *growth* of a buffer that already exists
-//! (`realloc`), per thread. An in-process fleet runs on the calling
-//! thread, so the counters see the whole run: spawning the nodes, every
-//! delivery, the history check and the report.
+//! (`realloc`), and keeps the bytes requested and not yet freed, per
+//! thread. An in-process fleet runs on the calling thread, so the
+//! counters see the whole run: spawning the nodes, every delivery, the
+//! history check and the report.
 //!
 //! The timeline keeps one line per delivery and one per node trace event
-//! (about 1.75 lines per delivery here), and a kept line is one
-//! allocation at its exact length. Everything else a delivery writes —
-//! the frame-shaped timeline line, the node's event lines, the envelopes
-//! it sends, the batch it belongs to — goes through writers and buffers
-//! that are kept from one delivery to the next, so what is left is
-//! amortised: a buffer reaching a new high mark, the calendar and the
-//! history growing. Before the node's event lines went through a held
-//! writer and its outputs into buffers the driver owns, the same run
-//! read 5.36 fresh allocations and 1.26 growths per delivery.
+//! (about 1.75 lines per delivery here), written end to end into 64 KiB
+//! chunks: the driver copies its own lines in from its held writer, and
+//! a node writes its event lines there through its own. Everything else
+//! a delivery writes — the envelopes it sends, the batch it belongs to —
+//! goes into buffers kept from one delivery to the next, so what is left
+//! is amortised: a new chunk, a buffer reaching a new high mark, the
+//! calendar and the history growing. When every kept line was a `String`
+//! of its own, the same run read 1.80 fresh allocations per delivery and
+//! the timeline held 1.367 heap bytes per text byte; before the node's
+//! event lines went through a held writer and its outputs into buffers
+//! the driver owns, 5.36 fresh allocations and 1.26 growths.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAllocator};
 use std::cell::Cell;
 use std::hint::black_box;
 
 use twobit_dist::driver::{run, RunConfig};
-use twobit_dist::wire::{request_line, response_line, Envelope, Request, Response};
+use twobit_dist::wire::{request_line, response_line, Envelope, Lines, Request, Response};
 use twobit_obs::json::Reader;
 use twobit_obs::{ActorId, SimEvent};
 use twobit_types::{BlockAddr, CacheId, TxnId};
@@ -31,6 +34,9 @@ use twobit_types::{BlockAddr, CacheId, TxnId};
 thread_local! {
     static FRESH: Cell<u64> = const { Cell::new(0) };
     static GROWN: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested and not yet freed (what another thread frees of
+    /// this one's is not seen, so only differences mean anything).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -40,21 +46,29 @@ fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
     let _ = counter.try_with(|count| count.set(count.get() + 1));
 }
 
+fn hold(bytes: usize, sign: i64) {
+    let _ = LIVE.try_with(|live| live.set(live.get() + sign * bytes as i64));
+}
+
 // SAFETY: delegates every operation to the system allocator unchanged;
 // the counters are const-initialised thread-local cells without
 // destructors, so touching them never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump(&FRESH);
+        hold(layout.size(), 1);
         unsafe { SystemAllocator.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(layout.size(), -1);
         unsafe { SystemAllocator.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump(&GROWN);
+        hold(new_size, 1);
+        hold(layout.size(), -1);
         unsafe { SystemAllocator.realloc(ptr, layout, new_size) }
     }
 }
@@ -71,7 +85,7 @@ fn counts() -> (u64, u64) {
 /// modules, closed loop, fault-free), shortened to 2,000 references per
 /// client.
 #[test]
-fn a_delivery_allocates_about_the_lines_the_timeline_keeps() {
+fn a_delivery_allocates_next_to_nothing_and_the_timeline_holds_its_text() {
     let mut cfg = RunConfig::quick("two-bit", 42);
     cfg.refs_per_client = 2_000;
     let before = counts();
@@ -81,16 +95,44 @@ fn a_delivery_allocates_about_the_lines_the_timeline_keeps() {
     let kept = report.timeline.len() as f64 / deliveries;
     let fresh = (after.0 - before.0) as f64 / deliveries;
     let grown = (after.1 - before.1) as f64 / deliveries;
+    // What the timeline holds is what dropping it frees.
+    let text: usize = report.timeline.iter().map(|line| line.len() + 1).sum();
+    let live = LIVE.get();
+    drop(report.timeline);
+    let held = (live - LIVE.get()) as f64 / text as f64;
     println!(
-        "{} deliveries, {kept:.3} kept lines, {fresh:.3} fresh allocations and {grown:.3} growths per delivery",
+        "{} deliveries, {kept:.3} kept lines, {fresh:.3} fresh allocations and {grown:.3} growths per delivery; \
+         the timeline holds {held:.3} heap bytes per byte of its {text} text bytes",
         report.deliveries
     );
     assert!(kept < 2.0, "{kept:.3} kept lines per delivery");
     assert!(
-        fresh <= 2.0,
+        fresh <= 0.1,
         "{fresh:.3} fresh allocations per delivery ({kept:.3} lines kept)"
     );
     assert!(grown <= 0.1, "{grown:.3} buffer growths per delivery");
+    assert!(held <= 1.05, "{held:.3} heap bytes per text byte");
+}
+
+/// Emptied, a [`Lines`] keeps its chunks: filling it again with as much
+/// text allocates nothing.
+#[test]
+fn cleared_lines_refill_without_allocating() {
+    let lines: Vec<String> = (0..3_000)
+        .map(|i| format!("{{\"line\":{i},\"pad\":\"{}\"}}", "x".repeat(i % 97)))
+        .collect();
+    let mut kept = Lines::new();
+    for line in &lines {
+        kept.push(line);
+    }
+    kept.clear();
+    let (fresh, grown) = counted(|| {
+        for line in &lines {
+            kept.push(line);
+        }
+    });
+    assert_eq!((fresh, grown), (0, 0));
+    assert_eq!(kept.iter().collect::<Vec<_>>(), lines);
 }
 
 /// The deliver frames of `codec_properties.rs`'s frozen `REQUEST_FRAMES`:

@@ -257,3 +257,111 @@ fn the_benchmark_history_takes_the_recorded_search() {
     assert_eq!(report.checker.ops, 60_000);
     assert_eq!(report.checker.states_visited, 62_786);
 }
+
+/// The per-node files of CI's crash/restart run: `merged.jsonl` and the
+/// six `node-*.jsonl`, by digest, in this order.
+const TRACE_FILES: [(&str, &str); 7] = [
+    ("merged.jsonl", "86361413392411655820495145480877567766"),
+    ("node-C0.jsonl", "112452753744560738122711204336638952629"),
+    ("node-C1.jsonl", "258500363023078968999951904712900017954"),
+    ("node-C2.jsonl", "235712198830547262339973788963173741739"),
+    ("node-C3.jsonl", "12133925806055815868863854286468305328"),
+    ("node-M0.jsonl", "154020136358327974748178738651947394684"),
+    ("node-M1.jsonl", "94761001467397255300210874457884938612"),
+];
+
+/// CI's crash/restart configuration (`dist_driver --scheme two-bit --seed
+/// 48879 --refs 60 --crash 260:C1:80 --crash 420:M0:80 --trace-dir …`),
+/// in process: the files `--trace-dir` writes are the bytes the parent
+/// commit wrote.
+#[test]
+fn trace_dir_files_match_the_parent_commit() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace-48879");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = RunConfig::quick("two-bit", 48879);
+    cfg.refs_per_client = 60;
+    cfg.faults.checkpoint_every = 200;
+    cfg.faults.crashes = vec![
+        Crash {
+            at: 260,
+            node: Actor::Cache(1),
+            down_for: 80,
+        },
+        Crash {
+            at: 420,
+            node: Actor::Module(0),
+            down_for: 80,
+        },
+    ];
+    cfg.trace_dir = Some(dir.clone());
+    let report = run(&cfg).unwrap();
+    assert_eq!(report.recoveries, 2);
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    written.sort();
+    let files: Vec<(String, String)> = written
+        .into_iter()
+        .map(|name| {
+            let text = std::fs::read_to_string(dir.join(&name)).unwrap();
+            let mut fp = Fingerprinter::new();
+            fold_text(&mut fp, &text);
+            (name, format!("{:?}", fp.finish()))
+        })
+        .collect();
+    let golden: Vec<(String, String)> = TRACE_FILES
+        .iter()
+        .map(|&(name, digest)| (name.to_string(), digest.to_string()))
+        .collect();
+    assert!(
+        files == golden,
+        "trace files moved; this build writes:\n{files:#?}"
+    );
+}
+
+/// What the livelock guard reports for the `quick` two-bit fleet (seed
+/// 42) stopped after 40 calendar events: the last 12 timeline lines,
+/// its own verdict last.
+const LIVELOCK: &str = concat!(
+    r#"livelock: 41 events without quiescence; timeline tail:"#,
+    "\n",
+    r#"{"dst":"C2","env":{"dst":"C2","payload":{"ack":null,"cmd":{"a":10,"k":2,"t":"GET","v":0,"x":false},"t":"to_cache"},"src":"M0"},"t":16}"#,
+    "\n",
+    r#"{"t":16,"actor":"C2","block":10,"cmd":"deliver get(C2, blk:0xa, v0)","useless":false}"#,
+    "\n",
+    r#"{"dst":"C0","env":{"dst":"C0","payload":{"ack":1,"cmd":{"a":0,"k":3,"t":"BROADINV"},"t":"to_cache"},"src":"M0"},"t":16}"#,
+    "\n",
+    r#"{"t":16,"actor":"C0","block":0,"cmd":"deliver BROADINV(blk:0x0, excl C3)","useless":false}"#,
+    "\n",
+    r#"{"dst":"C1","env":{"dst":"C1","payload":{"ack":1,"cmd":{"a":0,"k":3,"t":"BROADINV"},"t":"to_cache"},"src":"M0"},"t":16}"#,
+    "\n",
+    r#"{"t":16,"actor":"C1","block":0,"cmd":"deliver BROADINV(blk:0x0, excl C3)","useless":false}"#,
+    "\n",
+    r#"{"dst":"C2","env":{"dst":"C2","payload":{"ack":1,"cmd":{"a":0,"k":3,"t":"BROADINV"},"t":"to_cache"},"src":"M0"},"t":16}"#,
+    "\n",
+    r#"{"t":16,"actor":"C2","block":0,"cmd":"deliver BROADINV(blk:0x0, excl C3)","useless":false}"#,
+    "\n",
+    r#"{"dst":"L0","env":{"dst":"L0","payload":{"hit":false,"observed":0,"t":"client_resp","txn":5},"src":"C0"},"t":17}"#,
+    "\n",
+    r#"{"dst":"L1","env":{"dst":"L1","payload":{"hit":false,"observed":0,"t":"client_resp","txn":6},"src":"C1"},"t":17}"#,
+    "\n",
+    r#"{"dst":"L2","env":{"dst":"L2","payload":{"hit":false,"observed":0,"t":"client_resp","txn":7},"src":"C2"},"t":17}"#,
+    "\n",
+    r#"{"done":[2,2,2,1],"livelock":41,"t":17}"#,
+);
+
+#[test]
+fn the_livelock_guard_reports_the_timeline_tail() {
+    let mut cfg = RunConfig::quick("two-bit", 42);
+    cfg.max_events = 40;
+    let err = run(&cfg).expect_err("40 events cannot finish 400 references");
+    assert!(err.starts_with("livelock:"), "{err}");
+    let (_, tail) = err.split_once('\n').unwrap();
+    assert!(tail.lines().count() <= 12, "{tail}");
+    assert!(
+        tail.lines().last().unwrap().contains("\"livelock\":"),
+        "{tail}"
+    );
+    assert_eq!(err, LIVELOCK);
+}
