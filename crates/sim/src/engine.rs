@@ -1,26 +1,29 @@
 //! The timed directory engine: one event loop on the calling thread.
 //!
 //! [`DirectorySim::run`] pops events from one [`Calendar`] in canonical
-//! [`EventKey`] order and hands each to its handler, which runs the
-//! agent or controller it targets and sends what that emits at once:
-//! each send is scheduled on the run's crossbar and its arrival enqueued
-//! where the handler makes it. The run-wide gauges are observed in the
-//! handler that moves them, and trace records go straight to the
-//! installed tracer, in the order they are made.
+//! order and hands each to its handler, which runs the agent or
+//! controller it targets and sends what that emits at once: each send is
+//! scheduled on the run's crossbar and its arrival enqueued where the
+//! handler makes it. The run-wide gauges are observed in the handler that
+//! moves them, and trace records go straight to the installed tracer, in
+//! the order they are made.
 //!
-//! Events are ordered by a *canonical key* — `(time, class rank, actor
-//! index)` — rather than by insertion order, so what runs next never
-//! depends on how the calendar happens to store its events. The key is
-//! unique per event in a directory simulation because
+//! Events are ordered by `(time, rank)` — the rank states the event's
+//! class and actor as one index (module deliveries, then cache
+//! deliveries, then processor issues; [`crate::calendar`]) — rather than
+//! by insertion order, so what runs next never depends on how the
+//! calendar happens to store its events. The pair is unique per pending
+//! event in a directory simulation because
 //!
 //! * at most one `ProcessorIssue` per cpu is pending at a time (a cpu
 //!   reschedules itself only when a reference retires), and
-//! * the crossbar's per-destination port occupancy of one cycle gives
-//!   every `DeliverToCache`/`DeliverToModule` for one destination a
-//!   strictly distinct arrival time.
+//! * the crossbar reserves each destination port at strictly increasing
+//!   arrival times (one cycle of port occupancy per message), so every
+//!   `DeliverToCache`/`DeliverToModule` for one destination has a
+//!   distinct arrival time.
 //!
-//! The calendar queue ([`crate::calendar`]) asserts that uniqueness in
-//! debug builds. DESIGN.md §8 has the whole determinism argument.
+//! The calendar refuses a repeated pair in every build. DESIGN.md §8 has
+//! the whole determinism argument.
 //!
 //! The engine is not generic over the workload: it is lent as a trait
 //! object, so the loop and its handlers are compiled once, in this
@@ -38,7 +41,7 @@ use twobit_types::{
 use twobit_workload::Workload;
 
 /// A simulation event.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// Processor `cpu` attempts to issue its next reference.
     ProcessorIssue {
@@ -59,57 +62,6 @@ pub enum Event {
         /// The command.
         cmd: CacheToMemory,
     },
-}
-
-impl Event {
-    /// The event-class rank of the canonical ordering. Deliveries rank
-    /// before issues so that an issue rescheduled *at the current cycle*
-    /// (a zero-latency hit/think configuration) still sorts after the
-    /// event that caused it — processing order then equals key order,
-    /// which the engine's determinism argument relies on.
-    #[must_use]
-    pub fn class_rank(&self) -> u8 {
-        match self {
-            Event::DeliverToModule { .. } => 0,
-            Event::DeliverToCache { .. } => 1,
-            Event::ProcessorIssue { .. } => 2,
-        }
-    }
-
-    /// The dense index of the actor the event targets.
-    #[must_use]
-    pub fn actor_index(&self) -> u32 {
-        let i = match self {
-            Event::ProcessorIssue { cpu } => cpu.index(),
-            Event::DeliverToCache { cache, .. } => cache.index(),
-            Event::DeliverToModule { module, .. } => module.index(),
-        };
-        i as u32
-    }
-
-    /// The canonical scheduling key of this event at `time`.
-    #[must_use]
-    pub fn key(&self, time: u64) -> EventKey {
-        EventKey {
-            time,
-            class: self.class_rank(),
-            actor: self.actor_index(),
-        }
-    }
-}
-
-/// The canonical total order on scheduled events: time, then event-class
-/// rank, then actor index. Unique per event (see the module docs), hence
-/// independent of insertion order — the property the engine's determinism
-/// rests on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct EventKey {
-    /// Simulated cycle.
-    pub time: u64,
-    /// Event-class rank ([`Event::class_rank`]).
-    pub class: u8,
-    /// Dense actor index ([`Event::actor_index`]).
-    pub actor: u32,
 }
 
 /// What a send carries to its recipient.
@@ -185,7 +137,7 @@ impl DirectorySim {
         self.refs_target = refs_per_cpu;
         let latency = self.config.latency;
         let mut run = Run {
-            queue: Calendar::new(self.now),
+            queue: Calendar::new(self.now, self.config.caches, self.controllers.len()),
             // Each input port accepts one message per cycle.
             network: Crossbar::new(latency.net_command, latency.net_data, 1),
             sends: Vec::new(),
@@ -548,29 +500,49 @@ mod tests {
         }
     }
 
+    /// The events `calendar` pops, in order.
+    fn drain(calendar: &mut Calendar) -> Vec<(u64, Event)> {
+        std::iter::from_fn(|| calendar.pop()).collect()
+    }
+
     #[test]
     fn time_outranks_class_and_actor() {
-        assert!(issue(9).key(1) < deliver_module(0).key(2));
+        let mut calendar = Calendar::new(0, 10, 1);
+        calendar.push(2, deliver_module(0));
+        calendar.push(1, issue(9));
+        assert_eq!(
+            drain(&mut calendar),
+            vec![(1, issue(9)), (2, deliver_module(0))]
+        );
     }
 
     #[test]
     fn equal_times_order_by_class_then_actor() {
         // Module deliveries first, then cache deliveries, then issues,
         // each by ascending actor index.
-        let mut events = [
+        let mut calendar = Calendar::new(0, 3, 2);
+        for event in [
             issue(1),
             deliver_cache(2),
             issue(0),
             deliver_module(1),
             deliver_cache(0),
             deliver_module(0),
-        ];
-        events.sort_by_key(|e| e.key(7));
-        let order: Vec<(u8, u32)> = events
-            .iter()
-            .map(|e| (e.class_rank(), e.actor_index()))
-            .collect();
-        assert_eq!(order, vec![(0, 0), (0, 1), (1, 0), (1, 2), (2, 0), (2, 1)]);
+        ] {
+            calendar.push(7, event);
+        }
+        let order: Vec<Event> = drain(&mut calendar).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(
+            order,
+            vec![
+                deliver_module(0),
+                deliver_module(1),
+                deliver_cache(0),
+                deliver_cache(2),
+                issue(0),
+                issue(1),
+            ]
+        );
     }
 
     fn config(n: usize) -> SystemConfig {

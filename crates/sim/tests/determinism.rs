@@ -60,6 +60,21 @@ const GOLDEN_TRACES: [u128; 6] = [
     0xbc15_c555_3d2d_23f5_1b9a_d35f_2157_e87f,
 ];
 
+/// [`run_digest`] for two schemes at 32 caches and 32 modules (96 event
+/// ranks, so two occupancy words per calendar slot): seed 11, 200
+/// references per cpu. Recorded from the sorted-bucket calendar the
+/// ranked ring replaced.
+const GOLDEN_WIDE: [(ProtocolKind, u128); 2] = [
+    (
+        ProtocolKind::TwoBit,
+        0x92e5_8d89_eafb_b1a5_eda0_5a28_2722_40e6,
+    ),
+    (
+        ProtocolKind::ClassicalWriteThrough,
+        0x7212_0a52_1bc2_040b_9420_5a33_2f38_d7f0,
+    ),
+];
+
 /// [`run_digest`]: two-bit, 4 caches on one memory module, seed 9, 150
 /// references per cpu.
 const GOLDEN_SINGLE_MODULE: u128 = 0x2ad1_d20d_d3c8_6ca9_a70c_e34d_ba36_702d;
@@ -129,6 +144,15 @@ fn run_via(cfg: SystemConfig, seed: u64, refs: u64) -> u128 {
 fn runs_reproduce_the_frozen_digests_for_all_schemes() {
     for (protocol, golden) in SCHEMES.into_iter().zip(GOLDEN_RUNS) {
         assert_eq!(run_via(config(8, protocol), 11, 200), golden, "{protocol}");
+    }
+}
+
+#[test]
+fn wide_runs_reproduce_their_digests() {
+    for (protocol, golden) in GOLDEN_WIDE {
+        let cfg = config(32, protocol);
+        assert_eq!(cfg.address_map.modules(), 32);
+        assert_eq!(run_via(cfg, 11, 200), golden, "{protocol}");
     }
 }
 
