@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! dist_soak [--label NAME] [--out PATH] [--seed N] [--refs N]
-//!           [--caches N] [--modules N] [--mode inproc|process|tcp]
+//!           [--caches N] [--modules N] [--mode inproc|tcp]
 //!           [--schedules CSV] [--quick]
 //! ```
 //!
@@ -55,7 +55,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: dist_soak [--label NAME] [--out PATH] [--seed N] [--refs N] \
-         [--caches N] [--modules N] [--mode inproc|process|tcp] \
+         [--caches N] [--modules N] [--mode inproc|tcp] \
          [--schedules CSV] [--quick]"
     );
     std::process::exit(2);
@@ -124,8 +124,7 @@ fn main() -> ExitCode {
     let a = parse_args();
     let mode = match a.mode.as_str() {
         "inproc" => Mode::InProc,
-        "process" | "tcp" => match node_bin() {
-            Ok(bin) if a.mode == "process" => Mode::Process { node_bin: bin },
+        "tcp" => match node_bin() {
             Ok(bin) => Mode::Tcp { node_bin: bin },
             Err(e) => {
                 eprintln!("dist_soak: {e} (build twobit-dist first)");

@@ -2,10 +2,12 @@
 //! processes, inject faults, and verify the recorded history.
 //!
 //! ```text
-//! dist_driver --scheme two-bit --seed 7 --refs 200 --mode process \
+//! dist_driver --scheme two-bit --seed 7 --refs 200 --mode tcp \
 //!             --partition 300:700 --trace-dir target/dist-trace
 //! ```
 //!
+//! `--mode` is `inproc` (the default: nodes are objects in this process)
+//! or `tcp` (one `dist_node` child per node, over loopback TCP).
 //! `--scheme all` runs every directory scheme in sequence. The exit code
 //! is nonzero if any run fails its linearizability check. `--schedule`
 //! selects the client arrival model (`closed`, `fixed:I[:J]`, or
@@ -124,9 +126,6 @@ fn parse_args() -> Result<Cli, String> {
     }
     cfg.mode = match mode.as_str() {
         "inproc" => Mode::InProc,
-        "process" => Mode::Process {
-            node_bin: node_bin()?,
-        },
         "tcp" => Mode::Tcp {
             node_bin: node_bin()?,
         },

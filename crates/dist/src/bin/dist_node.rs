@@ -1,19 +1,19 @@
 //! A single fleet node: one cache controller or one memory module.
 //!
-//! Spawned by the driver. Speaks the JSONL control protocol on
-//! stdin/stdout by default, or over TCP with `--tcp ADDR` (the node
-//! connects to the listening driver). The first frame must be `init`;
-//! after that the node answers one response per request, in request
-//! order, until EOF or `shutdown`. Replies are queued and leave together
-//! when the node has no request left to read (the transport writes them
-//! out before it blocks), so a batch of requests that arrived in one read
-//! is answered in one write.
+//! Spawned by the driver as `dist_node --tcp ADDR`: the node connects to
+//! the driver listening at `ADDR` and speaks the JSONL control protocol
+//! over that connection. The first frame must be `init`; after that the
+//! node answers one response per request, in request order, until EOF or
+//! `shutdown`. Replies are queued and leave together when the node has no
+//! request left to read (the transport writes them out before it blocks),
+//! so a batch of requests that arrived in one read is answered in one
+//! write.
 
 use std::process::ExitCode;
 
 use twobit_dist::node::Node;
 use twobit_dist::wire::{Lines, Request, Response};
-use twobit_interconnect::transport::{stdio, tcp_connect, Transport};
+use twobit_interconnect::transport::{tcp_connect, Transport};
 use twobit_obs::json::{Reader, Text};
 
 fn serve(io: &mut dyn Transport) -> Result<(), String> {
@@ -61,16 +61,12 @@ fn serve(io: &mut dyn Transport) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let result = match args.get(1).map(String::as_str) {
-        Some("--tcp") => match args.get(2) {
-            Some(addr) => match tcp_connect(addr.as_str()) {
-                Ok(mut io) => serve(&mut io),
-                Err(e) => Err(format!("connect {addr}: {e}")),
-            },
-            None => Err("--tcp needs an address".into()),
+    let result = match args.get(1..) {
+        Some([flag, addr]) if flag == "--tcp" => match tcp_connect(addr.as_str()) {
+            Ok(mut io) => serve(&mut io),
+            Err(e) => Err(format!("connect {addr}: {e}")),
         },
-        Some(other) => Err(format!("unknown argument `{other}` (only --tcp ADDR)")),
-        None => serve(&mut stdio()),
+        _ => Err("usage: dist_node --tcp ADDR".into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -53,7 +53,7 @@ use std::time::Duration;
 
 use twobit_core::Oracle;
 use twobit_interconnect::poll::{PollTransport, Token};
-use twobit_interconnect::transport::tcp_accept_stream;
+use twobit_interconnect::transport::tcp_accept;
 use twobit_obs::json::{num_u64, obj, Json, Reader, Sink, Text, ToJson};
 use twobit_obs::Histogram;
 use twobit_types::{AccessKind, AddressMap, BlockAddr, MemRef, TxnId, Version, WordAddr};
@@ -128,7 +128,7 @@ impl ToJson for LivelockLine<'_> {
     }
 }
 
-/// How long the driver waits for a spawned node to dial back (TCP mode).
+/// How long the driver waits for a spawned node to dial back.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long the driver waits for a node's reply to one request.
 const RPC_TIMEOUT: Duration = Duration::from_secs(30);
@@ -140,11 +140,6 @@ const SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(5);
 pub enum Mode {
     /// Nodes are in-process objects (fast; the default for tests).
     InProc,
-    /// One child process per node, JSONL over stdin/stdout.
-    Process {
-        /// Path to the `dist_node` binary.
-        node_bin: PathBuf,
-    },
     /// One child process per node, JSONL over TCP (the driver listens,
     /// nodes connect).
     Tcp {
@@ -518,44 +513,30 @@ fn spawn_link(
     node_cfg: &NodeConfig,
     poll: &mut PollTransport,
 ) -> Result<NodeLink, String> {
-    let mut link = match mode {
+    let node_bin = match mode {
         // `Node::new` already applies the config; only children need the
         // Init exchange.
         Mode::InProc => return Ok(NodeLink::InProc(Box::new(Node::new(node_cfg)?))),
-        Mode::Process { node_bin } => {
-            let mut child = Command::new(node_bin)
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::inherit())
-                .spawn()
-                .map_err(|e| format!("spawn {}: {e}", node_bin.display()))?;
-            let stdin = child.stdin.take().expect("piped stdin");
-            let stdout = child.stdout.take().expect("piped stdout");
-            let token = poll.register_pipe(stdout, stdin);
-            NodeLink::Child { child, token }
-        }
-        Mode::Tcp { node_bin } => {
-            let listener =
-                std::net::TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
-            let addr = listener.local_addr().map_err(|e| format!("addr: {e}"))?;
-            let child = Command::new(node_bin)
-                .arg("--tcp")
-                .arg(addr.to_string())
-                .stdin(Stdio::null())
-                .stdout(Stdio::inherit())
-                .stderr(Stdio::inherit())
-                .spawn()
-                .map_err(|e| format!("spawn {}: {e}", node_bin.display()))?;
-            // A node that dies before dialing back surfaces as a typed
-            // timeout here instead of hanging the driver in accept(2).
-            let stream = tcp_accept_stream(&listener, ACCEPT_TIMEOUT)
-                .map_err(|e| format!("{}: {e}", node_cfg.role))?;
-            let token = poll
-                .register_tcp(stream)
-                .map_err(|e| format!("register: {e}"))?;
-            NodeLink::Child { child, token }
-        }
+        Mode::Tcp { node_bin } => node_bin,
     };
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
+    let addr = listener.local_addr().map_err(|e| format!("addr: {e}"))?;
+    let child = Command::new(node_bin)
+        .arg("--tcp")
+        .arg(addr.to_string())
+        .stdin(Stdio::null())
+        .stdout(Stdio::inherit())
+        .stderr(Stdio::inherit())
+        .spawn()
+        .map_err(|e| format!("spawn {}: {e}", node_bin.display()))?;
+    // A node that dies before dialing back surfaces as a typed timeout
+    // here instead of hanging the driver in accept(2).
+    let stream =
+        tcp_accept(&listener, ACCEPT_TIMEOUT).map_err(|e| format!("{}: {e}", node_cfg.role))?;
+    let token = poll
+        .register_tcp(stream)
+        .map_err(|e| format!("register: {e}"))?;
+    let mut link = NodeLink::Child { child, token };
     match rpc(
         &mut link,
         poll,
@@ -905,7 +886,7 @@ impl<'c> Driver<'c> {
                             ..
                         })) = self.calendar.pop()
                         else {
-                            unreachable!("peeked a same-instant delivery");
+                            unreachable!("the top was just peeked as a delivery at `now`");
                         };
                         processed += 1;
                         self.batch.push(e);
@@ -1016,10 +997,12 @@ impl<'c> Driver<'c> {
     /// Moves the head of `k`'s pending queue into its single admission
     /// slot (a cache node rejects a second in-flight client txn).
     fn try_submit(&mut self, k: usize) {
-        if self.clients[k].outstanding.is_some() || self.clients[k].pending.is_empty() {
+        if self.clients[k].outstanding.is_some() {
             return;
         }
-        let p = self.clients[k].pending.pop_front().expect("checked");
+        let Some(p) = self.clients[k].pending.pop_front() else {
+            return;
+        };
         let txn = self.next_txn;
         self.next_txn += 1;
         let sv = match p.op.kind {
@@ -1044,7 +1027,12 @@ impl<'c> Driver<'c> {
     }
 
     fn send_client_req(&mut self, k: usize) {
-        let o = self.clients[k].outstanding.as_ref().expect("outstanding");
+        // Called only once `try_submit` set `outstanding` or `on_timeout`
+        // found it set.
+        let o = self.clients[k]
+            .outstanding
+            .as_ref()
+            .expect("a txn in flight");
         let env = Envelope {
             src: Actor::Client(k),
             dst: Actor::Cache(k),
@@ -1083,13 +1071,10 @@ impl<'c> Driver<'c> {
     }
 
     fn on_client_resp(&mut self, k: usize, txn: TxnId, observed: Version, was_hit: bool) {
-        let Some(o) = self.clients[k].outstanding.as_ref() else {
-            return; // duplicate response after completion
-        };
-        if o.txn != txn.raw() {
+        // A response after completion, or to an earlier txn, is a duplicate.
+        let Some(o) = self.clients[k].outstanding.take_if(|o| o.txn == txn.raw()) else {
             return;
-        }
-        let o = self.clients[k].outstanding.take().expect("checked");
+        };
         self.ops.push(OpRecord {
             client: k,
             txn: o.txn,
@@ -1234,7 +1219,7 @@ impl<'c> Driver<'c> {
                 .send(*token, self.text.write(&req))
                 .map_err(|e| format!("{who}: send failed: {e}"))?;
             let Request::Deliver { env, .. } = req else {
-                unreachable!("built four lines up");
+                unreachable!("`req` is the `Deliver` built above; `send` only borrowed it");
             };
             slots.push(env);
         }
@@ -1266,15 +1251,17 @@ impl<'c> Driver<'c> {
         }
         let mut outputs = std::mem::take(&mut self.outputs);
         let before = self.timeline.len();
-        match self
+        // Clients address their own cache, in-process nodes only the
+        // fleet, and a child's outputs passed `check_outputs`.
+        let link = self
             .links
             .get_mut(&who)
-            .expect("a node: outputs are checked")
-        {
+            .expect("every envelope names a node");
+        match link {
             NodeLink::InProc(n) => n
                 .deliver(self.now, &env, &mut outputs, &mut self.timeline)
                 .map_err(|msg| format!("{who}: {msg}"))?,
-            NodeLink::Child { .. } => match self.recv_child(who)? {
+            &mut NodeLink::Child { token, .. } => match self.recv_child(who, token)? {
                 Response::DeliverOk {
                     outputs: sent,
                     events: lines,
@@ -1329,15 +1316,11 @@ impl<'c> Driver<'c> {
         }
     }
 
-    /// Receives the next pipelined reply from a child node.
-    fn recv_child(&mut self, who: Actor) -> Result<Response, String> {
-        let link = self.links.get_mut(&who).expect("known node");
-        let NodeLink::Child { token, .. } = link else {
-            unreachable!("in-process responses are captured in phase one");
-        };
+    /// Receives the next pipelined reply from child node `who`.
+    fn recv_child(&mut self, who: Actor, token: Token) -> Result<Response, String> {
         let line = self
             .poll
-            .recv_deadline(*token, RPC_TIMEOUT)
+            .recv_deadline(token, RPC_TIMEOUT)
             .map_err(|e| format!("{who}: recv failed: {e}"))?
             .ok_or_else(|| format!("{who}: node exited unexpectedly"))?;
         let reply = self.reader.read(&line);
@@ -1374,7 +1357,7 @@ impl<'c> Driver<'c> {
                 other => return Err(format!("{node}: restore failed: {other:?}")),
             }
             let Request::Restore { state } = req else {
-                unreachable!("built above");
+                unreachable!("`req` is the `Restore` built above; `rpc` only borrowed it");
             };
             // A second crash before the next checkpoint restores it again.
             self.checkpoints.insert(node, state);
@@ -1395,7 +1378,7 @@ impl<'c> Driver<'c> {
                 other => return Err(format!("{node}: replay failed: {other:?}")),
             }
             let Request::Deliver { env, .. } = req else {
-                unreachable!("built above");
+                unreachable!("`req` is the `Deliver` built above; `rpc` only borrowed it");
             };
             replayed.push((t, env));
         }
@@ -1411,6 +1394,7 @@ impl<'c> Driver<'c> {
             if self.down_until(node, self.now).is_some() {
                 continue; // don't checkpoint a node that is mid-crash
             }
+            // `nodes` are the map's keys, and this loop removes none.
             let link = self.links.get_mut(&node).expect("known node");
             match rpc(link, &mut self.poll, node, &Request::Checkpoint)? {
                 Response::CheckpointOk { state } => {
@@ -1432,23 +1416,35 @@ impl<'c> Driver<'c> {
 mod tests {
     use super::*;
 
-    /// A stub node: `/bin/sh` running `script` on piped stdio, sent
-    /// `shutdown` and reaped with a short patience. Returns how it ended.
+    /// A stub node: `sleep SECS` as the child, and a peer thread as its
+    /// connection that reads the `shutdown` request, writes `answer` if
+    /// there is one and holds the connection until the driver closes it.
+    /// Returns how the child ended once `reap` has had it, with a short
+    /// patience.
     #[cfg(unix)]
-    fn reaped(script: &str) -> std::process::ExitStatus {
-        let mut child = Command::new("/bin/sh")
-            .args(["-c", script])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
+    fn reaped(secs: &str, answer: Option<String>) -> std::process::ExitStatus {
+        use twobit_interconnect::transport::{tcp_connect, Transport};
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let mut io = tcp_connect(addr).unwrap();
+            io.recv().unwrap().expect("the shutdown request");
+            if let Some(line) = answer {
+                io.send(&line).unwrap();
+            }
+            while let Ok(Some(_)) = io.recv() {}
+        });
+        let mut child = Command::new("sleep")
+            .arg(secs)
             .spawn()
-            .expect("spawn /bin/sh");
+            .expect("spawn sleep");
+        let stream = tcp_accept(&listener, ACCEPT_TIMEOUT).unwrap();
         let mut poll = PollTransport::new();
-        let token = poll.register_pipe(
-            child.stdout.take().expect("piped stdout"),
-            child.stdin.take().expect("piped stdin"),
-        );
+        let token = poll.register_tcp(stream).unwrap();
         poll.send(token, &request_line(&Request::Shutdown)).unwrap();
         reap(&mut poll, &mut child, token, Duration::from_millis(200));
+        peer.join().unwrap();
         // `reap` has waited: the status is there, and asking is not a hang.
         child.try_wait().unwrap().expect("reaped")
     }
@@ -1456,25 +1452,26 @@ mod tests {
     /// A node that never acknowledges `shutdown` — it ignores its input,
     /// or what it has to say is the stale reply of a batch that failed —
     /// is killed, not waited on without end; one that does acknowledge
-    /// is left to exit by itself.
+    /// is left to exit by itself (its `sleep` ends well after the
+    /// acknowledgement, so a kill would show).
     #[cfg(unix)]
     #[test]
     fn a_node_that_does_not_acknowledge_shutdown_is_killed() {
         use crate::wire::response_line;
         use std::os::unix::process::ExitStatusExt;
 
-        let silent = reaped("exec sleep 600");
+        let silent = reaped("600", None);
         assert_eq!(silent.signal(), Some(9), "{silent}");
 
         let stale = response_line(&Response::DeliverOk {
             outputs: Vec::new(),
             events: Vec::new(),
         });
-        let stale = reaped(&format!("echo '{stale}'; exec sleep 600"));
+        let stale = reaped("600", Some(stale));
         assert_eq!(stale.signal(), Some(9), "{stale}");
 
         let ack = response_line(&Response::ShutdownOk);
-        let acknowledged = reaped(&format!("read request; echo '{ack}'"));
+        let acknowledged = reaped("0.1", Some(ack));
         assert!(acknowledged.success(), "{acknowledged}");
     }
 

@@ -1,6 +1,6 @@
 //! End-to-end fleet runs: all six schemes under the adversarial fault
 //! plan, determinism of the merged timeline, crash/restart recovery, and
-//! the process/TCP hosting modes.
+//! TCP hosting mode.
 
 use std::path::PathBuf;
 
@@ -165,15 +165,15 @@ fn node_bin() -> PathBuf {
 }
 
 #[test]
-fn process_mode_matches_in_proc_timeline() {
+fn tcp_mode_matches_in_proc_timeline() {
     let mut inproc = adversarial_cfg("two-bit", 9);
     inproc.refs_per_client = 40;
-    let mut process = inproc.clone();
-    process.mode = Mode::Process {
+    let mut tcp = inproc.clone();
+    tcp.mode = Mode::Tcp {
         node_bin: node_bin(),
     };
     let a = run(&inproc).unwrap();
-    let b = run(&process).unwrap();
+    let b = run(&tcp).unwrap();
     assert_eq!(
         a.timeline, b.timeline,
         "hosting mode must not affect the schedule"
@@ -253,21 +253,14 @@ fn open_loop_timeline_identical_across_all_hosting_modes() {
         size: 4,
     };
     base.faults.jitter = 3;
-    let mut process = base.clone();
-    process.mode = Mode::Process {
-        node_bin: node_bin(),
-    };
     let mut tcp = base.clone();
     tcp.mode = Mode::Tcp {
         node_bin: node_bin(),
     };
     let a = run(&base).unwrap();
-    let b = run(&process).unwrap();
-    let c = run(&tcp).unwrap();
-    assert_eq!(a.timeline, b.timeline, "inproc vs process");
-    assert_eq!(b.timeline, c.timeline, "process vs tcp");
+    let b = run(&tcp).unwrap();
+    assert_eq!(a.timeline, b.timeline, "inproc vs tcp");
     assert_eq!(a.ops, b.ops);
-    assert_eq!(b.ops, c.ops);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,16 +11,21 @@
 //! commands a node's table declares no rule for (ISSUE 23): an `error`
 //! reply from either interpreter, where the memory node used to exit 101
 //! — and a command for a block another module owns (ISSUE 24), which a
-//! memory node used to serve as if the block were its own.
+//! memory node used to serve as if the block were its own. The binary is
+//! driven as the fleet runs it, `dist_node --tcp ADDR` dialing a local
+//! listener; run with no address it must refuse to start.
 
-use std::io::Write;
-use std::process::{Command, Stdio};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpListener};
+use std::process::Command;
+use std::time::Duration;
 
 use twobit_dist::node::Node;
 use twobit_dist::wire::{
     request_line, response_from_line, response_line, Actor, Envelope, NodeConfig, Payload, Request,
     Response,
 };
+use twobit_interconnect::transport::tcp_accept;
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, CacheToMemory, MemRef, MemoryToCache, TxnId, Version, WordAddr,
 };
@@ -55,24 +60,8 @@ fn hostile_frames_get_error_replies_from_the_binary() {
         request_line(&Request::Shutdown),
     ];
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_dist_node"))
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn dist_node");
-    let mut stdin = child.stdin.take().expect("piped stdin");
-    // The replies are six short lines, far below a pipe buffer, so
-    // writing everything before reading anything cannot deadlock.
-    for frame in &frames {
-        writeln!(stdin, "{frame}").expect("write frame");
-    }
-    drop(stdin);
-    let out = child.wait_with_output().expect("wait for dist_node");
-    assert!(out.status.success(), "dist_node exited with {}", out.status);
-
-    let replies: Vec<Response> = String::from_utf8(out.stdout)
-        .expect("UTF-8 replies")
-        .lines()
+    let replies: Vec<Response> = replies_of(&frames)
+        .iter()
         .map(|line| response_from_line(line).expect("a response frame"))
         .collect();
     match replies.as_slice() {
@@ -88,23 +77,47 @@ fn hostile_frames_get_error_replies_from_the_binary() {
     }
 }
 
-/// Writes `frames` to a fresh `dist_node`, closes its input and returns
-/// its reply lines.
+/// Writes `frames` to a fresh `dist_node --tcp` dialing a local
+/// listener, ends the connection's write half and returns the node's
+/// reply lines.
 fn replies_of(frames: &[String]) -> Vec<String> {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let mut child = Command::new(env!("CARGO_BIN_EXE_dist_node"))
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
+        .arg("--tcp")
+        .arg(listener.local_addr().expect("addr").to_string())
         .spawn()
         .expect("spawn dist_node");
-    let mut stdin = child.stdin.take().expect("piped stdin");
+    let mut stream = tcp_accept(&listener, Duration::from_secs(10)).expect("the node dials back");
+    let mut bytes = Vec::new();
     for frame in frames {
-        writeln!(stdin, "{frame}").expect("write frame");
+        writeln!(bytes, "{frame}").expect("write frame");
     }
-    drop(stdin);
-    let out = child.wait_with_output().expect("wait for dist_node");
-    assert!(out.status.success(), "dist_node exited with {}", out.status);
-    let text = String::from_utf8(out.stdout).expect("UTF-8 replies");
+    // The node answers while it reads, and its replies are short lines
+    // that the socket buffers hold, so writing everything first cannot
+    // deadlock.
+    stream.write_all(&bytes).expect("write frames");
+    stream.shutdown(Shutdown::Write).expect("end the requests");
+    let mut text = String::new();
+    stream.read_to_string(&mut text).expect("UTF-8 replies");
+    let status = child.wait().expect("wait for dist_node");
+    assert!(status.success(), "dist_node exited with {status}");
     text.lines().map(str::to_string).collect()
+}
+
+/// Run with no argument, the node serves nothing: it names the one way
+/// to run it and fails.
+#[test]
+fn without_an_address_the_binary_prints_its_usage_and_fails() {
+    let out = Command::new(env!("CARGO_BIN_EXE_dist_node"))
+        .output()
+        .expect("run dist_node");
+    assert!(
+        !out.status.success(),
+        "dist_node exited with {}",
+        out.status
+    );
+    let stderr = String::from_utf8(out.stderr).expect("UTF-8 stderr");
+    assert!(stderr.contains("--tcp ADDR"), "{stderr}");
 }
 
 /// A client that repeats, reorders or runs ahead of its transaction ids.

@@ -3,7 +3,7 @@
 //! [`super::transport`] gives the fleet its framing: one JSON document
 //! per `\n`-terminated line over a byte stream. What it cannot give the
 //! driver is *concurrency*: a [`super::transport::Transport`] is one
-//! request/response pipe, so a driver built on it can only keep one
+//! request/response stream, so a driver built on it can only keep one
 //! exchange in flight and its wall-clock is the sum of every round-trip
 //! in the run. This module is the other half: a [`PollTransport`] owns
 //! **all** node connections at once, so a single driver thread can start
@@ -13,23 +13,20 @@
 //!
 //! # Model
 //!
-//! * **Registration** hands a connection to the transport and returns a
-//!   [`Token`]. A TCP stream is used directly, in blocking mode with a
-//!   timeout; a pipe-like stream (a child's stdout, which `std` can
-//!   neither time out nor poll without raw fd calls) is pumped by a
-//!   small reader thread into a channel.
+//! * **Registration** hands a TCP connection to the transport and
+//!   returns a [`Token`]. The stream is used directly, in blocking mode
+//!   with a timeout.
 //! * **Sending queues.** [`PollTransport::send`] appends a frame to its
 //!   connection's output buffer and touches no stream.
 //! * **Receiving hands over.** The caller names the connection whose
 //!   reply it needs next; [`PollTransport::recv_deadline`] first writes
 //!   out every connection's queue, one `write` each, and then waits *in
-//!   the kernel* on that one connection — a blocking read, or a channel
-//!   receive for a pumped pipe. No readiness multiplexer is needed
-//!   because the caller consumes replies in an order it already knows:
-//!   replies of the connections it is not waiting on wait too, in their
-//!   socket or channel buffers, and cost nothing until asked for. A
-//!   thread that waits this way gives its CPU to the node that must
-//!   compute the reply instead of competing with it.
+//!   the kernel* on that one connection, a blocking read. No readiness
+//!   multiplexer is needed because the caller consumes replies in an
+//!   order it already knows: replies of the connections it is not
+//!   waiting on wait too, in their socket buffers, and cost nothing
+//!   until asked for. A thread that waits this way gives its CPU to the
+//!   node that must compute the reply instead of competing with it.
 //!
 //! So a same-instant batch of requests costs one write and one read per
 //! node, however many frames it holds. Inbound bytes are split by the
@@ -39,7 +36,7 @@
 //!
 //! # Bounds
 //!
-//! No call waits without end on a TCP connection: the call's deadline is
+//! No call waits without end on a connection: the call's deadline is
 //! the stream's read *and* write timeout, so a peer that never answers —
 //! or never reads — surfaces as the typed [`PollError::Timeout`]. No
 //! system call waits longer than the deadline and none starts after it
@@ -47,13 +44,10 @@
 //! [`MAX_FRAME_BYTES`](super::transport::MAX_FRAME_BYTES) is
 //! [`PollError::Frame`]. After any error a connection's framing cannot be
 //! trusted (a reply may be half-read, a request half-written), so the
-//! connection is closed and its token is dead. A pipe's *write* has no
-//! timeout (`std` offers none); DESIGN.md §9.2 states why the frames the
-//! driver writes cannot fill one.
+//! connection is closed and its token is dead.
 
 use std::io::{self, Write};
 use std::net::TcpStream;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::time::{Duration, Instant};
 
 use crate::transport::{push_frame, FrameBuf, FrameError};
@@ -106,36 +100,6 @@ impl From<FrameError> for PollError {
     }
 }
 
-/// The two kinds of byte stream a connection can be.
-enum Link {
-    /// A blocking TCP stream, read and written directly. `armed` is the
-    /// read and write timeout last set on it, so the hot path — every
-    /// call carrying the same deadline — sets none.
-    Tcp {
-        stream: TcpStream,
-        armed: Option<Duration>,
-    },
-    /// A child's stdout pumped into `rx` by a reader thread, and its
-    /// stdin written directly (blocking).
-    Pipe {
-        rx: Receiver<io::Result<Vec<u8>>>,
-        writer: Box<dyn Write + Send>,
-    },
-}
-
-/// Makes `timeout` the stream's read and write timeout unless it is
-/// already.
-fn arm(stream: &TcpStream, armed: &mut Option<Duration>, timeout: Duration) -> io::Result<()> {
-    // `std` refuses a zero timeout: to the socket it would mean none.
-    let timeout = Some(timeout.max(Duration::from_micros(1)));
-    if *armed != timeout {
-        stream.set_read_timeout(timeout)?;
-        stream.set_write_timeout(timeout)?;
-        *armed = timeout;
-    }
-    Ok(())
-}
-
 /// A blocking call that ran into the stream's timeout (`WouldBlock` on
 /// Unix, `TimedOut` on Windows) is a [`PollError::Timeout`].
 fn timed(e: io::Error, start: Instant) -> PollError {
@@ -148,7 +112,11 @@ fn timed(e: io::Error, start: Instant) -> PollError {
 }
 
 struct Conn {
-    link: Link,
+    /// A blocking TCP stream, read and written directly.
+    stream: TcpStream,
+    /// The read and write timeout last set on `stream`, so the hot path
+    /// — every call carrying the same deadline — sets none.
+    armed: Option<Duration>,
     /// Inbound bytes and the cursor that splits them into frames.
     inbuf: FrameBuf,
     /// Frames queued since the last write.
@@ -159,29 +127,25 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(link: Link) -> Self {
-        Conn {
-            link,
-            inbuf: FrameBuf::default(),
-            outbuf: Vec::new(),
-            failed: None,
+    /// Makes `timeout` the stream's read and write timeout unless it is
+    /// already.
+    fn arm(&mut self, timeout: Duration) -> io::Result<()> {
+        // `std` refuses a zero timeout: to the socket it would mean none.
+        let timeout = Some(timeout.max(Duration::from_micros(1)));
+        if self.armed != timeout {
+            self.stream.set_read_timeout(timeout)?;
+            self.stream.set_write_timeout(timeout)?;
+            self.armed = timeout;
         }
+        Ok(())
     }
 
     /// Writes out everything queued, as one buffer.
     fn write_out(&mut self, start: Instant, timeout: Duration) -> Result<(), PollError> {
-        match &mut self.link {
-            Link::Tcp { stream, armed } => {
-                arm(stream, armed, timeout)?;
-                (&*stream)
-                    .write_all(&self.outbuf)
-                    .map_err(|e| timed(e, start))?;
-            }
-            Link::Pipe { writer, .. } => {
-                writer.write_all(&self.outbuf)?;
-                writer.flush()?;
-            }
-        }
+        self.arm(timeout)?;
+        (&self.stream)
+            .write_all(&self.outbuf)
+            .map_err(|e| timed(e, start))?;
         self.outbuf.clear();
         Ok(())
     }
@@ -204,28 +168,13 @@ impl Conn {
             if waited >= timeout {
                 return Err(PollError::Timeout { waited });
             }
-            match &mut self.link {
-                Link::Tcp { stream, armed } => {
-                    arm(stream, armed, timeout)?;
-                    match self.inbuf.fill(&*stream) {
-                        Ok(()) => {}
-                        // A peer killed mid-exchange (crash injection)
-                        // resets rather than closes; treat it as EOF.
-                        Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {
-                            self.inbuf.close();
-                        }
-                        Err(e) => return Err(timed(e, start)),
-                    }
-                }
-                Link::Pipe { rx, .. } => match rx.recv_timeout(timeout - waited) {
-                    Ok(chunk) => self.inbuf.push(&chunk?),
-                    Err(RecvTimeoutError::Disconnected) => self.inbuf.close(),
-                    Err(RecvTimeoutError::Timeout) => {
-                        return Err(PollError::Timeout {
-                            waited: start.elapsed(),
-                        })
-                    }
-                },
+            self.arm(timeout)?;
+            match self.inbuf.fill(&self.stream) {
+                Ok(()) => {}
+                // A peer killed mid-exchange (crash injection) resets
+                // rather than closes; treat it as EOF.
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset => self.inbuf.close(),
+                Err(e) => return Err(timed(e, start)),
             }
         }
     }
@@ -279,31 +228,17 @@ impl PollTransport {
     pub fn register_tcp(&mut self, stream: TcpStream) -> io::Result<Token> {
         stream.set_nonblocking(false)?;
         stream.set_nodelay(true)?;
-        Ok(self.slot(Conn::new(Link::Tcp {
+        Ok(self.slot(Conn {
             stream,
             armed: None,
-        })))
-    }
-
-    /// Registers a pipe-like connection: `reader` is handed to a pump
-    /// thread (so a wait on it can time out), `writer` is written
-    /// directly.
-    pub fn register_pipe<R, W>(&mut self, reader: R, writer: W) -> Token
-    where
-        R: io::Read + Send + 'static,
-        W: Write + Send + 'static,
-    {
-        let (tx, rx) = std::sync::mpsc::sync_channel(PUMP_CHUNKS);
-        std::thread::spawn(move || pump(reader, &tx));
-        self.slot(Conn::new(Link::Pipe {
-            rx,
-            writer: Box::new(writer),
+            inbuf: FrameBuf::default(),
+            outbuf: Vec::new(),
+            failed: None,
         }))
     }
 
     /// Drops a registration (e.g. after killing the peer), closing the
-    /// connection. Buffered frames are discarded; a pump thread, if any,
-    /// exits on its next read returning EOF.
+    /// connection. Buffered frames are discarded.
     pub fn deregister(&mut self, t: Token) {
         if let Some(slot) = self.conns.get_mut(t.0) {
             *slot = None;
@@ -365,94 +300,31 @@ impl PollTransport {
     }
 }
 
-/// How many chunks a pump may hold ahead of the driver: with 8 KiB
-/// chunks, what a socket's receive buffer would hold. Beyond that the
-/// pump stops reading and the pipe's own back-pressure reaches the peer,
-/// so a child that floods its stdout costs a bounded queue.
-const PUMP_CHUNKS: usize = 16;
-
-/// Body of a pipe pump thread: blocking reads forwarded as chunks until
-/// EOF or error; dropping the sender signals EOF to the waiting side.
-fn pump<R: io::Read>(mut reader: R, tx: &SyncSender<io::Result<Vec<u8>>>) {
-    let mut chunk = [0u8; 8192];
-    loop {
-        match reader.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => {
-                if tx.send(Ok(chunk[..n].to_vec())).is_err() {
-                    return; // deregistered
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                let _ = tx.send(Err(e));
-                return;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
-    use std::net::TcpListener;
-    use std::sync::mpsc::Sender;
-    use std::sync::{Arc, Mutex};
-
-    /// An in-memory blocking reader fed by a channel (pipe stand-in).
-    struct TestReader(Receiver<Vec<u8>>);
-    impl Read for TestReader {
-        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-            match self.0.recv() {
-                Ok(chunk) => {
-                    let n = chunk.len().min(out.len());
-                    out[..n].copy_from_slice(&chunk[..n]);
-                    assert!(n == chunk.len(), "test chunks fit the buffer");
-                    Ok(n)
-                }
-                Err(_) => Ok(0),
-            }
-        }
-    }
-
-    /// Records every `write` call it is given, whole.
-    #[derive(Clone, Default)]
-    struct TestWriter(Arc<Mutex<Vec<String>>>);
-    impl TestWriter {
-        fn writes(&self) -> Vec<String> {
-            self.0.lock().unwrap().clone()
-        }
-    }
-    impl Write for TestWriter {
-        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
-            let text = String::from_utf8(bytes.to_vec()).unwrap();
-            self.0.lock().unwrap().push(text);
-            Ok(bytes.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
+    use std::net::{Shutdown, TcpListener};
 
     const LONG: Duration = Duration::from_secs(5);
 
-    fn pipe(poll: &mut PollTransport) -> (Token, Sender<Vec<u8>>, TestWriter) {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let out = TestWriter::default();
-        (poll.register_pipe(TestReader(rx), out.clone()), tx, out)
+    /// A registered loopback connection and the peer's end of it.
+    fn pair(poll: &mut PollTransport) -> (Token, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (poll.register_tcp(stream).unwrap(), peer)
     }
 
     #[test]
-    fn frames_multiplex_across_pipe_connections() {
+    fn frames_multiplex_across_connections() {
         let mut poll = PollTransport::new();
-        let (a, in_a, _) = pipe(&mut poll);
-        let (b, in_b, _) = pipe(&mut poll);
+        let (a, mut in_a) = pair(&mut poll);
+        let (b, mut in_b) = pair(&mut poll);
 
         // B's frames are sent first; a recv on A must leave them where
         // they are, not lose them, and per-connection order must hold.
-        in_b.send(b"b1\nb2\n".to_vec()).unwrap();
-        in_a.send(b"a1\n".to_vec()).unwrap();
+        in_b.write_all(b"b1\nb2\n").unwrap();
+        in_a.write_all(b"a1\n").unwrap();
         for (t, want) in [(a, "a1"), (b, "b1"), (b, "b2")] {
             let got = poll.recv_deadline(t, LONG).unwrap();
             assert_eq!(got.as_deref(), Some(want));
@@ -462,51 +334,24 @@ mod tests {
     #[test]
     fn split_frames_reassemble() {
         let mut poll = PollTransport::new();
-        let (t, tx, _) = pipe(&mut poll);
-        tx.send(b"{\"half\":".to_vec()).unwrap();
-        tx.send(b"1}\n{\"next\":2}\n".to_vec()).unwrap();
+        let (t, mut tx) = pair(&mut poll);
+        let peer = std::thread::spawn(move || {
+            tx.write_all(b"{\"half\":").unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            tx.write_all(b"1}\n{\"next\":2}\n").unwrap();
+            tx
+        });
         for want in ["{\"half\":1}", "{\"next\":2}"] {
             let got = poll.recv_deadline(t, LONG).unwrap();
             assert_eq!(got.as_deref(), Some(want));
         }
-    }
-
-    /// The tie on the driver's end, counted: `send` writes nothing, and
-    /// the next `recv_deadline` — on whichever connection — writes every
-    /// connection's queue as one buffer.
-    #[test]
-    fn queued_frames_leave_as_one_write_per_connection_at_the_next_recv() {
-        let mut poll = PollTransport::new();
-        let (a, in_a, out_a) = pipe(&mut poll);
-        let (b, _in_b, out_b) = pipe(&mut poll);
-        for frame in ["a1", "a2", "a3"] {
-            poll.send(a, frame).unwrap();
-        }
-        for frame in ["b1", "b2"] {
-            poll.send(b, frame).unwrap();
-        }
-        assert!(out_a.writes().is_empty() && out_b.writes().is_empty());
-
-        in_a.send(b"reply\n".to_vec()).unwrap();
-        let got = poll.recv_deadline(a, LONG).unwrap();
-        assert_eq!(got.as_deref(), Some("reply"));
-        assert_eq!(out_a.writes(), ["a1\na2\na3\n"]);
-        assert_eq!(out_b.writes(), ["b1\nb2\n"]);
-
-        // Nothing is queued now, so nothing more is written; and a
-        // caller that will not wait has `flush`.
-        in_a.send(b"again\n".to_vec()).unwrap();
-        poll.recv_deadline(a, LONG).unwrap();
-        poll.send(b, "b3").unwrap();
-        poll.flush(LONG);
-        assert_eq!(out_a.writes().len(), 1);
-        assert_eq!(out_b.writes(), ["b1\nb2\n", "b3\n"]);
+        peer.join().unwrap();
     }
 
     #[test]
     fn recv_deadline_times_out_with_typed_error() {
         let mut poll = PollTransport::new();
-        let (t, _tx, _) = pipe(&mut poll);
+        let (t, _peer) = pair(&mut poll);
         let started = Instant::now();
         match poll.recv_deadline(t, Duration::from_millis(30)) {
             Err(PollError::Timeout { waited }) => {
@@ -524,21 +369,20 @@ mod tests {
     /// that connection's error, reported when it is next named.
     #[test]
     fn a_failed_write_is_reported_by_its_own_connection() {
-        struct Broken;
-        impl Write for Broken {
-            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
-                Err(io::ErrorKind::BrokenPipe.into())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
         let mut poll = PollTransport::new();
-        let (good, tx, _) = pipe(&mut poll);
-        let (_keep, rx) = std::sync::mpsc::channel();
-        let bad = poll.register_pipe(TestReader(rx), Broken);
+        let (good, mut tx) = pair(&mut poll);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        // The registered stream can no longer write: every write fails.
+        stream
+            .try_clone()
+            .unwrap()
+            .shutdown(Shutdown::Write)
+            .unwrap();
+        let bad = poll.register_tcp(stream).unwrap();
         poll.send(bad, "lost").unwrap();
-        tx.send(b"fine\n".to_vec()).unwrap();
+        tx.write_all(b"fine\n").unwrap();
         let got = poll.recv_deadline(good, LONG).unwrap();
         assert_eq!(got.as_deref(), Some("fine"));
         match poll.recv_deadline(bad, LONG) {
@@ -554,8 +398,8 @@ mod tests {
     #[test]
     fn peer_eof_yields_none_and_trailing_line_is_delivered() {
         let mut poll = PollTransport::new();
-        let (t, tx, _) = pipe(&mut poll);
-        tx.send(b"last-without-newline".to_vec()).unwrap();
+        let (t, mut tx) = pair(&mut poll);
+        tx.write_all(b"last-without-newline").unwrap();
         drop(tx);
         assert_eq!(
             poll.recv_deadline(t, LONG).unwrap().as_deref(),
@@ -567,7 +411,7 @@ mod tests {
     #[test]
     fn deregistered_token_is_a_typed_error() {
         let mut poll = PollTransport::new();
-        let (t, _tx, _) = pipe(&mut poll);
+        let (t, _peer) = pair(&mut poll);
         poll.deregister(t);
         assert!(matches!(
             poll.recv_deadline(t, Duration::from_millis(10)),

@@ -1,9 +1,8 @@
 //! Line-delimited message transport for the distributed runner.
 //!
-//! The `twobit-dist` node fleet exchanges JSON documents over byte
-//! streams — a child process's stdin/stdout pipes, or a TCP connection.
-//! This module is the *framing* layer those documents ride on; it knows
-//! nothing about their content.
+//! The `twobit-dist` node fleet exchanges JSON documents over loopback
+//! TCP connections, one per child node. This module is the *framing*
+//! layer those documents ride on; it knows nothing about their content.
 //!
 //! # Framing
 //!
@@ -184,7 +183,7 @@ impl FrameBuf {
 /// A bidirectional, ordered, reliable message stream.
 ///
 /// Implementations carry whole messages (frames); ordering and
-/// reliability come from the underlying byte stream (pipe or TCP).
+/// reliability come from the underlying byte stream.
 /// Loss, delay, and reordering are *simulated* above this layer by the
 /// driver's fault plan — never by the transport.
 pub trait Transport: Send {
@@ -205,9 +204,9 @@ pub trait Transport: Send {
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error (e.g. a broken pipe when the
-    /// peer died). `msg` must not contain `\n`; in debug builds this is
-    /// asserted.
+    /// Returns the underlying I/O error (e.g. a reset connection when
+    /// the peer died). `msg` must not contain `\n`; in debug builds this
+    /// is asserted.
     fn send(&mut self, msg: &str) -> io::Result<()>;
 
     /// Receives the next message, blocking until one arrives; whatever
@@ -229,10 +228,9 @@ pub trait Transport: Send {
 /// It buffers both directions itself — input, because only the owner of
 /// the buffer knows whether the next frame is already there or the next
 /// read can block; output, so that everything queued is one write — so
-/// `reader` and `writer` should be the raw streams. The concrete fleet
-/// instantiations are [`stdio`] (a node's own stdin and stdout) and
-/// [`tcp_connect`]/[`tcp_accept`] (a cloned TCP stream for each
-/// direction), but tests can pair any in-memory streams.
+/// `reader` and `writer` should be the raw streams. The fleet's is
+/// [`tcp_connect`] (a node's cloned TCP stream for each direction), but
+/// tests can pair any in-memory streams.
 #[derive(Debug)]
 pub struct LineTransport<R, W> {
     reader: R,
@@ -308,14 +306,6 @@ where
     }
 }
 
-/// The transport a node binary uses toward the driver that spawned it:
-/// messages in on stdin, messages out on stdout. Anything the node wants
-/// a human to see goes to stderr, which the driver leaves alone.
-#[must_use]
-pub fn stdio() -> LineTransport<io::Stdin, io::Stdout> {
-    LineTransport::new(io::stdin(), io::stdout())
-}
-
 /// Connects to a listening peer (the TCP flavor of the fleet).
 ///
 /// `TCP_NODELAY` is set: what leaves is a whole batch of replies in one
@@ -368,9 +358,7 @@ impl From<io::Error> for AcceptError {
 }
 
 /// Accepts one inbound connection on `listener`, waiting at most
-/// `timeout`. The raw-stream flavor of [`tcp_accept`], for callers (the
-/// multiplexed driver) that hand the stream to a
-/// [`crate::poll::PollTransport`] instead of framing it here.
+/// `timeout`, for the driver to hand to a [`crate::poll::PollTransport`].
 ///
 /// The listener is temporarily switched to non-blocking mode and
 /// restored before returning; the accepted stream is explicitly set
@@ -379,12 +367,10 @@ impl From<io::Error> for AcceptError {
 ///
 /// # Errors
 ///
-/// [`AcceptError::Timeout`] if no peer connects in time, otherwise the
+/// [`AcceptError::Timeout`] if no peer connects in time — a node that
+/// died before dialing back must not hang the driver — otherwise the
 /// listener's I/O error.
-pub fn tcp_accept_stream(
-    listener: &TcpListener,
-    timeout: Duration,
-) -> Result<TcpStream, AcceptError> {
+pub fn tcp_accept(listener: &TcpListener, timeout: Duration) -> Result<TcpStream, AcceptError> {
     listener.set_nonblocking(true)?;
     let start = Instant::now();
     let outcome = loop {
@@ -408,23 +394,6 @@ pub fn tcp_accept_stream(
     stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
     Ok(stream)
-}
-
-/// Accepts one inbound connection on `listener`, waiting at most
-/// `timeout`.
-///
-/// # Errors
-///
-/// [`AcceptError::Timeout`] if no peer connects within the deadline —
-/// a node that died before dialing back must not hang the driver —
-/// otherwise the underlying accept/clone error.
-pub fn tcp_accept(
-    listener: &TcpListener,
-    timeout: Duration,
-) -> Result<LineTransport<TcpStream, TcpStream>, AcceptError> {
-    let stream = tcp_accept_stream(listener, timeout)?;
-    let reader = stream.try_clone().map_err(AcceptError::Io)?;
-    Ok(LineTransport::new(reader, stream))
 }
 
 /// An in-memory transport half for tests: what one side writes, the
@@ -477,7 +446,7 @@ impl Write for ChanWriter {
 }
 
 /// A connected pair of in-memory transports: frames sent on one side
-/// arrive at the other, in order, with pipe-like EOF when a side drops.
+/// arrive at the other, in order, with end-of-stream when a side drops.
 #[must_use]
 pub fn loopback() -> (MemTransport, MemTransport) {
     let (tx_ab, rx_ab) = std::sync::mpsc::channel();
@@ -649,12 +618,18 @@ mod tests {
         assert_eq!(b.recv().unwrap(), None);
     }
 
+    /// The next inbound connection on `listener`, framed.
+    fn accepted(listener: &TcpListener) -> LineTransport<TcpStream, TcpStream> {
+        let stream = tcp_accept(listener, std::time::Duration::from_secs(10)).unwrap();
+        LineTransport::new(stream.try_clone().unwrap(), stream)
+    }
+
     #[test]
     fn tcp_pair_roundtrips() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let join = std::thread::spawn(move || {
-            let mut server = tcp_accept(&listener, std::time::Duration::from_secs(10)).unwrap();
+            let mut server = accepted(&listener);
             let got = server.recv().unwrap().unwrap();
             server.send(&format!("echo:{got}")).unwrap();
         });
@@ -685,7 +660,7 @@ mod tests {
             let mut client = tcp_connect(addr).unwrap();
             client.send("late").unwrap();
         });
-        let mut server = tcp_accept(&listener, std::time::Duration::from_secs(10)).unwrap();
+        let mut server = accepted(&listener);
         assert_eq!(server.recv().unwrap().as_deref(), Some("late"));
         join.join().unwrap();
     }

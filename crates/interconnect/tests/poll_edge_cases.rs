@@ -5,63 +5,24 @@
 //! frame wider than one 8 KiB read, any chunking of any bytes, a frame
 //! with no end, and a TCP peer that stopped reading.
 
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::mpsc::{Receiver, Sender};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use twobit_interconnect::poll::{PollError, PollTransport};
+use twobit_interconnect::poll::{PollError, PollTransport, Token};
 use twobit_interconnect::transport::{FrameError, LineTransport, Transport, MAX_FRAME_BYTES};
 
-/// A blocking reader fed by a channel — stands in for a child's stdout.
-/// Chunks larger than the caller's buffer are carried over, so tests
-/// may push arbitrarily large writes.
-struct ChanReader {
-    rx: Receiver<Vec<u8>>,
-    pending: Vec<u8>,
-}
-
-impl ChanReader {
-    fn new(rx: Receiver<Vec<u8>>) -> Self {
-        ChanReader {
-            rx,
-            pending: Vec::new(),
-        }
-    }
-}
-
-impl Read for ChanReader {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        if self.pending.is_empty() {
-            match self.rx.recv() {
-                Ok(chunk) => self.pending = chunk,
-                Err(_) => return Ok(0), // sender dropped: EOF
-            }
-        }
-        let n = self.pending.len().min(out.len());
-        out[..n].copy_from_slice(&self.pending[..n]);
-        self.pending.drain(..n);
-        Ok(n)
-    }
-}
-
-/// Outbound half of the pipe stand-in; these tests never read it back.
-struct ChanWriter(Sender<Vec<u8>>);
-
-impl Write for ChanWriter {
-    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
-        self.0
-            .send(bytes.to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer dropped"))?;
-        Ok(bytes.len())
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 const DEADLINE: Duration = Duration::from_secs(10);
+
+/// A registered loopback connection and the peer's end of it.
+fn pair(poll: &mut PollTransport) -> (Token, TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (stream, _) = listener.accept().unwrap();
+    (poll.register_tcp(stream).unwrap(), peer)
+}
 
 /// A peer that dies mid-frame over TCP: one complete frame, then a
 /// partial line cut off by the write-side shutdown. The complete frame
@@ -104,19 +65,15 @@ fn tcp_partial_frame_at_eof_is_delivered_before_eof() {
 #[test]
 fn interleaved_partial_frames_stay_per_connection() {
     let mut poll = PollTransport::new();
-    let (in_a, rx_a) = std::sync::mpsc::channel();
-    let (in_b, rx_b) = std::sync::mpsc::channel();
-    let (out_a, _keep_a) = std::sync::mpsc::channel();
-    let (out_b, _keep_b) = std::sync::mpsc::channel();
-    let a = poll.register_pipe(ChanReader::new(rx_a), ChanWriter(out_a));
-    let b = poll.register_pipe(ChanReader::new(rx_b), ChanWriter(out_b));
+    let (a, mut in_a) = pair(&mut poll);
+    let (b, mut in_b) = pair(&mut poll);
 
     // A and B alternate fragments; neither frame is complete until the
-    // fourth send, and B's completes first.
-    in_a.send(b"alpha-".to_vec()).unwrap();
-    in_b.send(b"beta-".to_vec()).unwrap();
-    in_b.send(b"two\nb-next-".to_vec()).unwrap();
-    in_a.send(b"one\n".to_vec()).unwrap();
+    // fourth write, and B's completes first.
+    in_a.write_all(b"alpha-").unwrap();
+    in_b.write_all(b"beta-").unwrap();
+    in_b.write_all(b"two\nb-next-").unwrap();
+    in_a.write_all(b"one\n").unwrap();
 
     assert_eq!(
         poll.recv_deadline(a, DEADLINE).unwrap().as_deref(),
@@ -128,8 +85,8 @@ fn interleaved_partial_frames_stay_per_connection() {
         Some("beta-two")
     );
     // B's trailing fragment is still pending, not a frame: it comes
-    // back as the head of the frame the next send completes.
-    in_b.send(b"frame\n".to_vec()).unwrap();
+    // back as the head of the frame the next write completes.
+    in_b.write_all(b"frame\n").unwrap();
     assert_eq!(
         poll.recv_deadline(b, DEADLINE).unwrap().as_deref(),
         Some("b-next-frame")
@@ -167,21 +124,6 @@ fn tcp_frame_larger_than_one_read_buffer_reassembles() {
     peer.join().unwrap();
 }
 
-/// The same over-wide frame through the pumped-pipe path: the pump
-/// thread's own 8 KiB chunking must not split or reorder bytes within
-/// a connection.
-#[test]
-fn pipe_frame_larger_than_one_read_buffer_reassembles() {
-    let payload = "fedcba9876543210".repeat(2 * 1024); // 32 KiB
-    let mut poll = PollTransport::new();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let (out, _keep) = std::sync::mpsc::channel();
-    let t = poll.register_pipe(ChanReader::new(rx), ChanWriter(out));
-    tx.send(format!("{payload}\n").into_bytes()).unwrap();
-    let big = poll.recv_deadline(t, DEADLINE).unwrap().unwrap();
-    assert_eq!(big, payload);
-}
-
 /// The frames of `bytes`, worked out without a cursor: the pieces
 /// between `\n`s, an unterminated tail included, up to and including the
 /// first that is not UTF-8 (`None`), which is where a link stops.
@@ -200,19 +142,30 @@ fn frames_of(bytes: &[u8]) -> Vec<Option<String>> {
     frames
 }
 
-/// A reader that yields `bytes` cut at `cuts` (cycled), then EOF.
-fn chunked(bytes: &[u8], cuts: &[usize]) -> ChanReader {
-    let (tx, rx) = std::sync::mpsc::channel();
+/// `bytes` cut at `cuts` (cycled).
+fn chunked(bytes: &[u8], cuts: &[usize]) -> VecDeque<Vec<u8>> {
+    let mut chunks = VecDeque::new();
     let mut rest = bytes;
     for &cut in cuts.iter().cycle() {
         if rest.is_empty() {
             break;
         }
         let (chunk, tail) = rest.split_at(cut.min(rest.len()));
-        tx.send(chunk.to_vec()).unwrap();
+        chunks.push_back(chunk.to_vec());
         rest = tail;
     }
-    ChanReader::new(rx)
+    chunks
+}
+
+/// A reader that yields its chunks, one per read, then EOF.
+struct Chunks(VecDeque<Vec<u8>>);
+
+impl Read for Chunks {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let chunk = self.0.pop_front().unwrap_or_default();
+        out[..chunk.len()].copy_from_slice(&chunk);
+        Ok(chunk.len())
+    }
 }
 
 /// Everything a receive loop yields until end-of-stream or an error
@@ -246,11 +199,17 @@ proptest! {
     ) {
         let expected = frames_of(&bytes);
 
-        let mut line = LineTransport::new(chunked(&bytes, &cuts), io::sink());
+        let mut line = LineTransport::new(Chunks(chunked(&bytes, &cuts)), io::sink());
         prop_assert_eq!(&drain(|| line.recv()), &expected);
 
+        // Over a socket pair: the bytes, fewer than a socket buffer
+        // holds, are written chunk by chunk and then the peer's end.
         let mut poll = PollTransport::new();
-        let t = poll.register_pipe(chunked(&bytes, &cuts), io::sink());
+        let (t, mut peer) = pair(&mut poll);
+        for chunk in chunked(&bytes, &cuts) {
+            peer.write_all(&chunk).unwrap();
+        }
+        peer.shutdown(Shutdown::Write).unwrap();
         prop_assert_eq!(&drain(|| poll.recv_deadline(t, DEADLINE)), &expected);
     }
 }
@@ -272,12 +231,15 @@ fn a_frame_with_no_end_is_refused_at_the_bound() {
     assert_eq!(typed, Some(&too_long));
 
     let mut poll = PollTransport::new();
-    let t = poll.register_pipe(io::repeat(b'['), io::sink());
+    let (t, mut peer) = pair(&mut poll);
+    // Writes `[` until the closed connection refuses more.
+    let flood = std::thread::spawn(move || io::copy(&mut io::repeat(b'['), &mut peer));
     match poll.recv_deadline(t, DEADLINE) {
         Err(PollError::Frame(e)) => assert_eq!(e, too_long),
         other => panic!("expected the frame to be refused, got {other:?}"),
     }
     assert!(matches!(poll.send(t, "x"), Err(PollError::Unregistered)));
+    assert!(flood.join().unwrap().is_err());
 }
 
 /// A TCP peer that accepts and never reads, and a frame larger than the

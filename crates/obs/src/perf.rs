@@ -93,15 +93,6 @@ impl PerfReport {
         }
     }
 
-    /// Spans sorted by descending self time (ties broken by name, so the
-    /// order is stable across runs with equal timings).
-    #[must_use]
-    pub fn by_self_time(&self) -> Vec<(&'static str, SpanStat)> {
-        let mut out = self.spans.clone();
-        out.sort_by(|(an, a), (bn, b)| b.self_ns.cmp(&a.self_ns).then(an.cmp(bn)));
-        out
-    }
-
     /// Sum of self time over all spans (= total wall time inside the
     /// outermost spans, since child time is attributed exactly once).
     #[must_use]
@@ -310,24 +301,7 @@ mod tests {
         );
         assert_eq!(r.get("a").unwrap().count, 3);
         assert_eq!(r.get("a").unwrap().self_ns, 100);
-        let ranked = r.by_self_time();
-        assert_eq!(ranked[0].0, "a", "100ns self ranks above 90ns");
         assert_eq!(r.total_self_ns(), 190);
-    }
-
-    #[test]
-    fn rank_ties_break_by_name() {
-        let mut r = PerfReport::new();
-        let s = SpanStat {
-            count: 1,
-            total_ns: 5,
-            self_ns: 5,
-        };
-        r.add("zeta", s);
-        r.add("alpha", s);
-        let ranked = r.by_self_time();
-        assert_eq!(ranked[0].0, "alpha");
-        assert_eq!(ranked[1].0, "zeta");
     }
 
     #[cfg(not(feature = "perf-spans"))]
