@@ -4,7 +4,7 @@
 //! protocols … need to be refined (and proven correct)".
 //!
 //! Exploration uses the parallel, state-deduplicating DAG search
-//! (`ModelChecker::explore_dedup_observed`): states reachable along many
+//! (`ModelChecker::explore_dedup`): states reachable along many
 //! interleavings are expanded once, with exact interleaving accounting.
 //! `--jobs <n>` sets the worker count (default: one per core, capped),
 //! `--budget <n>` the per-script node budget (default 500k expanded
@@ -22,13 +22,17 @@
 //! An unfired shipped rule is a finding — the scripts are too weak or the
 //! rule is dead — unless [`EXPECTED_UNFIRED`] says why it cannot fire;
 //! any other exits non-zero.
+//!
+//! `--trace-out <path>` writes one complete interleaving of the first
+//! script as JSONL: the shortest path to a quiescent leaf that the
+//! stop-at-target search (`ModelChecker::explore_until`) finds, replayed
+//! in order.
 
 use twobit_bench::obs_cli::{self, ObsArgs};
 use twobit_bench::sweep;
 use twobit_core::model_check::race_scenarios;
 use twobit_core::transitions::{Table, Vocabulary};
-use twobit_core::{Fired, FunctionalSystem, ModelChecker};
-use twobit_obs::Metrics;
+use twobit_core::{Fired, FunctionalSystem, ModelChecker, State};
 use twobit_types::{MemRef, ProtocolKind, SystemConfig, WordAddr};
 
 /// Default node budget per (script, protocol) exploration.
@@ -153,8 +157,8 @@ fn main() {
     for (label, config, script) in &scenarios {
         let protocol = config.protocol;
         let checker = ModelChecker::new(*config, script.clone()).expect("valid checker");
-        let mut metrics = Metrics::new(script.len(), 0);
-        let result = match checker.explore_dedup_observed(budget, jobs, Some(&mut metrics)) {
+        let started = std::time::Instant::now();
+        let result = match checker.explore_dedup(budget, jobs) {
             Ok(result) => result,
             Err(cex) => {
                 eprintln!(
@@ -169,14 +173,18 @@ fn main() {
             Some((_, fired)) => fired.merge(result.fired),
             None => coverage.push((protocol, result.fired)),
         }
-        let search = metrics.search();
+        let elapsed = started.elapsed().as_secs_f64();
         stat_lines.push(format!(
             "dedup: {label} / {protocol}: hit-rate {:.1}%, {:.0} states/sec, \
              peak frontier {}, max depth {}",
-            search.dedup_hit_rate() * 100.0,
-            search.states_per_sec(),
-            metrics.frontier.peak(),
-            search.max_depth,
+            result.dedup_hit_rate() * 100.0,
+            if elapsed > 0.0 {
+                result.states_visited as f64 / elapsed
+            } else {
+                0.0
+            },
+            result.peak_frontier,
+            result.max_depth,
         ));
         table.push_row(vec![
             (*label).to_string(),
@@ -237,15 +245,24 @@ fn main() {
     if let Some(path) = &obs.trace_out {
         let (label, config, script) = &scenarios[0];
         let checker = ModelChecker::new(*config, script.clone()).expect("valid checker");
+        let quiescent = |mc: &ModelChecker, s: &State| mc.enabled(s).is_empty();
+        let leaf = checker
+            .explore_until(budget, jobs, &quiescent)
+            .expect("no violations")
+            .hit
+            .expect("a complete interleaving within the budget");
         let mut tracer = obs_cli::jsonl_file_tracer(path).expect("create trace file");
         checker
-            .explore_exhaustive_traced(budget, tracer.as_mut())
+            .replay_traced(&leaf, tracer.as_mut())
             .expect("no violations");
         tracer.flush();
         println!();
         println!(
-            "JSONL action trace of \"{label}\" under two-bit written to {} (events are \
-             DFS-ordered and stamped with an action counter, not a clock)",
+            "JSONL action trace of one complete interleaving of \"{label}\" under {} \
+             ({} actions, the shortest path to a quiescent leaf) written to {} (events are \
+             stamped with their position in the path, not a clock)",
+            config.protocol,
+            leaf.len(),
             path.display()
         );
     }

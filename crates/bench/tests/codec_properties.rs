@@ -567,10 +567,7 @@ fn sinks_agree<T: ToJson + ?Sized>(value: &T) {
 /// `value`'s statement lists every object's members in sorted-key order:
 /// written as stated, it is already the canonical text.
 fn stated_in_key_order<T: ToJson + ?Sized>(value: &T) {
-    assert_eq!(
-        Text::as_stated().write(value),
-        Text::canonical().write(value)
-    );
+    assert_eq!(Text::new().write(value), value.json().to_json());
 }
 
 /// Builds values out of drawn words: every field from the stream, the
@@ -802,10 +799,10 @@ proptest! {
         sinks_agree(&response);
         stated_in_key_order(&response);
         sinks_agree(&d.checkpoint());
-        // An event also has its stated order, which is the JSONL line:
-        // same members, so the same tree; and the line reads back.
+        // An event has its own stated order, which is the JSONL line: the
+        // same members as the tree, so compared by parsed value; and the
+        // line reads back.
         let event = d.event();
-        sinks_agree(&event);
         let line = event.to_jsonl();
         prop_assert_eq!(json::parse(&line).unwrap(), event.json());
         // Beyond 2^53 a number in the line is no longer the field's.

@@ -84,9 +84,7 @@ pub use exec::{
 };
 pub use local::LocalState;
 pub use memory::MemoryImage;
-pub use model_check::{
-    Action, Counterexample, Exploration, FlightMsg, GuidedSearch, ModelChecker, Node, State,
-};
+pub use model_check::{Action, Counterexample, Exploration, FlightMsg, ModelChecker, Node, State};
 pub use owner_set::OwnerSet;
 pub use parallel::parallel_map;
 pub use tlb::TranslationBuffer;

@@ -14,22 +14,26 @@
 //! 3. at quiescence, all structural invariants hold (SWMR, directory
 //!    conservatism/exactness — [`crate::invariants::check_system`]).
 //!
-//! Three explorers share those checks:
+//! One search runs those checks:
 //!
-//! * [`ModelChecker::explore_dedup`] — the workhorse: a parallel,
-//!   state-deduplicating breadth-first search over the interleaving
-//!   **DAG**. Each state is reduced to a canonical 128-bit fingerprint
-//!   (replacement clocks rank-reduced, maps sorted, statistics excluded)
-//!   so states reached along many interleavings are expanded once;
-//!   per-state path counts keep the interleaving totals exact. Any
-//!   violation comes back as a [`Counterexample`]: the exact action path
-//!   from the initial state, replayable step-by-step.
-//! * [`ModelChecker::explore_exhaustive`] — the original depth-first
-//!   *tree* search, kept as the differential baseline the DAG search is
-//!   tested against (and for budgets small enough that dedup overhead
-//!   does not pay).
-//! * [`ModelChecker::explore_random`] — seeded random walks for scripts
-//!   beyond either exhaustive mode.
+//! * [`ModelChecker::explore_dedup`] — a parallel, state-deduplicating
+//!   breadth-first search over the interleaving **DAG**. Each state is
+//!   reduced to a canonical 128-bit fingerprint (replacement clocks
+//!   rank-reduced, maps sorted, statistics excluded) so states reached
+//!   along many interleavings are expanded once; per-state path counts
+//!   keep the interleaving totals exact. Any violation comes back as a
+//!   [`Counterexample`]: the exact action path from the initial state,
+//!   replayable step-by-step. Its stop-at-target form,
+//!   [`ModelChecker::explore_until`], returns the shortest discovery
+//!   path to the first state a predicate accepts — how the lint confirms
+//!   a flow finding, and how `verify_protocols` picks the one complete
+//!   interleaving it traces.
+//!
+//! Two more explorers serve as its reference and its reach:
+//! [`ModelChecker::explore_exhaustive`], the untraced depth-first *tree*
+//! search the DAG search is tested against, and
+//! [`ModelChecker::explore_random`], seeded random walks that complete
+//! scripts neither exhaustive search finishes.
 //!
 //! The checker also *measures* (rather than asserts) the transient
 //! staleness the paper's ack-free design admits: the controller "proceeds
@@ -55,11 +59,11 @@ use crate::invariants;
 use crate::parallel::parallel_map;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use twobit_obs::{ActorId, Metrics, NullTracer, RingTracer, SimEvent, Tracer};
+use twobit_obs::{ActorId, NullTracer, RingTracer, SimEvent, Tracer};
 use twobit_types::{
     AccessKind, BlockAddr, CacheId, CacheOrg, CacheToMemory, ConfigError, Fingerprint,
-    Fingerprinter, GlobalState, MemRef, MemoryToCache, ModuleId, ProtocolError, ProtocolKind,
-    SystemConfig, Version, WordAddr,
+    Fingerprinter, MemRef, MemoryToCache, ModuleId, ProtocolError, ProtocolKind, SystemConfig,
+    Version, WordAddr,
 };
 
 /// A named race: a system configuration and one reference list per cache.
@@ -238,11 +242,11 @@ pub enum Action {
     Deliver(Node, Node),
 }
 
-/// Results of an exploration.
+/// Results of an exploration: the one record of a search.
 ///
 /// The tree and random explorers leave the dedup-only fields
 /// (`distinct_states`, `dedup_hits`, `peak_frontier`, `max_depth`,
-/// `depth_conflicts`) at zero.
+/// `depth_conflicts`, `fired`, `hit`) at zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Exploration {
     /// Complete executions (quiescent leaves) verified. The dedup search
@@ -265,9 +269,8 @@ pub struct Exploration {
     /// Dedup search: distinct states discovered (root included).
     pub distinct_states: u64,
     /// Dedup search: successor arrivals pruned because the state was
-    /// already known. `dedup_hits / (dedup_hits + distinct_states - 1)`
-    /// is the hit rate — the fraction of the interleaving tree the DAG
-    /// view collapsed.
+    /// already known ([`Exploration::dedup_hit_rate`] is the fraction of
+    /// the interleaving tree the DAG view collapsed).
     pub dedup_hits: u64,
     /// Dedup search: largest breadth-first frontier.
     pub peak_frontier: u64,
@@ -282,11 +285,31 @@ pub struct Exploration {
     pub depth_conflicts: u64,
     /// Dedup search: the table rules fired on any explored step.
     pub fired: crate::Fired,
+    /// [`ModelChecker::explore_until`]: the discovery path of the first
+    /// state the target accepted (empty for the initial state), or
+    /// `None` if the search ended without one.
+    pub hit: Option<Vec<Action>>,
 }
 
-/// The coarse class of one in-flight message, exposed to guided-search
-/// predicates ([`ModelChecker::probe_channels`]). Collapses the
-/// broadcast/unicast shapes the flow analyses already abstract over.
+impl Exploration {
+    /// Fraction of successor arrivals the visited set pruned:
+    /// `dedup_hits / (dedup_hits + distinct_states - 1)`, since every
+    /// distinct state but the root arrived once as new. 0 when nothing
+    /// arrived.
+    #[must_use]
+    pub fn dedup_hit_rate(&self) -> f64 {
+        let arrivals = self.dedup_hits + self.distinct_states.saturating_sub(1);
+        if arrivals == 0 {
+            0.0
+        } else {
+            self.dedup_hits as f64 / arrivals as f64
+        }
+    }
+}
+
+/// The coarse class of one in-flight message, exposed to search targets
+/// ([`ModelChecker::probe_channels`]). Collapses the broadcast/unicast
+/// shapes the flow analyses already abstract over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightMsg {
     /// `GETDATA` toward a cache; `exclusive` carries write permission.
@@ -302,24 +325,6 @@ pub enum FlightMsg {
     Recall,
     /// Any cache→memory command.
     Command,
-}
-
-/// Outcome of a guided best-first search
-/// ([`ModelChecker::explore_guided`]).
-#[derive(Debug, Clone, Default)]
-pub struct GuidedSearch {
-    /// Action path from the initial state to the first discovered state
-    /// matching the target predicate (not necessarily the shortest such
-    /// path), or `None` if the budget drained without a hit.
-    pub hit: Option<Vec<Action>>,
-    /// A protocol violation stumbled on while steering, if any. The
-    /// guided search stops at the first one, like the dedup search.
-    pub violation: Option<Box<Counterexample>>,
-    /// States expanded.
-    pub states_visited: u64,
-    /// `true` when the node budget drained with candidate states still
-    /// pooled.
-    pub truncated: bool,
 }
 
 /// A protocol violation with the exact action path that reaches it from
@@ -721,18 +726,10 @@ impl ModelChecker {
         invariants::check_system(&state.agents, &state.controllers, self.config.address_map)
     }
 
-    /// The directory state and awaiting flag of block `a` at its home
-    /// module — a probe for guided-search predicates.
-    #[must_use]
-    pub fn probe_directory(&self, state: &State, a: BlockAddr) -> (GlobalState, bool) {
-        let module = self.config.address_map.module_of(a);
-        let protocol = state.controllers[module.index()].protocol();
-        (protocol.global_state(a), protocol.awaiting(a))
-    }
-
     /// Every nonempty channel with the coarse classes of its queued
     /// messages in delivery order, in deterministic channel-key order —
-    /// a probe for guided-search predicates (e.g. "some module→cache
+    /// a probe for [`explore_until`](ModelChecker::explore_until) targets
+    /// (e.g. "some module→cache
     /// link holds a grant with a recall queued behind it").
     #[must_use]
     pub fn probe_channels(&self, state: &State) -> Vec<((Node, Node), Vec<FlightMsg>)> {
@@ -763,95 +760,6 @@ impl ModelChecker {
             .collect()
     }
 
-    /// Guided best-first search: expands states in descending `score`
-    /// order (FIFO among equal scores) until a state satisfying
-    /// `target` is found or `node_budget` states have been expanded.
-    /// This is the static analyses' confirmation hook — a flow-level
-    /// finding names implicated directory states and in-flight message
-    /// shapes, and the guided search steers the same DAG the dedup
-    /// search explores toward them, returning a replayable action path
-    /// as dynamic evidence.
-    ///
-    /// Both callbacks receive the checker (for its probes) and a
-    /// candidate state; they must be deterministic. The hit path is the
-    /// discovery path, not necessarily the shortest. For a fixed
-    /// `(node_budget, jobs)` the result is deterministic across runs;
-    /// changing `jobs` changes the batch size and may change which hit
-    /// is discovered first (never whether one exists within budget).
-    #[must_use]
-    pub fn explore_guided(
-        &self,
-        node_budget: u64,
-        jobs: usize,
-        score: &(dyn Fn(&ModelChecker, &State) -> u64 + Sync),
-        target: &(dyn Fn(&ModelChecker, &State) -> bool + Sync),
-    ) -> GuidedSearch {
-        let jobs = jobs.max(1);
-        let mut out = GuidedSearch::default();
-        let initial = self.initial_state();
-        let root_fp = self.fingerprint(&initial);
-        if target(self, &initial) {
-            out.hit = Some(Vec::new());
-            return out;
-        }
-        let mut parents: HashMap<Fingerprint, (Fingerprint, Action)> = HashMap::new();
-        let mut known: std::collections::HashSet<Fingerprint> =
-            std::collections::HashSet::from([root_fp]);
-        // The candidate pool: (score, discovery sequence, fp, state).
-        let mut pool: Vec<(u64, u64, Fingerprint, State)> =
-            vec![(score(self, &initial), 0, root_fp, initial)];
-        let mut seq: u64 = 1;
-        while !pool.is_empty() && out.states_visited < node_budget {
-            pool.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            let batch_n = pool
-                .len()
-                .min((jobs * 8).max(16))
-                .min((node_budget - out.states_visited) as usize)
-                .max(1);
-            let batch: Vec<(Fingerprint, State)> = pool
-                .drain(..batch_n)
-                .map(|(_, _, fp, st)| (fp, st))
-                .collect();
-            let chunk_size = batch.len().div_ceil(jobs).max(1);
-            let mut chunks: Vec<Vec<(Fingerprint, State)>> = Vec::new();
-            let mut rest = batch;
-            while !rest.is_empty() {
-                let tail = rest.split_off(chunk_size.min(rest.len()));
-                chunks.push(std::mem::replace(&mut rest, tail));
-            }
-            let outs = parallel_map(chunks, jobs, |chunk| self.expand_chunk(chunk));
-            for o in outs {
-                out.states_visited += o.expanded;
-                if let Some((at_fp, action, error)) = o.violation {
-                    if out.violation.is_none() {
-                        let mut path = Self::path_to(&parents, root_fp, at_fp);
-                        if let Some(a) = action {
-                            path.push(a);
-                        }
-                        out.violation = Some(Box::new(Counterexample { error, path }));
-                    }
-                    continue;
-                }
-                for (sfp, pfp, action, succ) in o.successors {
-                    if !known.insert(sfp) {
-                        continue;
-                    }
-                    parents.insert(sfp, (pfp, action));
-                    if out.hit.is_none() && target(self, &succ) {
-                        out.hit = Some(Self::path_to(&parents, root_fp, sfp));
-                    }
-                    pool.push((score(self, &succ), seq, sfp, succ));
-                    seq += 1;
-                }
-            }
-            if out.hit.is_some() || out.violation.is_some() {
-                return out;
-            }
-        }
-        out.truncated = !pool.is_empty();
-        out
-    }
-
     /// Parallel, state-deduplicating exhaustive search over the
     /// interleaving **DAG**, expanding at most `node_budget` distinct
     /// states across up to `jobs` worker threads.
@@ -876,34 +784,42 @@ impl ModelChecker {
         node_budget: u64,
         jobs: usize,
     ) -> Result<Exploration, Box<Counterexample>> {
-        self.explore_dedup_observed(node_budget, jobs, None)
+        self.explore_until(node_budget, jobs, &|_, _| false)
     }
 
-    /// [`explore_dedup`](ModelChecker::explore_dedup), additionally
-    /// surfacing search statistics through a [`Metrics`] registry: the
-    /// frontier-size-per-depth gauge (`Metrics::frontier`) and the
-    /// dedup/throughput counters ([`Metrics::record_search`]).
+    /// [`explore_dedup`](ModelChecker::explore_dedup), stopping at the
+    /// first breadth-first layer that holds a state satisfying `target`
+    /// (layer 0 is the initial state) and leaving the discovery path of
+    /// the first such state in frontier order in [`Exploration::hit`].
+    /// The path is a shortest one, and it and the whole record are the
+    /// same for every `jobs` value: the layers before the hit's are
+    /// expanded in full and the hit's is not expanded. A search that
+    /// finds no such state reports `hit: None`, with `truncated` saying
+    /// whether the budget or the state space ran out.
+    ///
+    /// The target receives the checker (for its probes) and a state; it
+    /// runs on the calling thread, once for each distinct state.
     ///
     /// # Errors
     ///
-    /// Exactly as [`explore_dedup`](ModelChecker::explore_dedup).
-    pub fn explore_dedup_observed(
+    /// As [`explore_dedup`](ModelChecker::explore_dedup), for a
+    /// violation met in a layer before the hit's.
+    pub fn explore_until(
         &self,
         node_budget: u64,
         jobs: usize,
-        mut metrics: Option<&mut Metrics>,
+        target: &dyn Fn(&ModelChecker, &State) -> bool,
     ) -> Result<Exploration, Box<Counterexample>> {
         let jobs = jobs.max(1);
-        let started = std::time::Instant::now();
         let mut result = Exploration::default();
         let initial = self.initial_state();
         let root_fp = self.fingerprint(&initial);
         // Per-fingerprint bookkeeping; full states live only in the
         // current frontier. `parents` holds the first (deterministic)
-        // discovery edge for counterexample reconstruction; `edges` holds
-        // *every* expanded (state, action) edge as a child list, with
-        // duplicates preserved (two actions reaching the same successor
-        // are two distinct interleaving steps), for exact path counting.
+        // discovery edge for path reconstruction; `edges` holds *every*
+        // expanded (state, action) edge as a child list, with duplicates
+        // preserved (two actions reaching the same successor are two
+        // distinct interleaving steps), for exact path counting.
         let mut parents: HashMap<Fingerprint, (Fingerprint, Action)> = HashMap::new();
         let mut depths: HashMap<Fingerprint, u64> = HashMap::new();
         let mut edges: HashMap<Fingerprint, Vec<Fingerprint>> = HashMap::new();
@@ -912,17 +828,18 @@ impl ModelChecker {
         result.distinct_states = 1;
         let mut frontier: Vec<(Fingerprint, State)> = vec![(root_fp, initial)];
         let mut depth: u64 = 0;
-        while !frontier.is_empty() {
-            result.peak_frontier = result.peak_frontier.max(frontier.len() as u64);
-            if let Some(m) = metrics.as_deref_mut() {
-                m.frontier.observe(depth, frontier.len() as u64);
+        loop {
+            if let Some((fp, _)) = frontier.iter().find(|(_, s)| target(self, s)) {
+                result.hit = Some(Self::path_to(&parents, root_fp, *fp));
+                break;
             }
+            if frontier.is_empty() || result.truncated {
+                break;
+            }
+            result.peak_frontier = result.peak_frontier.max(frontier.len() as u64);
             let remaining = node_budget.saturating_sub(result.states_visited);
             let expand_n = (frontier.len() as u64).min(remaining) as usize;
             let overflow = frontier.split_off(expand_n);
-            if !overflow.is_empty() {
-                result.truncated = true;
-            }
             if expand_n > 0 {
                 result.max_depth = result.max_depth.max(depth);
             }
@@ -946,9 +863,7 @@ impl ModelChecker {
                 }
                 if let Some((at_fp, action, error)) = out.violation {
                     let mut path = Self::path_to(&parents, root_fp, at_fp);
-                    if let Some(a) = action {
-                        path.push(a);
-                    }
+                    path.extend(action);
                     return Err(Box::new(Counterexample { error, path }));
                 }
                 for (sfp, pfp, action, succ) in out.successors {
@@ -970,8 +885,10 @@ impl ModelChecker {
                 }
             }
             if !overflow.is_empty() {
+                // The states discovered so far are still tested against
+                // the target; none of them is expanded.
+                result.truncated = true;
                 result.abandoned_frontier = overflow.len() as u64 + next.len() as u64;
-                break;
             }
             frontier = next;
             depth += 1;
@@ -979,15 +896,6 @@ impl ModelChecker {
         let (interleavings, stale) = Self::count_paths(root_fp, &edges, &leaf_stale);
         result.interleavings = u64::try_from(interleavings).unwrap_or(u64::MAX);
         result.stale_reads_observed = u64::try_from(stale).unwrap_or(u64::MAX);
-        if let Some(m) = metrics {
-            m.record_search(twobit_obs::SearchStats {
-                states_expanded: result.states_visited,
-                distinct_states: result.distinct_states,
-                dedup_hits: result.dedup_hits,
-                max_depth: result.max_depth,
-                elapsed_secs: started.elapsed().as_secs_f64(),
-            });
-        }
         Ok(result)
     }
 
@@ -1189,7 +1097,7 @@ impl ModelChecker {
 
     /// Exhaustive depth-first **tree** exploration of every interleaving
     /// (no state deduplication), expanding up to `node_budget` states.
-    /// Kept as the differential baseline for
+    /// Kept as the untraced reference for
     /// [`explore_dedup`](ModelChecker::explore_dedup), which must agree
     /// with it on every completed script.
     ///
@@ -1198,27 +1106,8 @@ impl ModelChecker {
     /// Returns the first [`ProtocolError`] found on any path: a deadlock,
     /// an impossible command, or a quiescent invariant violation.
     pub fn explore_exhaustive(&self, node_budget: u64) -> Result<Exploration, ProtocolError> {
-        self.explore_exhaustive_traced(node_budget, &mut NullTracer)
-    }
-
-    /// [`explore_exhaustive`](ModelChecker::explore_exhaustive), recording
-    /// every applied action into `tracer`. The checker has no clock, so
-    /// events are stamped with a running action counter. Note the events
-    /// cross DFS branches; for a coherent single-path rendering of a
-    /// failure, use [`explore_dedup`](ModelChecker::explore_dedup) and
-    /// [`render_counterexample`](ModelChecker::render_counterexample).
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`explore_exhaustive`](ModelChecker::explore_exhaustive).
-    pub fn explore_exhaustive_traced(
-        &self,
-        node_budget: u64,
-        tracer: &mut dyn Tracer,
-    ) -> Result<Exploration, ProtocolError> {
         let mut result = Exploration::default();
         let mut stack = vec![self.initial_state()];
-        let mut steps: u64 = 0;
         while let Some(state) = stack.pop() {
             if result.states_visited >= node_budget {
                 // The popped state and everything still stacked are
@@ -1231,26 +1120,12 @@ impl ModelChecker {
             result.states_visited += 1;
             let actions = self.enabled(&state);
             if actions.is_empty() {
-                if let Err(e) = self.check_leaf(&state) {
-                    if tracer.enabled() {
-                        tracer.record(SimEvent::new(
-                            steps,
-                            ActorId::Network,
-                            BlockAddr::new(0),
-                            format!("leaf check failed: {e}"),
-                        ));
-                    }
-                    return Err(e);
-                }
+                self.check_leaf(&state)?;
                 result.interleavings += 1;
                 result.stale_reads_observed += state.stale_reads;
                 continue;
             }
             for action in actions {
-                steps += 1;
-                if tracer.enabled() {
-                    self.trace_action(&state, action, steps, tracer);
-                }
                 stack.push(self.step(state.clone(), action)?);
             }
         }
@@ -1596,57 +1471,89 @@ mod tests {
         );
     }
 
-    /// The guided search steers toward an implicated in-flight shape —
-    /// here, an invalidation queued on some module→cache channel while
-    /// the home directory holds the block present-modified — and the
-    /// discovery path it returns replays cleanly.
+    /// An invalidation in flight toward some cache: a target that reads
+    /// channels only.
+    fn inv_in_flight(mc: &ModelChecker, s: &State) -> bool {
+        mc.probe_channels(s)
+            .iter()
+            .any(|((_, dst), q)| matches!(dst, Node::Cache(_)) && q.contains(&FlightMsg::Inv))
+    }
+
+    /// The stop-at-target search reaches an implicated in-flight shape
+    /// along the same path at every `jobs`, and that path replays from
+    /// the initial state to the first state the target accepts.
     #[test]
-    fn guided_search_reaches_an_implicated_shape() {
+    fn explore_until_reaches_a_channel_shape() {
         let mc = checker(
             ProtocolKind::TwoBit,
             vec![vec![rd(1), wr(1)], vec![rd(1), wr(1)]],
         );
-        let block = BlockAddr::new(1);
-        let score = |mc: &ModelChecker, s: &State| -> u64 {
-            let in_flight: usize = mc.probe_channels(s).iter().map(|(_, q)| q.len()).sum();
-            in_flight as u64
-        };
-        let target = |mc: &ModelChecker, s: &State| -> bool {
-            let (dir, _) = mc.probe_directory(s, block);
-            dir == GlobalState::PresentM
-                && mc.probe_channels(s).iter().any(|((_, dst), q)| {
-                    matches!(dst, Node::Cache(_)) && q.contains(&FlightMsg::Inv)
-                })
-        };
-        let found = mc.explore_guided(500_000, 2, &score, &target);
-        assert!(found.violation.is_none());
-        let hit = found.hit.expect("the write race puts an Inv in flight");
+        let found = mc.explore_until(500_000, 1, &inv_in_flight).unwrap();
+        let hit = found
+            .hit
+            .clone()
+            .expect("the write race puts an Inv in flight");
         assert!(!hit.is_empty());
+        assert!(!found.truncated);
+        for jobs in [2, 4] {
+            assert_eq!(
+                mc.explore_until(500_000, jobs, &inv_in_flight).unwrap(),
+                found
+            );
+        }
+        let mut state = mc.initial_state();
+        for &action in &hit {
+            assert!(!inv_in_flight(&mc, &state), "an earlier state was a hit");
+            assert!(mc.enabled(&state).contains(&action));
+            state = mc.step(state, action).expect("the path replays");
+        }
+        assert!(
+            inv_in_flight(&mc, &state),
+            "the path ends in a target state"
+        );
         mc.replay(&hit).expect("discovery path replays");
-        // Deterministic for fixed (budget, jobs).
-        let again = mc.explore_guided(500_000, 2, &score, &target);
-        assert_eq!(again.hit, Some(hit));
     }
 
-    /// An unsatisfiable target drains the budget and is flagged as
-    /// truncated rather than reported as a miss on a complete search.
+    /// A target the initial state satisfies is hit by the empty path.
     #[test]
-    fn guided_search_flags_truncation() {
+    fn explore_until_accepts_the_initial_state() {
+        let mc = checker(ProtocolKind::TwoBit, vec![vec![rd(1)], vec![wr(1)]]);
+        let out = mc.explore_until(10, 2, &|_, _| true).unwrap();
+        assert_eq!(out.hit, Some(Vec::new()));
+        assert_eq!(out.states_visited, 0);
+    }
+
+    /// An unsatisfiable target over the whole DAG is neither hit nor
+    /// truncated — the search is then `explore_dedup` — and a budget too
+    /// small for the DAG is flagged as truncated, not reported as a miss
+    /// on a complete search.
+    #[test]
+    fn explore_until_flags_truncation() {
         let mc = checker(
             ProtocolKind::TwoBit,
             vec![vec![rd(1), wr(1), rd(2)], vec![rd(1), wr(1), rd(2)]],
         );
         let never = |_: &ModelChecker, _: &State| false;
-        let flat = |_: &ModelChecker, _: &State| 0u64;
-        let out = mc.explore_guided(50, 1, &flat, &never);
-        assert!(out.hit.is_none());
-        assert!(out.truncated, "frontier was abandoned");
-        assert!(out.states_visited >= 50);
-
-        // The same predicate over the full DAG completes un-truncated.
-        let full = mc.explore_guided(2_000_000, 2, &flat, &never);
+        let full = mc.explore_until(2_000_000, 2, &never).unwrap();
         assert!(full.hit.is_none());
         assert!(!full.truncated, "search exhausted the DAG");
+        assert_eq!(full, mc.explore_dedup(2_000_000, 2).unwrap());
+
+        let out = mc.explore_until(50, 1, &never).unwrap();
+        assert!(out.hit.is_none());
+        assert!(out.truncated, "frontier was abandoned");
+        assert!(out.states_visited <= 50);
+    }
+
+    #[test]
+    fn exploration_dedup_hit_rate() {
+        let e = Exploration {
+            distinct_states: 26,
+            dedup_hits: 75,
+            ..Exploration::default()
+        };
+        assert!((e.dedup_hit_rate() - 0.75).abs() < 1e-12);
+        assert_eq!(Exploration::default().dedup_hit_rate(), 0.0);
     }
 
     /// Fingerprints separate distinct states and identify equal ones.

@@ -21,7 +21,7 @@ fn serve(io: &mut dyn Transport) -> Result<(), String> {
     // Every request frame is read here, and every reply frame is written
     // here and copied out by the transport.
     let mut reader = Reader::default();
-    let mut text = Text::canonical();
+    let mut text = Text::new();
     // A delivery's event lines, kept from one delivery to the next.
     let mut events = Lines::new();
     while let Some(line) = io.recv().map_err(|e| format!("recv: {e}"))? {

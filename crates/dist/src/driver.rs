@@ -69,7 +69,7 @@ use crate::wire::{
 /// The lines of the merged timeline the driver writes itself (node
 /// events arrive written). Each states its form once, members in key
 /// order like every frame, and the driver writes them through one held
-/// canonical [`Text`].
+/// [`Text`], which writes them as stated: the canonical text.
 ///
 /// A delivery: `{dst, env, t}`.
 pub struct DeliveryLine<'a> {
@@ -301,6 +301,23 @@ impl RunConfig {
             max_events: 5_000_000,
         }
     }
+
+    /// What node `role` of this fleet is told at `init` (or built from,
+    /// in process), at the start and at every restart.
+    fn node_config(&self, role: Actor) -> NodeConfig {
+        NodeConfig {
+            role,
+            scheme: self.scheme.clone(),
+            caches: self.caches,
+            modules: self.modules,
+            sets: self.sets,
+            assoc: self.assoc,
+            block_words: self.block_words,
+            shared_from: self.shared_from,
+            bias_entries: self.bias_entries,
+            tlb_entries: self.tlb_entries,
+        }
+    }
 }
 
 /// What a finished run reports.
@@ -455,16 +472,29 @@ pub fn heal_lag(ops: &[OpRecord], partitions: &[Partition], modules: usize) -> V
 
 enum NodeLink {
     InProc(Box<Node>),
-    Child { child: Child, token: Token },
+    Child { child: ChildNode, token: Token },
 }
 
 impl NodeLink {
-    fn kill(&mut self, poll: &mut PollTransport) {
-        if let NodeLink::Child { child, token } = self {
-            let _ = child.kill();
-            let _ = child.wait();
-            poll.deregister(*token);
+    /// Ends the node now, as a crash does: its connection is forgotten
+    /// and, dropped here, its process is killed and reaped.
+    fn kill(self, poll: &mut PollTransport) {
+        if let NodeLink::Child { token, .. } = self {
+            poll.deregister(token);
         }
+    }
+}
+
+/// A child node's process. Dropping it kills and reaps the process, so
+/// no way out of the driver — an error while spawning, initialising or
+/// restoring a node included — leaves one running; for a child that
+/// `reap` has already waited on, that is a no-op.
+struct ChildNode(Child);
+
+impl Drop for ChildNode {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
     }
 }
 
@@ -528,6 +558,7 @@ fn spawn_link(
         .stdout(Stdio::inherit())
         .stderr(Stdio::inherit())
         .spawn()
+        .map(ChildNode)
         .map_err(|e| format!("spawn {}: {e}", node_bin.display()))?;
     // A node that dies before dialing back surfaces as a typed timeout
     // here instead of hanging the driver in accept(2).
@@ -749,19 +780,10 @@ impl<'c> Driver<'c> {
             .map(Actor::Cache)
             .chain((0..cfg.modules).map(Actor::Module));
         for role in roles {
-            let node_cfg = NodeConfig {
+            links.insert(
                 role,
-                scheme: cfg.scheme.clone(),
-                caches: cfg.caches,
-                modules: cfg.modules,
-                sets: cfg.sets,
-                assoc: cfg.assoc,
-                block_words: cfg.block_words,
-                shared_from: cfg.shared_from,
-                bias_entries: cfg.bias_entries,
-                tlb_entries: cfg.tlb_entries,
-            };
-            links.insert(role, spawn_link(&cfg.mode, &node_cfg, &mut poll)?);
+                spawn_link(&cfg.mode, &cfg.node_config(role), &mut poll)?,
+            );
             if cfg.trace_dir.is_some() {
                 node_events.insert(role, Lines::new());
             }
@@ -794,7 +816,7 @@ impl<'c> Driver<'c> {
             replay_log: BTreeMap::new(),
             ops: Vec::new(),
             timeline: Lines::new(),
-            text: Text::canonical(),
+            text: Text::new(),
             reader: Reader::default(),
             node_events,
             batch: Vec::new(),
@@ -828,7 +850,7 @@ impl<'c> Driver<'c> {
         // Phase 2: reap.
         for link in self.links.values_mut() {
             if let NodeLink::Child { child, token } = link {
-                reap(&mut self.poll, child, *token, SHUTDOWN_TIMEOUT);
+                reap(&mut self.poll, &mut child.0, *token, SHUTDOWN_TIMEOUT);
             }
         }
     }
@@ -1333,22 +1355,10 @@ impl<'c> Driver<'c> {
         self.recoveries += 1;
         self.record(&RestartLine { t: self.now, node });
         // The crashed instance is gone; build a fresh one…
-        if let Some(mut old) = self.links.remove(&node) {
+        if let Some(old) = self.links.remove(&node) {
             old.kill(&mut self.poll);
         }
-        let node_cfg = NodeConfig {
-            role: node,
-            scheme: self.cfg.scheme.clone(),
-            caches: self.cfg.caches,
-            modules: self.cfg.modules,
-            sets: self.cfg.sets,
-            assoc: self.cfg.assoc,
-            block_words: self.cfg.block_words,
-            shared_from: self.cfg.shared_from,
-            bias_entries: self.cfg.bias_entries,
-            tlb_entries: self.cfg.tlb_entries,
-        };
-        let mut link = spawn_link(&self.cfg.mode, &node_cfg, &mut self.poll)?;
+        let mut link = spawn_link(&self.cfg.mode, &self.cfg.node_config(node), &mut self.poll)?;
         // …restore the last checkpoint…
         if let Some(state) = self.checkpoints.remove(&node) {
             let req = Request::Restore { state };

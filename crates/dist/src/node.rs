@@ -140,7 +140,7 @@ impl Node {
                     id: k,
                     map: AddressMap::interleaved(cfg.modules),
                     sends: Vec::new(),
-                    text: Text::as_stated(),
+                    text: Text::new(),
                     current: None,
                     held: None,
                     last: None,
@@ -161,7 +161,7 @@ impl Node {
                 Ok(Node::Mem(MemNode {
                     ctrl,
                     emits: Vec::new(),
-                    text: Text::as_stated(),
+                    text: Text::new(),
                     module: j,
                     caches: cfg.caches,
                     next_barrier: 1,

@@ -6,14 +6,21 @@
 //! child. So is an event line holding a newline, which the timeline,
 //! kept as newline-terminated text, cannot keep as one line.
 //!
+//! And the driver against a child that rejects `init` and then hangs
+//! on: the run fails, and the child must not outlive it — killed and
+//! reaped, so no `/proc/<pid>` is left.
+//!
 //! The child is this binary: run as `--tcp ADDR`, it is a stub node that
 //! dials the driver, answers `init` and `shutdown` as a node does and
-//! every delivery with the reply that `HOSTILE_REPLY` names. Run without
-//! arguments it is the test, so it has no libtest harness and prints
-//! what one would.
+//! every delivery with the reply that `HOSTILE_REPLY` names — or, when
+//! that is `reject_init`, writes its pid to the file `HOSTILE_PID_FILE`
+//! names, answers `init` with an error and sleeps without reading. Run
+//! without arguments it is the test, so it has no libtest harness and
+//! prints what one would.
 
+use std::path::Path;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use twobit_dist::driver::{run, Mode, RunConfig};
 use twobit_dist::wire::{
@@ -21,10 +28,23 @@ use twobit_dist::wire::{
 };
 use twobit_interconnect::transport::{tcp_connect, Transport};
 
-const TEST: &str = "a_reply_routed_to_an_actor_the_fleet_lacks_is_an_error";
+/// The tests, by name.
+const TESTS: [(&str, fn()); 2] = [
+    (
+        "a_reply_routed_to_an_actor_the_fleet_lacks_is_an_error",
+        a_reply_routed_to_an_actor_the_fleet_lacks_is_an_error,
+    ),
+    (
+        "a_node_whose_init_is_rejected_does_not_outlive_the_run",
+        a_node_whose_init_is_rejected_does_not_outlive_the_run,
+    ),
+];
 
 /// Names the reply the stub gives every delivery.
 const REPLY_VAR: &str = "HOSTILE_REPLY";
+
+/// Names the file a stub that rejects `init` writes its pid to.
+const PID_VAR: &str = "HOSTILE_PID_FILE";
 
 /// The reply named `name`: an output routed to that actor, or an event
 /// line of two lines.
@@ -50,8 +70,20 @@ fn reply(name: &str) -> Response {
 
 /// The stub node.
 fn serve(addr: &str) {
-    let hostile = reply(&std::env::var(REPLY_VAR).expect("the reply to give"));
+    let name = std::env::var(REPLY_VAR).expect("the reply to give");
     let mut io = tcp_connect(addr).expect("dial the driver");
+    if name == "reject_init" {
+        let pid_file = std::env::var(PID_VAR).expect("where to write the pid");
+        std::fs::write(pid_file, std::process::id().to_string()).expect("write the pid");
+        io.recv().expect("a request").expect("the init request");
+        let no = Response::Error {
+            msg: "init refused".into(),
+        };
+        io.send(&response_line(&no)).expect("answer");
+        std::thread::sleep(Duration::from_secs(30));
+        return;
+    }
+    let hostile = reply(&name);
     while let Some(line) = io.recv().expect("a request") {
         let answer = match request_from_line(&line).expect("a request frame") {
             Request::Init(_) => Response::InitOk,
@@ -93,6 +125,20 @@ fn a_reply_routed_to_an_actor_the_fleet_lacks_is_an_error() {
     );
 }
 
+fn a_node_whose_init_is_rejected_does_not_outlive_the_run() {
+    let pid_file = Path::new(env!("CARGO_TARGET_TMPDIR")).join("hostile_replies_init.pid");
+    let _ = std::fs::remove_file(&pid_file);
+    std::env::set_var(PID_VAR, &pid_file);
+    let err = run_against("reject_init");
+    assert!(err.starts_with("C0: init rejected: init refused"), "{err}");
+    let pid = std::fs::read_to_string(&pid_file).expect("the stub wrote its pid");
+    let proc = format!("/proc/{}", pid.trim());
+    assert!(
+        !Path::new(&proc).exists(),
+        "the rejected node {pid} is still there after the run"
+    );
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let [flag, addr] = args.as_slice() {
@@ -101,15 +147,18 @@ fn main() -> ExitCode {
             return ExitCode::SUCCESS;
         }
     }
-    // As libtest would: `--list` names the test, and `--ignored`, a
-    // filter that is not part of its name or a `--skip` that is runs
-    // nothing.
+    // As libtest would: `--list` names the tests, and `--ignored`, a
+    // filter that is not part of a name or a `--skip` that is leaves that
+    // test out.
     let (mut filters, mut skips, mut ignored) = (Vec::new(), Vec::new(), false);
     let mut rest = args.iter().map(String::as_str);
     while let Some(arg) = rest.next() {
         match arg {
             "--list" => {
-                println!("{TEST}: test\n\n1 test, 0 benchmarks");
+                for (name, _) in TESTS {
+                    println!("{name}: test");
+                }
+                println!("\n{} tests, 0 benchmarks", TESTS.len());
                 return ExitCode::SUCCESS;
             }
             "--ignored" => ignored = true,
@@ -121,29 +170,33 @@ fn main() -> ExitCode {
             filter => filters.push(filter),
         }
     }
-    let chosen = !ignored
-        && (filters.is_empty() || filters.iter().any(|f| TEST.contains(f)))
-        && !skips.iter().any(|s| TEST.contains(s));
-    let (passed, failed, filtered) = if chosen {
-        println!("\nrunning 1 test");
-        let start = Instant::now();
-        let ok = std::panic::catch_unwind(a_reply_routed_to_an_actor_the_fleet_lacks_is_an_error)
-            .is_ok();
-        println!("test {TEST} ... {}", if ok { "ok" } else { "FAILED" });
-        let secs = start.elapsed().as_secs_f64();
-        (
-            u8::from(ok),
-            u8::from(!ok),
-            format!("0 filtered out; finished in {secs:.2}s"),
-        )
-    } else {
-        println!("\nrunning 0 tests");
-        (0, 0, "1 filtered out; finished in 0.00s".to_string())
-    };
+    let chosen: Vec<_> = TESTS
+        .into_iter()
+        .filter(|(name, _)| {
+            !ignored
+                && (filters.is_empty() || filters.iter().any(|f| name.contains(f)))
+                && !skips.iter().any(|s| name.contains(s))
+        })
+        .collect();
+    let start = Instant::now();
+    println!(
+        "\nrunning {} test{}",
+        chosen.len(),
+        if chosen.len() == 1 { "" } else { "s" }
+    );
+    let mut failed = 0;
+    for (name, test) in &chosen {
+        let ok = std::panic::catch_unwind(test).is_ok();
+        println!("test {name} ... {}", if ok { "ok" } else { "FAILED" });
+        failed += usize::from(!ok);
+    }
     let verdict = if failed == 0 { "ok" } else { "FAILED" };
     println!(
-        "\ntest result: {verdict}. {passed} passed; {failed} failed; 0 ignored; 0 measured; \
-         {filtered}\n"
+        "\ntest result: {verdict}. {} passed; {failed} failed; 0 ignored; 0 measured; \
+         {} filtered out; finished in {:.2}s\n",
+        chosen.len() - failed,
+        TESTS.len() - chosen.len(),
+        start.elapsed().as_secs_f64()
     );
     if failed == 0 {
         ExitCode::SUCCESS

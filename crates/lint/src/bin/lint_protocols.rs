@@ -86,9 +86,9 @@ fn demo_drop_invalidate() -> Vec<Finding> {
 /// Seeds the PR 9 livelock — the pre-fix inv-ack gate that held
 /// completions but let later recalls pass straight through — and runs
 /// the flow analyses over the two-bit scheme under it. The resulting
-/// unserviced-liveness finding is then confirmed dynamically: a guided
-/// model-checker search is steered toward the implicated race window
-/// and the reaching path rendered as a replayable timeline.
+/// unserviced-liveness finding is then confirmed dynamically: the model
+/// checker's breadth-first search stops at the implicated race window
+/// and the reaching path is rendered as a replayable timeline.
 fn demo_barrier_livelock(budget: u64, jobs: usize) -> Vec<Finding> {
     let table = two_bit_table();
     println!("seeded bug: gate discipline set to the pre-fix barrier");

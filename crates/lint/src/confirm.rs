@@ -3,9 +3,9 @@
 //! The flow analyses ([`crate::flow_graph`]) are static: they flag a
 //! (state, message) arrival that *could* livelock if the implicated
 //! race window is reachable. This module asks the model checker whether
-//! it is, by steering its state-space search toward the window with
-//! [`ModelChecker::explore_guided`] rather than exploring breadth-first
-//! and hoping.
+//! it is, with the stop-at-target form of its breadth-first search
+//! ([`ModelChecker::explore_until`]): the first state that holds the
+//! window ends the search, along a shortest path to it.
 //!
 //! The barrier-livelock window (the PR 9 class) is a **channel
 //! co-occupancy**: one module→cache channel holding a completion
@@ -60,8 +60,7 @@ fn grant_recall_window(mc: &ModelChecker, state: &State) -> bool {
 /// Confirms the barrier-livelock finding class for the two-bit scheme:
 /// a write miss that invalidates a sharer puts the exclusive grant in
 /// flight; a follow-up read miss from the invalidated cache recalls the
-/// new owner while the grant is still queued. The guided search scores
-/// states by coherence traffic in flight and targets the
+/// new owner while the grant is still queued. The search targets the
 /// grant-before-recall co-occupancy.
 #[must_use]
 pub fn confirm_barrier_livelock(node_budget: u64, jobs: usize) -> Confirmation {
@@ -81,31 +80,25 @@ pub fn confirm_barrier_livelock(node_budget: u64, jobs: usize) -> Confirmation {
             }
         }
     };
-    let score = |mc: &ModelChecker, s: &State| -> u64 {
-        let mut score = 0u64;
-        for ((_, dst), queue) in mc.probe_channels(s) {
-            for m in &queue {
-                score += match m {
-                    FlightMsg::Grant { .. } | FlightMsg::UpgradeAck => 4,
-                    FlightMsg::Recall => 4,
-                    FlightMsg::Inv => 2,
-                    FlightMsg::Command => 1,
-                };
-            }
-            if matches!(dst, Node::Cache(_)) && queue.len() > 1 {
-                score += 4; // depth on one cache-bound link is the window's shape
+    let search = match mc.explore_until(node_budget, jobs, &grant_recall_window) {
+        Ok(search) => search,
+        Err(cex) => {
+            return Confirmation {
+                verdict: PLAUSIBLE,
+                evidence: format!(
+                    "the search met a protocol violation before the implicated window: {}",
+                    cex.error
+                ),
             }
         }
-        score
     };
-    let search = mc.explore_guided(node_budget, jobs, &score, &grant_recall_window);
     match search.hit {
         Some(path) => {
             let mut ring = RingTracer::new(path.len().max(1));
             let replay = mc.replay_traced(&path, &mut ring);
             let events: Vec<_> = ring.events().into_iter().cloned().collect();
             let mut evidence = format!(
-                "guided search reached the implicated window after {} state(s): a \
+                "breadth-first search reached the implicated window after {} state(s): a \
                  module→cache channel holds a grant-class completion with a recall \
                  queued behind it; without the gate's withholding the recall would \
                  overtake the grant and land at a cache still awaiting its fill.\n",
@@ -131,7 +124,7 @@ pub fn confirm_barrier_livelock(node_budget: u64, jobs: usize) -> Confirmation {
         None => Confirmation {
             verdict: PLAUSIBLE,
             evidence: format!(
-                "guided search did not reach the implicated window within {} of {} \
+                "the search did not reach the implicated window within {} of {} \
                  budgeted state(s){}",
                 search.states_visited,
                 node_budget,
@@ -147,7 +140,7 @@ pub fn confirm_barrier_livelock(node_budget: u64, jobs: usize) -> Confirmation {
 
 /// Attaches a confirmation to every finding of the barrier-livelock
 /// class (the flow-unserviced overtake findings and the wait cycle),
-/// sharing one guided-search run across them.
+/// sharing one search across them.
 pub fn confirm_livelock_findings(findings: &mut [crate::Finding], node_budget: u64, jobs: usize) {
     let implicated = |f: &crate::Finding| {
         (f.analysis == "flow-unserviced" && f.message.contains("overtake"))
@@ -171,7 +164,7 @@ mod tests {
     fn the_grant_recall_window_is_reachable_and_confirmed() {
         let conf = confirm_barrier_livelock(500_000, 2);
         assert_eq!(conf.verdict, CONFIRMED, "{}", conf.evidence);
-        assert!(conf.evidence.contains("guided search reached"));
+        assert!(conf.evidence.contains("breadth-first search reached"));
     }
 
     #[test]

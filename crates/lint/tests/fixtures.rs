@@ -352,8 +352,8 @@ fn lint_shipped_including_flow_analyses_is_clean() {
 
 /// The `--demo-barrier-livelock` path end to end: the pre-fix gate
 /// discipline produces the PR 9 unserviced-liveness finding statically,
-/// and the guided model-checker search confirms the implicated race
-/// window with a replayable timeline.
+/// and the model checker's stop-at-target search confirms the
+/// implicated race window with a replayable timeline.
 #[test]
 fn demo_barrier_livelock_is_flagged_and_confirmed() {
     let table = twobit_core::shipped_tables()

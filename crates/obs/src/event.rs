@@ -119,7 +119,7 @@ impl SimEvent {
     /// order the [`ToJson`] statement lists them.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        Text::as_stated().write(self).to_owned()
+        Text::new().write(self).to_owned()
     }
 
     /// Decodes one JSON object produced by [`to_jsonl`](Self::to_jsonl).
@@ -308,7 +308,7 @@ mod tests {
         let (k, block) = (ActorId::Cache(CacheId::new(3)), BlockAddr::new(9));
         let cmd = "GET(C3, \"blk\"\n)";
         let owned = SimEvent::new(7, k, block, format!("deliver {cmd}")).txn(TxnId::new(2));
-        let mut text = Text::as_stated();
+        let mut text = Text::new();
         let line = text
             .write(&SimEvent::with(7, k, block, format_args!("deliver {cmd}")).txn(TxnId::new(2)));
         assert_eq!(line, owned.to_jsonl());

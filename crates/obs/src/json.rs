@@ -41,12 +41,11 @@
 //! collects the emission into a [`Json`] tree (checkpoints and documents,
 //! which are kept, merged and read back); [`Text`] writes it straight
 //! into a `String` (wire frames, timeline lines and trace events, which
-//! are written once and never looked at again). Both produce the same
-//! canonical text, so which sink a caller picks is a question of cost,
-//! never of format. The frame and timeline statements list their members
-//! in sorted-key order, so [`Text`] writes them as they come; it re-sorts
-//! an object whose statement lists its members out of order, as a
-//! fallback that costs such a statement a copy.
+//! are written once and never looked at again). [`Text`] writes members
+//! as the statement lists them and the tree sorts them, so for a
+//! statement in sorted-key order — every frame and timeline statement —
+//! both produce the same canonical text, and which sink a caller picks is
+//! a question of cost, never of format.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -338,41 +337,24 @@ impl Sink for Tree {
 /// The sink that writes text: compact JSON, appended to one `String`
 /// with no tree and no temporary in between.
 ///
-/// [`Text::canonical`] writes exactly what `value.json().to_json()`
-/// writes: it notes where each member of an open object starts and, when
-/// the object closes with its keys out of order, moves the members into
-/// sorted-key order (a statement that lists them sorted pays nothing
-/// more; every frame and timeline statement does, and
-/// `codec_properties.rs` checks that they still do).
-/// [`Text::as_stated`] keeps the statement's order, for the one format
-/// whose member order is older than the canonical one — the JSONL trace
-/// event.
+/// It writes each object's members in the order the statement lists
+/// them. A statement that lists them in sorted-key order — every frame
+/// and every driver timeline line does, and `codec_properties.rs` checks
+/// that they still do — is written exactly as `value.json().to_json()`
+/// writes it: the canonical text. The JSONL trace event, whose member
+/// order is older than the canonical one, keeps its own.
 #[derive(Debug, Default)]
 pub struct Text {
     out: String,
     /// Whether the next value or key is preceded by a comma.
     comma: bool,
-    as_stated: bool,
-    /// The members of every object still open, innermost last.
-    members: Vec<Member>,
-    /// Holds an object's members while they are put in order.
-    scratch: String,
 }
 
 impl Text {
-    /// A writer of canonical text (sorted keys).
+    /// A writer with nothing written yet.
     #[must_use]
-    pub fn canonical() -> Text {
+    pub fn new() -> Text {
         Text::default()
-    }
-
-    /// A writer that keeps each statement's member order.
-    #[must_use]
-    pub fn as_stated() -> Text {
-        Text {
-            as_stated: true,
-            ..Text::default()
-        }
     }
 
     /// Writes `value` and lends the text until the next write. A writer
@@ -380,12 +362,8 @@ impl Text {
     /// a line by copying it out at its exact length.
     pub fn write<T: ToJson + ?Sized>(&mut self, value: &T) -> &str {
         if self.out.capacity() == 0 {
-            // A frame or a line is one or two hundred bytes, nested a
-            // handful of objects deep.
+            // A frame or a line is one or two hundred bytes.
             self.out.reserve(128);
-            if !self.as_stated {
-                self.members.reserve(16);
-            }
         }
         self.out.clear();
         self.comma = false;
@@ -399,46 +377,6 @@ impl Text {
         }
         self.comma = true;
     }
-
-    /// The member being written ends here.
-    fn end_member(&mut self) {
-        if let Some(m) = self.members.last_mut() {
-            m.end = self.out.len();
-        }
-    }
-
-    /// Puts the members noted since `first` in sorted-key order, the
-    /// last of equal keys winning, as a `BTreeMap` would.
-    fn sort_members(&mut self, first: usize) {
-        let members = &mut self.members[first..];
-        if members.windows(2).all(|w| w[0].key < w[1].key) {
-            return;
-        }
-        let body = members[0].start;
-        self.scratch.clear();
-        self.scratch.push_str(&self.out[body..]);
-        self.out.truncate(body);
-        members.sort_by_key(|m| m.key);
-        for (i, m) in members.iter().enumerate() {
-            if members.get(i + 1).is_some_and(|next| next.key == m.key) {
-                continue;
-            }
-            if self.out.len() > body {
-                self.out.push(',');
-            }
-            self.out
-                .push_str(&self.scratch[m.start - body..m.end - body]);
-        }
-    }
-}
-
-/// Where one member of an open object — `"key":value`, without its
-/// comma — lies in [`Text`]'s output.
-#[derive(Debug)]
-struct Member {
-    key: &'static str,
-    start: usize,
-    end: usize,
 }
 
 impl Sink for Text {
@@ -489,27 +427,16 @@ impl Sink for Text {
         self.value();
         self.out.push('{');
         self.comma = false;
-        let first = self.members.len();
         members(self);
-        if self.members.len() > first {
-            self.end_member();
-            self.sort_members(first);
-            self.members.truncate(first);
-        }
         self.out.push('}');
         self.comma = true;
     }
 
     fn key(&mut self, key: &'static str) {
         if self.comma {
-            self.end_member();
             self.out.push(',');
         }
         self.comma = false;
-        if !self.as_stated {
-            let start = self.out.len();
-            self.members.push(Member { key, start, end: 0 });
-        }
         debug_assert!(
             key.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\'),
             "key {key:?} needs escaping"
@@ -843,10 +770,11 @@ pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// `value` as canonical text: what `value.json().to_json()` writes,
-/// without the tree.
+/// `value` as text, members in statement order: for a statement in
+/// sorted-key order, what `value.json().to_json()` writes, without the
+/// tree.
 pub fn to_text<T: ToJson + ?Sized>(value: &T) -> String {
-    Text::canonical().write(value).to_owned()
+    Text::new().write(value).to_owned()
 }
 
 /// A number from an unsigned integer (exact below 2^53).
@@ -1439,12 +1367,45 @@ mod tests {
         }
     }
 
+    /// [`Disordered`]'s members, each once and in sorted-key order.
+    struct Ordered(u64);
+
+    impl ToJson for Ordered {
+        fn emit<S: Sink>(&self, out: &mut S) {
+            out.object(|o| {
+                o.member("a", &self.0);
+                o.key("inner");
+                o.object(|i| {
+                    i.member("a", &None::<u64>);
+                    i.member("m", &[3u8, 2, 1][..]);
+                    i.member("z", &true);
+                });
+                o.key("list");
+                o.array(|l| {
+                    l.object(|e| {
+                        e.member("a", &2u8);
+                        e.member("b", &1u8);
+                    });
+                    l.object(|_| {});
+                    l.array(|_| {});
+                    l.tree(&obj([("y", num_u64(1)), ("x", Json::Num(-0.5))]));
+                });
+                o.member("n", &self.0.wrapping_add(1));
+                o.member("t", "tag \"quoted\"\n");
+                o.key("who");
+                o.display(format_args!("C{}\t\\", self.0));
+            });
+        }
+    }
+
     #[test]
     fn both_sinks_write_the_same_canonical_text() {
-        let mut text = Text::canonical();
+        let mut text = Text::new();
         for n in [0, 7, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
-            let value = Disordered(n);
+            let value = Ordered(n);
             let tree = value.json();
+            // The tree sorts what the statement lists out of order.
+            assert_eq!(Disordered(n).json(), tree, "{n}");
             assert_eq!(to_text(&value), tree.to_json(), "{n}");
             // A writer that is used again starts clean.
             assert_eq!(text.write(&value), tree.to_json(), "{n}");
@@ -1453,7 +1414,7 @@ mod tests {
             }
         }
         assert_eq!(
-            to_text(&Disordered(7)),
+            to_text(&Ordered(7)),
             "{\"a\":7,\"inner\":{\"a\":null,\"m\":[3,2,1],\"z\":true},\
              \"list\":[{\"a\":2,\"b\":1},{},[],{\"x\":-0.5,\"y\":1}],\"n\":8,\
              \"t\":\"tag \\\"quoted\\\"\\n\",\"who\":\"C7\\t\\\\\"}"
@@ -1462,12 +1423,18 @@ mod tests {
 
     #[test]
     fn as_stated_keeps_the_statement_order() {
-        let mut text = Text::as_stated();
+        let mut text = Text::new();
         assert_eq!(
             text.write(&Disordered(7)),
             "{\"t\":\"tag \\\"quoted\\\"\\n\",\"n\":7,\"who\":\"C7\\t\\\\\",\"n\":8,\
              \"inner\":{\"z\":true,\"a\":null,\"m\":[3,2,1]},\
              \"list\":[{\"b\":1,\"a\":2},{},[],{\"x\":-0.5,\"y\":1}],\"a\":7}"
+        );
+        // The same members, so the same tree: a repeated key's last
+        // value wins on the way back, as in the tree.
+        assert_eq!(
+            parse(&to_text(&Disordered(7))).unwrap(),
+            Disordered(7).json()
         );
         assert_eq!(text.write("x"), "\"x\"");
     }

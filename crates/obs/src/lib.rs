@@ -38,9 +38,7 @@ pub mod timeline;
 pub mod tracer;
 
 pub use event::{ActorId, SimEvent, StateChange};
-pub use metrics::{
-    Gauge, Histogram, LatencySummary, Metrics, MetricsSummary, SearchStats, TxnClass,
-};
+pub use metrics::{Gauge, Histogram, LatencySummary, Metrics, MetricsSummary, TxnClass};
 pub use perf::{PerfReport, Profiler, SpanStat};
 pub use timeline::render_block_timeline;
 pub use tracer::{JsonlTracer, NullTracer, RingTracer, Tracer};

@@ -292,47 +292,6 @@ impl MetricsSummary {
     }
 }
 
-/// Statistics from one model-checking search, recorded via
-/// [`Metrics::record_search`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SearchStats {
-    /// States expanded (enabled-action fan-out or leaf check).
-    pub states_expanded: u64,
-    /// Distinct canonical states discovered (root included).
-    pub distinct_states: u64,
-    /// Successor arrivals pruned because the state was already known.
-    pub dedup_hits: u64,
-    /// Deepest search layer expanded.
-    pub max_depth: u64,
-    /// Wall-clock search time in seconds.
-    pub elapsed_secs: f64,
-}
-
-impl SearchStats {
-    /// Fraction of successor arrivals the visited-set pruned: `hits /
-    /// (hits + rediscoverable arrivals)`. 0 when nothing arrived.
-    #[must_use]
-    pub fn dedup_hit_rate(&self) -> f64 {
-        // Every distinct state except the root arrived as a successor once.
-        let arrivals = self.dedup_hits + self.distinct_states.saturating_sub(1);
-        if arrivals == 0 {
-            0.0
-        } else {
-            self.dedup_hits as f64 / arrivals as f64
-        }
-    }
-
-    /// Expansion throughput in states per second (0 when no time elapsed).
-    #[must_use]
-    pub fn states_per_sec(&self) -> f64 {
-        if self.elapsed_secs > 0.0 {
-            self.states_expanded as f64 / self.elapsed_secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// The metrics registry threaded through a simulation.
 #[derive(Debug, Clone)]
 pub struct Metrics {
@@ -343,12 +302,8 @@ pub struct Metrics {
     /// Simultaneously outstanding (started, unfinished) transactions
     /// (system-wide), observed whenever the count changes.
     pub outstanding: Gauge,
-    /// Model-checking frontier size, observed once per search depth (the
-    /// "time" axis is the depth, so every layer is sampled).
-    pub frontier: Gauge,
     useless_per_cache: Vec<u64>,
     commands_per_cache: Vec<u64>,
-    search: SearchStats,
 }
 
 impl Metrics {
@@ -360,22 +315,9 @@ impl Metrics {
             latency: Default::default(),
             queue_depth: Gauge::new(cadence),
             outstanding: Gauge::new(cadence),
-            frontier: Gauge::new(0),
             useless_per_cache: vec![0; n_caches],
             commands_per_cache: vec![0; n_caches],
-            search: SearchStats::default(),
         }
-    }
-
-    /// Records the counters from a finished model-checking search.
-    pub fn record_search(&mut self, stats: SearchStats) {
-        self.search = stats;
-    }
-
-    /// The most recently recorded search statistics.
-    #[must_use]
-    pub fn search(&self) -> SearchStats {
-        self.search
     }
 
     /// Records a completed transaction of `class` taking `cycles`.
@@ -555,22 +497,6 @@ mod tests {
         assert_eq!(h.percentile(-0.5), 3, "below-range clamps to min");
         assert_eq!(h.percentile(1.5), 3000, "above-range clamps to max");
         assert_eq!(Histogram::new().percentile(0.0), 0, "empty histogram");
-    }
-
-    #[test]
-    fn search_stats_rates() {
-        let s = SearchStats {
-            states_expanded: 100,
-            distinct_states: 26,
-            dedup_hits: 75,
-            max_depth: 12,
-            elapsed_secs: 2.0,
-        };
-        assert!((s.dedup_hit_rate() - 0.75).abs() < 1e-12);
-        assert!((s.states_per_sec() - 50.0).abs() < 1e-12);
-        let empty = SearchStats::default();
-        assert_eq!(empty.dedup_hit_rate(), 0.0);
-        assert_eq!(empty.states_per_sec(), 0.0);
     }
 
     #[test]
