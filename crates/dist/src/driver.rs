@@ -5,11 +5,15 @@
 //!
 //! The driver is a star router running on *virtual time*. Every message
 //! is a calendar entry ordered by `(time, seq)`, and the driver consumes
-//! entries strictly in that order. Exchanges with the nodes are
-//! *multiplexed*: a maximal run of same-instant deliveries is dispatched
-//! as one batch over a [`PollTransport`] — phase one sends every node
-//! request in `seq` order, phase two consumes the replies and routes
-//! their outputs in the same `seq` order. Phase one only queues: the
+//! entries strictly in that order. `seq` is push order, so the calendar
+//! (`calendar.rs`) keeps it by keeping each instant a FIFO: an event
+//! scheduled beyond its ring enters its instant's FIFO as soon as the
+//! ring reaches that instant, before anything can be pushed there
+//! directly. Exchanges with the nodes are *multiplexed*: a maximal run
+//! of same-instant deliveries is dispatched as one batch over a
+//! [`PollTransport`] — phase one sends every node request in `seq`
+//! order, phase two consumes the replies and routes their outputs in
+//! the same `seq` order. Phase one only queues: the
 //! requests leave, one write per node, when phase two first waits, and
 //! the wait is a blocking read of the one connection whose reply comes
 //! next in `seq` order. The batch is equivalent to the old
@@ -45,8 +49,7 @@
 //! the node and replays its logged deliveries), and only the client edge
 //! truly loses messages — recovered by idempotent retry.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -58,6 +61,7 @@ use twobit_obs::json::{num_u64, obj, Json, Reader, Sink, Text, ToJson};
 use twobit_obs::Histogram;
 use twobit_types::{AccessKind, AddressMap, BlockAddr, MemRef, TxnId, Version, WordAddr};
 
+use crate::calendar::Calendar;
 use crate::faults::{FaultConfig, Partition, Rng};
 use crate::history::{check_history, LinearizationReport, OpRecord};
 use crate::node::Node;
@@ -300,6 +304,14 @@ impl RunConfig {
             trace_dir: None,
             max_events: 5_000_000,
         }
+    }
+
+    /// The fleet's nodes, caches then modules: the order `Actor` sorts
+    /// in, and the driver's `links`.
+    fn nodes(&self) -> impl Iterator<Item = Actor> {
+        (0..self.caches)
+            .map(Actor::Cache)
+            .chain((0..self.modules).map(Actor::Module))
     }
 
     /// What node `role` of this fleet is told at `init` (or built from,
@@ -596,30 +608,6 @@ enum EventKind {
     CheckpointTick,
 }
 
-#[derive(Debug)]
-struct Event {
-    t: u64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        (self.t, self.seq) == (other.t, other.seq)
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.t, self.seq).cmp(&(other.t, other.seq))
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Clients
 // ---------------------------------------------------------------------------
@@ -667,10 +655,12 @@ struct Driver<'c> {
     cfg: &'c RunConfig,
     rng: Rng,
     poll: PollTransport,
-    links: BTreeMap<Actor, NodeLink>,
-    calendar: BinaryHeap<Reverse<Event>>,
-    next_seq: u64,
-    link_clock: BTreeMap<(Actor, Actor), u64>,
+    /// The nodes, caches then modules (see [`Driver::node`]).
+    links: Vec<NodeLink>,
+    calendar: Calendar<EventKind>,
+    /// Per link, the latest delivery time booked on it, indexed
+    /// `src * nodes + dst` by [`Driver::node`].
+    link_clock: Vec<u64>,
     clients: Vec<Client>,
     oracle: Oracle,
     next_txn: u64,
@@ -774,16 +764,10 @@ fn write_traces(
 impl<'c> Driver<'c> {
     fn new(cfg: &'c RunConfig) -> Result<Self, String> {
         let mut poll = PollTransport::new();
-        let mut links = BTreeMap::new();
+        let mut links = Vec::new();
         let mut node_events = BTreeMap::new();
-        let roles = (0..cfg.caches)
-            .map(Actor::Cache)
-            .chain((0..cfg.modules).map(Actor::Module));
-        for role in roles {
-            links.insert(
-                role,
-                spawn_link(&cfg.mode, &cfg.node_config(role), &mut poll)?,
-            );
+        for role in cfg.nodes() {
+            links.push(spawn_link(&cfg.mode, &cfg.node_config(role), &mut poll)?);
             if cfg.trace_dir.is_some() {
                 node_events.insert(role, Lines::new());
             }
@@ -806,9 +790,8 @@ impl<'c> Driver<'c> {
             rng: Rng::stream(cfg.seed, 0),
             poll,
             links,
-            calendar: BinaryHeap::new(),
-            next_seq: 0,
-            link_clock: BTreeMap::new(),
+            calendar: Calendar::new(),
+            link_clock: vec![0; (cfg.caches + cfg.modules).pow(2)],
             clients,
             oracle: Oracle::new(),
             next_txn: 1,
@@ -837,7 +820,7 @@ impl<'c> Driver<'c> {
         // Phase 1: tell everyone. The requests are queued; phase 2's
         // first wait writes them all out, so the nodes shut down side by
         // side and the latency is the max, not the sum.
-        for link in self.links.values_mut() {
+        for link in &mut self.links {
             match link {
                 NodeLink::InProc(n) => {
                     let _ = n.handle(&Request::Shutdown);
@@ -848,17 +831,22 @@ impl<'c> Driver<'c> {
             }
         }
         // Phase 2: reap.
-        for link in self.links.values_mut() {
+        for link in &mut self.links {
             if let NodeLink::Child { child, token } = link {
                 reap(&mut self.poll, &mut child.0, *token, SHUTDOWN_TIMEOUT);
             }
         }
     }
 
-    fn push(&mut self, t: u64, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.calendar.push(Reverse(Event { t, seq, kind }));
+    /// Where node `a` sits in `links`: caches first, then modules, the
+    /// order `Actor` sorts in. `None` for a client or a node the fleet
+    /// does not have.
+    fn node(&self, a: Actor) -> Option<usize> {
+        match a {
+            Actor::Cache(k) if k < self.cfg.caches => Some(k),
+            Actor::Module(j) if j < self.cfg.modules => Some(self.cfg.caches + j),
+            _ => None,
+        }
     }
 
     /// Writes one of the driver's own lines at the end of the timeline.
@@ -873,42 +861,36 @@ impl<'c> Driver<'c> {
     }
 
     fn drive(&mut self) -> Result<(), String> {
-        // Crash restarts and checkpoint ticks get the lowest sequence
-        // numbers so they sort before same-instant deliveries.
+        // Crash restarts and checkpoint ticks are pushed first, so they
+        // pop before same-instant deliveries.
         let crashes = self.cfg.faults.crashes.clone();
         for c in &crashes {
-            self.push(c.at + c.down_for, EventKind::Restart(c.node));
+            self.calendar
+                .push(c.at + c.down_for, EventKind::Restart(c.node));
         }
         if self.cfg.faults.checkpoint_every > 0 {
             let t = self.cfg.faults.checkpoint_every;
-            self.push(t, EventKind::CheckpointTick);
+            self.calendar.push(t, EventKind::CheckpointTick);
         }
         for k in 0..self.cfg.caches {
-            self.push(0, EventKind::ClientArrival(k));
+            self.calendar.push(0, EventKind::ClientArrival(k));
         }
 
         let mut processed: u64 = 0;
-        while let Some(Reverse(ev)) = self.calendar.pop() {
+        while let Some((t, kind)) = self.calendar.pop() {
             processed += 1;
-            debug_assert!(ev.t >= self.now, "calendar went backwards");
-            self.now = ev.t;
-            match ev.kind {
+            self.now = t;
+            match kind {
                 EventKind::Deliver(env) => {
                     // Gather the maximal run of same-instant deliveries
-                    // (they are the top of the heap, in seq order) and
+                    // (the head of the current instant, in seq order) and
                     // dispatch them as one multiplexed batch. Any other
-                    // event kind, or a later instant, ends the batch.
+                    // event kind, or the end of the instant, ends the
+                    // batch.
                     self.batch.push(env);
-                    while let Some(Reverse(peek)) = self.calendar.peek() {
-                        if peek.t != self.now || !matches!(peek.kind, EventKind::Deliver(_)) {
-                            break;
-                        }
-                        let Some(Reverse(Event {
-                            kind: EventKind::Deliver(e),
-                            ..
-                        })) = self.calendar.pop()
-                        else {
-                            unreachable!("the top was just peeked as a delivery at `now`");
+                    while let Some(EventKind::Deliver(_)) = self.calendar.peek() {
+                        let Some((_, EventKind::Deliver(e))) = self.calendar.pop() else {
+                            unreachable!("the head of `now` was just peeked as a delivery");
                         };
                         processed += 1;
                         self.batch.push(e);
@@ -1007,10 +989,12 @@ impl<'c> Driver<'c> {
                 ArrivalSchedule::Closed => {}
                 ArrivalSchedule::Fixed { interval, jitter } => {
                     let j = self.clients[k].rng.below(jitter + 1);
-                    self.push(self.now + interval + j, EventKind::ClientArrival(k));
+                    self.calendar
+                        .push(self.now + interval + j, EventKind::ClientArrival(k));
                 }
                 ArrivalSchedule::Burst { interval, .. } => {
-                    self.push(self.now + interval, EventKind::ClientArrival(k));
+                    self.calendar
+                        .push(self.now + interval, EventKind::ClientArrival(k));
                 }
             }
         }
@@ -1042,7 +1026,7 @@ impl<'c> Driver<'c> {
             backoff,
         });
         self.send_client_req(k);
-        self.push(
+        self.calendar.push(
             self.now + backoff,
             EventKind::ClientTimeout { client: k, txn },
         );
@@ -1069,7 +1053,7 @@ impl<'c> Driver<'c> {
             return;
         }
         let t = self.now + 1;
-        self.push(t, EventKind::Deliver(env));
+        self.calendar.push(t, EventKind::Deliver(env));
     }
 
     fn on_timeout(&mut self, k: usize, txn: u64) {
@@ -1086,7 +1070,7 @@ impl<'c> Driver<'c> {
         let backoff = o.backoff;
         self.retries += 1;
         self.send_client_req(k);
-        self.push(
+        self.calendar.push(
             self.now + backoff,
             EventKind::ClientTimeout { client: k, txn },
         );
@@ -1120,7 +1104,8 @@ impl<'c> Driver<'c> {
         if matches!(self.cfg.schedule, ArrivalSchedule::Closed)
             && self.clients[k].issued < self.cfg.refs_per_client
         {
-            self.push(self.now + 1, EventKind::ClientArrival(k));
+            self.calendar
+                .push(self.now + 1, EventKind::ClientArrival(k));
         }
         self.try_submit(k);
     }
@@ -1157,7 +1142,10 @@ impl<'c> Driver<'c> {
             t = up;
         }
         // FIFO clamp: a link never reorders against itself.
-        let clock = self.link_clock.entry((src, dst)).or_insert(0);
+        let (Some(from), Some(to)) = (self.node(src), self.node(dst)) else {
+            unreachable!("a hop joins two nodes of the fleet");
+        };
+        let clock = &mut self.link_clock[from * self.links.len() + to];
         t = t.max(*clock);
         *clock = t;
         t
@@ -1171,11 +1159,11 @@ impl<'c> Driver<'c> {
                     return;
                 }
                 let t = self.now + 1;
-                self.push(t, EventKind::Deliver(env));
+                self.calendar.push(t, EventKind::Deliver(env));
             }
             _ => {
                 let t = self.hop_delay(env.src, env.dst);
-                self.push(t, EventKind::Deliver(env));
+                self.calendar.push(t, EventKind::Deliver(env));
             }
         }
     }
@@ -1224,11 +1212,11 @@ impl<'c> Driver<'c> {
             // sequence number, so the rebuilt node is up before this
             // re-fires).
             if let Some(up) = self.down_until(env.dst, self.now) {
-                self.push(up, EventKind::Deliver(env));
+                self.calendar.push(up, EventKind::Deliver(env));
                 continue;
             }
             let who = env.dst;
-            let Some(NodeLink::Child { token, .. }) = self.links.get(&who) else {
+            let Some(NodeLink::Child { token, .. }) = self.node(who).map(|i| &self.links[i]) else {
                 slots.push(env);
                 continue;
             };
@@ -1275,11 +1263,8 @@ impl<'c> Driver<'c> {
         let before = self.timeline.len();
         // Clients address their own cache, in-process nodes only the
         // fleet, and a child's outputs passed `check_outputs`.
-        let link = self
-            .links
-            .get_mut(&who)
-            .expect("every envelope names a node");
-        match link {
+        let i = self.node(who).expect("every envelope names a node");
+        match &mut self.links[i] {
             NodeLink::InProc(n) => n
                 .deliver(self.now, &env, &mut outputs, &mut self.timeline)
                 .map_err(|msg| format!("{who}: {msg}"))?,
@@ -1326,7 +1311,7 @@ impl<'c> Driver<'c> {
     fn check_outputs(&self, who: Actor, outputs: &[Envelope]) -> Result<(), String> {
         let known = |a: Actor| match a {
             Actor::Client(k) => k < self.clients.len(),
-            node => self.links.contains_key(&node),
+            node => self.node(node).is_some(),
         };
         match outputs.iter().find(|o| o.src != who || !known(o.dst)) {
             Some(o) => Err(format!(
@@ -1354,15 +1339,17 @@ impl<'c> Driver<'c> {
     fn on_restart(&mut self, node: Actor) -> Result<(), String> {
         self.recoveries += 1;
         self.record(&RestartLine { t: self.now, node });
+        let i = self
+            .node(node)
+            .ok_or_else(|| format!("{node}: the fleet has no such node to restart"))?;
         // The crashed instance is gone; build a fresh one…
-        if let Some(old) = self.links.remove(&node) {
-            old.kill(&mut self.poll);
-        }
-        let mut link = spawn_link(&self.cfg.mode, &self.cfg.node_config(node), &mut self.poll)?;
+        let fresh = spawn_link(&self.cfg.mode, &self.cfg.node_config(node), &mut self.poll)?;
+        std::mem::replace(&mut self.links[i], fresh).kill(&mut self.poll);
+        let link = &mut self.links[i];
         // …restore the last checkpoint…
         if let Some(state) = self.checkpoints.remove(&node) {
             let req = Request::Restore { state };
-            match rpc(&mut link, &mut self.poll, node, &req)? {
+            match rpc(link, &mut self.poll, node, &req)? {
                 Response::RestoreOk => {}
                 other => return Err(format!("{node}: restore failed: {other:?}")),
             }
@@ -1383,7 +1370,7 @@ impl<'c> Driver<'c> {
                 replay: true,
                 env,
             };
-            match rpc(&mut link, &mut self.poll, node, &req)? {
+            match rpc(link, &mut self.poll, node, &req)? {
                 Response::DeliverOk { .. } => {}
                 other => return Err(format!("{node}: replay failed: {other:?}")),
             }
@@ -1394,19 +1381,21 @@ impl<'c> Driver<'c> {
         }
         // A second crash before the next checkpoint replays them again.
         self.replay_log.insert(node, replayed);
-        self.links.insert(node, link);
         Ok(())
     }
 
     fn on_checkpoint_tick(&mut self) -> Result<(), String> {
-        let nodes: Vec<Actor> = self.links.keys().copied().collect();
-        for node in nodes {
+        let cfg = self.cfg;
+        for (i, node) in cfg.nodes().enumerate() {
             if self.down_until(node, self.now).is_some() {
                 continue; // don't checkpoint a node that is mid-crash
             }
-            // `nodes` are the map's keys, and this loop removes none.
-            let link = self.links.get_mut(&node).expect("known node");
-            match rpc(link, &mut self.poll, node, &Request::Checkpoint)? {
+            match rpc(
+                &mut self.links[i],
+                &mut self.poll,
+                node,
+                &Request::Checkpoint,
+            )? {
                 Response::CheckpointOk { state } => {
                     self.checkpoints.insert(node, state);
                     self.replay_log.remove(&node);
@@ -1416,7 +1405,7 @@ impl<'c> Driver<'c> {
         }
         if !self.all_done() {
             let t = self.now + self.cfg.faults.checkpoint_every;
-            self.push(t, EventKind::CheckpointTick);
+            self.calendar.push(t, EventKind::CheckpointTick);
         }
         Ok(())
     }

@@ -31,6 +31,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(missing_docs)]
 
+mod calendar;
 pub mod driver;
 pub mod faults;
 pub mod flow;

@@ -110,7 +110,8 @@ fn a_delivery_allocates_next_to_nothing_and_the_timeline_holds_its_text() {
         fresh <= 0.1,
         "{fresh:.3} fresh allocations per delivery ({kept:.3} lines kept)"
     );
-    assert!(grown <= 0.1, "{grown:.3} buffer growths per delivery");
+    // 0.011 here: a calendar that regrew a buffer per instant read 0.038.
+    assert!(grown <= 0.02, "{grown:.3} buffer growths per delivery");
     assert!(held <= 1.05, "{held:.3} heap bytes per text byte");
 }
 

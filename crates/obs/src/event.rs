@@ -29,8 +29,8 @@ pub enum ActorId {
 impl fmt::Display for ActorId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ActorId::Cache(k) => write!(f, "{k}"),
-            ActorId::Module(m) => write!(f, "{m}"),
+            ActorId::Cache(k) => k.fmt(f),
+            ActorId::Module(m) => m.fmt(f),
             ActorId::Network => f.write_str("NET"),
         }
     }

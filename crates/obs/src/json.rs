@@ -392,9 +392,14 @@ impl Sink for Text {
 
     fn uint(&mut self, n: u64) {
         self.value();
-        // Through the double, as the tree goes: the two sinks agree on
-        // every `u64`, including the ones a double cannot hold.
-        write_number(&mut self.out, n as f64);
+        // A double holds every integer up to 2^53, so the tree writes
+        // those digits too; above, it writes what the double rounded
+        // `n` to, and so does this.
+        if n <= 1 << 53 {
+            write_u64(&mut self.out, n);
+        } else {
+            write_number(&mut self.out, n as f64);
+        }
     }
 
     fn str(&mut self, s: &str) {
@@ -799,7 +804,8 @@ fn write_number(out: &mut String, n: f64) {
 }
 
 /// Appends `n` in decimal — what nearly every number written here is,
-/// so it does not go through `fmt`.
+/// so it does not go through `fmt`. The digits go over as `char`s: a
+/// `str` of them would be checked for UTF-8 first.
 fn write_u64(out: &mut String, mut n: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
@@ -811,7 +817,7 @@ fn write_u64(out: &mut String, mut n: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// Appends `s` as a quoted JSON string — the workspace's one escaper.

@@ -7,7 +7,7 @@
 //! interleaving of blocks over modules so that every component agrees on
 //! which controller owns which block.
 
-use crate::ids::ModuleId;
+use crate::ids::{write_tagged, ModuleId};
 use std::fmt;
 
 /// The address of a memory block (the paper's `a`).
@@ -43,7 +43,7 @@ impl BlockAddr {
 
 impl fmt::Display for BlockAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "blk:{:#x}", self.0)
+        write_tagged::<16>(f, "blk:0x", self.0)
     }
 }
 
@@ -232,6 +232,11 @@ mod tests {
     #[test]
     fn display_formats_are_nonempty_and_distinct() {
         assert_eq!(BlockAddr::new(255).to_string(), "blk:0xff");
+        assert_eq!(BlockAddr::new(0).to_string(), "blk:0x0");
+        assert_eq!(
+            BlockAddr::new(u64::MAX).to_string(),
+            format!("blk:{:#x}", u64::MAX)
+        );
         assert_eq!(WordAddr::new(255, 7).to_string(), "blk:0xff+7");
     }
 

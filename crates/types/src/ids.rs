@@ -60,7 +60,7 @@ impl CacheId {
 
 impl fmt::Display for CacheId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "C{}", self.0)
+        write_tagged::<10>(f, "C", self.0.into())
     }
 }
 
@@ -107,7 +107,7 @@ impl ModuleId {
 
 impl fmt::Display for ModuleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "M{}", self.0)
+        write_tagged::<10>(f, "M", self.0.into())
     }
 }
 
@@ -147,8 +147,33 @@ impl TxnId {
 
 impl fmt::Display for TxnId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "txn{}", self.0)
+        write_tagged::<10>(f, "txn", self.0)
     }
+}
+
+/// Writes `tag` and then `n` in base `RADIX` (lowercase digits) as one
+/// `write_str` from a stack buffer: the `Display` of an id or address is
+/// on every trace line, and a nested `write!` would take it through
+/// `fmt`'s argument machinery and integer padding.
+pub(crate) fn write_tagged<const RADIX: u64>(
+    f: &mut fmt::Formatter<'_>,
+    tag: &str,
+    mut n: u64,
+) -> fmt::Result {
+    // The longest tag here is `blk:0x`; a `u64` has at most 20 digits.
+    let mut buf = [0u8; 32];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b"0123456789abcdef"[(n % RADIX) as usize];
+        n /= RADIX;
+        if n == 0 {
+            break;
+        }
+    }
+    at -= tag.len();
+    buf[at..at + tag.len()].copy_from_slice(tag.as_bytes());
+    f.write_str(std::str::from_utf8(&buf[at..]).expect("a tag and ASCII digits"))
 }
 
 #[cfg(test)]
@@ -193,6 +218,14 @@ mod tests {
         let t = TxnId::new(41);
         assert_eq!(t.next().raw(), 42);
         assert_eq!(t.to_string(), "txn41");
+    }
+
+    #[test]
+    fn ids_display_their_extremes() {
+        assert_eq!(CacheId::new(0).to_string(), "C0");
+        assert_eq!(CacheId::new(65535).to_string(), "C65535");
+        assert_eq!(ModuleId::new(10).to_string(), "M10");
+        assert_eq!(TxnId::new(u64::MAX).to_string(), "txn18446744073709551615");
     }
 
     #[test]
