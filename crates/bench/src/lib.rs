@@ -15,23 +15,26 @@
 //! | `ablation_dupdir` | Abl-DupDir: duplicate-directory stolen-cycle ablation |
 //! | `protocol_comparison` | Proto-Zoo: all section 2 schemes on common workloads |
 //! | `acceptability` | Section 4.3 acceptability thresholds |
+//! | `directory_cost` | Directory storage: full map vs two bits |
+//! | `figure_overhead_curves` | Overhead vs system size, as TSV series |
+//! | `migration_effects` | Process migration as coherence traffic |
+//! | `ablation_concurrency` | Abl-Concurrency: the section 3.2.5 controller disciplines |
+//! | `ablation_bias` | Abl-BIAS: the section 2.3 BIAS memory on write-through |
 //!
-//! `bench_throughput` and `perf_compare` are the deterministic gate:
-//! what every directory scheme simulates on four workloads, recorded and
-//! compared for equality ([`throughput`], [`mod@compare`]).
+//! Every one of them, and the deterministic gate ([`throughput`]: what
+//! every directory scheme simulates on four workloads), is frozen as
+//! text under `golden/` and compared byte for byte by `tests/golden.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod experiments;
 pub mod obs_cli;
 pub mod sweep;
 pub mod throughput;
 
-pub use compare::{compare, Comparison};
 pub use experiments::{
     extra_commands_per_reference, predicted_overhead, run_protocol, run_protocol_traced,
 };
 pub use obs_cli::ObsArgs;
-pub use throughput::{run_suite, BenchConfig, BenchDoc};
+pub use throughput::{run_suite, BenchDoc};

@@ -37,13 +37,6 @@ impl SnoopState {
             SnoopState::Exclusive | SnoopState::Reserved | SnoopState::Dirty
         )
     }
-
-    /// Whether this cache must supply data when another cache's miss is
-    /// observed (it holds the only up-to-date copy).
-    #[must_use]
-    pub fn owns_latest(self) -> bool {
-        matches!(self, SnoopState::Dirty)
-    }
 }
 
 impl LineMeta for SnoopState {
@@ -83,16 +76,6 @@ mod tests {
         assert!(SnoopState::Exclusive.writable_silently());
         assert!(SnoopState::Reserved.writable_silently());
         assert!(SnoopState::Dirty.writable_silently());
-    }
-
-    #[test]
-    fn only_dirty_owns_latest() {
-        assert!(SnoopState::Dirty.owns_latest());
-        assert!(
-            !SnoopState::Reserved.owns_latest(),
-            "write-through kept memory current"
-        );
-        assert!(!SnoopState::Exclusive.owns_latest());
     }
 
     #[test]

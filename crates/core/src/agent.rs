@@ -306,12 +306,6 @@ impl CacheAgent {
         &self.stats
     }
 
-    /// Mutable statistics (the timed simulator adds timing-derived
-    /// counters).
-    pub fn stats_mut(&mut self) -> &mut CacheStats {
-        &mut self.stats
-    }
-
     /// `true` while a reference is outstanding.
     #[must_use]
     pub fn is_stalled(&self) -> bool {

@@ -240,12 +240,6 @@ impl FlowEmit {
             guarantees: Vec::new(),
         }
     }
-
-    /// `true` when the emission is (or may be) a broadcast.
-    #[must_use]
-    pub fn may_broadcast(&self) -> bool {
-        matches!(self.delivery, Some(Delivery::Broadcast | Delivery::Either))
-    }
 }
 
 /// One protocol state of one role in the flow graph.

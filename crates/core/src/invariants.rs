@@ -16,7 +16,7 @@ use crate::controller::Controller;
 use crate::local::LocalState;
 use crate::owner_set::OwnerSet;
 use std::collections::HashMap;
-use twobit_types::{AddressMap, BlockAddr, CacheId, ProtocolError};
+use twobit_types::{AddressMap, BlockAddr, ProtocolError};
 
 /// Ground truth about one block gathered from all caches.
 #[derive(Debug, Clone)]
@@ -121,24 +121,15 @@ pub fn check_system(
     Ok(())
 }
 
-/// The set of caches holding block `a` in any valid state — ground truth
-/// for per-block assertions in tests.
-#[must_use]
-pub fn holders_of(agents: &[CacheAgent], a: BlockAddr) -> Vec<CacheId> {
-    agents
-        .iter()
-        .filter(|agent| agent.cache().contains(a))
-        .map(CacheAgent::id)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::agent::AgentPolicy;
     use crate::controller::Observer;
     use crate::directory::Directory;
-    use twobit_types::{CacheOrg, ControllerConcurrency, MemRef, ModuleId, Version, WordAddr};
+    use twobit_types::{
+        CacheId, CacheOrg, ControllerConcurrency, MemRef, ModuleId, Version, WordAddr,
+    };
 
     fn agent(id: usize) -> CacheAgent {
         CacheAgent::new(
@@ -225,17 +216,5 @@ mod tests {
         let controllers = vec![controller()];
         let err = check_system(&[a0, a1], &controllers, AddressMap::interleaved(1)).unwrap_err();
         assert!(matches!(err, ProtocolError::DuplicateOwner { .. }));
-    }
-
-    #[test]
-    fn holders_of_reports_ground_truth() {
-        let mut a0 = agent(0);
-        fill(&mut a0, MemRef::read(WordAddr::new(9, 0)), false);
-        let agents = [a0, agent(1)];
-        assert_eq!(
-            holders_of(&agents, BlockAddr::new(9)),
-            vec![CacheId::new(0)]
-        );
-        assert!(holders_of(&agents, BlockAddr::new(10)).is_empty());
     }
 }

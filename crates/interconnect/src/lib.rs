@@ -158,13 +158,6 @@ impl Crossbar {
         }
     }
 
-    /// A crossbar with uncontended, zero-latency delivery (functional
-    /// timing).
-    #[must_use]
-    pub fn zero_latency() -> Self {
-        Crossbar::new(0, 0, 0)
-    }
-
     #[inline]
     fn port_free(&mut self, dst: NodeId) -> &mut u64 {
         let (ports, index) = match dst {
@@ -337,7 +330,7 @@ mod tests {
 
     #[test]
     fn zero_latency_crossbar_delivers_instantly() {
-        let mut x = Crossbar::zero_latency();
+        let mut x = Crossbar::new(0, 0, 0);
         assert_eq!(x.schedule(cache(0), module(0), MessageSize::Data, 7), 7);
     }
 
@@ -365,7 +358,7 @@ mod tests {
 
     #[test]
     fn injections_count_by_size() {
-        let mut x = Crossbar::zero_latency();
+        let mut x = Crossbar::new(0, 0, 0);
         x.note_injection(MessageSize::Command);
         x.note_injection(MessageSize::Command);
         x.note_injection(MessageSize::Data);

@@ -9,9 +9,9 @@
 //!   when an invariant trips), and [`JsonlTracer`] (streams one JSON
 //!   object per event to any writer).
 //! * **Metrics** ([`Metrics`]) — fixed-bucket latency histograms per
-//!   transaction class, sampled queue-depth / outstanding-transaction
-//!   gauges, and per-cache useless-command counters that reconcile
-//!   exactly with the legacy [`twobit_types::CacheStats`] totals.
+//!   transaction class and sampled queue-depth / outstanding-transaction
+//!   gauges; a summary adds the command totals of the run's
+//!   [`twobit_types::CacheStats`].
 //! * **Timelines** ([`render_block_timeline`]) — per-block lane diagrams
 //!   of the traced events, the tool for *seeing* the section 3.2.5 races
 //!   (stale `MREQUEST` crossing a `BROADINV`, replacement crossing a

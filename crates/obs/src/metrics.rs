@@ -1,14 +1,9 @@
-//! The metrics registry: latency histograms per transaction class,
-//! sampled gauges, and per-cache useless-command counters.
-//!
-//! The useless-command counters deliberately mirror the legacy
-//! [`twobit_types::CacheStats::useless_commands`] counters; the sim
-//! crate's differential tests assert the two accountings agree exactly,
-//! so a drift between the observability layer and the paper-facing
-//! statistics is caught immediately.
+//! The metrics registry: latency histograms per transaction class and
+//! sampled gauges. Command counts are the caches' own ([`CacheStats`]),
+//! which a summary reads.
 
 use std::fmt;
-use twobit_types::{CacheId, CacheStats};
+use twobit_types::CacheStats;
 
 /// The transaction classes whose end-to-end latency is tracked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -302,21 +297,16 @@ pub struct Metrics {
     /// Simultaneously outstanding (started, unfinished) transactions
     /// (system-wide), observed whenever the count changes.
     pub outstanding: Gauge,
-    useless_per_cache: Vec<u64>,
-    commands_per_cache: Vec<u64>,
 }
 
 impl Metrics {
-    /// A registry for `n_caches` caches, sampling gauges every `cadence`
-    /// cycles.
+    /// A registry sampling gauges every `cadence` cycles.
     #[must_use]
-    pub fn new(n_caches: usize, cadence: u64) -> Self {
+    pub fn new(cadence: u64) -> Self {
         Metrics {
             latency: Default::default(),
             queue_depth: Gauge::new(cadence),
             outstanding: Gauge::new(cadence),
-            useless_per_cache: vec![0; n_caches],
-            commands_per_cache: vec![0; n_caches],
         }
     }
 
@@ -331,73 +321,10 @@ impl Metrics {
         &self.latency[class.index()]
     }
 
-    /// Records one coherence command delivered to `cache`, useless or not.
-    pub fn record_command(&mut self, cache: CacheId, useless: bool) {
-        self.commands_per_cache[cache.index()] += 1;
-        if useless {
-            self.useless_per_cache[cache.index()] += 1;
-        }
-    }
-
-    /// Overwrites one cache's command totals from an external accounting.
-    ///
-    /// For adapters (like the atomic bus sim) whose per-command stream is
-    /// internal to another crate: seeding from its final counters keeps
-    /// [`Metrics::summary`] and [`Metrics::reconcile_useless`] exact even
-    /// though the commands were not individually observed here.
-    pub fn seed_cache_totals(&mut self, cache: CacheId, commands: u64, useless: u64) {
-        self.commands_per_cache[cache.index()] = commands;
-        self.useless_per_cache[cache.index()] = useless;
-    }
-
-    /// Useless commands recorded for one cache.
+    /// Summarizes the registry for a report, with the command totals of
+    /// the run's `caches`.
     #[must_use]
-    pub fn useless_for(&self, cache: CacheId) -> u64 {
-        self.useless_per_cache[cache.index()]
-    }
-
-    /// Commands recorded for one cache.
-    #[must_use]
-    pub fn commands_for(&self, cache: CacheId) -> u64 {
-        self.commands_per_cache[cache.index()]
-    }
-
-    /// Total useless commands across all caches.
-    #[must_use]
-    pub fn useless_total(&self) -> u64 {
-        self.useless_per_cache.iter().sum()
-    }
-
-    /// Total delivered commands across all caches.
-    #[must_use]
-    pub fn commands_total(&self) -> u64 {
-        self.commands_per_cache.iter().sum()
-    }
-
-    /// Checks this registry's per-cache command accounting against the
-    /// legacy per-cache [`CacheStats`], returning the first discrepancy as
-    /// `Err((cache index, metrics useless, stats useless))`.
-    ///
-    /// The two paths count the same physical quantity through entirely
-    /// separate code, so equality here is a strong end-to-end check.
-    ///
-    /// # Errors
-    ///
-    /// The first cache whose counters disagree.
-    pub fn reconcile_useless(&self, caches: &[CacheStats]) -> Result<(), (usize, u64, u64)> {
-        for (i, stats) in caches.iter().enumerate() {
-            let mine = self.useless_per_cache.get(i).copied().unwrap_or(0);
-            let theirs = stats.useless_commands.get();
-            if mine != theirs {
-                return Err((i, mine, theirs));
-            }
-        }
-        Ok(())
-    }
-
-    /// Summarizes the registry for a report.
-    #[must_use]
-    pub fn summary(&self) -> MetricsSummary {
+    pub fn summary(&self, caches: &[CacheStats]) -> MetricsSummary {
         MetricsSummary {
             latency: TxnClass::ALL
                 .into_iter()
@@ -419,8 +346,8 @@ impl Metrics {
             peak_queue_depth: self.queue_depth.peak(),
             peak_outstanding: self.outstanding.peak(),
             mean_outstanding: self.outstanding.mean(),
-            commands_delivered: self.commands_total(),
-            useless_commands: self.useless_total(),
+            commands_delivered: caches.iter().map(|c| c.commands_received.get()).sum(),
+            useless_commands: caches.iter().map(|c| c.useless_commands.get()).sum(),
         }
     }
 }
@@ -521,25 +448,16 @@ mod tests {
     }
 
     #[test]
-    fn metrics_reconcile_detects_drift() {
-        let mut m = Metrics::new(2, 10);
-        let mut stats = vec![CacheStats::default(), CacheStats::default()];
-        m.record_command(CacheId::new(0), true);
-        m.record_command(CacheId::new(1), false);
-        stats[0].useless_commands.inc();
-        assert_eq!(m.reconcile_useless(&stats), Ok(()));
-        stats[1].useless_commands.inc();
-        assert_eq!(m.reconcile_useless(&stats), Err((1, 0, 1)));
-    }
-
-    #[test]
     fn summary_reports_rates() {
-        let mut m = Metrics::new(1, 1);
-        m.record_command(CacheId::new(0), true);
-        m.record_command(CacheId::new(0), false);
+        let mut m = Metrics::new(1);
+        let stats = CacheStats {
+            commands_received: 2.into(),
+            useless_commands: 1.into(),
+            ..CacheStats::default()
+        };
         m.record_latency(TxnClass::ReadMiss, 7);
         m.queue_depth.observe(0, 3);
-        let s = m.summary();
+        let s = m.summary(&[stats]);
         assert!((s.useless_rate() - 0.5).abs() < 1e-12);
         assert_eq!(s.peak_queue_depth, 3);
         let (class, lat) = s.latency[0];

@@ -32,17 +32,6 @@ pub struct SpanStat {
 }
 
 impl SpanStat {
-    /// Mean nanoseconds per entry, children included (0 when never
-    /// entered).
-    #[must_use]
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-
     /// Folds another accumulation of the same span into this one.
     pub fn merge(&mut self, other: &SpanStat) {
         self.count += other.count;
@@ -91,13 +80,6 @@ impl PerfReport {
             Some((_, mine)) => mine.merge(&stat),
             None => self.spans.push((name, stat)),
         }
-    }
-
-    /// Sum of self time over all spans (= total wall time inside the
-    /// outermost spans, since child time is attributed exactly once).
-    #[must_use]
-    pub fn total_self_ns(&self) -> u64 {
-        self.spans.iter().map(|(_, s)| s.self_ns).sum()
     }
 }
 
@@ -301,7 +283,6 @@ mod tests {
         );
         assert_eq!(r.get("a").unwrap().count, 3);
         assert_eq!(r.get("a").unwrap().self_ns, 100);
-        assert_eq!(r.total_self_ns(), 190);
     }
 
     #[cfg(not(feature = "perf-spans"))]
@@ -343,7 +324,7 @@ mod tests {
             "inner time is subtracted from outer's self time"
         );
         // Total self time across the tree equals the outermost total.
-        assert_eq!(r.total_self_ns(), outer.total_ns);
+        assert_eq!(outer.self_ns + inner.self_ns, outer.total_ns);
     }
 
     #[cfg(feature = "perf-spans")]

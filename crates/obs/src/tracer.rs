@@ -94,12 +94,6 @@ impl RingTracer {
         }
     }
 
-    /// Total events ever recorded (retained or overwritten).
-    #[must_use]
-    pub fn total_recorded(&self) -> u64 {
-        self.total
-    }
-
     /// Number of events currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -157,7 +151,6 @@ impl Tracer for RingTracer {
 pub struct JsonlTracer<W: Write + std::fmt::Debug> {
     /// `None` only transiently inside `into_inner`.
     w: Option<BufWriter<W>>,
-    lines: u64,
 }
 
 impl<W: Write + std::fmt::Debug> JsonlTracer<W> {
@@ -165,14 +158,7 @@ impl<W: Write + std::fmt::Debug> JsonlTracer<W> {
     pub fn new(w: W) -> Self {
         JsonlTracer {
             w: Some(BufWriter::with_capacity(JSONL_BUF_BYTES, w)),
-            lines: 0,
         }
-    }
-
-    /// Lines written so far.
-    #[must_use]
-    pub fn lines_written(&self) -> u64 {
-        self.lines
     }
 
     /// Flushes and returns the underlying writer.
@@ -188,9 +174,7 @@ impl<W: Write + std::fmt::Debug> Tracer for JsonlTracer<W> {
         // Trace I/O errors must not abort a simulation; a short trace is
         // better than a crashed run, so errors are swallowed here.
         let Some(w) = self.w.as_mut() else { return };
-        if writeln!(w, "{}", ev.to_jsonl()).is_ok() {
-            self.lines += 1;
-        }
+        let _ = writeln!(w, "{}", ev.to_jsonl());
     }
 
     fn flush(&mut self) {
@@ -233,7 +217,6 @@ mod tests {
         let ts: Vec<u64> = r.events().iter().map(|e| e.t).collect();
         assert_eq!(ts, vec![0, 1, 2]);
         assert_eq!(r.len(), 3);
-        assert_eq!(r.total_recorded(), 3);
     }
 
     #[test]
@@ -245,7 +228,6 @@ mod tests {
         let ts: Vec<u64> = r.events().iter().map(|e| e.t).collect();
         assert_eq!(ts, vec![6, 7, 8, 9], "oldest-first, newest retained");
         assert_eq!(r.len(), 4);
-        assert_eq!(r.total_recorded(), 10);
         assert!(r.dump().contains("6 earlier events overwritten"));
     }
 
@@ -289,7 +271,6 @@ mod tests {
         let sink = SharedSink::default();
         let mut t = JsonlTracer::new(sink.clone());
         t.record(ev(1));
-        assert_eq!(t.lines_written(), 1);
         assert!(
             sink.0.borrow().is_empty(),
             "one small event must sit in the buffer, not hit the sink"
@@ -317,7 +298,6 @@ mod tests {
         for i in 0..5 {
             t.record(ev(i));
         }
-        assert_eq!(t.lines_written(), 5);
         let bytes = t.into_inner();
         let text = String::from_utf8(bytes).unwrap();
         let parsed: Vec<SimEvent> = text

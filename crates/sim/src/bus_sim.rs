@@ -36,7 +36,7 @@ impl BusSim {
             }
         };
         let system = BusSystem::new(kind, config.caches, config.cache)?;
-        let metrics = Metrics::new(config.caches, 1);
+        let metrics = Metrics::new(1);
         Ok(BusSim {
             config,
             system,
@@ -105,16 +105,7 @@ impl BusSim {
             }
         }
         let stats = self.system.stats();
-        // The per-command snoop stream is internal to `BusSystem`; seed
-        // the registry's per-cache counters from its totals so the
-        // summary (and reconciliation) stay exact.
-        for (i, cache) in stats.caches.iter().enumerate() {
-            self.metrics.seed_cache_totals(
-                CacheId::new(i),
-                cache.commands_received.get(),
-                cache.useless_commands.get(),
-            );
-        }
+        let obs = self.metrics.summary(&stats.caches);
         let cycles = self.system.bus_cycles();
         self.tracer.flush();
         Ok(Report {
@@ -122,7 +113,7 @@ impl BusSim {
             stats,
             cycles,
             events,
-            obs: Some(self.metrics.summary()),
+            obs: Some(obs),
         })
     }
 }

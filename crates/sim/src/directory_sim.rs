@@ -100,7 +100,7 @@ impl DirectorySim {
             refs_done: vec![0; config.caches],
             refs_target: 0,
             tracer: Box::new(NullTracer),
-            metrics: Metrics::new(config.caches, METRICS_CADENCE),
+            metrics: Metrics::new(METRICS_CADENCE),
             pending: vec![None; config.caches],
             txn_counters: vec![0; config.caches],
             profiler: Profiler::disabled(),
@@ -122,8 +122,7 @@ impl DirectorySim {
         std::mem::replace(&mut self.tracer, Box::new(NullTracer))
     }
 
-    /// The metrics registry (latency histograms, gauges, per-cache
-    /// command counters).
+    /// The metrics registry (latency histograms and gauges).
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -212,12 +211,14 @@ impl DirectorySim {
         invariants::check_system(&self.agents, &self.controllers, self.config.address_map)?;
 
         self.tracer.flush();
+        let stats = self.collect_stats();
+        let obs = self.metrics.summary(&stats.caches);
         Ok(Report {
             protocol: self.config.protocol,
-            stats: self.collect_stats(),
+            stats,
             cycles: self.now,
             events: self.events,
-            obs: Some(self.metrics.summary()),
+            obs: Some(obs),
         })
     }
 

@@ -238,12 +238,15 @@ impl DirectorySim {
             Event::DeliverToCache { cache, msg } => {
                 let k = cache.index();
                 self.profiler.begin("event.deliver_cache");
-                let useless_before = self.agents[k].stats().useless_commands.get();
-                let local_before = if run.tracing {
-                    Some(self.agents[k].cache().state_of(msg.block()).as_line_state())
-                } else {
-                    None
-                };
+                // Only a trace event needs the agent's state and useless
+                // count from before the delivery.
+                let before = run.tracing.then(|| {
+                    let agent = &self.agents[k];
+                    (
+                        agent.cache().state_of(msg.block()).as_line_state(),
+                        agent.stats().useless_commands.get(),
+                    )
+                });
                 self.profiler.begin("agent.on_network");
                 let out = self.agents[k].on_network(msg, &mut run.sends)?;
                 self.profiler.end("agent.on_network");
@@ -253,15 +256,6 @@ impl DirectorySim {
                     } else {
                         0
                     };
-                // `counted` is exactly "commands_received was bumped";
-                // comparing the useless counter across the call reproduces
-                // the agent's own matched/unmatched verdict without
-                // re-deriving it.
-                let useless =
-                    out.counted && self.agents[k].stats().useless_commands.get() > useless_before;
-                if out.counted {
-                    self.metrics.record_command(cache, useless);
-                }
                 let finished = if out.completed.is_some() {
                     self.pending[k].take()
                 } else {
@@ -273,8 +267,15 @@ impl DirectorySim {
                     run.outstanding -= 1;
                     self.metrics.outstanding.observe(base, run.outstanding);
                 }
-                if run.tracing {
-                    let local_after = self.agents[k].cache().state_of(msg.block()).as_line_state();
+                if let Some((local_before, useless_before)) = before {
+                    let agent = &self.agents[k];
+                    let local_after = agent.cache().state_of(msg.block()).as_line_state();
+                    // `counted` is exactly "commands_received was bumped";
+                    // comparing the useless counter across the call
+                    // reproduces the agent's own matched/unmatched verdict
+                    // without re-deriving it.
+                    let useless =
+                        out.counted && agent.stats().useless_commands.get() > useless_before;
                     let mut ev = SimEvent::new(
                         self.now,
                         ActorId::Cache(cache),
@@ -283,10 +284,8 @@ impl DirectorySim {
                     )
                     .class(msg.class())
                     .useless(useless);
-                    if let Some(before) = local_before {
-                        if before != local_after {
-                            ev = ev.local(before, local_after);
-                        }
+                    if local_before != local_after {
+                        ev = ev.local(local_before, local_after);
                     }
                     if let Some(p) = finished {
                         ev = ev.txn(p.id);

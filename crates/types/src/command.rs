@@ -195,21 +195,6 @@ impl CacheToMemory {
         }
     }
 
-    /// `true` for the commands that open a controller *transaction*
-    /// (misses, modify requests, and uncached direct accesses), as opposed
-    /// to ejects and data transfers which are absorbed into existing
-    /// bookkeeping.
-    #[must_use]
-    pub fn opens_transaction(self) -> bool {
-        matches!(
-            self,
-            CacheToMemory::Request { .. }
-                | CacheToMemory::MRequest { .. }
-                | CacheToMemory::WriteThrough { .. }
-                | CacheToMemory::DirectRead { .. }
-        )
-    }
-
     /// The [`CommandClass`] of this command, for statistics and tracing.
     #[must_use]
     pub fn class(self) -> CommandClass {
@@ -327,27 +312,6 @@ impl MemoryToCache {
             | MemoryToCache::MGranted { a, .. }
             | MemoryToCache::Inv { a, .. }
             | MemoryToCache::Purge { a, .. } => a,
-        }
-    }
-
-    /// `true` if the command must be delivered to *all* caches (minus the
-    /// excluded initiator) rather than to a single recipient — the defining
-    /// overhead of the two-bit scheme.
-    #[must_use]
-    pub fn is_broadcast(self) -> bool {
-        matches!(
-            self,
-            MemoryToCache::BroadInv { .. } | MemoryToCache::BroadQuery { .. }
-        )
-    }
-
-    /// The single intended recipient, if this is a targeted command.
-    #[must_use]
-    pub fn unicast_target(self) -> Option<CacheId> {
-        match self {
-            MemoryToCache::GetData { k, .. } | MemoryToCache::MGranted { k, .. } => Some(k),
-            MemoryToCache::Inv { to, .. } | MemoryToCache::Purge { to, .. } => Some(to),
-            MemoryToCache::BroadInv { .. } | MemoryToCache::BroadQuery { .. } => None,
         }
     }
 
@@ -472,90 +436,6 @@ mod tests {
             assert_eq!(c.block(), blk(9), "{c}");
             assert_eq!(c.sender(), k, "{c}");
         }
-    }
-
-    #[test]
-    fn transaction_openers_are_request_and_mrequest() {
-        let k = CacheId::new(0);
-        assert!(CacheToMemory::Request {
-            k,
-            a: blk(1),
-            rw: AccessKind::Write
-        }
-        .opens_transaction());
-        assert!(CacheToMemory::MRequest {
-            k,
-            a: blk(1),
-            version: Version::initial()
-        }
-        .opens_transaction());
-        assert!(!CacheToMemory::Eject {
-            k,
-            olda: blk(1),
-            wb: WritebackKind::Clean
-        }
-        .opens_transaction());
-        assert!(!CacheToMemory::PutData {
-            from: k,
-            a: blk(1),
-            version: Version::initial()
-        }
-        .opens_transaction());
-    }
-
-    #[test]
-    fn broadcast_classification() {
-        let k = CacheId::new(1);
-        assert!(MemoryToCache::BroadInv {
-            a: blk(3),
-            exclude: k
-        }
-        .is_broadcast());
-        assert!(MemoryToCache::BroadQuery {
-            a: blk(3),
-            rw: AccessKind::Read
-        }
-        .is_broadcast());
-        assert!(!MemoryToCache::Inv { a: blk(3), to: k }.is_broadcast());
-        assert!(!MemoryToCache::Purge {
-            a: blk(3),
-            to: k,
-            rw: AccessKind::Write
-        }
-        .is_broadcast());
-        assert!(!MemoryToCache::GetData {
-            k,
-            a: blk(3),
-            version: Version::initial(),
-            exclusive: false
-        }
-        .is_broadcast());
-    }
-
-    #[test]
-    fn unicast_targets() {
-        let k = CacheId::new(4);
-        assert_eq!(
-            MemoryToCache::Inv { a: blk(0), to: k }.unicast_target(),
-            Some(k)
-        );
-        assert_eq!(
-            MemoryToCache::MGranted {
-                k,
-                a: blk(0),
-                granted: true
-            }
-            .unicast_target(),
-            Some(k)
-        );
-        assert_eq!(
-            MemoryToCache::BroadQuery {
-                a: blk(0),
-                rw: AccessKind::Read
-            }
-            .unicast_target(),
-            None
-        );
     }
 
     #[test]

@@ -83,24 +83,6 @@ impl CacheOrg {
         self
     }
 
-    /// A direct-mapped organization of `blocks` blocks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if `blocks` is zero or not a power of two.
-    pub fn direct_mapped(blocks: u32, words_per_block: u32) -> Result<Self, ConfigError> {
-        CacheOrg::new(blocks, 1, words_per_block)
-    }
-
-    /// A fully associative organization of `blocks` blocks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if `blocks` or `words_per_block` is zero.
-    pub fn fully_associative(blocks: u32, words_per_block: u32) -> Result<Self, ConfigError> {
-        CacheOrg::new(1, blocks, words_per_block)
-    }
-
     /// Total capacity in blocks.
     #[must_use]
     pub fn total_blocks(self) -> u64 {
@@ -230,19 +212,6 @@ impl ProtocolKind {
     #[must_use]
     pub fn is_bus_based(self) -> bool {
         matches!(self, ProtocolKind::WriteOnce | ProtocolKind::Illinois)
-    }
-
-    /// `true` for the directory protocols served by memory-module
-    /// controllers over a general interconnect.
-    #[must_use]
-    pub fn is_directory_based(self) -> bool {
-        matches!(
-            self,
-            ProtocolKind::TwoBit
-                | ProtocolKind::TwoBitTlb { .. }
-                | ProtocolKind::FullMap
-                | ProtocolKind::FullMapLocal
-        )
     }
 
     /// Short stable name used in reports and tables.
@@ -389,17 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn special_organizations() {
-        let dm = CacheOrg::direct_mapped(128, 4).unwrap();
-        assert_eq!(dm.assoc, 1);
-        assert_eq!(dm.total_blocks(), 128);
-        let fa = CacheOrg::fully_associative(128, 4).unwrap();
-        assert_eq!(fa.sets, 1);
-        assert_eq!(fa.total_blocks(), 128);
-        assert_eq!(fa.set_of(99), 0);
-    }
-
-    #[test]
     fn latency_zero_is_all_zero() {
         let z = LatencyConfig::zero();
         assert_eq!(
@@ -410,10 +368,6 @@ mod tests {
 
     #[test]
     fn protocol_classification() {
-        assert!(ProtocolKind::TwoBit.is_directory_based());
-        assert!(ProtocolKind::TwoBitTlb { entries: 8 }.is_directory_based());
-        assert!(ProtocolKind::FullMap.is_directory_based());
-        assert!(!ProtocolKind::WriteOnce.is_directory_based());
         assert!(ProtocolKind::WriteOnce.is_bus_based());
         assert!(ProtocolKind::Illinois.is_bus_based());
         assert!(!ProtocolKind::ClassicalWriteThrough.is_bus_based());

@@ -74,30 +74,6 @@ impl GlobalState {
         }
     }
 
-    /// `true` if the state admits cached read-only copies
-    /// (`Present1` or `Present*`).
-    #[must_use]
-    pub fn is_shared_clean(self) -> bool {
-        matches!(self, GlobalState::Present1 | GlobalState::PresentStar)
-    }
-
-    /// `true` if the directory believes a modified copy exists.
-    #[must_use]
-    pub fn is_modified(self) -> bool {
-        matches!(self, GlobalState::PresentM)
-    }
-
-    /// The maximum number of cached copies consistent with this state, or
-    /// `None` if unbounded (`Present*` admits any number including zero).
-    #[must_use]
-    pub fn copy_bound(self) -> Option<usize> {
-        match self {
-            GlobalState::Absent => Some(0),
-            GlobalState::Present1 | GlobalState::PresentM => Some(1),
-            GlobalState::PresentStar => None,
-        }
-    }
-
     /// Whether `actual_copies` clean copies and `actual_dirty` dirty copies
     /// are *consistent* with this (possibly conservative) directory state.
     ///
@@ -202,23 +178,6 @@ mod tests {
     fn default_states_are_empty() {
         assert_eq!(GlobalState::default(), GlobalState::Absent);
         assert_eq!(LineState::default(), LineState::Invalid);
-    }
-
-    #[test]
-    fn shared_clean_classification() {
-        assert!(!GlobalState::Absent.is_shared_clean());
-        assert!(GlobalState::Present1.is_shared_clean());
-        assert!(GlobalState::PresentStar.is_shared_clean());
-        assert!(!GlobalState::PresentM.is_shared_clean());
-        assert!(GlobalState::PresentM.is_modified());
-    }
-
-    #[test]
-    fn copy_bounds_match_section_3_1() {
-        assert_eq!(GlobalState::Absent.copy_bound(), Some(0));
-        assert_eq!(GlobalState::Present1.copy_bound(), Some(1));
-        assert_eq!(GlobalState::PresentStar.copy_bound(), None);
-        assert_eq!(GlobalState::PresentM.copy_bound(), Some(1));
     }
 
     #[test]
